@@ -2,14 +2,18 @@
 
 Every closed-form identity the library relies on is re-verified here
 numerically: each check samples a configuration, measures the worst
-residual, and reports it against a pinned tolerance.  Check ids share
-short group prefixes (``geom.``, ``fixture.``, ``thm1.``, ``prop14.``,
-...) so the command line can select groups; the ids are a stable
-contract, chosen once and kept.
+residual, and reports it against a pinned tolerance.  Each check is one
+function declared with :func:`check`, which records its id, tolerance and
+claim next to its body.  Check ids share short group prefixes
+(``geom.``, ``fixture.``, ``thm1.``, ``prop14.``, ...) so the command
+line can select groups; the ids are a stable contract, chosen once and
+kept.
 
 Checks are independent: each draws its own seeded generator from the run
-seed and its id, so results do not depend on execution order.  A check
-that raises is reported as failed with an infinite residual.
+seed and its id, so results do not depend on execution order.  Residuals
+are folded with :func:`_worst`, so a NaN residual is reported as NaN and
+fails.  A check that raises is reported with an infinite residual and
+zero samples, and fails at any tolerance.
 
 The porism step used by the ``thm1.*`` and ``prop14.*`` groups is
 injectable.  ``MUTATIONS`` maps the names accepted by the command line's
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from .centers import (
     brocard_concurrency_defect,
@@ -67,7 +71,6 @@ from .geom import (
     project_onto_line,
 )
 from .porism import (
-    DegeneratePorismError,
     IsoscelesParams,
     ParametrizationSingularityError,
     PorismParams,
@@ -83,7 +86,7 @@ from .porism import (
     vertices_at,
 )
 from .recurrence import (
-    _child_offset,
+    StepFunction,
     alternating_brocard_sequence,
     anti_scene,
     child_scene,
@@ -91,8 +94,6 @@ from .recurrence import (
     step_backward,
     step_forward,
 )
-
-StepFunction = Callable[[PorismParams], PorismParams]
 
 FIXTURE = IsoscelesParams(1.0, 2.0)
 
@@ -115,9 +116,53 @@ class CheckReport:
 class _Context:
     rng: random.Random
     samples: int
-    tol_scene: float
-    tol_primitive: float
     step: StepFunction
+
+    @property
+    def quarter(self) -> int:
+        """Sample count of the checks that assemble a whole scene per sample."""
+        return max(20, self.samples // 4)
+
+
+CheckFunction = Callable[[_Context], tuple[float, int]]
+
+# check id -> (claim, tolerance, function), in declaration order
+_REGISTRY: dict[str, tuple[str, float | str, CheckFunction]] = {}
+
+
+def check(
+    check_id: str, tolerance: float | str, claim: str
+) -> Callable[[CheckFunction], CheckFunction]:
+    """Register the decorated function as the residual check ``check_id``.
+
+    ``tolerance`` is a number, or ``"scene"`` for the run's scene-level
+    tolerance (``run_checks(tol_scene=...)``, the command line's
+    ``--tolerance``).  The function returns its worst residual and the
+    number of samples it used.
+    """
+
+    def register(fn: CheckFunction) -> CheckFunction:
+        if check_id in _REGISTRY:
+            raise ValueError(f"check id {check_id!r} declared twice")
+        _REGISTRY[check_id] = (claim, tolerance, fn)
+        return fn
+
+    return register
+
+
+def _worst(residuals: Iterable[float]) -> float:
+    """Largest residual, at least 0.0; NaN as soon as one residual is NaN.
+
+    ``max(worst, nan)`` returns ``worst``, so folding with ``max`` would
+    report a NaN residual as a pass.
+    """
+    worst = 0.0
+    for r in residuals:
+        if r > worst:
+            worst = r
+        elif r != r:
+            return math.nan
+    return worst
 
 
 def _flip_step_sign(params: PorismParams) -> PorismParams:
@@ -172,6 +217,15 @@ def _random_member(
             continue
 
 
+def _random_triangle(
+    rng: random.Random,
+) -> tuple[PorismParams, PorismScene, Triangle]:
+    """Random porism parameters, their canonical scene, and a random member."""
+    params = _random_member_params(rng)
+    scene = scene_from_Ru(params)
+    return params, scene, _random_member(rng, scene)[1]
+
+
 def _random_pose(rng: random.Random) -> Pose:
     return Pose(
         translation=Point(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)),
@@ -181,20 +235,50 @@ def _random_pose(rng: random.Random) -> Pose:
     )
 
 
-def _child_via(step: StepFunction, parent: PorismScene) -> PorismScene:
-    child = step(parent.params)
-    if child.R <= 0.0 or child.u_excess <= 0.0:
-        raise DegeneratePorismError("degenerate porism")
-    return scene_from_Ru(child, parent.pose.compose(_child_offset(child)))
+# ---------------------------------------------------------------------------
+# residuals shared with the figure gates
+
+
+def brocard_nesting(scenes: Sequence[PorismScene]) -> float:
+    """Worst overshoot of a generation's Brocard circle past its parent's."""
+    return _worst(
+        inner.brocard_circle.center.dist(outer.brocard_circle.center)
+        + inner.brocard_circle.radius
+        - outer.brocard_circle.radius
+        for outer, inner in zip(scenes, scenes[1:])
+    )
+
+
+def beltrami_orthogonality(scenes: Sequence[PorismScene]) -> float:
+    """Orthogonality defect of the first scene's Beltrami circles against
+    every scene's Brocard circle."""
+    c1, c2 = scenes[0].beltrami_circles()
+    return _worst(
+        circles_orthogonality_residual(c, s.brocard_circle)
+        for s in scenes
+        for c in (c1, c2)
+    )
+
+
+def envelope_residual(t: float) -> float:
+    """Residual of both envelope contacts of E_t on the envelope and on E_t."""
+    e = ellipse_Et(t)
+    return _worst(
+        r
+        for p in envelope_points(t)
+        for r in (abs(4.0 * p.x * p.x + p.y * p.y - 1.0), e.implicit_residual(p))
+    )
 
 
 # ---------------------------------------------------------------------------
 # geom group
 
 
+@check("geom.inversion_involution", 1e-11,
+       "circle inversion applied twice returns the input point")
 def _check_inversion_involution(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, ctx.samples
-    for _ in range(n):
+    residuals = []
+    for _ in range(ctx.samples):
         c = Circle(
             Point(ctx.rng.uniform(-2.0, 2.0), ctx.rng.uniform(-2.0, 2.0)),
             ctx.rng.uniform(0.3, 3.0),
@@ -202,26 +286,30 @@ def _check_inversion_involution(ctx: _Context) -> tuple[float, int]:
         offset = Point(1.0, 0.0).rotated(ctx.rng.uniform(0.0, 2.0 * math.pi))
         p = c.center + offset * (c.radius * ctx.rng.uniform(0.05, 5.0))
         q = invert_in_circle(c, invert_in_circle(c, p))
-        worst = max(worst, q.dist(p) / max(1.0, p.norm()))
-    return worst, n
+        residuals.append(q.dist(p) / max(1.0, p.norm()))
+    return _worst(residuals), ctx.samples
 
 
+@check("geom.projection_idempotent", 1e-13,
+       "projecting a projected point onto the same line moves nothing")
 def _check_projection_idempotent(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, ctx.samples
-    for _ in range(n):
+    residuals = []
+    for _ in range(ctx.samples):
         line = Line(
             Point(ctx.rng.uniform(-3.0, 3.0), ctx.rng.uniform(-3.0, 3.0)),
             Point(1.0, 0.0).rotated(ctx.rng.uniform(0.0, 2.0 * math.pi)),
         )
         p = Point(ctx.rng.uniform(-3.0, 3.0), ctx.rng.uniform(-3.0, 3.0))
         q = project_onto_line(line, p)
-        worst = max(worst, project_onto_line(line, q).dist(q))
-    return worst, n
+        residuals.append(project_onto_line(line, q).dist(q))
+    return _worst(residuals), ctx.samples
 
 
+@check("geom.tangent_residual", 1e-11,
+       "analytic ellipse tangents have zero tangency residual")
 def _check_tangent_residual(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, ctx.samples
-    for _ in range(n):
+    residuals = []
+    for _ in range(ctx.samples):
         hi = ctx.rng.uniform(0.2, 2.0)
         lo = ctx.rng.uniform(0.2, hi)
         e = AxisAlignedEllipse(
@@ -232,95 +320,92 @@ def _check_tangent_residual(ctx: _Context) -> tuple[float, int]:
         )
         theta = ctx.rng.uniform(0.0, 2.0 * math.pi)
         line = Line(e.point_at(theta), e.tangent_direction_at(theta))
-        worst = max(worst, ellipse_line_tangency_residual(e, line))
-    return worst, n
+        residuals.append(ellipse_line_tangency_residual(e, line))
+    return _worst(residuals), ctx.samples
 
 
+@check("geom.circumcircle_cyclic", 1e-12,
+       "the circumcircle does not depend on the vertex ordering")
 def _check_circumcircle_cyclic(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, max(20, ctx.samples // 4)
-    for _ in range(n):
-        scene = scene_from_Ru(_random_member_params(ctx.rng))
-        _, tri = _random_member(ctx.rng, scene)
+    residuals = []
+    for _ in range(ctx.quarter):
+        _, _, tri = _random_triangle(ctx.rng)
         base = circumcircle(tri)
         for perm in (
             Triangle(tri.B, tri.C, tri.A),
             Triangle(tri.C, tri.A, tri.B),
         ):
             other = circumcircle(perm)
-            worst = max(
-                worst,
-                other.center.dist(base.center),
-                abs(other.radius - base.radius),
-            )
-    return worst, n
+            residuals += (other.center.dist(base.center), abs(other.radius - base.radius))
+    return _worst(residuals), ctx.quarter
 
 
 # ---------------------------------------------------------------------------
 # Brocard-point construction group
 
 
+@check("def1.concurrency", "scene",
+       "the three rotated sides meet at one point for both rotation senses")
 def _check_concurrency(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, 100
-    for _ in range(n):
-        scene = scene_from_Ru(_random_member_params(ctx.rng))
-        _, tri = _random_member(ctx.rng, scene)
-        worst = max(worst, brocard_concurrency_defect(tri))
-    return worst, n
+    n = 100
+    return _worst(
+        brocard_concurrency_defect(_random_triangle(ctx.rng)[2]) for _ in range(n)
+    ), n
 
 
+@check("def1.mirror_swap", 1e-10,
+       "mirroring the triangle swaps the two Brocard points")
 def _check_mirror_swap(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, max(20, ctx.samples // 4)
-    for _ in range(n):
-        scene = scene_from_Ru(_random_member_params(ctx.rng))
-        _, tri = _random_member(ctx.rng, scene)
+    def mirror(p: Point) -> Point:
+        return Point(-p.x, p.y)
+
+    residuals = []
+    for _ in range(ctx.quarter):
+        _, _, tri = _random_triangle(ctx.rng)
         first, second = brocard_points_by_construction(tri)
-
-        def mirror(p: Point) -> Point:
-            return Point(-p.x, p.y)
-
         mirrored = Triangle(mirror(tri.A), mirror(tri.C), mirror(tri.B))
         first_m, second_m = brocard_points_by_construction(mirrored)
-        worst = max(
-            worst,
-            mirror(first_m).dist(second),
-            mirror(second_m).dist(first),
-        )
-    return worst, n
+        residuals += (mirror(first_m).dist(second), mirror(second_m).dist(first))
+    return _worst(residuals), ctx.quarter
 
 
+@check("prop2.closed_form", "scene",
+       "constructed Brocard points match the scene's closed-form foci, with labels")
 def _check_closed_form_points(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, 100
+    residuals, n = [], 100
     for _ in range(n):
-        scene = scene_from_Ru(_random_member_params(ctx.rng))
-        _, tri = _random_member(ctx.rng, scene)
+        _, scene, tri = _random_triangle(ctx.rng)
         first, second = brocard_points_by_construction(tri)
-        worst = max(worst, first.dist(scene.omega1), second.dist(scene.omega2))
-    return worst, n
+        residuals += (first.dist(scene.omega1), second.dist(scene.omega2))
+    return _worst(residuals), n
 
 
+@check("lem2.focal_gap", 1e-10,
+       "the Brocard point separation equals the focal distance of the inellipse")
 def _check_focal_gap(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, max(20, ctx.samples // 4)
-    for _ in range(n):
-        scene = scene_from_Ru(_random_member_params(ctx.rng))
-        _, tri = _random_member(ctx.rng, scene)
+    residuals = []
+    for _ in range(ctx.quarter):
+        _, scene, tri = _random_triangle(ctx.rng)
         first, second = brocard_points_by_construction(tri)
         gap = first.dist(second)
         a, b = scene.inellipse.semi_major, scene.inellipse.semi_minor
-        worst = max(worst, abs(gap - 2.0 * math.sqrt((a - b) * (a + b))))
+        residuals.append(abs(gap - 2.0 * math.sqrt((a - b) * (a + b))))
         m = metrics(tri)
         sin_w = 2.0 * m.area / math.sqrt(m.lambda_)
         closed = 2.0 * m.circumradius * sin_w * math.sqrt(1.0 - 4.0 * sin_w * sin_w)
-        worst = max(worst, abs(gap - closed))
-    return worst, n
+        residuals.append(abs(gap - closed))
+    return _worst(residuals), ctx.quarter
 
 
 # ---------------------------------------------------------------------------
 # Beltrami / isodynamic structure
 
 
+@check("prop5.equilateral", "scene",
+       "each isodynamic point forms an equilateral triangle with the Beltrami points")
 def _check_equilateral_triangles(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, max(20, ctx.samples // 4)
-    for _ in range(n):
+    residuals = []
+    for _ in range(ctx.quarter):
         scene = scene_from_Ru(_random_member_params(ctx.rng))
         rho = scene.beltrami_radius
         for apexwards in (scene.X15, scene.X16):
@@ -329,49 +414,53 @@ def _check_equilateral_triangles(ctx: _Context) -> tuple[float, int]:
                 (apexwards, scene.beltrami_U2),
                 (scene.beltrami_P2, scene.beltrami_U2),
             ):
-                worst = max(worst, abs(pair[0].dist(pair[1]) - rho))
-    return worst, n
+                residuals.append(abs(pair[0].dist(pair[1]) - rho))
+    return _worst(residuals), ctx.quarter
 
 
+@check("prop5.isodynamic_membership", "scene",
+       "both isodynamic points lie on both Beltrami circles")
 def _check_isodynamic_membership(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, max(20, ctx.samples // 4)
-    for _ in range(n):
+    residuals = []
+    for _ in range(ctx.quarter):
         scene = scene_from_Ru(_random_member_params(ctx.rng))
         c1, c2 = scene.beltrami_circles()
         for p in (scene.X15, scene.X16):
-            worst = max(worst, c1.membership_residual(p), c2.membership_residual(p))
-    return worst, n
+            residuals += (c1.membership_residual(p), c2.membership_residual(p))
+    return _worst(residuals), ctx.quarter
 
 
+@check("lem5.x574_chain", 1e-10,
+       "the double inversion chain lands on the closed form for X574")
 def _check_x574_chain(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, max(20, ctx.samples // 4)
-    for _ in range(n):
-        params = _random_member_params(ctx.rng)
-        scene = scene_from_Ru(params)
-        _, tri = _random_member(ctx.rng, scene)
+    residuals = []
+    for _ in range(ctx.quarter):
+        params, _, tri = _random_triangle(ctx.rng)
         R, u, g = params.R, params.u, params.gap
         closed = Point(0.0, -R * u * g / (u * u + 3.0))
-        worst = max(worst, standard_centers(tri).X574.dist(closed))
-    return worst, n
+        residuals.append(standard_centers(tri).X574.dist(closed))
+    return _worst(residuals), ctx.quarter
 
 
+@check("lem10.child_axis_gap", 1e-10,
+       "the circumcenter-symmedian gap of the derived triangle matches its closed form")
 def _check_child_axis_gap(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, max(20, ctx.samples // 4)
-    for _ in range(n):
-        params = _random_member_params(ctx.rng)
-        scene = scene_from_Ru(params)
-        _, tri = _random_member(ctx.rng, scene)
+    residuals = []
+    for _ in range(ctx.quarter):
+        params, _, tri = _random_triangle(ctx.rng)
         sub = second_brocard_triangle(tri)
         measured = circumcircle(sub).center.dist(standard_centers(sub).X6)
         R, u, g = params.R, params.u, params.gap
-        worst = max(worst, abs(measured - R * g ** 3 / (2.0 * u * (u * u + 3.0))))
-    return worst, n
+        residuals.append(abs(measured - R * g ** 3 / (2.0 * u * (u * u + 3.0))))
+    return _worst(residuals), ctx.quarter
 
 
 # ---------------------------------------------------------------------------
 # the (d, h) = (1, 2) fixture
 
 
+@check("fixture.scene", 1e-11,
+       "the half-base 1, height 2 porism reproduces its exact catalog of values")
 def _check_fixture_scene(ctx: _Context) -> tuple[float, int]:
     params = Ru_from_dh(FIXTURE)
     scene = scene_from_Ru(params)
@@ -395,23 +484,23 @@ def _check_fixture_scene(ctx: _Context) -> tuple[float, int]:
         (scene.beltrami_radius, 10.0),
         (scene.brocard_circle.radius, 5.0 / 56.0),
     )
-    worst = max(abs(got - want) for got, want in expected)
-    return worst, 1
+    return _worst(abs(got - want) for got, want in expected), 1
 
 
+@check("fixture.inversion_routes", 1e-11,
+       "X187 and X574 of the fixture agree between inversion chain and closed form")
 def _check_fixture_inversion_routes(ctx: _Context) -> tuple[float, int]:
     tri, _, _ = isosceles_scene(FIXTURE)
     centers = standard_centers(tri)
     x574 = -35.0 / 388.0
-    worst = max(
+    return _worst((
         abs(centers.X187.x),
         abs(centers.X187.y + 8.75),
         abs(centers.X574.x),
         abs(centers.X574.y - x574),
         # closed form -R*u*gap/(u^2 + 3) against the double-inversion chain
         abs((-1.25 * 1.75 * 0.25 / (1.75 ** 2 + 3.0)) - x574),
-    )
-    return worst, 1
+    )), 1
 
 
 # ---------------------------------------------------------------------------
@@ -425,37 +514,38 @@ def _closure_sampling(ctx: _Context) -> list[tuple[PorismScene, Triangle]]:
     for _ in range(half):
         out.append((fixture_scene, _random_member(ctx.rng, fixture_scene)[1]))
     for _ in range(ctx.samples - half):
-        scene = scene_from_Ru(_random_member_params(ctx.rng))
-        out.append((scene, _random_member(ctx.rng, scene)[1]))
+        _, scene, tri = _random_triangle(ctx.rng)
+        out.append((scene, tri))
     return out
 
 
+@check("closure.tangency", "scene",
+       "every sampled member triangle is tangent to the inellipse on all three sides")
 def _check_closure_tangency(ctx: _Context) -> tuple[float, int]:
     pairs = _closure_sampling(ctx)
-    worst = max(max(closure_residuals(s, tri)) for s, tri in pairs)
-    return worst, len(pairs)
+    return _worst(r for s, tri in pairs for r in closure_residuals(s, tri)), len(pairs)
 
 
+@check("closure.brocard_angle", 1e-10,
+       "the Brocard angle is the same for every member of a porism")
 def _check_closure_angle(ctx: _Context) -> tuple[float, int]:
     pairs = _closure_sampling(ctx)
-    worst = 0.0
-    for scene, tri in pairs:
-        worst = max(
-            worst,
-            abs(math.atan2(1.0, brocard_cotangent(tri)) - scene.params.omega),
-        )
-    return worst, len(pairs)
+    return _worst(
+        abs(math.atan2(1.0, brocard_cotangent(tri)) - scene.params.omega)
+        for scene, tri in pairs
+    ), len(pairs)
 
 
+@check("closure.stationarity", "scene",
+       "Brocard points and the named centers are stationary across the family")
 def _check_closure_stationarity(ctx: _Context) -> tuple[float, int]:
     pairs = _closure_sampling(ctx)
-    worst = 0.0
+    residuals = []
     for scene, tri in pairs:
         first, second = brocard_points_by_construction(tri)
         cs = standard_centers(tri)
         kc = Circle(cs.X182, cs.X182.dist(cs.X3))
-        worst = max(
-            worst,
+        residuals += (
             first.dist(scene.omega1),
             second.dist(scene.omega2),
             cs.X6.dist(scene.X6),
@@ -466,45 +556,47 @@ def _check_closure_stationarity(ctx: _Context) -> tuple[float, int]:
             kc.center.dist(scene.brocard_circle.center),
             abs(kc.radius - scene.brocard_circle.radius),
         )
-    return worst, len(pairs)
+    return _worst(residuals), len(pairs)
 
 
 # ---------------------------------------------------------------------------
 # one porism step, two routes
 
 
+@check("thm1.two_route", 1e-8,
+       "measuring the derived triangle agrees with the closed-form parameter step")
 def _check_step_two_route(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, 50
+    residuals, n = [], 50
     for _ in range(n):
-        params = _random_member_params(ctx.rng)
-        scene = scene_from_Ru(params)
-        _, tri = _random_member(ctx.rng, scene)
+        params, _, tri = _random_triangle(ctx.rng)
         sub = second_brocard_triangle(tri)
         stepped = ctx.step(params)
-        worst = max(
-            worst,
+        residuals += (
             abs(circumcircle(sub).radius - stepped.R),
             abs(brocard_cotangent(sub) - stepped.u),
         )
-    return worst, n
+    return _worst(residuals), n
 
 
+@check("thm1.child_circumcircle", "scene",
+       "the child's circumcircle is the parent's Brocard circle")
 def _check_child_circumcircle(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, max(20, ctx.samples // 4)
-    for _ in range(n):
+    residuals = []
+    for _ in range(ctx.quarter):
         parent = scene_from_Ru(_random_member_params(ctx.rng), _random_pose(ctx.rng))
-        child = _child_via(ctx.step, parent)
-        worst = max(
-            worst,
+        child = child_scene(parent, ctx.step)
+        residuals += (
             child.circumcircle.center.dist(parent.brocard_circle.center),
             abs(child.circumcircle.radius - parent.brocard_circle.radius),
         )
-    return worst, n
+    return _worst(residuals), ctx.quarter
 
 
+@check("thm1.cor9_axes", 1e-11,
+       "child inellipse axes via the parent-axes route match the stepped scene")
 def _check_child_axes(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, max(20, ctx.samples // 4)
-    for _ in range(n):
+    residuals = []
+    for _ in range(ctx.quarter):
         params = _random_member_params(ctx.rng)
         parent = scene_from_Ru(params)
         a = parent.inellipse.semi_major
@@ -516,33 +608,35 @@ def _check_child_axes(ctx: _Context) -> tuple[float, int]:
             / (a * a + 2.0 * b * b)
         )
         child = scene_from_Ru(ctx.step(params))
-        worst = max(
-            worst,
+        residuals += (
             abs(child.inellipse.semi_major - a_pred),
             abs(child.inellipse.semi_minor - b_pred),
         )
-    return worst, n
+    return _worst(residuals), ctx.quarter
 
 
+@check("thm1.x182_formula", 1e-10,
+       "the child's Brocard-circle center lands on its predicted coordinates")
 def _check_child_x182(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, max(20, ctx.samples // 4)
-    for _ in range(n):
+    residuals = []
+    for _ in range(ctx.quarter):
         params = _random_member_params(ctx.rng)
-        parent = scene_from_Ru(params)
-        child = _child_via(ctx.step, parent)
+        child = child_scene(scene_from_Ru(params), ctx.step)
         stepped = child.params
         predicted = Point(
             0.0,
             -3.0 * stepped.R * (params.u ** 2 + 1.0) / (4.0 * stepped.u * params.u),
         )
-        worst = max(worst, child.X182.dist(predicted))
-    return worst, n
+        residuals.append(child.X182.dist(predicted))
+    return _worst(residuals), ctx.quarter
 
 
 # ---------------------------------------------------------------------------
 # convergence of the step map
 
 
+@check("prop14.forward_convergence", 1e-12,
+       "six forward steps from cotangent 3 reach the equilateral limit quadratically")
 def _check_forward_convergence(ctx: _Context) -> tuple[float, int]:
     params = PorismParams(1.0, 3.0)
     errors = [params.u_excess]
@@ -556,120 +650,123 @@ def _check_forward_convergence(ctx: _Context) -> tuple[float, int]:
     return worst, 6
 
 
+@check("prop14.backward_growth", "scene",
+       "eight backward steps from cotangent 2 push the cotangent past 100")
 def _check_backward_growth(ctx: _Context) -> tuple[float, int]:
     params = PorismParams(1.0, 2.0)
     for _ in range(8):
         params = step_backward(params)
-    return max(0.0, 100.0 - params.u), 8
+    return _worst([100.0 - params.u]), 8
 
 
+@check("prop14.roundtrip", 1e-12,
+       "backward after forward is the identity on parameters")
 def _check_roundtrip(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, 100
+    residuals, n = [], 100
     for _ in range(n):
         params = _random_member_params(ctx.rng)
         back = step_backward(ctx.step(params))
-        worst = max(
-            worst,
+        residuals += (
             abs(back.R - params.R) / params.R,
             abs(back.u - params.u) / params.u,
         )
-    return worst, n
+    return _worst(residuals), n
 
 
+@check("prop14.fixed_point", 1e-15,
+       "the equilateral parameters are the only fixed point and the map contracts")
 def _check_fixed_point(ctx: _Context) -> tuple[float, int]:
     at_fixed = ctx.step(PorismParams.from_excess(1.0, 0.0))
-    worst = abs(at_fixed.u_excess) + abs(at_fixed.R)
+    residuals = [abs(at_fixed.u_excess) + abs(at_fixed.R)]
     # strict contraction above the fixed point
     for k in range(1, 40):
         u = SQRT3 + 0.25 * k
-        stepped = ctx.step(PorismParams(1.0, u))
-        worst = max(worst, max(0.0, stepped.u - u))
-    return worst, 40
+        residuals.append(ctx.step(PorismParams(1.0, u)).u - u)
+    return _worst(residuals), 40
 
 
 # ---------------------------------------------------------------------------
 # forward monotone structure and nesting
 
 
+@check("thm2.monotone", 1e-12,
+       "radius, excess, and eccentricity shrink while the Brocard angle grows")
 def _check_forward_monotone(ctx: _Context) -> tuple[float, int]:
     prev = Ru_from_dh(FIXTURE)
-    worst = 0.0
+    residuals = []
     for _ in range(6):
         nxt = ctx.step(prev)
-        worst = max(worst, max(0.0, nxt.R - prev.R), max(0.0, nxt.u_excess - prev.u_excess))
         # eccentricity sqrt((u^2-3)/(u^2+1)) must shrink with u
         ecc_prev = prev.gap / math.sqrt(prev.u ** 2 + 1.0)
         ecc_next = nxt.gap / math.sqrt(nxt.u ** 2 + 1.0)
-        worst = max(worst, max(0.0, ecc_next - ecc_prev))
-        worst = max(worst, max(0.0, prev.omega - nxt.omega))
+        residuals += (
+            nxt.R - prev.R,
+            nxt.u_excess - prev.u_excess,
+            ecc_next - ecc_prev,
+            prev.omega - nxt.omega,
+        )
         prev = nxt
-    return worst, 6
+    return _worst(residuals), 6
 
 
+@check("thm2.nesting", 1e-10,
+       "each generation's Brocard circle nests inside its parent's")
 def _check_brocard_nesting(ctx: _Context) -> tuple[float, int]:
     scenes = orbit_scenes(scene_from_Ru(Ru_from_dh(FIXTURE)), 6)
-    worst = 0.0
-    for outer, inner in zip(scenes, scenes[1:]):
-        ko, ki = outer.brocard_circle, inner.brocard_circle
-        violation = ki.center.dist(ko.center) + ki.radius - ko.radius
-        worst = max(worst, violation)
-    return worst, len(scenes) - 1
+    return brocard_nesting(scenes), len(scenes) - 1
 
 
+@check("thm3.concyclicity", "scene",
+       "alternating Brocard points of successive generations share two fixed circles")
 def _check_concyclicity(ctx: _Context) -> tuple[float, int]:
     root = scene_from_Ru(Ru_from_dh(FIXTURE))
     first, second = alternating_brocard_sequence(root, 6)
     c1, c2 = root.beltrami_circles()
-    worst = max(
-        max(c1.membership_residual(p) for p in first),
-        max(c2.membership_residual(p) for p in second),
+    return _worst((
+        *(c1.membership_residual(p) for p in first),
+        *(c2.membership_residual(p) for p in second),
         first[0].dist(root.omega1),
         second[0].dist(root.omega2),
-    )
-    return worst, len(first) + len(second)
+    )), len(first) + len(second)
 
 
+@check("thm3.limit_point", 1e-6,
+       "the alternating sequences converge to the lower isodynamic point")
 def _check_limit_point(ctx: _Context) -> tuple[float, int]:
     root = scene_from_Ru(Ru_from_dh(FIXTURE))
     first, second = alternating_brocard_sequence(root, 12)
-    worst = max(first[-1].dist(root.X15), second[-1].dist(root.X15))
-    return worst, 2
+    return _worst((first[-1].dist(root.X15), second[-1].dist(root.X15))), 2
 
 
+@check("prop6.orthogonality", "scene",
+       "both Beltrami circles cut every generation's Brocard circle at right angles")
 def _check_beltrami_orthogonality(ctx: _Context) -> tuple[float, int]:
-    root = scene_from_Ru(Ru_from_dh(FIXTURE))
-    c1, c2 = root.beltrami_circles()
-    worst = 0.0
-    for scene in orbit_scenes(root, 5):
-        k = scene.brocard_circle
-        worst = max(
-            worst,
-            circles_orthogonality_residual(c1, k),
-            circles_orthogonality_residual(c2, k),
-        )
-    return worst, 6
+    return beltrami_orthogonality(orbit_scenes(scene_from_Ru(Ru_from_dh(FIXTURE)), 5)), 6
 
 
 # ---------------------------------------------------------------------------
 # the inverse direction
 
 
+@check("prop4.anti_roundtrip_params", 1e-11,
+       "stepping the anti-porism forward recovers the original parameters")
 def _check_anti_roundtrip_params(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, max(20, ctx.samples // 4)
-    for _ in range(n):
+    residuals = []
+    for _ in range(ctx.quarter):
         scene = scene_from_Ru(_random_member_params(ctx.rng), _random_pose(ctx.rng))
         again = child_scene(anti_scene(scene))
-        worst = max(
-            worst,
+        residuals += (
             abs(again.params.R - scene.params.R) / scene.params.R,
             abs(again.params.u - scene.params.u) / scene.params.u,
         )
-    return worst, n
+    return _worst(residuals), ctx.quarter
 
 
+@check("prop4.anti_roundtrip_points", "scene",
+       "stepping the anti-porism forward recovers the original scene points")
 def _check_anti_roundtrip_points(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, max(20, ctx.samples // 4)
-    for _ in range(n):
+    residuals = []
+    for _ in range(ctx.quarter):
         scene = scene_from_Ru(_random_member_params(ctx.rng), _random_pose(ctx.rng))
         again = child_scene(anti_scene(scene))
         for got, want in (
@@ -680,18 +777,20 @@ def _check_anti_roundtrip_points(ctx: _Context) -> tuple[float, int]:
             (again.omega1, scene.omega1),
             (again.omega2, scene.omega2),
         ):
-            worst = max(worst, got.dist(want))
-    return worst, n
+            residuals.append(got.dist(want))
+    return _worst(residuals), ctx.quarter
 
 
+@check("prop4.anti_stationary", "scene",
+       "isodynamic points stay put along the backward chain")
 def _check_anti_stationary(ctx: _Context) -> tuple[float, int]:
     scene = scene_from_Ru(PorismParams(1.0, 2.0))
     x15, x16 = scene.X15, scene.X16
-    worst = 0.0
+    residuals = []
     for _ in range(8):
         scene = anti_scene(scene)
-        worst = max(worst, scene.X15.dist(x15), scene.X16.dist(x16))
-    return worst, 8
+        residuals += (scene.X15.dist(x15), scene.X16.dist(x16))
+    return _worst(residuals), 8
 
 
 def _anti_axis_series(generations: int) -> tuple[list[float], list[float], float]:
@@ -705,6 +804,8 @@ def _anti_axis_series(generations: int) -> tuple[list[float], list[float], float
     return majors, minors, span
 
 
+@check("prop4.major_axis_limit", 1e-6,
+       "backward inellipse major axes widen monotonically to the Beltrami span")
 def _check_major_axis_limit(ctx: _Context) -> tuple[float, int]:
     majors, _, _ = _anti_axis_series(12)
     if any(b >= a for a, b in zip(majors, majors[1:])):
@@ -712,6 +813,8 @@ def _check_major_axis_limit(ctx: _Context) -> tuple[float, int]:
     return majors[-1], 12
 
 
+@check("prop4.minor_axis_limit", 1e-3,
+       "backward inellipse minor axes flatten monotonically to zero")
 def _check_minor_axis_limit(ctx: _Context) -> tuple[float, int]:
     _, minors, _ = _anti_axis_series(12)
     if any(b >= a for a, b in zip(minors, minors[1:])):
@@ -723,45 +826,46 @@ def _check_minor_axis_limit(ctx: _Context) -> tuple[float, int]:
 # the isosceles chart
 
 
+@check("lem9.chart_roundtrip", 1e-12,
+       "the isosceles chart and the parameter chart invert each other")
 def _check_chart_roundtrip(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, max(20, ctx.samples // 4)
-    for _ in range(n):
+    residuals = []
+    for _ in range(ctx.quarter):
         params = _random_member_params(ctx.rng)
         back = Ru_from_dh(dh_from_Ru(params))
-        worst = max(
-            worst,
-            abs(back.R - params.R) / params.R,
-            abs(back.u - params.u) / params.u,
-        )
         iso = _random_chart_params(ctx.rng)
         iso_back = dh_from_Ru(Ru_from_dh(iso))
-        worst = max(
-            worst,
+        residuals += (
+            abs(back.R - params.R) / params.R,
+            abs(back.u - params.u) / params.u,
             abs(iso_back.d - iso.d) / iso.d,
             abs(iso_back.h - iso.h) / iso.h,
         )
-    return worst, n
+    return _worst(residuals), ctx.quarter
 
 
+@check("prop11.conic_match", 1e-10,
+       "the implicit conic of the isosceles chart is the scene inellipse")
 def _check_conic_match(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, max(20, ctx.samples // 4)
-    for _ in range(n):
+    residuals = []
+    for _ in range(ctx.quarter):
         iso = _random_chart_params(ctx.rng)
         _, _, coeffs = isosceles_scene(iso)
         from_conic = conic_to_ellipse(coeffs)
         scene = scene_from_Ru(Ru_from_dh(iso))
-        worst = max(
-            worst,
+        residuals += (
             from_conic.center.dist(scene.inellipse.center),
             abs(from_conic.semi_major - scene.inellipse.semi_major),
             abs(from_conic.semi_minor - scene.inellipse.semi_minor),
         )
-    return worst, n
+    return _worst(residuals), ctx.quarter
 
 
+@check("prop12.foci_printed", 1e-11,
+       "the chart's rational focus formulas land on the inellipse foci")
 def _check_printed_foci(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, max(20, ctx.samples // 4)
-    for _ in range(n):
+    residuals = []
+    for _ in range(ctx.quarter):
         iso = _random_chart_params(ctx.rng)
         d, h = iso.d, iso.h
         scene = scene_from_Ru(Ru_from_dh(iso))
@@ -770,18 +874,16 @@ def _check_printed_foci(ctx: _Context) -> tuple[float, int]:
         fx = d * (3.0 * d2 - h2) / denom
         fy = (9.0 * d2 * d2 - h2 * h2) / (2.0 * h * denom)
         printed = {(-fx, fy), (fx, fy)}
-        got = ellipse_foci(scene.inellipse)
-        for gx, gy in ((p.x, p.y) for p in got):
-            worst = max(
-                worst,
-                min(math.hypot(gx - px, gy - py) for px, py in printed),
-            )
-    return worst, n
+        for p in ellipse_foci(scene.inellipse):
+            residuals.append(min(math.hypot(p.x - px, p.y - py) for px, py in printed))
+    return _worst(residuals), ctx.quarter
 
 
+@check("prop12.axes_composed", 1e-11,
+       "the chart's composed semi-axis formulas match the scene")
 def _check_composed_axes(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, max(20, ctx.samples // 4)
-    for _ in range(n):
+    residuals = []
+    for _ in range(ctx.quarter):
         d = ctx.rng.uniform(0.5, 2.0)
         h = d * ctx.rng.uniform(0.4, 4.0)
         iso = IsoscelesParams(d, h)
@@ -789,25 +891,26 @@ def _check_composed_axes(ctx: _Context) -> tuple[float, int]:
         denom = 9.0 * d * d + h * h
         a = d * math.sqrt(iso.zeta) / math.sqrt(denom)
         b = 4.0 * d * d * h / denom
-        worst = max(
-            worst,
+        residuals += (
             abs(scene.inellipse.semi_major - a),
             abs(scene.inellipse.semi_minor - b),
         )
-    return worst, n
+    return _worst(residuals), ctx.quarter
 
 
+@check("eq2.apex_recovery", 1e-10,
+       "the member at the top parameter is the isosceles triangle itself")
 def _check_apex_recovery(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, max(20, ctx.samples // 4)
-    for _ in range(n):
+    residuals = []
+    for _ in range(ctx.quarter):
         d = ctx.rng.uniform(0.5, 2.0)
         h = d * ctx.rng.uniform(0.4, 4.0)
         iso = IsoscelesParams(d, h)
         tri, _, _ = isosceles_scene(iso)
         at_top = vertices_at(iso, 0.5 * math.pi)
         for v in at_top.vertices:
-            worst = max(worst, min(v.dist(w) for w in tri.vertices))
-    return worst, n
+            residuals.append(min(v.dist(w) for w in tri.vertices))
+    return _worst(residuals), ctx.quarter
 
 
 # ---------------------------------------------------------------------------
@@ -818,22 +921,26 @@ def _t_grid(n: int, lo: float = 0.05, hi: float = T_MAX - 0.02) -> list[float]:
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
+@check("thm4.isodynamic_fixed", 1e-10,
+       "every family member keeps the isodynamic points at plus and minus root3/2")
 def _check_isodynamic_fixed(ctx: _Context) -> tuple[float, int]:
-    worst = 0.0
-    grid = _t_grid(max(20, ctx.samples // 4))
+    grid = _t_grid(ctx.quarter)
+    residuals = []
     for t in grid:
         scene = bt_scene(t)
-        worst = max(
-            worst,
+        residuals += (
             scene.X15.dist(Point(0.0, -SQRT3 / 2.0)),
             scene.X16.dist(Point(0.0, SQRT3 / 2.0)),
         )
-    return worst, len(grid)
+    return _worst(residuals), len(grid)
 
 
+@check("thm4.member_t0", 1e-10,
+       "the cotangent-2 member carries its exact catalog of values")
 def _check_member_t0(ctx: _Context) -> tuple[float, int]:
     member = porism_Bt(T_CRITICAL)
-    worst = max(
+    f1, f2 = ellipse_foci(member.ellipse)
+    return _worst((
         abs(member.u - 2.0),
         abs(member.gamma.radius - 0.5),
         member.X3.dist(Point(0.0, -1.0)),
@@ -843,199 +950,210 @@ def _check_member_t0(ctx: _Context) -> tuple[float, int]:
         member.brocard_circle.center.dist(Point(0.0, -0.875)),
         abs(member.brocard_circle.radius - 0.125),
         abs(member.eccentricity - math.sqrt(0.2)),
-    )
-    f1, f2 = ellipse_foci(member.ellipse)
-    worst = max(
-        worst,
         f1.dist(Point(-0.1, -0.8)),
         f2.dist(Point(0.1, -0.8)),
-    )
-    return worst, 1
+    )), 1
 
 
+@check("thm4.circle_formulas", 1e-10,
+       "the family's Brocard circles match their closed-form center and radius")
 def _check_circle_formulas(ctx: _Context) -> tuple[float, int]:
-    worst = 0.0
-    grid = _t_grid(max(20, ctx.samples // 4))
+    grid = _t_grid(ctx.quarter)
+    residuals = []
     for t in grid:
         scene = bt_scene(t)
         k = brocard_circle_Kt(t)
-        worst = max(
-            worst,
+        residuals += (
             scene.brocard_circle.center.dist(k.center),
             abs(scene.brocard_circle.radius - k.radius),
         )
-    return worst, len(grid)
+    return _worst(residuals), len(grid)
 
 
+@check("thm4.special_u", 1e-12,
+       "two special family parameters give their known cotangents")
 def _check_special_u(ctx: _Context) -> tuple[float, int]:
-    t = math.atan2(4.0, 5.0)
-    worst = abs(u_from_t(t) - (5.0 + math.sqrt(41.0)) / 4.0)
-    worst = max(worst, abs(u_from_t(T_CRITICAL) - 2.0))
-    worst = max(worst, abs(t_from_u(2.0) - T_CRITICAL))
-    return worst, 2
+    return _worst((
+        abs(u_from_t(math.atan2(4.0, 5.0)) - (5.0 + math.sqrt(41.0)) / 4.0),
+        abs(u_from_t(T_CRITICAL) - 2.0),
+        abs(t_from_u(2.0) - T_CRITICAL),
+    )), 2
 
 
+@check("thm5.embed_consistency", 1e-8,
+       "the discrete step moves family members to the predicted later member")
 def _check_embed_consistency(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, 12
+    residuals, n = [], 12
     for k in range(n):
         t = 0.15 + (T_MAX - 0.25) * k / (n - 1)
-        scene = bt_scene(t)
-        _, tri = _random_member(ctx.rng, scene)
+        _, tri = _random_member(ctx.rng, bt_scene(t))
         sub = second_brocard_triangle(tri)
         target = porism_Bt(embed_step(t))
         cc = circumcircle(sub)
-        worst = max(
-            worst,
+        residuals += (
             abs(cc.radius - target.gamma.radius),
             cc.center.dist(target.X3),
             abs(brocard_cotangent(sub) - target.u),
         )
-    return worst, n
+    return _worst(residuals), n
 
 
+@check("thm5.cot_rational", 1e-11,
+       "the stepped parameter's cotangent equals its rational trigonometric form")
 def _check_cot_rational(ctx: _Context) -> tuple[float, int]:
-    worst = 0.0
-    grid = _t_grid(max(20, ctx.samples // 4), lo=0.1)
+    grid = _t_grid(ctx.quarter, lo=0.1)
+    residuals = []
     for t in grid:
         c, s = math.cos(t), math.sin(t)
         rational = (4.0 - 4.0 * c + math.cos(2.0 * t)) / (
             4.0 * s - math.sin(2.0 * t)
         )
         stepped = embed_step(t)
-        worst = max(worst, abs(math.cos(stepped) / math.sin(stepped) - rational))
-    return worst, len(grid)
+        residuals.append(abs(math.cos(stepped) / math.sin(stepped) - rational))
+    return _worst(residuals), len(grid)
 
 
+@check("prop8.envelope_membership", 1e-10,
+       "envelope contact points lie on the member ellipse and the fixed envelope")
 def _check_envelope_membership(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, 100
-    for k in range(n):
-        t = 0.05 + (T_CRITICAL - 0.05) * k / (n - 1)
-        e = ellipse_Et(t)
-        for p in envelope_points(t):
-            worst = max(worst, abs(4.0 * p.x * p.x + p.y * p.y - 1.0))
-            worst = max(worst, e.implicit_residual(p))
-    return worst, n
+    n = 100
+    return _worst(
+        envelope_residual(0.05 + (T_CRITICAL - 0.05) * k / (n - 1)) for k in range(n)
+    ), n
 
 
+@check("prop8.focal_sum", 1e-12,
+       "envelope points see the isodynamic points as ellipse foci")
 def _check_envelope_focal_sum(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, 50
+    residuals, n = [], 50
     top = Point(0.0, SQRT3 / 2.0)
     bottom = Point(0.0, -SQRT3 / 2.0)
     for k in range(n):
         t = 0.05 + (T_CRITICAL - 0.05) * k / (n - 1)
         for p in envelope_points(t):
-            worst = max(worst, abs(p.dist(top) + p.dist(bottom) - 2.0))
-    return worst, n
+            residuals.append(abs(p.dist(top) + p.dist(bottom) - 2.0))
+    return _worst(residuals), n
 
 
+@check("prop8.degenerate_endpoint", 1e-12,
+       "the envelope contact degenerates to the bottom vertex at the critical parameter")
 def _check_envelope_endpoint(ctx: _Context) -> tuple[float, int]:
-    p, q = envelope_points(T_CRITICAL)
     bottom = Point(0.0, -1.0)
-    return max(p.dist(bottom), q.dist(bottom)), 1
+    return _worst(p.dist(bottom) for p in envelope_points(T_CRITICAL)), 1
 
 
+@check("cor11.brocard_nesting", 1e-12,
+       "family Brocard circles nest monotonically in the parameter")
 def _check_k_nesting(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, 200
+    residuals, n = [], 200
     for _ in range(n):
         v = ctx.rng.uniform(0.02, T_MAX - 0.02)
         s = ctx.rng.uniform(v + 0.01, T_MAX)
-        worst = max(worst, max(0.0, -nesting_residual(s, v)))
-    return worst, n
+        residuals.append(-nesting_residual(s, v))
+    return _worst(residuals), n
 
 
+@check("cor11.gamma_nesting", 1e-12,
+       "family circumcircles nest monotonically in the parameter")
 def _check_gamma_nesting(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, 200
+    residuals, n = [], 200
     for _ in range(n):
         v = ctx.rng.uniform(0.02, T_MAX - 0.03)
         s = ctx.rng.uniform(v + 0.01, T_MAX - 0.01)
-        worst = max(worst, max(0.0, -gamma_nesting_residual(s, v)))
-    return worst, n
+        residuals.append(-gamma_nesting_residual(s, v))
+    return _worst(residuals), n
 
 
+@check("cor12.semi_minor_max", 1e-8,
+       "the semi-minor axis peaks at one quarter, at cosine three quarters")
 def _check_semi_minor_max(ctx: _Context) -> tuple[float, int]:
     ex = family_extrema()
-    worst = max(
+    return _worst((
         abs(ex.t_semi_minor_max - math.acos(0.75)),
         abs(ex.semi_minor_max - 0.25),
-    )
-    return worst, 1
+    )), 1
 
 
+@check("cor13.lower_vertex", 1e-8,
+       "the lower ellipse vertex bottoms out at (0, -1)")
 def _check_lower_vertex(ctx: _Context) -> tuple[float, int]:
     ex = family_extrema()
-    worst = max(
+    return _worst((
         abs(ex.t_lower_vertex_min - T_CRITICAL),
         ex.lower_vertex_min.dist(Point(0.0, -1.0)),
-    )
-    return worst, 1
+    )), 1
 
 
+@check("prop10.profile", 1e-6,
+       "semi-major decreasing and concave, semi-minor concave, eccentricity decreasing")
 def _check_family_profile(ctx: _Context) -> tuple[float, int]:
     n = max(40, ctx.samples // 2)
     grid = _t_grid(n, lo=0.04, hi=T_MAX - 0.04)
     a_vals = [ellipse_Et(t).semi_major for t in grid]
     b_vals = [ellipse_Et(t).semi_minor for t in grid]
     ecc = [math.sqrt(max(0.0, 2.0 * math.cos(t) - 1.0)) for t in grid]
-    worst = 0.0
+    residuals = []
     for series in (a_vals, ecc):
-        for prev, nxt in zip(series, series[1:]):
-            worst = max(worst, max(0.0, nxt - prev))
+        residuals += (nxt - prev for prev, nxt in zip(series, series[1:]))
     for series in (a_vals, b_vals):
         for k in range(1, len(series) - 1):
-            second_diff = series[k + 1] - 2.0 * series[k] + series[k - 1]
-            worst = max(worst, max(0.0, second_diff))
-    return worst, n
+            residuals.append(series[k + 1] - 2.0 * series[k] + series[k - 1])
+    return _worst(residuals), n
 
 
+@check("prop7.intersection_products", "scene",
+       "Brocard and Beltrami circles meet at right angles at their four known points")
 def _check_web_points(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, 10
+    residuals, n = [], 10
     for k in range(n):
         t = 0.1 + (T_MAX - 0.16) * k / (n - 1)
         web = web_orthogonality_residuals(t, samples=2)
-        worst = max(
-            worst,
-            max(abs(v) for v in web.point_inner_products),
-            web.point_membership_max,
-        )
-    return worst, n
+        residuals += (abs(v) for v in web.point_inner_products)
+        residuals.append(web.point_membership_max)
+    return _worst(residuals), n
 
 
+@check("rem9.quartic_orthogonality", 1e-7,
+       "the two direction fields cross at right angles exactly on the quartic locus")
 def _check_quartic_orthogonality(ctx: _Context) -> tuple[float, int]:
     web = web_orthogonality_residuals(0.9, samples=min(128, max(32, ctx.samples // 2)))
-    worst = web.quartic_angle_max_dev
-
-    def quartic(x: float, y: float) -> float:
-        return 16.0 * x ** 4 + 8.0 * x * x + 4.0 * y * y - 3.0
-
-    for x, y in ((0.0, -SQRT3 / 2.0), (0.0, SQRT3 / 2.0), (0.5, 0.0), (-0.5, 0.0)):
-        worst = max(worst, abs(quartic(x, y)))
-    return worst, 4
+    on_quartic = (
+        abs(16.0 * x ** 4 + 8.0 * x * x + 4.0 * y * y - 3.0)
+        for x, y in ((0.0, -SQRT3 / 2.0), (0.0, SQRT3 / 2.0), (0.5, 0.0), (-0.5, 0.0))
+    )
+    return _worst((web.quartic_angle_max_dev, *on_quartic)), 4
 
 
+@check("rem8.axis_parallel", 1e-7,
+       "the two direction fields run parallel on both coordinate axes")
 def _check_axis_parallel(ctx: _Context) -> tuple[float, int]:
     web = web_orthogonality_residuals(0.7, samples=min(128, max(32, ctx.samples // 2)))
     return web.axis_parallel_max_dev, 1
 
 
+@check("rem5.inversion_midpoint", "scene",
+       "inverting the symmedian point in the circumcircle gives the Beltrami midpoint")
 def _check_inversion_midpoint(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, 100
-    for k in range(n):
-        t = 0.02 + (T_MAX - 0.03) * k / (n - 1)
-        worst = max(worst, beltrami_midpoint_check(t))
-    return worst, n
+    n = 100
+    return _worst(
+        beltrami_midpoint_check(0.02 + (T_MAX - 0.03) * k / (n - 1)) for k in range(n)
+    ), n
 
 
+@check("rem3.foci_arcs", 1e-12,
+       "the moving inellipse foci ride two fixed unit circles")
 def _check_foci_arcs(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, 100
-    for k in range(n):
-        t = 0.01 + (T_MAX - 0.01) * k / (n - 1)
-        worst = max(worst, max(foci_on_arcs_check(t)))
-    return worst, n
+    n = 100
+    return _worst(
+        r for k in range(n) for r in foci_on_arcs_check(0.01 + (T_MAX - 0.01) * k / (n - 1))
+    ), n
 
 
+@check("rem4.similarity", "scene",
+       "one fixed similarity carries any canonical porism onto its family member")
 def _check_similarity(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, max(20, ctx.samples // 4)
-    for _ in range(n):
+    residuals = []
+    for _ in range(ctx.quarter):
         params = _random_member_params(ctx.rng)
         canonical = scene_from_Ru(params)
         R, u, g = params.R, params.u, params.gap
@@ -1049,8 +1167,7 @@ def _check_similarity(ctx: _Context) -> tuple[float, int]:
         mapped_ellipse = sigma.apply_ellipse(canonical.inellipse)
         mapped_gamma = sigma.apply_circle(canonical.circumcircle)
         mapped_k = sigma.apply_circle(canonical.brocard_circle)
-        worst = max(
-            worst,
+        residuals += (
             sigma.apply(canonical.X15).dist(target.X15),
             sigma.apply(canonical.X16).dist(target.X16),
             sigma.apply(canonical.X3).dist(target.X3),
@@ -1062,453 +1179,64 @@ def _check_similarity(ctx: _Context) -> tuple[float, int]:
             mapped_k.center.dist(target.brocard_circle.center),
             abs(mapped_k.radius - target.brocard_circle.radius),
         )
-    return worst, n
+    return _worst(residuals), ctx.quarter
 
 
+@check("prop9.kt_intersections", "scene",
+       "the Brocard circle meets the inellipse exactly at the envelope points")
 def _check_kt_intersections(ctx: _Context) -> tuple[float, int]:
-    worst, n = 0.0, 40
-    for k in range(n):
-        t = 0.05 + (T_CRITICAL - 0.05) * k / (n - 1)
-        worst = max(worst, kt_inellipse_intersection_check(t))
-    k0 = brocard_circle_Kt(T_CRITICAL)
-    e0 = ellipse_Et(T_CRITICAL)
+    n = 40
+    residuals = [
+        kt_inellipse_intersection_check(0.05 + (T_CRITICAL - 0.05) * k / (n - 1))
+        for k in range(n)
+    ]
     bottom = Point(0.0, -1.0)
-    worst = max(worst, k0.membership_residual(bottom), e0.implicit_residual(bottom))
-    return worst, n + 1
+    residuals += (
+        brocard_circle_Kt(T_CRITICAL).membership_residual(bottom),
+        ellipse_Et(T_CRITICAL).implicit_residual(bottom),
+    )
+    return _worst(residuals), n + 1
 
 
 # ---------------------------------------------------------------------------
-# registry and runner
-
-
-@dataclass(frozen=True)
-class _Check:
-    check_id: str
-    claim: str
-    tolerance: float | str  # literal, or "scene"/"primitive" for config values
-    run: Callable[[_Context], tuple[float, int]]
-
-
-_REGISTRY: tuple[_Check, ...] = (
-    _Check(
-        "geom.inversion_involution",
-        "circle inversion applied twice returns the input point",
-        1e-11,
-        _check_inversion_involution,
-    ),
-    _Check(
-        "geom.projection_idempotent",
-        "projecting a projected point onto the same line moves nothing",
-        1e-13,
-        _check_projection_idempotent,
-    ),
-    _Check(
-        "geom.tangent_residual",
-        "analytic ellipse tangents have zero tangency residual",
-        1e-11,
-        _check_tangent_residual,
-    ),
-    _Check(
-        "geom.circumcircle_cyclic",
-        "the circumcircle does not depend on the vertex ordering",
-        1e-12,
-        _check_circumcircle_cyclic,
-    ),
-    _Check(
-        "def1.concurrency",
-        "the three rotated sides meet at one point for both rotation senses",
-        "scene",
-        _check_concurrency,
-    ),
-    _Check(
-        "def1.mirror_swap",
-        "mirroring the triangle swaps the two Brocard points",
-        1e-10,
-        _check_mirror_swap,
-    ),
-    _Check(
-        "prop2.closed_form",
-        "constructed Brocard points match the scene's closed-form foci, with labels",
-        "scene",
-        _check_closed_form_points,
-    ),
-    _Check(
-        "lem2.focal_gap",
-        "the Brocard point separation equals the focal distance of the inellipse",
-        1e-10,
-        _check_focal_gap,
-    ),
-    _Check(
-        "prop5.equilateral",
-        "each isodynamic point forms an equilateral triangle with the Beltrami points",
-        "scene",
-        _check_equilateral_triangles,
-    ),
-    _Check(
-        "prop5.isodynamic_membership",
-        "both isodynamic points lie on both Beltrami circles",
-        "scene",
-        _check_isodynamic_membership,
-    ),
-    _Check(
-        "lem5.x574_chain",
-        "the double inversion chain lands on the closed form for X574",
-        1e-10,
-        _check_x574_chain,
-    ),
-    _Check(
-        "lem10.child_axis_gap",
-        "the circumcenter-symmedian gap of the derived triangle matches its closed form",
-        1e-10,
-        _check_child_axis_gap,
-    ),
-    _Check(
-        "fixture.scene",
-        "the half-base 1, height 2 porism reproduces its exact catalog of values",
-        1e-11,
-        _check_fixture_scene,
-    ),
-    _Check(
-        "fixture.inversion_routes",
-        "X187 and X574 of the fixture agree between inversion chain and closed form",
-        1e-11,
-        _check_fixture_inversion_routes,
-    ),
-    _Check(
-        "closure.tangency",
-        "every sampled member triangle is tangent to the inellipse on all three sides",
-        "scene",
-        _check_closure_tangency,
-    ),
-    _Check(
-        "closure.brocard_angle",
-        "the Brocard angle is the same for every member of a porism",
-        1e-10,
-        _check_closure_angle,
-    ),
-    _Check(
-        "closure.stationarity",
-        "Brocard points and the named centers are stationary across the family",
-        "scene",
-        _check_closure_stationarity,
-    ),
-    _Check(
-        "thm1.two_route",
-        "measuring the derived triangle agrees with the closed-form parameter step",
-        1e-8,
-        _check_step_two_route,
-    ),
-    _Check(
-        "thm1.child_circumcircle",
-        "the child's circumcircle is the parent's Brocard circle",
-        "scene",
-        _check_child_circumcircle,
-    ),
-    _Check(
-        "thm1.cor9_axes",
-        "child inellipse axes via the parent-axes route match the stepped scene",
-        1e-11,
-        _check_child_axes,
-    ),
-    _Check(
-        "thm1.x182_formula",
-        "the child's Brocard-circle center lands on its predicted coordinates",
-        1e-10,
-        _check_child_x182,
-    ),
-    _Check(
-        "prop14.forward_convergence",
-        "six forward steps from cotangent 3 reach the equilateral limit quadratically",
-        1e-12,
-        _check_forward_convergence,
-    ),
-    _Check(
-        "prop14.backward_growth",
-        "eight backward steps from cotangent 2 push the cotangent past 100",
-        "scene",
-        _check_backward_growth,
-    ),
-    _Check(
-        "prop14.roundtrip",
-        "backward after forward is the identity on parameters",
-        1e-12,
-        _check_roundtrip,
-    ),
-    _Check(
-        "prop14.fixed_point",
-        "the equilateral parameters are the only fixed point and the map contracts",
-        1e-15,
-        _check_fixed_point,
-    ),
-    _Check(
-        "thm2.monotone",
-        "radius, excess, and eccentricity shrink while the Brocard angle grows",
-        1e-12,
-        _check_forward_monotone,
-    ),
-    _Check(
-        "thm2.nesting",
-        "each generation's Brocard circle nests inside its parent's",
-        1e-10,
-        _check_brocard_nesting,
-    ),
-    _Check(
-        "thm3.concyclicity",
-        "alternating Brocard points of successive generations share two fixed circles",
-        "scene",
-        _check_concyclicity,
-    ),
-    _Check(
-        "thm3.limit_point",
-        "the alternating sequences converge to the lower isodynamic point",
-        1e-6,
-        _check_limit_point,
-    ),
-    _Check(
-        "prop6.orthogonality",
-        "both Beltrami circles cut every generation's Brocard circle at right angles",
-        "scene",
-        _check_beltrami_orthogonality,
-    ),
-    _Check(
-        "prop4.anti_roundtrip_params",
-        "stepping the anti-porism forward recovers the original parameters",
-        1e-11,
-        _check_anti_roundtrip_params,
-    ),
-    _Check(
-        "prop4.anti_roundtrip_points",
-        "stepping the anti-porism forward recovers the original scene points",
-        "scene",
-        _check_anti_roundtrip_points,
-    ),
-    _Check(
-        "prop4.anti_stationary",
-        "isodynamic points stay put along the backward chain",
-        "scene",
-        _check_anti_stationary,
-    ),
-    _Check(
-        "prop4.major_axis_limit",
-        "backward inellipse major axes widen monotonically to the Beltrami span",
-        1e-6,
-        _check_major_axis_limit,
-    ),
-    _Check(
-        "prop4.minor_axis_limit",
-        "backward inellipse minor axes flatten monotonically to zero",
-        1e-3,
-        _check_minor_axis_limit,
-    ),
-    _Check(
-        "lem9.chart_roundtrip",
-        "the isosceles chart and the parameter chart invert each other",
-        1e-12,
-        _check_chart_roundtrip,
-    ),
-    _Check(
-        "prop11.conic_match",
-        "the implicit conic of the isosceles chart is the scene inellipse",
-        1e-10,
-        _check_conic_match,
-    ),
-    _Check(
-        "prop12.foci_printed",
-        "the chart's rational focus formulas land on the inellipse foci",
-        1e-11,
-        _check_printed_foci,
-    ),
-    _Check(
-        "prop12.axes_composed",
-        "the chart's composed semi-axis formulas match the scene",
-        1e-11,
-        _check_composed_axes,
-    ),
-    _Check(
-        "eq2.apex_recovery",
-        "the member at the top parameter is the isosceles triangle itself",
-        1e-10,
-        _check_apex_recovery,
-    ),
-    _Check(
-        "thm4.isodynamic_fixed",
-        "every family member keeps the isodynamic points at plus and minus root3/2",
-        1e-10,
-        _check_isodynamic_fixed,
-    ),
-    _Check(
-        "thm4.member_t0",
-        "the cotangent-2 member carries its exact catalog of values",
-        1e-10,
-        _check_member_t0,
-    ),
-    _Check(
-        "thm4.circle_formulas",
-        "the family's Brocard circles match their closed-form center and radius",
-        1e-10,
-        _check_circle_formulas,
-    ),
-    _Check(
-        "thm4.special_u",
-        "two special family parameters give their known cotangents",
-        1e-12,
-        _check_special_u,
-    ),
-    _Check(
-        "thm5.embed_consistency",
-        "the discrete step moves family members to the predicted later member",
-        1e-8,
-        _check_embed_consistency,
-    ),
-    _Check(
-        "thm5.cot_rational",
-        "the stepped parameter's cotangent equals its rational trigonometric form",
-        1e-11,
-        _check_cot_rational,
-    ),
-    _Check(
-        "prop8.envelope_membership",
-        "envelope contact points lie on the member ellipse and the fixed envelope",
-        1e-10,
-        _check_envelope_membership,
-    ),
-    _Check(
-        "prop8.focal_sum",
-        "envelope points see the isodynamic points as ellipse foci",
-        1e-12,
-        _check_envelope_focal_sum,
-    ),
-    _Check(
-        "prop8.degenerate_endpoint",
-        "the envelope contact degenerates to the bottom vertex at the critical parameter",
-        1e-12,
-        _check_envelope_endpoint,
-    ),
-    _Check(
-        "cor11.brocard_nesting",
-        "family Brocard circles nest monotonically in the parameter",
-        1e-12,
-        _check_k_nesting,
-    ),
-    _Check(
-        "cor11.gamma_nesting",
-        "family circumcircles nest monotonically in the parameter",
-        1e-12,
-        _check_gamma_nesting,
-    ),
-    _Check(
-        "cor12.semi_minor_max",
-        "the semi-minor axis peaks at one quarter, at cosine three quarters",
-        1e-8,
-        _check_semi_minor_max,
-    ),
-    _Check(
-        "cor13.lower_vertex",
-        "the lower ellipse vertex bottoms out at (0, -1)",
-        1e-8,
-        _check_lower_vertex,
-    ),
-    _Check(
-        "prop10.profile",
-        "semi-major decreasing and concave, semi-minor concave, eccentricity decreasing",
-        1e-6,
-        _check_family_profile,
-    ),
-    _Check(
-        "prop7.intersection_products",
-        "Brocard and Beltrami circles meet at right angles at their four known points",
-        "scene",
-        _check_web_points,
-    ),
-    _Check(
-        "rem9.quartic_orthogonality",
-        "the two direction fields cross at right angles exactly on the quartic locus",
-        1e-7,
-        _check_quartic_orthogonality,
-    ),
-    _Check(
-        "rem8.axis_parallel",
-        "the two direction fields run parallel on both coordinate axes",
-        1e-7,
-        _check_axis_parallel,
-    ),
-    _Check(
-        "rem5.inversion_midpoint",
-        "inverting the symmedian point in the circumcircle gives the Beltrami midpoint",
-        "scene",
-        _check_inversion_midpoint,
-    ),
-    _Check(
-        "rem3.foci_arcs",
-        "the moving inellipse foci ride two fixed unit circles",
-        1e-12,
-        _check_foci_arcs,
-    ),
-    _Check(
-        "rem4.similarity",
-        "one fixed similarity carries any canonical porism onto its family member",
-        "scene",
-        _check_similarity,
-    ),
-    _Check(
-        "prop9.kt_intersections",
-        "the Brocard circle meets the inellipse exactly at the envelope points",
-        "scene",
-        _check_kt_intersections,
-    ),
-)
+# runner
 
 
 def check_ids() -> tuple[str, ...]:
-    return tuple(c.check_id for c in _REGISTRY)
+    return tuple(_REGISTRY)
 
 
 def run_checks(
     samples: int = 200,
     seed: int = 0,
     tol_scene: float = 1e-9,
-    tol_primitive: float = 1e-12,
     filter_prefix: str | None = None,
     step: StepFunction = step_forward,
 ) -> list[CheckReport]:
     """Run the registry (or a prefix-selected slice) and report residuals.
 
     Reports come back sorted by check id regardless of execution order.
-    Raises :class:`UnknownCheckFilterError` when the filter matches no id.
+    A check passes only if it ran at least one sample and its residual is
+    within its tolerance; a NaN residual never passes.  Raises
+    :class:`UnknownCheckFilterError` when the filter matches no id.
     """
     selected = [
-        c for c in _REGISTRY
-        if filter_prefix is None or c.check_id.startswith(filter_prefix)
+        i for i in _REGISTRY if filter_prefix is None or i.startswith(filter_prefix)
     ]
     if not selected:
         raise UnknownCheckFilterError(filter_prefix)
     reports = []
-    for check in selected:
-        tol = check.tolerance
+    for check_id in selected:
+        claim, tol, fn = _REGISTRY[check_id]
         if tol == "scene":
             tol = tol_scene
-        elif tol == "primitive":
-            tol = tol_primitive
-        ctx = _Context(
-            rng=random.Random(f"{seed}:{check.check_id}"),
-            samples=max(1, samples),
-            tol_scene=tol_scene,
-            tol_primitive=tol_primitive,
-            step=step,
-        )
+        ctx = _Context(random.Random(f"{seed}:{check_id}"), max(1, samples), step)
         try:
-            residual, used = check.run(ctx)
+            residual, used = fn(ctx)
         except Exception:
+            # reported as zero samples, which fails at any tolerance
             residual, used = math.inf, 0
-        reports.append(
-            CheckReport(
-                check_id=check.check_id,
-                claim=check.claim,
-                max_residual=residual,
-                tolerance=tol,
-                passed=residual <= tol,
-                samples_used=used,
-            )
-        )
+        passed = used > 0 and residual <= tol
+        reports.append(CheckReport(check_id, claim, residual, tol, passed, used))
     reports.sort(key=lambda r: r.check_id)
     return reports

@@ -7,8 +7,10 @@ triangles, ``continuous`` samples the one-parameter family, and
 
 Tables are CSV (RFC-4180 style: header row, CRLF line endings) or JSON
 lines with the same keys.  Floats are printed with ``repr``, so parsing
-a table back recovers the in-memory values bit for bit.  Exit codes:
-0 success, 1 a check or figure residual failed, 2 usage error.
+a table back recovers the in-memory values bit for bit; JSON has no
+non-finite numbers, so there NaN and infinities are the strings
+``"nan"``, ``"inf"`` and ``"-inf"``, the same text the CSV prints.  Exit
+codes: 0 success, 1 a check or figure residual failed, 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,11 +21,17 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, fields
 
 from .centers import brocard_angle
-from .continuous import T_CRITICAL, T_MAX, brocard_circle_Kt, ellipse_Et
-from .checks import MUTATIONS, UnknownCheckFilterError, run_checks
+from .continuous import (
+    T_CRITICAL,
+    T_MAX,
+    _envelope_contact,
+    brocard_circle_Kt,
+    ellipse_Et,
+)
+from .checks import MUTATIONS, CheckReport, UnknownCheckFilterError, run_checks
 from .figures import FIGURES, FigureCheckError, render_figure
 from .geom import GeometryError
 from .porism import (
@@ -40,22 +48,6 @@ from .porism import (
 from .recurrence import anti_scene, child_scene, step_forward
 
 SQRT3 = math.sqrt(3.0)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    tolerance_scene: float = 1e-9
-    tolerance_primitive: float = 1e-12
-    samples: int = 200
-    seed: int = 0
-    output_format: str | None = None
-    output_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if not (self.tolerance_scene > 0.0 and self.tolerance_primitive > 0.0):
-            raise ValueError("tolerances must be > 0")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
 
 
 def _value_str(v: object) -> str:
@@ -75,10 +67,18 @@ def _render_csv(columns: list[str], rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+def _json_value(v: object) -> object:
+    if isinstance(v, float) and not math.isfinite(v):
+        return repr(v)
+    return v
+
+
 def _render_jsonl(columns: list[str], rows: list[dict]) -> str:
     out = []
     for row in rows:
-        out.append(json.dumps({c: row[c] for c in columns}))
+        out.append(
+            json.dumps({c: _json_value(row[c]) for c in columns}, allow_nan=False)
+        )
     return "\n".join(out) + ("\n" if rows else "")
 
 
@@ -108,43 +108,24 @@ def _emit_table(
 # verify
 
 
-_REPORT_COLUMNS = [
-    "check_id",
-    "claim",
-    "max_residual",
-    "tolerance",
-    "passed",
-    "samples_used",
-]
+_REPORT_COLUMNS = [f.name for f in fields(CheckReport)]
 
 
-def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     step = MUTATIONS[args.mutate] if args.mutate else step_forward
     try:
         reports = run_checks(
-            samples=cfg.samples,
-            seed=cfg.seed,
-            tol_scene=cfg.tolerance_scene,
-            tol_primitive=cfg.tolerance_primitive,
+            samples=args.samples,
+            seed=args.seed,
+            tol_scene=args.tolerance,
             filter_prefix=args.filter,
             step=step,
         )
     except UnknownCheckFilterError:
         print(f"error: no check id starts with {args.filter!r}", file=sys.stderr)
         return 2
-    rows = [
-        {
-            "check_id": r.check_id,
-            "claim": r.claim,
-            "max_residual": r.max_residual,
-            "tolerance": r.tolerance,
-            "passed": r.passed,
-            "samples_used": r.samples_used,
-        }
-        for r in reports
-    ]
-    fmt = cfg.output_format or "json"
-    code = _emit_table(_REPORT_COLUMNS, rows, fmt, cfg.output_path)
+    rows = [asdict(r) for r in reports]
+    code = _emit_table(_REPORT_COLUMNS, rows, args.format or "json", args.out)
     if code != 0:
         return code
     failed = [r for r in reports if not r.passed]
@@ -198,15 +179,11 @@ def _orbit_row(generation: int, scene: PorismScene) -> dict:
     }
 
 
-def _cmd_orbit(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_orbit(args: argparse.Namespace) -> int:
     if args.steps < 0:
         print("error: --steps must be >= 0", file=sys.stderr)
         return 2
-    try:
-        scene = scene_from_Ru(PorismParams(args.R0, args.u0))
-    except (DegeneratePorismError, GeometryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    scene = scene_from_Ru(PorismParams(args.R0, args.u0))
     rows = [_orbit_row(0, scene)]
     for k in range(1, args.steps + 1):
         try:
@@ -220,11 +197,8 @@ def _cmd_orbit(args: argparse.Namespace, cfg: RunConfig) -> int:
                 file=sys.stderr,
             )
             break
-        except GeometryError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         rows.append(_orbit_row(k, scene))
-    return _emit_table(_ORBIT_COLUMNS, rows, cfg.output_format, cfg.output_path)
+    return _emit_table(_ORBIT_COLUMNS, rows, args.format, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +218,11 @@ _FAMILY_COLUMNS = [
 ]
 
 
-def _cmd_family(args: argparse.Namespace, cfg: RunConfig) -> int:
-    try:
-        iso = IsoscelesParams(args.d, args.h)
-        scene = scene_from_Ru(Ru_from_dh(iso))
-    except (DegeneratePorismError, GeometryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_family(args: argparse.Namespace) -> int:
+    iso = IsoscelesParams(args.d, args.h)
+    scene = scene_from_Ru(Ru_from_dh(iso))
     rows = []
-    n = cfg.samples
+    n = args.samples
     for k in range(n):
         t = 2.0 * math.pi * k / n
         try:
@@ -275,7 +245,7 @@ def _cmd_family(args: argparse.Namespace, cfg: RunConfig) -> int:
                 ),
             }
         )
-    return _emit_table(_FAMILY_COLUMNS, rows, cfg.output_format, cfg.output_path)
+    return _emit_table(_FAMILY_COLUMNS, rows, args.format, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +273,8 @@ def _continuous_row(t: float) -> dict:
     k = brocard_circle_Kt(t)
     major2 = max(0.0, 2.0 * c - 1.0)
     if t <= T_CRITICAL + 1e-12:
-        xi_x = math.sqrt(max(0.0, 5.0 * c - 3.0)) / (2.0 * math.sqrt(c + 1.0))
-        xi_y = -2.0 * s / (c + 1.0)
+        xi = _envelope_contact(t, clamp=True)
+        xi_x, xi_y = xi.x, xi.y
         envelope_residual = abs(4.0 * xi_x * xi_x + xi_y * xi_y - 1.0)
     else:
         xi_x = xi_y = envelope_residual = math.nan
@@ -323,16 +293,18 @@ def _continuous_row(t: float) -> dict:
     }
 
 
-def _cmd_continuous(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_continuous(args: argparse.Namespace) -> int:
     t_min, t_max = args.t_min, args.t_max
     if args.degrees:
         t_min, t_max = math.radians(t_min), math.radians(t_max)
     if not (0.0 < t_min < t_max <= T_MAX + 1e-15):
         print("error: need 0 < t_min < t_max <= pi/3", file=sys.stderr)
         return 2
-    n = cfg.samples
+    n = args.samples
+    # the last point can round one ulp past t_max, and past pi/3 the
+    # Brocard circle has a negative radius; pin it to t_max
     grid = [t_min] if n == 1 else [
-        t_min + (t_max - t_min) * k / (n - 1) for k in range(n)
+        min(t_min + (t_max - t_min) * k / (n - 1), t_max) for k in range(n)
     ]
     # the extremal parameters are irrational; splice them in when in range
     for special in (math.acos(0.75), T_CRITICAL):
@@ -342,15 +314,15 @@ def _cmd_continuous(args: argparse.Namespace, cfg: RunConfig) -> int:
             grid.append(special)
     grid.sort()
     rows = [_continuous_row(t) for t in grid]
-    return _emit_table(_CONTINUOUS_COLUMNS, rows, cfg.output_format, cfg.output_path)
+    return _emit_table(_CONTINUOUS_COLUMNS, rows, args.format, args.out)
 
 
 # ---------------------------------------------------------------------------
 # figure
 
 
-def _cmd_figure(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if cfg.output_format not in (None, "svg"):
+def _cmd_figure(args: argparse.Namespace) -> int:
+    if args.format not in (None, "svg"):
         print("error: figures are svg only", file=sys.stderr)
         return 2
     _, takes_iso = FIGURES[args.name]
@@ -362,20 +334,13 @@ def _cmd_figure(args: argparse.Namespace, cfg: RunConfig) -> int:
         if args.d is None or args.h is None:
             print("error: give both --d and --h", file=sys.stderr)
             return 2
-        try:
-            iso = IsoscelesParams(args.d, args.h)
-        except DegeneratePorismError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        iso = IsoscelesParams(args.d, args.h)
     try:
         svg = render_figure(args.name, iso)
     except FigureCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DegeneratePorismError, GeometryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _write_output(svg, cfg.output_path)
+    _write_output(svg, args.out)
     return 0
 
 
@@ -494,18 +459,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if not 0.0 < args.tolerance < math.inf:
+        print("error: --tolerance must be finite and > 0", file=sys.stderr)
+        return 2
+    if args.samples < 1:
+        print("error: --samples must be >= 1", file=sys.stderr)
+        return 2
     try:
-        cfg = RunConfig(
-            tolerance_scene=args.tolerance,
-            samples=args.samples,
-            seed=args.seed,
-            output_format=args.format,
-            output_path=args.out,
-        )
-    except ValueError as exc:
+        return args.fn(args)
+    except (GeometryError, ArithmeticError, OSError) as exc:
+        # inputs outside the geometric or floating-point domain, or an
+        # unwritable --out path; no command has printed its table yet
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return args.fn(args, cfg)
 
 
 if __name__ == "__main__":

@@ -154,6 +154,22 @@ def embed_step(t: float) -> float:
     return t_from_u((u * u + 3.0) / (2.0 * u))
 
 
+def _envelope_contact(t: float, clamp: bool) -> Point:
+    """Right-hand contact point of E_t with the envelope 4x^2 + y^2 = 1.
+
+    Real only while 5cos t >= 3.  Past that the radicand is negative:
+    raise, or with ``clamp`` pin it at zero, for callers whose parameters
+    may overshoot acos(3/5) by rounding.
+    """
+    c, s = math.cos(t), math.sin(t)
+    radicand = 5.0 * c - 3.0
+    if radicand < 0.0:
+        if not clamp:
+            raise GeometryError("no real envelope")
+        radicand = 0.0
+    return Point(math.sqrt(radicand) / (2.0 * math.sqrt(c + 1.0)), -2.0 * s / (c + 1.0))
+
+
 def envelope_points(t: float) -> tuple[Point, Point]:
     """Contact points of E_t with the envelope 4x^2 + y^2 = 1.
 
@@ -161,13 +177,8 @@ def envelope_points(t: float) -> tuple[Point, Point]:
     without touching it.
     """
     _check_range(t)
-    c, s = math.cos(t), math.sin(t)
-    radicand = 5.0 * c - 3.0
-    if radicand < 0.0:
-        raise GeometryError("no real envelope")
-    x = math.sqrt(radicand) / (2.0 * math.sqrt(c + 1.0))
-    y = -2.0 * s / (c + 1.0)
-    return Point(-x, y), Point(x, y)
+    p = _envelope_contact(t, clamp=False)
+    return Point(-p.x, p.y), p
 
 
 def nesting_residual(t_small_circle: float, t_big_circle: float) -> float:
@@ -233,14 +244,11 @@ def kt_inellipse_intersection_check(t: float) -> float:
     """
     if not 0.0 < t <= T_CRITICAL + 1e-15:
         raise GeometryError("t outside range")
-    c, s = math.cos(t), math.sin(t)
-    radicand = max(0.0, 5.0 * c - 3.0)
-    x = math.sqrt(radicand) / (2.0 * math.sqrt(c + 1.0))
-    y = -2.0 * s / (c + 1.0)
+    right = _envelope_contact(t, clamp=True)
     k = brocard_circle_Kt(t)
     e = ellipse_Et(t)
     worst = 0.0
-    for p in (Point(-x, y), Point(x, y)):
+    for p in (Point(-right.x, right.y), right):
         worst = max(worst, k.membership_residual(p), e.implicit_residual(p))
     return worst
 

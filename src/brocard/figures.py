@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .centers import brocard_cotangent, second_brocard_triangle
+from .checks import beltrami_orthogonality, brocard_nesting, envelope_residual
 from .continuous import (
     T_CRITICAL,
     T_MAX,
@@ -26,15 +27,10 @@ from .continuous import (
     kt_inellipse_intersection_check,
     quartic_y,
 )
-from .geom import (
-    AxisAlignedEllipse,
-    Circle,
-    GeometryError,
-    Point,
-    circles_orthogonality_residual,
-)
+from .geom import AxisAlignedEllipse, Circle, GeometryError, Point
 from .porism import (
     IsoscelesParams,
+    PorismScene,
     Ru_from_dh,
     closure_residuals,
     scene_from_Ru,
@@ -164,6 +160,13 @@ class _Canvas:
         return "\n".join(parts) + "\n"
 
 
+def _beltrami_arcs(cv: _Canvas, root: PorismScene) -> None:
+    """Angular windows around the Brocard-point cluster on each Beltrami circle."""
+    c1, c2 = root.beltrami_circles()
+    cv.arc(c1.center, c1.radius, math.radians(40.0), math.radians(70.0), "beltrami-arc")
+    cv.arc(c2.center, c2.radius, math.radians(110.0), math.radians(140.0), "beltrami-arc")
+
+
 # ---------------------------------------------------------------------------
 # individual figures
 
@@ -228,12 +231,7 @@ def fig_cascade_triangles(iso: IsoscelesParams) -> str:
     for scene in scenes:
         tri = scene_member(scene, 0.5 * math.pi)
         cv.polygon(tri.vertices, "member dashed")
-    # angular windows around the Brocard-point cluster on each circle
-    for center, circle, a0, a1 in (
-        (c1.center, c1, math.radians(40.0), math.radians(70.0)),
-        (c2.center, c2, math.radians(110.0), math.radians(140.0)),
-    ):
-        cv.arc(center, circle.radius, a0, a1, "beltrami-arc")
+    _beltrami_arcs(cv, root)
     for p in first[:3] + second[:3]:
         cv.marker(p)
     cv.label(root.omega1, "&#937;1", 6.0, -4.0)
@@ -247,34 +245,15 @@ def fig_cascade_circles(iso: IsoscelesParams) -> str:
     """Nested Brocard circles of successive generations, with the arcs."""
     root = scene_from_Ru(Ru_from_dh(iso))
     scenes = orbit_scenes(root, 4)
-    c1, c2 = root.beltrami_circles()
-
-    worst_nest = 0.0
-    for outer, inner in zip(scenes, scenes[1:]):
-        ko, ki = outer.brocard_circle, inner.brocard_circle
-        worst_nest = max(
-            worst_nest, ki.center.dist(ko.center) + ki.radius - ko.radius
-        )
-    _require(worst_nest, 1e-10, "Brocard circle nesting")
-    worst_orth = max(
-        max(
-            circles_orthogonality_residual(c, s.brocard_circle)
-            for s in scenes
-        )
-        for c in (c1, c2)
-    )
-    _require(worst_orth, 1e-9, "Beltrami orthogonality")
+    _require(brocard_nesting(scenes), 1e-10, "Brocard circle nesting")
+    _require(beltrami_orthogonality(scenes), 1e-9, "Beltrami orthogonality")
 
     R = root.params.R
     cv = _Canvas(-1.4 * R, 1.4 * R, -1.5 * R, 1.3 * R)
     cv.circle(root.circumcircle, "gamma")
     for scene in scenes:
         cv.circle(scene.brocard_circle, "brocard")
-    for center, circle, a0, a1 in (
-        (c1.center, c1, math.radians(40.0), math.radians(70.0)),
-        (c2.center, c2, math.radians(110.0), math.radians(140.0)),
-    ):
-        cv.arc(center, circle.radius, a0, a1, "beltrami-arc")
+    _beltrami_arcs(cv, root)
     cv.marker(root.X15)
     cv.label(root.X15, "X15", 8.0, 4.0)
     cv.marker(root.X16)
@@ -320,10 +299,7 @@ _ENVELOPE_TS = (0.45, 0.65, 0.85)
 def fig_envelope() -> str:
     """The fixed envelope, the orthogonality quartic, and the critical tangency."""
     for t in _ENVELOPE_TS:
-        e = ellipse_Et(t)
-        for p in envelope_points(t):
-            _require(abs(4.0 * p.x * p.x + p.y * p.y - 1.0), 1e-10, "on envelope")
-            _require(e.implicit_residual(p), 1e-10, "on member ellipse")
+        _require(envelope_residual(t), 1e-10, "envelope contact")
     _require(
         kt_inellipse_intersection_check(T_CRITICAL), 1e-9, "critical tangency"
     )

@@ -3,8 +3,8 @@ triangles, and rigid-or-similar poses.
 
 Everything here is immutable and every operation is a pure function, so
 values can be shared freely between checks.  Residual helpers return a
-nonnegative defect instead of a bare boolean; callers compare against the
-tolerances in :class:`Tolerances`.
+nonnegative defect instead of a bare boolean; callers compare it against
+their own tolerances.
 """
 
 from __future__ import annotations
@@ -24,22 +24,6 @@ class DegenerateTriangleError(GeometryError):
 
 class InversionPoleError(GeometryError):
     pass
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Central tolerance configuration.
-
-    ``scene`` bounds residuals of assembled scenes (stationarity, closure,
-    concyclicity); ``primitive`` bounds residuals of single primitive
-    identities (inversion round trips, projections).
-    """
-
-    scene: float = 1e-9
-    primitive: float = 1e-12
-
-
-DEFAULT_TOLERANCES = Tolerances()
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ Brocard point labels each generation.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .geom import Circle, GeometryError, Line, Point, Pose, three_point_circle
 from .porism import (
@@ -57,6 +57,9 @@ class OrbitTrace:
     convergence: Convergence
 
 
+StepFunction = Callable[[PorismParams], PorismParams]
+
+
 def step_forward(params: PorismParams) -> PorismParams:
     """One application of the porism map; fixes u = sqrt(3) with R' = 0."""
     u, e = params.u, params.u_excess
@@ -88,8 +91,13 @@ def _child_offset(child: PorismParams) -> Pose:
     return Pose(translation=Point(0.0, -child.R), reflect_x=True)
 
 
-def child_scene(parent: PorismScene) -> PorismScene:
-    child = step_forward(parent.params)
+def child_scene(parent: PorismScene, step: StepFunction = step_forward) -> PorismScene:
+    """The porism of the parent's second Brocard triangles, posed in its world.
+
+    ``step`` maps the parameters; the check suite's self test passes a
+    deliberately broken one.
+    """
+    child = step(parent.params)
     if child.R <= 0.0 or child.u_excess <= 0.0:
         raise DegeneratePorismError("degenerate porism")
     return scene_from_Ru(child, parent.pose.compose(_child_offset(child)))

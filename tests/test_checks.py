@@ -1,13 +1,16 @@
+import dataclasses
 import math
 
 import pytest
 
+from brocard import checks
 from brocard.checks import (
     MUTATIONS,
     CheckReport,
     UnknownCheckFilterError,
     run_checks,
 )
+from brocard.geom import Point
 from brocard.porism import DegeneratePorismError, PorismParams
 
 # groups that the registry is expected to carry; each check id is
@@ -126,3 +129,59 @@ def test_mutated_run_flags_at_least_the_known_groups():
         "thm2.monotone",
     ):
         assert want in failed
+
+
+def test_worst_propagates_nan():
+    assert checks._worst([]) == 0.0
+    assert checks._worst([-1.0, -0.0]) == 0.0
+    assert checks._worst([0.5, 2.0, 1.0]) == 2.0
+    assert math.isnan(checks._worst([0.5, math.nan, 2.0]))
+    assert math.isnan(checks._worst([math.inf, math.nan]))
+
+
+def test_nan_scene_point_fails_its_checks(monkeypatch):
+    real = checks.scene_from_Ru
+
+    def nan_omega1(*args, **kwargs):
+        scene = real(*args, **kwargs)
+        return dataclasses.replace(scene, omega1=Point(math.nan, math.nan))
+
+    monkeypatch.setattr(checks, "scene_from_Ru", nan_omega1)
+    reports = {r.check_id: r for r in run_checks(samples=20, seed=0)}
+    for check_id in (
+        "prop2.closed_form",
+        "closure.stationarity",
+        "fixture.scene",
+        "thm3.concyclicity",
+    ):
+        assert not reports[check_id].passed, check_id
+        assert math.isnan(reports[check_id].max_residual), check_id
+
+
+def test_raised_check_fails_at_infinite_tolerance():
+    (report,) = run_checks(
+        samples=20,
+        tol_scene=math.inf,
+        filter_prefix="thm1.child_circumcircle",
+        step=MUTATIONS["flip-step-sign"],
+    )
+    assert report.tolerance == math.inf
+    assert report.samples_used == 0
+    assert not report.passed
+
+
+def test_zero_samples_fail_at_infinite_tolerance(monkeypatch):
+    monkeypatch.setitem(
+        checks._REGISTRY, "zz.empty", ("samples nothing", "scene", lambda ctx: (0.0, 0))
+    )
+    (report,) = run_checks(tol_scene=math.inf, filter_prefix="zz.")
+    assert report.max_residual == 0.0
+    assert not report.passed
+
+
+def test_check_ids_are_declared_once():
+    with pytest.raises(ValueError):
+        checks.check("geom.inversion_involution", 1.0, "a second declaration")(
+            lambda ctx: (0.0, 1)
+        )
+    assert len(checks.check_ids()) == 61

@@ -24,8 +24,17 @@ def _rows_from_csv(text):
     return header, [dict(zip(header, row)) for row in reader]
 
 
+def _reject_constant(name):
+    raise ValueError(f"bare {name} is not JSON")
+
+
 def _rows_from_jsonl(text):
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
+    # strict RFC 8259: bare NaN and Infinity are rejected
+    return [
+        json.loads(line, parse_constant=_reject_constant)
+        for line in text.splitlines()
+        if line.strip()
+    ]
 
 
 def test_verify_healthy_exit_zero():
@@ -140,8 +149,8 @@ def test_continuous_table():
         if r["t"] <= math.acos(0.6):
             assert r["envelope_residual"] < 1e-10
         else:
-            assert math.isnan(r["xi1_x"])
-            assert math.isnan(r["envelope_residual"])
+            assert r["xi1_x"] == "nan"
+            assert r["envelope_residual"] == "nan"
 
 
 def test_continuous_degrees():

@@ -11,9 +11,9 @@ kept.
 
 Checks are independent: each draws its own seeded generator from the run
 seed and its id, so results do not depend on execution order.  Residuals
-are folded with :func:`_worst`, so a NaN residual is reported as NaN and
-fails.  A check that raises is reported with an infinite residual and
-zero samples, and fails at any tolerance.
+are folded with :func:`~brocard.geom.worst`, so a NaN residual is
+reported as NaN and fails.  A check that raises is reported with an
+infinite residual and zero samples, and fails at any tolerance.
 
 The porism step used by the ``thm1.*`` and ``prop14.*`` groups is
 injectable.  ``MUTATIONS`` maps the names accepted by the command line's
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .centers import (
     brocard_concurrency_defect,
@@ -69,6 +69,7 @@ from .geom import (
     ellipse_line_tangency_residual,
     invert_in_circle,
     project_onto_line,
+    worst,
 )
 from .porism import (
     IsoscelesParams,
@@ -86,6 +87,7 @@ from .porism import (
     vertices_at,
 )
 from .recurrence import (
+    Direction,
     StepFunction,
     alternating_brocard_sequence,
     anti_scene,
@@ -148,21 +150,6 @@ def check(
         return fn
 
     return register
-
-
-def _worst(residuals: Iterable[float]) -> float:
-    """Largest residual, at least 0.0; NaN as soon as one residual is NaN.
-
-    ``max(worst, nan)`` returns ``worst``, so folding with ``max`` would
-    report a NaN residual as a pass.
-    """
-    worst = 0.0
-    for r in residuals:
-        if r > worst:
-            worst = r
-        elif r != r:
-            return math.nan
-    return worst
 
 
 def _flip_step_sign(params: PorismParams) -> PorismParams:
@@ -241,7 +228,7 @@ def _random_pose(rng: random.Random) -> Pose:
 
 def brocard_nesting(scenes: Sequence[PorismScene]) -> float:
     """Worst overshoot of a generation's Brocard circle past its parent's."""
-    return _worst(
+    return worst(
         inner.brocard_circle.center.dist(outer.brocard_circle.center)
         + inner.brocard_circle.radius
         - outer.brocard_circle.radius
@@ -253,7 +240,7 @@ def beltrami_orthogonality(scenes: Sequence[PorismScene]) -> float:
     """Orthogonality defect of the first scene's Beltrami circles against
     every scene's Brocard circle."""
     c1, c2 = scenes[0].beltrami_circles()
-    return _worst(
+    return worst(
         circles_orthogonality_residual(c, s.brocard_circle)
         for s in scenes
         for c in (c1, c2)
@@ -263,7 +250,7 @@ def beltrami_orthogonality(scenes: Sequence[PorismScene]) -> float:
 def envelope_residual(t: float) -> float:
     """Residual of both envelope contacts of E_t on the envelope and on E_t."""
     e = ellipse_Et(t)
-    return _worst(
+    return worst(
         r
         for p in envelope_points(t)
         for r in (abs(4.0 * p.x * p.x + p.y * p.y - 1.0), e.implicit_residual(p))
@@ -287,7 +274,7 @@ def _check_inversion_involution(ctx: _Context) -> tuple[float, int]:
         p = c.center + offset * (c.radius * ctx.rng.uniform(0.05, 5.0))
         q = invert_in_circle(c, invert_in_circle(c, p))
         residuals.append(q.dist(p) / max(1.0, p.norm()))
-    return _worst(residuals), ctx.samples
+    return worst(residuals), ctx.samples
 
 
 @check("geom.projection_idempotent", 1e-13,
@@ -302,7 +289,7 @@ def _check_projection_idempotent(ctx: _Context) -> tuple[float, int]:
         p = Point(ctx.rng.uniform(-3.0, 3.0), ctx.rng.uniform(-3.0, 3.0))
         q = project_onto_line(line, p)
         residuals.append(project_onto_line(line, q).dist(q))
-    return _worst(residuals), ctx.samples
+    return worst(residuals), ctx.samples
 
 
 @check("geom.tangent_residual", 1e-11,
@@ -321,7 +308,7 @@ def _check_tangent_residual(ctx: _Context) -> tuple[float, int]:
         theta = ctx.rng.uniform(0.0, 2.0 * math.pi)
         line = Line(e.point_at(theta), e.tangent_direction_at(theta))
         residuals.append(ellipse_line_tangency_residual(e, line))
-    return _worst(residuals), ctx.samples
+    return worst(residuals), ctx.samples
 
 
 @check("geom.circumcircle_cyclic", 1e-12,
@@ -337,7 +324,7 @@ def _check_circumcircle_cyclic(ctx: _Context) -> tuple[float, int]:
         ):
             other = circumcircle(perm)
             residuals += (other.center.dist(base.center), abs(other.radius - base.radius))
-    return _worst(residuals), ctx.quarter
+    return worst(residuals), ctx.quarter
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +335,7 @@ def _check_circumcircle_cyclic(ctx: _Context) -> tuple[float, int]:
        "the three rotated sides meet at one point for both rotation senses")
 def _check_concurrency(ctx: _Context) -> tuple[float, int]:
     n = 100
-    return _worst(
+    return worst(
         brocard_concurrency_defect(_random_triangle(ctx.rng)[2]) for _ in range(n)
     ), n
 
@@ -366,7 +353,7 @@ def _check_mirror_swap(ctx: _Context) -> tuple[float, int]:
         mirrored = Triangle(mirror(tri.A), mirror(tri.C), mirror(tri.B))
         first_m, second_m = brocard_points_by_construction(mirrored)
         residuals += (mirror(first_m).dist(second), mirror(second_m).dist(first))
-    return _worst(residuals), ctx.quarter
+    return worst(residuals), ctx.quarter
 
 
 @check("prop2.closed_form", "scene",
@@ -377,7 +364,7 @@ def _check_closed_form_points(ctx: _Context) -> tuple[float, int]:
         _, scene, tri = _random_triangle(ctx.rng)
         first, second = brocard_points_by_construction(tri)
         residuals += (first.dist(scene.omega1), second.dist(scene.omega2))
-    return _worst(residuals), n
+    return worst(residuals), n
 
 
 @check("lem2.focal_gap", 1e-10,
@@ -394,7 +381,7 @@ def _check_focal_gap(ctx: _Context) -> tuple[float, int]:
         sin_w = 2.0 * m.area / math.sqrt(m.lambda_)
         closed = 2.0 * m.circumradius * sin_w * math.sqrt(1.0 - 4.0 * sin_w * sin_w)
         residuals.append(abs(gap - closed))
-    return _worst(residuals), ctx.quarter
+    return worst(residuals), ctx.quarter
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +402,7 @@ def _check_equilateral_triangles(ctx: _Context) -> tuple[float, int]:
                 (scene.beltrami_P2, scene.beltrami_U2),
             ):
                 residuals.append(abs(pair[0].dist(pair[1]) - rho))
-    return _worst(residuals), ctx.quarter
+    return worst(residuals), ctx.quarter
 
 
 @check("prop5.isodynamic_membership", "scene",
@@ -427,7 +414,7 @@ def _check_isodynamic_membership(ctx: _Context) -> tuple[float, int]:
         c1, c2 = scene.beltrami_circles()
         for p in (scene.X15, scene.X16):
             residuals += (c1.membership_residual(p), c2.membership_residual(p))
-    return _worst(residuals), ctx.quarter
+    return worst(residuals), ctx.quarter
 
 
 @check("lem5.x574_chain", 1e-10,
@@ -439,7 +426,7 @@ def _check_x574_chain(ctx: _Context) -> tuple[float, int]:
         R, u, g = params.R, params.u, params.gap
         closed = Point(0.0, -R * u * g / (u * u + 3.0))
         residuals.append(standard_centers(tri).X574.dist(closed))
-    return _worst(residuals), ctx.quarter
+    return worst(residuals), ctx.quarter
 
 
 @check("lem10.child_axis_gap", 1e-10,
@@ -452,7 +439,7 @@ def _check_child_axis_gap(ctx: _Context) -> tuple[float, int]:
         measured = circumcircle(sub).center.dist(standard_centers(sub).X6)
         R, u, g = params.R, params.u, params.gap
         residuals.append(abs(measured - R * g ** 3 / (2.0 * u * (u * u + 3.0))))
-    return _worst(residuals), ctx.quarter
+    return worst(residuals), ctx.quarter
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +471,7 @@ def _check_fixture_scene(ctx: _Context) -> tuple[float, int]:
         (scene.beltrami_radius, 10.0),
         (scene.brocard_circle.radius, 5.0 / 56.0),
     )
-    return _worst(abs(got - want) for got, want in expected), 1
+    return worst(abs(got - want) for got, want in expected), 1
 
 
 @check("fixture.inversion_routes", 1e-11,
@@ -493,7 +480,7 @@ def _check_fixture_inversion_routes(ctx: _Context) -> tuple[float, int]:
     tri, _, _ = isosceles_scene(FIXTURE)
     centers = standard_centers(tri)
     x574 = -35.0 / 388.0
-    return _worst((
+    return worst((
         abs(centers.X187.x),
         abs(centers.X187.y + 8.75),
         abs(centers.X574.x),
@@ -523,14 +510,14 @@ def _closure_sampling(ctx: _Context) -> list[tuple[PorismScene, Triangle]]:
        "every sampled member triangle is tangent to the inellipse on all three sides")
 def _check_closure_tangency(ctx: _Context) -> tuple[float, int]:
     pairs = _closure_sampling(ctx)
-    return _worst(r for s, tri in pairs for r in closure_residuals(s, tri)), len(pairs)
+    return worst(r for s, tri in pairs for r in closure_residuals(s, tri)), len(pairs)
 
 
 @check("closure.brocard_angle", 1e-10,
        "the Brocard angle is the same for every member of a porism")
 def _check_closure_angle(ctx: _Context) -> tuple[float, int]:
     pairs = _closure_sampling(ctx)
-    return _worst(
+    return worst(
         abs(math.atan2(1.0, brocard_cotangent(tri)) - scene.params.omega)
         for scene, tri in pairs
     ), len(pairs)
@@ -556,7 +543,7 @@ def _check_closure_stationarity(ctx: _Context) -> tuple[float, int]:
             kc.center.dist(scene.brocard_circle.center),
             abs(kc.radius - scene.brocard_circle.radius),
         )
-    return _worst(residuals), len(pairs)
+    return worst(residuals), len(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +562,7 @@ def _check_step_two_route(ctx: _Context) -> tuple[float, int]:
             abs(circumcircle(sub).radius - stepped.R),
             abs(brocard_cotangent(sub) - stepped.u),
         )
-    return _worst(residuals), n
+    return worst(residuals), n
 
 
 @check("thm1.child_circumcircle", "scene",
@@ -589,7 +576,7 @@ def _check_child_circumcircle(ctx: _Context) -> tuple[float, int]:
             child.circumcircle.center.dist(parent.brocard_circle.center),
             abs(child.circumcircle.radius - parent.brocard_circle.radius),
         )
-    return _worst(residuals), ctx.quarter
+    return worst(residuals), ctx.quarter
 
 
 @check("thm1.cor9_axes", 1e-11,
@@ -612,7 +599,7 @@ def _check_child_axes(ctx: _Context) -> tuple[float, int]:
             abs(child.inellipse.semi_major - a_pred),
             abs(child.inellipse.semi_minor - b_pred),
         )
-    return _worst(residuals), ctx.quarter
+    return worst(residuals), ctx.quarter
 
 
 @check("thm1.x182_formula", 1e-10,
@@ -628,7 +615,7 @@ def _check_child_x182(ctx: _Context) -> tuple[float, int]:
             -3.0 * stepped.R * (params.u ** 2 + 1.0) / (4.0 * stepped.u * params.u),
         )
         residuals.append(child.X182.dist(predicted))
-    return _worst(residuals), ctx.quarter
+    return worst(residuals), ctx.quarter
 
 
 # ---------------------------------------------------------------------------
@@ -643,11 +630,11 @@ def _check_forward_convergence(ctx: _Context) -> tuple[float, int]:
     for _ in range(6):
         params = ctx.step(params)
         errors.append(params.u_excess)
-    worst = errors[-1]
+    residual = errors[-1]
     for k in range(len(errors) - 1):
         if errors[k] > 0.0 and errors[k + 1] / errors[k] ** 2 > 0.3:
-            worst = math.inf
-    return worst, 6
+            residual = math.inf
+    return residual, 6
 
 
 @check("prop14.backward_growth", "scene",
@@ -656,7 +643,7 @@ def _check_backward_growth(ctx: _Context) -> tuple[float, int]:
     params = PorismParams(1.0, 2.0)
     for _ in range(8):
         params = step_backward(params)
-    return _worst([100.0 - params.u]), 8
+    return worst([100.0 - params.u]), 8
 
 
 @check("prop14.roundtrip", 1e-12,
@@ -670,7 +657,7 @@ def _check_roundtrip(ctx: _Context) -> tuple[float, int]:
             abs(back.R - params.R) / params.R,
             abs(back.u - params.u) / params.u,
         )
-    return _worst(residuals), n
+    return worst(residuals), n
 
 
 @check("prop14.fixed_point", 1e-15,
@@ -682,7 +669,7 @@ def _check_fixed_point(ctx: _Context) -> tuple[float, int]:
     for k in range(1, 40):
         u = SQRT3 + 0.25 * k
         residuals.append(ctx.step(PorismParams(1.0, u)).u - u)
-    return _worst(residuals), 40
+    return worst(residuals), 40
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +693,7 @@ def _check_forward_monotone(ctx: _Context) -> tuple[float, int]:
             prev.omega - nxt.omega,
         )
         prev = nxt
-    return _worst(residuals), 6
+    return worst(residuals), 6
 
 
 @check("thm2.nesting", 1e-10,
@@ -722,7 +709,7 @@ def _check_concyclicity(ctx: _Context) -> tuple[float, int]:
     root = scene_from_Ru(Ru_from_dh(FIXTURE))
     first, second = alternating_brocard_sequence(root, 6)
     c1, c2 = root.beltrami_circles()
-    return _worst((
+    return worst((
         *(c1.membership_residual(p) for p in first),
         *(c2.membership_residual(p) for p in second),
         first[0].dist(root.omega1),
@@ -735,7 +722,7 @@ def _check_concyclicity(ctx: _Context) -> tuple[float, int]:
 def _check_limit_point(ctx: _Context) -> tuple[float, int]:
     root = scene_from_Ru(Ru_from_dh(FIXTURE))
     first, second = alternating_brocard_sequence(root, 12)
-    return _worst((first[-1].dist(root.X15), second[-1].dist(root.X15))), 2
+    return worst((first[-1].dist(root.X15), second[-1].dist(root.X15))), 2
 
 
 @check("prop6.orthogonality", "scene",
@@ -759,7 +746,7 @@ def _check_anti_roundtrip_params(ctx: _Context) -> tuple[float, int]:
             abs(again.params.R - scene.params.R) / scene.params.R,
             abs(again.params.u - scene.params.u) / scene.params.u,
         )
-    return _worst(residuals), ctx.quarter
+    return worst(residuals), ctx.quarter
 
 
 @check("prop4.anti_roundtrip_points", "scene",
@@ -778,36 +765,34 @@ def _check_anti_roundtrip_points(ctx: _Context) -> tuple[float, int]:
             (again.omega2, scene.omega2),
         ):
             residuals.append(got.dist(want))
-    return _worst(residuals), ctx.quarter
+    return worst(residuals), ctx.quarter
+
+
+def _backward_chain(generations: int) -> list[PorismScene]:
+    root = scene_from_Ru(PorismParams(1.0, 2.0))
+    return orbit_scenes(root, generations, Direction.BACKWARD)
 
 
 @check("prop4.anti_stationary", "scene",
        "isodynamic points stay put along the backward chain")
 def _check_anti_stationary(ctx: _Context) -> tuple[float, int]:
-    scene = scene_from_Ru(PorismParams(1.0, 2.0))
-    x15, x16 = scene.X15, scene.X16
-    residuals = []
-    for _ in range(8):
-        scene = anti_scene(scene)
-        residuals += (scene.X15.dist(x15), scene.X16.dist(x16))
-    return _worst(residuals), 8
+    root, *chain = _backward_chain(8)
+    return worst(
+        r for s in chain for r in (s.X15.dist(root.X15), s.X16.dist(root.X16))
+    ), len(chain)
 
 
-def _anti_axis_series(generations: int) -> tuple[list[float], list[float], float]:
-    scene = scene_from_Ru(PorismParams(1.0, 2.0))
-    span = scene.beltrami_P2.dist(scene.beltrami_U2)
-    majors, minors = [], []
-    for _ in range(generations):
-        scene = anti_scene(scene)
-        majors.append(abs(2.0 * scene.inellipse.semi_major - span))
-        minors.append(scene.inellipse.semi_minor)
-    return majors, minors, span
+def _anti_axis_series(generations: int) -> tuple[list[float], list[float]]:
+    root, *chain = _backward_chain(generations)
+    span = root.beltrami_P2.dist(root.beltrami_U2)
+    majors = [abs(2.0 * s.inellipse.semi_major - span) for s in chain]
+    return majors, [s.inellipse.semi_minor for s in chain]
 
 
 @check("prop4.major_axis_limit", 1e-6,
        "backward inellipse major axes widen monotonically to the Beltrami span")
 def _check_major_axis_limit(ctx: _Context) -> tuple[float, int]:
-    majors, _, _ = _anti_axis_series(12)
+    majors, _ = _anti_axis_series(12)
     if any(b >= a for a, b in zip(majors, majors[1:])):
         return math.inf, 12
     return majors[-1], 12
@@ -816,7 +801,7 @@ def _check_major_axis_limit(ctx: _Context) -> tuple[float, int]:
 @check("prop4.minor_axis_limit", 1e-3,
        "backward inellipse minor axes flatten monotonically to zero")
 def _check_minor_axis_limit(ctx: _Context) -> tuple[float, int]:
-    _, minors, _ = _anti_axis_series(12)
+    _, minors = _anti_axis_series(12)
     if any(b >= a for a, b in zip(minors, minors[1:])):
         return math.inf, 12
     return minors[-1], 12
@@ -841,7 +826,7 @@ def _check_chart_roundtrip(ctx: _Context) -> tuple[float, int]:
             abs(iso_back.d - iso.d) / iso.d,
             abs(iso_back.h - iso.h) / iso.h,
         )
-    return _worst(residuals), ctx.quarter
+    return worst(residuals), ctx.quarter
 
 
 @check("prop11.conic_match", 1e-10,
@@ -858,7 +843,7 @@ def _check_conic_match(ctx: _Context) -> tuple[float, int]:
             abs(from_conic.semi_major - scene.inellipse.semi_major),
             abs(from_conic.semi_minor - scene.inellipse.semi_minor),
         )
-    return _worst(residuals), ctx.quarter
+    return worst(residuals), ctx.quarter
 
 
 @check("prop12.foci_printed", 1e-11,
@@ -876,7 +861,7 @@ def _check_printed_foci(ctx: _Context) -> tuple[float, int]:
         printed = {(-fx, fy), (fx, fy)}
         for p in ellipse_foci(scene.inellipse):
             residuals.append(min(math.hypot(p.x - px, p.y - py) for px, py in printed))
-    return _worst(residuals), ctx.quarter
+    return worst(residuals), ctx.quarter
 
 
 @check("prop12.axes_composed", 1e-11,
@@ -895,7 +880,7 @@ def _check_composed_axes(ctx: _Context) -> tuple[float, int]:
             abs(scene.inellipse.semi_major - a),
             abs(scene.inellipse.semi_minor - b),
         )
-    return _worst(residuals), ctx.quarter
+    return worst(residuals), ctx.quarter
 
 
 @check("eq2.apex_recovery", 1e-10,
@@ -910,7 +895,7 @@ def _check_apex_recovery(ctx: _Context) -> tuple[float, int]:
         at_top = vertices_at(iso, 0.5 * math.pi)
         for v in at_top.vertices:
             residuals.append(min(v.dist(w) for w in tri.vertices))
-    return _worst(residuals), ctx.quarter
+    return worst(residuals), ctx.quarter
 
 
 # ---------------------------------------------------------------------------
@@ -932,7 +917,7 @@ def _check_isodynamic_fixed(ctx: _Context) -> tuple[float, int]:
             scene.X15.dist(Point(0.0, -SQRT3 / 2.0)),
             scene.X16.dist(Point(0.0, SQRT3 / 2.0)),
         )
-    return _worst(residuals), len(grid)
+    return worst(residuals), len(grid)
 
 
 @check("thm4.member_t0", 1e-10,
@@ -940,7 +925,7 @@ def _check_isodynamic_fixed(ctx: _Context) -> tuple[float, int]:
 def _check_member_t0(ctx: _Context) -> tuple[float, int]:
     member = porism_Bt(T_CRITICAL)
     f1, f2 = ellipse_foci(member.ellipse)
-    return _worst((
+    return worst((
         abs(member.u - 2.0),
         abs(member.gamma.radius - 0.5),
         member.X3.dist(Point(0.0, -1.0)),
@@ -967,13 +952,13 @@ def _check_circle_formulas(ctx: _Context) -> tuple[float, int]:
             scene.brocard_circle.center.dist(k.center),
             abs(scene.brocard_circle.radius - k.radius),
         )
-    return _worst(residuals), len(grid)
+    return worst(residuals), len(grid)
 
 
 @check("thm4.special_u", 1e-12,
        "two special family parameters give their known cotangents")
 def _check_special_u(ctx: _Context) -> tuple[float, int]:
-    return _worst((
+    return worst((
         abs(u_from_t(math.atan2(4.0, 5.0)) - (5.0 + math.sqrt(41.0)) / 4.0),
         abs(u_from_t(T_CRITICAL) - 2.0),
         abs(t_from_u(2.0) - T_CRITICAL),
@@ -995,7 +980,7 @@ def _check_embed_consistency(ctx: _Context) -> tuple[float, int]:
             cc.center.dist(target.X3),
             abs(brocard_cotangent(sub) - target.u),
         )
-    return _worst(residuals), n
+    return worst(residuals), n
 
 
 @check("thm5.cot_rational", 1e-11,
@@ -1010,14 +995,14 @@ def _check_cot_rational(ctx: _Context) -> tuple[float, int]:
         )
         stepped = embed_step(t)
         residuals.append(abs(math.cos(stepped) / math.sin(stepped) - rational))
-    return _worst(residuals), len(grid)
+    return worst(residuals), len(grid)
 
 
 @check("prop8.envelope_membership", 1e-10,
        "envelope contact points lie on the member ellipse and the fixed envelope")
 def _check_envelope_membership(ctx: _Context) -> tuple[float, int]:
     n = 100
-    return _worst(
+    return worst(
         envelope_residual(0.05 + (T_CRITICAL - 0.05) * k / (n - 1)) for k in range(n)
     ), n
 
@@ -1032,14 +1017,14 @@ def _check_envelope_focal_sum(ctx: _Context) -> tuple[float, int]:
         t = 0.05 + (T_CRITICAL - 0.05) * k / (n - 1)
         for p in envelope_points(t):
             residuals.append(abs(p.dist(top) + p.dist(bottom) - 2.0))
-    return _worst(residuals), n
+    return worst(residuals), n
 
 
 @check("prop8.degenerate_endpoint", 1e-12,
        "the envelope contact degenerates to the bottom vertex at the critical parameter")
 def _check_envelope_endpoint(ctx: _Context) -> tuple[float, int]:
     bottom = Point(0.0, -1.0)
-    return _worst(p.dist(bottom) for p in envelope_points(T_CRITICAL)), 1
+    return worst(p.dist(bottom) for p in envelope_points(T_CRITICAL)), 1
 
 
 @check("cor11.brocard_nesting", 1e-12,
@@ -1050,7 +1035,7 @@ def _check_k_nesting(ctx: _Context) -> tuple[float, int]:
         v = ctx.rng.uniform(0.02, T_MAX - 0.02)
         s = ctx.rng.uniform(v + 0.01, T_MAX)
         residuals.append(-nesting_residual(s, v))
-    return _worst(residuals), n
+    return worst(residuals), n
 
 
 @check("cor11.gamma_nesting", 1e-12,
@@ -1061,14 +1046,14 @@ def _check_gamma_nesting(ctx: _Context) -> tuple[float, int]:
         v = ctx.rng.uniform(0.02, T_MAX - 0.03)
         s = ctx.rng.uniform(v + 0.01, T_MAX - 0.01)
         residuals.append(-gamma_nesting_residual(s, v))
-    return _worst(residuals), n
+    return worst(residuals), n
 
 
 @check("cor12.semi_minor_max", 1e-8,
        "the semi-minor axis peaks at one quarter, at cosine three quarters")
 def _check_semi_minor_max(ctx: _Context) -> tuple[float, int]:
     ex = family_extrema()
-    return _worst((
+    return worst((
         abs(ex.t_semi_minor_max - math.acos(0.75)),
         abs(ex.semi_minor_max - 0.25),
     )), 1
@@ -1078,7 +1063,7 @@ def _check_semi_minor_max(ctx: _Context) -> tuple[float, int]:
        "the lower ellipse vertex bottoms out at (0, -1)")
 def _check_lower_vertex(ctx: _Context) -> tuple[float, int]:
     ex = family_extrema()
-    return _worst((
+    return worst((
         abs(ex.t_lower_vertex_min - T_CRITICAL),
         ex.lower_vertex_min.dist(Point(0.0, -1.0)),
     )), 1
@@ -1098,7 +1083,7 @@ def _check_family_profile(ctx: _Context) -> tuple[float, int]:
     for series in (a_vals, b_vals):
         for k in range(1, len(series) - 1):
             residuals.append(series[k + 1] - 2.0 * series[k] + series[k - 1])
-    return _worst(residuals), n
+    return worst(residuals), n
 
 
 @check("prop7.intersection_products", "scene",
@@ -1110,7 +1095,7 @@ def _check_web_points(ctx: _Context) -> tuple[float, int]:
         web = web_orthogonality_residuals(t, samples=2)
         residuals += (abs(v) for v in web.point_inner_products)
         residuals.append(web.point_membership_max)
-    return _worst(residuals), n
+    return worst(residuals), n
 
 
 @check("rem9.quartic_orthogonality", 1e-7,
@@ -1121,7 +1106,7 @@ def _check_quartic_orthogonality(ctx: _Context) -> tuple[float, int]:
         abs(16.0 * x ** 4 + 8.0 * x * x + 4.0 * y * y - 3.0)
         for x, y in ((0.0, -SQRT3 / 2.0), (0.0, SQRT3 / 2.0), (0.5, 0.0), (-0.5, 0.0))
     )
-    return _worst((web.quartic_angle_max_dev, *on_quartic)), 4
+    return worst((web.quartic_angle_max_dev, *on_quartic)), 4
 
 
 @check("rem8.axis_parallel", 1e-7,
@@ -1135,7 +1120,7 @@ def _check_axis_parallel(ctx: _Context) -> tuple[float, int]:
        "inverting the symmedian point in the circumcircle gives the Beltrami midpoint")
 def _check_inversion_midpoint(ctx: _Context) -> tuple[float, int]:
     n = 100
-    return _worst(
+    return worst(
         beltrami_midpoint_check(0.02 + (T_MAX - 0.03) * k / (n - 1)) for k in range(n)
     ), n
 
@@ -1144,7 +1129,7 @@ def _check_inversion_midpoint(ctx: _Context) -> tuple[float, int]:
        "the moving inellipse foci ride two fixed unit circles")
 def _check_foci_arcs(ctx: _Context) -> tuple[float, int]:
     n = 100
-    return _worst(
+    return worst(
         r for k in range(n) for r in foci_on_arcs_check(0.01 + (T_MAX - 0.01) * k / (n - 1))
     ), n
 
@@ -1179,7 +1164,7 @@ def _check_similarity(ctx: _Context) -> tuple[float, int]:
             mapped_k.center.dist(target.brocard_circle.center),
             abs(mapped_k.radius - target.brocard_circle.radius),
         )
-    return _worst(residuals), ctx.quarter
+    return worst(residuals), ctx.quarter
 
 
 @check("prop9.kt_intersections", "scene",
@@ -1195,7 +1180,7 @@ def _check_kt_intersections(ctx: _Context) -> tuple[float, int]:
         brocard_circle_Kt(T_CRITICAL).membership_residual(bottom),
         ellipse_Et(T_CRITICAL).implicit_residual(bottom),
     )
-    return _worst(residuals), n + 1
+    return worst(residuals), n + 1
 
 
 # ---------------------------------------------------------------------------

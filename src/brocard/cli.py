@@ -33,9 +33,8 @@ from .continuous import (
 )
 from .checks import MUTATIONS, CheckReport, UnknownCheckFilterError, run_checks
 from .figures import FIGURES, FigureCheckError, render_figure
-from .geom import GeometryError
+from .geom import GeometryError, worst
 from .porism import (
-    DegeneratePorismError,
     IsoscelesParams,
     ParametrizationSingularityError,
     PorismParams,
@@ -45,9 +44,7 @@ from .porism import (
     scene_from_Ru,
     vertices_at,
 )
-from .recurrence import anti_scene, child_scene, step_forward
-
-SQRT3 = math.sqrt(3.0)
+from .recurrence import Direction, orbit_scenes, step_forward
 
 
 def _value_str(v: object) -> str:
@@ -183,21 +180,16 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     if args.steps < 0:
         print("error: --steps must be >= 0", file=sys.stderr)
         return 2
-    scene = scene_from_Ru(PorismParams(args.R0, args.u0))
-    rows = [_orbit_row(0, scene)]
-    for k in range(1, args.steps + 1):
-        try:
-            scene = (
-                child_scene(scene) if args.direction == "forward" else anti_scene(scene)
-            )
-        except DegeneratePorismError:
-            print(
-                f"note: orbit stopped at generation {k - 1}; "
-                "the next step is numerically at the limit",
-                file=sys.stderr,
-            )
-            break
-        rows.append(_orbit_row(k, scene))
+    direction = Direction.FORWARD if args.direction == "forward" else Direction.BACKWARD
+    root = scene_from_Ru(PorismParams(args.R0, args.u0))
+    scenes = orbit_scenes(root, args.steps, direction)
+    if len(scenes) <= args.steps:
+        print(
+            f"note: orbit stopped at generation {len(scenes) - 1}; "
+            "the next step is numerically at the limit",
+            file=sys.stderr,
+        )
+    rows = [_orbit_row(k, scene) for k, scene in enumerate(scenes)]
     return _emit_table(_ORBIT_COLUMNS, rows, args.format, args.out)
 
 
@@ -239,7 +231,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
                 "By": tri.B.y,
                 "Cx": tri.C.x,
                 "Cy": tri.C.y,
-                "closure_residual_max": max(closure_residuals(scene, tri)),
+                "closure_residual_max": worst(closure_residuals(scene, tri)),
                 "brocard_angle_deviation": abs(
                     brocard_angle(tri) - scene.params.omega
                 ),

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .geom import (
     AxisAlignedEllipse,
     Circle,
@@ -27,6 +25,7 @@ from .geom import (
     Pose,
     invert_in_circle,
     midpoint,
+    worst,
 )
 from .porism import PorismParams, PorismScene, SQRT3, scene_from_Ru
 
@@ -247,10 +246,11 @@ def kt_inellipse_intersection_check(t: float) -> float:
     right = _envelope_contact(t, clamp=True)
     k = brocard_circle_Kt(t)
     e = ellipse_Et(t)
-    worst = 0.0
-    for p in (Point(-right.x, right.y), right):
-        worst = max(worst, k.membership_residual(p), e.implicit_residual(p))
-    return worst
+    return worst(
+        r
+        for p in (Point(-right.x, right.y), right)
+        for r in (k.membership_residual(p), e.implicit_residual(p))
+    )
 
 
 # The two Beltrami circles of the family, (x +- 1/2)^2 + y^2 = 1, and the
@@ -323,18 +323,14 @@ def web_orthogonality_residuals(t: float, samples: int = 64) -> WebResiduals:
     )
     k = brocard_circle_Kt(t)
     inner_products = []
-    membership = 0.0
+    membership = []
     for p, arc_center in pts:
-        membership = max(
-            membership,
-            k.membership_residual(p),
-            abs(p.dist(arc_center) - 1.0),
-        )
+        membership += (k.membership_residual(p), abs(p.dist(arc_center) - 1.0))
         grad_circle = p - arc_center
         grad_k = p - k.center
         inner_products.append(abs(grad_circle.dot(grad_k)) * 4.0)
 
-    quartic_dev = 0.0
+    quartic_dev = []
     for i in range(1, samples):
         x = -0.48 + 0.96 * i / samples
         if abs(x) < 0.02:
@@ -345,29 +341,29 @@ def web_orthogonality_residuals(t: float, samples: int = 64) -> WebResiduals:
             if not slopes:
                 continue
             angle = _angle_between_slopes(slopes[0], _circle_field_slope(x, y))
-            quartic_dev = max(quartic_dev, abs(angle - 0.5 * math.pi))
+            quartic_dev.append(abs(angle - 0.5 * math.pi))
 
-    axis_dev = 0.0
+    axis_dev = []
     for i in range(1, samples):
         y = -0.82 + 1.64 * i / samples
         if abs(abs(y) - SQRT3 / 2.0) < 1e-3:
             continue
         slopes = _ellipse_field_slopes(0.0, y)
         if slopes:
-            axis_dev = max(
-                axis_dev, _angle_between_slopes(slopes[0], _circle_field_slope(0.0, y))
+            axis_dev.append(
+                _angle_between_slopes(slopes[0], _circle_field_slope(0.0, y))
             )
         x = 0.04 + 0.44 * i / samples
         slopes = _ellipse_field_slopes(x, 0.0)
         if slopes:
-            axis_dev = max(
-                axis_dev, _angle_between_slopes(slopes[0], _circle_field_slope(x, 0.0))
+            axis_dev.append(
+                _angle_between_slopes(slopes[0], _circle_field_slope(x, 0.0))
             )
     return WebResiduals(
         point_inner_products=tuple(inner_products),
-        point_membership_max=membership,
-        quartic_angle_max_dev=quartic_dev,
-        axis_parallel_max_dev=axis_dev,
+        point_membership_max=worst(membership),
+        quartic_angle_max_dev=worst(quartic_dev),
+        axis_parallel_max_dev=worst(axis_dev),
     )
 
 
@@ -385,15 +381,33 @@ def _central_difference(f, t: float, h: float = 1e-6) -> float:
     return (f(t + h) - f(t - h)) / (2.0 * h)
 
 
+def _bisect(f, lo: float, hi: float) -> float:
+    """A root of ``f`` in [lo, hi], where f(lo) and f(hi) differ in sign.
+
+    Halves the bracket down to width 1e-10 and returns its midpoint.
+    """
+    f_lo = f(lo)
+    if not f_lo * f(hi) <= 0.0:
+        raise GeometryError("root not bracketed")
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_lo * f_mid > 0.0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def family_extrema() -> FamilyExtrema:
     """Extremal members located numerically.
 
     Both extrema are found by bracketing a sign change of the central
-    difference derivative and root-finding it, rather than by evaluating
+    difference derivative and bisecting it, rather than by evaluating
     any closed-form location.
     """
-    t_b = brentq(lambda t: _central_difference(semi_minor, t), 0.5, 0.9, xtol=1e-10)
-    t_v = brentq(lambda t: _central_difference(lower_vertex_y, t), 0.8, 1.04, xtol=1e-10)
+    t_b = _bisect(lambda t: _central_difference(semi_minor, t), 0.5, 0.9)
+    t_v = _bisect(lambda t: _central_difference(lower_vertex_y, t), 0.8, 1.04)
     return FamilyExtrema(
         t_semi_minor_max=t_b,
         semi_minor_max=semi_minor(t_b),

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .centers import brocard_cotangent, second_brocard_triangle
-from .checks import beltrami_orthogonality, brocard_nesting, envelope_residual
+from .checks import FIXTURE, beltrami_orthogonality, brocard_nesting, envelope_residual
 from .continuous import (
     T_CRITICAL,
     T_MAX,
@@ -27,7 +27,7 @@ from .continuous import (
     kt_inellipse_intersection_check,
     quartic_y,
 )
-from .geom import AxisAlignedEllipse, Circle, GeometryError, Point
+from .geom import AxisAlignedEllipse, Circle, GeometryError, Point, worst
 from .porism import (
     IsoscelesParams,
     PorismScene,
@@ -41,8 +41,6 @@ from .recurrence import (
     orbit_scenes,
     step_forward,
 )
-
-FIXTURE = IsoscelesParams(1.0, 2.0)
 
 _STYLE = """\
 .gamma { fill:none; stroke:#444444; stroke-width:1.2 }
@@ -180,13 +178,13 @@ def fig_member(iso: IsoscelesParams) -> str:
     tri = scene_member(scene, _MEMBER_T)
     derived = second_brocard_triangle(tri)
 
-    _require(max(closure_residuals(scene, tri)), 1e-9, "member tangency")
+    _require(worst(closure_residuals(scene, tri)), 1e-9, "member tangency")
     stepped = step_forward(scene.params)
     _require(
         abs(brocard_cotangent(derived) - stepped.u), 1e-8, "derived cotangent"
     )
     _require(
-        max(scene.brocard_circle.membership_residual(v) for v in derived.vertices),
+        worst(scene.brocard_circle.membership_residual(v) for v in derived.vertices),
         1e-9,
         "derived triangle on Brocard circle",
     )
@@ -219,10 +217,10 @@ def fig_cascade_triangles(iso: IsoscelesParams) -> str:
     c1, c2 = root.beltrami_circles()
 
     _require(
-        max(c1.membership_residual(p) for p in first), 1e-9, "first chain on arc"
+        worst(c1.membership_residual(p) for p in first), 1e-9, "first chain on arc"
     )
     _require(
-        max(c2.membership_residual(p) for p in second), 1e-9, "second chain on arc"
+        worst(c2.membership_residual(p) for p in second), 1e-9, "second chain on arc"
     )
 
     R = root.params.R
@@ -267,10 +265,10 @@ _FAMILY_TS = (0.35, 0.55, 0.75, 0.95)
 def fig_family() -> str:
     """Member ellipses and nested circumcircles of the continuous family."""
     for t in _FAMILY_TS:
-        _require(max(foci_on_arcs_check(t)), 1e-10, "foci on arcs")
+        _require(worst(foci_on_arcs_check(t)), 1e-10, "foci on arcs")
     for earlier, later in zip(_FAMILY_TS, _FAMILY_TS[1:]):
         _require(
-            max(0.0, -gamma_nesting_residual(later, earlier)),
+            worst([-gamma_nesting_residual(later, earlier)]),
             1e-10,
             "circumcircle nesting",
         )
@@ -305,7 +303,7 @@ def fig_envelope() -> str:
     )
     bottom = Point(0.0, -1.0)
     p, q = envelope_points(T_CRITICAL)
-    _require(max(p.dist(bottom), q.dist(bottom)), 1e-9, "contact degeneracy")
+    _require(worst((p.dist(bottom), q.dist(bottom))), 1e-9, "contact degeneracy")
 
     cv = _Canvas(-0.78, 0.78, -1.16, 1.02)
     n = 160

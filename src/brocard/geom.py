@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 
 class GeometryError(ValueError):
@@ -321,6 +322,21 @@ def line_circle_intersections(l: Line, c: Circle) -> tuple[Point, ...]:
         return ()
     root = math.sqrt(disc)
     return (l.point_at(-b - root), l.point_at(-b + root))
+
+
+def worst(residuals: Iterable[float]) -> float:
+    """Largest residual, at least 0.0; NaN as soon as one residual is NaN.
+
+    ``max(worst, nan)`` returns ``worst``, so folding with ``max`` would
+    report a NaN residual as a pass.
+    """
+    largest = 0.0
+    for r in residuals:
+        if r > largest:
+            largest = r
+        elif r != r:
+            return math.nan
+    return largest
 
 
 def circles_orthogonality_residual(c1: Circle, c2: Circle) -> float:

@@ -98,8 +98,6 @@ def child_scene(parent: PorismScene, step: StepFunction = step_forward) -> Poris
     deliberately broken one.
     """
     child = step(parent.params)
-    if child.R <= 0.0 or child.u_excess <= 0.0:
-        raise DegeneratePorismError("degenerate porism")
     return scene_from_Ru(child, parent.pose.compose(_child_offset(child)))
 
 
@@ -110,43 +108,42 @@ def anti_scene(scene: PorismScene) -> PorismScene:
     return scene_from_Ru(parent, pose)
 
 
-def orbit(start: PorismParams, n: int, direction: Direction) -> OrbitTrace:
-    """Iterate the map ``n`` times from ``start`` with pose bookkeeping.
+def orbit_scenes(
+    root: PorismScene, n: int, direction: Direction = Direction.FORWARD
+) -> list[PorismScene]:
+    """Scenes of generations 0..n from ``root``, walked in ``direction``.
 
-    Forward orbits stop early once R or the u excess underflows to zero;
-    the trace then ends at the last representable generation.
+    The walk ends early at the last generation before the next step
+    degenerates in floating point: forward once R or the u excess
+    underflows to zero, backward once R overflows.
     """
     if n < 0:
         raise ValueError("orbit length must be >= 0")
-    states = [OrbitState(0, start, Pose.identity())]
-    for k in range(n):
-        current = states[-1]
-        if direction is Direction.FORWARD:
-            nxt = step_forward(current.params)
-            if nxt.R <= 0.0 or nxt.u_excess <= 0.0:
-                break
-            pose = current.pose.compose(_child_offset(nxt))
-        else:
-            nxt = step_backward(current.params)
-            pose = current.pose.compose(_child_offset(current.params).inverse())
-        states.append(OrbitState(k + 1, nxt, pose))
+    step = child_scene if direction is Direction.FORWARD else anti_scene
+    scenes = [root]
+    for _ in range(n):
+        try:
+            scenes.append(step(scenes[-1]))
+        except DegeneratePorismError:
+            break
+    return scenes
+
+
+def orbit(start: PorismParams, n: int, direction: Direction) -> OrbitTrace:
+    """Iterate the map ``n`` times from ``start`` with pose bookkeeping.
+
+    The states are those of :func:`orbit_scenes` from the canonical scene
+    of ``start``, which must lie off the fixed point; the trace ends early
+    at the last representable generation.
+    """
+    scenes = orbit_scenes(scene_from_Ru(start), n, direction)
+    states = tuple(OrbitState(k, s.params, s.pose) for k, s in enumerate(scenes))
     errors = tuple(s.params.u_excess for s in states)
     ratios: tuple[float, ...] = ()
     if direction is Direction.FORWARD:
-        ratios = tuple(
-            errors[k + 1] / (errors[k] * errors[k])
-            for k in range(len(errors) - 1)
-            if errors[k] > 0.0
-        )
-    return OrbitTrace(tuple(states), direction, Convergence(SQRT3, errors, ratios))
-
-
-def orbit_scenes(root: PorismScene, n: int) -> list[PorismScene]:
-    """Scenes of ``n`` forward generations starting at ``root``."""
-    scenes = [root]
-    for _ in range(n):
-        scenes.append(child_scene(scenes[-1]))
-    return scenes
+        # e0 * e0 == 0 would make the next excess zero, which ends the walk
+        ratios = tuple(e1 / (e0 * e0) for e0, e1 in zip(errors, errors[1:]))
+    return OrbitTrace(states, direction, Convergence(SQRT3, errors, ratios))
 
 
 def alternating_brocard_sequence(
@@ -161,26 +158,14 @@ def alternating_brocard_sequence(
     """
     if n < 1:
         raise ValueError("need at least one generation")
-    first: list[Point] = []
-    second: list[Point] = []
-    scene: PorismScene | None = root
-    for k in range(n + 1):
-        if scene is None:
-            first.append(root.X15)
-            second.append(root.X15)
-            continue
-        if k % 2 == 0:
-            first.append(scene.omega1)
-            second.append(scene.omega2)
-        else:
-            first.append(scene.omega2)
-            second.append(scene.omega1)
-        if k < n:
-            try:
-                scene = child_scene(scene)
-            except DegeneratePorismError:
-                scene = None
-    return tuple(first), tuple(second)
+    scenes = orbit_scenes(root, n)
+    pairs = [
+        (s.omega1, s.omega2) if k % 2 == 0 else (s.omega2, s.omega1)
+        for k, s in enumerate(scenes)
+    ]
+    pairs += [(root.X15, root.X15)] * (n + 1 - len(scenes))
+    first, second = zip(*pairs)
+    return first, second
 
 
 def apollonius_circles(iso: IsoscelesParams) -> tuple[Circle, Circle, Line]:

@@ -10,7 +10,7 @@ from brocard.checks import (
     UnknownCheckFilterError,
     run_checks,
 )
-from brocard.geom import Point
+from brocard.geom import Point, worst
 from brocard.porism import DegeneratePorismError, PorismParams
 
 # groups that the registry is expected to carry; each check id is
@@ -132,11 +132,11 @@ def test_mutated_run_flags_at_least_the_known_groups():
 
 
 def test_worst_propagates_nan():
-    assert checks._worst([]) == 0.0
-    assert checks._worst([-1.0, -0.0]) == 0.0
-    assert checks._worst([0.5, 2.0, 1.0]) == 2.0
-    assert math.isnan(checks._worst([0.5, math.nan, 2.0]))
-    assert math.isnan(checks._worst([math.inf, math.nan]))
+    assert worst([]) == 0.0
+    assert worst([-1.0, -0.0]) == 0.0
+    assert worst([0.5, 2.0, 1.0]) == 2.0
+    assert math.isnan(worst([0.5, math.nan, 2.0]))
+    assert math.isnan(worst([math.inf, math.nan]))
 
 
 def test_nan_scene_point_fails_its_checks(monkeypatch):

@@ -209,3 +209,15 @@ def test_out_writes_crlf_csv(tmp_path):
 
     want = step_forward(PorismParams(1.25, 1.75)).R
     assert float(rows[1]["R"]) == want
+
+
+def test_import_loads_no_scipy_or_numpy():
+    code = (
+        "import brocard, brocard.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))"
+    )
+    p = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert p.returncode == 0, p.stderr
+    assert p.stdout == "[]\n"

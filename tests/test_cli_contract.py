@@ -85,6 +85,21 @@ def test_domain_and_output_errors_exit_two_with_one_line(tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_orbit_notes_the_generation_it_stopped_at():
+    for argv, last in (
+        (["orbit", "--R0", "1", "--u0", "2", "--steps", "40"], 8),
+        (["orbit", "--R0", "1", "--u0", "2", "--steps", "2000",
+          "--direction", "back"], 511),
+    ):
+        code, out, err = run_cli(argv)
+        assert code == 0, argv
+        assert list(csv.reader(io.StringIO(out)))[-1][0] == str(last)
+        assert err == (
+            f"note: orbit stopped at generation {last}; "
+            "the next step is numerically at the limit\n"
+        )
+
+
 def test_non_finite_tolerance_exits_two():
     for tol in ("inf", "nan", "-inf", "0"):
         code, out, err = run_cli([

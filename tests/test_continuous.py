@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from brocard import continuous
 from brocard.continuous import (
     T_CRITICAL,
     T_MAX,
+    _bisect,
     _circle_field_slope,
     _ellipse_field_slopes,
     beltrami_midpoint_check,
@@ -28,6 +30,7 @@ from brocard.continuous import (
     web_orthogonality_residuals,
 )
 from brocard.geom import (
+    Circle,
     GeometryError,
     Line,
     Point,
@@ -265,3 +268,20 @@ def test_family_extrema():
     # closed-form cross-checks of the two profile functions
     assert abs(semi_minor(math.acos(0.75)) - 0.25) < 1e-12
     assert abs(lower_vertex_y(T_CRITICAL) + 1.0) < 1e-12
+
+
+def test_bisect_brackets_a_root_to_1e_10():
+    assert abs(_bisect(lambda x: x * x - 2.0, 1.0, 2.0) - math.sqrt(2.0)) <= 1e-10
+    with pytest.raises(GeometryError):
+        _bisect(lambda x: x * x - 2.0, 2.0, 3.0)
+
+
+def test_nan_brocard_circle_reaches_the_residuals(monkeypatch):
+    real = continuous.brocard_circle_Kt
+
+    def nan_center(t):
+        return Circle(Point(math.nan, math.nan), real(t).radius)
+
+    monkeypatch.setattr(continuous, "brocard_circle_Kt", nan_center)
+    assert math.isnan(kt_inellipse_intersection_check(0.5))
+    assert math.isnan(web_orthogonality_residuals(0.5).point_membership_max)

@@ -156,9 +156,24 @@ def test_orbit_backward_growth():
         assert b.params.R > a.params.R
 
 
+def test_orbit_backward_stops_before_overflow():
+    trace = orbit(PorismParams(1.0, 2.0), 2000, Direction.BACKWARD)
+    assert len(trace.states) == 512
+    last = scene_from_Ru(trace.states[-1].params, trace.states[-1].pose)
+    with pytest.raises(DegeneratePorismError):
+        anti_scene(last)
+
+
+def test_orbit_rejects_the_fixed_point():
+    with pytest.raises(DegeneratePorismError):
+        orbit(PorismParams(1.0, SQRT3), 3, Direction.FORWARD)
+
+
 def test_orbit_rejects_negative_length():
     with pytest.raises(ValueError):
         orbit(FIX, -1, Direction.FORWARD)
+    with pytest.raises(ValueError):
+        orbit_scenes(scene_from_Ru(FIX), -1, Direction.BACKWARD)
 
 
 def test_orbit_poses_match_scene_chain():

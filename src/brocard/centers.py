@@ -156,8 +156,10 @@ class StandardCenters:
 
 def brocard_circle(t: Triangle) -> Circle:
     """Circle on the segment X3 X6 as diameter; carries both Brocard points."""
-    X3 = circumcircle(t).center
-    X6 = symmedian_point(t)
+    return _circle_on(circumcircle(t).center, symmedian_point(t))
+
+
+def _circle_on(X3: Point, X6: Point) -> Circle:
     gap = X3.dist(X6)
     if gap == 0.0:
         raise EquilateralDegeneracyError("equilateral degeneracy")
@@ -189,7 +191,7 @@ def standard_centers(t: Triangle) -> StandardCenters:
         raise EquilateralDegeneracyError("equilateral degeneracy")
     X15 = (1.0 / (SQRT3 + u)) * (SQRT3 * X3 + u * X6)
     X16 = (1.0 / (SQRT3 - u)) * (SQRT3 * X3 - u * X6)
-    kc = brocard_circle(t)
+    kc = _circle_on(X3, X6)
     X187 = invert_in_circle(cc, X6)
     X574 = invert_in_circle(kc, X187)
     return StandardCenters(

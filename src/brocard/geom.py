@@ -217,47 +217,54 @@ class Pose:
     def __post_init__(self) -> None:
         if not self.scale > 0.0 or not math.isfinite(self.scale):
             raise GeometryError("pose scale must be positive and finite")
+        if not math.isfinite(self.rotation):
+            raise GeometryError("pose rotation must be finite")
+        # Not a field: equality, hash and repr see only the four above.
+        object.__setattr__(self, "_cs", (math.cos(self.rotation), math.sin(self.rotation)))
 
     @classmethod
     def identity(cls) -> "Pose":
         return cls()
 
-    def _linear(self, p: Point) -> Point:
+    def map_xy(self, x: float, y: float) -> Point:
+        """World image of the local point (x, y); the float operations of
+        ``translation + Point(+-x, y).rotated(rotation) * scale``."""
+        c, s = self._cs
         if self.reflect_x:
-            p = Point(-p.x, p.y)
-        return p.rotated(self.rotation) * self.scale
+            x = -x
+        k, t = self.scale, self.translation
+        return Point(t.x + (c * x - s * y) * k, t.y + (s * x + c * y) * k)
 
-    def apply(self, p: Point) -> Point:
-        return self.translation + self._linear(p)
-
-    def apply_circle(self, c: Circle) -> Circle:
-        return Circle(self.apply(c.center), self.scale * c.radius)
-
-    def apply_ellipse(self, e: AxisAlignedEllipse) -> AxisAlignedEllipse:
-        """Map an axis-aligned ellipse; rotation must be a multiple of pi/2."""
+    def map_axis(self, axis: MajorAxis) -> MajorAxis:
+        """Image of an axis direction; rotation must be a multiple of pi/2."""
         quarter = self.rotation / (0.5 * math.pi)
         k = round(quarter)
         if abs(quarter - k) > 1e-12:
             raise GeometryError("pose rotation does not preserve axis alignment")
-        axis = e.major_axis
-        if k % 2 != 0:
-            axis = (
-                MajorAxis.VERTICAL
-                if axis is MajorAxis.HORIZONTAL
-                else MajorAxis.HORIZONTAL
-            )
+        if k % 2 == 0:
+            return axis
+        return MajorAxis.VERTICAL if axis is MajorAxis.HORIZONTAL else MajorAxis.HORIZONTAL
+
+    def apply(self, p: Point) -> Point:
+        return self.map_xy(p.x, p.y)
+
+    def apply_circle(self, c: Circle) -> Circle:
+        return Circle(self.map_xy(c.center.x, c.center.y), self.scale * c.radius)
+
+    def apply_ellipse(self, e: AxisAlignedEllipse) -> AxisAlignedEllipse:
+        """Map an axis-aligned ellipse; rotation must be a multiple of pi/2."""
         return AxisAlignedEllipse(
-            self.apply(e.center),
+            self.map_xy(e.center.x, e.center.y),
             self.scale * e.semi_major,
             self.scale * e.semi_minor,
-            axis,
+            self.map_axis(e.major_axis),
         )
 
     def compose(self, other: "Pose") -> "Pose":
         """Pose acting as ``self`` after ``other``."""
         sign = -1.0 if self.reflect_x else 1.0
         return Pose(
-            translation=self.apply(other.translation),
+            translation=self.map_xy(other.translation.x, other.translation.y),
             rotation=self.rotation + sign * other.rotation,
             reflect_x=self.reflect_x != other.reflect_x,
             scale=self.scale * other.scale,
@@ -266,8 +273,11 @@ class Pose:
     def inverse(self) -> "Pose":
         inv_scale = 1.0 / self.scale
         rotation = self.rotation if self.reflect_x else -self.rotation
-        inv = Pose(ORIGIN, rotation, self.reflect_x, inv_scale)
-        return Pose(inv._linear(-self.translation), rotation, self.reflect_x, inv_scale)
+        # -0.0 + v is v bit for bit, so a (-0.0, -0.0) translation leaves
+        # the linear part alone, signed zeros included.
+        linear = Pose(Point(-0.0, -0.0), rotation, self.reflect_x, inv_scale)
+        t = self.translation
+        return Pose(linear.map_xy(-t.x, -t.y), rotation, self.reflect_x, inv_scale)
 
 
 def line_line_intersection(l1: Line, l2: Line) -> Point:

@@ -140,32 +140,32 @@ def scene_from_Ru(params: PorismParams, pose: Pose = Pose.identity()) -> PorismS
         raise DegeneratePorismError("degenerate porism")
     g = params.gap
     one_u2 = 1.0 + u * u
-    a = R / math.sqrt(one_u2)
-    b = 2.0 * R / one_u2
     focal = R * g / one_u2
-    X39 = Point(0.0, -R * u * g / one_u2)
-    # X15 = (sqrt3*X3 + u*X6)/(sqrt3 + u) collapses to -R*(u - sqrt3)/g on
-    # the axis; the excess form keeps it exact near the equilateral limit.
-    X15 = Point(0.0, -R * e / g)
-    X16 = Point(0.0, -R * (SQRT3 + u) / g)
-    X6 = Point(0.0, -R * g / u)
-    X182 = Point(0.0, -0.5 * R * g / u)
+    y39 = -R * u * g / one_u2
+    y182 = -0.5 * R * g / u
+    k, at = pose.scale, pose.map_xy
+    X39, X182 = at(0.0, y39), at(0.0, y182)
     return PorismScene(
         params=params,
-        circumcircle=pose.apply_circle(Circle(Point(0.0, 0.0), R)),
-        inellipse=pose.apply_ellipse(
-            AxisAlignedEllipse(X39, a, b, MajorAxis.HORIZONTAL)
+        circumcircle=Circle(at(0.0, 0.0), k * R),
+        inellipse=AxisAlignedEllipse(
+            X39,
+            k * (R / math.sqrt(one_u2)),
+            k * (2.0 * R / one_u2),
+            pose.map_axis(MajorAxis.HORIZONTAL),
         ),
-        omega1=pose.apply(Point(focal, X39.y)),
-        omega2=pose.apply(Point(-focal, X39.y)),
-        X6=pose.apply(X6),
-        X15=pose.apply(X15),
-        X16=pose.apply(X16),
-        X39=pose.apply(X39),
-        X182=pose.apply(X182),
-        brocard_circle=pose.apply_circle(Circle(X182, 0.5 * R * g / u)),
-        beltrami_P2=pose.apply(Point(-R / g, -R * u / g)),
-        beltrami_U2=pose.apply(Point(R / g, -R * u / g)),
+        omega1=at(focal, y39),
+        omega2=at(-focal, y39),
+        X6=at(0.0, -R * g / u),
+        # X15 = (sqrt3*X3 + u*X6)/(sqrt3 + u) collapses to -R*(u - sqrt3)/g on
+        # the axis; the excess form keeps it exact near the equilateral limit.
+        X15=at(0.0, -R * e / g),
+        X16=at(0.0, -R * (SQRT3 + u) / g),
+        X39=X39,
+        X182=X182,
+        brocard_circle=Circle(X182, k * (0.5 * R * g / u)),
+        beltrami_P2=at(-R / g, -R * u / g),
+        beltrami_U2=at(R / g, -R * u / g),
         pose=pose,
     )
 

@@ -112,6 +112,13 @@ def test_standard_centers_fixture():
     assert sc.X16.dist(Point(0.0, -8.0 - 5.0 * SQRT3)) < 1e-10
 
 
+def test_standard_centers_share_the_brocard_circle_exactly():
+    rng = random.Random(11)
+    for _ in range(60):
+        t = _random_triangle(rng)
+        assert standard_centers(t).X182 == brocard_circle(t).center
+
+
 def test_isodynamic_points_divide_X3_X6():
     """X15 and X16 split the segment X3 X6 internally and externally in the
     ratio sqrt(3) : u."""

@@ -185,6 +185,72 @@ def test_pose_circle_and_ellipse():
         Pose(rotation=0.3).apply_ellipse(e)
 
 
+def _reference_apply(pose, p):
+    """The pose map as a chain of Point operations, the bit pattern that
+    ``Pose.map_xy`` must reproduce."""
+    q = Point(-p.x, p.y) if pose.reflect_x else p
+    return pose.translation + q.rotated(pose.rotation) * pose.scale
+
+
+def _random_poses(rng):
+    yield Pose.identity()
+    yield Pose(translation=Point(-0.0, 0.0), reflect_x=True)
+    for _ in range(200):
+        yield Pose(
+            translation=Point(rng.choice([0.0, -0.0, rng.uniform(-3, 3)]), rng.uniform(-3, 3)),
+            rotation=rng.choice([rng.uniform(-7.0, 7.0), rng.randrange(-4, 5) * 0.5 * math.pi]),
+            reflect_x=rng.random() < 0.5,
+            scale=rng.choice([1.0, rng.uniform(0.2, 3.0)]),
+        )
+
+
+def test_pose_apply_is_bit_exact():
+    rng = _rng()
+    for pose in _random_poses(rng):
+        for p in (
+            Point(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+            Point(-0.0, rng.uniform(-2, 2)),
+            Point(rng.uniform(-2, 2), -0.0),
+            Point(-0.0, -0.0),
+            Point(0.0, 0.0),
+        ):
+            got, want = pose.apply(p), _reference_apply(pose, p)
+            # repr tells -0.0 from 0.0, which == does not
+            assert got == want and repr(got) == repr(want)
+            assert repr(pose.map_xy(p.x, p.y)) == repr(want)
+
+
+def test_pose_compose_and_inverse_are_bit_exact():
+    rng = _rng()
+    other = Pose(translation=Point(-0.0, 0.25), rotation=1.1, scale=0.5)
+    for pose in _random_poses(rng):
+        assert repr(pose.compose(other).translation) == repr(
+            _reference_apply(pose, other.translation)
+        )
+        inv = pose.inverse()
+        t = -pose.translation
+        q = Point(-t.x, t.y) if inv.reflect_x else t
+        assert repr(inv.translation) == repr(q.rotated(inv.rotation) * inv.scale)
+
+
+def test_pose_equality_hash_and_repr_see_only_fields():
+    assert Pose() == Pose.identity()
+    assert hash(Pose()) == hash(Pose.identity())
+    assert repr(Pose()) == (
+        "Pose(translation=Point(x=0.0, y=0.0), rotation=0.0, reflect_x=False, scale=1.0)"
+    )
+    assert Pose(rotation=0.5) != Pose(rotation=0.25)
+
+
+def test_pose_rejects_non_finite_rotation_and_scale():
+    for rotation in (math.inf, -math.inf, math.nan):
+        with pytest.raises(GeometryError):
+            Pose(rotation=rotation)
+    for scale in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(GeometryError):
+            Pose(scale=scale)
+
+
 def test_ellipse_tangency_residual_zero_on_tangents():
     rng = _rng()
     for _ in range(200):

@@ -110,6 +110,35 @@ def test_scene_respects_pose():
         assert abs(s.beltrami_radius - pose.scale * 10.0) < 1e-11
 
 
+def test_scene_is_canonical_scene_mapped_exactly():
+    """Posing a scene maps every canonical field through the pose, bit for
+    bit, as if each were built first and then applied."""
+    rng = random.Random(27)
+    points = ("omega1", "omega2", "X6", "X15", "X16", "X39", "X182", "beltrami_P2", "beltrami_U2")
+    for _ in range(60):
+        params = PorismParams(rng.uniform(0.2, 3.0), SQRT3 + rng.uniform(1e-6, 4.0))
+        base = scene_from_Ru(params)
+        poses = [
+            Pose.identity(),
+            Pose(
+                translation=Point(rng.choice([0.0, -0.0, rng.uniform(-3, 3)]), rng.uniform(-3, 3)),
+                rotation=rng.randrange(-4, 5) * 0.5 * math.pi,
+                reflect_x=rng.random() < 0.5,
+                scale=rng.uniform(0.3, 2.5),
+            ),
+        ]
+        for pose in poses:
+            s = scene_from_Ru(params, pose)
+            want = {name: pose.apply(getattr(base, name)) for name in points}
+            want["circumcircle"] = pose.apply_circle(base.circumcircle)
+            want["brocard_circle"] = pose.apply_circle(base.brocard_circle)
+            want["inellipse"] = pose.apply_ellipse(base.inellipse)
+            for name, value in want.items():
+                got = getattr(s, name)
+                # repr tells -0.0 from 0.0, which == does not
+                assert got == value and repr(got) == repr(value), name
+
+
 def test_Ru_from_axes_roundtrip():
     rng = random.Random(22)
     for _ in range(100):

@@ -20,7 +20,6 @@ from .geom import (
     Triangle,
     circumcircle,
     invert_in_circle,
-    line_line_intersection,
     midpoint,
     project_onto_line,
 )
@@ -68,37 +67,57 @@ def brocard_cotangent(t: Triangle) -> float:
     return (s1 * s1 + s2 * s2 + s3 * s3) / (4.0 * t.area())
 
 
-def _first_point_lines(t: Triangle, omega: float) -> tuple[Line, Line, Line]:
-    # Sides AB, BC, CA turned by +omega about A, B, C.  For a counterclockwise
-    # triangle the positive turn sweeps each side into the interior.
-    A, B, C = t.vertices
-    return (
-        Line(A, (B - A).rotated(omega)),
-        Line(B, (C - B).rotated(omega)),
-        Line(C, (A - C).rotated(omega)),
+def _turned_sides(
+    P0: Point, P1: Point, P2: Point, c: float, s: float
+) -> tuple[Point, float]:
+    """Centroid and spread of the pairwise meets of three turned sides.
+
+    Side i runs from P_i to P_(i+1), turned about P_i by the angle with
+    cosine ``c`` and sine ``s``.  The float operations are those of
+    ``Line(P_i, (P_(i+1) - P_i).rotated(angle))`` and of
+    ``line_line_intersection`` on lines (0, 1), (1, 2) and (2, 0), written
+    out as scalars; the spread is the largest distance between two meets.
+    """
+    bases = (P0, P1, P2)
+    dirs = []
+    for p, q in ((P0, P1), (P1, P2), (P2, P0)):
+        dx, dy = q.x - p.x, q.y - p.y
+        ux, uy = c * dx - s * dy, s * dx + c * dy
+        n = math.hypot(ux, uy)
+        if not n > 0.0 or not math.isfinite(n):
+            raise GeometryError("line requires a nonzero direction")
+        if abs(n - 1.0) > 1e-14:
+            inv = 1.0 / n
+            ux, uy = ux * inv, uy * inv
+        dirs.append((ux, uy))
+    meets = []
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        (ax, ay), (bx, by) = dirs[i], dirs[j]
+        denom = ax * by - ay * bx
+        if abs(denom) < 1e-14:
+            raise GeometryError("lines are parallel")
+        p, q = bases[i], bases[j]
+        k = ((q.x - p.x) * by - (q.y - p.y) * bx) / denom
+        meets.append((p.x + ax * k, p.y + ay * k))
+    (x01, y01), (x12, y12), (x20, y20) = meets
+    spread = max(
+        math.hypot(x01 - x12, y01 - y12),
+        math.hypot(x12 - x20, y12 - y20),
+        math.hypot(x20 - x01, y20 - y01),
     )
+    return Point((x01 + x12 + x20) / 3.0, (y01 + y12 + y20) / 3.0), spread
 
 
-def _second_point_lines(t: Triangle, omega: float) -> tuple[Line, Line, Line]:
-    # Sides CB, BA, AC turned by -omega about C, B, A.
-    A, B, C = t.vertices
-    return (
-        Line(C, (B - C).rotated(-omega)),
-        Line(B, (A - B).rotated(-omega)),
-        Line(A, (C - A).rotated(-omega)),
-    )
-
-
-def _concurrence(lines: tuple[Line, Line, Line]) -> tuple[Point, float]:
-    p01 = line_line_intersection(lines[0], lines[1])
-    p12 = line_line_intersection(lines[1], lines[2])
-    p20 = line_line_intersection(lines[2], lines[0])
-    spread = max(p01.dist(p12), p12.dist(p20), p20.dist(p01))
-    centroid = Point(
-        (p01.x + p12.x + p20.x) / 3.0,
-        (p01.y + p12.y + p20.y) / 3.0,
-    )
-    return centroid, spread
+def _brocard_construction(t: Triangle) -> tuple[tuple[Point, float], ...]:
+    # First point: sides AB, BC, CA turned by +omega about A, B, C.  For a
+    # counterclockwise triangle the positive turn sweeps each side into
+    # the interior.  Second point: sides CB, BA, AC turned by -omega about
+    # C, B, A.
+    omega = brocard_angle(t)
+    A, B, C = t.A, t.B, t.C
+    first = _turned_sides(A, B, C, math.cos(omega), math.sin(omega))
+    second = _turned_sides(C, B, A, math.cos(-omega), math.sin(-omega))
+    return first, second
 
 
 def brocard_points_by_construction(t: Triangle) -> tuple[Point, Point]:
@@ -108,17 +127,13 @@ def brocard_points_by_construction(t: Triangle) -> tuple[Point, Point]:
     -omega rotations; on a counterclockwise triangle this matches the
     closed-form labels used by the porism scenes.
     """
-    omega = brocard_angle(t)
-    first, _ = _concurrence(_first_point_lines(t, omega))
-    second, _ = _concurrence(_second_point_lines(t, omega))
+    (first, _), (second, _) = _brocard_construction(t)
     return first, second
 
 
 def brocard_concurrency_defect(t: Triangle) -> float:
     """Largest pairwise spread among the three rotated lines, both points."""
-    omega = brocard_angle(t)
-    _, d1 = _concurrence(_first_point_lines(t, omega))
-    _, d2 = _concurrence(_second_point_lines(t, omega))
+    (_, d1), (_, d2) = _brocard_construction(t)
     return max(d1, d2)
 
 
@@ -152,6 +167,8 @@ class StandardCenters:
     X182: Point
     X187: Point
     X574: Point
+    omega1: Point
+    omega2: Point
 
 
 def brocard_circle(t: Triangle) -> Circle:
@@ -177,7 +194,8 @@ def second_brocard_circle(t: Triangle) -> Circle:
 
 
 def standard_centers(t: Triangle) -> StandardCenters:
-    """The eight centers used by the porism scenes.
+    """The eight centers used by the porism scenes, and both Brocard
+    points by construction (X39 is their midpoint).
 
     Pre: the triangle is not equilateral (X15, X16, X187, X574 degenerate
     there).
@@ -203,6 +221,8 @@ def standard_centers(t: Triangle) -> StandardCenters:
         X182=kc.center,
         X187=X187,
         X574=X574,
+        omega1=omega1,
+        omega2=omega2,
     )
 
 

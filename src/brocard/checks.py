@@ -529,12 +529,11 @@ def _check_closure_stationarity(ctx: _Context) -> tuple[float, int]:
     pairs = _closure_sampling(ctx)
     residuals = []
     for scene, tri in pairs:
-        first, second = brocard_points_by_construction(tri)
         cs = standard_centers(tri)
         kc = Circle(cs.X182, cs.X182.dist(cs.X3))
         residuals += (
-            first.dist(scene.omega1),
-            second.dist(scene.omega2),
+            cs.omega1.dist(scene.omega1),
+            cs.omega2.dist(scene.omega2),
             cs.X6.dist(scene.X6),
             cs.X15.dist(scene.X15),
             cs.X16.dist(scene.X16),
@@ -1092,7 +1091,7 @@ def _check_web_points(ctx: _Context) -> tuple[float, int]:
     residuals, n = [], 10
     for k in range(n):
         t = 0.1 + (T_MAX - 0.16) * k / (n - 1)
-        web = web_orthogonality_residuals(t, samples=2)
+        web = web_orthogonality_residuals(t)
         residuals += (abs(v) for v in web.point_inner_products)
         residuals.append(web.point_membership_max)
     return worst(residuals), n

@@ -13,6 +13,7 @@ circles weave an orthogonal web whose right-angle locus is the quartic
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -302,34 +303,15 @@ def quartic_y(x: float) -> float:
     return 0.5 * math.sqrt(radicand)
 
 
-def web_orthogonality_residuals(t: float, samples: int = 64) -> WebResiduals:
-    """Right-angle and tangency diagnostics of the conic web.
+@functools.cache
+def _web_field_sweep(samples: int) -> tuple[float, float]:
+    """Worst right-angle deviation along the quartic and worst angle on
+    the coordinate axes, over ``samples``-point grids.
 
-    At parameter t the Brocard circle meets each Beltrami circle at one
-    deep point and at one inellipse focus; the gradients there are
-    orthogonal.  Independently of t, the inellipse and Brocard-circle
-    direction fields cross at right angles along the quartic
-    16x^4 + 8x^2 + 4y^2 = 3 and run parallel on both coordinate axes.
+    Neither depends on the family parameter, so each grid is swept once
+    per process.  Code that patches ``_ellipse_field_slopes``,
+    ``_circle_field_slope`` or ``quartic_y`` must call ``cache_clear()``.
     """
-    _check_range(t, closed_top=False)
-    c, s = math.cos(t), math.sin(t)
-    five = 5.0 - 4.0 * c
-    deep = 3.0 * (2.0 * c - 1.0) / (2.0 * five)
-    pts = (
-        (Point(-deep, -3.0 * s / five), _ARC_CENTERS[0]),
-        (Point(deep, -3.0 * s / five), _ARC_CENTERS[1]),
-        (Point(c - 0.5, -s), _ARC_CENTERS[0]),
-        (Point(-(c - 0.5), -s), _ARC_CENTERS[1]),
-    )
-    k = brocard_circle_Kt(t)
-    inner_products = []
-    membership = []
-    for p, arc_center in pts:
-        membership += (k.membership_residual(p), abs(p.dist(arc_center) - 1.0))
-        grad_circle = p - arc_center
-        grad_k = p - k.center
-        inner_products.append(abs(grad_circle.dot(grad_k)) * 4.0)
-
     quartic_dev = []
     for i in range(1, samples):
         x = -0.48 + 0.96 * i / samples
@@ -359,11 +341,46 @@ def web_orthogonality_residuals(t: float, samples: int = 64) -> WebResiduals:
             axis_dev.append(
                 _angle_between_slopes(slopes[0], _circle_field_slope(x, 0.0))
             )
+    return worst(quartic_dev), worst(axis_dev)
+
+
+def web_orthogonality_residuals(t: float, samples: int = 64) -> WebResiduals:
+    """Right-angle and tangency diagnostics of the conic web.
+
+    At parameter t the Brocard circle meets each Beltrami circle at one
+    deep point and at one inellipse focus; the gradients there are
+    orthogonal.  Independently of t, the inellipse and Brocard-circle
+    direction fields cross at right angles along the quartic
+    16x^4 + 8x^2 + 4y^2 = 3 and run parallel on both coordinate axes;
+    those two sweeps take ``samples`` grid steps, at least 3, so that
+    neither is empty.
+    """
+    _check_range(t, closed_top=False)
+    if samples < 3:
+        raise ValueError("the web sweep needs samples >= 3")
+    c, s = math.cos(t), math.sin(t)
+    five = 5.0 - 4.0 * c
+    deep = 3.0 * (2.0 * c - 1.0) / (2.0 * five)
+    pts = (
+        (Point(-deep, -3.0 * s / five), _ARC_CENTERS[0]),
+        (Point(deep, -3.0 * s / five), _ARC_CENTERS[1]),
+        (Point(c - 0.5, -s), _ARC_CENTERS[0]),
+        (Point(-(c - 0.5), -s), _ARC_CENTERS[1]),
+    )
+    k = brocard_circle_Kt(t)
+    inner_products = []
+    membership = []
+    for p, arc_center in pts:
+        membership += (k.membership_residual(p), abs(p.dist(arc_center) - 1.0))
+        grad_circle = p - arc_center
+        grad_k = p - k.center
+        inner_products.append(abs(grad_circle.dot(grad_k)) * 4.0)
+    quartic_max_dev, axis_max_dev = _web_field_sweep(samples)
     return WebResiduals(
         point_inner_products=tuple(inner_products),
         point_membership_max=worst(membership),
-        quartic_angle_max_dev=worst(quartic_dev),
-        axis_parallel_max_dev=worst(axis_dev),
+        quartic_angle_max_dev=quartic_max_dev,
+        axis_parallel_max_dev=axis_max_dev,
     )
 
 

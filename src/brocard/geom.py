@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class GeometryError(ValueError):
@@ -27,8 +27,14 @@ class InversionPoleError(GeometryError):
     pass
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
+    """A plane vector.
+
+    A tuple, so it is immutable and cheap to build, and it equals the
+    plain tuple ``(x, y)``; ``+``, ``*`` and unary ``-`` are vector
+    arithmetic, never tuple concatenation or repetition.
+    """
+
     x: float
     y: float
 

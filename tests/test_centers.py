@@ -5,6 +5,7 @@ import pytest
 
 from brocard.centers import (
     EquilateralDegeneracyError,
+    _turned_sides,
     brocard_angle,
     brocard_circle,
     brocard_concurrency_defect,
@@ -17,7 +18,14 @@ from brocard.centers import (
     standard_centers,
     symmedian_point,
 )
-from brocard.geom import GeometryError, Point, Triangle, circumcircle
+from brocard.geom import (
+    GeometryError,
+    Line,
+    Point,
+    Triangle,
+    circumcircle,
+    line_line_intersection,
+)
 
 # isosceles reference triangle: apex (0,2), base corners (-1,0) and (1,0)
 FIX = Triangle.oriented(Point(0.0, 2.0), Point(-1.0, 0.0), Point(1.0, 0.0))
@@ -64,6 +72,71 @@ def test_construction_concurrency():
     for _ in range(150):
         t = _random_triangle(rng)
         assert brocard_concurrency_defect(t) < 1e-9
+
+
+def _line_route(P0, P1, P2, angle):
+    """The construction through Line and line_line_intersection, the
+    route the scalar kernel replaced; kept here as its reference."""
+    lines = (
+        Line(P0, (P1 - P0).rotated(angle)),
+        Line(P1, (P2 - P1).rotated(angle)),
+        Line(P2, (P0 - P2).rotated(angle)),
+    )
+    p01 = line_line_intersection(lines[0], lines[1])
+    p12 = line_line_intersection(lines[1], lines[2])
+    p20 = line_line_intersection(lines[2], lines[0])
+    spread = max(p01.dist(p12), p12.dist(p20), p20.dist(p01))
+    centroid = Point(
+        (p01.x + p12.x + p20.x) / 3.0,
+        (p01.y + p12.y + p20.y) / 3.0,
+    )
+    return centroid, spread
+
+
+def _kernel(P0, P1, P2, angle):
+    return _turned_sides(P0, P1, P2, math.cos(angle), math.sin(angle))
+
+
+def test_scalar_kernel_is_bit_exact():
+    rng = random.Random(10)
+    triangles = [FIX]
+    while len(triangles) < 200:
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        pts = [Point(scale * rng.uniform(-2, 2), scale * rng.uniform(-2, 2))
+               for _ in range(3)]
+        try:
+            triangles.append(Triangle.oriented(*pts))
+        except GeometryError:
+            continue
+    for t in triangles:
+        A, B, C = t.vertices
+        omega = brocard_angle(t)
+        first = _line_route(A, B, C, omega)
+        second = _line_route(C, B, A, -omega)
+        # repr tells -0.0 from 0.0 and prints every bit of each double
+        assert repr(_kernel(A, B, C, omega)) == repr(first)
+        assert repr(_kernel(C, B, A, -omega)) == repr(second)
+        points = brocard_points_by_construction(t)
+        assert repr(points) == repr((first[0], second[0]))
+        assert repr(brocard_concurrency_defect(t)) == repr(max(first[1], second[1]))
+        if brocard_cotangent(t) > SQRT3:
+            sc = standard_centers(t)
+            assert repr((sc.omega1, sc.omega2)) == repr(points)
+
+
+def test_scalar_kernel_raises_as_the_line_route_does():
+    cases = (
+        # collinear: the first two sides are parallel
+        (Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 0.0), "lines are parallel"),
+        # repeated vertex: the first side has no direction
+        (Point(0.0, 0.0), Point(0.0, 0.0), Point(1.0, 1.0),
+         "line requires a nonzero direction"),
+    )
+    for P0, P1, P2, message in cases:
+        for angle in (0.0, 0.3, -0.3):
+            for route in (_line_route, _kernel):
+                with pytest.raises(GeometryError, match=message):
+                    route(P0, P1, P2, angle)
 
 
 def test_fixture_brocard_points():

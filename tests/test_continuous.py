@@ -285,3 +285,35 @@ def test_nan_brocard_circle_reaches_the_residuals(monkeypatch):
     monkeypatch.setattr(continuous, "brocard_circle_Kt", nan_center)
     assert math.isnan(kt_inellipse_intersection_check(0.5))
     assert math.isnan(web_orthogonality_residuals(0.5).point_membership_max)
+
+
+@pytest.fixture
+def cold_sweep():
+    """Clear the memoized web sweep before and after the test."""
+    continuous._web_field_sweep.cache_clear()
+    yield
+    continuous._web_field_sweep.cache_clear()
+
+
+def test_web_sweep_needs_three_samples(cold_sweep, monkeypatch):
+    for n in (0, 1, 2):
+        with pytest.raises(ValueError):
+            web_orthogonality_residuals(0.5, samples=n)
+    # A NaN angle reaches both maxima only if both sweeps ran a point;
+    # an empty sweep would read 0.0.
+    monkeypatch.setattr(continuous, "_angle_between_slopes", lambda m1, m2: math.nan)
+    w = web_orthogonality_residuals(0.5, samples=3)
+    assert math.isnan(w.quartic_angle_max_dev)
+    assert math.isnan(w.axis_parallel_max_dev)
+
+
+def test_memoized_web_sweep_equals_a_fresh_one(cold_sweep):
+    for n in (3, 32, 64, 128):
+        web_orthogonality_residuals(0.3, samples=n)  # warm the sweep at another t
+        warm = web_orthogonality_residuals(0.9, samples=n)
+        continuous._web_field_sweep.cache_clear()
+        fresh = web_orthogonality_residuals(0.9, samples=n)
+        assert warm == fresh and repr(warm) == repr(fresh)
+    for bad_t in (0.0, -0.1, T_MAX, 2.0, math.nan):
+        with pytest.raises(GeometryError):
+            web_orthogonality_residuals(bad_t)

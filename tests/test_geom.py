@@ -46,6 +46,28 @@ def test_point_algebra():
     assert p.dist(q) == math.hypot(2.0, 3.0)
 
 
+def test_point_value_semantics():
+    """A Point is a NamedTuple with the value semantics of the frozen
+    dataclass it replaced; being a tuple, it also equals ``(x, y)``."""
+    p = Point(1.5, -2.0)
+    with pytest.raises(AttributeError):
+        p.x = 0.0
+    assert repr(p) == "Point(x=1.5, y=-2.0)"
+    assert repr(Point(-0.0, math.nan)) == "Point(x=-0.0, y=nan)"
+    assert hash(p) == hash((1.5, -2.0))
+    assert p == Point(1.5, -2.0) and p != Point(1.5, 2.0)
+    assert p == (1.5, -2.0)
+    # scaling, never tuple repetition; the float results are exact here
+    for scaled in (p * 3, 3 * p):
+        assert type(scaled) is Point and scaled == Point(4.5, -6.0)
+    for scaled in (p * 0.5, 0.5 * p):
+        assert type(scaled) is Point and scaled == Point(0.75, -1.0)
+    # vector sum, never concatenation
+    total = p + Point(0.5, 4.0)
+    assert type(total) is Point and total == Point(2.0, 2.0)
+    assert type(-p) is Point and -p == Point(-1.5, 2.0)
+
+
 def test_rotated_quarter_turn():
     p = Point(1.0, 0.0).rotated(0.5 * math.pi)
     assert abs(p.x) < 1e-16

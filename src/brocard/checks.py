@@ -1,19 +1,21 @@
 """Named residual checks over the whole library.
 
 Every closed-form identity the library relies on is re-verified here
-numerically: each check samples a configuration, measures the worst
-residual, and reports it against a pinned tolerance.  Each check is one
-function declared with :func:`check`, which records its id, tolerance and
-claim next to its body.  Check ids share short group prefixes
+numerically.  Each check is one generator declared with :func:`check`,
+which records its id, tolerance and claim next to its body.  The body
+yields one group of residuals per sample it draws; :func:`run_checks`
+folds each group and then the groups with :func:`~brocard.geom.worst`,
+counts the groups as the samples used, and reports the worst residual
+against the check's tolerance.  Check ids share short group prefixes
 (``geom.``, ``fixture.``, ``thm1.``, ``prop14.``, ...) so the command
 line can select groups; the ids are a stable contract, chosen once and
 kept.
 
 Checks are independent: each draws its own seeded generator from the run
-seed and its id, so results do not depend on execution order.  Residuals
-are folded with :func:`~brocard.geom.worst`, so a NaN residual is
-reported as NaN and fails.  A check that raises is reported with an
-infinite residual and zero samples, and fails at any tolerance.
+seed and its id, so results do not depend on execution order.  A NaN
+residual is reported as NaN and fails.  A check that raises, even after
+yielding some samples, is reported with an infinite residual and zero
+samples, and fails at any tolerance.
 
 The porism step used by the ``thm1.*`` and ``prop14.*`` groups is
 injectable.  ``MUTATIONS`` maps the names accepted by the command line's
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .centers import (
     brocard_concurrency_defect,
@@ -45,6 +47,7 @@ from .continuous import (
     ellipse_Et,
     embed_step,
     envelope_points,
+    envelope_residual,
     family_extrema,
     foci_on_arcs_check,
     gamma_nesting_residual,
@@ -63,7 +66,6 @@ from .geom import (
     Point,
     Pose,
     Triangle,
-    circles_orthogonality_residual,
     circumcircle,
     ellipse_foci,
     ellipse_line_tangency_residual,
@@ -72,6 +74,7 @@ from .geom import (
     worst,
 )
 from .porism import (
+    FIXTURE,
     IsoscelesParams,
     ParametrizationSingularityError,
     PorismParams,
@@ -91,13 +94,13 @@ from .recurrence import (
     StepFunction,
     alternating_brocard_sequence,
     anti_scene,
+    beltrami_orthogonality,
+    brocard_nesting,
     child_scene,
     orbit_scenes,
     step_backward,
     step_forward,
 )
-
-FIXTURE = IsoscelesParams(1.0, 2.0)
 
 
 class UnknownCheckFilterError(KeyError):
@@ -126,7 +129,9 @@ class _Context:
         return max(20, self.samples // 4)
 
 
-CheckFunction = Callable[[_Context], tuple[float, int]]
+# what a check yields: one group of residuals per sample it draws
+Samples = Iterable[Iterable[float]]
+CheckFunction = Callable[[_Context], Samples]
 
 # check id -> (claim, tolerance, function), in declaration order
 _REGISTRY: dict[str, tuple[str, float | str, CheckFunction]] = {}
@@ -139,8 +144,9 @@ def check(
 
     ``tolerance`` is a number, or ``"scene"`` for the run's scene-level
     tolerance (``run_checks(tol_scene=...)``, the command line's
-    ``--tolerance``).  The function returns its worst residual and the
-    number of samples it used.
+    ``--tolerance``).  The function yields one group of residuals per
+    sample it draws; the runner folds them and counts the groups, so a
+    check never states its own sample count.
     """
 
     def register(fn: CheckFunction) -> CheckFunction:
@@ -222,39 +228,12 @@ def _random_pose(rng: random.Random) -> Pose:
     )
 
 
-# ---------------------------------------------------------------------------
-# residuals shared with the figure gates
-
-
-def brocard_nesting(scenes: Sequence[PorismScene]) -> float:
-    """Worst overshoot of a generation's Brocard circle past its parent's."""
-    return worst(
-        inner.brocard_circle.center.dist(outer.brocard_circle.center)
-        + inner.brocard_circle.radius
-        - outer.brocard_circle.radius
-        for outer, inner in zip(scenes, scenes[1:])
-    )
-
-
-def beltrami_orthogonality(scenes: Sequence[PorismScene]) -> float:
-    """Orthogonality defect of the first scene's Beltrami circles against
-    every scene's Brocard circle."""
-    c1, c2 = scenes[0].beltrami_circles()
-    return worst(
-        circles_orthogonality_residual(c, s.brocard_circle)
-        for s in scenes
-        for c in (c1, c2)
-    )
-
-
-def envelope_residual(t: float) -> float:
-    """Residual of both envelope contacts of E_t on the envelope and on E_t."""
-    e = ellipse_Et(t)
-    return worst(
-        r
-        for p in envelope_points(t)
-        for r in (abs(4.0 * p.x * p.x + p.y * p.y - 1.0), e.implicit_residual(p))
-    )
+def _walk_verdicts(breaks: Sequence[bool], end: float) -> Iterator[tuple[float, ...]]:
+    """One group per step of a finished walk: inf where the step broke the
+    walk's test, else 0.0; the last step also carries the walk's end value."""
+    for k, broke in enumerate(breaks, 1):
+        verdict = math.inf if broke else 0.0
+        yield (verdict, end) if k == len(breaks) else (verdict,)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +242,7 @@ def envelope_residual(t: float) -> float:
 
 @check("geom.inversion_involution", 1e-11,
        "circle inversion applied twice returns the input point")
-def _check_inversion_involution(ctx: _Context) -> tuple[float, int]:
-    residuals = []
+def _check_inversion_involution(ctx: _Context) -> Samples:
     for _ in range(ctx.samples):
         c = Circle(
             Point(ctx.rng.uniform(-2.0, 2.0), ctx.rng.uniform(-2.0, 2.0)),
@@ -273,14 +251,12 @@ def _check_inversion_involution(ctx: _Context) -> tuple[float, int]:
         offset = Point(1.0, 0.0).rotated(ctx.rng.uniform(0.0, 2.0 * math.pi))
         p = c.center + offset * (c.radius * ctx.rng.uniform(0.05, 5.0))
         q = invert_in_circle(c, invert_in_circle(c, p))
-        residuals.append(q.dist(p) / max(1.0, p.norm()))
-    return worst(residuals), ctx.samples
+        yield (q.dist(p) / max(1.0, p.norm()),)
 
 
 @check("geom.projection_idempotent", 1e-13,
        "projecting a projected point onto the same line moves nothing")
-def _check_projection_idempotent(ctx: _Context) -> tuple[float, int]:
-    residuals = []
+def _check_projection_idempotent(ctx: _Context) -> Samples:
     for _ in range(ctx.samples):
         line = Line(
             Point(ctx.rng.uniform(-3.0, 3.0), ctx.rng.uniform(-3.0, 3.0)),
@@ -288,14 +264,12 @@ def _check_projection_idempotent(ctx: _Context) -> tuple[float, int]:
         )
         p = Point(ctx.rng.uniform(-3.0, 3.0), ctx.rng.uniform(-3.0, 3.0))
         q = project_onto_line(line, p)
-        residuals.append(project_onto_line(line, q).dist(q))
-    return worst(residuals), ctx.samples
+        yield (project_onto_line(line, q).dist(q),)
 
 
 @check("geom.tangent_residual", 1e-11,
        "analytic ellipse tangents have zero tangency residual")
-def _check_tangent_residual(ctx: _Context) -> tuple[float, int]:
-    residuals = []
+def _check_tangent_residual(ctx: _Context) -> Samples:
     for _ in range(ctx.samples):
         hi = ctx.rng.uniform(0.2, 2.0)
         lo = ctx.rng.uniform(0.2, hi)
@@ -307,24 +281,21 @@ def _check_tangent_residual(ctx: _Context) -> tuple[float, int]:
         )
         theta = ctx.rng.uniform(0.0, 2.0 * math.pi)
         line = Line(e.point_at(theta), e.tangent_direction_at(theta))
-        residuals.append(ellipse_line_tangency_residual(e, line))
-    return worst(residuals), ctx.samples
+        yield (ellipse_line_tangency_residual(e, line),)
 
 
 @check("geom.circumcircle_cyclic", 1e-12,
        "the circumcircle does not depend on the vertex ordering")
-def _check_circumcircle_cyclic(ctx: _Context) -> tuple[float, int]:
-    residuals = []
+def _check_circumcircle_cyclic(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
         _, _, tri = _random_triangle(ctx.rng)
         base = circumcircle(tri)
-        for perm in (
-            Triangle(tri.B, tri.C, tri.A),
-            Triangle(tri.C, tri.A, tri.B),
-        ):
-            other = circumcircle(perm)
-            residuals += (other.center.dist(base.center), abs(other.radius - base.radius))
-    return worst(residuals), ctx.quarter
+        yield [
+            r
+            for perm in (Triangle(tri.B, tri.C, tri.A), Triangle(tri.C, tri.A, tri.B))
+            for other in (circumcircle(perm),)
+            for r in (other.center.dist(base.center), abs(other.radius - base.radius))
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -333,55 +304,46 @@ def _check_circumcircle_cyclic(ctx: _Context) -> tuple[float, int]:
 
 @check("def1.concurrency", "scene",
        "the three rotated sides meet at one point for both rotation senses")
-def _check_concurrency(ctx: _Context) -> tuple[float, int]:
-    n = 100
-    return worst(
-        brocard_concurrency_defect(_random_triangle(ctx.rng)[2]) for _ in range(n)
-    ), n
+def _check_concurrency(ctx: _Context) -> Samples:
+    for _ in range(100):
+        yield (brocard_concurrency_defect(_random_triangle(ctx.rng)[2]),)
 
 
 @check("def1.mirror_swap", 1e-10,
        "mirroring the triangle swaps the two Brocard points")
-def _check_mirror_swap(ctx: _Context) -> tuple[float, int]:
+def _check_mirror_swap(ctx: _Context) -> Samples:
     def mirror(p: Point) -> Point:
         return Point(-p.x, p.y)
 
-    residuals = []
     for _ in range(ctx.quarter):
         _, _, tri = _random_triangle(ctx.rng)
         first, second = brocard_points_by_construction(tri)
         mirrored = Triangle(mirror(tri.A), mirror(tri.C), mirror(tri.B))
         first_m, second_m = brocard_points_by_construction(mirrored)
-        residuals += (mirror(first_m).dist(second), mirror(second_m).dist(first))
-    return worst(residuals), ctx.quarter
+        yield mirror(first_m).dist(second), mirror(second_m).dist(first)
 
 
 @check("prop2.closed_form", "scene",
        "constructed Brocard points match the scene's closed-form foci, with labels")
-def _check_closed_form_points(ctx: _Context) -> tuple[float, int]:
-    residuals, n = [], 100
-    for _ in range(n):
+def _check_closed_form_points(ctx: _Context) -> Samples:
+    for _ in range(100):
         _, scene, tri = _random_triangle(ctx.rng)
         first, second = brocard_points_by_construction(tri)
-        residuals += (first.dist(scene.omega1), second.dist(scene.omega2))
-    return worst(residuals), n
+        yield first.dist(scene.omega1), second.dist(scene.omega2)
 
 
 @check("lem2.focal_gap", 1e-10,
        "the Brocard point separation equals the focal distance of the inellipse")
-def _check_focal_gap(ctx: _Context) -> tuple[float, int]:
-    residuals = []
+def _check_focal_gap(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
         _, scene, tri = _random_triangle(ctx.rng)
         first, second = brocard_points_by_construction(tri)
         gap = first.dist(second)
         a, b = scene.inellipse.semi_major, scene.inellipse.semi_minor
-        residuals.append(abs(gap - 2.0 * math.sqrt((a - b) * (a + b))))
         m = metrics(tri)
         sin_w = 2.0 * m.area / math.sqrt(m.lambda_)
         closed = 2.0 * m.circumradius * sin_w * math.sqrt(1.0 - 4.0 * sin_w * sin_w)
-        residuals.append(abs(gap - closed))
-    return worst(residuals), ctx.quarter
+        yield abs(gap - 2.0 * math.sqrt((a - b) * (a + b))), abs(gap - closed)
 
 
 # ---------------------------------------------------------------------------
@@ -390,56 +352,45 @@ def _check_focal_gap(ctx: _Context) -> tuple[float, int]:
 
 @check("prop5.equilateral", "scene",
        "each isodynamic point forms an equilateral triangle with the Beltrami points")
-def _check_equilateral_triangles(ctx: _Context) -> tuple[float, int]:
-    residuals = []
+def _check_equilateral_triangles(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
         scene = scene_from_Ru(_random_member_params(ctx.rng))
-        rho = scene.beltrami_radius
-        for apexwards in (scene.X15, scene.X16):
-            for pair in (
-                (apexwards, scene.beltrami_P2),
-                (apexwards, scene.beltrami_U2),
-                (scene.beltrami_P2, scene.beltrami_U2),
-            ):
-                residuals.append(abs(pair[0].dist(pair[1]) - rho))
-    return worst(residuals), ctx.quarter
+        p2, u2 = scene.beltrami_P2, scene.beltrami_U2
+        yield [
+            abs(a.dist(b) - scene.beltrami_radius)
+            for apexwards in (scene.X15, scene.X16)
+            for a, b in ((apexwards, p2), (apexwards, u2), (p2, u2))
+        ]
 
 
 @check("prop5.isodynamic_membership", "scene",
        "both isodynamic points lie on both Beltrami circles")
-def _check_isodynamic_membership(ctx: _Context) -> tuple[float, int]:
-    residuals = []
+def _check_isodynamic_membership(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
         scene = scene_from_Ru(_random_member_params(ctx.rng))
         c1, c2 = scene.beltrami_circles()
-        for p in (scene.X15, scene.X16):
-            residuals += (c1.membership_residual(p), c2.membership_residual(p))
-    return worst(residuals), ctx.quarter
+        yield [c.membership_residual(p) for p in (scene.X15, scene.X16) for c in (c1, c2)]
 
 
 @check("lem5.x574_chain", 1e-10,
        "the double inversion chain lands on the closed form for X574")
-def _check_x574_chain(ctx: _Context) -> tuple[float, int]:
-    residuals = []
+def _check_x574_chain(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
         params, _, tri = _random_triangle(ctx.rng)
         R, u, g = params.R, params.u, params.gap
         closed = Point(0.0, -R * u * g / (u * u + 3.0))
-        residuals.append(standard_centers(tri).X574.dist(closed))
-    return worst(residuals), ctx.quarter
+        yield (standard_centers(tri).X574.dist(closed),)
 
 
 @check("lem10.child_axis_gap", 1e-10,
        "the circumcenter-symmedian gap of the derived triangle matches its closed form")
-def _check_child_axis_gap(ctx: _Context) -> tuple[float, int]:
-    residuals = []
+def _check_child_axis_gap(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
         params, _, tri = _random_triangle(ctx.rng)
         sub = second_brocard_triangle(tri)
         measured = circumcircle(sub).center.dist(standard_centers(sub).X6)
         R, u, g = params.R, params.u, params.gap
-        residuals.append(abs(measured - R * g ** 3 / (2.0 * u * (u * u + 3.0))))
-    return worst(residuals), ctx.quarter
+        yield (abs(measured - R * g ** 3 / (2.0 * u * (u * u + 3.0))),)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +399,7 @@ def _check_child_axis_gap(ctx: _Context) -> tuple[float, int]:
 
 @check("fixture.scene", 1e-11,
        "the half-base 1, height 2 porism reproduces its exact catalog of values")
-def _check_fixture_scene(ctx: _Context) -> tuple[float, int]:
+def _check_fixture_scene(ctx: _Context) -> Samples:
     params = Ru_from_dh(FIXTURE)
     scene = scene_from_Ru(params)
     expected = (
@@ -471,23 +422,23 @@ def _check_fixture_scene(ctx: _Context) -> tuple[float, int]:
         (scene.beltrami_radius, 10.0),
         (scene.brocard_circle.radius, 5.0 / 56.0),
     )
-    return worst(abs(got - want) for got, want in expected), 1
+    yield [abs(got - want) for got, want in expected]
 
 
 @check("fixture.inversion_routes", 1e-11,
        "X187 and X574 of the fixture agree between inversion chain and closed form")
-def _check_fixture_inversion_routes(ctx: _Context) -> tuple[float, int]:
+def _check_fixture_inversion_routes(ctx: _Context) -> Samples:
     tri, _, _ = isosceles_scene(FIXTURE)
     centers = standard_centers(tri)
     x574 = -35.0 / 388.0
-    return worst((
+    yield (
         abs(centers.X187.x),
         abs(centers.X187.y + 8.75),
         abs(centers.X574.x),
         abs(centers.X574.y - x574),
         # closed form -R*u*gap/(u^2 + 3) against the double-inversion chain
         abs((-1.25 * 1.75 * 0.25 / (1.75 ** 2 + 3.0)) - x574),
-    )), 1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -508,30 +459,25 @@ def _closure_sampling(ctx: _Context) -> list[tuple[PorismScene, Triangle]]:
 
 @check("closure.tangency", "scene",
        "every sampled member triangle is tangent to the inellipse on all three sides")
-def _check_closure_tangency(ctx: _Context) -> tuple[float, int]:
-    pairs = _closure_sampling(ctx)
-    return worst(r for s, tri in pairs for r in closure_residuals(s, tri)), len(pairs)
+def _check_closure_tangency(ctx: _Context) -> Samples:
+    for scene, tri in _closure_sampling(ctx):
+        yield closure_residuals(scene, tri)
 
 
 @check("closure.brocard_angle", 1e-10,
        "the Brocard angle is the same for every member of a porism")
-def _check_closure_angle(ctx: _Context) -> tuple[float, int]:
-    pairs = _closure_sampling(ctx)
-    return worst(
-        abs(math.atan2(1.0, brocard_cotangent(tri)) - scene.params.omega)
-        for scene, tri in pairs
-    ), len(pairs)
+def _check_closure_angle(ctx: _Context) -> Samples:
+    for scene, tri in _closure_sampling(ctx):
+        yield (abs(math.atan2(1.0, brocard_cotangent(tri)) - scene.params.omega),)
 
 
 @check("closure.stationarity", "scene",
        "Brocard points and the named centers are stationary across the family")
-def _check_closure_stationarity(ctx: _Context) -> tuple[float, int]:
-    pairs = _closure_sampling(ctx)
-    residuals = []
-    for scene, tri in pairs:
+def _check_closure_stationarity(ctx: _Context) -> Samples:
+    for scene, tri in _closure_sampling(ctx):
         cs = standard_centers(tri)
         kc = Circle(cs.X182, cs.X182.dist(cs.X3))
-        residuals += (
+        yield (
             cs.omega1.dist(scene.omega1),
             cs.omega2.dist(scene.omega2),
             cs.X6.dist(scene.X6),
@@ -542,7 +488,6 @@ def _check_closure_stationarity(ctx: _Context) -> tuple[float, int]:
             kc.center.dist(scene.brocard_circle.center),
             abs(kc.radius - scene.brocard_circle.radius),
         )
-    return worst(residuals), len(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -551,37 +496,32 @@ def _check_closure_stationarity(ctx: _Context) -> tuple[float, int]:
 
 @check("thm1.two_route", 1e-8,
        "measuring the derived triangle agrees with the closed-form parameter step")
-def _check_step_two_route(ctx: _Context) -> tuple[float, int]:
-    residuals, n = [], 50
-    for _ in range(n):
+def _check_step_two_route(ctx: _Context) -> Samples:
+    for _ in range(50):
         params, _, tri = _random_triangle(ctx.rng)
         sub = second_brocard_triangle(tri)
         stepped = ctx.step(params)
-        residuals += (
+        yield (
             abs(circumcircle(sub).radius - stepped.R),
             abs(brocard_cotangent(sub) - stepped.u),
         )
-    return worst(residuals), n
 
 
 @check("thm1.child_circumcircle", "scene",
        "the child's circumcircle is the parent's Brocard circle")
-def _check_child_circumcircle(ctx: _Context) -> tuple[float, int]:
-    residuals = []
+def _check_child_circumcircle(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
         parent = scene_from_Ru(_random_member_params(ctx.rng), _random_pose(ctx.rng))
         child = child_scene(parent, ctx.step)
-        residuals += (
+        yield (
             child.circumcircle.center.dist(parent.brocard_circle.center),
             abs(child.circumcircle.radius - parent.brocard_circle.radius),
         )
-    return worst(residuals), ctx.quarter
 
 
 @check("thm1.cor9_axes", 1e-11,
        "child inellipse axes via the parent-axes route match the stepped scene")
-def _check_child_axes(ctx: _Context) -> tuple[float, int]:
-    residuals = []
+def _check_child_axes(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
         params = _random_member_params(ctx.rng)
         parent = scene_from_Ru(params)
@@ -594,17 +534,15 @@ def _check_child_axes(ctx: _Context) -> tuple[float, int]:
             / (a * a + 2.0 * b * b)
         )
         child = scene_from_Ru(ctx.step(params))
-        residuals += (
+        yield (
             abs(child.inellipse.semi_major - a_pred),
             abs(child.inellipse.semi_minor - b_pred),
         )
-    return worst(residuals), ctx.quarter
 
 
 @check("thm1.x182_formula", 1e-10,
        "the child's Brocard-circle center lands on its predicted coordinates")
-def _check_child_x182(ctx: _Context) -> tuple[float, int]:
-    residuals = []
+def _check_child_x182(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
         params = _random_member_params(ctx.rng)
         child = child_scene(scene_from_Ru(params), ctx.step)
@@ -613,8 +551,7 @@ def _check_child_x182(ctx: _Context) -> tuple[float, int]:
             0.0,
             -3.0 * stepped.R * (params.u ** 2 + 1.0) / (4.0 * stepped.u * params.u),
         )
-        residuals.append(child.X182.dist(predicted))
-    return worst(residuals), ctx.quarter
+        yield (child.X182.dist(predicted),)
 
 
 # ---------------------------------------------------------------------------
@@ -623,52 +560,48 @@ def _check_child_x182(ctx: _Context) -> tuple[float, int]:
 
 @check("prop14.forward_convergence", 1e-12,
        "six forward steps from cotangent 3 reach the equilateral limit quadratically")
-def _check_forward_convergence(ctx: _Context) -> tuple[float, int]:
+def _check_forward_convergence(ctx: _Context) -> Samples:
     params = PorismParams(1.0, 3.0)
     errors = [params.u_excess]
     for _ in range(6):
         params = ctx.step(params)
         errors.append(params.u_excess)
-    residual = errors[-1]
-    for k in range(len(errors) - 1):
-        if errors[k] > 0.0 and errors[k + 1] / errors[k] ** 2 > 0.3:
-            residual = math.inf
-    return residual, 6
+    yield from _walk_verdicts(
+        [e0 > 0.0 and e1 / e0 ** 2 > 0.3 for e0, e1 in zip(errors, errors[1:])],
+        errors[-1],
+    )
 
 
 @check("prop14.backward_growth", "scene",
        "eight backward steps from cotangent 2 push the cotangent past 100")
-def _check_backward_growth(ctx: _Context) -> tuple[float, int]:
+def _check_backward_growth(ctx: _Context) -> Samples:
     params = PorismParams(1.0, 2.0)
     for _ in range(8):
         params = step_backward(params)
-    return worst([100.0 - params.u]), 8
+    yield from _walk_verdicts([False] * 8, 100.0 - params.u)
 
 
 @check("prop14.roundtrip", 1e-12,
        "backward after forward is the identity on parameters")
-def _check_roundtrip(ctx: _Context) -> tuple[float, int]:
-    residuals, n = [], 100
-    for _ in range(n):
+def _check_roundtrip(ctx: _Context) -> Samples:
+    for _ in range(100):
         params = _random_member_params(ctx.rng)
         back = step_backward(ctx.step(params))
-        residuals += (
+        yield (
             abs(back.R - params.R) / params.R,
             abs(back.u - params.u) / params.u,
         )
-    return worst(residuals), n
 
 
 @check("prop14.fixed_point", 1e-15,
        "the equilateral parameters are the only fixed point and the map contracts")
-def _check_fixed_point(ctx: _Context) -> tuple[float, int]:
+def _check_fixed_point(ctx: _Context) -> Samples:
     at_fixed = ctx.step(PorismParams.from_excess(1.0, 0.0))
-    residuals = [abs(at_fixed.u_excess) + abs(at_fixed.R)]
+    yield (abs(at_fixed.u_excess) + abs(at_fixed.R),)
     # strict contraction above the fixed point
     for k in range(1, 40):
         u = SQRT3 + 0.25 * k
-        residuals.append(ctx.step(PorismParams(1.0, u)).u - u)
-    return worst(residuals), 40
+        yield (ctx.step(PorismParams(1.0, u)).u - u,)
 
 
 # ---------------------------------------------------------------------------
@@ -677,57 +610,57 @@ def _check_fixed_point(ctx: _Context) -> tuple[float, int]:
 
 @check("thm2.monotone", 1e-12,
        "radius, excess, and eccentricity shrink while the Brocard angle grows")
-def _check_forward_monotone(ctx: _Context) -> tuple[float, int]:
+def _check_forward_monotone(ctx: _Context) -> Samples:
     prev = Ru_from_dh(FIXTURE)
-    residuals = []
     for _ in range(6):
         nxt = ctx.step(prev)
         # eccentricity sqrt((u^2-3)/(u^2+1)) must shrink with u
         ecc_prev = prev.gap / math.sqrt(prev.u ** 2 + 1.0)
         ecc_next = nxt.gap / math.sqrt(nxt.u ** 2 + 1.0)
-        residuals += (
+        yield (
             nxt.R - prev.R,
             nxt.u_excess - prev.u_excess,
             ecc_next - ecc_prev,
             prev.omega - nxt.omega,
         )
         prev = nxt
-    return worst(residuals), 6
 
 
 @check("thm2.nesting", 1e-10,
        "each generation's Brocard circle nests inside its parent's")
-def _check_brocard_nesting(ctx: _Context) -> tuple[float, int]:
+def _check_brocard_nesting(ctx: _Context) -> Samples:
     scenes = orbit_scenes(scene_from_Ru(Ru_from_dh(FIXTURE)), 6)
-    return brocard_nesting(scenes), len(scenes) - 1
+    for overshoot in brocard_nesting(scenes):
+        yield (overshoot,)
 
 
 @check("thm3.concyclicity", "scene",
        "alternating Brocard points of successive generations share two fixed circles")
-def _check_concyclicity(ctx: _Context) -> tuple[float, int]:
+def _check_concyclicity(ctx: _Context) -> Samples:
     root = scene_from_Ru(Ru_from_dh(FIXTURE))
-    first, second = alternating_brocard_sequence(root, 6)
-    c1, c2 = root.beltrami_circles()
-    return worst((
-        *(c1.membership_residual(p) for p in first),
-        *(c2.membership_residual(p) for p in second),
-        first[0].dist(root.omega1),
-        second[0].dist(root.omega2),
-    )), len(first) + len(second)
+    sequences = alternating_brocard_sequence(root, 6)
+    for circle, points, start in zip(
+        root.beltrami_circles(), sequences, (root.omega1, root.omega2)
+    ):
+        yield circle.membership_residual(points[0]), points[0].dist(start)
+        for p in points[1:]:
+            yield (circle.membership_residual(p),)
 
 
 @check("thm3.limit_point", 1e-6,
        "the alternating sequences converge to the lower isodynamic point")
-def _check_limit_point(ctx: _Context) -> tuple[float, int]:
+def _check_limit_point(ctx: _Context) -> Samples:
     root = scene_from_Ru(Ru_from_dh(FIXTURE))
-    first, second = alternating_brocard_sequence(root, 12)
-    return worst((first[-1].dist(root.X15), second[-1].dist(root.X15))), 2
+    for points in alternating_brocard_sequence(root, 12):
+        yield (points[-1].dist(root.X15),)
 
 
 @check("prop6.orthogonality", "scene",
        "both Beltrami circles cut every generation's Brocard circle at right angles")
-def _check_beltrami_orthogonality(ctx: _Context) -> tuple[float, int]:
-    return beltrami_orthogonality(orbit_scenes(scene_from_Ru(Ru_from_dh(FIXTURE)), 5)), 6
+def _check_beltrami_orthogonality(ctx: _Context) -> Samples:
+    scenes = orbit_scenes(scene_from_Ru(Ru_from_dh(FIXTURE)), 5)
+    for defect in beltrami_orthogonality(scenes):
+        yield (defect,)
 
 
 # ---------------------------------------------------------------------------
@@ -736,35 +669,30 @@ def _check_beltrami_orthogonality(ctx: _Context) -> tuple[float, int]:
 
 @check("prop4.anti_roundtrip_params", 1e-11,
        "stepping the anti-porism forward recovers the original parameters")
-def _check_anti_roundtrip_params(ctx: _Context) -> tuple[float, int]:
-    residuals = []
+def _check_anti_roundtrip_params(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
         scene = scene_from_Ru(_random_member_params(ctx.rng), _random_pose(ctx.rng))
         again = child_scene(anti_scene(scene))
-        residuals += (
+        yield (
             abs(again.params.R - scene.params.R) / scene.params.R,
             abs(again.params.u - scene.params.u) / scene.params.u,
         )
-    return worst(residuals), ctx.quarter
 
 
 @check("prop4.anti_roundtrip_points", "scene",
        "stepping the anti-porism forward recovers the original scene points")
-def _check_anti_roundtrip_points(ctx: _Context) -> tuple[float, int]:
-    residuals = []
+def _check_anti_roundtrip_points(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
         scene = scene_from_Ru(_random_member_params(ctx.rng), _random_pose(ctx.rng))
         again = child_scene(anti_scene(scene))
-        for got, want in (
-            (again.X3, scene.X3),
-            (again.X6, scene.X6),
-            (again.X15, scene.X15),
-            (again.X16, scene.X16),
-            (again.omega1, scene.omega1),
-            (again.omega2, scene.omega2),
-        ):
-            residuals.append(got.dist(want))
-    return worst(residuals), ctx.quarter
+        yield (
+            again.X3.dist(scene.X3),
+            again.X6.dist(scene.X6),
+            again.X15.dist(scene.X15),
+            again.X16.dist(scene.X16),
+            again.omega1.dist(scene.omega1),
+            again.omega2.dist(scene.omega2),
+        )
 
 
 def _backward_chain(generations: int) -> list[PorismScene]:
@@ -774,11 +702,10 @@ def _backward_chain(generations: int) -> list[PorismScene]:
 
 @check("prop4.anti_stationary", "scene",
        "isodynamic points stay put along the backward chain")
-def _check_anti_stationary(ctx: _Context) -> tuple[float, int]:
+def _check_anti_stationary(ctx: _Context) -> Samples:
     root, *chain = _backward_chain(8)
-    return worst(
-        r for s in chain for r in (s.X15.dist(root.X15), s.X16.dist(root.X16))
-    ), len(chain)
+    for s in chain:
+        yield s.X15.dist(root.X15), s.X16.dist(root.X16)
 
 
 def _anti_axis_series(generations: int) -> tuple[list[float], list[float]]:
@@ -788,22 +715,22 @@ def _anti_axis_series(generations: int) -> tuple[list[float], list[float]]:
     return majors, [s.inellipse.semi_minor for s in chain]
 
 
+def _falls_to_limit(series: list[float]) -> Iterator[tuple[float, ...]]:
+    """Verdicts of a walked series that must fall strictly to its last value."""
+    rises = [b >= a for a, b in zip(series, series[1:])]
+    return _walk_verdicts([False, *rises], series[-1])
+
+
 @check("prop4.major_axis_limit", 1e-6,
        "backward inellipse major axes widen monotonically to the Beltrami span")
-def _check_major_axis_limit(ctx: _Context) -> tuple[float, int]:
-    majors, _ = _anti_axis_series(12)
-    if any(b >= a for a, b in zip(majors, majors[1:])):
-        return math.inf, 12
-    return majors[-1], 12
+def _check_major_axis_limit(ctx: _Context) -> Samples:
+    yield from _falls_to_limit(_anti_axis_series(12)[0])
 
 
 @check("prop4.minor_axis_limit", 1e-3,
        "backward inellipse minor axes flatten monotonically to zero")
-def _check_minor_axis_limit(ctx: _Context) -> tuple[float, int]:
-    _, minors = _anti_axis_series(12)
-    if any(b >= a for a, b in zip(minors, minors[1:])):
-        return math.inf, 12
-    return minors[-1], 12
+def _check_minor_axis_limit(ctx: _Context) -> Samples:
+    yield from _falls_to_limit(_anti_axis_series(12)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -812,43 +739,38 @@ def _check_minor_axis_limit(ctx: _Context) -> tuple[float, int]:
 
 @check("lem9.chart_roundtrip", 1e-12,
        "the isosceles chart and the parameter chart invert each other")
-def _check_chart_roundtrip(ctx: _Context) -> tuple[float, int]:
-    residuals = []
+def _check_chart_roundtrip(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
         params = _random_member_params(ctx.rng)
         back = Ru_from_dh(dh_from_Ru(params))
         iso = _random_chart_params(ctx.rng)
         iso_back = dh_from_Ru(Ru_from_dh(iso))
-        residuals += (
+        yield (
             abs(back.R - params.R) / params.R,
             abs(back.u - params.u) / params.u,
             abs(iso_back.d - iso.d) / iso.d,
             abs(iso_back.h - iso.h) / iso.h,
         )
-    return worst(residuals), ctx.quarter
 
 
 @check("prop11.conic_match", 1e-10,
        "the implicit conic of the isosceles chart is the scene inellipse")
-def _check_conic_match(ctx: _Context) -> tuple[float, int]:
-    residuals = []
+def _check_conic_match(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
         iso = _random_chart_params(ctx.rng)
         _, _, coeffs = isosceles_scene(iso)
         from_conic = conic_to_ellipse(coeffs)
         scene = scene_from_Ru(Ru_from_dh(iso))
-        residuals += (
+        yield (
             from_conic.center.dist(scene.inellipse.center),
             abs(from_conic.semi_major - scene.inellipse.semi_major),
             abs(from_conic.semi_minor - scene.inellipse.semi_minor),
         )
-    return worst(residuals), ctx.quarter
 
 
 @check("prop12.foci_printed", 1e-11,
        "the chart's rational focus formulas land on the inellipse foci")
-def _check_printed_foci(ctx: _Context) -> tuple[float, int]:
-    residuals = []
+def _check_printed_foci(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
         iso = _random_chart_params(ctx.rng)
         d, h = iso.d, iso.h
@@ -858,15 +780,15 @@ def _check_printed_foci(ctx: _Context) -> tuple[float, int]:
         fx = d * (3.0 * d2 - h2) / denom
         fy = (9.0 * d2 * d2 - h2 * h2) / (2.0 * h * denom)
         printed = {(-fx, fy), (fx, fy)}
-        for p in ellipse_foci(scene.inellipse):
-            residuals.append(min(math.hypot(p.x - px, p.y - py) for px, py in printed))
-    return worst(residuals), ctx.quarter
+        yield [
+            min(math.hypot(p.x - px, p.y - py) for px, py in printed)
+            for p in ellipse_foci(scene.inellipse)
+        ]
 
 
 @check("prop12.axes_composed", 1e-11,
        "the chart's composed semi-axis formulas match the scene")
-def _check_composed_axes(ctx: _Context) -> tuple[float, int]:
-    residuals = []
+def _check_composed_axes(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
         d = ctx.rng.uniform(0.5, 2.0)
         h = d * ctx.rng.uniform(0.4, 4.0)
@@ -875,26 +797,22 @@ def _check_composed_axes(ctx: _Context) -> tuple[float, int]:
         denom = 9.0 * d * d + h * h
         a = d * math.sqrt(iso.zeta) / math.sqrt(denom)
         b = 4.0 * d * d * h / denom
-        residuals += (
+        yield (
             abs(scene.inellipse.semi_major - a),
             abs(scene.inellipse.semi_minor - b),
         )
-    return worst(residuals), ctx.quarter
 
 
 @check("eq2.apex_recovery", 1e-10,
        "the member at the top parameter is the isosceles triangle itself")
-def _check_apex_recovery(ctx: _Context) -> tuple[float, int]:
-    residuals = []
+def _check_apex_recovery(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
         d = ctx.rng.uniform(0.5, 2.0)
         h = d * ctx.rng.uniform(0.4, 4.0)
         iso = IsoscelesParams(d, h)
         tri, _, _ = isosceles_scene(iso)
         at_top = vertices_at(iso, 0.5 * math.pi)
-        for v in at_top.vertices:
-            residuals.append(min(v.dist(w) for w in tri.vertices))
-    return worst(residuals), ctx.quarter
+        yield [min(v.dist(w) for w in tri.vertices) for v in at_top.vertices]
 
 
 # ---------------------------------------------------------------------------
@@ -907,24 +825,21 @@ def _t_grid(n: int, lo: float = 0.05, hi: float = T_MAX - 0.02) -> list[float]:
 
 @check("thm4.isodynamic_fixed", 1e-10,
        "every family member keeps the isodynamic points at plus and minus root3/2")
-def _check_isodynamic_fixed(ctx: _Context) -> tuple[float, int]:
-    grid = _t_grid(ctx.quarter)
-    residuals = []
-    for t in grid:
+def _check_isodynamic_fixed(ctx: _Context) -> Samples:
+    for t in _t_grid(ctx.quarter):
         scene = bt_scene(t)
-        residuals += (
+        yield (
             scene.X15.dist(Point(0.0, -SQRT3 / 2.0)),
             scene.X16.dist(Point(0.0, SQRT3 / 2.0)),
         )
-    return worst(residuals), len(grid)
 
 
 @check("thm4.member_t0", 1e-10,
        "the cotangent-2 member carries its exact catalog of values")
-def _check_member_t0(ctx: _Context) -> tuple[float, int]:
+def _check_member_t0(ctx: _Context) -> Samples:
     member = porism_Bt(T_CRITICAL)
     f1, f2 = ellipse_foci(member.ellipse)
-    return worst((
+    yield (
         abs(member.u - 2.0),
         abs(member.gamma.radius - 0.5),
         member.X3.dist(Point(0.0, -1.0)),
@@ -936,207 +851,186 @@ def _check_member_t0(ctx: _Context) -> tuple[float, int]:
         abs(member.eccentricity - math.sqrt(0.2)),
         f1.dist(Point(-0.1, -0.8)),
         f2.dist(Point(0.1, -0.8)),
-    )), 1
+    )
 
 
 @check("thm4.circle_formulas", 1e-10,
        "the family's Brocard circles match their closed-form center and radius")
-def _check_circle_formulas(ctx: _Context) -> tuple[float, int]:
-    grid = _t_grid(ctx.quarter)
-    residuals = []
-    for t in grid:
+def _check_circle_formulas(ctx: _Context) -> Samples:
+    for t in _t_grid(ctx.quarter):
         scene = bt_scene(t)
         k = brocard_circle_Kt(t)
-        residuals += (
+        yield (
             scene.brocard_circle.center.dist(k.center),
             abs(scene.brocard_circle.radius - k.radius),
         )
-    return worst(residuals), len(grid)
 
 
 @check("thm4.special_u", 1e-12,
        "two special family parameters give their known cotangents")
-def _check_special_u(ctx: _Context) -> tuple[float, int]:
-    return worst((
-        abs(u_from_t(math.atan2(4.0, 5.0)) - (5.0 + math.sqrt(41.0)) / 4.0),
-        abs(u_from_t(T_CRITICAL) - 2.0),
-        abs(t_from_u(2.0) - T_CRITICAL),
-    )), 2
+def _check_special_u(ctx: _Context) -> Samples:
+    yield (abs(u_from_t(math.atan2(4.0, 5.0)) - (5.0 + math.sqrt(41.0)) / 4.0),)
+    yield abs(u_from_t(T_CRITICAL) - 2.0), abs(t_from_u(2.0) - T_CRITICAL)
 
 
 @check("thm5.embed_consistency", 1e-8,
        "the discrete step moves family members to the predicted later member")
-def _check_embed_consistency(ctx: _Context) -> tuple[float, int]:
-    residuals, n = [], 12
+def _check_embed_consistency(ctx: _Context) -> Samples:
+    n = 12
     for k in range(n):
         t = 0.15 + (T_MAX - 0.25) * k / (n - 1)
         _, tri = _random_member(ctx.rng, bt_scene(t))
         sub = second_brocard_triangle(tri)
         target = porism_Bt(embed_step(t))
         cc = circumcircle(sub)
-        residuals += (
+        yield (
             abs(cc.radius - target.gamma.radius),
             cc.center.dist(target.X3),
             abs(brocard_cotangent(sub) - target.u),
         )
-    return worst(residuals), n
 
 
 @check("thm5.cot_rational", 1e-11,
        "the stepped parameter's cotangent equals its rational trigonometric form")
-def _check_cot_rational(ctx: _Context) -> tuple[float, int]:
-    grid = _t_grid(ctx.quarter, lo=0.1)
-    residuals = []
-    for t in grid:
+def _check_cot_rational(ctx: _Context) -> Samples:
+    for t in _t_grid(ctx.quarter, lo=0.1):
         c, s = math.cos(t), math.sin(t)
         rational = (4.0 - 4.0 * c + math.cos(2.0 * t)) / (
             4.0 * s - math.sin(2.0 * t)
         )
         stepped = embed_step(t)
-        residuals.append(abs(math.cos(stepped) / math.sin(stepped) - rational))
-    return worst(residuals), len(grid)
+        yield (abs(math.cos(stepped) / math.sin(stepped) - rational),)
 
 
 @check("prop8.envelope_membership", 1e-10,
        "envelope contact points lie on the member ellipse and the fixed envelope")
-def _check_envelope_membership(ctx: _Context) -> tuple[float, int]:
+def _check_envelope_membership(ctx: _Context) -> Samples:
     n = 100
-    return worst(
-        envelope_residual(0.05 + (T_CRITICAL - 0.05) * k / (n - 1)) for k in range(n)
-    ), n
+    for k in range(n):
+        yield (envelope_residual(0.05 + (T_CRITICAL - 0.05) * k / (n - 1)),)
 
 
 @check("prop8.focal_sum", 1e-12,
        "envelope points see the isodynamic points as ellipse foci")
-def _check_envelope_focal_sum(ctx: _Context) -> tuple[float, int]:
-    residuals, n = [], 50
+def _check_envelope_focal_sum(ctx: _Context) -> Samples:
+    n = 50
     top = Point(0.0, SQRT3 / 2.0)
     bottom = Point(0.0, -SQRT3 / 2.0)
     for k in range(n):
         t = 0.05 + (T_CRITICAL - 0.05) * k / (n - 1)
-        for p in envelope_points(t):
-            residuals.append(abs(p.dist(top) + p.dist(bottom) - 2.0))
-    return worst(residuals), n
+        yield [abs(p.dist(top) + p.dist(bottom) - 2.0) for p in envelope_points(t)]
 
 
 @check("prop8.degenerate_endpoint", 1e-12,
        "the envelope contact degenerates to the bottom vertex at the critical parameter")
-def _check_envelope_endpoint(ctx: _Context) -> tuple[float, int]:
+def _check_envelope_endpoint(ctx: _Context) -> Samples:
     bottom = Point(0.0, -1.0)
-    return worst(p.dist(bottom) for p in envelope_points(T_CRITICAL)), 1
+    yield [p.dist(bottom) for p in envelope_points(T_CRITICAL)]
 
 
 @check("cor11.brocard_nesting", 1e-12,
        "family Brocard circles nest monotonically in the parameter")
-def _check_k_nesting(ctx: _Context) -> tuple[float, int]:
-    residuals, n = [], 200
-    for _ in range(n):
+def _check_k_nesting(ctx: _Context) -> Samples:
+    for _ in range(200):
         v = ctx.rng.uniform(0.02, T_MAX - 0.02)
         s = ctx.rng.uniform(v + 0.01, T_MAX)
-        residuals.append(-nesting_residual(s, v))
-    return worst(residuals), n
+        yield (-nesting_residual(s, v),)
 
 
 @check("cor11.gamma_nesting", 1e-12,
        "family circumcircles nest monotonically in the parameter")
-def _check_gamma_nesting(ctx: _Context) -> tuple[float, int]:
-    residuals, n = [], 200
-    for _ in range(n):
+def _check_gamma_nesting(ctx: _Context) -> Samples:
+    for _ in range(200):
         v = ctx.rng.uniform(0.02, T_MAX - 0.03)
         s = ctx.rng.uniform(v + 0.01, T_MAX - 0.01)
-        residuals.append(-gamma_nesting_residual(s, v))
-    return worst(residuals), n
+        yield (-gamma_nesting_residual(s, v),)
 
 
 @check("cor12.semi_minor_max", 1e-8,
        "the semi-minor axis peaks at one quarter, at cosine three quarters")
-def _check_semi_minor_max(ctx: _Context) -> tuple[float, int]:
+def _check_semi_minor_max(ctx: _Context) -> Samples:
     ex = family_extrema()
-    return worst((
+    yield (
         abs(ex.t_semi_minor_max - math.acos(0.75)),
         abs(ex.semi_minor_max - 0.25),
-    )), 1
+    )
 
 
 @check("cor13.lower_vertex", 1e-8,
        "the lower ellipse vertex bottoms out at (0, -1)")
-def _check_lower_vertex(ctx: _Context) -> tuple[float, int]:
+def _check_lower_vertex(ctx: _Context) -> Samples:
     ex = family_extrema()
-    return worst((
+    yield (
         abs(ex.t_lower_vertex_min - T_CRITICAL),
         ex.lower_vertex_min.dist(Point(0.0, -1.0)),
-    )), 1
+    )
 
 
 @check("prop10.profile", 1e-6,
        "semi-major decreasing and concave, semi-minor concave, eccentricity decreasing")
-def _check_family_profile(ctx: _Context) -> tuple[float, int]:
-    n = max(40, ctx.samples // 2)
-    grid = _t_grid(n, lo=0.04, hi=T_MAX - 0.04)
-    a_vals = [ellipse_Et(t).semi_major for t in grid]
-    b_vals = [ellipse_Et(t).semi_minor for t in grid]
+def _check_family_profile(ctx: _Context) -> Samples:
+    grid = _t_grid(max(40, ctx.samples // 2), lo=0.04, hi=T_MAX - 0.04)
+    a = [ellipse_Et(t).semi_major for t in grid]
+    b = [ellipse_Et(t).semi_minor for t in grid]
     ecc = [math.sqrt(max(0.0, 2.0 * math.cos(t) - 1.0)) for t in grid]
-    residuals = []
-    for series in (a_vals, ecc):
-        residuals += (nxt - prev for prev, nxt in zip(series, series[1:]))
-    for series in (a_vals, b_vals):
-        for k in range(1, len(series) - 1):
-            residuals.append(series[k + 1] - 2.0 * series[k] + series[k - 1])
-    return worst(residuals), n
+    for k in range(len(grid)):
+        # the step into grid point k, and the curvature at k
+        steps = (a[k] - a[k - 1], ecc[k] - ecc[k - 1]) if k > 0 else ()
+        bends = (
+            (s[k + 1] - 2.0 * s[k] + s[k - 1] for s in (a, b))
+            if 0 < k < len(grid) - 1 else ()
+        )
+        yield (*steps, *bends)
 
 
 @check("prop7.intersection_products", "scene",
        "Brocard and Beltrami circles meet at right angles at their four known points")
-def _check_web_points(ctx: _Context) -> tuple[float, int]:
-    residuals, n = [], 10
+def _check_web_points(ctx: _Context) -> Samples:
+    n = 10
     for k in range(n):
-        t = 0.1 + (T_MAX - 0.16) * k / (n - 1)
-        web = web_orthogonality_residuals(t)
-        residuals += (abs(v) for v in web.point_inner_products)
-        residuals.append(web.point_membership_max)
-    return worst(residuals), n
+        web = web_orthogonality_residuals(0.1 + (T_MAX - 0.16) * k / (n - 1))
+        yield (*(abs(v) for v in web.point_inner_products), web.point_membership_max)
+
+
+def _web_samples(ctx: _Context) -> int:
+    return min(128, max(32, ctx.samples // 2))
 
 
 @check("rem9.quartic_orthogonality", 1e-7,
        "the two direction fields cross at right angles exactly on the quartic locus")
-def _check_quartic_orthogonality(ctx: _Context) -> tuple[float, int]:
-    web = web_orthogonality_residuals(0.9, samples=min(128, max(32, ctx.samples // 2)))
-    on_quartic = (
-        abs(16.0 * x ** 4 + 8.0 * x * x + 4.0 * y * y - 3.0)
-        for x, y in ((0.0, -SQRT3 / 2.0), (0.0, SQRT3 / 2.0), (0.5, 0.0), (-0.5, 0.0))
-    )
-    return worst((web.quartic_angle_max_dev, *on_quartic)), 4
+def _check_quartic_orthogonality(ctx: _Context) -> Samples:
+    web = web_orthogonality_residuals(0.9, samples=_web_samples(ctx))
+    for x, y in ((0.0, -SQRT3 / 2.0), (0.0, SQRT3 / 2.0), (0.5, 0.0), (-0.5, 0.0)):
+        on_quartic = abs(16.0 * x ** 4 + 8.0 * x * x + 4.0 * y * y - 3.0)
+        yield web.quartic_angle_max_dev, on_quartic
 
 
 @check("rem8.axis_parallel", 1e-7,
        "the two direction fields run parallel on both coordinate axes")
-def _check_axis_parallel(ctx: _Context) -> tuple[float, int]:
-    web = web_orthogonality_residuals(0.7, samples=min(128, max(32, ctx.samples // 2)))
-    return web.axis_parallel_max_dev, 1
+def _check_axis_parallel(ctx: _Context) -> Samples:
+    web = web_orthogonality_residuals(0.7, samples=_web_samples(ctx))
+    yield (web.axis_parallel_max_dev,)
 
 
 @check("rem5.inversion_midpoint", "scene",
        "inverting the symmedian point in the circumcircle gives the Beltrami midpoint")
-def _check_inversion_midpoint(ctx: _Context) -> tuple[float, int]:
+def _check_inversion_midpoint(ctx: _Context) -> Samples:
     n = 100
-    return worst(
-        beltrami_midpoint_check(0.02 + (T_MAX - 0.03) * k / (n - 1)) for k in range(n)
-    ), n
+    for k in range(n):
+        yield (beltrami_midpoint_check(0.02 + (T_MAX - 0.03) * k / (n - 1)),)
 
 
 @check("rem3.foci_arcs", 1e-12,
        "the moving inellipse foci ride two fixed unit circles")
-def _check_foci_arcs(ctx: _Context) -> tuple[float, int]:
+def _check_foci_arcs(ctx: _Context) -> Samples:
     n = 100
-    return worst(
-        r for k in range(n) for r in foci_on_arcs_check(0.01 + (T_MAX - 0.01) * k / (n - 1))
-    ), n
+    for k in range(n):
+        yield foci_on_arcs_check(0.01 + (T_MAX - 0.01) * k / (n - 1))
 
 
 @check("rem4.similarity", "scene",
        "one fixed similarity carries any canonical porism onto its family member")
-def _check_similarity(ctx: _Context) -> tuple[float, int]:
-    residuals = []
+def _check_similarity(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
         params = _random_member_params(ctx.rng)
         canonical = scene_from_Ru(params)
@@ -1151,7 +1045,7 @@ def _check_similarity(ctx: _Context) -> tuple[float, int]:
         mapped_ellipse = sigma.apply_ellipse(canonical.inellipse)
         mapped_gamma = sigma.apply_circle(canonical.circumcircle)
         mapped_k = sigma.apply_circle(canonical.brocard_circle)
-        residuals += (
+        yield (
             sigma.apply(canonical.X15).dist(target.X15),
             sigma.apply(canonical.X16).dist(target.X16),
             sigma.apply(canonical.X3).dist(target.X3),
@@ -1163,23 +1057,20 @@ def _check_similarity(ctx: _Context) -> tuple[float, int]:
             mapped_k.center.dist(target.brocard_circle.center),
             abs(mapped_k.radius - target.brocard_circle.radius),
         )
-    return worst(residuals), ctx.quarter
 
 
 @check("prop9.kt_intersections", "scene",
        "the Brocard circle meets the inellipse exactly at the envelope points")
-def _check_kt_intersections(ctx: _Context) -> tuple[float, int]:
+def _check_kt_intersections(ctx: _Context) -> Samples:
     n = 40
-    residuals = [
-        kt_inellipse_intersection_check(0.05 + (T_CRITICAL - 0.05) * k / (n - 1))
-        for k in range(n)
-    ]
+    for k in range(n):
+        t = 0.05 + (T_CRITICAL - 0.05) * k / (n - 1)
+        yield (kt_inellipse_intersection_check(t),)
     bottom = Point(0.0, -1.0)
-    residuals += (
+    yield (
         brocard_circle_Kt(T_CRITICAL).membership_residual(bottom),
         ellipse_Et(T_CRITICAL).implicit_residual(bottom),
     )
-    return worst(residuals), n + 1
 
 
 # ---------------------------------------------------------------------------
@@ -1216,7 +1107,8 @@ def run_checks(
             tol = tol_scene
         ctx = _Context(random.Random(f"{seed}:{check_id}"), max(1, samples), step)
         try:
-            residual, used = fn(ctx)
+            per_sample = [worst(group) for group in fn(ctx)]
+            residual, used = worst(per_sample), len(per_sample)
         except Exception:
             # reported as zero samples, which fails at any tolerance
             residual, used = math.inf, 0

@@ -181,6 +181,16 @@ def envelope_points(t: float) -> tuple[Point, Point]:
     return Point(-p.x, p.y), p
 
 
+def envelope_residual(t: float) -> float:
+    """Residual of both envelope contacts of E_t on the envelope and on E_t."""
+    e = ellipse_Et(t)
+    return worst(
+        r
+        for p in envelope_points(t)
+        for r in (abs(4.0 * p.x * p.x + p.y * p.y - 1.0), e.implicit_residual(p))
+    )
+
+
 def nesting_residual(t_small_circle: float, t_big_circle: float) -> float:
     """Slack of the Brocard circle at the later parameter inside the earlier.
 

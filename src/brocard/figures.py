@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 from .centers import brocard_cotangent, second_brocard_triangle
-from .checks import FIXTURE, beltrami_orthogonality, brocard_nesting, envelope_residual
 from .continuous import (
     T_CRITICAL,
     T_MAX,
@@ -22,6 +21,7 @@ from .continuous import (
     bt_scene,
     ellipse_Et,
     envelope_points,
+    envelope_residual,
     foci_on_arcs_check,
     gamma_nesting_residual,
     kt_inellipse_intersection_check,
@@ -29,6 +29,7 @@ from .continuous import (
 )
 from .geom import AxisAlignedEllipse, Circle, GeometryError, Point, worst
 from .porism import (
+    FIXTURE,
     IsoscelesParams,
     PorismScene,
     Ru_from_dh,
@@ -38,6 +39,8 @@ from .porism import (
 )
 from .recurrence import (
     alternating_brocard_sequence,
+    beltrami_orthogonality,
+    brocard_nesting,
     orbit_scenes,
     step_forward,
 )
@@ -243,8 +246,8 @@ def fig_cascade_circles(iso: IsoscelesParams) -> str:
     """Nested Brocard circles of successive generations, with the arcs."""
     root = scene_from_Ru(Ru_from_dh(iso))
     scenes = orbit_scenes(root, 4)
-    _require(brocard_nesting(scenes), 1e-10, "Brocard circle nesting")
-    _require(beltrami_orthogonality(scenes), 1e-9, "Beltrami orthogonality")
+    _require(worst(brocard_nesting(scenes)), 1e-10, "Brocard circle nesting")
+    _require(worst(beltrami_orthogonality(scenes)), 1e-9, "Beltrami orthogonality")
 
     R = root.params.R
     cv = _Canvas(-1.4 * R, 1.4 * R, -1.5 * R, 1.3 * R)

@@ -94,6 +94,11 @@ class IsoscelesParams:
         return self.d * self.d + self.h * self.h
 
 
+# the half-base 1, height 2 porism: the checks' worked example and the
+# porism figures' default
+FIXTURE = IsoscelesParams(1.0, 2.0)
+
+
 @dataclass(frozen=True)
 class PorismScene:
     params: PorismParams

@@ -16,9 +16,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
-from .geom import Circle, GeometryError, Line, Point, Pose, three_point_circle
+from .geom import (
+    Circle,
+    GeometryError,
+    Line,
+    Point,
+    Pose,
+    circles_orthogonality_residual,
+    three_point_circle,
+    worst,
+)
 from .porism import (
     DegeneratePorismError,
     IsoscelesParams,
@@ -166,6 +175,26 @@ def alternating_brocard_sequence(
     pairs += [(root.X15, root.X15)] * (n + 1 - len(scenes))
     first, second = zip(*pairs)
     return first, second
+
+
+def brocard_nesting(scenes: Sequence[PorismScene]) -> Iterator[float]:
+    """Overshoot of each generation's Brocard circle past its parent's."""
+    return (
+        inner.brocard_circle.center.dist(outer.brocard_circle.center)
+        + inner.brocard_circle.radius
+        - outer.brocard_circle.radius
+        for outer, inner in zip(scenes, scenes[1:])
+    )
+
+
+def beltrami_orthogonality(scenes: Sequence[PorismScene]) -> Iterator[float]:
+    """Orthogonality defect of the first scene's Beltrami circles against
+    each scene's Brocard circle."""
+    circles = scenes[0].beltrami_circles()
+    return (
+        worst(circles_orthogonality_residual(c, s.brocard_circle) for c in circles)
+        for s in scenes
+    )
 
 
 def apollonius_circles(iso: IsoscelesParams) -> tuple[Circle, Circle, Line]:

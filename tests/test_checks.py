@@ -8,6 +8,7 @@ from brocard.checks import (
     MUTATIONS,
     CheckReport,
     UnknownCheckFilterError,
+    check_ids,
     run_checks,
 )
 from brocard.geom import Point, worst
@@ -32,7 +33,7 @@ GROUPS = (
 
 def test_full_registry_passes():
     reports = run_checks(samples=60, seed=3)
-    assert len(reports) >= 55
+    assert len(reports) == len(check_ids())
     for r in reports:
         assert isinstance(r, CheckReport)
         assert r.passed, (r.check_id, r.max_residual, r.tolerance)
@@ -172,7 +173,7 @@ def test_raised_check_fails_at_infinite_tolerance():
 
 def test_zero_samples_fail_at_infinite_tolerance(monkeypatch):
     monkeypatch.setitem(
-        checks._REGISTRY, "zz.empty", ("samples nothing", "scene", lambda ctx: (0.0, 0))
+        checks._REGISTRY, "zz.empty", ("samples nothing", "scene", lambda ctx: iter(()))
     )
     (report,) = run_checks(tol_scene=math.inf, filter_prefix="zz.")
     assert report.max_residual == 0.0
@@ -185,3 +186,69 @@ def test_check_ids_are_declared_once():
             lambda ctx: (0.0, 1)
         )
     assert len(checks.check_ids()) == 61
+
+
+def _run_one(monkeypatch, fn, samples=20):
+    monkeypatch.setitem(checks._REGISTRY, "zz.one", ("a test check", math.inf, fn))
+    (report,) = run_checks(samples=samples, filter_prefix="zz.")
+    return report
+
+
+def test_samples_used_counts_the_yielded_groups(monkeypatch):
+    def three_groups(ctx):
+        yield (0.25, 0.5)
+        yield ()
+        yield [0.125]
+
+    report = _run_one(monkeypatch, three_groups)
+    assert (report.max_residual, report.samples_used, report.passed) == (0.5, 3, True)
+    # the counts the checks used to state by hand, now counted by the runner
+    expected = {
+        "thm3.concyclicity": 14,
+        "thm3.limit_point": 2,
+        "thm4.special_u": 2,
+        "rem9.quartic_orthogonality": 4,
+        "prop9.kt_intersections": 41,
+        "thm2.nesting": 6,
+        "prop6.orthogonality": 6,
+        "prop14.forward_convergence": 6,
+        "prop14.backward_growth": 8,
+        "prop4.major_axis_limit": 12,
+        "prop4.minor_axis_limit": 12,
+        "prop10.profile": 100,
+        "geom.circumcircle_cyclic": 50,
+    }
+    reports = {r.check_id: r for r in run_checks(samples=200, seed=0)}
+    for check_id, n in expected.items():
+        assert reports[check_id].samples_used == n, check_id
+
+
+def test_check_raising_after_samples_reports_none(monkeypatch):
+    def raises_late(ctx):
+        yield (0.0,)
+        yield (0.0,)
+        raise DegeneratePorismError("late failure")
+
+    report = _run_one(monkeypatch, raises_late)
+    assert report.max_residual == math.inf
+    assert report.samples_used == 0
+    assert not report.passed
+
+
+def test_nan_in_the_last_sample_fails(monkeypatch):
+    def nan_last(ctx):
+        for _ in range(ctx.samples - 1):
+            yield (0.0, 1.0)
+        yield (0.0, math.nan)
+
+    report = _run_one(monkeypatch, nan_last)
+    assert math.isnan(report.max_residual)
+    assert report.samples_used == 20
+    assert not report.passed
+
+
+def test_check_returning_residual_and_count_fails(monkeypatch):
+    report = _run_one(monkeypatch, lambda ctx: (0.0, 5))
+    assert report.max_residual == math.inf
+    assert report.samples_used == 0
+    assert not report.passed

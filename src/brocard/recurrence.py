@@ -158,12 +158,13 @@ def orbit(start: PorismParams, n: int, direction: Direction) -> OrbitTrace:
 def alternating_brocard_sequence(
     root: PorismScene, n: int
 ) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
-    """World Brocard points of generations 0..n, labels alternating.
+    """World Brocard points of the walked generations 0..n, labels alternating.
 
     The first list starts at the root's first Brocard point and takes the
     second point of the next generation, and so on; both lists live on the
-    root's two Beltrami circles and converge to the world X15.  Once deep
-    generations exhaust float range the points are reported at that limit.
+    root's two Beltrami circles and converge to the world X15.  The walk
+    ends where :func:`orbit_scenes` ends, so the lists hold only generations
+    actually walked, and their length says how many there are.
     """
     if n < 1:
         raise ValueError("need at least one generation")
@@ -172,7 +173,6 @@ def alternating_brocard_sequence(
         (s.omega1, s.omega2) if k % 2 == 0 else (s.omega2, s.omega1)
         for k, s in enumerate(scenes)
     ]
-    pairs += [(root.X15, root.X15)] * (n + 1 - len(scenes))
     first, second = zip(*pairs)
     return first, second
 

@@ -202,12 +202,15 @@ def test_alternating_sequence_on_beltrami_circles():
         assert b.dist(root.X15) < a.dist(root.X15) + 1e-15
 
 
-def test_alternating_sequence_pads_at_limit():
+def test_alternating_sequence_holds_only_walked_generations():
     root = scene_from_Ru(FIX)
+    walked = orbit_scenes(root, 40)
     first, second = alternating_brocard_sequence(root, 40)
-    assert len(first) == 41
-    assert first[-1].dist(root.X15) == 0.0
-    assert second[-1].dist(root.X15) == 0.0
+    assert len(first) == len(second) == len(walked) == 8
+    # the last entries are generation 7's points, not copies of the limit
+    assert (first[-1], second[-1]) == (walked[-1].omega2, walked[-1].omega1)
+    assert 0.0 < first[-1].dist(root.X15) <= 1e-16
+    assert 0.0 < second[-1].dist(root.X15) <= 1e-16
     with pytest.raises(ValueError):
         alternating_brocard_sequence(root, 0)
 

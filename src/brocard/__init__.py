@@ -17,7 +17,6 @@ from .centers import (
 )
 from .checks import CheckReport, UnknownCheckFilterError, run_checks
 from .continuous import (
-    ContinuousPorism,
     T_CRITICAL,
     T_MAX,
     bt_scene,
@@ -25,7 +24,6 @@ from .continuous import (
     embed_step,
     envelope_points,
     family_extrema,
-    porism_Bt,
     t_from_u,
     u_from_t,
 )
@@ -58,7 +56,6 @@ from .recurrence import (
     alternating_brocard_sequence,
     anti_scene,
     child_scene,
-    orbit,
     orbit_scenes,
     step_backward,
     step_forward,
@@ -70,7 +67,6 @@ __all__ = [
     "AxisAlignedEllipse",
     "CheckReport",
     "Circle",
-    "ContinuousPorism",
     "DegeneratePorismError",
     "Direction",
     "EquilateralDegeneracyError",
@@ -104,9 +100,7 @@ __all__ = [
     "envelope_points",
     "family_extrema",
     "invert_in_circle",
-    "orbit",
     "orbit_scenes",
-    "porism_Bt",
     "run_checks",
     "scene_from_Ru",
     "scene_member",

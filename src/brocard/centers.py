@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .geom import (
     Circle,
@@ -25,10 +24,6 @@ from .geom import (
 )
 
 SQRT3 = math.sqrt(3.0)
-
-# Evaluator of a trilinear coordinate: f(s1, s2, s3) for the first vertex,
-# cycled for the other two.
-CenterFunction = Callable[[float, float, float], float]
 
 
 class EquilateralDegeneracyError(GeometryError):
@@ -137,24 +132,16 @@ def brocard_concurrency_defect(t: Triangle) -> float:
     return max(d1, d2)
 
 
-def center_from_trilinear(t: Triangle, f: CenterFunction) -> Point:
-    """Point with trilinear coordinates f(s1,s2,s3) : f(s2,s3,s1) : f(s3,s1,s2)."""
+def symmedian_point(t: Triangle) -> Point:
+    """X6, the barycentric mean of the vertices weighted s1^2 : s2^2 : s3^2."""
     s1, s2, s3 = t.sidelengths()
-    w1 = s1 * f(s1, s2, s3)
-    w2 = s2 * f(s2, s3, s1)
-    w3 = s3 * f(s3, s1, s2)
+    w1, w2, w3 = s1 * s1, s2 * s2, s3 * s3
     total = w1 + w2 + w3
-    if abs(total) < 1e-30:
-        raise GeometryError("center at infinity")
     A, B, C = t.vertices
     return Point(
         (w1 * A.x + w2 * B.x + w3 * C.x) / total,
         (w1 * A.y + w2 * B.y + w3 * C.y) / total,
     )
-
-
-def symmedian_point(t: Triangle) -> Point:
-    return center_from_trilinear(t, lambda a, b, c: a)
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,6 @@ from .continuous import (
     gamma_nesting_residual,
     kt_inellipse_intersection_check,
     nesting_residual,
-    porism_Bt,
     t_from_u,
     u_from_t,
     web_orthogonality_residuals,
@@ -476,7 +475,6 @@ def _check_closure_angle(ctx: _Context) -> Samples:
 def _check_closure_stationarity(ctx: _Context) -> Samples:
     for scene, tri in _closure_sampling(ctx):
         cs = standard_centers(tri)
-        kc = Circle(cs.X182, cs.X182.dist(cs.X3))
         yield (
             cs.omega1.dist(scene.omega1),
             cs.omega2.dist(scene.omega2),
@@ -485,8 +483,7 @@ def _check_closure_stationarity(ctx: _Context) -> Samples:
             cs.X16.dist(scene.X16),
             cs.X39.dist(scene.X39),
             cs.X182.dist(scene.X182),
-            kc.center.dist(scene.brocard_circle.center),
-            abs(kc.radius - scene.brocard_circle.radius),
+            abs(cs.X182.dist(cs.X3) - scene.brocard_circle.radius),
         )
 
 
@@ -837,18 +834,19 @@ def _check_isodynamic_fixed(ctx: _Context) -> Samples:
 @check("thm4.member_t0", 1e-10,
        "the cotangent-2 member carries its exact catalog of values")
 def _check_member_t0(ctx: _Context) -> Samples:
-    member = porism_Bt(T_CRITICAL)
-    f1, f2 = ellipse_foci(member.ellipse)
+    member = bt_scene(T_CRITICAL)
+    f1, f2 = ellipse_foci(member.inellipse)
+    eccentricity = math.sqrt(max(0.0, 2.0 * math.cos(T_CRITICAL) - 1.0))
     yield (
-        abs(member.u - 2.0),
-        abs(member.gamma.radius - 0.5),
+        abs(member.params.u - 2.0),
+        abs(member.circumcircle.radius - 0.5),
         member.X3.dist(Point(0.0, -1.0)),
-        abs(member.ellipse.semi_major - math.sqrt(5.0) / 10.0),
-        abs(member.ellipse.semi_minor - 0.2),
-        member.ellipse.center.dist(Point(0.0, -0.8)),
+        abs(member.inellipse.semi_major - math.sqrt(5.0) / 10.0),
+        abs(member.inellipse.semi_minor - 0.2),
+        member.inellipse.center.dist(Point(0.0, -0.8)),
         member.brocard_circle.center.dist(Point(0.0, -0.875)),
         abs(member.brocard_circle.radius - 0.125),
-        abs(member.eccentricity - math.sqrt(0.2)),
+        abs(eccentricity - math.sqrt(0.2)),
         f1.dist(Point(-0.1, -0.8)),
         f2.dist(Point(0.1, -0.8)),
     )
@@ -881,12 +879,12 @@ def _check_embed_consistency(ctx: _Context) -> Samples:
         t = 0.15 + (T_MAX - 0.25) * k / (n - 1)
         _, tri = _random_member(ctx.rng, bt_scene(t))
         sub = second_brocard_triangle(tri)
-        target = porism_Bt(embed_step(t))
+        target = bt_scene(embed_step(t))
         cc = circumcircle(sub)
         yield (
-            abs(cc.radius - target.gamma.radius),
+            abs(cc.radius - target.circumcircle.radius),
             cc.center.dist(target.X3),
-            abs(brocard_cotangent(sub) - target.u),
+            abs(brocard_cotangent(sub) - target.params.u),
         )
 
 
@@ -1041,7 +1039,7 @@ def _check_similarity(ctx: _Context) -> Samples:
             reflect_x=True,
             scale=g / (2.0 * R),
         )
-        target = porism_Bt(t_from_u(u))
+        target = bt_scene(t_from_u(u))
         mapped_ellipse = sigma.apply_ellipse(canonical.inellipse)
         mapped_gamma = sigma.apply_circle(canonical.circumcircle)
         mapped_k = sigma.apply_circle(canonical.brocard_circle)
@@ -1049,11 +1047,11 @@ def _check_similarity(ctx: _Context) -> Samples:
             sigma.apply(canonical.X15).dist(target.X15),
             sigma.apply(canonical.X16).dist(target.X16),
             sigma.apply(canonical.X3).dist(target.X3),
-            mapped_ellipse.center.dist(target.ellipse.center),
-            abs(mapped_ellipse.semi_major - target.ellipse.semi_major),
-            abs(mapped_ellipse.semi_minor - target.ellipse.semi_minor),
-            mapped_gamma.center.dist(target.gamma.center),
-            abs(mapped_gamma.radius - target.gamma.radius),
+            mapped_ellipse.center.dist(target.inellipse.center),
+            abs(mapped_ellipse.semi_major - target.inellipse.semi_major),
+            abs(mapped_ellipse.semi_minor - target.inellipse.semi_minor),
+            mapped_gamma.center.dist(target.circumcircle.center),
+            abs(mapped_gamma.radius - target.circumcircle.radius),
             mapped_k.center.dist(target.brocard_circle.center),
             abs(mapped_k.radius - target.brocard_circle.radius),
         )

@@ -37,20 +37,6 @@ T_CRITICAL = math.acos(0.6)
 
 
 @dataclass(frozen=True)
-class ContinuousPorism:
-    t: float
-    ellipse: AxisAlignedEllipse
-    gamma: Circle
-    brocard_circle: Circle
-    X3: Point
-    X15: Point
-    X16: Point
-    omega: float
-    u: float
-    eccentricity: float
-
-
-@dataclass(frozen=True)
 class WebResiduals:
     point_inner_products: tuple[float, float, float, float]
     point_membership_max: float
@@ -129,22 +115,6 @@ def brocard_circle_Kt(t: float) -> Circle:
     _check_range(t)
     c, s = math.cos(t), math.sin(t)
     return Circle(Point(0.0, (c - 2.0) / (2.0 * s)), (2.0 * c - 1.0) / (2.0 * s))
-
-
-def porism_Bt(t: float) -> ContinuousPorism:
-    scene = bt_scene(t)
-    return ContinuousPorism(
-        t=t,
-        ellipse=scene.inellipse,
-        gamma=scene.circumcircle,
-        brocard_circle=scene.brocard_circle,
-        X3=scene.X3,
-        X15=scene.X15,
-        X16=scene.X16,
-        omega=0.5 * t,
-        u=scene.params.u,
-        eccentricity=math.sqrt(max(0.0, 2.0 * math.cos(t) - 1.0)),
-    )
 
 
 def embed_step(t: float) -> float:

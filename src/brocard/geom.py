@@ -327,19 +327,6 @@ def project_onto_line(l: Line, p: Point) -> Point:
     return l.base + l.direction * l.direction.dot(p - l.base)
 
 
-def line_circle_intersections(l: Line, c: Circle) -> tuple[Point, ...]:
-    """Intersections ordered by the line parameter; tangency gives one point."""
-    w = l.base - c.center
-    b = l.direction.dot(w)
-    disc = b * b - (w.dot(w) - c.radius * c.radius)
-    if abs(disc) <= 1e-12 * max(1.0, c.radius * c.radius):
-        return (l.point_at(-b),)
-    if disc < 0.0:
-        return ()
-    root = math.sqrt(disc)
-    return (l.point_at(-b - root), l.point_at(-b + root))
-
-
 def worst(residuals: Iterable[float]) -> float:
     """Largest residual, at least 0.0; NaN as soon as one residual is NaN.
 
@@ -373,16 +360,6 @@ def ellipse_line_tangency_residual(e: AxisAlignedEllipse, l: Line) -> float:
     offset = n.dot(l.base - e.center)
     support = math.hypot(ax * n.x, ay * n.y)
     return abs(support - abs(offset))
-
-
-def ellipse_line_tangency_point(e: AxisAlignedEllipse, l: Line) -> Point:
-    """Contact point of a line tangent to the ellipse (pre: nearly tangent)."""
-    ax, ay = e.axes_xy()
-    n = l.normal()
-    offset = n.dot(l.base - e.center)
-    if abs(offset) < 1e-15 * max(ax, ay):
-        raise GeometryError("line through the center cannot be tangent")
-    return e.center + Point(ax * ax * n.x / offset, ay * ay * n.y / offset)
 
 
 def ellipse_foci(e: AxisAlignedEllipse) -> tuple[Point, Point]:

@@ -109,8 +109,6 @@ class PorismScene:
     X6: Point
     X15: Point
     X16: Point
-    X39: Point
-    X182: Point
     brocard_circle: Circle
     beltrami_P2: Point
     beltrami_U2: Point
@@ -119,6 +117,14 @@ class PorismScene:
     @property
     def X3(self) -> Point:
         return self.circumcircle.center
+
+    @property
+    def X39(self) -> Point:
+        return self.inellipse.center
+
+    @property
+    def X182(self) -> Point:
+        return self.brocard_circle.center
 
     @property
     def beltrami_radius(self) -> float:
@@ -149,12 +155,11 @@ def scene_from_Ru(params: PorismParams, pose: Pose = Pose.identity()) -> PorismS
     y39 = -R * u * g / one_u2
     y182 = -0.5 * R * g / u
     k, at = pose.scale, pose.map_xy
-    X39, X182 = at(0.0, y39), at(0.0, y182)
     return PorismScene(
         params=params,
         circumcircle=Circle(at(0.0, 0.0), k * R),
         inellipse=AxisAlignedEllipse(
-            X39,
+            at(0.0, y39),
             k * (R / math.sqrt(one_u2)),
             k * (2.0 * R / one_u2),
             pose.map_axis(MajorAxis.HORIZONTAL),
@@ -166,9 +171,7 @@ def scene_from_Ru(params: PorismParams, pose: Pose = Pose.identity()) -> PorismS
         # the axis; the excess form keeps it exact near the equilateral limit.
         X15=at(0.0, -R * e / g),
         X16=at(0.0, -R * (SQRT3 + u) / g),
-        X39=X39,
-        X182=X182,
-        brocard_circle=Circle(X182, k * (0.5 * R * g / u)),
+        brocard_circle=Circle(at(0.0, y182), k * (0.5 * R * g / u)),
         beltrami_P2=at(-R / g, -R * u / g),
         beltrami_U2=at(R / g, -R * u / g),
         pose=pose,

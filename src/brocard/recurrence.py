@@ -15,7 +15,6 @@ Brocard point labels each generation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .geom import (
@@ -34,7 +33,6 @@ from .porism import (
     PorismParams,
     PorismScene,
     Ru_from_dh,
-    SQRT3,
     isosceles_scene,
     scene_from_Ru,
 )
@@ -43,27 +41,6 @@ from .porism import (
 class Direction(enum.Enum):
     FORWARD = "forward"
     BACKWARD = "backward"
-
-
-@dataclass(frozen=True)
-class OrbitState:
-    generation: int
-    params: PorismParams
-    pose: Pose
-
-
-@dataclass(frozen=True)
-class Convergence:
-    limit_u: float
-    errors_u: tuple[float, ...]
-    ratio_diagnostic: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class OrbitTrace:
-    states: tuple[OrbitState, ...]
-    direction: Direction
-    convergence: Convergence
 
 
 StepFunction = Callable[[PorismParams], PorismParams]
@@ -136,23 +113,6 @@ def orbit_scenes(
         except DegeneratePorismError:
             break
     return scenes
-
-
-def orbit(start: PorismParams, n: int, direction: Direction) -> OrbitTrace:
-    """Iterate the map ``n`` times from ``start`` with pose bookkeeping.
-
-    The states are those of :func:`orbit_scenes` from the canonical scene
-    of ``start``, which must lie off the fixed point; the trace ends early
-    at the last representable generation.
-    """
-    scenes = orbit_scenes(scene_from_Ru(start), n, direction)
-    states = tuple(OrbitState(k, s.params, s.pose) for k, s in enumerate(scenes))
-    errors = tuple(s.params.u_excess for s in states)
-    ratios: tuple[float, ...] = ()
-    if direction is Direction.FORWARD:
-        # e0 * e0 == 0 would make the next excess zero, which ends the walk
-        ratios = tuple(e1 / (e0 * e0) for e0, e1 in zip(errors, errors[1:]))
-    return OrbitTrace(states, direction, Convergence(SQRT3, errors, ratios))
 
 
 def alternating_brocard_sequence(

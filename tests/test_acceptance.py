@@ -34,7 +34,6 @@ from brocard.continuous import (
     foci_on_arcs_check,
     gamma_nesting_residual,
     nesting_residual,
-    porism_Bt,
     u_from_t,
     web_orthogonality_residuals,
 )
@@ -59,7 +58,6 @@ from brocard.recurrence import (
     Direction,
     alternating_brocard_sequence,
     child_scene,
-    orbit,
     orbit_scenes,
     step_backward,
     step_forward,
@@ -203,14 +201,15 @@ def test_criterion_4_one_step_two_routes():
 def test_criterion_5_orbits_both_directions():
     """Quadratic collapse forward, doubling escape backward, and the two
     maps inverse to each other within 1e-12 relative."""
-    trace = orbit(PorismParams(1.0, 3.0), 6, Direction.FORWARD)
-    assert abs(trace.states[-1].params.u - SQRT3) < 1e-12
-    assert len(trace.states) <= 7
-    for ratio in trace.convergence.ratio_diagnostic:
-        assert 0.0 < ratio <= 0.3
+    scenes = orbit_scenes(scene_from_Ru(PorismParams(1.0, 3.0)), 6)
+    assert abs(scenes[-1].params.u - SQRT3) < 1e-12
+    assert len(scenes) <= 7
+    errors = [s.params.u_excess for s in scenes]
+    for e0, e1 in zip(errors, errors[1:]):
+        assert 0.0 < e1 / (e0 * e0) <= 0.3
 
-    back = orbit(PorismParams(1.0, 2.0), 8, Direction.BACKWARD)
-    assert back.states[-1].params.u > 100.0
+    back = orbit_scenes(scene_from_Ru(PorismParams(1.0, 2.0)), 8, Direction.BACKWARD)
+    assert back[-1].params.u > 100.0
 
     rng = random.Random(104)
     for _ in range(100):
@@ -257,18 +256,18 @@ def test_criterion_7_continuous_family_catalog():
     within 1e-8, envelope contact within 1e-10, the embedded step within
     1e-8, web right angles within 1e-9, and the quartic through its four
     rational and two irrational points exactly."""
-    b = porism_Bt(T_CRITICAL)
-    assert abs(b.u - 2.0) < 1e-10
-    assert abs(b.gamma.radius - 0.5) < 1e-10
+    b = bt_scene(T_CRITICAL)
+    assert abs(b.params.u - 2.0) < 1e-10
+    assert abs(b.circumcircle.radius - 0.5) < 1e-10
     assert b.X3.dist(Point(0.0, -1.0)) < 1e-10
-    assert abs(b.ellipse.semi_major - math.sqrt(5.0) / 10.0) < 1e-10
-    assert abs(b.ellipse.semi_minor - 0.2) < 1e-10
-    f1, f2 = ellipse_foci(b.ellipse)
+    assert abs(b.inellipse.semi_major - math.sqrt(5.0) / 10.0) < 1e-10
+    assert abs(b.inellipse.semi_minor - 0.2) < 1e-10
+    f1, f2 = ellipse_foci(b.inellipse)
     assert f1.dist(Point(-0.1, -0.8)) < 1e-10
     assert f2.dist(Point(0.1, -0.8)) < 1e-10
     assert b.brocard_circle.center.dist(Point(0.0, -0.875)) < 1e-10
     assert abs(b.brocard_circle.radius - 0.125) < 1e-10
-    low = b.ellipse.center.y - b.ellipse.semi_minor
+    low = b.inellipse.center.y - b.inellipse.semi_minor
     assert abs(low - (-1.0)) < 1e-10
 
     ex = family_extrema()

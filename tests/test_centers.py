@@ -11,7 +11,6 @@ from brocard.centers import (
     brocard_concurrency_defect,
     brocard_cotangent,
     brocard_points_by_construction,
-    center_from_trilinear,
     metrics,
     second_brocard_circle,
     second_brocard_triangle,
@@ -162,14 +161,6 @@ def test_mirror_image_swaps_brocard_points():
 
 def test_symmedian_point_fixture():
     assert symmedian_point(FIX).dist(Point(0.0, 4.0 / 7.0)) < 1e-13
-
-
-def test_center_from_trilinear_infinity():
-    with pytest.raises(GeometryError):
-        center_from_trilinear(
-            Triangle.oriented(Point(0.0, 0.0), Point(3.0, 0.0), Point(1.0, 2.0)),
-            lambda a, b, c: b - c,
-        )
 
 
 def test_standard_centers_fixture():

@@ -22,7 +22,6 @@ from brocard.continuous import (
     kt_inellipse_intersection_check,
     lower_vertex_y,
     nesting_residual,
-    porism_Bt,
     quartic_y,
     semi_minor,
     t_from_u,
@@ -63,23 +62,24 @@ def test_u_t_conversions():
 
 def test_member_at_critical_parameter():
     """The member where the inellipse leaves the envelope: u = 2."""
-    b = porism_Bt(T_CRITICAL)
-    assert abs(b.u - 2.0) < 1e-10
-    assert abs(b.gamma.radius - 0.5) < 1e-10
+    b = bt_scene(T_CRITICAL)
+    assert abs(b.params.u - 2.0) < 1e-10
+    assert abs(b.circumcircle.radius - 0.5) < 1e-10
     assert b.X3.dist(Point(0.0, -1.0)) < 1e-10
-    e = b.ellipse
+    e = b.inellipse
     assert e.center.dist(Point(0.0, -0.8)) < 1e-10
     assert abs(e.semi_major - math.sqrt(5.0) / 10.0) < 1e-10
     assert abs(e.semi_minor - 0.2) < 1e-10
     assert b.brocard_circle.center.dist(Point(0.0, -0.875)) < 1e-10
     assert abs(b.brocard_circle.radius - 0.125) < 1e-10
-    assert abs(b.eccentricity - math.sqrt(0.2)) < 1e-10
-    assert abs(b.omega - 0.5 * T_CRITICAL) < 1e-15
+    a, c = e.semi_major, e.semi_minor
+    assert abs(math.sqrt((a - c) * (a + c)) / a - math.sqrt(0.2)) < 1e-10
+    assert abs(b.params.omega - 0.5 * T_CRITICAL) < 1e-15
 
 
 def test_isodynamic_points_are_fixed():
     for t in (0.05, 0.3, 0.7, 1.0, T_MAX - 1e-6):
-        b = porism_Bt(t)
+        b = bt_scene(t)
         assert b.X15.dist(Point(0.0, -SQRT3 / 2.0)) < 1e-9
         assert b.X16.dist(Point(0.0, SQRT3 / 2.0)) < 1e-7
 

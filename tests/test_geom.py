@@ -17,10 +17,8 @@ from brocard.geom import (
     circles_orthogonality_residual,
     circumcircle,
     ellipse_foci,
-    ellipse_line_tangency_point,
     ellipse_line_tangency_residual,
     invert_in_circle,
-    line_circle_intersections,
     line_line_intersection,
     midpoint,
     project_onto_line,
@@ -140,19 +138,6 @@ def test_inversion_fixes_the_circle():
     for k in range(12):
         p = c.point_at(k * math.pi / 6.0)
         assert invert_in_circle(c, p).dist(p) < 1e-14
-
-
-def test_line_circle_intersections_counts():
-    c = Circle(Point(0.0, 0.0), 1.0)
-    secant = Line(Point(0.0, 0.0), Point(1.0, 0.0))
-    hits = line_circle_intersections(secant, c)
-    assert len(hits) == 2
-    tangent = Line(Point(0.0, 1.0), Point(1.0, 0.0))
-    hits = line_circle_intersections(tangent, c)
-    assert len(hits) == 1
-    assert hits[0].dist(Point(0.0, 1.0)) < 1e-12
-    missing = Line(Point(0.0, 2.0), Point(1.0, 0.0))
-    assert line_circle_intersections(missing, c) == ()
 
 
 def test_triangle_orientation():
@@ -287,8 +272,6 @@ def test_ellipse_tangency_residual_zero_on_tangents():
         theta = rng.uniform(0.0, 2.0 * math.pi)
         line = Line(e.point_at(theta), e.tangent_direction_at(theta))
         assert ellipse_line_tangency_residual(e, line) < 1e-11
-        touch = ellipse_line_tangency_point(e, line)
-        assert touch.dist(e.point_at(theta)) < 1e-9
 
 
 def test_ellipse_tangency_residual_positive_off_tangent():

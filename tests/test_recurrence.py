@@ -17,7 +17,6 @@ from brocard.recurrence import (
     anti_scene,
     apollonius_circles,
     child_scene,
-    orbit,
     orbit_scenes,
     step_backward,
     step_forward,
@@ -127,63 +126,54 @@ def test_child_scene_rejects_vanishing_child():
 
 
 def test_orbit_forward_quadratic_convergence():
-    trace = orbit(PorismParams(1.0, 3.0), 6, Direction.FORWARD)
-    errors = trace.convergence.errors_u
-    assert len(trace.states) == 7
+    scenes = orbit_scenes(scene_from_Ru(PorismParams(1.0, 3.0)), 6)
+    errors = [s.params.u_excess for s in scenes]
+    assert len(scenes) == 7
     assert errors[-1] < 1e-12
-    for r in trace.convergence.ratio_diagnostic:
-        assert 0.0 < r <= 0.3
+    for e0, e1 in zip(errors, errors[1:]):
+        assert 0.0 < e1 / (e0 * e0) <= 0.3
     # generations decrease monotonically; deep in, u itself saturates at
     # the float closest to sqrt(3) while the stored excess keeps shrinking
-    for a, b in zip(trace.states, trace.states[1:]):
+    for a, b in zip(scenes, scenes[1:]):
         assert b.params.R < a.params.R
         assert b.params.u_excess < a.params.u_excess
 
 
 def test_orbit_forward_stops_on_underflow():
-    trace = orbit(PorismParams(1.0, 2.0), 500, Direction.FORWARD)
-    assert len(trace.states) < 20
-    last = trace.states[-1].params
+    scenes = orbit_scenes(scene_from_Ru(PorismParams(1.0, 2.0)), 500)
+    assert len(scenes) < 20
+    last = scenes[-1].params
     assert last.u_excess > 0.0
     assert step_forward(last).u_excess == 0.0
 
 
 def test_orbit_backward_growth():
-    trace = orbit(PorismParams(1.0, 2.0), 8, Direction.BACKWARD)
-    assert trace.states[-1].params.u > 100.0
-    for a, b in zip(trace.states, trace.states[1:]):
+    root = scene_from_Ru(PorismParams(1.0, 2.0))
+    scenes = orbit_scenes(root, 8, Direction.BACKWARD)
+    assert scenes[-1].params.u > 100.0
+    for a, b in zip(scenes, scenes[1:]):
         assert b.params.u > a.params.u
         assert b.params.R > a.params.R
 
 
 def test_orbit_backward_stops_before_overflow():
-    trace = orbit(PorismParams(1.0, 2.0), 2000, Direction.BACKWARD)
-    assert len(trace.states) == 512
-    last = scene_from_Ru(trace.states[-1].params, trace.states[-1].pose)
+    root = scene_from_Ru(PorismParams(1.0, 2.0))
+    scenes = orbit_scenes(root, 2000, Direction.BACKWARD)
+    assert len(scenes) == 512
     with pytest.raises(DegeneratePorismError):
-        anti_scene(last)
+        anti_scene(scenes[-1])
 
 
 def test_orbit_rejects_the_fixed_point():
     with pytest.raises(DegeneratePorismError):
-        orbit(PorismParams(1.0, SQRT3), 3, Direction.FORWARD)
+        scene_from_Ru(PorismParams(1.0, SQRT3))
 
 
 def test_orbit_rejects_negative_length():
     with pytest.raises(ValueError):
-        orbit(FIX, -1, Direction.FORWARD)
+        orbit_scenes(scene_from_Ru(FIX), -1)
     with pytest.raises(ValueError):
         orbit_scenes(scene_from_Ru(FIX), -1, Direction.BACKWARD)
-
-
-def test_orbit_poses_match_scene_chain():
-    root = scene_from_Ru(PorismParams(1.0, 3.0))
-    chain = orbit_scenes(root, 4)
-    trace = orbit(PorismParams(1.0, 3.0), 4, Direction.FORWARD)
-    for state, scene in zip(trace.states, chain):
-        assert abs(state.params.R - scene.params.R) < 1e-15
-        world = state.pose.apply(Point(0.0, 0.0))
-        assert world.dist(scene.X3) < 1e-13
 
 
 def test_alternating_sequence_on_beltrami_circles():

@@ -509,10 +509,12 @@ def _check_step_two_route(ctx: _Context) -> Samples:
 def _check_child_circumcircle(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
         parent = scene_from_Ru(_random_member_params(ctx.rng), _random_pose(ctx.rng))
-        child = child_scene(parent, ctx.step)
+        _, member = _random_member(ctx.rng, parent)
+        measured = circumcircle(second_brocard_triangle(member))
+        child = child_scene(parent, ctx.step).circumcircle
         yield (
-            child.circumcircle.center.dist(parent.brocard_circle.center),
-            abs(child.circumcircle.radius - parent.brocard_circle.radius),
+            measured.center.dist(child.center),
+            abs(measured.radius - child.radius),
         )
 
 

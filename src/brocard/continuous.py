@@ -4,7 +4,8 @@ points.
 For t in (0, pi/3) the inellipse E_t has center (0, -sin t) and semi-axes
 (sqrt(2cos t - 1)/2, sqrt((2cos t - 1)(1 - cos t)/2)); the porism around
 it has Brocard angle t/2 and keeps X15 = (0, -sqrt(3)/2) and
-X16 = (0, +sqrt(3)/2) fixed for every t.  The Beltrami points sit at
+X16 = (0, +sqrt(3)/2) fixed for every t.  The member at t is the posed
+porism scene :func:`bt_scene` builds.  The Beltrami points sit at
 (-1/2, 0) and (1/2, 0) with unit-radius circles, the discrete recurrence
 embeds as a step t -> t' inside the family, and the ellipses and Brocard
 circles weave an orthogonal web whose right-angle locus is the quartic

@@ -6,7 +6,9 @@ stationary objects of one porism: both conics, the Brocard points (the
 inellipse foci), the isodynamic points, the Brocard circle, and the
 Beltrami points.  The canonical frame puts the circumcenter at the origin
 with the symmedian point straight below it; ``pose`` maps that frame into
-world coordinates, and all stored geometry is world-frame.
+world coordinates, and all stored geometry is world-frame.  Each object
+is stored once: X3, X39 and X182 are the centers of the circumcircle,
+the inellipse and the Brocard circle.
 """
 
 from __future__ import annotations

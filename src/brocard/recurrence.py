@@ -6,10 +6,11 @@ inscribed in the parent's Brocard circle.  In parameters the map is
     R' = R*sqrt(u^2 - 3)/(2u),   u' = (u^2 + 3)/(2u),
 
 with sqrt(3) the unique attracting fixed point of the u map; iterates
-converge quadratically, so the error tracking below works on the excess
-u - sqrt(3) (see :class:`~brocard.porism.PorismParams`).  The child frame
-sits at the parent's X182 and is mirrored left-right, which swaps the two
-Brocard point labels each generation.
+converge quadratically, so the step works on the excess u - sqrt(3)
+(see :class:`~brocard.porism.PorismParams`).  The child frame sits at
+the parent's X182 and is mirrored left-right, which swaps the two
+Brocard point labels each generation.  An orbit is the list of posed
+scenes that :func:`orbit_scenes` walks, in either direction.
 """
 
 from __future__ import annotations

@@ -163,6 +163,12 @@ def test_symmedian_point_fixture():
     assert symmedian_point(FIX).dist(Point(0.0, 4.0 / 7.0)) < 1e-13
 
 
+def test_symmedian_point_at_tiny_scale():
+    k = 1e-16
+    tiny = Triangle.oriented(*(k * v for v in FIX.vertices))
+    assert symmedian_point(tiny).dist(Point(0.0, k * 4.0 / 7.0)) < k * 1e-13
+
+
 def test_standard_centers_fixture():
     sc = standard_centers(FIX)
     assert sc.X3.dist(Point(0.0, 0.75)) < 1e-13

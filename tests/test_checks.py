@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from brocard import checks
+from brocard import checks, continuous
 from brocard.checks import (
     MUTATIONS,
     CheckReport,
@@ -12,7 +12,7 @@ from brocard.checks import (
     run_checks,
 )
 from brocard.geom import Point, worst
-from brocard.porism import DegeneratePorismError, PorismParams
+from brocard.porism import DegeneratePorismError, IsoscelesParams, PorismParams
 
 # groups that the registry is expected to carry; each check id is
 # "<group>.<name>" and selection works by string prefix
@@ -252,3 +252,46 @@ def test_check_returning_residual_and_count_fails(monkeypatch):
     assert report.max_residual == math.inf
     assert report.samples_used == 0
     assert not report.passed
+
+
+# Three checks read exactly 0.0 at every seed.  Each test below shows the
+# zero is computed: a nearby input, or a perturbed field, moves it.
+
+
+def _one(prefix):
+    (report,) = run_checks(samples=200, seed=0, filter_prefix=prefix)
+    return report
+
+
+def test_concyclicity_zero_comes_from_the_fixture(monkeypatch):
+    assert _one("thm3.concyclicity").max_residual == 0.0
+    monkeypatch.setattr(checks, "FIXTURE", IsoscelesParams(1.1, 2.7))
+    elsewhere = _one("thm3.concyclicity")
+    assert 0.0 < elsewhere.max_residual < 1e-14
+    assert elsewhere.passed
+
+
+def test_degenerate_endpoint_zero_comes_from_exact_trig(monkeypatch):
+    assert math.cos(checks.T_CRITICAL) == 0.6
+    assert math.sin(checks.T_CRITICAL) == 0.8
+    assert _one("prop8.degenerate_endpoint").max_residual == 0.0
+    # one ulp below, the contacts split off (0, -1) by about 8e-9
+    monkeypatch.setattr(checks, "T_CRITICAL", math.nextafter(checks.T_CRITICAL, 0.0))
+    below = _one("prop8.degenerate_endpoint")
+    assert 1e-9 < below.max_residual < 1e-7
+    assert not below.passed
+
+
+def test_axis_parallel_zero_comes_from_the_field_sweep(monkeypatch):
+    assert _one("rem8.axis_parallel").max_residual == 0.0
+    real = continuous._circle_field_slope
+    continuous._web_field_sweep.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(continuous, "_circle_field_slope", lambda x, y: real(x, y) + 1e-3)
+            skewed = _one("rem8.axis_parallel")
+    finally:
+        continuous._web_field_sweep.cache_clear()
+    assert skewed.max_residual > 1e-4
+    assert not skewed.passed
+    assert _one("rem8.axis_parallel").max_residual == 0.0

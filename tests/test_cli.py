@@ -189,6 +189,14 @@ def test_figure_families_and_params():
     assert _run("figure", "fig2", "--d", "1.2").returncode == 2
 
 
+def test_figure_renders_a_porism_at_tiny_scale():
+    # the figure normalizes scale, so a 1e-16 copy of the default porism
+    # draws the same bytes; no absolute threshold may reject it as degenerate
+    tiny = _run("figure", "fig2", "--d", "1e-16", "--h", "2e-16")
+    assert tiny.returncode == 0, tiny.stderr
+    assert tiny.stdout == _run("figure", "fig2").stdout
+
+
 def test_figure_rejects_table_formats():
     assert _run("figure", "fig2", "--format", "csv").returncode == 2
     assert _run("verify", "--format", "svg", "--samples", "5").returncode == 2
@@ -221,3 +229,12 @@ def test_import_loads_no_scipy_or_numpy():
     )
     assert p.returncode == 0, p.stderr
     assert p.stdout == "[]\n"
+
+
+def test_public_names_resolve_once():
+    import brocard
+
+    names = brocard.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(brocard, name)]
+    assert missing == []

@@ -19,7 +19,7 @@ import pytest
 
 from brocard import cli
 
-VERIFY_DIGEST = "58f20710c7a3a7f7f28daae38d5cdbf7d994a4d6e40c03e6b28d24fdb3e95392"
+VERIFY_DIGEST = "6b25df1906f273c95baaf01030c96d276821152da6c05468f1e2101d634a6e26"
 
 FIGURE_DIGESTS = {
     ("fig2",): "586614cdf11ef9ad5c49872d3b7ff75828f73e8bf4329ca59e08c1c2191b8f2a",

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from .geom import (
     Circle,
     GeometryError,
-    Line,
     Point,
     Triangle,
     circumcircle,
     invert_in_circle,
+    line_direction,
     midpoint,
-    project_onto_line,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -40,11 +39,27 @@ class TriangleMetrics:
     circumradius: float
 
 
+def _measure(t: Triangle) -> tuple[float, float, float, float]:
+    """(s1, s2, s3, area): the float operations of ``t.sidelengths()`` and
+    ``t.area()``, on scalars."""
+    (ax, ay), (bx, by), (cx, cy) = t.A, t.B, t.C
+    return (
+        math.hypot(bx - cx, by - cy),
+        math.hypot(cx - ax, cy - ay),
+        math.hypot(ax - bx, ay - by),
+        0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)),
+    )
+
+
 def metrics(t: Triangle) -> TriangleMetrics:
-    s1, s2, s3 = t.sidelengths()
-    area = t.area()
+    s1, s2, s3, area = _measure(t)
     lam = (s1 * s2) ** 2 + (s2 * s3) ** 2 + (s3 * s1) ** 2
     return TriangleMetrics(s1, s2, s3, area, lam, s1 * s2 * s3 / (4.0 * area))
+
+
+def _omega(s1: float, s2: float, s3: float, area: float) -> float:
+    lam = (s1 * s2) ** 2 + (s2 * s3) ** 2 + (s3 * s1) ** 2
+    return math.asin(min(1.0, 2.0 * area / math.sqrt(lam)))
 
 
 def brocard_angle(t: Triangle) -> float:
@@ -52,14 +67,13 @@ def brocard_angle(t: Triangle) -> float:
 
     Returns omega = arcsin(2*area / sqrt(lambda)); always in (0, pi/6].
     """
-    m = metrics(t)
-    return math.asin(min(1.0, 2.0 * m.area / math.sqrt(m.lambda_)))
+    return _omega(*_measure(t))
 
 
 def brocard_cotangent(t: Triangle) -> float:
     """cot(omega) = (s1^2 + s2^2 + s3^2) / (4*area), always >= sqrt(3)."""
-    s1, s2, s3 = t.sidelengths()
-    return (s1 * s1 + s2 * s2 + s3 * s3) / (4.0 * t.area())
+    s1, s2, s3, area = _measure(t)
+    return (s1 * s1 + s2 * s2 + s3 * s3) / (4.0 * area)
 
 
 def _turned_sides(
@@ -77,14 +91,7 @@ def _turned_sides(
     dirs = []
     for p, q in ((P0, P1), (P1, P2), (P2, P0)):
         dx, dy = q.x - p.x, q.y - p.y
-        ux, uy = c * dx - s * dy, s * dx + c * dy
-        n = math.hypot(ux, uy)
-        if not n > 0.0 or not math.isfinite(n):
-            raise GeometryError("line requires a nonzero direction")
-        if abs(n - 1.0) > 1e-14:
-            inv = 1.0 / n
-            ux, uy = ux * inv, uy * inv
-        dirs.append((ux, uy))
+        dirs.append(line_direction(c * dx - s * dy, s * dx + c * dy))
     meets = []
     for i, j in ((0, 1), (1, 2), (2, 0)):
         (ax, ay), (bx, by) = dirs[i], dirs[j]
@@ -103,12 +110,13 @@ def _turned_sides(
     return Point((x01 + x12 + x20) / 3.0, (y01 + y12 + y20) / 3.0), spread
 
 
-def _brocard_construction(t: Triangle) -> tuple[tuple[Point, float], ...]:
+def _brocard_construction(
+    t: Triangle, omega: float
+) -> tuple[tuple[Point, float], ...]:
     # First point: sides AB, BC, CA turned by +omega about A, B, C.  For a
     # counterclockwise triangle the positive turn sweeps each side into
     # the interior.  Second point: sides CB, BA, AC turned by -omega about
     # C, B, A.
-    omega = brocard_angle(t)
     A, B, C = t.A, t.B, t.C
     first = _turned_sides(A, B, C, math.cos(omega), math.sin(omega))
     second = _turned_sides(C, B, A, math.cos(-omega), math.sin(-omega))
@@ -122,25 +130,29 @@ def brocard_points_by_construction(t: Triangle) -> tuple[Point, Point]:
     -omega rotations; on a counterclockwise triangle this matches the
     closed-form labels used by the porism scenes.
     """
-    (first, _), (second, _) = _brocard_construction(t)
+    (first, _), (second, _) = _brocard_construction(t, brocard_angle(t))
     return first, second
 
 
 def brocard_concurrency_defect(t: Triangle) -> float:
     """Largest pairwise spread among the three rotated lines, both points."""
-    (_, d1), (_, d2) = _brocard_construction(t)
+    (_, d1), (_, d2) = _brocard_construction(t, brocard_angle(t))
     return max(d1, d2)
 
 
 def symmedian_point(t: Triangle) -> Point:
     """X6, the barycentric mean of the vertices weighted s1^2 : s2^2 : s3^2."""
-    s1, s2, s3 = t.sidelengths()
+    s1, s2, s3, _ = _measure(t)
+    return _symmedian(t, s1, s2, s3)
+
+
+def _symmedian(t: Triangle, s1: float, s2: float, s3: float) -> Point:
     w1, w2, w3 = s1 * s1, s2 * s2, s3 * s3
     total = w1 + w2 + w3
-    A, B, C = t.vertices
+    (ax, ay), (bx, by), (cx, cy) = t.A, t.B, t.C
     return Point(
-        (w1 * A.x + w2 * B.x + w3 * C.x) / total,
-        (w1 * A.y + w2 * B.y + w3 * C.y) / total,
+        (w1 * ax + w2 * bx + w3 * cx) / total,
+        (w1 * ay + w2 * by + w3 * cy) / total,
     )
 
 
@@ -170,32 +182,27 @@ def _circle_on(X3: Point, X6: Point) -> Circle:
     return Circle(midpoint(X3, X6), 0.5 * gap)
 
 
-def second_brocard_circle(t: Triangle) -> Circle:
-    """Circle about X3 through both Brocard points."""
-    m = metrics(t)
-    sin_w = 2.0 * m.area / math.sqrt(m.lambda_)
-    radicand = 1.0 - 4.0 * sin_w * sin_w
-    if radicand <= 0.0:
-        raise EquilateralDegeneracyError("equilateral degeneracy")
-    return Circle(circumcircle(t).center, m.circumradius * math.sqrt(radicand))
-
-
 def standard_centers(t: Triangle) -> StandardCenters:
     """The eight centers used by the porism scenes, and both Brocard
     points by construction (X39 is their midpoint).
 
     Pre: the triangle is not equilateral (X15, X16, X187, X574 degenerate
-    there).
+    there).  The triangle is measured once; every value has the float
+    operations of the one-center functions above.
     """
     cc = circumcircle(t)
     X3 = cc.center
-    X6 = symmedian_point(t)
-    omega1, omega2 = brocard_points_by_construction(t)
-    u = brocard_cotangent(t)
+    s1, s2, s3, area = _measure(t)
+    X6 = _symmedian(t, s1, s2, s3)
+    (omega1, _), (omega2, _) = _brocard_construction(t, _omega(s1, s2, s3, area))
+    u = (s1 * s1 + s2 * s2 + s3 * s3) / (4.0 * area)
     if u - SQRT3 <= 0.0:
         raise EquilateralDegeneracyError("equilateral degeneracy")
-    X15 = (1.0 / (SQRT3 + u)) * (SQRT3 * X3 + u * X6)
-    X16 = (1.0 / (SQRT3 - u)) * (SQRT3 * X3 - u * X6)
+    # X15, X16 = (sqrt3*X3 +- u*X6) / (sqrt3 +- u)
+    (x3, y3), (x6, y6) = X3, X6
+    k15, k16 = 1.0 / (SQRT3 + u), 1.0 / (SQRT3 - u)
+    X15 = Point((SQRT3 * x3 + u * x6) * k15, (SQRT3 * y3 + u * y6) * k15)
+    X16 = Point((SQRT3 * x3 - u * x6) * k16, (SQRT3 * y3 - u * y6) * k16)
     kc = _circle_on(X3, X6)
     X187 = invert_in_circle(cc, X6)
     X574 = invert_in_circle(kc, X187)
@@ -219,14 +226,18 @@ def second_brocard_triangle(t: Triangle) -> Triangle:
     Each cevian through X6 meets the circle on diameter X3 X6 at X6 and at
     one further point, which by Thales is the foot of the perpendicular
     from X3 onto the cevian.  When a cevian passes through X3 the foot is
-    X3 itself, the limit of the neighboring members.  Vertices are
-    reordered counterclockwise.
+    X3 itself, the limit of the neighboring members.  Each foot has the
+    float operations of ``project_onto_line(Line.through(v, X6), X3)``.
+    Vertices are reordered counterclockwise.
     """
-    X3 = circumcircle(t).center
-    X6 = symmedian_point(t)
+    x3, y3 = circumcircle(t).center
+    s1, s2, s3, _ = _measure(t)
+    x6, y6 = _symmedian(t, s1, s2, s3)
     feet = []
-    for v in t.vertices:
-        if v.dist(X6) < 1e-14 * v.dist(X3):
+    for vx, vy in t.vertices:
+        if math.hypot(vx - x6, vy - y6) < 1e-14 * math.hypot(vx - x3, vy - y3):
             raise GeometryError("cevian undefined")
-        feet.append(project_onto_line(Line.through(v, X6), X3))
+        ux, uy = line_direction(x6 - vx, y6 - vy)
+        k = ux * (x3 - vx) + uy * (y3 - vy)
+        feet.append(Point(vx + ux * k, vy + uy * k))
     return Triangle.oriented(*feet)

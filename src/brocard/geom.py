@@ -105,6 +105,18 @@ class Line:
         return self.base + self.direction * t
 
 
+def line_direction(dx: float, dy: float) -> tuple[float, float]:
+    """The unit direction ``Line`` stores for (dx, dy): the same float
+    operations and the same error, for kernels that build no line."""
+    n = math.hypot(dx, dy)
+    if not n > 0.0 or not math.isfinite(n):
+        raise GeometryError("line requires a nonzero direction")
+    if abs(n - 1.0) > 1e-14:
+        inv = 1.0 / n
+        return dx * inv, dy * inv
+    return dx, dy
+
+
 @dataclass(frozen=True)
 class Circle:
     center: Point
@@ -176,9 +188,10 @@ class Triangle:
     C: Point
 
     def __post_init__(self) -> None:
-        ab, ac = self.B - self.A, self.C - self.A
-        doubled = ab.cross(ac)
-        longest = max(ab.norm(), ac.norm(), (self.C - self.B).norm())
+        (ax, ay), (bx, by), (cx, cy) = self.A, self.B, self.C
+        abx, aby, acx, acy = bx - ax, by - ay, cx - ax, cy - ay
+        doubled = abx * acy - aby * acx
+        longest = max(math.hypot(abx, aby), math.hypot(acx, acy), math.hypot(cx - bx, cy - by))
         if not doubled > 1e-12 * longest * longest:
             if doubled < 0.0:
                 raise DegenerateTriangleError("triangle must be counterclockwise")
@@ -187,7 +200,8 @@ class Triangle:
     @classmethod
     def oriented(cls, A: Point, B: Point, C: Point) -> "Triangle":
         """Build a triangle, swapping two vertices if the input is clockwise."""
-        if (B - A).cross(C - A) < 0.0:
+        (ax, ay), (bx, by), (cx, cy) = A, B, C
+        if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < 0.0:
             B, C = C, B
         return cls(A, B, C)
 
@@ -297,17 +311,17 @@ def line_line_intersection(l1: Line, l2: Line) -> Point:
 def three_point_circle(p: Point, q: Point, r: Point) -> Circle:
     """Circle through three points, any orientation."""
     # Shift to the centroid first; the determinant form is then well scaled.
-    g = Point((p.x + q.x + r.x) / 3.0, (p.y + q.y + r.y) / 3.0)
-    a, b, c = p - g, q - g, r - g
-    d = 2.0 * (a.x * (b.y - c.y) + b.x * (c.y - a.y) + c.x * (a.y - b.y))
-    scale = max(a.norm(), b.norm(), c.norm())
+    (px, py), (qx, qy), (rx, ry) = p, q, r
+    gx, gy = (px + qx + rx) / 3.0, (py + qy + ry) / 3.0
+    ax, ay, bx, by, cx, cy = px - gx, py - gy, qx - gx, qy - gy, rx - gx, ry - gy
+    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    scale = max(math.hypot(ax, ay), math.hypot(bx, by), math.hypot(cx, cy))
     if abs(d) < 1e-14 * scale * scale:
         raise DegenerateTriangleError("degenerate triangle")
-    a2, b2, c2 = a.dot(a), b.dot(b), c.dot(c)
-    ux = (a2 * (b.y - c.y) + b2 * (c.y - a.y) + c2 * (a.y - b.y)) / d
-    uy = (a2 * (c.x - b.x) + b2 * (a.x - c.x) + c2 * (b.x - a.x)) / d
-    center = g + Point(ux, uy)
-    return Circle(center, center.dist(p))
+    a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    ox = gx + (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
+    oy = gy + (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
+    return Circle(Point(ox, oy), math.hypot(ox - px, oy - py))
 
 
 def circumcircle(t: Triangle) -> Circle:

@@ -20,12 +20,11 @@ from .geom import (
     AxisAlignedEllipse,
     Circle,
     GeometryError,
-    Line,
     MajorAxis,
     Point,
     Pose,
     Triangle,
-    ellipse_line_tangency_residual,
+    line_direction,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -211,10 +210,13 @@ def dh_from_Ru(params: PorismParams) -> IsoscelesParams:
 
 def Ru_from_dh(iso: IsoscelesParams) -> PorismParams:
     d, h = iso.d, iso.h
-    u = (3.0 * d * d + h * h) / (2.0 * d * h)
+    dh2 = 2.0 * d * h
+    if dh2 == 0.0:
+        raise DegeneratePorismError("porism chart underflows: 2*d*h is zero")
+    u = (3.0 * d * d + h * h) / dh2
     # 3d^2 + h^2 - 2 sqrt3 d h = (sqrt3 d - h)^2, so the excess is exact.
     t = SQRT3 * d - h
-    return PorismParams(iso.zeta / (2.0 * h), u, t * t / (2.0 * d * h))
+    return PorismParams(iso.zeta / (2.0 * h), u, t * t / dh2)
 
 
 def isosceles_scene(
@@ -287,18 +289,21 @@ def vertices_at(iso: IsoscelesParams, t: float) -> Triangle:
     den_c = 2.0 * d * h * (3.0 * d2 - h2) * ct + (9.0 * d4 - h4) * st - scale
     if abs(den_b) < 1e-13 * scale or abs(den_c) < 1e-13 * scale:
         raise ParametrizationSingularityError("parametrization singularity")
+    hb, hc = 2.0 * h * den_b, 2.0 * h * den_c
+    if hb == 0.0 or hc == 0.0:
+        raise DegeneratePorismError("member chart underflows: 2*h*den is zero")
 
     bx = -zeta * d * (2.0 * d * h * ct + (3.0 * d2 + h2) * st - 3.0 * d2 + h2) / den_b
     by = (
         zeta
         * (2.0 * d * h * (3.0 * d2 + h2) * ct - (9.0 * d4 - 2.0 * d2 * h2 + h4) * st + 9.0 * d4 - h4)
-        / (2.0 * h * den_b)
+        / hb
     )
     cx = -zeta * d * (-2.0 * d * h * ct + (3.0 * d2 + h2) * st - 3.0 * d2 + h2) / den_c
     cy = (
         zeta
         * (2.0 * d * h * (3.0 * d2 + h2) * ct + (9.0 * d4 - 2.0 * d2 * h2 + h4) * st - 9.0 * d4 + h4)
-        / (2.0 * h * den_c)
+        / hc
     )
     return Triangle.oriented(apex, Point(bx, by), Point(cx, cy))
 
@@ -310,11 +315,17 @@ def scene_member(scene: PorismScene, t: float) -> Triangle:
 
 
 def closure_residuals(scene: PorismScene, tri: Triangle) -> tuple[float, float, float]:
-    """Tangency defect of each triangle side against the scene inellipse."""
-    A, B, C = tri.vertices
+    """Tangency defect of each triangle side against the scene inellipse:
+    the float operations of ``ellipse_line_tangency_residual(inellipse,
+    Line.through(P, Q))`` for the sides AB, BC and CA, on scalars."""
     e = scene.inellipse
-    return (
-        ellipse_line_tangency_residual(e, Line.through(A, B)),
-        ellipse_line_tangency_residual(e, Line.through(B, C)),
-        ellipse_line_tangency_residual(e, Line.through(C, A)),
-    )
+    ax, ay = e.axes_xy()
+    ex, ey = e.center
+    A, B, C = tri.A, tri.B, tri.C
+    out = []
+    for (px, py), (qx, qy) in ((A, B), (B, C), (C, A)):
+        ux, uy = line_direction(qx - px, qy - py)
+        # the unit normal (-uy, ux): support value against offset
+        offset = -uy * (px - ex) + ux * (py - ey)
+        out.append(abs(math.hypot(ax * -uy, ay * ux) - abs(offset)))
+    return tuple(out)

@@ -19,22 +19,16 @@ import enum
 from typing import Callable, Iterator, Sequence
 
 from .geom import (
-    Circle,
     GeometryError,
-    Line,
     Point,
     Pose,
     circles_orthogonality_residual,
-    three_point_circle,
     worst,
 )
 from .porism import (
     DegeneratePorismError,
-    IsoscelesParams,
     PorismParams,
     PorismScene,
-    Ru_from_dh,
-    isosceles_scene,
     scene_from_Ru,
 )
 
@@ -156,23 +150,3 @@ def beltrami_orthogonality(scenes: Sequence[PorismScene]) -> Iterator[float]:
         worst(circles_orthogonality_residual(c, s.brocard_circle) for c in circles)
         for s in scenes
     )
-
-
-def apollonius_circles(iso: IsoscelesParams) -> tuple[Circle, Circle, Line]:
-    """Apollonius circles of the isosceles member's base segment.
-
-    The two proper circles through X15, X16 and one base vertex each are
-    the scene's Beltrami circles, returned in the order matching
-    (first, second); the degenerate third circle is the Brocard axis.
-    """
-    scene = scene_from_Ru(Ru_from_dh(iso))
-    tri, _, _ = isosceles_scene(iso)
-    through_a = three_point_circle(tri.A, scene.X15, scene.X16)
-    through_b = three_point_circle(tri.B, scene.X15, scene.X16)
-    c1, c2 = scene.beltrami_circles()
-    if through_a.center.dist(c1.center) <= through_b.center.dist(c1.center):
-        matched = (through_a, through_b)
-    else:
-        matched = (through_b, through_a)
-    axis = Line(scene.X3, Point(0.0, 1.0))
-    return matched[0], matched[1], axis

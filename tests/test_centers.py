@@ -5,6 +5,8 @@ import pytest
 
 from brocard.centers import (
     EquilateralDegeneracyError,
+    StandardCenters,
+    TriangleMetrics,
     _turned_sides,
     brocard_angle,
     brocard_circle,
@@ -12,18 +14,21 @@ from brocard.centers import (
     brocard_cotangent,
     brocard_points_by_construction,
     metrics,
-    second_brocard_circle,
     second_brocard_triangle,
     standard_centers,
     symmedian_point,
 )
 from brocard.geom import (
+    Circle,
     GeometryError,
     Line,
     Point,
     Triangle,
     circumcircle,
+    invert_in_circle,
     line_line_intersection,
+    midpoint,
+    project_onto_line,
 )
 
 # isosceles reference triangle: apex (0,2), base corners (-1,0) and (1,0)
@@ -138,6 +143,106 @@ def test_scalar_kernel_raises_as_the_line_route_does():
                     route(P0, P1, P2, angle)
 
 
+# The object routes the scalar kernels replaced, kept as their references:
+# each measures the triangle through Triangle.sidelengths() and area() and
+# builds its points with Point, Line and project_onto_line.
+
+
+def _reference_metrics(t):
+    s1, s2, s3 = t.sidelengths()
+    area = t.area()
+    lam = (s1 * s2) ** 2 + (s2 * s3) ** 2 + (s3 * s1) ** 2
+    return TriangleMetrics(s1, s2, s3, area, lam, s1 * s2 * s3 / (4.0 * area))
+
+
+def _reference_angle(t):
+    m = _reference_metrics(t)
+    return math.asin(min(1.0, 2.0 * m.area / math.sqrt(m.lambda_)))
+
+
+def _reference_cotangent(t):
+    s1, s2, s3 = t.sidelengths()
+    return (s1 * s1 + s2 * s2 + s3 * s3) / (4.0 * t.area())
+
+
+def _reference_symmedian(t):
+    s1, s2, s3 = t.sidelengths()
+    w1, w2, w3 = s1 * s1, s2 * s2, s3 * s3
+    total = w1 + w2 + w3
+    A, B, C = t.vertices
+    return Point(
+        (w1 * A.x + w2 * B.x + w3 * C.x) / total,
+        (w1 * A.y + w2 * B.y + w3 * C.y) / total,
+    )
+
+
+def _reference_standard_centers(t):
+    cc = circumcircle(t)
+    X3 = cc.center
+    X6 = _reference_symmedian(t)
+    omega = _reference_angle(t)
+    A, B, C = t.vertices
+    omega1 = _line_route(A, B, C, omega)[0]
+    omega2 = _line_route(C, B, A, -omega)[0]
+    u = _reference_cotangent(t)
+    if u - SQRT3 <= 0.0:
+        raise EquilateralDegeneracyError("equilateral degeneracy")
+    X15 = (1.0 / (SQRT3 + u)) * (SQRT3 * X3 + u * X6)
+    X16 = (1.0 / (SQRT3 - u)) * (SQRT3 * X3 - u * X6)
+    gap = X3.dist(X6)
+    if gap == 0.0:
+        raise EquilateralDegeneracyError("equilateral degeneracy")
+    kc = Circle(midpoint(X3, X6), 0.5 * gap)
+    X187 = invert_in_circle(cc, X6)
+    return StandardCenters(
+        X3=X3, X6=X6, X15=X15, X16=X16, X39=midpoint(omega1, omega2),
+        X182=kc.center, X187=X187, X574=invert_in_circle(kc, X187),
+        omega1=omega1, omega2=omega2,
+    )
+
+
+def _reference_second_brocard_triangle(t):
+    X3 = circumcircle(t).center
+    X6 = _reference_symmedian(t)
+    feet = []
+    for v in t.vertices:
+        if v.dist(X6) < 1e-14 * v.dist(X3):
+            raise GeometryError("cevian undefined")
+        feet.append(project_onto_line(Line.through(v, X6), X3))
+    A, B, C = feet
+    if (B - A).cross(C - A) < 0.0:
+        B, C = C, B
+    return Triangle(A, B, C)
+
+
+def test_member_kernels_are_bit_exact(posed_members, same_route):
+    for _, t in posed_members:
+        same_route(metrics, _reference_metrics, t)
+        same_route(brocard_angle, _reference_angle, t)
+        same_route(brocard_cotangent, _reference_cotangent, t)
+        same_route(symmedian_point, _reference_symmedian, t)
+        same_route(standard_centers, _reference_standard_centers, t)
+        same_route(second_brocard_triangle, _reference_second_brocard_triangle, t)
+
+
+def test_member_kernels_raise_as_the_object_routes_do(same_route):
+    eq = Triangle.oriented(
+        Point(1.0, 0.0),
+        Point(math.cos(2.0 * math.pi / 3.0), math.sin(2.0 * math.pi / 3.0)),
+        Point(math.cos(4.0 * math.pi / 3.0), math.sin(4.0 * math.pi / 3.0)),
+    )
+    with pytest.raises(EquilateralDegeneracyError, match="equilateral degeneracy"):
+        standard_centers(eq)
+    same_route(standard_centers, _reference_standard_centers, eq)
+    # on a flat isosceles triangle X6 sits about h/3 above the apex while
+    # X3 is about 1/(2h) below it, so the apex cevian is undefined
+    flat = Triangle(Point(-1.0, 0.0), Point(1.0, 0.0), Point(0.0, 1e-8))
+    with pytest.raises(GeometryError, match="cevian undefined"):
+        second_brocard_triangle(flat)
+    for t in (flat, eq, FIX):
+        same_route(second_brocard_triangle, _reference_second_brocard_triangle, t)
+
+
 def test_fixture_brocard_points():
     o1, o2 = brocard_points_by_construction(FIX)
     assert o1.dist(Point(1.0 / 13.0, 8.0 / 13.0)) < 1e-12
@@ -239,6 +344,17 @@ def test_brocard_circle_carries_both_points():
         sc = standard_centers(t)
         assert k.membership_residual(sc.X3) < 1e-12
         assert k.membership_residual(sc.X6) < 1e-12
+
+
+def second_brocard_circle(t):
+    """Circle about X3 through both Brocard points, from the metrics alone;
+    an independent route to the construction's points."""
+    m = metrics(t)
+    sin_w = 2.0 * m.area / math.sqrt(m.lambda_)
+    radicand = 1.0 - 4.0 * sin_w * sin_w
+    if radicand <= 0.0:
+        raise EquilateralDegeneracyError("equilateral degeneracy")
+    return Circle(circumcircle(t).center, m.circumradius * math.sqrt(radicand))
 
 
 def test_second_brocard_circle_carries_both_points():

@@ -197,6 +197,41 @@ def test_figure_renders_a_porism_at_tiny_scale():
     assert tiny.stdout == _run("figure", "fig2").stdout
 
 
+def test_figure_gates_are_relative_to_the_porism_scale():
+    for scale in ("1e10", "1e-10"):
+        for name in ("fig2", "fig4", "fig5"):
+            p = _run("figure", name, "--d", scale, "--h", "3" + scale[1:])
+            assert p.returncode == 0, (name, scale, p.stderr)
+
+
+def test_figure_gate_catches_a_defect_relative_to_R(monkeypatch, capsys):
+    from brocard import cli, figures
+
+    honest = figures.closure_residuals
+
+    def defective(scene, tri):
+        return tuple(r + 1e-9 * scene.params.R for r in honest(scene, tri))
+
+    monkeypatch.setattr(figures, "closure_residuals", defective)
+    for scale in ("1e10", "1", "1e-10"):
+        assert cli.main(["figure", "fig2", "--d", scale, "--h", "3" + scale[1:]]) == 1
+        assert "member tangency" in capsys.readouterr().err
+
+
+def test_tiny_charts_exit_two_with_a_reason():
+    for args in (
+        ("figure", "fig2", "--d", "1e-300", "--h", "2e-300"),
+        ("family", "--d", "1e-170", "--h", "3e-170"),
+        ("figure", "fig2", "--d", "1e-70", "--h", "3e-70"),
+    ):
+        p = _run(*args)
+        assert p.returncode == 2, args
+        assert p.stdout == ""
+        lines = p.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), p.stderr
+        assert "division by zero" not in p.stderr
+
+
 def test_figure_rejects_table_formats():
     assert _run("figure", "fig2", "--format", "csv").returncode == 2
     assert _run("verify", "--format", "svg", "--samples", "5").returncode == 2

@@ -150,6 +150,79 @@ def test_triangle_orientation():
     assert t.area() > 0.0
 
 
+def _reference_triangle(A, B, C):
+    """The Triangle check through Point operations, the route the scalar
+    ``__post_init__`` replaced; returns the vertices it accepts."""
+    ab, ac = B - A, C - A
+    doubled = ab.cross(ac)
+    longest = max(ab.norm(), ac.norm(), (C - B).norm())
+    if not doubled > 1e-12 * longest * longest:
+        if doubled < 0.0:
+            raise DegenerateTriangleError("triangle must be counterclockwise")
+        raise DegenerateTriangleError("degenerate triangle")
+    return (A, B, C)
+
+
+def _reference_oriented(A, B, C):
+    if (B - A).cross(C - A) < 0.0:
+        B, C = C, B
+    return _reference_triangle(A, B, C)
+
+
+def _reference_three_point_circle(p, q, r):
+    g = Point((p.x + q.x + r.x) / 3.0, (p.y + q.y + r.y) / 3.0)
+    a, b, c = p - g, q - g, r - g
+    d = 2.0 * (a.x * (b.y - c.y) + b.x * (c.y - a.y) + c.x * (a.y - b.y))
+    scale = max(a.norm(), b.norm(), c.norm())
+    if abs(d) < 1e-14 * scale * scale:
+        raise DegenerateTriangleError("degenerate triangle")
+    a2, b2, c2 = a.dot(a), b.dot(b), c.dot(c)
+    ux = (a2 * (b.y - c.y) + b2 * (c.y - a.y) + c2 * (a.y - b.y)) / d
+    uy = (a2 * (c.x - b.x) + b2 * (a.x - c.x) + c2 * (b.x - a.x)) / d
+    center = g + Point(ux, uy)
+    return Circle(center, center.dist(p))
+
+
+def _vertex_triples(posed_members):
+    """Each member's vertices, reversed, and bent onto and just off the
+    line through A and B, around the 1e-12 and 1e-14 relative gates."""
+    rng = random.Random(41)
+    for _, tri in posed_members:
+        A, B, C = tri.vertices
+        mid = midpoint(A, B)
+        off = (B - A).rotated(0.5 * math.pi) * 10.0 ** rng.uniform(-15.0, -10.0)
+        for triple in ((A, B, C), (A, C, B), (A, B, mid), (A, A, B),
+                       (A, B, mid + off), (A, B, mid - off)):
+            yield triple
+
+
+def test_triangle_kernels_are_bit_exact(posed_members, same_route):
+    for A, B, C in _vertex_triples(posed_members):
+        same_route(lambda *v: Triangle(*v).vertices, _reference_triangle, A, B, C)
+        same_route(lambda *v: Triangle.oriented(*v).vertices, _reference_oriented, A, B, C)
+        same_route(three_point_circle, _reference_three_point_circle, A, B, C)
+    for _, tri in posed_members:
+        same_route(circumcircle, lambda t: _reference_three_point_circle(*t.vertices), tri)
+
+
+def test_triangle_kernels_raise_as_the_point_route_does(same_route):
+    O, X, Y = Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0)
+    cases = (
+        (Triangle, (O, Y, X), "triangle must be counterclockwise"),
+        (Triangle, (O, X, Point(2.0, 0.0)), "degenerate triangle"),
+        (Triangle, (O, O, O), "degenerate triangle"),
+        (Triangle.oriented, (O, X, Point(3.0, 0.0)), "degenerate triangle"),
+        (three_point_circle, (O, Point(1.0, 1.0), Point(2.0, 2.0)), "degenerate triangle"),
+    )
+    for kernel, args, message in cases:
+        with pytest.raises(DegenerateTriangleError, match=message):
+            kernel(*args)
+    same_route(lambda *v: Triangle(*v).vertices, _reference_triangle, O, Y, X)
+    same_route(three_point_circle, _reference_three_point_circle, O, X, Point(2.0, 0.0))
+    # three equal points pass the relative gate and divide by zero
+    same_route(three_point_circle, _reference_three_point_circle, X, X, X)
+
+
 def test_pose_roundtrip_on_points():
     rng = _rng()
     for _ in range(100):

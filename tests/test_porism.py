@@ -4,7 +4,16 @@ import random
 import pytest
 
 from brocard.centers import brocard_cotangent, brocard_points_by_construction
-from brocard.geom import GeometryError, MajorAxis, Point, Pose, circumcircle
+from brocard.geom import (
+    GeometryError,
+    Line,
+    MajorAxis,
+    Point,
+    Pose,
+    Triangle,
+    circumcircle,
+    ellipse_line_tangency_residual,
+)
 from brocard.porism import (
     DegeneratePorismError,
     IsoscelesParams,
@@ -277,3 +286,41 @@ def test_scene_member_in_posed_scene():
                 o1, o2 = o2, o1
             assert o1.dist(scene.omega1) < 1e-8
             assert o2.dist(scene.omega2) < 1e-8
+
+
+def _reference_closure_residuals(scene, tri):
+    """The closure defects through Line and ellipse_line_tangency_residual,
+    the route the scalar kernel replaced; kept here as its reference."""
+    A, B, C = tri.vertices
+    e = scene.inellipse
+    return (
+        ellipse_line_tangency_residual(e, Line.through(A, B)),
+        ellipse_line_tangency_residual(e, Line.through(B, C)),
+        ellipse_line_tangency_residual(e, Line.through(C, A)),
+    )
+
+
+def test_closure_residuals_are_bit_exact(posed_members, same_route):
+    for scene, tri in posed_members:
+        same_route(closure_residuals, _reference_closure_residuals, scene, tri)
+    # a side with no direction, on a stand-in that skips the Triangle check
+    scene, tri = posed_members[0]
+    pinched = object.__new__(Triangle)
+    for name, v in zip("ABC", (tri.A, tri.A, tri.C)):
+        object.__setattr__(pinched, name, v)
+    with pytest.raises(GeometryError, match="line requires a nonzero direction"):
+        closure_residuals(scene, pinched)
+    same_route(closure_residuals, _reference_closure_residuals, scene, pinched)
+
+
+def test_charts_that_underflow_raise_a_reason():
+    # 2*d*h underflows to zero; the shape ratio alone would fix u
+    with pytest.raises(DegeneratePorismError, match="2\\*d\\*h is zero"):
+        Ru_from_dh(IsoscelesParams(1e-300, 2e-300))
+    with pytest.raises(DegeneratePorismError, match="2\\*d\\*h is zero"):
+        Ru_from_dh(IsoscelesParams(1e-170, 3e-170))
+    # 2*h*den_b underflows although the chart itself is representable
+    iso = IsoscelesParams(1e-70, 3e-70)
+    Ru_from_dh(iso)
+    with pytest.raises(DegeneratePorismError, match="2\\*h\\*den is zero"):
+        vertices_at(iso, 0.85)

@@ -3,19 +3,19 @@ import random
 
 import pytest
 
-from brocard.geom import Circle, GeometryError, Point, Pose
+from brocard.geom import Circle, GeometryError, Line, Point, Pose, three_point_circle
 from brocard.porism import (
     DegeneratePorismError,
     IsoscelesParams,
     PorismParams,
     Ru_from_dh,
+    isosceles_scene,
     scene_from_Ru,
 )
 from brocard.recurrence import (
     Direction,
     alternating_brocard_sequence,
     anti_scene,
-    apollonius_circles,
     child_scene,
     orbit_scenes,
     step_backward,
@@ -203,6 +203,27 @@ def test_alternating_sequence_holds_only_walked_generations():
     assert 0.0 < second[-1].dist(root.X15) <= 1e-16
     with pytest.raises(ValueError):
         alternating_brocard_sequence(root, 0)
+
+
+def apollonius_circles(iso):
+    """Apollonius circles of the isosceles member's base segment.
+
+    The two proper circles through X15, X16 and one base vertex each are
+    the scene's Beltrami circles, returned in the order matching
+    (first, second); the degenerate third circle is the Brocard axis.
+    An independent route to the Beltrami circles the scenes store.
+    """
+    scene = scene_from_Ru(Ru_from_dh(iso))
+    tri, _, _ = isosceles_scene(iso)
+    through_a = three_point_circle(tri.A, scene.X15, scene.X16)
+    through_b = three_point_circle(tri.B, scene.X15, scene.X16)
+    c1, c2 = scene.beltrami_circles()
+    if through_a.center.dist(c1.center) <= through_b.center.dist(c1.center):
+        matched = (through_a, through_b)
+    else:
+        matched = (through_b, through_a)
+    axis = Line(scene.X3, Point(0.0, 1.0))
+    return matched[0], matched[1], axis
 
 
 def test_apollonius_circles_are_beltrami_circles():

@@ -76,6 +76,19 @@ def midpoint(p: Point, q: Point) -> Point:
     return Point(0.5 * (p.x + q.x), 0.5 * (p.y + q.y))
 
 
+def line_direction(dx: float, dy: float) -> tuple[float, float]:
+    """Unit vector along (dx, dy), as ``Line`` stores it; kernels that
+    build no line call this directly.  Rejects zero and non-finite
+    vectors and leaves one within 1e-14 of unit length as it is."""
+    n = math.hypot(dx, dy)
+    if not n > 0.0 or not math.isfinite(n):
+        raise GeometryError("line requires a nonzero direction")
+    if abs(n - 1.0) > 1e-14:
+        inv = 1.0 / n
+        return dx * inv, dy * inv
+    return dx, dy
+
+
 @dataclass(frozen=True)
 class Line:
     """Line through ``base`` with unit ``direction``.
@@ -87,11 +100,7 @@ class Line:
     direction: Point
 
     def __post_init__(self) -> None:
-        n = self.direction.norm()
-        if not n > 0.0 or not math.isfinite(n):
-            raise GeometryError("line requires a nonzero direction")
-        if abs(n - 1.0) > 1e-14:
-            object.__setattr__(self, "direction", self.direction * (1.0 / n))
+        object.__setattr__(self, "direction", Point(*line_direction(*self.direction)))
 
     @classmethod
     def through(cls, p: Point, q: Point) -> "Line":
@@ -103,18 +112,6 @@ class Line:
 
     def point_at(self, t: float) -> Point:
         return self.base + self.direction * t
-
-
-def line_direction(dx: float, dy: float) -> tuple[float, float]:
-    """The unit direction ``Line`` stores for (dx, dy): the same float
-    operations and the same error, for kernels that build no line."""
-    n = math.hypot(dx, dy)
-    if not n > 0.0 or not math.isfinite(n):
-        raise GeometryError("line requires a nonzero direction")
-    if abs(n - 1.0) > 1e-14:
-        inv = 1.0 / n
-        return dx * inv, dy * inv
-    return dx, dy
 
 
 @dataclass(frozen=True)

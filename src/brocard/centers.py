@@ -58,7 +58,12 @@ def metrics(t: Triangle) -> TriangleMetrics:
 
 
 def _omega(s1: float, s2: float, s3: float, area: float) -> float:
-    lam = (s1 * s2) ** 2 + (s2 * s3) ** 2 + (s3 * s1) ** 2
+    try:
+        lam = (s1 * s2) ** 2 + (s2 * s3) ** 2 + (s3 * s1) ** 2
+    except OverflowError:
+        raise GeometryError("Brocard angle out of range: lambda overflows") from None
+    if lam == 0.0:
+        raise GeometryError("Brocard angle out of range: lambda underflows")
     return math.asin(min(1.0, 2.0 * area / math.sqrt(lam)))
 
 

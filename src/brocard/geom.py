@@ -114,20 +114,33 @@ class Line:
         return self.base + self.direction * t
 
 
+def check_radius(radius: float) -> None:
+    """Reject what ``Circle`` rejects, without building one."""
+    if not radius >= 0.0 or not math.isfinite(radius):
+        raise GeometryError("circle requires a finite radius >= 0")
+
+
 @dataclass(frozen=True)
 class Circle:
     center: Point
     radius: float
 
     def __post_init__(self) -> None:
-        if not self.radius >= 0.0 or not math.isfinite(self.radius):
-            raise GeometryError("circle requires a finite radius >= 0")
+        check_radius(self.radius)
 
     def point_at(self, theta: float) -> Point:
         return self.center + Point(math.cos(theta), math.sin(theta)) * self.radius
 
     def membership_residual(self, p: Point) -> float:
         return abs(p.dist(self.center) - self.radius)
+
+
+def check_semi_axes(semi_major: float, semi_minor: float) -> None:
+    """Reject what ``AxisAlignedEllipse`` rejects, without building one."""
+    if not (math.isfinite(semi_major) and math.isfinite(semi_minor)):
+        raise GeometryError("ellipse semi-axes must be finite")
+    if semi_minor < 0.0 or semi_major + 1e-15 * abs(semi_major) < semi_minor:
+        raise GeometryError("ellipse requires semi_major >= semi_minor >= 0")
 
 
 class MajorAxis(enum.Enum):
@@ -150,10 +163,7 @@ class AxisAlignedEllipse:
     major_axis: MajorAxis = MajorAxis.HORIZONTAL
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.semi_major) and math.isfinite(self.semi_minor)):
-            raise GeometryError("ellipse semi-axes must be finite")
-        if self.semi_minor < 0.0 or self.semi_major + 1e-15 * abs(self.semi_major) < self.semi_minor:
-            raise GeometryError("ellipse requires semi_major >= semi_minor >= 0")
+        check_semi_axes(self.semi_major, self.semi_minor)
 
     def axes_xy(self) -> tuple[float, float]:
         """Semi-axis lengths along x and along y."""

@@ -1,20 +1,21 @@
 """Brocard porisms as first-class values.
 
 A porism is the one-parameter family of triangles inscribed in a fixed
-circumcircle and tangent to the Brocard inellipse.  A scene freezes the
-stationary objects of one porism: both conics, the Brocard points (the
-inellipse foci), the isodynamic points, the Brocard circle, and the
-Beltrami points.  The canonical frame puts the circumcenter at the origin
-with the symmedian point straight below it; ``pose`` maps that frame into
-world coordinates, and all stored geometry is world-frame.  Each object
-is stored once: X3, X39 and X182 are the centers of the circumcircle,
-the inellipse and the Brocard circle.
+circumcircle and tangent to the Brocard inellipse.  A scene is (params,
+pose).  Each stationary object (both conics, the Brocard points, which are
+the inellipse foci, the isodynamic points, the Brocard circle and the
+Beltrami points) is a closed form in (R, u), computed on read.  The
+canonical frame puts the circumcenter at the origin with the symmedian
+point straight below it; ``pose`` maps that frame into world coordinates,
+and every object a scene returns is world-frame.  X3, X39 and X182 are
+the centers of the circumcircle, the inellipse and the Brocard circle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geom import (
     AxisAlignedEllipse,
@@ -24,6 +25,8 @@ from .geom import (
     Point,
     Pose,
     Triangle,
+    check_radius,
+    check_semi_axes,
     line_direction,
 )
 
@@ -100,20 +103,74 @@ class IsoscelesParams:
 FIXTURE = IsoscelesParams(1.0, 2.0)
 
 
-@dataclass(frozen=True)
-class PorismScene:
+class PorismScene(NamedTuple):
+    """A porism, (R, u), and the pose of its canonical frame.  Each
+    stationary object is computed when read; build through scene_from_Ru."""
+
     params: PorismParams
-    circumcircle: Circle
-    inellipse: AxisAlignedEllipse
-    omega1: Point
-    omega2: Point
-    X6: Point
-    X15: Point
-    X16: Point
-    brocard_circle: Circle
-    beltrami_P2: Point
-    beltrami_U2: Point
     pose: Pose
+
+    @property
+    def circumcircle(self) -> Circle:
+        pose = self.pose
+        return Circle(pose.map_xy(0.0, 0.0), pose.scale * self.params.R)
+
+    @property
+    def inellipse(self) -> AxisAlignedEllipse:
+        p, pose = self.params, self.pose
+        R, one_u2 = p.R, 1.0 + p.u * p.u
+        return AxisAlignedEllipse(
+            pose.map_xy(0.0, -R * p.u * p.gap / one_u2),
+            pose.scale * (R / math.sqrt(one_u2)),
+            pose.scale * (2.0 * R / one_u2),
+            pose.map_axis(MajorAxis.HORIZONTAL),
+        )
+
+    def _focus(self, side: float) -> Point:
+        R, u, g = self.params.R, self.params.u, self.params.gap
+        one_u2 = 1.0 + u * u
+        return self.pose.map_xy(side * R * g / one_u2, -R * u * g / one_u2)
+
+    @property
+    def omega1(self) -> Point:
+        return self._focus(1.0)
+
+    @property
+    def omega2(self) -> Point:
+        return self._focus(-1.0)
+
+    @property
+    def X6(self) -> Point:
+        p = self.params
+        return self.pose.map_xy(0.0, -p.R * p.gap / p.u)
+
+    @property
+    def X15(self) -> Point:
+        # X15 = (sqrt3*X3 + u*X6)/(sqrt3 + u) collapses to -R*(u - sqrt3)/g on
+        # the axis; the excess form keeps it exact near the equilateral limit.
+        p = self.params
+        return self.pose.map_xy(0.0, -p.R * p.u_excess / p.gap)
+
+    @property
+    def X16(self) -> Point:
+        p = self.params
+        return self.pose.map_xy(0.0, -p.R * (SQRT3 + p.u) / p.gap)
+
+    @property
+    def brocard_circle(self) -> Circle:
+        p, pose = self.params, self.pose
+        r = 0.5 * p.R * p.gap / p.u
+        return Circle(pose.map_xy(0.0, -r), pose.scale * r)
+
+    @property
+    def beltrami_P2(self) -> Point:
+        p = self.params
+        return self.pose.map_xy(-p.R / p.gap, -p.R * p.u / p.gap)
+
+    @property
+    def beltrami_U2(self) -> Point:
+        p = self.params
+        return self.pose.map_xy(p.R / p.gap, -p.R * p.u / p.gap)
 
     @property
     def X3(self) -> Point:
@@ -142,41 +199,22 @@ class PorismScene:
 
 
 def scene_from_Ru(params: PorismParams, pose: Pose = Pose.identity()) -> PorismScene:
-    """Assemble the stationary scene of the porism with parameters (R, u).
+    """The scene of the porism with parameters (R, u), placed by ``pose``.
 
     Pre: R > 0 and u > sqrt(3) strictly; the equilateral limit has no
-    Brocard inellipse with distinct foci.
+    Brocard inellipse with distinct foci.  The objects' radii, axis and
+    semi-axes are checked here on scalars, so no object raises on read.
     """
     R, u, e = params.R, params.u, params.u_excess
     if R <= 0.0 or e <= 0.0:
         raise DegeneratePorismError("degenerate porism")
-    g = params.gap
     one_u2 = 1.0 + u * u
-    focal = R * g / one_u2
-    y39 = -R * u * g / one_u2
-    y182 = -0.5 * R * g / u
-    k, at = pose.scale, pose.map_xy
-    return PorismScene(
-        params=params,
-        circumcircle=Circle(at(0.0, 0.0), k * R),
-        inellipse=AxisAlignedEllipse(
-            at(0.0, y39),
-            k * (R / math.sqrt(one_u2)),
-            k * (2.0 * R / one_u2),
-            pose.map_axis(MajorAxis.HORIZONTAL),
-        ),
-        omega1=at(focal, y39),
-        omega2=at(-focal, y39),
-        X6=at(0.0, -R * g / u),
-        # X15 = (sqrt3*X3 + u*X6)/(sqrt3 + u) collapses to -R*(u - sqrt3)/g on
-        # the axis; the excess form keeps it exact near the equilateral limit.
-        X15=at(0.0, -R * e / g),
-        X16=at(0.0, -R * (SQRT3 + u) / g),
-        brocard_circle=Circle(at(0.0, y182), k * (0.5 * R * g / u)),
-        beltrami_P2=at(-R / g, -R * u / g),
-        beltrami_U2=at(R / g, -R * u / g),
-        pose=pose,
-    )
+    k = pose.scale
+    check_radius(k * R)
+    pose.map_axis(MajorAxis.HORIZONTAL)
+    check_semi_axes(k * (R / math.sqrt(one_u2)), k * (2.0 * R / one_u2))
+    check_radius(k * (0.5 * R * params.gap / u))
+    return PorismScene(params, pose)
 
 
 def Ru_from_axes(a: float, b: float) -> PorismParams:
@@ -276,36 +314,41 @@ def vertices_at(iso: IsoscelesParams, t: float) -> Triangle:
     trigonometric expressions in the isosceles chart.  Isolated t values
     make a denominator vanish (the member degenerates); those raise, and
     samplers should perturb t.  Vertices are reordered counterclockwise.
+
+    The chart is homogeneous of degree 1 in (d, h): it is evaluated at h in
+    [0.5, 1) and scaled back by a power of two, which is exact, so no
+    intermediate of degree 6 under- or overflows at any normal scale.
     """
-    d, h, zeta = iso.d, iso.h, iso.zeta
+    k = min(max(math.frexp(iso.h)[1], -1022), 1023)
+    down, up = math.ldexp(1.0, -k), math.ldexp(1.0, k)
+    d, h = iso.d * down, iso.h * down
     d2, h2 = d * d, h * h
+    zeta = d2 + h2
     d4, h4 = d2 * d2, h2 * h2
     ct, st = math.cos(t), math.sin(t)
     R = zeta / (2.0 * h)
-    apex = Point(R * ct, R * st)
 
     scale = 9.0 * d4 + 2.0 * d2 * h2 + h4
     den_b = 2.0 * d * h * (3.0 * d2 - h2) * ct - (9.0 * d4 - h4) * st + scale
     den_c = 2.0 * d * h * (3.0 * d2 - h2) * ct + (9.0 * d4 - h4) * st - scale
     if abs(den_b) < 1e-13 * scale or abs(den_c) < 1e-13 * scale:
         raise ParametrizationSingularityError("parametrization singularity")
-    hb, hc = 2.0 * h * den_b, 2.0 * h * den_c
-    if hb == 0.0 or hc == 0.0:
-        raise DegeneratePorismError("member chart underflows: 2*h*den is zero")
 
     bx = -zeta * d * (2.0 * d * h * ct + (3.0 * d2 + h2) * st - 3.0 * d2 + h2) / den_b
     by = (
         zeta
         * (2.0 * d * h * (3.0 * d2 + h2) * ct - (9.0 * d4 - 2.0 * d2 * h2 + h4) * st + 9.0 * d4 - h4)
-        / hb
+        / (2.0 * h * den_b)
     )
     cx = -zeta * d * (-2.0 * d * h * ct + (3.0 * d2 + h2) * st - 3.0 * d2 + h2) / den_c
     cy = (
         zeta
         * (2.0 * d * h * (3.0 * d2 + h2) * ct + (9.0 * d4 - 2.0 * d2 * h2 + h4) * st - 9.0 * d4 + h4)
-        / hc
+        / (2.0 * h * den_c)
     )
-    return Triangle.oriented(apex, Point(bx, by), Point(cx, cy))
+    return Triangle.oriented(
+        Point(R * ct * up, R * st * up), Point(bx * up, by * up), Point(cx * up, cy * up)
+    )
 
 
 def scene_member(scene: PorismScene, t: float) -> Triangle:

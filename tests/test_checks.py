@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -12,7 +11,7 @@ from brocard.checks import (
     run_checks,
 )
 from brocard.geom import Point, worst
-from brocard.porism import DegeneratePorismError, IsoscelesParams, PorismParams
+from brocard.porism import DegeneratePorismError, IsoscelesParams, PorismParams, PorismScene
 
 # groups that the registry is expected to carry; each check id is
 # "<group>.<name>" and selection works by string prefix
@@ -140,12 +139,17 @@ def test_worst_propagates_nan():
     assert math.isnan(worst([math.inf, math.nan]))
 
 
+class _NanOmega1Scene(PorismScene):
+    @property
+    def omega1(self):
+        return Point(math.nan, math.nan)
+
+
 def test_nan_scene_point_fails_its_checks(monkeypatch):
     real = checks.scene_from_Ru
 
     def nan_omega1(*args, **kwargs):
-        scene = real(*args, **kwargs)
-        return dataclasses.replace(scene, omega1=Point(math.nan, math.nan))
+        return _NanOmega1Scene(*real(*args, **kwargs))
 
     monkeypatch.setattr(checks, "scene_from_Ru", nan_omega1)
     reports = {r.check_id: r for r in run_checks(samples=20, seed=0)}

@@ -222,7 +222,6 @@ def test_tiny_charts_exit_two_with_a_reason():
     for args in (
         ("figure", "fig2", "--d", "1e-300", "--h", "2e-300"),
         ("family", "--d", "1e-170", "--h", "3e-170"),
-        ("figure", "fig2", "--d", "1e-70", "--h", "3e-70"),
     ):
         p = _run(*args)
         assert p.returncode == 2, args
@@ -230,6 +229,27 @@ def test_tiny_charts_exit_two_with_a_reason():
         lines = p.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), p.stderr
         assert "division by zero" not in p.stderr
+    # the member chart is evaluated at unit scale, so this one draws
+    p = _run("figure", "fig2", "--d", "1e-70", "--h", "3e-70")
+    assert p.returncode == 0, p.stderr
+
+
+def test_member_chart_works_far_from_unit_scale(capsys):
+    from brocard import cli
+
+    for e in range(-100, 101, 25):
+        d, h = f"1e{e}", f"3e{e}"
+        for cmd in (["figure", "fig2"], ["figure", "fig4"], ["figure", "fig5"], ["family"]):
+            code = cli.main([*cmd, "--d", d, "--h", h])
+            out, err = capsys.readouterr()
+            if cmd[0] == "figure" or abs(e) <= 75:
+                assert code == 0, (cmd, e, err)
+                continue
+            # lambda = sum of (s_i s_j)^2 leaves the double range
+            assert code == 2 and out == "", (cmd, e, err)
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), err
+            assert "division by zero" not in err and "Numerical result" not in err
 
 
 def test_figure_rejects_table_formats():

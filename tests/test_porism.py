@@ -5,6 +5,8 @@ import pytest
 
 from brocard.centers import brocard_cotangent, brocard_points_by_construction
 from brocard.geom import (
+    AxisAlignedEllipse,
+    Circle,
     GeometryError,
     Line,
     MajorAxis,
@@ -146,6 +148,99 @@ def test_scene_is_canonical_scene_mapped_exactly():
                 got = getattr(s, name)
                 # repr tells -0.0 from 0.0, which == does not
                 assert got == value and repr(got) == repr(value), name
+
+
+def _eager_scene(params, pose):
+    """Every stationary object of the scene, built up front: the assembly
+    the lazy ``PorismScene`` properties replaced, kept here as their
+    reference."""
+    R, u, e = params.R, params.u, params.u_excess
+    if R <= 0.0 or e <= 0.0:
+        raise DegeneratePorismError("degenerate porism")
+    g = params.gap
+    one_u2 = 1.0 + u * u
+    focal = R * g / one_u2
+    y39 = -R * u * g / one_u2
+    y182 = -0.5 * R * g / u
+    k, at = pose.scale, pose.map_xy
+    return dict(
+        circumcircle=Circle(at(0.0, 0.0), k * R),
+        inellipse=AxisAlignedEllipse(
+            at(0.0, y39),
+            k * (R / math.sqrt(one_u2)),
+            k * (2.0 * R / one_u2),
+            pose.map_axis(MajorAxis.HORIZONTAL),
+        ),
+        omega1=at(focal, y39),
+        omega2=at(-focal, y39),
+        X6=at(0.0, -R * g / u),
+        X15=at(0.0, -R * e / g),
+        X16=at(0.0, -R * (SQRT3 + u) / g),
+        brocard_circle=Circle(at(0.0, y182), k * (0.5 * R * g / u)),
+        beltrami_P2=at(-R / g, -R * u / g),
+        beltrami_U2=at(R / g, -R * u / g),
+    )
+
+
+def _read_scene(params, pose):
+    """Build the scene and read each stationary object once."""
+    scene = scene_from_Ru(params, pose)
+    return {name: getattr(scene, name) for name in _eager_scene(params, pose)}
+
+
+def test_scene_properties_are_the_eager_objects():
+    rng = random.Random(28)
+    for i in range(240):
+        # excess over 1e-300..1e3, scale over 1e-6..1e6, all nine quarter
+        # turns in [-2pi, 2pi], both mirrors, and signed zero translations
+        excess = 10.0 ** (-300.0 + 303.0 * (i + rng.random()) / 240)
+        params = PorismParams.from_excess(10.0 ** rng.uniform(-3.0, 3.0), excess)
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        tx = (-0.0, 0.0, scale * rng.uniform(-3.0, 3.0))[i % 3]
+        pose = Pose(
+            translation=Point(tx, -0.0 if i % 5 == 0 else scale * rng.uniform(-3.0, 3.0)),
+            rotation=(i % 9 - 4) * 0.5 * math.pi,
+            reflect_x=i // 9 % 2 == 1,
+            scale=scale,
+        )
+        scene, want = scene_from_Ru(params, pose), _eager_scene(params, pose)
+        rho = 2.0 * params.R * pose.scale / params.gap
+        want["beltrami_circles()"] = (Circle(want["beltrami_P2"], rho), Circle(want["beltrami_U2"], rho))
+        for name, value in want.items():
+            got = scene.beltrami_circles() if name == "beltrami_circles()" else getattr(scene, name)
+            # repr tells -0.0 from 0.0, which == does not
+            assert got == value and repr(got) == repr(value), (i, name)
+
+
+def test_scene_raises_as_the_eager_assembly_does(same_route):
+    seen = set()
+    for R in (0.0, 1e-300, 1.0, 1e150, 1e308):
+        for u in (None, 1.75, 2.0, 1e100, 1e200, 1e300):
+            params = PorismParams.from_excess(R, 0.0) if u is None else PorismParams(R, u)
+            for scale in (1e-300, 1.0, 1e150, 1e300):
+                for rotation in (0.0, 0.5 * math.pi, 0.3, -math.pi, 1e3):
+                    pose = Pose(Point(-0.0, 1.0), rotation, rotation < 0.0, scale)
+                    # repr, since an overflowing gap leaves NaN coordinates
+                    same_route(
+                        lambda: repr(_read_scene(params, pose)),
+                        lambda: repr(_eager_scene(params, pose)),
+                    )
+                    try:
+                        _eager_scene(params, pose)
+                        seen.add("built")
+                    except GeometryError as exc:
+                        seen.add(str(exc))
+    # u = 1e200 at unit R and scale: the gap overflows, and only the
+    # Brocard radius 0.5*R*g/u is left infinite
+    with pytest.raises(GeometryError, match="circle requires a finite radius"):
+        scene_from_Ru(PorismParams(1.0, 1e200))
+    assert seen == {
+        "built",
+        "degenerate porism",
+        "circle requires a finite radius >= 0",
+        "pose rotation does not preserve axis alignment",
+        "ellipse semi-axes must be finite",
+    }
 
 
 def test_Ru_from_axes_roundtrip():
@@ -319,8 +414,24 @@ def test_charts_that_underflow_raise_a_reason():
         Ru_from_dh(IsoscelesParams(1e-300, 2e-300))
     with pytest.raises(DegeneratePorismError, match="2\\*d\\*h is zero"):
         Ru_from_dh(IsoscelesParams(1e-170, 3e-170))
-    # 2*h*den_b underflows although the chart itself is representable
+    # the member chart is evaluated at unit scale, so a chart this small
+    # still gives a member tangent to its conic
     iso = IsoscelesParams(1e-70, 3e-70)
-    Ru_from_dh(iso)
-    with pytest.raises(DegeneratePorismError, match="2\\*h\\*den is zero"):
-        vertices_at(iso, 0.85)
+    scene = scene_from_Ru(Ru_from_dh(iso))
+    for r in closure_residuals(scene, vertices_at(iso, 0.85)):
+        assert r < 1e-14 * scene.params.R
+    # charts of no porism, whose R or d/h leaves the double range, raise a
+    # GeometryError, not an arithmetic one from the rescaling
+    for iso in (IsoscelesParams(1.0, 1e-320), IsoscelesParams(1e300, 1e-10)):
+        with pytest.raises(GeometryError):
+            vertices_at(iso, 0.3)
+
+
+def test_member_chart_scales_by_powers_of_two_exactly():
+    unit = IsoscelesParams(1.0, 3.0)
+    for j in range(-500, 501, 25):
+        iso = IsoscelesParams(math.ldexp(1.0, j), math.ldexp(3.0, j))
+        for t in (-2.5, 0.85, 2.0):
+            want = [Point(math.ldexp(x, j), math.ldexp(y, j)) for x, y in vertices_at(unit, t).vertices]
+            got = vertices_at(iso, t).vertices
+            assert list(got) == want and repr(got) == repr(tuple(want)), (j, t)

@@ -3,7 +3,8 @@
 Scenes of triangles inscribed in a circle and circumscribing the Brocard
 inellipse, the second-Brocard-triangle recurrence between them, the
 continuous one-parameter family sharing its isodynamic points, and a
-residual-check suite over all of it.
+residual-check suite over all of it, which ``import brocard`` loads only
+when ``run_checks``, ``CheckReport`` or ``UnknownCheckFilterError`` is read.
 """
 
 from .centers import (
@@ -15,7 +16,6 @@ from .centers import (
     second_brocard_triangle,
     standard_centers,
 )
-from .checks import CheckReport, UnknownCheckFilterError, run_checks
 from .continuous import (
     T_CRITICAL,
     T_MAX,
@@ -62,6 +62,16 @@ from .recurrence import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str) -> object:
+    # only verify needs the check registry, so it loads on first use (PEP 562)
+    if name in ("CheckReport", "UnknownCheckFilterError", "run_checks"):
+        from . import checks
+
+        return getattr(checks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AxisAlignedEllipse",

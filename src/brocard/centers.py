@@ -9,7 +9,7 @@ the Brocard-circle inverse of X187.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geom import (
     Circle,
@@ -29,8 +29,7 @@ class EquilateralDegeneracyError(GeometryError):
     pass
 
 
-@dataclass(frozen=True)
-class TriangleMetrics:
+class TriangleMetrics(NamedTuple):
     s1: float
     s2: float
     s3: float
@@ -161,8 +160,7 @@ def _symmedian(t: Triangle, s1: float, s2: float, s3: float) -> Point:
     )
 
 
-@dataclass(frozen=True)
-class StandardCenters:
+class StandardCenters(NamedTuple):
     X3: Point
     X6: Point
     X15: Point
@@ -173,11 +171,6 @@ class StandardCenters:
     X574: Point
     omega1: Point
     omega2: Point
-
-
-def brocard_circle(t: Triangle) -> Circle:
-    """Circle on the segment X3 X6 as diameter; carries both Brocard points."""
-    return _circle_on(circumcircle(t).center, symmedian_point(t))
 
 
 def _circle_on(X3: Point, X6: Point) -> Circle:

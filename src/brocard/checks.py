@@ -18,9 +18,10 @@ yielding some samples, is reported with an infinite residual and zero
 samples, and fails at any tolerance.
 
 The porism step used by the ``thm1.*`` and ``prop14.*`` groups is
-injectable.  ``MUTATIONS`` maps the names accepted by the command line's
-self-test mode to deliberately broken steps; running the suite with one
-of those proves the suite notices a corrupted recurrence.
+injectable.  ``MUTATIONS`` (from :mod:`~brocard.recurrence`) maps the
+names accepted by the command line's self-test mode to deliberately
+broken steps; running the suite with one of those proves the suite
+notices a corrupted recurrence.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ from .porism import (
     vertices_at,
 )
 from .recurrence import (
+    MUTATIONS,  # re-exported: the registry's callers read checks.MUTATIONS
     Direction,
     StepFunction,
     alternating_brocard_sequence,
@@ -155,20 +157,6 @@ def check(
         return fn
 
     return register
-
-
-def _flip_step_sign(params: PorismParams) -> PorismParams:
-    """Deliberately broken porism step for the suite's self test.
-
-    The cotangent map is computed with its constant term negated,
-    (u^2 - 3)/(2u) instead of (u^2 + 3)/(2u), which sends valid
-    parameters below the equilateral bound.
-    """
-    u = params.u
-    return PorismParams(params.R * params.gap / (2.0 * u), (u * u - 3.0) / (2.0 * u))
-
-
-MUTATIONS: dict[str, StepFunction] = {"flip-step-sign": _flip_step_sign}
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, fields
 
 from .centers import brocard_angle
 from .continuous import (
@@ -31,7 +30,6 @@ from .continuous import (
     brocard_circle_Kt,
     ellipse_Et,
 )
-from .checks import MUTATIONS, CheckReport, UnknownCheckFilterError, run_checks
 from .figures import FIGURES, FigureCheckError, render_figure
 from .geom import GeometryError, worst
 from .porism import (
@@ -44,7 +42,7 @@ from .porism import (
     scene_from_Ru,
     vertices_at,
 )
-from .recurrence import Direction, orbit_scenes, step_forward
+from .recurrence import MUTATIONS, Direction, orbit_scenes, step_forward
 
 
 def _value_str(v: object) -> str:
@@ -105,10 +103,11 @@ def _emit_table(
 # verify
 
 
-_REPORT_COLUMNS = [f.name for f in fields(CheckReport)]
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # only verify needs the registry; importing it before dataclasses peaks lower
+    from .checks import CheckReport, UnknownCheckFilterError, run_checks
+    from dataclasses import asdict, fields
+
     step = MUTATIONS[args.mutate] if args.mutate else step_forward
     try:
         reports = run_checks(
@@ -122,7 +121,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: no check id starts with {args.filter!r}", file=sys.stderr)
         return 2
     rows = [asdict(r) for r in reports]
-    code = _emit_table(_REPORT_COLUMNS, rows, args.format or "json", args.out)
+    columns = [f.name for f in fields(CheckReport)]
+    code = _emit_table(columns, rows, args.format or "json", args.out)
     if code != 0:
         return code
     failed = [r for r in reports if not r.passed]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geom import (
     AxisAlignedEllipse,
@@ -37,16 +37,14 @@ T_MAX = math.pi / 3.0
 T_CRITICAL = math.acos(0.6)
 
 
-@dataclass(frozen=True)
-class WebResiduals:
+class WebResiduals(NamedTuple):
     point_inner_products: tuple[float, float, float, float]
     point_membership_max: float
     quartic_angle_max_dev: float
     axis_parallel_max_dev: float
 
 
-@dataclass(frozen=True)
-class FamilyExtrema:
+class FamilyExtrema(NamedTuple):
     t_semi_minor_max: float
     semi_minor_max: float
     t_lower_vertex_min: float

@@ -11,7 +11,6 @@ making reruns byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .centers import brocard_cotangent, second_brocard_triangle
 from .continuous import (
@@ -69,16 +68,15 @@ def _require(residual: float, tol: float, what: str) -> None:
         raise FigureCheckError(f"{what}: residual {residual!r} exceeds {tol!r}")
 
 
-@dataclass
 class _Canvas:
     """World-to-pixel mapping with y pointing up in world coordinates."""
 
-    xmin: float
-    xmax: float
-    ymin: float
-    ymax: float
-    width: float = 640.0
-    elements: list[str] = field(default_factory=list)
+    def __init__(
+        self, xmin: float, xmax: float, ymin: float, ymax: float, width: float = 640.0
+    ) -> None:
+        self.xmin, self.xmax, self.ymin, self.ymax = xmin, xmax, ymin, ymax
+        self.width = width
+        self.elements: list[str] = []
 
     @property
     def scale(self) -> float:

@@ -2,7 +2,9 @@
 triangles, and rigid-or-similar poses.
 
 Everything here is immutable and every operation is a pure function, so
-values can be shared freely between checks.  Residual helpers return a
+values can be shared freely between checks.  Value types are
+``NamedTuple``s, each equal to the plain tuple of its fields; a type that
+validates its input does so in ``__new__``.  Residual helpers return a
 nonnegative defect instead of a bare boolean; callers compare it against
 their own tolerances.
 """
@@ -11,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 
@@ -89,18 +90,21 @@ def line_direction(dx: float, dy: float) -> tuple[float, float]:
     return dx, dy
 
 
-@dataclass(frozen=True)
-class Line:
+class _Line(NamedTuple):
+    base: Point
+    direction: Point
+
+
+class Line(_Line):
     """Line through ``base`` with unit ``direction``.
 
     The constructor normalizes the direction and rejects zero vectors.
     """
 
-    base: Point
-    direction: Point
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "direction", Point(*line_direction(*self.direction)))
+    def __new__(cls, base: Point, direction: Point) -> "Line":
+        return tuple.__new__(cls, (base, Point(*line_direction(*direction))))
 
     @classmethod
     def through(cls, p: Point, q: Point) -> "Line":
@@ -120,13 +124,17 @@ def check_radius(radius: float) -> None:
         raise GeometryError("circle requires a finite radius >= 0")
 
 
-@dataclass(frozen=True)
-class Circle:
+class _Circle(NamedTuple):
     center: Point
     radius: float
 
-    def __post_init__(self) -> None:
-        check_radius(self.radius)
+
+class Circle(_Circle):
+    __slots__ = ()
+
+    def __new__(cls, center: Point, radius: float) -> "Circle":
+        check_radius(radius)
+        return tuple.__new__(cls, (center, radius))
 
     def point_at(self, theta: float) -> Point:
         return self.center + Point(math.cos(theta), math.sin(theta)) * self.radius
@@ -148,8 +156,14 @@ class MajorAxis(enum.Enum):
     VERTICAL = "vertical"
 
 
-@dataclass(frozen=True)
-class AxisAlignedEllipse:
+class _AxisAlignedEllipse(NamedTuple):
+    center: Point
+    semi_major: float
+    semi_minor: float
+    major_axis: MajorAxis
+
+
+class AxisAlignedEllipse(_AxisAlignedEllipse):
     """Ellipse with axes parallel to the coordinate axes.
 
     ``semi_major >= semi_minor >= 0``; equal axes give a circle and a zero
@@ -157,13 +171,12 @@ class AxisAlignedEllipse:
     on top of this type.
     """
 
-    center: Point
-    semi_major: float
-    semi_minor: float
-    major_axis: MajorAxis = MajorAxis.HORIZONTAL
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_semi_axes(self.semi_major, self.semi_minor)
+    def __new__(cls, center: Point, semi_major: float, semi_minor: float,
+                major_axis: MajorAxis = MajorAxis.HORIZONTAL) -> "AxisAlignedEllipse":
+        check_semi_axes(semi_major, semi_minor)
+        return tuple.__new__(cls, (center, semi_major, semi_minor, major_axis))
 
     def axes_xy(self) -> tuple[float, float]:
         """Semi-axis lengths along x and along y."""
@@ -186,16 +199,19 @@ class AxisAlignedEllipse:
         return abs((d.x / ax) ** 2 + (d.y / ay) ** 2 - 1.0)
 
 
-@dataclass(frozen=True)
-class Triangle:
-    """Counterclockwise, non-degenerate triangle."""
-
+class _Triangle(NamedTuple):
     A: Point
     B: Point
     C: Point
 
-    def __post_init__(self) -> None:
-        (ax, ay), (bx, by), (cx, cy) = self.A, self.B, self.C
+
+class Triangle(_Triangle):
+    """Counterclockwise, non-degenerate triangle."""
+
+    __slots__ = ()
+
+    def __new__(cls, A: Point, B: Point, C: Point) -> "Triangle":
+        (ax, ay), (bx, by), (cx, cy) = A, B, C
         abx, aby, acx, acy = bx - ax, by - ay, cx - ax, cy - ay
         doubled = abx * acy - aby * acx
         longest = max(math.hypot(abx, aby), math.hypot(acx, acy), math.hypot(cx - bx, cy - by))
@@ -203,6 +219,7 @@ class Triangle:
             if doubled < 0.0:
                 raise DegenerateTriangleError("triangle must be counterclockwise")
             raise DegenerateTriangleError("degenerate triangle")
+        return tuple.__new__(cls, (A, B, C))
 
     @classmethod
     def oriented(cls, A: Point, B: Point, C: Point) -> "Triangle":
@@ -228,26 +245,31 @@ class Triangle:
         return 0.5 * (self.B - self.A).cross(self.C - self.A)
 
 
-@dataclass(frozen=True)
-class Pose:
+class _Pose(NamedTuple):
+    translation: Point
+    rotation: float
+    reflect_x: bool
+    scale: float
+
+
+class Pose(_Pose):
     """Similarity map from a local frame into the world frame.
 
     Application order: optional x-axis mirror (x -> -x), then rotation,
     then uniform scale, then translation.
     """
 
-    translation: Point = ORIGIN
-    rotation: float = 0.0
-    reflect_x: bool = False
-    scale: float = 1.0
+    # no __slots__: ``_cs`` lives in the instance dict, outside the fields
 
-    def __post_init__(self) -> None:
-        if not self.scale > 0.0 or not math.isfinite(self.scale):
+    def __new__(cls, translation: Point = ORIGIN, rotation: float = 0.0,
+                reflect_x: bool = False, scale: float = 1.0) -> "Pose":
+        if not scale > 0.0 or not math.isfinite(scale):
             raise GeometryError("pose scale must be positive and finite")
-        if not math.isfinite(self.rotation):
+        if not math.isfinite(rotation):
             raise GeometryError("pose rotation must be finite")
-        # Not a field: equality, hash and repr see only the four above.
-        object.__setattr__(self, "_cs", (math.cos(self.rotation), math.sin(self.rotation)))
+        self = tuple.__new__(cls, (translation, rotation, reflect_x, scale))
+        self._cs = (math.cos(rotation), math.sin(rotation))
+        return self
 
     @classmethod
     def identity(cls) -> "Pose":

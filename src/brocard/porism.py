@@ -14,7 +14,6 @@ the centers of the circumcircle, the inellipse and the Brocard circle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .geom import (
@@ -41,8 +40,13 @@ class ParametrizationSingularityError(GeometryError):
     pass
 
 
-@dataclass(frozen=True)
-class PorismParams:
+class _PorismParams(NamedTuple):
+    R: float
+    u: float
+    u_excess: float
+
+
+class PorismParams(_PorismParams):
     """Circumradius R and Brocard cotangent u of a porism.
 
     ``u_excess`` stores u - sqrt(3) explicitly.  Deep iterates of the
@@ -51,17 +55,16 @@ class PorismParams:
     derived quantities therefore go through the excess.
     """
 
-    R: float
-    u: float
-    u_excess: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.u_excess is None:
-            object.__setattr__(self, "u_excess", self.u - SQRT3)
-        if not (math.isfinite(self.R) and self.R >= 0.0):
+    def __new__(cls, R: float, u: float, u_excess: float | None = None) -> "PorismParams":
+        if u_excess is None:
+            u_excess = u - SQRT3
+        if not (math.isfinite(R) and R >= 0.0):
             raise DegeneratePorismError("degenerate porism")
-        if not (math.isfinite(self.u) and self.u_excess >= 0.0):
+        if not (math.isfinite(u) and u_excess >= 0.0):
             raise DegeneratePorismError("degenerate porism")
+        return tuple.__new__(cls, (R, u, u_excess))
 
     @classmethod
     def from_excess(cls, R: float, excess: float) -> "PorismParams":
@@ -82,16 +85,20 @@ class PorismParams:
         return math.atan2(1.0, self.u)
 
 
-@dataclass(frozen=True)
-class IsoscelesParams:
-    """Half-base d and height h of the isosceles member, apex up."""
-
+class _IsoscelesParams(NamedTuple):
     d: float
     h: float
 
-    def __post_init__(self) -> None:
-        if not (self.d > 0.0 and self.h > 0.0):
+
+class IsoscelesParams(_IsoscelesParams):
+    """Half-base d and height h of the isosceles member, apex up."""
+
+    __slots__ = ()
+
+    def __new__(cls, d: float, h: float) -> "IsoscelesParams":
+        if not (d > 0.0 and h > 0.0):
             raise DegeneratePorismError("degenerate porism")
+        return tuple.__new__(cls, (d, h))
 
     @property
     def zeta(self) -> float:

@@ -66,6 +66,20 @@ def step_backward(params: PorismParams) -> PorismParams:
     return PorismParams.from_excess(2.0 * pre.u * params.R / pre.gap, pre.u_excess)
 
 
+def _flip_step_sign(params: PorismParams) -> PorismParams:
+    """Deliberately broken porism step for the check suite's self test.
+
+    The cotangent map is computed with its constant term negated,
+    (u^2 - 3)/(2u) instead of (u^2 + 3)/(2u), which sends valid
+    parameters below the equilateral bound.
+    """
+    u = params.u
+    return PorismParams(params.R * params.gap / (2.0 * u), (u * u - 3.0) / (2.0 * u))
+
+
+MUTATIONS: dict[str, StepFunction] = {"flip-step-sign": _flip_step_sign}
+
+
 def _child_offset(child: PorismParams) -> Pose:
     # Child canonical frame -> parent canonical frame: drop to the parent's
     # X182 and mirror x, which realizes the Brocard-label swap.

@@ -51,3 +51,37 @@ def _same(kernel, reference, *args):
 @pytest.fixture(scope="session")
 def same_route():
     return _same
+
+
+def _value_semantics(value, text, other):
+    """``value`` keeps the repr, ``==``, ``hash`` and immutability of the
+    frozen dataclass it replaced; being a NamedTuple, it also equals, and
+    iterates as, the plain tuple of its fields."""
+    assert repr(value) == text
+    fields = tuple(getattr(value, name) for name in value._fields)
+    assert tuple(value) == fields and value == fields
+    assert hash(value) == hash(fields)
+    again = type(value)(*fields)
+    assert type(again) is type(value) and repr(again) == text
+    assert again == value and hash(again) == hash(value)
+    assert type(other) is type(value) and other != value
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+
+
+@pytest.fixture(scope="session")
+def value_semantics():
+    return _value_semantics
+
+
+def _raises_as_before(make, kind, message):
+    """``make()`` raises exactly ``kind`` with exactly ``message``."""
+    with pytest.raises(Exception) as got:
+        make()
+    assert (type(got.value), str(got.value)) == (kind, message)
+
+
+@pytest.fixture(scope="session")
+def raises_as_before():
+    return _raises_as_before

@@ -7,9 +7,9 @@ from brocard.centers import (
     EquilateralDegeneracyError,
     StandardCenters,
     TriangleMetrics,
+    _circle_on,
     _turned_sides,
     brocard_angle,
-    brocard_circle,
     brocard_concurrency_defect,
     brocard_cotangent,
     brocard_points_by_construction,
@@ -285,6 +285,29 @@ def test_standard_centers_fixture():
     assert sc.X574.dist(Point(0.0, 64.0 / 97.0)) < 1e-12
     assert sc.X15.dist(Point(0.0, 0.75 - 5.0 / (16.0 * SQRT3 + 28.0))) < 1e-12
     assert sc.X16.dist(Point(0.0, -8.0 - 5.0 * SQRT3)) < 1e-10
+
+
+def test_center_records_value_semantics(value_semantics):
+    value_semantics(
+        TriangleMetrics(1.0, 2.0, 3.0, 0.5, 4.0, 1.5),
+        "TriangleMetrics(s1=1.0, s2=2.0, s3=3.0, area=0.5, lambda_=4.0, circumradius=1.5)",
+        TriangleMetrics(1.0, 2.0, 3.0, 0.5, 4.0, 2.5),
+    )
+    names = ("X3", "X6", "X15", "X16", "X39", "X182", "X187", "X574", "omega1", "omega2")
+    points = {name: Point(float(k), -0.0) for k, name in enumerate(names)}
+    value_semantics(
+        StandardCenters(**points),
+        "StandardCenters(X3=Point(x=0.0, y=-0.0), X6=Point(x=1.0, y=-0.0), "
+        "X15=Point(x=2.0, y=-0.0), X16=Point(x=3.0, y=-0.0), X39=Point(x=4.0, y=-0.0), "
+        "X182=Point(x=5.0, y=-0.0), X187=Point(x=6.0, y=-0.0), X574=Point(x=7.0, y=-0.0), "
+        "omega1=Point(x=8.0, y=-0.0), omega2=Point(x=9.0, y=-0.0))",
+        StandardCenters(**{**points, "omega2": Point(0.0, 0.0)}),
+    )
+
+
+def brocard_circle(t):
+    """Circle on the segment X3 X6 as diameter; carries both Brocard points."""
+    return _circle_on(circumcircle(t).center, symmedian_point(t))
 
 
 def test_standard_centers_share_the_brocard_circle_exactly():

@@ -286,6 +286,27 @@ def test_import_loads_no_scipy_or_numpy():
     assert p.stdout == "[]\n"
 
 
+def test_import_loads_no_registry_and_no_dataclasses():
+    """Only ``verify`` needs the check registry and no value type is a
+    dataclass, so starting any other command loads neither."""
+    code = (
+        "import sys; before = set(sys.modules); "
+        "import brocard, brocard.cli; "
+        "print(sorted(set(sys.modules) - before)); "
+        "print(brocard.run_checks.__module__, "
+        "brocard.checks.MUTATIONS is brocard.recurrence.MUTATIONS)"
+    )
+    p = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    lines = p.stdout.splitlines()
+    assert lines and "'brocard.cli'" in lines[0], p.stderr
+    for name in ("brocard.checks", "dataclasses", "inspect"):
+        assert repr(name) not in lines[0]
+    assert p.returncode == 0, p.stderr
+    assert lines[1:] == ["brocard.checks True"]
+
+
 def test_public_names_resolve_once():
     import brocard
 

@@ -7,6 +7,8 @@ from brocard import continuous
 from brocard.continuous import (
     T_CRITICAL,
     T_MAX,
+    FamilyExtrema,
+    WebResiduals,
     _bisect,
     _circle_field_slope,
     _ellipse_field_slopes,
@@ -257,6 +259,21 @@ def test_web_orthogonality():
         assert w.point_membership_max < 1e-9
         assert w.quartic_angle_max_dev < 1e-7
         assert w.axis_parallel_max_dev < 1e-7
+
+
+def test_family_records_value_semantics(value_semantics):
+    value_semantics(
+        WebResiduals((0.0, 1.0, 2.0, 3.0), 0.5, 0.25, 0.125),
+        "WebResiduals(point_inner_products=(0.0, 1.0, 2.0, 3.0), point_membership_max=0.5, "
+        "quartic_angle_max_dev=0.25, axis_parallel_max_dev=0.125)",
+        WebResiduals((0.0, 1.0, 2.0, 3.0), 0.5, 0.25, 0.0),
+    )
+    value_semantics(
+        FamilyExtrema(0.5, 0.25, 0.75, Point(0.0, -1.0)),
+        "FamilyExtrema(t_semi_minor_max=0.5, semi_minor_max=0.25, "
+        "t_lower_vertex_min=0.75, lower_vertex_min=Point(x=0.0, y=-1.0))",
+        FamilyExtrema(0.5, 0.25, 0.75, Point(0.0, 1.0)),
+    )
 
 
 def test_family_extrema():

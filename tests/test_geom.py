@@ -66,6 +66,89 @@ def test_point_value_semantics():
     assert type(-p) is Point and -p == Point(-1.5, 2.0)
 
 
+P0, P1, Q, R = Point(0.0, 0.0), Point(1.0, 2.0), Point(1.0, 0.0), Point(0.0, 1.0)
+
+# reprs recorded when these types were frozen dataclasses
+GEOM_VALUES = [
+    (
+        Line(Point(0.0, 1.0), Point(3.0, 4.0)),
+        "Line(base=Point(x=0.0, y=1.0), direction=Point(x=0.6000000000000001, y=0.8))",
+        Line(Point(0.0, 1.0), Point(4.0, 3.0)),
+    ),
+    (Circle(P0, 1.0), "Circle(center=Point(x=0.0, y=0.0), radius=1.0)", Circle(P0, 2.0)),
+    (
+        AxisAlignedEllipse(P0, 2.0, 1.0),
+        "AxisAlignedEllipse(center=Point(x=0.0, y=0.0), semi_major=2.0, "
+        "semi_minor=1.0, major_axis=<MajorAxis.HORIZONTAL: 'horizontal'>)",
+        AxisAlignedEllipse(P0, 2.0, 1.0, MajorAxis.VERTICAL),
+    ),
+    (
+        Triangle(P0, Q, R),
+        "Triangle(A=Point(x=0.0, y=0.0), B=Point(x=1.0, y=0.0), C=Point(x=0.0, y=1.0))",
+        Triangle(P0, Q * 2.0, R),
+    ),
+    (
+        Pose(P1, 0.25, True, 2.0),
+        "Pose(translation=Point(x=1.0, y=2.0), rotation=0.25, reflect_x=True, scale=2.0)",
+        Pose(P1, 0.25, False, 2.0),
+    ),
+]
+
+
+@pytest.mark.parametrize("value, text, other", GEOM_VALUES)
+def test_geom_value_semantics(value, text, other, value_semantics):
+    value_semantics(value, text, other)
+
+
+NO_DIRECTION = "line requires a nonzero direction"
+BAD_RADIUS = "circle requires a finite radius >= 0"
+BAD_AXES = "ellipse requires semi_major >= semi_minor >= 0"
+BAD_SCALE = "pose scale must be positive and finite"
+
+
+@pytest.mark.parametrize(
+    "make, kind, message",
+    [
+        (lambda: Line(P0, P0), GeometryError, NO_DIRECTION),
+        (lambda: Line(P0, Point(math.nan, 0.0)), GeometryError, NO_DIRECTION),
+        (lambda: Circle(P0, -1.0), GeometryError, BAD_RADIUS),
+        (lambda: Circle(P0, math.inf), GeometryError, BAD_RADIUS),
+        (lambda: Circle(P0, math.nan), GeometryError, BAD_RADIUS),
+        (
+            lambda: AxisAlignedEllipse(P0, math.inf, 1.0),
+            GeometryError,
+            "ellipse semi-axes must be finite",
+        ),
+        (lambda: AxisAlignedEllipse(P0, 1.0, 2.0), GeometryError, BAD_AXES),
+        (lambda: AxisAlignedEllipse(P0, 1.0, -1.0), GeometryError, BAD_AXES),
+        (lambda: Triangle(P0, R, Q), DegenerateTriangleError, "triangle must be counterclockwise"),
+        (lambda: Triangle(P0, Q, Q * 2.0), DegenerateTriangleError, "degenerate triangle"),
+        (lambda: Pose(scale=0.0), GeometryError, BAD_SCALE),
+        (lambda: Pose(rotation=math.nan), GeometryError, "pose rotation must be finite"),
+        # scale is checked before rotation
+        (lambda: Pose(rotation=math.inf, scale=-1.0), GeometryError, BAD_SCALE),
+    ],
+)
+def test_geom_constructors_raise_as_before(make, kind, message, raises_as_before):
+    raises_as_before(make, kind, message)
+
+
+def test_geom_keywords_and_defaults():
+    assert Pose(rotation=0.5) == Pose(Point(0.0, 0.0), 0.5, False, 1.0)
+    assert Pose.identity() == (Point(0.0, 0.0), 0.0, False, 1.0)
+    assert AxisAlignedEllipse(P1, 2.0, 1.0).major_axis is MajorAxis.HORIZONTAL
+    assert AxisAlignedEllipse(
+        center=P1, semi_major=2.0, semi_minor=1.0, major_axis=MajorAxis.VERTICAL
+    ) == (P1, 2.0, 1.0, MajorAxis.VERTICAL)
+    assert Circle(center=P1, radius=1.0) == Circle(P1, 1.0)
+    assert Line(base=P1, direction=Point(0.0, 2.0)).direction == Point(0.0, 1.0)
+    assert Triangle(A=P0, B=Q, C=R) == (P0, Q, R)
+    # the cos/sin pair is kept outside the four fields
+    pose = Pose(rotation=0.5)
+    assert pose._cs == (math.cos(0.5), math.sin(0.5))
+    assert len(pose) == 4 and pose._fields == ("translation", "rotation", "reflect_x", "scale")
+
+
 def test_rotated_quarter_turn():
     p = Point(1.0, 0.0).rotated(0.5 * math.pi)
     assert abs(p.x) < 1e-16

@@ -75,6 +75,45 @@ def test_iso_params_validation():
     assert abs(IsoscelesParams(1.0, 2.0).zeta - 5.0) < 1e-16
 
 
+@pytest.mark.parametrize(
+    "value, text, other",
+    [
+        (
+            PorismParams(1.0, 2.0),
+            "PorismParams(R=1.0, u=2.0, u_excess=0.2679491924311228)",
+            PorismParams(1.0, 2.0, 0.25),
+        ),
+        (IsoscelesParams(1.0, 2.0), "IsoscelesParams(d=1.0, h=2.0)", IsoscelesParams(2.0, 1.0)),
+    ],
+)
+def test_params_value_semantics(value, text, other, value_semantics):
+    value_semantics(value, text, other)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PorismParams(1.0, 1.0),
+        lambda: PorismParams(-1.0, 2.0),
+        lambda: PorismParams(math.nan, 1.0),
+        lambda: PorismParams(1.0, math.inf),
+        lambda: PorismParams(1.0, 2.0, -0.1),
+        lambda: IsoscelesParams(0.0, 1.0),
+        lambda: IsoscelesParams(1.0, -1.0),
+        lambda: IsoscelesParams(math.nan, 1.0),
+    ],
+)
+def test_params_raise_as_before(make, raises_as_before):
+    raises_as_before(make, DegeneratePorismError, "degenerate porism")
+
+
+def test_params_keywords_and_defaults():
+    # the excess defaults to u - sqrt(3)
+    assert PorismParams(1.25, 1.75) == (1.25, 1.75, 1.75 - SQRT3)
+    assert PorismParams(R=1.25, u=1.75, u_excess=0.0).u_excess == 0.0
+    assert IsoscelesParams(d=1.0, h=2.0) == FIX_ISO == (1.0, 2.0)
+
+
 def test_fixture_scene_frozen_values():
     s = scene_from_Ru(FIX_PARAMS)
     assert s.circumcircle.center.dist(Point(0.0, 0.0)) == 0.0
@@ -400,9 +439,7 @@ def test_closure_residuals_are_bit_exact(posed_members, same_route):
         same_route(closure_residuals, _reference_closure_residuals, scene, tri)
     # a side with no direction, on a stand-in that skips the Triangle check
     scene, tri = posed_members[0]
-    pinched = object.__new__(Triangle)
-    for name, v in zip("ABC", (tri.A, tri.A, tri.C)):
-        object.__setattr__(pinched, name, v)
+    pinched = tuple.__new__(Triangle, (tri.A, tri.A, tri.C))
     with pytest.raises(GeometryError, match="line requires a nonzero direction"):
         closure_residuals(scene, pinched)
     same_route(closure_residuals, _reference_closure_residuals, scene, pinched)

@@ -138,18 +138,6 @@ def brocard_points_by_construction(t: Triangle) -> tuple[Point, Point]:
     return first, second
 
 
-def brocard_concurrency_defect(t: Triangle) -> float:
-    """Largest pairwise spread among the three rotated lines, both points."""
-    (_, d1), (_, d2) = _brocard_construction(t, brocard_angle(t))
-    return max(d1, d2)
-
-
-def symmedian_point(t: Triangle) -> Point:
-    """X6, the barycentric mean of the vertices weighted s1^2 : s2^2 : s3^2."""
-    s1, s2, s3, _ = _measure(t)
-    return _symmedian(t, s1, s2, s3)
-
-
 def _symmedian(t: Triangle, s1: float, s2: float, s3: float) -> Point:
     w1, w2, w3 = s1 * s1, s2 * s2, s3 * s3
     total = w1 + w2 + w3

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .centers import (
-    brocard_concurrency_defect,
+    _brocard_construction,
+    brocard_angle,
     brocard_cotangent,
     brocard_points_by_construction,
     metrics,
@@ -42,7 +43,6 @@ from .centers import (
 from .continuous import (
     T_CRITICAL,
     T_MAX,
-    beltrami_midpoint_check,
     brocard_circle_Kt,
     bt_scene,
     ellipse_Et,
@@ -53,7 +53,6 @@ from .continuous import (
     foci_on_arcs_check,
     gamma_nesting_residual,
     kt_inellipse_intersection_check,
-    nesting_residual,
     t_from_u,
     u_from_t,
     web_orthogonality_residuals,
@@ -61,15 +60,16 @@ from .continuous import (
 from .geom import (
     AxisAlignedEllipse,
     Circle,
+    GeometryError,
     Line,
     MajorAxis,
     Point,
     Pose,
     Triangle,
     circumcircle,
-    ellipse_foci,
     ellipse_line_tangency_residual,
     invert_in_circle,
+    midpoint,
     project_onto_line,
     worst,
 )
@@ -81,9 +81,7 @@ from .porism import (
     PorismScene,
     Ru_from_dh,
     SQRT3,
-    conic_to_ellipse,
     dh_from_Ru,
-    isosceles_scene,
     scene_from_Ru,
     scene_member,
     closure_residuals,
@@ -289,6 +287,12 @@ def _check_circumcircle_cyclic(ctx: _Context) -> Samples:
 # Brocard-point construction group
 
 
+def brocard_concurrency_defect(t: Triangle) -> float:
+    """Largest pairwise spread among the three rotated lines, both points."""
+    (_, d1), (_, d2) = _brocard_construction(t, brocard_angle(t))
+    return max(d1, d2)
+
+
 @check("def1.concurrency", "scene",
        "the three rotated sides meet at one point for both rotation senses")
 def _check_concurrency(ctx: _Context) -> Samples:
@@ -410,6 +414,35 @@ def _check_fixture_scene(ctx: _Context) -> Samples:
         (scene.brocard_circle.radius, 5.0 / 56.0),
     )
     yield [abs(got - want) for got, want in expected]
+
+
+def isosceles_scene(
+    iso: IsoscelesParams,
+) -> tuple[Triangle, Circle, tuple[float, float, float, float, float, float]]:
+    """Isosceles member, its circumcircle, and the implicit conic of the
+    inellipse as (A, B, C, D, E, F) for Ax^2 + Bxy + Cy^2 + Dx + Ey + F = 0.
+
+    The conic coefficients exist for verification; scenes represent the
+    inellipse through :class:`AxisAlignedEllipse`.
+    """
+    d, h, zeta = iso.d, iso.h, iso.zeta
+    base_y = (d * d - h * h) / (2.0 * h)
+    tri = Triangle(
+        Point(-d, base_y),
+        Point(d, base_y),
+        Point(0.0, zeta / (2.0 * h)),
+    )
+    circ = Circle(Point(0.0, 0.0), zeta / (2.0 * h))
+    d2, h2 = d * d, h * h
+    coeffs = (
+        -64.0 * d2 * h2 * h2,
+        0.0,
+        -4.0 * h2 * (9.0 * d2 + h2) * zeta,
+        0.0,
+        4.0 * h * (3.0 * d2 + h2) * (3.0 * d2 - h2) * zeta,
+        -(d2 - h2) * (9.0 * d2 - h2) * zeta * zeta,
+    )
+    return tri, circ, coeffs
 
 
 @check("fixture.inversion_routes", 1e-11,
@@ -740,6 +773,27 @@ def _check_chart_roundtrip(ctx: _Context) -> Samples:
         )
 
 
+def conic_to_ellipse(
+    coeffs: tuple[float, float, float, float, float, float]
+) -> AxisAlignedEllipse:
+    """Axis-aligned ellipse of an implicit conic with no cross term."""
+    A, B, C, D, E, F = coeffs
+    if B != 0.0:
+        raise GeometryError("conic has a cross term")
+    if A * C <= 0.0:
+        raise GeometryError("conic is not an ellipse")
+    cx = -D / (2.0 * A)
+    cy = -E / (2.0 * C)
+    k = A * cx * cx + C * cy * cy - F
+    if k / A <= 0.0:
+        raise GeometryError("conic is empty")
+    ax = math.sqrt(k / A)
+    ay = math.sqrt(k / C)
+    if ax >= ay:
+        return AxisAlignedEllipse(Point(cx, cy), ax, ay, MajorAxis.HORIZONTAL)
+    return AxisAlignedEllipse(Point(cx, cy), ay, ax, MajorAxis.VERTICAL)
+
+
 @check("prop11.conic_match", 1e-10,
        "the implicit conic of the isosceles chart is the scene inellipse")
 def _check_conic_match(ctx: _Context) -> Samples:
@@ -753,6 +807,15 @@ def _check_conic_match(ctx: _Context) -> Samples:
             abs(from_conic.semi_major - scene.inellipse.semi_major),
             abs(from_conic.semi_minor - scene.inellipse.semi_minor),
         )
+
+
+def ellipse_foci(e: AxisAlignedEllipse) -> tuple[Point, Point]:
+    c = math.sqrt(max(0.0, (e.semi_major - e.semi_minor) * (e.semi_major + e.semi_minor)))
+    if e.major_axis is MajorAxis.HORIZONTAL:
+        off = Point(c, 0.0)
+    else:
+        off = Point(0.0, c)
+    return (e.center - off, e.center + off)
 
 
 @check("prop12.foci_printed", 1e-11,
@@ -916,6 +979,23 @@ def _check_envelope_endpoint(ctx: _Context) -> Samples:
     yield [p.dist(bottom) for p in envelope_points(T_CRITICAL)]
 
 
+def nesting_residual(t_small_circle: float, t_big_circle: float) -> float:
+    """Slack of the Brocard circle at the later parameter inside the earlier.
+
+    Pre: 0 < t_big_circle < t_small_circle <= pi/3.  Nonnegative up to
+    rounding exactly when K at the later parameter nests inside K at the
+    earlier one.
+    """
+    if not 0.0 < t_big_circle < t_small_circle <= T_MAX + 1e-15:
+        raise GeometryError("t outside range")
+    inner = brocard_circle_Kt(t_small_circle) if t_small_circle < T_MAX else None
+    if inner is None:
+        # K at pi/3 is the point X15.
+        inner = Circle(Point(0.0, -SQRT3 / 2.0), 0.0)
+    outer = brocard_circle_Kt(t_big_circle)
+    return outer.radius - (inner.center.dist(outer.center) + inner.radius)
+
+
 @check("cor11.brocard_nesting", 1e-12,
        "family Brocard circles nest monotonically in the parameter")
 def _check_k_nesting(ctx: _Context) -> Samples:
@@ -998,6 +1078,16 @@ def _check_quartic_orthogonality(ctx: _Context) -> Samples:
 def _check_axis_parallel(ctx: _Context) -> Samples:
     web = web_orthogonality_residuals(0.7, samples=_web_samples(ctx))
     yield (web.axis_parallel_max_dev,)
+
+
+def beltrami_midpoint_check(t: float) -> float:
+    """Distance from the circumcircle inverse of X6 to the Beltrami midpoint.
+
+    Both should be the origin for every member of the family.
+    """
+    scene = bt_scene(t)
+    image = invert_in_circle(scene.circumcircle, scene.X6)
+    return image.dist(midpoint(scene.beltrami_P2, scene.beltrami_U2))
 
 
 @check("rem5.inversion_midpoint", "scene",

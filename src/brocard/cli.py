@@ -16,33 +16,19 @@ codes: 0 success, 1 a check or figure residual failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
-from .centers import brocard_angle
-from .continuous import (
-    T_CRITICAL,
-    T_MAX,
-    _envelope_contact,
-    brocard_circle_Kt,
-    ellipse_Et,
-)
+# each command imports the layers it runs in its handler, so it loads
+# only those; the parser reads the figure table and the mutant names
 from .figures import FIGURES, FigureCheckError, render_figure
-from .geom import GeometryError, worst
-from .porism import (
-    IsoscelesParams,
-    ParametrizationSingularityError,
-    PorismParams,
-    PorismScene,
-    Ru_from_dh,
-    closure_residuals,
-    scene_from_Ru,
-    vertices_at,
-)
-from .recurrence import MUTATIONS, Direction, orbit_scenes, step_forward
+from .geom import GeometryError
+from .recurrence import MUTATIONS
+
+if TYPE_CHECKING:
+    from .porism import PorismScene
 
 
 def _value_str(v: object) -> str:
@@ -54,6 +40,8 @@ def _value_str(v: object) -> str:
 
 
 def _render_csv(columns: list[str], rows: list[dict]) -> str:
+    import csv
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\r\n")
     w.writerow(columns)
@@ -69,6 +57,8 @@ def _json_value(v: object) -> object:
 
 
 def _render_jsonl(columns: list[str], rows: list[dict]) -> str:
+    import json
+
     out = []
     for row in rows:
         out.append(
@@ -106,6 +96,7 @@ def _emit_table(
 def _cmd_verify(args: argparse.Namespace) -> int:
     # only verify needs the registry; importing it before dataclasses peaks lower
     from .checks import CheckReport, UnknownCheckFilterError, run_checks
+    from .recurrence import step_forward
     from dataclasses import asdict, fields
 
     step = MUTATIONS[args.mutate] if args.mutate else step_forward
@@ -177,6 +168,9 @@ def _orbit_row(generation: int, scene: PorismScene) -> dict:
 
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
+    from .porism import PorismParams, scene_from_Ru
+    from .recurrence import Direction, orbit_scenes
+
     if args.steps < 0:
         print("error: --steps must be >= 0", file=sys.stderr)
         return 2
@@ -211,6 +205,17 @@ _FAMILY_COLUMNS = [
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
+    from .centers import brocard_angle
+    from .geom import worst
+    from .porism import (
+        IsoscelesParams,
+        ParametrizationSingularityError,
+        Ru_from_dh,
+        closure_residuals,
+        scene_from_Ru,
+        vertices_at,
+    )
+
     iso = IsoscelesParams(args.d, args.h)
     scene = scene_from_Ru(Ru_from_dh(iso))
     rows = []
@@ -260,6 +265,13 @@ _CONTINUOUS_COLUMNS = [
 
 
 def _continuous_row(t: float) -> dict:
+    from .continuous import (
+        T_CRITICAL,
+        _envelope_contact,
+        brocard_circle_Kt,
+        ellipse_Et,
+    )
+
     c, s = math.cos(t), math.sin(t)
     e = ellipse_Et(t)
     k = brocard_circle_Kt(t)
@@ -286,10 +298,13 @@ def _continuous_row(t: float) -> dict:
 
 
 def _cmd_continuous(args: argparse.Namespace) -> int:
-    t_min, t_max = args.t_min, args.t_max
+    from .continuous import T_CRITICAL, T_MAX
+
+    t_min = args.t_min
+    t_max = T_MAX if args.t_max is None else args.t_max
     if args.degrees:
         t_min, t_max = math.radians(t_min), math.radians(t_max)
-    if not (0.0 < t_min < t_max <= T_MAX + 1e-15):
+    if not (0.0 < t_min < t_max <= T_MAX):
         print("error: need 0 < t_min < t_max <= pi/3", file=sys.stderr)
         return 2
     n = args.samples
@@ -314,6 +329,8 @@ def _cmd_continuous(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from .porism import IsoscelesParams
+
     if args.format not in (None, "svg"):
         print("error: figures are svg only", file=sys.stderr)
         return 2
@@ -435,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "also includes acos(3/4) and acos(3/5) when they fall inside",
     )
     p.add_argument("--t-min", type=float, default=0.1, dest="t_min")
-    p.add_argument("--t-max", type=float, default=T_MAX, dest="t_max")
+    p.add_argument("--t-max", type=float, default=None, dest="t_max")  # None: T_MAX
     _common_flags(p, top=False)
     p.set_defaults(fn=_cmd_continuous)
 

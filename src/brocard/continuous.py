@@ -25,8 +25,6 @@ from .geom import (
     MajorAxis,
     Point,
     Pose,
-    invert_in_circle,
-    midpoint,
     worst,
 )
 from .porism import PorismParams, PorismScene, SQRT3, scene_from_Ru
@@ -160,23 +158,6 @@ def envelope_residual(t: float) -> float:
     )
 
 
-def nesting_residual(t_small_circle: float, t_big_circle: float) -> float:
-    """Slack of the Brocard circle at the later parameter inside the earlier.
-
-    Pre: 0 < t_big_circle < t_small_circle <= pi/3.  Nonnegative up to
-    rounding exactly when K at the later parameter nests inside K at the
-    earlier one.
-    """
-    if not 0.0 < t_big_circle < t_small_circle <= T_MAX + 1e-15:
-        raise GeometryError("t outside range")
-    inner = brocard_circle_Kt(t_small_circle) if t_small_circle < T_MAX else None
-    if inner is None:
-        # K at pi/3 is the point X15.
-        inner = Circle(Point(0.0, -SQRT3 / 2.0), 0.0)
-    outer = brocard_circle_Kt(t_big_circle)
-    return outer.radius - (inner.center.dist(outer.center) + inner.radius)
-
-
 def gamma_nesting_residual(t_small_circle: float, t_big_circle: float) -> float:
     """Same slack for the circumcircles, which also nest toward X15."""
     if not 0.0 < t_big_circle < t_small_circle < T_MAX:
@@ -203,16 +184,6 @@ def foci_on_arcs_check(t: float) -> tuple[float, float]:
         abs(f1.dist(_ARC_CENTERS[0]) - 1.0),
         abs(f2.dist(_ARC_CENTERS[1]) - 1.0),
     )
-
-
-def beltrami_midpoint_check(t: float) -> float:
-    """Distance from the circumcircle inverse of X6 to the Beltrami midpoint.
-
-    Both should be the origin for every member of the family.
-    """
-    scene = bt_scene(t)
-    image = invert_in_circle(scene.circumcircle, scene.X6)
-    return image.dist(midpoint(scene.beltrami_P2, scene.beltrami_U2))
 
 
 def kt_inellipse_intersection_check(t: float) -> float:

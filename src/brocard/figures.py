@@ -12,20 +12,8 @@ from __future__ import annotations
 
 import math
 
-from .centers import brocard_cotangent, second_brocard_triangle
-from .continuous import (
-    T_CRITICAL,
-    T_MAX,
-    brocard_circle_Kt,
-    bt_scene,
-    ellipse_Et,
-    envelope_points,
-    envelope_residual,
-    foci_on_arcs_check,
-    gamma_nesting_residual,
-    kt_inellipse_intersection_check,
-    quartic_y,
-)
+# the porism layer is shared by every figure; each figure imports the
+# other layers it draws in its body, so rendering one loads only those
 from .geom import AxisAlignedEllipse, Circle, GeometryError, Point, worst
 from .porism import (
     FIXTURE,
@@ -35,13 +23,6 @@ from .porism import (
     closure_residuals,
     scene_from_Ru,
     scene_member,
-)
-from .recurrence import (
-    alternating_brocard_sequence,
-    beltrami_orthogonality,
-    brocard_nesting,
-    orbit_scenes,
-    step_forward,
 )
 
 _STYLE = """\
@@ -175,6 +156,9 @@ _MEMBER_T = 0.85  # generic member parameter, clear of all symmetry axes
 
 def fig_member(iso: IsoscelesParams) -> str:
     """One porism member with its inellipse, Brocard circle, and derived triangle."""
+    from .centers import brocard_cotangent, second_brocard_triangle
+    from .recurrence import step_forward
+
     scene = scene_from_Ru(Ru_from_dh(iso))
     tri = scene_member(scene, _MEMBER_T)
     derived = second_brocard_triangle(tri)
@@ -213,6 +197,8 @@ def fig_member(iso: IsoscelesParams) -> str:
 
 def fig_cascade_triangles(iso: IsoscelesParams) -> str:
     """Three generations of member triangles with the two Beltrami arcs."""
+    from .recurrence import alternating_brocard_sequence, orbit_scenes
+
     root = scene_from_Ru(Ru_from_dh(iso))
     scenes = orbit_scenes(root, 2)
     first, second = alternating_brocard_sequence(root, 3)
@@ -243,6 +229,8 @@ def fig_cascade_triangles(iso: IsoscelesParams) -> str:
 
 def fig_cascade_circles(iso: IsoscelesParams) -> str:
     """Nested Brocard circles of successive generations, with the arcs."""
+    from .recurrence import beltrami_orthogonality, brocard_nesting, orbit_scenes
+
     root = scene_from_Ru(Ru_from_dh(iso))
     scenes = orbit_scenes(root, 4)
     R = root.params.R
@@ -269,6 +257,14 @@ _FAMILY_TS = (0.35, 0.55, 0.75, 0.95)
 
 def fig_family() -> str:
     """Member ellipses and nested circumcircles of the continuous family."""
+    from .continuous import (
+        T_MAX,
+        bt_scene,
+        ellipse_Et,
+        foci_on_arcs_check,
+        gamma_nesting_residual,
+    )
+
     for t in _FAMILY_TS:
         _require(worst(foci_on_arcs_check(t)), 1e-10, "foci on arcs")
     for earlier, later in zip(_FAMILY_TS, _FAMILY_TS[1:]):
@@ -301,6 +297,16 @@ _ENVELOPE_TS = (0.45, 0.65, 0.85)
 
 def fig_envelope() -> str:
     """The fixed envelope, the orthogonality quartic, and the critical tangency."""
+    from .continuous import (
+        T_CRITICAL,
+        brocard_circle_Kt,
+        ellipse_Et,
+        envelope_points,
+        envelope_residual,
+        kt_inellipse_intersection_check,
+        quartic_y,
+    )
+
     for t in _ENVELOPE_TS:
         _require(envelope_residual(t), 1e-10, "envelope contact")
     _require(

@@ -73,6 +73,17 @@ class Point(NamedTuple):
 ORIGIN = Point(0.0, 0.0)
 
 
+class Validating:
+    """Base of the value types that validate in ``__new__``: ``_make``, and
+    so ``_replace``, builds through that ``__new__``, not ``tuple.__new__``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 def midpoint(p: Point, q: Point) -> Point:
     return Point(0.5 * (p.x + q.x), 0.5 * (p.y + q.y))
 
@@ -95,7 +106,7 @@ class _Line(NamedTuple):
     direction: Point
 
 
-class Line(_Line):
+class Line(Validating, _Line):
     """Line through ``base`` with unit ``direction``.
 
     The constructor normalizes the direction and rejects zero vectors.
@@ -129,7 +140,7 @@ class _Circle(NamedTuple):
     radius: float
 
 
-class Circle(_Circle):
+class Circle(Validating, _Circle):
     __slots__ = ()
 
     def __new__(cls, center: Point, radius: float) -> "Circle":
@@ -163,7 +174,7 @@ class _AxisAlignedEllipse(NamedTuple):
     major_axis: MajorAxis
 
 
-class AxisAlignedEllipse(_AxisAlignedEllipse):
+class AxisAlignedEllipse(Validating, _AxisAlignedEllipse):
     """Ellipse with axes parallel to the coordinate axes.
 
     ``semi_major >= semi_minor >= 0``; equal axes give a circle and a zero
@@ -205,7 +216,7 @@ class _Triangle(NamedTuple):
     C: Point
 
 
-class Triangle(_Triangle):
+class Triangle(Validating, _Triangle):
     """Counterclockwise, non-degenerate triangle."""
 
     __slots__ = ()
@@ -252,7 +263,7 @@ class _Pose(NamedTuple):
     scale: float
 
 
-class Pose(_Pose):
+class Pose(Validating, _Pose):
     """Similarity map from a local frame into the world frame.
 
     Application order: optional x-axis mirror (x -> -x), then rotation,
@@ -403,12 +414,3 @@ def ellipse_line_tangency_residual(e: AxisAlignedEllipse, l: Line) -> float:
     offset = n.dot(l.base - e.center)
     support = math.hypot(ax * n.x, ay * n.y)
     return abs(support - abs(offset))
-
-
-def ellipse_foci(e: AxisAlignedEllipse) -> tuple[Point, Point]:
-    c = math.sqrt(max(0.0, (e.semi_major - e.semi_minor) * (e.semi_major + e.semi_minor)))
-    if e.major_axis is MajorAxis.HORIZONTAL:
-        off = Point(c, 0.0)
-    else:
-        off = Point(0.0, c)
-    return (e.center - off, e.center + off)

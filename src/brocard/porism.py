@@ -24,6 +24,7 @@ from .geom import (
     Point,
     Pose,
     Triangle,
+    Validating,
     check_radius,
     check_semi_axes,
     line_direction,
@@ -46,7 +47,7 @@ class _PorismParams(NamedTuple):
     u_excess: float
 
 
-class PorismParams(_PorismParams):
+class PorismParams(Validating, _PorismParams):
     """Circumradius R and Brocard cotangent u of a porism.
 
     ``u_excess`` stores u - sqrt(3) explicitly.  Deep iterates of the
@@ -62,7 +63,10 @@ class PorismParams(_PorismParams):
             u_excess = u - SQRT3
         if not (math.isfinite(R) and R >= 0.0):
             raise DegeneratePorismError("degenerate porism")
-        if not (math.isfinite(u) and u_excess >= 0.0):
+        # an explicit excess may come with a u rounded an ulp or two below
+        # sqrt(3) (the charts near the equilateral shape); farther below
+        # there is no porism
+        if not (math.isfinite(u) and u_excess >= 0.0 and u > SQRT3 - 1e-15):
             raise DegeneratePorismError("degenerate porism")
         return tuple.__new__(cls, (R, u, u_excess))
 
@@ -90,7 +94,7 @@ class _IsoscelesParams(NamedTuple):
     h: float
 
 
-class IsoscelesParams(_IsoscelesParams):
+class IsoscelesParams(Validating, _IsoscelesParams):
     """Half-base d and height h of the isosceles member, apex up."""
 
     __slots__ = ()
@@ -262,56 +266,6 @@ def Ru_from_dh(iso: IsoscelesParams) -> PorismParams:
     # 3d^2 + h^2 - 2 sqrt3 d h = (sqrt3 d - h)^2, so the excess is exact.
     t = SQRT3 * d - h
     return PorismParams(iso.zeta / (2.0 * h), u, t * t / dh2)
-
-
-def isosceles_scene(
-    iso: IsoscelesParams,
-) -> tuple[Triangle, Circle, tuple[float, float, float, float, float, float]]:
-    """Isosceles member, its circumcircle, and the implicit conic of the
-    inellipse as (A, B, C, D, E, F) for Ax^2 + Bxy + Cy^2 + Dx + Ey + F = 0.
-
-    The conic coefficients exist for verification; scenes represent the
-    inellipse through :class:`AxisAlignedEllipse`.
-    """
-    d, h, zeta = iso.d, iso.h, iso.zeta
-    base_y = (d * d - h * h) / (2.0 * h)
-    tri = Triangle(
-        Point(-d, base_y),
-        Point(d, base_y),
-        Point(0.0, zeta / (2.0 * h)),
-    )
-    circ = Circle(Point(0.0, 0.0), zeta / (2.0 * h))
-    d2, h2 = d * d, h * h
-    coeffs = (
-        -64.0 * d2 * h2 * h2,
-        0.0,
-        -4.0 * h2 * (9.0 * d2 + h2) * zeta,
-        0.0,
-        4.0 * h * (3.0 * d2 + h2) * (3.0 * d2 - h2) * zeta,
-        -(d2 - h2) * (9.0 * d2 - h2) * zeta * zeta,
-    )
-    return tri, circ, coeffs
-
-
-def conic_to_ellipse(
-    coeffs: tuple[float, float, float, float, float, float]
-) -> AxisAlignedEllipse:
-    """Axis-aligned ellipse of an implicit conic with no cross term."""
-    A, B, C, D, E, F = coeffs
-    if B != 0.0:
-        raise GeometryError("conic has a cross term")
-    if A * C <= 0.0:
-        raise GeometryError("conic is not an ellipse")
-    cx = -D / (2.0 * A)
-    cy = -E / (2.0 * C)
-    k = A * cx * cx + C * cy * cy - F
-    if k / A <= 0.0:
-        raise GeometryError("conic is empty")
-    ax = math.sqrt(k / A)
-    ay = math.sqrt(k / C)
-    if ax >= ay:
-        return AxisAlignedEllipse(Point(cx, cy), ax, ay, MajorAxis.HORIZONTAL)
-    return AxisAlignedEllipse(Point(cx, cy), ay, ax, MajorAxis.VERTICAL)
 
 
 def vertices_at(iso: IsoscelesParams, t: float) -> Triangle:

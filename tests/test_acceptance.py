@@ -16,15 +16,19 @@ import subprocess
 import sys
 
 from brocard.centers import (
-    brocard_concurrency_defect,
     brocard_cotangent,
     brocard_points_by_construction,
     standard_centers,
 )
+from brocard.checks import (
+    beltrami_midpoint_check,
+    brocard_concurrency_defect,
+    ellipse_foci,
+    nesting_residual,
+)
 from brocard.continuous import (
     T_CRITICAL,
     T_MAX,
-    beltrami_midpoint_check,
     brocard_circle_Kt,
     bt_scene,
     ellipse_Et,
@@ -33,7 +37,6 @@ from brocard.continuous import (
     family_extrema,
     foci_on_arcs_check,
     gamma_nesting_residual,
-    nesting_residual,
     u_from_t,
     web_orthogonality_residuals,
 )
@@ -41,7 +44,6 @@ from brocard.geom import (
     Point,
     circles_orthogonality_residual,
     circumcircle,
-    ellipse_foci,
 )
 from brocard.porism import (
     IsoscelesParams,

@@ -8,16 +8,17 @@ from brocard.centers import (
     StandardCenters,
     TriangleMetrics,
     _circle_on,
+    _measure,
+    _symmedian,
     _turned_sides,
     brocard_angle,
-    brocard_concurrency_defect,
     brocard_cotangent,
     brocard_points_by_construction,
     metrics,
     second_brocard_triangle,
     standard_centers,
-    symmedian_point,
 )
+from brocard.checks import brocard_concurrency_defect
 from brocard.geom import (
     Circle,
     GeometryError,
@@ -303,6 +304,13 @@ def test_center_records_value_semantics(value_semantics):
         "omega1=Point(x=8.0, y=-0.0), omega2=Point(x=9.0, y=-0.0))",
         StandardCenters(**{**points, "omega2": Point(0.0, 0.0)}),
     )
+
+
+def symmedian_point(t):
+    """X6, the barycentric mean of the vertices weighted s1^2 : s2^2 : s3^2,
+    through the kernel ``standard_centers`` uses."""
+    s1, s2, s3, _ = _measure(t)
+    return _symmedian(t, s1, s2, s3)
 
 
 def brocard_circle(t):

@@ -286,25 +286,61 @@ def test_import_loads_no_scipy_or_numpy():
     assert p.stdout == "[]\n"
 
 
+# One fresh interpreter per command: runs ``brocard.cli.main`` on the
+# arguments as ``python -m brocard`` would, then prints, as its last
+# stderr line, the modules the run loaded beyond the interpreter's own.
+_FOOTPRINT = (
+    "import sys; before = set(sys.modules); import brocard\n"
+    "if sys.argv[1:]: from brocard.cli import main\n"
+    "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)\n"
+    "sys.exit(code)"
+)
+
+
 def test_import_loads_no_registry_and_no_dataclasses():
-    """Only ``verify`` needs the check registry and no value type is a
-    dataclass, so starting any other command loads neither."""
+    """Each command loads only the layers it runs: only ``verify`` loads
+    the check registry and ``dataclasses``, and ``import brocard`` alone
+    loads no submodule."""
+    commands = {
+        "import": [],
+        "verify": ["verify", "--samples", "5"],
+        "orbit": ["orbit", "--R0", "1", "--u0", "3"],
+        "family": ["family", "--samples", "8"],
+        "continuous": ["continuous", "--samples", "8"],
+        **{name: ["figure", name] for name in ("fig2", "fig4", "fig5", "fig6", "fig7")},
+    }
+    loaded = {}
+    for name, argv in commands.items():
+        p = subprocess.run(
+            [sys.executable, "-c", _FOOTPRINT, *argv],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert p.returncode == 0, (name, p.stderr)
+        loaded[name] = set(p.stderr.splitlines()[-1].split())
+    assert {m for m in loaded["import"] if m.startswith("brocard")} == {"brocard"}
+    assert not loaded["orbit"] & {"brocard.centers", "brocard.continuous", "brocard.checks"}
+    assert not loaded["fig6"] & {"brocard.centers", "brocard.checks"}
+    for name, modules in loaded.items():
+        registry = modules & {"brocard.checks", "dataclasses", "inspect"}
+        assert bool(registry) == (name == "verify"), (name, registry)
+        if name.startswith("fig"):
+            assert not modules & {"json", "csv"}, name
+
+    # lazy names still resolve: star import, dir, and submodule attributes
     code = (
-        "import sys; before = set(sys.modules); "
-        "import brocard, brocard.cli; "
-        "print(sorted(set(sys.modules) - before)); "
-        "print(brocard.run_checks.__module__, "
-        "brocard.checks.MUTATIONS is brocard.recurrence.MUTATIONS)"
+        "import brocard; "
+        "print(brocard.porism.scene_from_Ru.__module__, brocard.run_checks.__module__, "
+        "brocard.checks.MUTATIONS is brocard.recurrence.MUTATIONS, "
+        "set(brocard.__all__) <= set(dir(brocard))); "
+        "ns = {}; exec('from brocard import *', ns); "
+        "print(sorted(n for n in ns if not n.startswith('__')) == brocard.__all__)"
     )
     p = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
-    lines = p.stdout.splitlines()
-    assert lines and "'brocard.cli'" in lines[0], p.stderr
-    for name in ("brocard.checks", "dataclasses", "inspect"):
-        assert repr(name) not in lines[0]
     assert p.returncode == 0, p.stderr
-    assert lines[1:] == ["brocard.checks True"]
+    assert p.stdout.splitlines() == ["brocard.porism brocard.checks True True", "True"]
 
 
 def test_public_names_resolve_once():

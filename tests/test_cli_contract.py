@@ -67,10 +67,16 @@ def test_continuous_every_sample_count_exits_zero():
 
 
 def test_continuous_past_pi_over_3_exits_two_with_one_line():
-    code, out, err = run_cli(["continuous", "--t-max", "1.0471975511965979"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    # one ulp past pi/3, in radians and in degrees: a usage error, caught
+    # before any row is computed
+    for argv in (
+        ["continuous", "--t-max", "1.0471975511965979"],
+        ["continuous", "--degrees", "--t-max", "60.00000000000001"],
+    ):
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: need 0 < t_min < t_max <= pi/3\n"
 
 
 def test_domain_and_output_errors_exit_two_with_one_line(tmp_path):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from brocard import continuous
+from brocard.checks import beltrami_midpoint_check, nesting_residual
 from brocard.continuous import (
     T_CRITICAL,
     T_MAX,
@@ -12,7 +13,6 @@ from brocard.continuous import (
     _bisect,
     _circle_field_slope,
     _ellipse_field_slopes,
-    beltrami_midpoint_check,
     brocard_circle_Kt,
     bt_scene,
     ellipse_Et,
@@ -23,7 +23,6 @@ from brocard.continuous import (
     gamma_nesting_residual,
     kt_inellipse_intersection_check,
     lower_vertex_y,
-    nesting_residual,
     quartic_y,
     semi_minor,
     t_from_u,

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from brocard.checks import ellipse_foci
 from brocard.geom import (
     AxisAlignedEllipse,
     Circle,
@@ -16,7 +17,6 @@ from brocard.geom import (
     Triangle,
     circles_orthogonality_residual,
     circumcircle,
-    ellipse_foci,
     ellipse_line_tangency_residual,
     invert_in_circle,
     line_line_intersection,
@@ -127,10 +127,40 @@ BAD_SCALE = "pose scale must be positive and finite"
         (lambda: Pose(rotation=math.nan), GeometryError, "pose rotation must be finite"),
         # scale is checked before rotation
         (lambda: Pose(rotation=math.inf, scale=-1.0), GeometryError, BAD_SCALE),
+        # _make, and _replace through it, build through the same checks
+        pytest.param(
+            lambda: Line(P0, Q)._replace(direction=P0), GeometryError, NO_DIRECTION,
+            id="Line._replace",
+        ),
+        pytest.param(
+            lambda: Circle(P0, 1.0)._replace(radius=-1.0), GeometryError, BAD_RADIUS,
+            id="Circle._replace",
+        ),
+        pytest.param(
+            lambda: AxisAlignedEllipse(P0, 2.0, 1.0)._replace(semi_minor=3.0),
+            GeometryError,
+            BAD_AXES,
+            id="AxisAlignedEllipse._replace",
+        ),
+        pytest.param(
+            lambda: Triangle._make((P0, R, Q)),
+            DegenerateTriangleError,
+            "triangle must be counterclockwise",
+            id="Triangle._make",
+        ),
+        pytest.param(
+            lambda: Pose()._replace(scale=0.0), GeometryError, BAD_SCALE, id="Pose._replace"
+        ),
     ],
 )
 def test_geom_constructors_raise_as_before(make, kind, message, raises_as_before):
     raises_as_before(make, kind, message)
+
+
+def test_replace_builds_what_the_constructor_builds():
+    assert Line(P0, Q)._replace(direction=Point(0.0, 2.0)).direction == Point(0.0, 1.0)
+    moved = Pose(rotation=0.5)._replace(rotation=1.0)
+    assert moved.map_xy(1.0, 0.0) == Pose(rotation=1.0).map_xy(1.0, 0.0)
 
 
 def test_geom_keywords_and_defaults():

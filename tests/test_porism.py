@@ -4,6 +4,7 @@ import random
 import pytest
 
 from brocard.centers import brocard_cotangent, brocard_points_by_construction
+from brocard.checks import conic_to_ellipse, isosceles_scene
 from brocard.geom import (
     AxisAlignedEllipse,
     Circle,
@@ -24,9 +25,7 @@ from brocard.porism import (
     Ru_from_axes,
     Ru_from_dh,
     closure_residuals,
-    conic_to_ellipse,
     dh_from_Ru,
-    isosceles_scene,
     scene_from_Ru,
     scene_member,
     vertices_at,
@@ -101,6 +100,13 @@ def test_params_value_semantics(value, text, other, value_semantics):
         lambda: IsoscelesParams(0.0, 1.0),
         lambda: IsoscelesParams(1.0, -1.0),
         lambda: IsoscelesParams(math.nan, 1.0),
+        # an explicit excess does not lift u to sqrt(3)
+        pytest.param(lambda: PorismParams(1.0, 0.5, 0.0), id="PorismParams.u_below"),
+        # _make, and _replace through it, build through the same checks
+        pytest.param(lambda: PorismParams._make((1.0, 0.5, 0.0)), id="PorismParams._make"),
+        pytest.param(
+            lambda: IsoscelesParams(1.0, 2.0)._replace(h=-1.0), id="IsoscelesParams._replace"
+        ),
     ],
 )
 def test_params_raise_as_before(make, raises_as_before):

@@ -3,13 +3,13 @@ import random
 
 import pytest
 
+from brocard.checks import isosceles_scene
 from brocard.geom import Circle, GeometryError, Line, Point, Pose, three_point_circle
 from brocard.porism import (
     DegeneratePorismError,
     IsoscelesParams,
     PorismParams,
     Ru_from_dh,
-    isosceles_scene,
     scene_from_Ru,
 )
 from brocard.recurrence import (

@@ -17,9 +17,10 @@ from .geom import (
     Point,
     Triangle,
     circumcircle,
-    invert_in_circle,
+    inversion_xy,
     line_direction,
     midpoint,
+    three_point_center,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -80,16 +81,16 @@ def brocard_cotangent(t: Triangle) -> float:
     return (s1 * s1 + s2 * s2 + s3 * s3) / (4.0 * area)
 
 
-def _turned_sides(
-    P0: Point, P1: Point, P2: Point, c: float, s: float
-) -> tuple[Point, float]:
-    """Centroid and spread of the pairwise meets of three turned sides.
+Meets = list[tuple[float, float]]
+
+
+def _turned_sides(P0: Point, P1: Point, P2: Point, c: float, s: float) -> Meets:
+    """The pairwise meets of three turned sides, lines (0, 1), (1, 2), (2, 0).
 
     Side i runs from P_i to P_(i+1), turned about P_i by the angle with
     cosine ``c`` and sine ``s``.  The float operations are those of
     ``Line(P_i, (P_(i+1) - P_i).rotated(angle))`` and of
-    ``line_line_intersection`` on lines (0, 1), (1, 2) and (2, 0), written
-    out as scalars; the spread is the largest distance between two meets.
+    ``line_line_intersection``, written out as scalars.
     """
     bases = (P0, P1, P2)
     dirs = []
@@ -105,18 +106,15 @@ def _turned_sides(
         p, q = bases[i], bases[j]
         k = ((q.x - p.x) * by - (q.y - p.y) * bx) / denom
         meets.append((p.x + ax * k, p.y + ay * k))
+    return meets
+
+
+def _centroid(meets: Meets) -> Point:
     (x01, y01), (x12, y12), (x20, y20) = meets
-    spread = max(
-        math.hypot(x01 - x12, y01 - y12),
-        math.hypot(x12 - x20, y12 - y20),
-        math.hypot(x20 - x01, y20 - y01),
-    )
-    return Point((x01 + x12 + x20) / 3.0, (y01 + y12 + y20) / 3.0), spread
+    return Point((x01 + x12 + x20) / 3.0, (y01 + y12 + y20) / 3.0)
 
 
-def _brocard_construction(
-    t: Triangle, omega: float
-) -> tuple[tuple[Point, float], ...]:
+def _brocard_construction(t: Triangle, omega: float) -> tuple[Meets, Meets]:
     # First point: sides AB, BC, CA turned by +omega about A, B, C.  For a
     # counterclockwise triangle the positive turn sweeps each side into
     # the interior.  Second point: sides CB, BA, AC turned by -omega about
@@ -134,8 +132,8 @@ def brocard_points_by_construction(t: Triangle) -> tuple[Point, Point]:
     -omega rotations; on a counterclockwise triangle this matches the
     closed-form labels used by the porism scenes.
     """
-    (first, _), (second, _) = _brocard_construction(t, brocard_angle(t))
-    return first, second
+    first, second = _brocard_construction(t, brocard_angle(t))
+    return _centroid(first), _centroid(second)
 
 
 def _symmedian(t: Triangle, s1: float, s2: float, s3: float) -> Point:
@@ -176,11 +174,11 @@ def standard_centers(t: Triangle) -> StandardCenters:
     there).  The triangle is measured once; every value has the float
     operations of the one-center functions above.
     """
-    cc = circumcircle(t)
-    X3 = cc.center
+    X3, r3 = circumcircle(t)
     s1, s2, s3, area = _measure(t)
     X6 = _symmedian(t, s1, s2, s3)
-    (omega1, _), (omega2, _) = _brocard_construction(t, _omega(s1, s2, s3, area))
+    first, second = _brocard_construction(t, _omega(s1, s2, s3, area))
+    omega1, omega2 = _centroid(first), _centroid(second)
     u = (s1 * s1 + s2 * s2 + s3 * s3) / (4.0 * area)
     if u - SQRT3 <= 0.0:
         raise EquilateralDegeneracyError("equilateral degeneracy")
@@ -189,20 +187,11 @@ def standard_centers(t: Triangle) -> StandardCenters:
     k15, k16 = 1.0 / (SQRT3 + u), 1.0 / (SQRT3 - u)
     X15 = Point((SQRT3 * x3 + u * x6) * k15, (SQRT3 * y3 + u * y6) * k15)
     X16 = Point((SQRT3 * x3 - u * x6) * k16, (SQRT3 * y3 - u * y6) * k16)
-    kc = _circle_on(X3, X6)
-    X187 = invert_in_circle(cc, X6)
-    X574 = invert_in_circle(kc, X187)
+    X182, rk = _circle_on(X3, X6)
+    X187 = inversion_xy(x3, y3, r3, x6, y6)
+    X574 = inversion_xy(X182.x, X182.y, rk, X187.x, X187.y)
     return StandardCenters(
-        X3=X3,
-        X6=X6,
-        X15=X15,
-        X16=X16,
-        X39=midpoint(omega1, omega2),
-        X182=kc.center,
-        X187=X187,
-        X574=X574,
-        omega1=omega1,
-        omega2=omega2,
+        X3, X6, X15, X16, midpoint(omega1, omega2), X182, X187, X574, omega1, omega2
     )
 
 
@@ -216,7 +205,7 @@ def second_brocard_triangle(t: Triangle) -> Triangle:
     float operations of ``project_onto_line(Line.through(v, X6), X3)``.
     Vertices are reordered counterclockwise.
     """
-    x3, y3 = circumcircle(t).center
+    x3, y3 = three_point_center(*t)
     s1, s2, s3, _ = _measure(t)
     x6, y6 = _symmedian(t, s1, s2, s3)
     feet = []

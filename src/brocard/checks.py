@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .centers import (
+    Meets,
     _brocard_construction,
     brocard_angle,
     brocard_cotangent,
@@ -287,10 +288,20 @@ def _check_circumcircle_cyclic(ctx: _Context) -> Samples:
 # Brocard-point construction group
 
 
+def _spread(meets: Meets) -> float:
+    """Largest distance between two of the three meets of turned sides."""
+    (x01, y01), (x12, y12), (x20, y20) = meets
+    return max(
+        math.hypot(x01 - x12, y01 - y12),
+        math.hypot(x12 - x20, y12 - y20),
+        math.hypot(x20 - x01, y20 - y01),
+    )
+
+
 def brocard_concurrency_defect(t: Triangle) -> float:
     """Largest pairwise spread among the three rotated lines, both points."""
-    (_, d1), (_, d2) = _brocard_construction(t, brocard_angle(t))
-    return max(d1, d2)
+    first, second = _brocard_construction(t, brocard_angle(t))
+    return max(_spread(first), _spread(second))
 
 
 @check("def1.concurrency", "scene",
@@ -986,7 +997,7 @@ def nesting_residual(t_small_circle: float, t_big_circle: float) -> float:
     rounding exactly when K at the later parameter nests inside K at the
     earlier one.
     """
-    if not 0.0 < t_big_circle < t_small_circle <= T_MAX + 1e-15:
+    if not 0.0 < t_big_circle < t_small_circle <= T_MAX:
         raise GeometryError("t outside range")
     inner = brocard_circle_Kt(t_small_circle) if t_small_circle < T_MAX else None
     if inner is None:

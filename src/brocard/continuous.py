@@ -50,7 +50,7 @@ class FamilyExtrema(NamedTuple):
 
 
 def _check_range(t: float, closed_top: bool = True) -> None:
-    top_ok = t <= T_MAX + 1e-15 if closed_top else t < T_MAX
+    top_ok = t <= T_MAX if closed_top else t < T_MAX
     if not (0.0 < t and top_ok):
         raise GeometryError("t outside range")
 

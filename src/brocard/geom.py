@@ -348,8 +348,8 @@ def line_line_intersection(l1: Line, l2: Line) -> Point:
     return l1.point_at(t)
 
 
-def three_point_circle(p: Point, q: Point, r: Point) -> Circle:
-    """Circle through three points, any orientation."""
+def three_point_center(p: Point, q: Point, r: Point) -> Point:
+    """Center of the circle through three points, any orientation."""
     # Shift to the centroid first; the determinant form is then well scaled.
     (px, py), (qx, qy), (rx, ry) = p, q, r
     gx, gy = (px + qx + rx) / 3.0, (py + qy + ry) / 3.0
@@ -359,22 +359,36 @@ def three_point_circle(p: Point, q: Point, r: Point) -> Circle:
     if abs(d) < 1e-14 * scale * scale:
         raise DegenerateTriangleError("degenerate triangle")
     a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
-    ox = gx + (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
-    oy = gy + (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
-    return Circle(Point(ox, oy), math.hypot(ox - px, oy - py))
+    return Point(
+        gx + (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d,
+        gy + (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d,
+    )
+
+
+def three_point_circle(p: Point, q: Point, r: Point) -> Circle:
+    """Circle through three points, any orientation."""
+    o = three_point_center(p, q, r)
+    return Circle(o, math.hypot(o.x - p.x, o.y - p.y))
 
 
 def circumcircle(t: Triangle) -> Circle:
     return three_point_circle(t.A, t.B, t.C)
 
 
+def inversion_xy(cx: float, cy: float, r: float, px: float, py: float) -> Point:
+    """Inversion of (px, py) in the circle about (cx, cy) of radius r."""
+    vx, vy = px - cx, py - cy
+    d2 = vx * vx + vy * vy
+    if d2 < 1e-30 * r * r:
+        raise InversionPoleError("inversion pole")
+    k = r * r / d2
+    return Point(cx + vx * k, cy + vy * k)
+
+
 def invert_in_circle(c: Circle, p: Point) -> Point:
     """Image of ``p`` under inversion in ``c``; the center has no image."""
-    v = p - c.center
-    d2 = v.dot(v)
-    if d2 < 1e-30 * c.radius * c.radius:
-        raise InversionPoleError("inversion pole")
-    return c.center + v * (c.radius * c.radius / d2)
+    (cx, cy), r = c
+    return inversion_xy(cx, cy, r, p.x, p.y)
 
 
 def project_onto_line(l: Line, p: Point) -> Point:

@@ -68,6 +68,10 @@ class PorismParams(Validating, _PorismParams):
         # there is no porism
         if not (math.isfinite(u) and u_excess >= 0.0 and u > SQRT3 - 1e-15):
             raise DegeneratePorismError("degenerate porism")
+        # the charts and the recurrence land within 5 ulps of u; an excess
+        # farther off describes another porism than u does
+        if abs(u_excess - (u - SQRT3)) > 8.0 * math.ulp(u):
+            raise DegeneratePorismError("inconsistent porism: u_excess disagrees with u - sqrt(3)")
         return tuple.__new__(cls, (R, u, u_excess))
 
     @classmethod
@@ -126,16 +130,20 @@ class PorismScene(NamedTuple):
         pose = self.pose
         return Circle(pose.map_xy(0.0, 0.0), pose.scale * self.params.R)
 
-    @property
-    def inellipse(self) -> AxisAlignedEllipse:
+    def _inellipse_fields(self) -> tuple[Point, float, float, MajorAxis]:
+        """The inellipse's center, semi-axes and major axis, as scene_from_Ru checked them."""
         p, pose = self.params, self.pose
         R, one_u2 = p.R, 1.0 + p.u * p.u
-        return AxisAlignedEllipse(
+        return (
             pose.map_xy(0.0, -R * p.u * p.gap / one_u2),
             pose.scale * (R / math.sqrt(one_u2)),
             pose.scale * (2.0 * R / one_u2),
             pose.map_axis(MajorAxis.HORIZONTAL),
         )
+
+    @property
+    def inellipse(self) -> AxisAlignedEllipse:
+        return AxisAlignedEllipse(*self._inellipse_fields())
 
     def _focus(self, side: float) -> Point:
         R, u, g = self.params.R, self.params.u, self.params.gap
@@ -312,19 +320,26 @@ def vertices_at(iso: IsoscelesParams, t: float) -> Triangle:
     )
 
 
+_IDENTITY = Pose.identity()
+
+
 def scene_member(scene: PorismScene, t: float) -> Triangle:
-    """Member triangle of a posed scene, in world coordinates."""
+    """Member triangle of a posed scene, in world coordinates; on a canonical
+    scene, the chart's own triangle."""
     tri = vertices_at(dh_from_Ru(scene.params), t)
-    return Triangle.oriented(*(scene.pose.apply(v) for v in tri.vertices))
+    pose = scene.pose
+    if pose == _IDENTITY:
+        return tri
+    (ax, ay), (bx, by), (cx, cy) = tri
+    return Triangle.oriented(pose.map_xy(ax, ay), pose.map_xy(bx, by), pose.map_xy(cx, cy))
 
 
 def closure_residuals(scene: PorismScene, tri: Triangle) -> tuple[float, float, float]:
     """Tangency defect of each triangle side against the scene inellipse:
     the float operations of ``ellipse_line_tangency_residual(inellipse,
     Line.through(P, Q))`` for the sides AB, BC and CA, on scalars."""
-    e = scene.inellipse
-    ax, ay = e.axes_xy()
-    ex, ey = e.center
+    (ex, ey), major, minor, axis = scene._inellipse_fields()
+    ax, ay = (major, minor) if axis is MajorAxis.HORIZONTAL else (minor, major)
     A, B, C = tri.A, tri.B, tri.C
     out = []
     for (px, py), (qx, qy) in ((A, B), (B, C), (C, A)):

@@ -7,12 +7,17 @@ from brocard.geom import GeometryError, Point, Pose
 from brocard.porism import IsoscelesParams, Ru_from_dh, scene_from_Ru, scene_member
 
 MEMBERS = 240
+CANONICAL = 60
+# parameters where a sine or cosine of the member chart is exact or nearly
+# zero; every fourth canonical member sits at one of them
+EDGE_T = (0.0, 0.5 * math.pi, -0.5 * math.pi, math.pi)
 
 
 @pytest.fixture(scope="session")
 def posed_members():
     """(scene, member) pairs of random porisms, posed under every
-    quarter-turn and both mirrors, at scales spread over 12 decades."""
+    quarter-turn and both mirrors, at scales spread over 12 decades, then
+    canonical (identity-pose) members over the same scales."""
     rng = random.Random(20261018)
     out = []
     while len(out) < MEMBERS:
@@ -28,6 +33,16 @@ def posed_members():
         try:
             scene = scene_from_Ru(Ru_from_dh(iso), pose)
             out.append((scene, scene_member(scene, rng.uniform(-math.pi, math.pi))))
+        except GeometryError:
+            continue
+    while len(out) < MEMBERS + CANONICAL:
+        k = len(out) - MEMBERS
+        scale = 10.0 ** (12.0 * (k + rng.random()) / CANONICAL - 6.0)
+        iso = IsoscelesParams(scale * rng.uniform(0.3, 2.0), scale * rng.uniform(0.3, 4.0))
+        t = EDGE_T[k // 4 % 4] if k % 4 == 0 else rng.uniform(-math.pi, math.pi)
+        try:
+            scene = scene_from_Ru(Ru_from_dh(iso))
+            out.append((scene, scene_member(scene, t)))
         except GeometryError:
             continue
     return out

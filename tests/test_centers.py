@@ -7,6 +7,7 @@ from brocard.centers import (
     EquilateralDegeneracyError,
     StandardCenters,
     TriangleMetrics,
+    _centroid,
     _circle_on,
     _measure,
     _symmedian,
@@ -18,7 +19,7 @@ from brocard.centers import (
     second_brocard_triangle,
     standard_centers,
 )
-from brocard.checks import brocard_concurrency_defect
+from brocard.checks import _spread, brocard_concurrency_defect
 from brocard.geom import (
     Circle,
     GeometryError,
@@ -30,6 +31,7 @@ from brocard.geom import (
     line_line_intersection,
     midpoint,
     project_onto_line,
+    three_point_center,
 )
 
 # isosceles reference triangle: apex (0,2), base corners (-1,0) and (1,0)
@@ -99,7 +101,9 @@ def _line_route(P0, P1, P2, angle):
 
 
 def _kernel(P0, P1, P2, angle):
-    return _turned_sides(P0, P1, P2, math.cos(angle), math.sin(angle))
+    """The kernel's three meets, folded as its callers fold them."""
+    meets = _turned_sides(P0, P1, P2, math.cos(angle), math.sin(angle))
+    return _centroid(meets), _spread(meets)
 
 
 def test_scalar_kernel_is_bit_exact():
@@ -216,8 +220,16 @@ def _reference_second_brocard_triangle(t):
     return Triangle(A, B, C)
 
 
+def _reference_brocard_points(t):
+    A, B, C = t.vertices
+    omega = _reference_angle(t)
+    return _line_route(A, B, C, omega)[0], _line_route(C, B, A, -omega)[0]
+
+
 def test_member_kernels_are_bit_exact(posed_members, same_route):
     for _, t in posed_members:
+        same_route(brocard_points_by_construction, _reference_brocard_points, t)
+        same_route(lambda t: three_point_center(*t), lambda t: circumcircle(t).center, t)
         same_route(metrics, _reference_metrics, t)
         same_route(brocard_angle, _reference_angle, t)
         same_route(brocard_cotangent, _reference_cotangent, t)

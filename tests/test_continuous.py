@@ -15,6 +15,7 @@ from brocard.continuous import (
     _ellipse_field_slopes,
     brocard_circle_Kt,
     bt_scene,
+    center_X3,
     ellipse_Et,
     embed_step,
     envelope_points,
@@ -50,6 +51,24 @@ def test_parameter_range():
         bt_scene(T_MAX)  # the top member is a point, no scene
     with pytest.raises(GeometryError):
         t_from_u(1.5)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        ellipse_Et,
+        brocard_circle_Kt,
+        u_from_t,
+        center_X3,
+        foci_on_arcs_check,
+        pytest.param(lambda t: nesting_residual(t, 0.5), id="nesting_residual"),
+    ],
+)
+def test_range_closes_at_pi_over_3(f, raises_as_before):
+    """pi/3 itself is in range; one ulp past it is not."""
+    f(T_MAX)
+    past = math.nextafter(T_MAX, 2.0)
+    raises_as_before(lambda: f(past), GeometryError, "t outside range")
 
 
 def test_u_t_conversions():

@@ -80,7 +80,7 @@ def test_iso_params_validation():
         (
             PorismParams(1.0, 2.0),
             "PorismParams(R=1.0, u=2.0, u_excess=0.2679491924311228)",
-            PorismParams(1.0, 2.0, 0.25),
+            PorismParams(1.0, 3.0),
         ),
         (IsoscelesParams(1.0, 2.0), "IsoscelesParams(d=1.0, h=2.0)", IsoscelesParams(2.0, 1.0)),
     ],
@@ -113,10 +113,28 @@ def test_params_raise_as_before(make, raises_as_before):
     raises_as_before(make, DegeneratePorismError, "degenerate porism")
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: PorismParams(1.0, 2.0, 0.25), id="explicit"),
+        pytest.param(lambda: PorismParams(1.0, 2.0)._replace(u=3.0), id="_replace"),
+    ],
+)
+def test_params_reject_an_excess_that_disagrees_with_u(make, raises_as_before):
+    raises_as_before(
+        make,
+        DegeneratePorismError,
+        "inconsistent porism: u_excess disagrees with u - sqrt(3)",
+    )
+
+
 def test_params_keywords_and_defaults():
     # the excess defaults to u - sqrt(3)
     assert PorismParams(1.25, 1.75) == (1.25, 1.75, 1.75 - SQRT3)
-    assert PorismParams(R=1.25, u=1.75, u_excess=0.0).u_excess == 0.0
+    # an explicit excess is kept as given: here it is the exact 0.1, where
+    # u - sqrt(3) rounds 0.375 ulps of u away
+    assert PorismParams(R=1.25, u=SQRT3 + 0.1, u_excess=0.1).u_excess == 0.1
+    assert SQRT3 + 0.1 - SQRT3 != 0.1
     assert IsoscelesParams(d=1.0, h=2.0) == FIX_ISO == (1.0, 2.0)
 
 
@@ -440,9 +458,19 @@ def _reference_closure_residuals(scene, tri):
     )
 
 
+def _reference_scene_member(scene, t):
+    """The member mapped vertex by vertex through Pose.apply and oriented
+    again, the route the posed and identity paths replaced."""
+    tri = vertices_at(dh_from_Ru(scene.params), t)
+    return Triangle.oriented(*(scene.pose.apply(v) for v in tri.vertices))
+
+
 def test_closure_residuals_are_bit_exact(posed_members, same_route):
+    rng = random.Random(44)
     for scene, tri in posed_members:
         same_route(closure_residuals, _reference_closure_residuals, scene, tri)
+        for t in (rng.uniform(-math.pi, math.pi), 0.0, 0.5 * math.pi, -0.5 * math.pi, math.pi):
+            same_route(scene_member, _reference_scene_member, scene, t)
     # a side with no direction, on a stand-in that skips the Triangle check
     scene, tri = posed_members[0]
     pinched = tuple.__new__(Triangle, (tri.A, tri.A, tri.C))

@@ -23,6 +23,7 @@ from brocard.checks import _spread, brocard_concurrency_defect
 from brocard.geom import (
     Circle,
     GeometryError,
+    InversionPoleError,
     Line,
     Point,
     Triangle,
@@ -181,6 +182,14 @@ def _reference_symmedian(t):
     )
 
 
+def _reference_invert_in_circle(c, p):
+    v = p - c.center
+    d2 = v.dot(v)
+    if d2 < 1e-30 * c.radius * c.radius:
+        raise InversionPoleError("inversion pole")
+    return c.center + v * (c.radius * c.radius / d2)
+
+
 def _reference_standard_centers(t):
     cc = circumcircle(t)
     X3 = cc.center
@@ -198,10 +207,10 @@ def _reference_standard_centers(t):
     if gap == 0.0:
         raise EquilateralDegeneracyError("equilateral degeneracy")
     kc = Circle(midpoint(X3, X6), 0.5 * gap)
-    X187 = invert_in_circle(cc, X6)
+    X187 = _reference_invert_in_circle(cc, X6)
     return StandardCenters(
         X3=X3, X6=X6, X15=X15, X16=X16, X39=midpoint(omega1, omega2),
-        X182=kc.center, X187=X187, X574=invert_in_circle(kc, X187),
+        X182=kc.center, X187=X187, X574=_reference_invert_in_circle(kc, X187),
         omega1=omega1, omega2=omega2,
     )
 
@@ -230,6 +239,8 @@ def test_member_kernels_are_bit_exact(posed_members, same_route):
     for _, t in posed_members:
         same_route(brocard_points_by_construction, _reference_brocard_points, t)
         same_route(lambda t: three_point_center(*t), lambda t: circumcircle(t).center, t)
+        for p in t.vertices:
+            same_route(invert_in_circle, _reference_invert_in_circle, circumcircle(t), p)
         same_route(metrics, _reference_metrics, t)
         same_route(brocard_angle, _reference_angle, t)
         same_route(brocard_cotangent, _reference_cotangent, t)

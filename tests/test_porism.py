@@ -469,8 +469,12 @@ def test_closure_residuals_are_bit_exact(posed_members, same_route):
     rng = random.Random(44)
     for scene, tri in posed_members:
         same_route(closure_residuals, _reference_closure_residuals, scene, tri)
+        # the same pose at unit scale: only the identity may skip the map
+        pose = scene.pose
+        unit = scene_from_Ru(scene.params, Pose(pose.translation, pose.rotation, pose.reflect_x))
         for t in (rng.uniform(-math.pi, math.pi), 0.0, 0.5 * math.pi, -0.5 * math.pi, math.pi):
             same_route(scene_member, _reference_scene_member, scene, t)
+            same_route(scene_member, _reference_scene_member, unit, t)
     # a side with no direction, on a stand-in that skips the Triangle check
     scene, tri = posed_members[0]
     pinched = tuple.__new__(Triangle, (tri.A, tri.A, tri.C))

@@ -192,7 +192,7 @@ def kt_inellipse_intersection_check(t: float) -> float:
     Valid while t <= acos(3/5); at the boundary the two curves go tangent
     at (0, -1) and beyond it they separate.
     """
-    if not 0.0 < t <= T_CRITICAL + 1e-15:
+    if not 0.0 < t <= T_CRITICAL:
         raise GeometryError("t outside range")
     right = _envelope_contact(t, clamp=True)
     k = brocard_circle_Kt(t)

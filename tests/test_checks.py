@@ -1,8 +1,10 @@
 import math
+import os
+import threading
 
 import pytest
 
-from brocard import checks, continuous
+from brocard import checks, cli, continuous
 from brocard.checks import (
     MUTATIONS,
     CheckReport,
@@ -299,3 +301,120 @@ def test_axis_parallel_zero_comes_from_the_field_sweep(monkeypatch):
     assert skewed.max_residual > 1e-4
     assert not skewed.passed
     assert _one("rem8.axis_parallel").max_residual == 0.0
+
+
+# The runner splits the selected checks across the usable CPUs: the
+# caller runs one share and each forked child another.
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {},
+        {"step": MUTATIONS["flip-step-sign"]},
+        {"filter_prefix": "thm1."},
+    ],
+    ids=["all", "flip-step-sign", "thm1"],
+)
+def test_reports_do_not_depend_on_the_cpu_count(monkeypatch, kwargs):
+    runs = []
+    for n in (1, 2, 4):
+        _cpus(monkeypatch, n)
+        runs.append(run_checks(samples=200, seed=0, **kwargs))
+        _assert_no_child_left()
+    assert runs[0] == runs[1] == runs[2]
+
+
+def _passes(ctx):
+    yield (0.25,)
+
+
+def _in_a_child(action):
+    """A check body that runs ``action`` in any process but the test's own,
+    where ``os._exit`` would end the test run."""
+    parent = os.getpid()
+
+    def body(ctx):
+        if os.getpid() != parent:
+            action()
+        yield (0.0,)
+
+    return body
+
+
+def _exit_3():
+    os._exit(3)
+
+
+def _raise():
+    raise DegeneratePorismError("raised in a child")
+
+
+def _four_checks(monkeypatch, second):
+    """zz.0 .. zz.3 on two CPUs: the caller runs zz.0 and zz.2, a child
+    zz.1 (``second``) and zz.3."""
+    for k, fn in enumerate((_passes, second, _passes, _passes)):
+        monkeypatch.setitem(checks._REGISTRY, f"zz.{k}", ("a test check", math.inf, fn))
+    _cpus(monkeypatch, 2)
+
+
+def _rows(reports):
+    return [(r.check_id, r.max_residual, r.samples_used, r.passed) for r in reports]
+
+
+def test_a_lost_worker_fails_its_checks(monkeypatch):
+    _four_checks(monkeypatch, _in_a_child(_exit_3))
+    reports = run_checks(filter_prefix="zz.")
+    _assert_no_child_left()
+    assert _rows(reports) == [
+        ("zz.0", 0.25, 1, True),
+        ("zz.1", math.inf, 0, False),
+        ("zz.2", 0.25, 1, True),
+        ("zz.3", math.inf, 0, False),  # lost with the worker it shared
+    ]
+
+
+def test_a_check_raising_in_a_child_is_reported_as_raised(monkeypatch):
+    _four_checks(monkeypatch, _in_a_child(_raise))
+    reports = run_checks(filter_prefix="zz.")
+    _assert_no_child_left()
+    assert _rows(reports) == [
+        ("zz.0", 0.25, 1, True),
+        ("zz.1", math.inf, 0, False),
+        ("zz.2", 0.25, 1, True),
+        ("zz.3", 0.25, 1, True),
+    ]
+
+
+def test_verify_reports_a_lost_worker_as_failures(monkeypatch, capsys):
+    _four_checks(monkeypatch, _in_a_child(_exit_3))
+    assert cli.main(["verify", "--filter", "zz."]) == 1
+    _assert_no_child_left()
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 4
+    assert err.splitlines() == [
+        "FAIL zz.1: residual inf exceeds inf",
+        "FAIL zz.3: residual inf exceeds inf",
+    ]
+
+
+def test_a_threaded_process_is_never_forked(monkeypatch):
+    _four_checks(monkeypatch, _in_a_child(_exit_3))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        reports = run_checks(filter_prefix="zz.")
+    finally:
+        stop.set()
+        thread.join()
+    assert all(r.passed for r in reports)

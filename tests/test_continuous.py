@@ -218,6 +218,15 @@ def test_kt_meets_inellipse_until_critical():
         kt_inellipse_intersection_check(T_CRITICAL + 1e-3)
 
 
+def test_kt_range_closes_at_critical(raises_as_before):
+    """T_CRITICAL itself is in range; one ulp past it is not."""
+    assert kt_inellipse_intersection_check(T_CRITICAL) < 1e-9
+    past = math.nextafter(T_CRITICAL, math.inf)
+    raises_as_before(
+        lambda: kt_inellipse_intersection_check(past), GeometryError, "t outside range"
+    )
+
+
 def test_quartic_exact_points():
     assert quartic_y(0.5) == 0.0
     assert quartic_y(-0.5) == 0.0

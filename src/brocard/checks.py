@@ -33,14 +33,12 @@ notices a corrupted recurrence.
 
 from __future__ import annotations
 
-import marshal
 import math
-import os
 import random
-import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
+from ._workers import split
 from .centers import (
     Meets,
     _brocard_construction,
@@ -1190,8 +1188,8 @@ def run_checks(
     """Run the registry (or a prefix-selected slice) and report residuals.
 
     The selected checks are split across the usable CPUs (see
-    :func:`_split`); results do not depend on that split or on which
-    process runs a check.  Patches made before the call hold in every
+    :mod:`brocard._workers`); results do not depend on that split or on
+    which process runs a check.  Patches made before the call hold in every
     worker, but a body's side effects stay in the worker that ran it.
     Reports come back sorted by check id regardless of execution order.
     A check passes only if it ran at least one sample and its residual is
@@ -1206,7 +1204,7 @@ def run_checks(
     if not selected:
         raise UnknownCheckFilterError(filter_prefix)
 
-    def row(check_id: str, run: bool = True) -> _Row:
+    def row(check_id: str, run: bool = True) -> tuple:
         claim, tol, fn = _REGISTRY[check_id]
         if tol == "scene":
             tol = tol_scene
@@ -1222,91 +1220,8 @@ def run_checks(
                 pass
         return check_id, claim, residual, tol, used > 0 and residual <= tol, used
 
-    reports = [CheckReport(*r) for r in _split(selected, row)]
+    # rows are plain tuples, so a worker's rows cross a pipe as one blob
+    rows = split(selected, row, lambda check_id: row(check_id, run=False))
+    reports = [CheckReport(*r) for r in rows]
     reports.sort(key=lambda r: r.check_id)
     return reports
-
-
-# (check_id, claim, max_residual, tolerance, passed, samples_used): plain
-# values, so a worker's rows cross a pipe as one ``marshal`` blob
-_Row = tuple[str, str, float, float, bool, int]
-
-
-def _workers(count: int) -> int:
-    """How many processes share ``count`` checks: one per usable CPU.
-
-    One where ``os.fork`` or the CPU affinity query is missing, and in a
-    process that runs threads, whose forked child can deadlock.
-    """
-    threading = sys.modules.get("threading")
-    if (
-        not hasattr(os, "fork")
-        or not hasattr(os, "sched_getaffinity")
-        or (threading is not None and threading.active_count() > 1)
-    ):
-        return 1
-    return min(len(os.sched_getaffinity(0)), count)
-
-
-def _split(ids: list[str], row: Callable[..., _Row]) -> list[_Row]:
-    """``row`` of every id, worker k of n taking ``ids[k::n]``.
-
-    Worker 0 is the caller; each other worker is a forked child that
-    sends its rows up a pipe.  Forked, not spawned: a child starts from
-    the caller's state, patches included, and imports nothing.  A child
-    whose rows come back short or unreadable (it was killed, or a body
-    left through ``os._exit``) is reported as ``row(id, run=False)`` for
-    each id of its share.  Every
-    child is reaped before this returns or raises.
-    """
-    n = _workers(len(ids))
-    pids: list[int] = []
-    reads: list[int] = []
-    try:
-        for k in range(1, n):
-            read, write = os.pipe()
-            reads.append(read)
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(write)
-                raise
-            if pid == 0:
-                _serve(read, write, ids[k::n], row)
-            os.close(write)
-            pids.append(pid)
-        rows = [row(i) for i in ids[::n]]
-        for k, read in enumerate(reads, 1):
-            with open(read, "rb", closefd=False) as pipe:
-                blob = pipe.read()
-            try:
-                rows += marshal.loads(blob)
-            except (EOFError, ValueError, TypeError):
-                rows += [row(i, run=False) for i in ids[k::n]]
-        return rows
-    finally:
-        for read in reads:
-            os.close(read)
-        for pid in pids:
-            os.waitpid(pid, 0)
-
-
-def _serve(
-    read: int, write: int, ids: list[str], row: Callable[..., _Row]
-) -> NoReturn:
-    """A child's whole life: run its share, send the rows as one blob, leave.
-
-    The child leaves through ``os._exit`` whatever happens, so it never
-    returns into its caller's code, runs its cleanup or flushes a buffer
-    copied from the parent.
-    """
-    code = 1
-    try:
-        os.close(read)
-        rows = [row(i) for i in ids]
-        with open(write, "wb") as pipe:
-            pipe.write(marshal.dumps(rows))
-        code = 0
-    finally:
-        os._exit(code)
-

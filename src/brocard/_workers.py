@@ -70,7 +70,10 @@ def split(
         for read in reads:
             os.close(read)
         for pid in pids:
-            os.waitpid(pid, 0)
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass  # reaped already: the caller ignores SIGCHLD
 
 
 def _serve(

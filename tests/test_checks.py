@@ -1,5 +1,6 @@
 import math
 import os
+import signal
 import threading
 
 import pytest
@@ -332,6 +333,16 @@ def test_reports_do_not_depend_on_the_cpu_count(monkeypatch, kwargs):
         runs.append(run_checks(samples=200, seed=0, **kwargs))
         _assert_no_child_left()
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_a_caller_ignoring_sigchld_gets_its_reports(monkeypatch):
+    _cpus(monkeypatch, 2)
+    old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        reaped_early = run_checks(samples=20, seed=0, filter_prefix="geom.")
+    finally:
+        signal.signal(signal.SIGCHLD, old)
+    assert reaped_early == run_checks(samples=20, seed=0, filter_prefix="geom.")
 
 
 def _passes(ctx):

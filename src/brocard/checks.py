@@ -142,17 +142,16 @@ Samples = Iterable[Iterable[float]]
 CheckFunction = Callable[[_Context], Samples]
 
 # check id -> (claim, tolerance, function), in declaration order
-_REGISTRY: dict[str, tuple[str, float | str, CheckFunction]] = {}
+_REGISTRY: dict[str, tuple[str, float, CheckFunction]] = {}
 
 
 def check(
-    check_id: str, tolerance: float | str, claim: str
+    check_id: str, tolerance: float, claim: str
 ) -> Callable[[CheckFunction], CheckFunction]:
     """Register the decorated function as the residual check ``check_id``.
 
-    ``tolerance`` is a number, or ``"scene"`` for the run's scene-level
-    tolerance (``run_checks(tol_scene=...)``, the command line's
-    ``--tolerance``).  The function yields one group of residuals per
+    ``tolerance`` is the check's own bound on its worst residual; no run
+    setting overrides it.  The function yields one group of residuals per
     sample it draws; the runner folds them and counts the groups, so a
     check never states its own sample count.
     """
@@ -312,7 +311,7 @@ def brocard_concurrency_defect(t: Triangle) -> float:
     return max(_spread(first), _spread(second))
 
 
-@check("def1.concurrency", "scene",
+@check("def1.concurrency", 1e-9,
        "the three rotated sides meet at one point for both rotation senses")
 def _check_concurrency(ctx: _Context) -> Samples:
     for _ in range(100):
@@ -333,7 +332,7 @@ def _check_mirror_swap(ctx: _Context) -> Samples:
         yield mirror(first_m).dist(second), mirror(second_m).dist(first)
 
 
-@check("prop2.closed_form", "scene",
+@check("prop2.closed_form", 1e-9,
        "constructed Brocard points match the scene's closed-form foci, with labels")
 def _check_closed_form_points(ctx: _Context) -> Samples:
     for _ in range(100):
@@ -360,7 +359,7 @@ def _check_focal_gap(ctx: _Context) -> Samples:
 # Beltrami / isodynamic structure
 
 
-@check("prop5.equilateral", "scene",
+@check("prop5.equilateral", 1e-9,
        "each isodynamic point forms an equilateral triangle with the Beltrami points")
 def _check_equilateral_triangles(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
@@ -373,7 +372,7 @@ def _check_equilateral_triangles(ctx: _Context) -> Samples:
         ]
 
 
-@check("prop5.isodynamic_membership", "scene",
+@check("prop5.isodynamic_membership", 1e-9,
        "both isodynamic points lie on both Beltrami circles")
 def _check_isodynamic_membership(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
@@ -496,7 +495,7 @@ def _closure_sampling(ctx: _Context) -> list[tuple[PorismScene, Triangle]]:
     return out
 
 
-@check("closure.tangency", "scene",
+@check("closure.tangency", 1e-9,
        "every sampled member triangle is tangent to the inellipse on all three sides")
 def _check_closure_tangency(ctx: _Context) -> Samples:
     for scene, tri in _closure_sampling(ctx):
@@ -510,7 +509,7 @@ def _check_closure_angle(ctx: _Context) -> Samples:
         yield (abs(math.atan2(1.0, brocard_cotangent(tri)) - scene.params.omega),)
 
 
-@check("closure.stationarity", "scene",
+@check("closure.stationarity", 1e-9,
        "Brocard points and the named centers are stationary across the family")
 def _check_closure_stationarity(ctx: _Context) -> Samples:
     for scene, tri in _closure_sampling(ctx):
@@ -544,7 +543,7 @@ def _check_step_two_route(ctx: _Context) -> Samples:
         )
 
 
-@check("thm1.child_circumcircle", "scene",
+@check("thm1.child_circumcircle", 1e-9,
        "the child's circumcircle is the parent's Brocard circle")
 def _check_child_circumcircle(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
@@ -611,7 +610,7 @@ def _check_forward_convergence(ctx: _Context) -> Samples:
     )
 
 
-@check("prop14.backward_growth", "scene",
+@check("prop14.backward_growth", 1e-9,
        "eight backward steps from cotangent 2 push the cotangent past 100")
 def _check_backward_growth(ctx: _Context) -> Samples:
     params = PorismParams(1.0, 2.0)
@@ -673,7 +672,7 @@ def _check_brocard_nesting(ctx: _Context) -> Samples:
         yield (overshoot,)
 
 
-@check("thm3.concyclicity", "scene",
+@check("thm3.concyclicity", 1e-9,
        "alternating Brocard points of successive generations share two fixed circles")
 def _check_concyclicity(ctx: _Context) -> Samples:
     root = scene_from_Ru(Ru_from_dh(FIXTURE))
@@ -694,7 +693,7 @@ def _check_limit_point(ctx: _Context) -> Samples:
         yield (points[-1].dist(root.X15),)
 
 
-@check("prop6.orthogonality", "scene",
+@check("prop6.orthogonality", 1e-9,
        "both Beltrami circles cut every generation's Brocard circle at right angles")
 def _check_beltrami_orthogonality(ctx: _Context) -> Samples:
     scenes = orbit_scenes(scene_from_Ru(Ru_from_dh(FIXTURE)), 5)
@@ -718,7 +717,7 @@ def _check_anti_roundtrip_params(ctx: _Context) -> Samples:
         )
 
 
-@check("prop4.anti_roundtrip_points", "scene",
+@check("prop4.anti_roundtrip_points", 1e-9,
        "stepping the anti-porism forward recovers the original scene points")
 def _check_anti_roundtrip_points(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
@@ -739,7 +738,7 @@ def _backward_chain(generations: int) -> list[PorismScene]:
     return orbit_scenes(root, generations, Direction.BACKWARD)
 
 
-@check("prop4.anti_stationary", "scene",
+@check("prop4.anti_stationary", 1e-9,
        "isodynamic points stay put along the backward chain")
 def _check_anti_stationary(ctx: _Context) -> Samples:
     root, *chain = _backward_chain(8)
@@ -975,19 +974,16 @@ def _check_cot_rational(ctx: _Context) -> Samples:
 @check("prop8.envelope_membership", 1e-10,
        "envelope contact points lie on the member ellipse and the fixed envelope")
 def _check_envelope_membership(ctx: _Context) -> Samples:
-    n = 100
-    for k in range(n):
-        yield (envelope_residual(0.05 + (T_CRITICAL - 0.05) * k / (n - 1)),)
+    for t in _t_grid(100, hi=T_CRITICAL):
+        yield (envelope_residual(t),)
 
 
 @check("prop8.focal_sum", 1e-12,
        "envelope points see the isodynamic points as ellipse foci")
 def _check_envelope_focal_sum(ctx: _Context) -> Samples:
-    n = 50
     top = Point(0.0, SQRT3 / 2.0)
     bottom = Point(0.0, -SQRT3 / 2.0)
-    for k in range(n):
-        t = 0.05 + (T_CRITICAL - 0.05) * k / (n - 1)
+    for t in _t_grid(50, hi=T_CRITICAL):
         yield [abs(p.dist(top) + p.dist(bottom) - 2.0) for p in envelope_points(t)]
 
 
@@ -1070,7 +1066,7 @@ def _check_family_profile(ctx: _Context) -> Samples:
         yield (*steps, *bends)
 
 
-@check("prop7.intersection_products", "scene",
+@check("prop7.intersection_products", 1e-9,
        "Brocard and Beltrami circles meet at right angles at their four known points")
 def _check_web_points(ctx: _Context) -> Samples:
     n = 10
@@ -1109,7 +1105,7 @@ def beltrami_midpoint_check(t: float) -> float:
     return image.dist(midpoint(scene.beltrami_P2, scene.beltrami_U2))
 
 
-@check("rem5.inversion_midpoint", "scene",
+@check("rem5.inversion_midpoint", 1e-9,
        "inverting the symmedian point in the circumcircle gives the Beltrami midpoint")
 def _check_inversion_midpoint(ctx: _Context) -> Samples:
     n = 100
@@ -1120,12 +1116,11 @@ def _check_inversion_midpoint(ctx: _Context) -> Samples:
 @check("rem3.foci_arcs", 1e-12,
        "the moving inellipse foci ride two fixed unit circles")
 def _check_foci_arcs(ctx: _Context) -> Samples:
-    n = 100
-    for k in range(n):
-        yield foci_on_arcs_check(0.01 + (T_MAX - 0.01) * k / (n - 1))
+    for t in _t_grid(100, lo=0.01, hi=T_MAX):
+        yield foci_on_arcs_check(t)
 
 
-@check("rem4.similarity", "scene",
+@check("rem4.similarity", 1e-9,
        "one fixed similarity carries any canonical porism onto its family member")
 def _check_similarity(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
@@ -1156,12 +1151,10 @@ def _check_similarity(ctx: _Context) -> Samples:
         )
 
 
-@check("prop9.kt_intersections", "scene",
+@check("prop9.kt_intersections", 1e-9,
        "the Brocard circle meets the inellipse exactly at the envelope points")
 def _check_kt_intersections(ctx: _Context) -> Samples:
-    n = 40
-    for k in range(n):
-        t = 0.05 + (T_CRITICAL - 0.05) * k / (n - 1)
+    for t in _t_grid(40, hi=T_CRITICAL):
         yield (kt_inellipse_intersection_check(t),)
     bottom = Point(0.0, -1.0)
     yield (
@@ -1181,7 +1174,6 @@ def check_ids() -> tuple[str, ...]:
 def run_checks(
     samples: int = 200,
     seed: int = 0,
-    tol_scene: float = 1e-9,
     filter_prefix: str | None = None,
     step: StepFunction = step_forward,
 ) -> list[CheckReport]:
@@ -1206,8 +1198,6 @@ def run_checks(
 
     def row(check_id: str, run: bool = True) -> tuple:
         claim, tol, fn = _REGISTRY[check_id]
-        if tol == "scene":
-            tol = tol_scene
         # zero samples, which fails at any tolerance: the check raised, or
         # its worker was lost before it reported
         residual, used = math.inf, 0

@@ -5,8 +5,13 @@ traces the porism recurrence, ``family`` samples one porism's member
 triangles, ``continuous`` samples the one-parameter family, and
 ``figure`` emits an SVG picture.
 
+Flags follow the subcommand, and each subcommand declares only the
+flags its handler reads (``brocard CMD --help`` lists them); any other
+flag, or an abbreviation of one, is a usage error.
+
 Tables are CSV (RFC-4180 style: header row, CRLF line endings) or JSON
-lines with the same keys.  Floats are printed with ``repr``, so parsing
+lines with the same keys; ``verify`` defaults to JSON lines, the other
+tables to CSV.  Floats are printed with ``repr``, so parsing
 a table back recovers the in-memory values bit for bit; JSON has no
 non-finite numbers, so there NaN and infinities are the strings
 ``"nan"``, ``"inf"`` and ``"-inf"``, the same text the CSV prints.  Exit
@@ -76,17 +81,10 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _emit_table(
-    columns: list[str], rows: list[dict], fmt: str | None, path: str | None
-) -> int:
-    fmt = fmt or "csv"
-    if fmt == "csv":
-        _write_output(_render_csv(columns, rows), path)
-    elif fmt == "json":
-        _write_output(_render_jsonl(columns, rows), path)
-    else:
-        print("error: this command emits tables, not svg", file=sys.stderr)
-        return 2
-    return 0
+    columns: list[str], rows: list[dict], fmt: str, path: str | None
+) -> None:
+    render = _render_csv if fmt == "csv" else _render_jsonl
+    _write_output(render(columns, rows), path)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +102,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         reports = run_checks(
             samples=args.samples,
             seed=args.seed,
-            tol_scene=args.tolerance,
             filter_prefix=args.filter,
             step=step,
         )
@@ -113,9 +110,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 2
     rows = [asdict(r) for r in reports]
     columns = [f.name for f in fields(CheckReport)]
-    code = _emit_table(columns, rows, args.format or "json", args.out)
-    if code != 0:
-        return code
+    _emit_table(columns, rows, args.format, args.out)
     failed = [r for r in reports if not r.passed]
     if failed:
         for r in failed:
@@ -184,7 +179,8 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     rows = [_orbit_row(k, scene) for k, scene in enumerate(scenes)]
-    return _emit_table(_ORBIT_COLUMNS, rows, args.format, args.out)
+    _emit_table(_ORBIT_COLUMNS, rows, args.format, args.out)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +238,8 @@ def _cmd_family(args: argparse.Namespace) -> int:
                 ),
             }
         )
-    return _emit_table(_FAMILY_COLUMNS, rows, args.format, args.out)
+    _emit_table(_FAMILY_COLUMNS, rows, args.format, args.out)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +273,7 @@ def _continuous_row(t: float) -> dict:
     e = ellipse_Et(t)
     k = brocard_circle_Kt(t)
     major2 = max(0.0, 2.0 * c - 1.0)
-    if t <= T_CRITICAL + 1e-12:
+    if t <= T_CRITICAL:
         xi = _envelope_contact(t, clamp=True)
         xi_x, xi_y = xi.x, xi.y
         envelope_residual = abs(4.0 * xi_x * xi_x + xi_y * xi_y - 1.0)
@@ -315,13 +312,12 @@ def _cmd_continuous(args: argparse.Namespace) -> int:
     ]
     # the extremal parameters are irrational; splice them in when in range
     for special in (math.acos(0.75), T_CRITICAL):
-        if t_min <= special <= t_max and all(
-            abs(special - t) > 1e-12 for t in grid
-        ):
+        if t_min <= special <= t_max and special not in grid:
             grid.append(special)
     grid.sort()
     rows = [_continuous_row(t) for t in grid]
-    return _emit_table(_CONTINUOUS_COLUMNS, rows, args.format, args.out)
+    _emit_table(_CONTINUOUS_COLUMNS, rows, args.format, args.out)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +327,6 @@ def _cmd_continuous(args: argparse.Namespace) -> int:
 def _cmd_figure(args: argparse.Namespace) -> int:
     from .porism import IsoscelesParams
 
-    if args.format not in (None, "svg"):
-        print("error: figures are svg only", file=sys.stderr)
-        return 2
     _, takes_iso = FIGURES[args.name]
     iso = None
     if args.d is not None or args.h is not None:
@@ -357,44 +350,13 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 # argument parsing
 
 
-def _common_flags(parser: argparse.ArgumentParser, top: bool) -> None:
-    """Shared flags, accepted both before and after the subcommand.
-
-    The top-level parser owns the defaults; the per-command copies use
-    SUPPRESS so they only override when given explicitly.
-    """
-
-    def dflt(value: object) -> object:
-        return value if top else argparse.SUPPRESS
-
+def _table_flags(parser: argparse.ArgumentParser, formats: tuple[str, str]) -> None:
+    """``--format``, defaulting to the first of ``formats``, and ``--out``."""
     parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=dflt(1e-9),
-        help="scene-level residual tolerance (default 1e-9)",
+        "--format", choices=formats, default=formats[0],
+        help=f"table format (default {formats[0]})",
     )
-    parser.add_argument(
-        "--samples", type=int, default=dflt(200), help="sample count (default 200)"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=dflt(0), help="RNG seed (default 0)"
-    )
-    parser.add_argument(
-        "--format",
-        choices=("csv", "json", "svg"),
-        default=dflt(None),
-        help="output format; tables default to csv (verify: json lines), "
-        "figures to svg",
-    )
-    parser.add_argument(
-        "--out", default=dflt(None), metavar="PATH", help="output file"
-    )
-    parser.add_argument(
-        "--degrees",
-        action="store_true",
-        default=dflt(False),
-        help="interpret angle arguments as degrees",
-    )
+    parser.add_argument("--out", metavar="PATH", help="output file (default stdout)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -403,11 +365,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Brocard porism geometry: residual checks, recurrence "
         "orbits, family tables, figures.",
     )
-    _common_flags(parser, top=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the named residual checks")
-    _common_flags(p, top=False)
+    p.add_argument("--samples", type=int, default=200, help="sample count (default 200)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    _table_flags(p, ("json", "csv"))
     p.add_argument(
         "--filter",
         default=None,
@@ -435,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="forward",
         help="forward shrinks toward equilateral; back grows",
     )
-    _common_flags(p, top=False)
+    _table_flags(p, ("csv", "json"))
     p.set_defaults(fn=_cmd_orbit)
 
     p = sub.add_parser(
@@ -443,7 +406,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--d", type=float, default=1.0, help="half-base (default 1)")
     p.add_argument("--h", type=float, default=2.0, help="height (default 2)")
-    _common_flags(p, top=False)
+    p.add_argument("--samples", type=int, default=200, help="sample count (default 200)")
+    _table_flags(p, ("csv", "json"))
     p.set_defaults(fn=_cmd_family)
 
     p = sub.add_parser(
@@ -453,25 +417,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--t-min", type=float, default=0.1, dest="t_min")
     p.add_argument("--t-max", type=float, default=None, dest="t_max")  # None: T_MAX
-    _common_flags(p, top=False)
+    p.add_argument("--samples", type=int, default=200, help="sample count (default 200)")
+    p.add_argument(
+        "--degrees", action="store_true", help="read --t-min and --t-max in degrees"
+    )
+    _table_flags(p, ("csv", "json"))
     p.set_defaults(fn=_cmd_continuous)
 
     p = sub.add_parser("figure", help="emit a deterministic SVG figure")
     p.add_argument("name", choices=sorted(FIGURES))
     p.add_argument("--d", type=float, default=None, help="half-base (porism figures)")
     p.add_argument("--h", type=float, default=None, help="height (porism figures)")
-    _common_flags(p, top=False)
+    p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
     p.set_defaults(fn=_cmd_figure)
 
+    # no prefix matching either: "orbit --h" would otherwise print help
+    for p in sub.choices.values():
+        p.allow_abbrev = False
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if not 0.0 < args.tolerance < math.inf:
-        print("error: --tolerance must be finite and > 0", file=sys.stderr)
-        return 2
-    if args.samples < 1:
+    if "samples" in args and args.samples < 1:
         print("error: --samples must be >= 1", file=sys.stderr)
         return 2
     try:

@@ -159,7 +159,13 @@ def envelope_residual(t: float) -> float:
 
 
 def gamma_nesting_residual(t_small_circle: float, t_big_circle: float) -> float:
-    """Same slack for the circumcircles, which also nest toward X15."""
+    """Slack of the circumcircle at the later parameter inside the earlier.
+
+    Pre: 0 < t_big_circle < t_small_circle < pi/3; raises GeometryError
+    otherwise.  Nonnegative up to rounding exactly when the circumcircle
+    at ``t_small_circle`` nests inside the one at ``t_big_circle``; the
+    circles shrink toward X15 as t grows.
+    """
     if not 0.0 < t_big_circle < t_small_circle < T_MAX:
         raise GeometryError("t outside range")
     s_in = bt_scene(t_small_circle).circumcircle

@@ -88,19 +88,6 @@ def test_seed_determinism():
     assert diffs > 5  # different seed really does resample
 
 
-def test_tolerance_knobs_are_used():
-    tight = run_checks(samples=20, seed=0, tol_scene=1e-30)
-    assert any(not r.passed for r in tight)
-    default = run_checks(samples=20, seed=0)
-    assert any(r.tolerance == 1e-9 for r in default)
-    loose = run_checks(samples=20, seed=0, tol_scene=0.5)
-    assert any(r.tolerance == 0.5 for r in loose)
-    # checks with their own literal tolerance ignore the knob
-    assert {r.tolerance for r in loose} - {0.5} == {
-        r.tolerance for r in default
-    } - {1e-9}
-
-
 def test_mutation_breaks_the_recurrence_groups():
     step = MUTATIONS["flip-step-sign"]
     # the broken step drives u below its floor immediately
@@ -166,12 +153,12 @@ def test_nan_scene_point_fails_its_checks(monkeypatch):
         assert math.isnan(reports[check_id].max_residual), check_id
 
 
-def test_raised_check_fails_at_infinite_tolerance():
+def test_raised_check_fails_at_infinite_tolerance(monkeypatch):
+    # under the mutated step this body raises
+    _, _, body = checks._REGISTRY["thm1.child_circumcircle"]
+    monkeypatch.setitem(checks._REGISTRY, "zz.raised", ("raises", math.inf, body))
     (report,) = run_checks(
-        samples=20,
-        tol_scene=math.inf,
-        filter_prefix="thm1.child_circumcircle",
-        step=MUTATIONS["flip-step-sign"],
+        samples=20, filter_prefix="zz.", step=MUTATIONS["flip-step-sign"]
     )
     assert report.tolerance == math.inf
     assert report.samples_used == 0
@@ -180,11 +167,17 @@ def test_raised_check_fails_at_infinite_tolerance():
 
 def test_zero_samples_fail_at_infinite_tolerance(monkeypatch):
     monkeypatch.setitem(
-        checks._REGISTRY, "zz.empty", ("samples nothing", "scene", lambda ctx: iter(()))
+        checks._REGISTRY, "zz.empty", ("samples nothing", math.inf, lambda ctx: iter(()))
     )
-    (report,) = run_checks(tol_scene=math.inf, filter_prefix="zz.")
+    (report,) = run_checks(filter_prefix="zz.")
     assert report.max_residual == 0.0
     assert not report.passed
+
+
+def test_every_tolerance_is_a_finite_positive_float():
+    # each check owns its tolerance; nothing at run time substitutes one
+    for check_id, (_, tol, _) in checks._REGISTRY.items():
+        assert isinstance(tol, float) and 0.0 < tol < math.inf, check_id
 
 
 def test_check_ids_are_declared_once():

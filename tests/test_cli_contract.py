@@ -106,15 +106,29 @@ def test_orbit_notes_the_generation_it_stopped_at():
         )
 
 
-def test_non_finite_tolerance_exits_two():
-    for tol in ("inf", "nan", "-inf", "0"):
-        code, out, err = run_cli([
-            "verify", "--mutate", "flip-step-sign", f"--tolerance={tol}",
-            "--filter", "thm1.child_circumcircle",
-        ])
-        assert code == 2, tol
+def test_a_flag_the_command_does_not_read_exits_two():
+    for argv in (
+        ["figure", "fig6", "--seed", "1"],
+        ["orbit", "--R0", "1", "--u0", "2", "--samples", "5"],
+        ["verify", "--tolerance", "1e-3"],
+        ["verify", "--degrees"],
+        # no prefix matching: "--h" would otherwise be read as "--help"
+        ["orbit", "--R0", "1", "--u0", "2", "--h", "2"],
+        # flags follow the subcommand
+        ["--samples", "5", "verify"],
+    ):
+        code, out, err = run_cli(argv)
+        assert code == 2, argv
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "error: " in err
+
+
+def test_zero_samples_exits_two_with_one_line():
+    for command in ("verify", "family", "continuous"):
+        code, out, err = run_cli([command, "--samples", "0"])
+        assert code == 2, command
+        assert out == ""
+        assert err == "error: --samples must be >= 1\n"
 
 
 def test_every_mutation_exits_one_at_default_tolerance():
@@ -134,6 +148,21 @@ def test_continuous_json_is_strict_past_the_contact_window():
     for row in rows:
         assert row["t"] > math.acos(0.6)
         assert row["xi1_x"] == row["xi1_y"] == row["envelope_residual"] == "nan"
+
+
+def test_continuous_contact_window_closes_at_critical():
+    # both ends lie within 1e-12 of acos(3/5), which is still spliced in;
+    # past it 5cos t - 3 < 0, so there is no contact point to print
+    crit = math.acos(0.6)
+    lo, hi = crit - 4e-13, math.nextafter(crit, 1.0) + 4e-13
+    code, out, _ = run_cli(["continuous", "--t-min", repr(lo), "--t-max", repr(hi),
+                            "--samples", "2", "--format", "json"])
+    assert code == 0
+    rows = parse_jsonl(out)
+    assert [row["t"] for row in rows] == [lo, crit, hi]
+    for row in rows[:2]:
+        assert row["envelope_residual"] < 1e-10
+    assert rows[2]["xi1_x"] == rows[2]["xi1_y"] == rows[2]["envelope_residual"] == "nan"
 
 
 def test_verify_json_is_strict_for_raised_checks():
@@ -159,44 +188,54 @@ _NUMBER = st.one_of(
 _PREFIXES = sorted({i.split(".")[0] + "." for i in check_ids()}) + ["nosuch."]
 
 
-def _flags(draw, names):
-    argv = []
-    for name, values in names:
-        value = draw(st.one_of(st.none(), values))
-        if value is not None:
-            argv += [name] if value is True else [name, value]
-    return argv
+# each flag's values; ``--tolerance`` is read by no command
+_FLAG_VALUES = {
+    "--samples": st.integers(-1, 40).map(str),
+    "--seed": st.integers(0, 10**6).map(str),
+    "--format": st.sampled_from(["csv", "json"]),
+    "--filter": st.sampled_from(_PREFIXES),
+    "--mutate": st.sampled_from(sorted(MUTATIONS)),
+    "--steps": st.integers(-2, 40).map(str),
+    "--direction": st.sampled_from(["forward", "back"]),
+    "--d": _NUMBER,
+    "--h": _NUMBER,
+    "--t-min": _NUMBER,
+    "--t-max": _NUMBER,
+    "--degrees": st.just(True),
+    "--tolerance": _NUMBER,
+}
+
+# the optional flags each command reads (``--out`` aside: it writes files)
+_OWN_FLAGS = {
+    "verify": ("--samples", "--seed", "--format", "--filter", "--mutate"),
+    "orbit": ("--R0", "--u0", "--steps", "--direction", "--format"),
+    "family": ("--d", "--h", "--samples", "--format"),
+    "continuous": ("--t-min", "--t-max", "--samples", "--degrees", "--format"),
+    "figure": ("--d", "--h"),
+}
+
+
+def _flag(draw, name):
+    value = draw(_FLAG_VALUES[name])
+    return [name] if value is True else [name, value]
 
 
 @st.composite
 def _argv(draw):
-    command = draw(st.sampled_from(["verify", "orbit", "family", "continuous", "figure"]))
+    """A command with some of its own flags, and at most one it does not read."""
+    command = draw(st.sampled_from(list(_OWN_FLAGS)))
     argv = [command]
-    if command == "verify":
-        argv += _flags(draw, [
-            ("--filter", st.sampled_from(_PREFIXES)),
-            ("--mutate", st.sampled_from(sorted(MUTATIONS))),
-        ])
-    elif command == "orbit":
+    if command == "orbit":
         argv += ["--R0", draw(_NUMBER), "--u0", draw(_NUMBER)]
-        argv += _flags(draw, [
-            ("--steps", st.integers(-2, 40).map(str)),
-            ("--direction", st.sampled_from(["forward", "back"])),
-        ])
-    elif command == "family":
-        argv += _flags(draw, [("--d", _NUMBER), ("--h", _NUMBER)])
-    elif command == "continuous":
-        argv += _flags(draw, [("--t-min", _NUMBER), ("--t-max", _NUMBER)])
-    else:
+    elif command == "figure":
         argv.append(draw(st.sampled_from(sorted(FIGURES))))
-        argv += _flags(draw, [("--d", _NUMBER), ("--h", _NUMBER)])
-    argv += _flags(draw, [
-        ("--samples", st.integers(-1, 40).map(str)),
-        ("--seed", st.integers(0, 10**6).map(str)),
-        ("--tolerance", _NUMBER),
-        ("--format", st.sampled_from(["csv", "json", "svg"])),
-        ("--degrees", st.just(True)),
-    ])
+    for name in _OWN_FLAGS[command]:
+        if name in _FLAG_VALUES and draw(st.booleans()):
+            argv += _flag(draw, name)
+    foreign = sorted(set(_FLAG_VALUES) - set(_OWN_FLAGS[command]))
+    name = draw(st.one_of(st.none(), st.sampled_from(foreign)))
+    if name is not None:
+        argv += _flag(draw, name)
     return argv
 
 
@@ -206,6 +245,8 @@ def test_any_invocation_keeps_the_contract(argv):
     code, out, err = run_cli(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err
+    if any(a.startswith("--") and a not in _OWN_FLAGS[argv[0]] for a in argv):
+        assert code == 2, (argv, code, err)
     if code == 2:
         assert out == ""
     elif out or code == 0:

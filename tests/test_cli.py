@@ -346,8 +346,9 @@ def test_public_names_resolve_once():
 
 
 def test_traced_names_resolve():
-    """Every layer the bench's tracer wraps (``perfbench/tracer.py``, read
-    here, not run) still exists where the tracer looks for it."""
+    """Every layer the bench's tracer wraps still exists where the tracer
+    looks for it; ``perfbench/tracer.py`` is loaded from its path and left
+    as it is."""
     import importlib
     import pathlib
     import runpy

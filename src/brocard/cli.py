@@ -7,11 +7,13 @@ triangles, ``continuous`` samples the one-parameter family, and
 
 Flags follow the subcommand, and each subcommand declares only the
 flags its handler reads (``brocard CMD --help`` lists them); any other
-flag, or an abbreviation of one, is a usage error.
+flag, an abbreviation of one, or a flag before the subcommand is a
+usage error.
 
-Tables are CSV (RFC-4180 style: header row, CRLF line endings) or JSON
-lines with the same keys; ``verify`` defaults to JSON lines, the other
-tables to CSV.  Floats are printed with ``repr``, so parsing
+A table is a non-empty list of row dicts, and its columns are the row
+keys, in order.  Tables are CSV (RFC-4180 style: header row, CRLF line
+endings) or JSON lines with the same keys; ``verify`` defaults to JSON
+lines, the other tables to CSV.  Floats are printed with ``repr``, so parsing
 a table back recovers the in-memory values bit for bit; JSON has no
 non-finite numbers, so there NaN and infinities are the strings
 ``"nan"``, ``"inf"`` and ``"-inf"``, the same text the CSV prints.  Exit
@@ -44,14 +46,14 @@ def _value_str(v: object) -> str:
     return str(v)
 
 
-def _render_csv(columns: list[str], rows: list[dict]) -> str:
+def _render_csv(rows: list[dict]) -> str:
     import csv
 
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\r\n")
-    w.writerow(columns)
+    w.writerow(rows[0])
     for row in rows:
-        w.writerow([_value_str(row[c]) for c in columns])
+        w.writerow([_value_str(v) for v in row.values()])
     return buf.getvalue()
 
 
@@ -61,15 +63,13 @@ def _json_value(v: object) -> object:
     return v
 
 
-def _render_jsonl(columns: list[str], rows: list[dict]) -> str:
+def _render_jsonl(rows: list[dict]) -> str:
     import json
 
-    out = []
-    for row in rows:
-        out.append(
-            json.dumps({c: _json_value(row[c]) for c in columns}, allow_nan=False)
-        )
-    return "\n".join(out) + ("\n" if rows else "")
+    return "\n".join(
+        json.dumps({k: _json_value(v) for k, v in row.items()}, allow_nan=False)
+        for row in rows
+    ) + "\n"
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -80,11 +80,9 @@ def _write_output(text: str, path: str | None) -> None:
         fh.write(text)
 
 
-def _emit_table(
-    columns: list[str], rows: list[dict], fmt: str, path: str | None
-) -> None:
+def _emit_table(rows: list[dict], fmt: str, path: str | None) -> None:
     render = _render_csv if fmt == "csv" else _render_jsonl
-    _write_output(render(columns, rows), path)
+    _write_output(render(rows), path)
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +91,9 @@ def _emit_table(
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     # only verify needs the registry; importing it before dataclasses peaks lower
-    from .checks import CheckReport, UnknownCheckFilterError, run_checks
+    from .checks import UnknownCheckFilterError, run_checks
     from .recurrence import step_forward
-    from dataclasses import asdict, fields
+    from dataclasses import asdict
 
     step = MUTATIONS[args.mutate] if args.mutate else step_forward
     try:
@@ -108,9 +106,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except UnknownCheckFilterError:
         print(f"error: no check id starts with {args.filter!r}", file=sys.stderr)
         return 2
-    rows = [asdict(r) for r in reports]
-    columns = [f.name for f in fields(CheckReport)]
-    _emit_table(columns, rows, args.format, args.out)
+    _emit_table([asdict(r) for r in reports], args.format, args.out)
     failed = [r for r in reports if not r.passed]
     if failed:
         for r in failed:
@@ -125,23 +121,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # orbit
-
-
-_ORBIT_COLUMNS = [
-    "generation",
-    "R",
-    "u",
-    "u_excess",
-    "X3_x",
-    "X3_y",
-    "omega1_x",
-    "omega1_y",
-    "omega2_x",
-    "omega2_y",
-    "K_center_x",
-    "K_center_y",
-    "K_radius",
-]
 
 
 def _orbit_row(generation: int, scene: PorismScene) -> dict:
@@ -179,25 +158,12 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     rows = [_orbit_row(k, scene) for k, scene in enumerate(scenes)]
-    _emit_table(_ORBIT_COLUMNS, rows, args.format, args.out)
+    _emit_table(rows, args.format, args.out)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # family
-
-
-_FAMILY_COLUMNS = [
-    "t",
-    "Ax",
-    "Ay",
-    "Bx",
-    "By",
-    "Cx",
-    "Cy",
-    "closure_residual_max",
-    "brocard_angle_deviation",
-]
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
@@ -238,7 +204,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
                 ),
             }
         )
-    _emit_table(_FAMILY_COLUMNS, rows, args.format, args.out)
+    _emit_table(rows, args.format, args.out)
     return 0
 
 
@@ -246,36 +212,21 @@ def _cmd_family(args: argparse.Namespace) -> int:
 # continuous
 
 
-_CONTINUOUS_COLUMNS = [
-    "t",
-    "a",
-    "b",
-    "eccentricity",
-    "R_t",
-    "X3_y",
-    "K_center_y",
-    "K_radius",
-    "xi1_x",
-    "xi1_y",
-    "envelope_residual",
-]
-
-
 def _continuous_row(t: float) -> dict:
     from .continuous import (
         T_CRITICAL,
-        _envelope_contact,
         brocard_circle_Kt,
+        center_X3,
         ellipse_Et,
+        envelope_points,
     )
 
-    c, s = math.cos(t), math.sin(t)
+    c = math.cos(t)
     e = ellipse_Et(t)
     k = brocard_circle_Kt(t)
     major2 = max(0.0, 2.0 * c - 1.0)
     if t <= T_CRITICAL:
-        xi = _envelope_contact(t, clamp=True)
-        xi_x, xi_y = xi.x, xi.y
+        xi_x, xi_y = envelope_points(t)[1]
         envelope_residual = abs(4.0 * xi_x * xi_x + xi_y * xi_y - 1.0)
     else:
         xi_x = xi_y = envelope_residual = math.nan
@@ -285,7 +236,7 @@ def _continuous_row(t: float) -> dict:
         "b": e.semi_minor,
         "eccentricity": math.sqrt(major2),
         "R_t": math.sqrt(major2 / (2.0 * (1.0 - c))),
-        "X3_y": -s / (2.0 * (1.0 - c)),
+        "X3_y": center_X3(t).y,
         "K_center_y": k.center.y,
         "K_radius": k.radius,
         "xi1_x": xi_x,
@@ -316,7 +267,7 @@ def _cmd_continuous(args: argparse.Namespace) -> int:
             grid.append(special)
     grid.sort()
     rows = [_continuous_row(t) for t in grid]
-    _emit_table(_CONTINUOUS_COLUMNS, rows, args.format, args.out)
+    _emit_table(rows, args.format, args.out)
     return 0
 
 
@@ -438,6 +389,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # argparse would take a flag's value for the command and name that
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+        flag = argv[0].split("=", 1)[0]
+        print(f"error: flag {flag} must follow the command", file=sys.stderr)
+        return 2
     args = _build_parser().parse_args(argv)
     if "samples" in args and args.samples < 1:
         print("error: --samples must be >= 1", file=sys.stderr)

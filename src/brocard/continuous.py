@@ -121,31 +121,21 @@ def embed_step(t: float) -> float:
     return t_from_u((u * u + 3.0) / (2.0 * u))
 
 
-def _envelope_contact(t: float, clamp: bool) -> Point:
-    """Right-hand contact point of E_t with the envelope 4x^2 + y^2 = 1.
+def envelope_points(t: float) -> tuple[Point, Point]:
+    """Left and right contact points of E_t with the envelope 4x^2 + y^2 = 1.
 
-    Real only while 5cos t >= 3.  Past that the radicand is negative:
-    raise, or with ``clamp`` pin it at zero, for callers whose parameters
-    may overshoot acos(3/5) by rounding.
+    Real only while 5cos t >= 3, which holds up to T_CRITICAL itself and
+    fails from the next double on; later members pull inside the
+    envelope without touching it.
     """
+    _check_range(t)
     c, s = math.cos(t), math.sin(t)
     radicand = 5.0 * c - 3.0
     if radicand < 0.0:
-        if not clamp:
-            raise GeometryError("no real envelope")
-        radicand = 0.0
-    return Point(math.sqrt(radicand) / (2.0 * math.sqrt(c + 1.0)), -2.0 * s / (c + 1.0))
-
-
-def envelope_points(t: float) -> tuple[Point, Point]:
-    """Contact points of E_t with the envelope 4x^2 + y^2 = 1.
-
-    Real only while 5cos t >= 3; later members pull inside the envelope
-    without touching it.
-    """
-    _check_range(t)
-    p = _envelope_contact(t, clamp=False)
-    return Point(-p.x, p.y), p
+        raise GeometryError("no real envelope")
+    x = math.sqrt(radicand) / (2.0 * math.sqrt(c + 1.0))
+    y = -2.0 * s / (c + 1.0)
+    return Point(-x, y), Point(x, y)
 
 
 def envelope_residual(t: float) -> float:
@@ -200,12 +190,11 @@ def kt_inellipse_intersection_check(t: float) -> float:
     """
     if not 0.0 < t <= T_CRITICAL:
         raise GeometryError("t outside range")
-    right = _envelope_contact(t, clamp=True)
     k = brocard_circle_Kt(t)
     e = ellipse_Et(t)
     return worst(
         r
-        for p in (Point(-right.x, right.y), right)
+        for p in envelope_points(t)
         for r in (k.membership_residual(p), e.implicit_residual(p))
     )
 

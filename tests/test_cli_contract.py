@@ -114,13 +114,50 @@ def test_a_flag_the_command_does_not_read_exits_two():
         ["verify", "--degrees"],
         # no prefix matching: "--h" would otherwise be read as "--help"
         ["orbit", "--R0", "1", "--u0", "2", "--h", "2"],
-        # flags follow the subcommand
-        ["--samples", "5", "verify"],
     ):
         code, out, err = run_cli(argv)
         assert code == 2, argv
         assert out == ""
         assert "error: " in err
+    # flags follow the subcommand; one before it is named, where argparse
+    # alone would name its value as an invalid command
+    for argv, flag in (
+        (["--samples", "5", "verify"], "--samples"),
+        (["--seed=3", "verify"], "--seed"),
+        (["--format", "csv", "orbit", "--R0", "1", "--u0", "3"], "--format"),
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: flag {flag} must follow the command\n"
+
+
+# each table's columns, in order; the header is the first row's keys
+_TABLE_COLUMNS = (
+    (["orbit", "--R0", "1", "--u0", "3"],
+     "generation,R,u,u_excess,X3_x,X3_y,omega1_x,omega1_y,omega2_x,omega2_y,"
+     "K_center_x,K_center_y,K_radius"),
+    (["family", "--samples", "1"],
+     "t,Ax,Ay,Bx,By,Cx,Cy,closure_residual_max,brocard_angle_deviation"),
+    (["continuous", "--t-min", "0.9", "--samples", "4"],
+     "t,a,b,eccentricity,R_t,X3_y,K_center_y,K_radius,xi1_x,xi1_y,"
+     "envelope_residual"),
+    (["verify", "--filter", "geom.", "--samples", "5"],
+     "check_id,claim,max_residual,tolerance,passed,samples_used"),
+)
+
+
+def test_each_table_keeps_its_columns_in_order():
+    for argv, columns in _TABLE_COLUMNS:
+        columns = columns.split(",")
+        code, out, _ = run_cli([*argv, "--format", "csv"])
+        assert code == 0, argv
+        assert next(csv.reader(io.StringIO(out))) == columns, argv
+        code, out, _ = run_cli([*argv, "--format", "json"])
+        assert code == 0, argv
+        rows = parse_jsonl(out)
+        assert rows, argv
+        for row in rows:
+            assert list(row) == columns, argv
 
 
 def test_zero_samples_exits_two_with_one_line():

@@ -227,6 +227,19 @@ def test_kt_range_closes_at_critical(raises_as_before):
     )
 
 
+def test_contact_is_real_through_critical_and_not_past_it():
+    """5cos t - 3 >= 0 at T_CRITICAL and the 4,096 doubles below it, so
+    neither contact caller needs to clamp; from the next double it is < 0."""
+    t = T_CRITICAL
+    for _ in range(4097):
+        left, right = envelope_points(t)
+        assert left == Point(-right.x, right.y)
+        assert kt_inellipse_intersection_check(t) < 1e-9
+        t = math.nextafter(t, 0.0)
+    with pytest.raises(GeometryError, match="no real envelope"):
+        envelope_points(math.nextafter(T_CRITICAL, 1.0))
+
+
 def test_quartic_exact_points():
     assert quartic_y(0.5) == 0.0
     assert quartic_y(-0.5) == 0.0

@@ -1,14 +1,15 @@
 """One function over a list of items, on every CPU the process may use.
 
-Worker k of n takes ``items[k::n]``, a static interleaved split.  Worker
-0 is the calling process; each other worker is a forked child that sends
-its results up a pipe as one ``marshal`` blob, so a result must be plain
-values (numbers, strings, tuples, lists).  Forked, not spawned: a child
-starts from the caller's state, patches included, and imports nothing;
-whatever it changes (a counter, a cache, a tracer's spans) stays in the
-child.  One process does all the work where ``os.fork`` or the CPU
-affinity query is missing, for a single item, and in a process that runs
-threads, whose forked child can deadlock.
+Workers pull: each worker, the caller included, reads the next item index
+from one shared ticket pipe and runs that item, until the pipe is empty.
+Worker 0 is the calling process; each other worker is a forked child that
+sends its ``(index, result)`` pairs up a pipe as one ``marshal`` blob, so
+a result must be plain values (numbers, strings, tuples, lists).  Forked,
+not spawned: a child starts from the caller's state, patches included, and
+imports nothing; whatever it changes (a counter, a cache, a tracer's
+spans) stays in the child.  One process does all the work where
+``os.fork`` or the CPU affinity query is missing, for a single item, and
+in a process that runs threads, whose forked child can deadlock.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import marshal
 import os
 import sys
 from typing import Callable, NoReturn
+
+_WIDTH = 4  # bytes per ticket: an item index, little-endian
 
 
 def worker_count(items: int) -> int:
@@ -34,40 +37,53 @@ def worker_count(items: int) -> int:
 def split(
     items: list[str], work: Callable[[str], object], lost: Callable[[str], object]
 ) -> list:
-    """``work(item)`` of every item, grouped by worker, not in item order.
+    """``work(item)`` of every item, in item order, whichever worker ran it.
 
-    A child whose results come back short or unreadable (it was killed,
-    or ``work`` left through ``os._exit``) gives ``lost(item)``, computed
-    by the caller, for each item of its share.  Every child is reaped
-    before this returns or raises.
+    A child whose results come back short or unreadable (it was killed, or
+    ``work`` left through ``os._exit``) gives ``lost(item)``, computed by
+    the caller, for each item it had taken.  A failed ``os.fork`` leaves
+    fewer workers; items whose tickets do not fit in the pipe are the
+    caller's.  Every child is reaped before this returns or raises.
     """
     n = worker_count(len(items))
+    if n == 1:
+        return [work(i) for i in items]
+    tickets, feed = os.pipe()
     pids: list[int] = []
     reads: list[int] = []
     try:
-        for k in range(1, n):
+        # a full pipe takes a prefix of the tickets; one cut short is read
+        # short and dropped, and its item is the caller's with the rest
+        every = b"".join(k.to_bytes(_WIDTH, "little") for k in range(len(items)))
+        os.set_blocking(feed, False)
+        try:
+            sent = os.write(feed, every) // _WIDTH
+        finally:
+            os.close(feed)
+        for _ in range(1, n):
             read, write = os.pipe()
             reads.append(read)
             try:
                 pid = os.fork()
             except OSError:
                 os.close(write)
-                raise
+                break  # the workers already running take the rest
             if pid == 0:
-                _serve(read, write, items[k::n], work)
+                _serve(tickets, read, write, items, work)
             os.close(write)
             pids.append(pid)
-        results = [work(i) for i in items[::n]]
-        for k, read in enumerate(reads, 1):
+        done = {k: work(items[k]) for k in range(sent, len(items))}
+        done.update(_pull(tickets, items, work))
+        for read in reads:
             with open(read, "rb", closefd=False) as pipe:
                 blob = pipe.read()
             try:
-                results += marshal.loads(blob)
+                done.update(marshal.loads(blob))
             except (EOFError, ValueError, TypeError):
-                results += [lost(i) for i in items[k::n]]
-        return results
+                pass  # the items this child took have no result
+        return [done[k] if k in done else lost(i) for k, i in enumerate(items)]
     finally:
-        for read in reads:
+        for read in (tickets, *reads):
             os.close(read)
         for pid in pids:
             try:
@@ -76,10 +92,19 @@ def split(
                 pass  # reaped already: the caller ignores SIGCHLD
 
 
+def _pull(tickets: int, items: list[str], work: Callable[[str], object]) -> list:
+    """``(index, work(item))`` for each whole ticket read, until none is left."""
+    done = []
+    while len(ticket := os.read(tickets, _WIDTH)) == _WIDTH:
+        k = int.from_bytes(ticket, "little")
+        done.append((k, work(items[k])))
+    return done
+
+
 def _serve(
-    read: int, write: int, items: list[str], work: Callable[[str], object]
+    tickets: int, read: int, write: int, items: list[str], work: Callable[[str], object]
 ) -> NoReturn:
-    """A child's whole life: do its share, send the results, leave.
+    """A child's whole life: pull items, send the results, leave.
 
     The child leaves through ``os._exit`` whatever happens, so it never
     returns into its caller's code, runs its cleanup or flushes a buffer
@@ -88,7 +113,7 @@ def _serve(
     code = 1
     try:
         os.close(read)
-        results = [work(i) for i in items]
+        results = _pull(tickets, items, work)
         with open(write, "wb") as pipe:
             pipe.write(marshal.dumps(results))
         code = 0

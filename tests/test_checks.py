@@ -1,5 +1,6 @@
 import math
 import os
+import select
 import signal
 import threading
 
@@ -297,8 +298,9 @@ def test_axis_parallel_zero_comes_from_the_field_sweep(monkeypatch):
     assert _one("rem8.axis_parallel").max_residual == 0.0
 
 
-# The runner splits the selected checks across the usable CPUs: the
-# caller runs one share and each forked child another.
+# The runner spreads the selected checks over the usable CPUs: each
+# worker, the caller or a forked child, takes the next check in registry
+# order when it is free, so which worker runs a check depends on timing.
 
 
 def _cpus(monkeypatch, n):
@@ -326,6 +328,23 @@ def test_reports_do_not_depend_on_the_cpu_count(monkeypatch, kwargs):
         runs.append(run_checks(samples=200, seed=0, **kwargs))
         _assert_no_child_left()
     assert runs[0] == runs[1] == runs[2]
+
+
+def test_a_failed_fork_leaves_fewer_workers(monkeypatch):
+    one = run_checks(samples=20, seed=0, filter_prefix="thm")
+    real, forks = os.fork, []
+
+    def second_fails():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError("fork refused")
+        return real()
+
+    _cpus(monkeypatch, 4)
+    monkeypatch.setattr(os, "fork", second_fails)
+    assert run_checks(samples=20, seed=0, filter_prefix="thm") == one
+    _assert_no_child_left()
+    assert len(forks) == 2
 
 
 def test_a_caller_ignoring_sigchld_gets_its_reports(monkeypatch):
@@ -359,55 +378,105 @@ def _exit_3():
     os._exit(3)
 
 
-def _raise():
-    raise DegeneratePorismError("raised in a child")
-
-
 def _four_checks(monkeypatch, second):
-    """zz.0 .. zz.3 on two CPUs: the caller runs zz.0 and zz.2, a child
-    zz.1 (``second``) and zz.3."""
+    """zz.0 .. zz.3 on two CPUs, of which zz.1 runs ``second``."""
     for k, fn in enumerate((_passes, second, _passes, _passes)):
         monkeypatch.setitem(checks._REGISTRY, f"zz.{k}", ("a test check", math.inf, fn))
     _cpus(monkeypatch, 2)
+
+
+@pytest.fixture
+def dealt(monkeypatch):
+    """Registers zz.0 .. zz.3 on two CPUs and returns ``(taken, deal)``.
+
+    Each check passes with 0.25 in the test's own process.  In the forked
+    child, the n-th check the child takes writes its id to a log pipe and
+    then calls ``in_child(n)``, set by ``deal(in_child)``.  The first check
+    the test's process runs waits until the child has taken two, so the
+    child takes two whatever the timing; ``taken`` holds those two ids.
+    """
+    parent = os.getpid()
+    log, logged = os.pipe()
+    taken: list[str] = []
+    in_child = []
+
+    def body(check_id):
+        def run(ctx):
+            if os.getpid() != parent:
+                os.write(logged, check_id.encode())
+                taken.append(check_id)
+                in_child[0](len(taken))
+            else:
+                while len(taken) < 2:
+                    ready, _, _ = select.select([log], [], [], 30.0)
+                    assert ready, "the child took no ticket"
+                    taken.append(os.read(log, len(check_id)).decode())
+            yield (0.25,)
+
+        return run
+
+    for k in range(4):
+        check_id = f"zz.{k}"
+        monkeypatch.setitem(
+            checks._REGISTRY, check_id, ("a test check", math.inf, body(check_id))
+        )
+    _cpus(monkeypatch, 2)
+    yield taken, in_child.append
+    os.close(log)
+    os.close(logged)
 
 
 def _rows(reports):
     return [(r.check_id, r.max_residual, r.samples_used, r.passed) for r in reports]
 
 
-def test_a_lost_worker_fails_its_checks(monkeypatch):
-    _four_checks(monkeypatch, _in_a_child(_exit_3))
-    reports = run_checks(filter_prefix="zz.")
-    _assert_no_child_left()
-    assert _rows(reports) == [
-        ("zz.0", 0.25, 1, True),
-        ("zz.1", math.inf, 0, False),
-        ("zz.2", 0.25, 1, True),
-        ("zz.3", math.inf, 0, False),  # lost with the worker it shared
+def _expected(failed):
+    return [
+        (i, math.inf, 0, False) if i in failed else (i, 0.25, 1, True)
+        for i in ("zz.0", "zz.1", "zz.2", "zz.3")
     ]
 
 
-def test_a_check_raising_in_a_child_is_reported_as_raised(monkeypatch):
-    _four_checks(monkeypatch, _in_a_child(_raise))
+def _exit_on_the_second(n):
+    if n == 2:
+        os._exit(3)
+
+
+def _raise_on_the_first(n):
+    if n == 1:
+        raise DegeneratePorismError("raised in a child")
+
+
+def test_a_lost_worker_fails_its_checks(dealt):
+    taken, deal = dealt
+    deal(_exit_on_the_second)
     reports = run_checks(filter_prefix="zz.")
     _assert_no_child_left()
-    assert _rows(reports) == [
-        ("zz.0", 0.25, 1, True),
-        ("zz.1", math.inf, 0, False),
-        ("zz.2", 0.25, 1, True),
-        ("zz.3", 0.25, 1, True),
-    ]
+    # both checks the child had taken are lost with it, the one it
+    # finished too; the other two keep their real rows
+    assert len(set(taken)) == 2
+    assert _rows(reports) == _expected(taken)
 
 
-def test_verify_reports_a_lost_worker_as_failures(monkeypatch, capsys):
-    _four_checks(monkeypatch, _in_a_child(_exit_3))
+def test_a_check_raising_in_a_child_is_reported_as_raised(dealt):
+    taken, deal = dealt
+    deal(_raise_on_the_first)
+    reports = run_checks(filter_prefix="zz.")
+    _assert_no_child_left()
+    # only the raising check fails: the child lives on and reports the rest
+    assert len(set(taken)) == 2
+    assert _rows(reports) == _expected(taken[:1])
+
+
+def test_verify_reports_a_lost_worker_as_failures(dealt, capsys):
+    taken, deal = dealt
+    deal(_exit_on_the_second)
     assert cli.main(["verify", "--filter", "zz."]) == 1
     _assert_no_child_left()
     out, err = capsys.readouterr()
     assert len(out.splitlines()) == 4
     assert err.splitlines() == [
-        "FAIL zz.1: residual inf exceeds inf",
-        "FAIL zz.3: residual inf exceeds inf",
+        f"FAIL {check_id}: residual inf exceeds inf" for check_id in sorted(taken)
     ]
 
 

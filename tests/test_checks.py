@@ -331,7 +331,8 @@ def test_reports_do_not_depend_on_the_cpu_count(monkeypatch, kwargs):
 
 
 def test_a_failed_fork_leaves_fewer_workers(monkeypatch):
-    one = run_checks(samples=20, seed=0, filter_prefix="thm")
+    _cpus(monkeypatch, 1)
+    one = run_checks(samples=20, seed=0)
     real, forks = os.fork, []
 
     def second_fails():
@@ -342,7 +343,7 @@ def test_a_failed_fork_leaves_fewer_workers(monkeypatch):
 
     _cpus(monkeypatch, 4)
     monkeypatch.setattr(os, "fork", second_fails)
-    assert run_checks(samples=20, seed=0, filter_prefix="thm") == one
+    assert run_checks(samples=20, seed=0) == one
     _assert_no_child_left()
     assert len(forks) == 2
 
@@ -386,42 +387,45 @@ def _four_checks(monkeypatch, second):
 
 
 @pytest.fixture
-def dealt(monkeypatch):
-    """Registers zz.0 .. zz.3 on two CPUs and returns ``(taken, deal)``.
+def deal(monkeypatch):
+    """``deal(in_child)`` registers zz.0 .. zz.3 on two CPUs and returns
+    the ids of the first two checks the forked child takes, filled in as
+    the run goes.
 
-    Each check passes with 0.25 in the test's own process.  In the forked
-    child, the n-th check the child takes writes its id to a log pipe and
-    then calls ``in_child(n)``, set by ``deal(in_child)``.  The first check
-    the test's process runs waits until the child has taken two, so the
-    child takes two whatever the timing; ``taken`` holds those two ids.
+    Each check passes with 0.25 in the test's own process.  In the child,
+    the n-th check it takes writes its id to a log pipe and then calls
+    ``in_child(n)``.  The first check the test's process runs waits until
+    the child has taken two, so the child takes two whatever the timing.
     """
     parent = os.getpid()
     log, logged = os.pipe()
-    taken: list[str] = []
-    in_child = []
 
-    def body(check_id):
-        def run(ctx):
-            if os.getpid() != parent:
-                os.write(logged, check_id.encode())
-                taken.append(check_id)
-                in_child[0](len(taken))
-            else:
-                while len(taken) < 2:
-                    ready, _, _ = select.select([log], [], [], 30.0)
-                    assert ready, "the child took no ticket"
-                    taken.append(os.read(log, len(check_id)).decode())
-            yield (0.25,)
+    def deal(in_child):
+        taken: list[str] = []
 
-        return run
+        def body(check_id):
+            def run(ctx):
+                if os.getpid() != parent:
+                    os.write(logged, check_id.encode())
+                    taken.append(check_id)
+                    in_child(len(taken))
+                else:
+                    while len(taken) < 2:
+                        ready, _, _ = select.select([log], [], [], 30.0)
+                        assert ready, "the child took no ticket"
+                        taken.append(os.read(log, len(check_id)).decode())
+                yield (0.25,)
 
-    for k in range(4):
-        check_id = f"zz.{k}"
-        monkeypatch.setitem(
-            checks._REGISTRY, check_id, ("a test check", math.inf, body(check_id))
-        )
-    _cpus(monkeypatch, 2)
-    yield taken, in_child.append
+            return run
+
+        for check_id in ("zz.0", "zz.1", "zz.2", "zz.3"):
+            monkeypatch.setitem(
+                checks._REGISTRY, check_id, ("a test check", math.inf, body(check_id))
+            )
+        _cpus(monkeypatch, 2)
+        return taken
+
+    yield deal
     os.close(log)
     os.close(logged)
 
@@ -447,9 +451,8 @@ def _raise_on_the_first(n):
         raise DegeneratePorismError("raised in a child")
 
 
-def test_a_lost_worker_fails_its_checks(dealt):
-    taken, deal = dealt
-    deal(_exit_on_the_second)
+def test_a_lost_worker_fails_its_checks(deal):
+    taken = deal(_exit_on_the_second)
     reports = run_checks(filter_prefix="zz.")
     _assert_no_child_left()
     # both checks the child had taken are lost with it, the one it
@@ -458,9 +461,8 @@ def test_a_lost_worker_fails_its_checks(dealt):
     assert _rows(reports) == _expected(taken)
 
 
-def test_a_check_raising_in_a_child_is_reported_as_raised(dealt):
-    taken, deal = dealt
-    deal(_raise_on_the_first)
+def test_a_check_raising_in_a_child_is_reported_as_raised(deal):
+    taken = deal(_raise_on_the_first)
     reports = run_checks(filter_prefix="zz.")
     _assert_no_child_left()
     # only the raising check fails: the child lives on and reports the rest
@@ -468,9 +470,8 @@ def test_a_check_raising_in_a_child_is_reported_as_raised(dealt):
     assert _rows(reports) == _expected(taken[:1])
 
 
-def test_verify_reports_a_lost_worker_as_failures(dealt, capsys):
-    taken, deal = dealt
-    deal(_exit_on_the_second)
+def test_verify_reports_a_lost_worker_as_failures(deal, capsys):
+    taken = deal(_exit_on_the_second)
     assert cli.main(["verify", "--filter", "zz."]) == 1
     _assert_no_child_left()
     out, err = capsys.readouterr()

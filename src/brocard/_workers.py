@@ -1,13 +1,14 @@
 """One function over a list of items, on every CPU the process may use.
 
-Workers pull: each worker, the caller included, reads the next item index
-from one shared ticket pipe and runs that item, until the pipe is empty.
-Worker 0 is the calling process; each other worker is a forked child that
-sends its ``(index, result)`` pairs up a pipe as one ``marshal`` blob, so
-a result must be plain values (numbers, strings, tuples, lists).  Forked,
-not spawned: a child starts from the caller's state, patches included, and
-imports nothing; whatever it changes (a counter, a cache, a tracer's
-spans) stays in the child.  One process does all the work where
+With n workers, the calling process runs the fixed share ``items[::n + 1]``
+while forked children pull the rest from one shared ticket pipe, an item
+index at a time, until it is empty: n - 1 children start at once and one
+more when the caller's share is done.  So what ``work`` changes in the
+caller (a counter, a cache, a tracer's spans) does not depend on timing.
+A child sends its ``(index, result)`` pairs up a pipe as one ``marshal``
+blob, so a result must be plain values (numbers, strings, tuples, lists).
+Forked, not spawned: a child starts from the caller's state, patches
+included, and imports nothing.  One process does all the work where
 ``os.fork`` or the CPU affinity query is missing, for a single item, and
 in a process that runs threads, whose forked child can deadlock.
 """
@@ -41,9 +42,9 @@ def split(
 
     A child whose results come back short or unreadable (it was killed, or
     ``work`` left through ``os._exit``) gives ``lost(item)``, computed by
-    the caller, for each item it had taken.  A failed ``os.fork`` leaves
-    fewer workers; items whose tickets do not fit in the pipe are the
-    caller's.  Every child is reaped before this returns or raises.
+    the caller, for each item it had taken.  A failed ``os.fork`` stops
+    the forking, and the caller then pulls items too.  Every child is
+    reaped before this returns or raises.
     """
     n = worker_count(len(items))
     if n == 1:
@@ -51,29 +52,32 @@ def split(
     tickets, feed = os.pipe()
     pids: list[int] = []
     reads: list[int] = []
-    try:
-        # a full pipe takes a prefix of the tickets; one cut short is read
-        # short and dropped, and its item is the caller's with the rest
-        every = b"".join(k.to_bytes(_WIDTH, "little") for k in range(len(items)))
-        os.set_blocking(feed, False)
+
+    def start_child() -> bool:
+        """Start a child that pulls items; False if ``os.fork`` failed."""
+        read, write = os.pipe()
+        reads.append(read)
         try:
-            sent = os.write(feed, every) // _WIDTH
-        finally:
-            os.close(feed)
-        for _ in range(1, n):
-            read, write = os.pipe()
-            reads.append(read)
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(write)
-                break  # the workers already running take the rest
-            if pid == 0:
-                _serve(tickets, read, write, items, work)
+            pid = os.fork()
+        except OSError:
             os.close(write)
-            pids.append(pid)
-        done = {k: work(items[k]) for k in range(sent, len(items))}
-        done.update(_pull(tickets, items, work))
+            return False
+        if pid == 0:
+            _serve(tickets, read, write, items, work)
+        os.close(write)
+        pids.append(pid)
+        return True
+
+    try:
+        # never blocks below 16384 items: a Linux pipe holds 64 KiB
+        with open(feed, "wb") as pipe:
+            pipe.write(b"".join(
+                k.to_bytes(_WIDTH, "little") for k in range(len(items)) if k % (n + 1)
+            ))
+        forked = all(start_child() for _ in range(1, n))
+        done = {k: work(items[k]) for k in range(0, len(items), n + 1)}
+        if not (forked and start_child()):
+            done.update(_pull(tickets, items, work))
         for read in reads:
             with open(read, "rb", closefd=False) as pipe:
                 blob = pipe.read()
@@ -93,9 +97,9 @@ def split(
 
 
 def _pull(tickets: int, items: list[str], work: Callable[[str], object]) -> list:
-    """``(index, work(item))`` for each whole ticket read, until none is left."""
+    """``(index, work(item))`` for each ticket read, until none is left."""
     done = []
-    while len(ticket := os.read(tickets, _WIDTH)) == _WIDTH:
+    while ticket := os.read(tickets, _WIDTH):
         k = int.from_bytes(ticket, "little")
         done.append((k, work(items[k])))
     return done

@@ -14,15 +14,16 @@ kept.
 Checks are independent: each draws its own seeded generator from the run
 seed and its id, so results do not depend on execution order, nor on
 which process runs a check.  :func:`run_checks` therefore runs one
-worker per usable CPU, the caller and forked children, and each worker
-pulls the next selected check whenever it is free; the children send
-their rows back over a pipe.  Patches made before the call hold in every
-worker; side effects of a check body (a counter it bumps, the
-``_web_field_sweep`` cache it fills, a tracer's spans) stay in the
-worker that ran it.  A NaN residual is reported as NaN and fails.  A
-check that raises, even after yielding some samples, is reported with
-an infinite residual and zero samples, and fails at any tolerance; so
-is every check that a worker had taken when it died.
+worker per usable CPU: the caller runs a fixed share of the selected
+checks and forked children pull the rest, each taking the next check
+whenever it is free; the children send their rows back over a pipe.
+Patches made before the call hold in every worker; side effects of a
+check body (a counter it bumps, the ``_web_field_sweep`` cache it fills,
+a tracer's spans) stay in the worker that ran it.  A NaN residual is
+reported as NaN and fails.  A check that raises, even after yielding
+some samples, is reported with an infinite residual and zero samples,
+and fails at any tolerance; so is every check that a worker had taken
+when it died.
 
 The porism step used by the ``thm1.*`` and ``prop14.*`` groups is
 injectable.  ``MUTATIONS`` (from :mod:`~brocard.recurrence`) maps the
@@ -1179,15 +1180,16 @@ def run_checks(
 ) -> list[CheckReport]:
     """Run the registry (or a prefix-selected slice) and report residuals.
 
-    One worker per usable CPU pulls the selected checks, in registry
-    order, each taking the next one when it is free (see
-    :mod:`brocard._workers`); results do not depend on which process runs
-    a check.  Patches made before the call hold in every worker, but a
-    body's side effects stay in the worker that ran it.  Reports come back
-    sorted by check id regardless of execution order.  A check passes only
-    if it ran at least one sample and its residual is within its
-    tolerance; a NaN residual never passes.  A check that raises is
-    reported with an infinite residual and zero samples, and so is each
+    One worker per usable CPU runs the selected checks (see
+    :mod:`brocard._workers`): the caller a fixed share, forked children
+    the rest, each child taking the next check in registry order when it
+    is free; results do not depend on which process runs a check.
+    Patches made before the call hold in every worker, but a body's side
+    effects stay in the worker that ran it.  Reports come back sorted by
+    check id regardless of execution order.  A check passes only if it
+    ran at least one sample and its residual is within its tolerance; a
+    NaN residual never passes.  A check that raises is reported with an
+    infinite residual and zero samples, and so is each
     check that a dying worker had taken.  Raises
     :class:`UnknownCheckFilterError` when the filter matches no id.
     """

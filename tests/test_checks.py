@@ -298,9 +298,11 @@ def test_axis_parallel_zero_comes_from_the_field_sweep(monkeypatch):
     assert _one("rem8.axis_parallel").max_residual == 0.0
 
 
-# The runner spreads the selected checks over the usable CPUs: each
-# worker, the caller or a forked child, takes the next check in registry
-# order when it is free, so which worker runs a check depends on timing.
+# The runner spreads the selected checks over the usable CPUs: the caller
+# runs a fixed share and forked children pull the rest, each taking the
+# next check in registry order when it is free, so which child runs a
+# check depends on timing.  A child that dies loses only the checks it
+# had taken.
 
 
 def _cpus(monkeypatch, n):
@@ -358,76 +360,60 @@ def test_a_caller_ignoring_sigchld_gets_its_reports(monkeypatch):
     assert reaped_early == run_checks(samples=20, seed=0, filter_prefix="geom.")
 
 
-def _passes(ctx):
-    yield (0.25,)
-
-
 def _in_a_child(action):
-    """A check body that runs ``action`` in any process but the test's own,
-    where ``os._exit`` would end the test run."""
+    """``action`` run in any process but the test's own, where
+    ``os._exit`` would end the test run."""
     parent = os.getpid()
 
-    def body(ctx):
+    def run():
         if os.getpid() != parent:
             action()
-        yield (0.0,)
 
-    return body
+    return run
 
 
 def _exit_3():
     os._exit(3)
 
 
-def _four_checks(monkeypatch, second):
-    """zz.0 .. zz.3 on two CPUs, of which zz.1 runs ``second``."""
-    for k, fn in enumerate((_passes, second, _passes, _passes)):
+def _raise():
+    raise DegeneratePorismError("raised in a child")
+
+
+# With two CPUs and the four checks zz.0 .. zz.3, the caller runs its
+# share zz.0 and zz.3; the child started at once pulls zz.1 first, and a
+# second child starts when the caller's share is done.
+
+
+def _four_checks(monkeypatch, actions):
+    """zz.0 .. zz.3 on two CPUs: zz.k runs ``actions[k]()``, if given, in
+    whichever process runs it, and then passes with 0.25."""
+
+    def body(action):
+        def run(ctx):
+            action()
+            yield (0.25,)
+
+        return run
+
+    for k in range(4):
+        fn = body(actions.get(k, lambda: None))
         monkeypatch.setitem(checks._REGISTRY, f"zz.{k}", ("a test check", math.inf, fn))
     _cpus(monkeypatch, 2)
 
 
 @pytest.fixture
-def deal(monkeypatch):
-    """``deal(in_child)`` registers zz.0 .. zz.3 on two CPUs and returns
-    the ids of the first two checks the forked child takes, filled in as
-    the run goes.
+def started():
+    """A pipe: one check writes to it when it starts, another waits."""
+    read, write = os.pipe()
+    yield read, write
+    os.close(read)
+    os.close(write)
 
-    Each check passes with 0.25 in the test's own process.  In the child,
-    the n-th check it takes writes its id to a log pipe and then calls
-    ``in_child(n)``.  The first check the test's process runs waits until
-    the child has taken two, so the child takes two whatever the timing.
-    """
-    parent = os.getpid()
-    log, logged = os.pipe()
 
-    def deal(in_child):
-        taken: list[str] = []
-
-        def body(check_id):
-            def run(ctx):
-                if os.getpid() != parent:
-                    os.write(logged, check_id.encode())
-                    taken.append(check_id)
-                    in_child(len(taken))
-                else:
-                    while len(taken) < 2:
-                        ready, _, _ = select.select([log], [], [], 30.0)
-                        assert ready, "the child took no ticket"
-                        taken.append(os.read(log, len(check_id)).decode())
-                yield (0.25,)
-
-            return run
-
-        for check_id in ("zz.0", "zz.1", "zz.2", "zz.3"):
-            monkeypatch.setitem(
-                checks._REGISTRY, check_id, ("a test check", math.inf, body(check_id))
-            )
-        _cpus(monkeypatch, 2)
-        return taken
-
-    yield deal
-    os.close(log)
-    os.close(logged)
+def _wait(read):
+    ready, _, _ = select.select([read], [], [], 30.0)
+    assert ready, "the awaited check never started"
 
 
 def _rows(reports):
@@ -441,48 +427,54 @@ def _expected(failed):
     ]
 
 
-def _exit_on_the_second(n):
-    if n == 2:
+def test_a_lost_worker_fails_its_checks(monkeypatch, started):
+    read, write = started
+
+    def exit_once_zz2_is_taken():
+        _wait(read)
         os._exit(3)
 
-
-def _raise_on_the_first(n):
-    if n == 1:
-        raise DegeneratePorismError("raised in a child")
-
-
-def test_a_lost_worker_fails_its_checks(deal):
-    taken = deal(_exit_on_the_second)
+    _four_checks(
+        monkeypatch,
+        {1: _in_a_child(exit_once_zz2_is_taken), 2: lambda: os.write(write, b"2")},
+    )
     reports = run_checks(filter_prefix="zz.")
     _assert_no_child_left()
-    # both checks the child had taken are lost with it, the one it
-    # finished too; the other two keep their real rows
-    assert len(set(taken)) == 2
-    assert _rows(reports) == _expected(taken)
+    # the first child dies holding zz.1 while the second runs zz.2: only
+    # zz.1 is lost, and every other check keeps its real row
+    assert _rows(reports) == _expected({"zz.1"})
 
 
-def test_a_check_raising_in_a_child_is_reported_as_raised(deal):
-    taken = deal(_raise_on_the_first)
+def test_a_check_raising_in_a_child_is_reported_as_raised(monkeypatch):
+    _four_checks(monkeypatch, {1: _in_a_child(_raise)})
     reports = run_checks(filter_prefix="zz.")
     _assert_no_child_left()
-    # only the raising check fails: the child lives on and reports the rest
-    assert len(set(taken)) == 2
-    assert _rows(reports) == _expected(taken[:1])
+    assert _rows(reports) == _expected({"zz.1"})
 
 
-def test_verify_reports_a_lost_worker_as_failures(deal, capsys):
-    taken = deal(_exit_on_the_second)
+def test_verify_reports_a_lost_worker_as_failures(monkeypatch, capsys, started):
+    read, write = started
+
+    def exit_on_zz2():
+        os.write(write, b"2")
+        os._exit(3)
+
+    # the caller waits in zz.0, so the second child cannot start, until
+    # the first child, having finished zz.1, has taken zz.2 and died
+    _four_checks(monkeypatch, {0: lambda: _wait(read), 2: _in_a_child(exit_on_zz2)})
     assert cli.main(["verify", "--filter", "zz."]) == 1
     _assert_no_child_left()
     out, err = capsys.readouterr()
     assert len(out.splitlines()) == 4
+    # the finished zz.1 is lost with the child that took it
     assert err.splitlines() == [
-        f"FAIL {check_id}: residual inf exceeds inf" for check_id in sorted(taken)
+        "FAIL zz.1: residual inf exceeds inf",
+        "FAIL zz.2: residual inf exceeds inf",
     ]
 
 
 def test_a_threaded_process_is_never_forked(monkeypatch):
-    _four_checks(monkeypatch, _in_a_child(_exit_3))
+    _four_checks(monkeypatch, {1: _in_a_child(_exit_3)})
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()

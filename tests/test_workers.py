@@ -12,14 +12,14 @@ def _cpus(monkeypatch, n):
 
 
 def _split_logged(tmp_path, items):
-    """``split`` of ``items`` with a ``work`` that appends each item it runs
-    to a file, in whichever process runs it; returns the results and the
-    items in the order they were logged."""
+    """``split`` of ``items`` with a ``work`` that appends each item it runs,
+    and the id of the process that runs it, to a file; returns the results
+    and the items the test's own process ran and all items, as logged."""
     log = os.open(tmp_path / "ran", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
     try:
 
         def work(item):
-            os.write(log, f"{item}\n".encode())
+            os.write(log, f"{os.getpid()} {item}\n".encode())
             return item
 
         results = _workers.split(items, work, lambda item: None)
@@ -27,7 +27,8 @@ def _split_logged(tmp_path, items):
         os.close(log)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    return results, (tmp_path / "ran").read_text().split()
+    ran = [line.split() for line in (tmp_path / "ran").read_text().splitlines()]
+    return results, [i for pid, i in ran if pid == str(os.getpid())], [i for _, i in ran]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
@@ -35,29 +36,29 @@ def _split_logged(tmp_path, items):
 def test_each_item_runs_exactly_once(monkeypatch, tmp_path, cpus, count):
     _cpus(monkeypatch, cpus)
     items = [f"i{k}" for k in range(count)]
-    results, ran = _split_logged(tmp_path, items)
+    results, mine, ran = _split_logged(tmp_path, items)
     assert results == items
-    assert sorted(ran) == sorted(items)
+    assert sorted(ran) == items
+    # the caller runs its fixed share, in order, and nothing else
+    n = min(cpus, count)
+    assert mine == (items if n == 1 else items[:: n + 1])
 
 
 def _hang(signum, frame):
     raise TimeoutError("split blocked")
 
 
-@pytest.mark.parametrize(
-    "count",
-    [select.PIPE_BUF // _workers._WIDTH + 1, 2 * 65536 // _workers._WIDTH + 1],
-    ids=["past-PIPE_BUF", "past-the-pipe"],
-)
-def test_tickets_past_the_pipe_never_block_the_caller(monkeypatch, tmp_path, count):
+def test_tickets_past_pipe_buf_never_block_the_caller(monkeypatch, tmp_path):
     _cpus(monkeypatch, 2)
-    items = [str(k) for k in range(count)]
+    items = [str(k) for k in range(2 * select.PIPE_BUF // _workers._WIDTH)]
+    assert (len(items) - len(items[::3])) * _workers._WIDTH > select.PIPE_BUF
     old = signal.signal(signal.SIGALRM, _hang)
     signal.alarm(20)
     try:
-        results, ran = _split_logged(tmp_path, items)
+        results, mine, ran = _split_logged(tmp_path, items)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
     assert results == items
     assert sorted(ran) == sorted(items)
+    assert mine == items[::3]

@@ -332,22 +332,23 @@ def test_reports_do_not_depend_on_the_cpu_count(monkeypatch, kwargs):
     assert runs[0] == runs[1] == runs[2]
 
 
-def test_a_failed_fork_leaves_fewer_workers(monkeypatch):
+@pytest.mark.parametrize("failing", [1, 2], ids=["first", "second"])
+def test_a_failed_fork_leaves_fewer_workers(monkeypatch, failing):
     _cpus(monkeypatch, 1)
     one = run_checks(samples=20, seed=0)
     real, forks = os.fork, []
 
-    def second_fails():
+    def refuse_one():
         forks.append(None)
-        if len(forks) == 2:
+        if len(forks) == failing:
             raise BlockingIOError("fork refused")
         return real()
 
     _cpus(monkeypatch, 4)
-    monkeypatch.setattr(os, "fork", second_fails)
+    monkeypatch.setattr(os, "fork", refuse_one)
     assert run_checks(samples=20, seed=0) == one
     _assert_no_child_left()
-    assert len(forks) == 2
+    assert len(forks) == failing  # no fork is tried after a failed one
 
 
 def test_a_caller_ignoring_sigchld_gets_its_reports(monkeypatch):
@@ -381,8 +382,8 @@ def _raise():
 
 
 # With two CPUs and the four checks zz.0 .. zz.3, the caller runs its
-# share zz.0 and zz.3; the child started at once pulls zz.1 first, and a
-# second child starts when the caller's share is done.
+# share zz.0 and zz.3, and the children pull zz.1 and then zz.2: one
+# child starts at once and a second when the caller's share is done.
 
 
 def _four_checks(monkeypatch, actions):
@@ -431,8 +432,8 @@ def test_a_lost_worker_fails_its_checks(monkeypatch, started):
     read, write = started
 
     def exit_once_zz2_is_taken():
-        _wait(read)
-        os._exit(3)
+        if select.select([read], [], [], 30.0)[0]:
+            os._exit(3)
 
     _four_checks(
         monkeypatch,
@@ -440,8 +441,8 @@ def test_a_lost_worker_fails_its_checks(monkeypatch, started):
     )
     reports = run_checks(filter_prefix="zz.")
     _assert_no_child_left()
-    # the first child dies holding zz.1 while the second runs zz.2: only
-    # zz.1 is lost, and every other check keeps its real row
+    # the child holding zz.1 dies once the other child has taken zz.2:
+    # only zz.1 is lost, and every other check keeps its real row
     assert _rows(reports) == _expected({"zz.1"})
 
 

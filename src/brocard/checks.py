@@ -25,17 +25,20 @@ some samples, is reported with an infinite residual and zero samples,
 and fails at any tolerance; so is every check that a worker had taken
 when it died.
 
-The porism step used by the ``thm1.*`` and ``prop14.*`` groups is
-injectable.  ``MUTATIONS`` (from :mod:`~brocard.recurrence`) maps the
-names accepted by the command line's self-test mode to deliberately
-broken steps; running the suite with one of those proves the suite
-notices a corrupted recurrence.
+:func:`run_checks` takes the porism step and, for the run, binds it as
+``step_forward`` in each ``brocard`` module that holds that name: the
+checks that step and, through :func:`~brocard.recurrence.child_scene`,
+every forward orbit walk with it; ``step_backward`` does not.
+``MUTATIONS`` (from :mod:`~brocard.recurrence`) maps the command line's
+self-test names to deliberately broken steps; a run with one proves the
+suite notices a corrupted recurrence.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -130,7 +133,6 @@ class CheckReport:
 class _Context:
     rng: random.Random
     samples: int
-    step: StepFunction
 
     @property
     def quarter(self) -> int:
@@ -537,7 +539,7 @@ def _check_step_two_route(ctx: _Context) -> Samples:
     for _ in range(50):
         params, _, tri = _random_triangle(ctx.rng)
         sub = second_brocard_triangle(tri)
-        stepped = ctx.step(params)
+        stepped = step_forward(params)
         yield (
             abs(circumcircle(sub).radius - stepped.R),
             abs(brocard_cotangent(sub) - stepped.u),
@@ -551,7 +553,7 @@ def _check_child_circumcircle(ctx: _Context) -> Samples:
         parent = scene_from_Ru(_random_member_params(ctx.rng), _random_pose(ctx.rng))
         _, member = _random_member(ctx.rng, parent)
         measured = circumcircle(second_brocard_triangle(member))
-        child = child_scene(parent, ctx.step).circumcircle
+        child = child_scene(parent).circumcircle
         yield (
             measured.center.dist(child.center),
             abs(measured.radius - child.radius),
@@ -572,7 +574,7 @@ def _check_child_axes(ctx: _Context) -> Samples:
             b * math.sqrt(focal2) * math.sqrt(4.0 * a * a - b * b)
             / (a * a + 2.0 * b * b)
         )
-        child = scene_from_Ru(ctx.step(params))
+        child = scene_from_Ru(step_forward(params))
         yield (
             abs(child.inellipse.semi_major - a_pred),
             abs(child.inellipse.semi_minor - b_pred),
@@ -584,7 +586,7 @@ def _check_child_axes(ctx: _Context) -> Samples:
 def _check_child_x182(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
         params = _random_member_params(ctx.rng)
-        child = child_scene(scene_from_Ru(params), ctx.step)
+        child = child_scene(scene_from_Ru(params))
         stepped = child.params
         predicted = Point(
             0.0,
@@ -603,7 +605,7 @@ def _check_forward_convergence(ctx: _Context) -> Samples:
     params = PorismParams(1.0, 3.0)
     errors = [params.u_excess]
     for _ in range(6):
-        params = ctx.step(params)
+        params = step_forward(params)
         errors.append(params.u_excess)
     yield from _walk_verdicts(
         [e0 > 0.0 and e1 / e0 ** 2 > 0.3 for e0, e1 in zip(errors, errors[1:])],
@@ -625,7 +627,7 @@ def _check_backward_growth(ctx: _Context) -> Samples:
 def _check_roundtrip(ctx: _Context) -> Samples:
     for _ in range(100):
         params = _random_member_params(ctx.rng)
-        back = step_backward(ctx.step(params))
+        back = step_backward(step_forward(params))
         yield (
             abs(back.R - params.R) / params.R,
             abs(back.u - params.u) / params.u,
@@ -635,16 +637,25 @@ def _check_roundtrip(ctx: _Context) -> Samples:
 @check("prop14.fixed_point", 1e-15,
        "the equilateral parameters are the only fixed point and the map contracts")
 def _check_fixed_point(ctx: _Context) -> Samples:
-    at_fixed = ctx.step(PorismParams.from_excess(1.0, 0.0))
+    at_fixed = step_forward(PorismParams.from_excess(1.0, 0.0))
     yield (abs(at_fixed.u_excess) + abs(at_fixed.R),)
     # strict contraction above the fixed point
     for k in range(1, 40):
         u = SQRT3 + 0.25 * k
-        yield (ctx.step(PorismParams(1.0, u)).u - u,)
+        yield (step_forward(PorismParams(1.0, u)).u - u,)
 
 
 # ---------------------------------------------------------------------------
 # forward monotone structure and nesting
+
+
+def _whole(walk: Sequence, steps: int) -> Sequence:
+    """``walk`` if it holds all generations 0..steps, else raise: a healthy
+    step walks the fixture that far, so an orbit that stopped short is a
+    fault, not a shorter sample."""
+    if len(walk) <= steps:
+        raise GeometryError(f"the orbit stopped after {len(walk) - 1} of {steps} steps")
+    return walk
 
 
 @check("thm2.monotone", 1e-12,
@@ -652,7 +663,7 @@ def _check_fixed_point(ctx: _Context) -> Samples:
 def _check_forward_monotone(ctx: _Context) -> Samples:
     prev = Ru_from_dh(FIXTURE)
     for _ in range(6):
-        nxt = ctx.step(prev)
+        nxt = step_forward(prev)
         # eccentricity sqrt((u^2-3)/(u^2+1)) must shrink with u
         ecc_prev = prev.gap / math.sqrt(prev.u ** 2 + 1.0)
         ecc_next = nxt.gap / math.sqrt(nxt.u ** 2 + 1.0)
@@ -668,7 +679,7 @@ def _check_forward_monotone(ctx: _Context) -> Samples:
 @check("thm2.nesting", 1e-10,
        "each generation's Brocard circle nests inside its parent's")
 def _check_brocard_nesting(ctx: _Context) -> Samples:
-    scenes = orbit_scenes(scene_from_Ru(Ru_from_dh(FIXTURE)), 6)
+    scenes = _whole(orbit_scenes(scene_from_Ru(Ru_from_dh(FIXTURE)), 6), 6)
     for overshoot in brocard_nesting(scenes):
         yield (overshoot,)
 
@@ -678,6 +689,7 @@ def _check_brocard_nesting(ctx: _Context) -> Samples:
 def _check_concyclicity(ctx: _Context) -> Samples:
     root = scene_from_Ru(Ru_from_dh(FIXTURE))
     sequences = alternating_brocard_sequence(root, 6)
+    _whole(sequences[0], 6)
     for circle, points, start in zip(
         root.beltrami_circles(), sequences, (root.omega1, root.omega2)
     ):
@@ -690,14 +702,14 @@ def _check_concyclicity(ctx: _Context) -> Samples:
        "the alternating sequences converge to the lower isodynamic point")
 def _check_limit_point(ctx: _Context) -> Samples:
     root = scene_from_Ru(Ru_from_dh(FIXTURE))
-    for points in alternating_brocard_sequence(root, 12):
-        yield (points[-1].dist(root.X15),)
+    for points in alternating_brocard_sequence(root, 7):
+        yield (_whole(points, 7)[-1].dist(root.X15),)
 
 
 @check("prop6.orthogonality", 1e-9,
        "both Beltrami circles cut every generation's Brocard circle at right angles")
 def _check_beltrami_orthogonality(ctx: _Context) -> Samples:
-    scenes = orbit_scenes(scene_from_Ru(Ru_from_dh(FIXTURE)), 5)
+    scenes = _whole(orbit_scenes(scene_from_Ru(Ru_from_dh(FIXTURE)), 5), 5)
     for defect in beltrami_orthogonality(scenes):
         yield (defect,)
 
@@ -1184,11 +1196,14 @@ def run_checks(
     :mod:`brocard._workers`): the caller a fixed share, forked children
     the rest, each child taking the next check in registry order when it
     is free; results do not depend on which process runs a check.
-    Patches made before the call hold in every worker, but a body's side
-    effects stay in the worker that ran it.  Reports come back sorted by
-    check id regardless of execution order.  A check passes only if it
-    ran at least one sample and its residual is within its tolerance; a
-    NaN residual never passes.  A check that raises is reported with an
+    While the call runs, ``step`` is ``step_forward`` in every ``brocard``
+    module that binds that name, a process-wide patch that every worker
+    inherits; each module gets its own binding back when the call returns
+    or raises.  Patches made before the call hold in every worker, but a
+    body's side effects stay in the worker that ran it.  Reports come back
+    sorted by check id regardless of execution order.  A check passes only
+    if it ran at least one sample and its residual is within its tolerance;
+    a NaN residual never passes.  A check that raises is reported with an
     infinite residual and zero samples, and so is each
     check that a dying worker had taken.  Raises
     :class:`UnknownCheckFilterError` when the filter matches no id.
@@ -1205,7 +1220,7 @@ def run_checks(
         # its worker was lost before it reported
         residual, used = math.inf, 0
         if run:
-            ctx = _Context(random.Random(f"{seed}:{check_id}"), max(1, samples), step)
+            ctx = _Context(random.Random(f"{seed}:{check_id}"), max(1, samples))
             try:
                 per_sample = [worst(group) for group in fn(ctx)]
                 residual, used = worst(per_sample), len(per_sample)
@@ -1213,8 +1228,16 @@ def run_checks(
                 pass
         return check_id, claim, residual, tol, used > 0 and residual <= tol, used
 
-    # rows are plain tuples, so a worker's rows cross a pipe as one blob
-    rows = split(selected, row, lambda check_id: row(check_id, run=False))
+    bound = {m: m.step_forward for name, m in list(sys.modules.items())
+             if name.startswith("brocard.") and "step_forward" in vars(m)}
+    try:
+        for m in bound:
+            m.step_forward = step
+        # rows are plain tuples, so a worker's rows cross a pipe as one blob
+        rows = split(selected, row, lambda check_id: row(check_id, run=False))
+    finally:
+        for m, original in bound.items():
+            m.step_forward = original
     reports = [CheckReport(*r) for r in rows]
     reports.sort(key=lambda r: r.check_id)
     return reports

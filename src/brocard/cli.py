@@ -91,17 +91,15 @@ def _emit_table(rows: list[dict], fmt: str, path: str | None) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     # only verify needs the registry; importing it before dataclasses peaks lower
-    from .checks import UnknownCheckFilterError, run_checks
-    from .recurrence import step_forward
+    from .checks import UnknownCheckFilterError, run_checks, step_forward
     from dataclasses import asdict
 
-    step = MUTATIONS[args.mutate] if args.mutate else step_forward
     try:
         reports = run_checks(
             samples=args.samples,
             seed=args.seed,
             filter_prefix=args.filter,
-            step=step,
+            step=MUTATIONS[args.mutate] if args.mutate else step_forward,
         )
     except UnknownCheckFilterError:
         print(f"error: no check id starts with {args.filter!r}", file=sys.stderr)
@@ -110,11 +108,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     failed = [r for r in reports if not r.passed]
     if failed:
         for r in failed:
-            print(
-                f"FAIL {r.check_id}: residual {r.max_residual!r} "
-                f"exceeds {r.tolerance!r}",
-                file=sys.stderr,
+            reason = (
+                f"residual {r.max_residual!r} exceeds {r.tolerance!r}"
+                if r.samples_used
+                else "no sample completed (raised, lost or empty)"
             )
+            print(f"FAIL {r.check_id}: {reason}", file=sys.stderr)
         return 1
     return 0
 

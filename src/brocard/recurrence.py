@@ -86,13 +86,12 @@ def _child_offset(child: PorismParams) -> Pose:
     return Pose(translation=Point(0.0, -child.R), reflect_x=True)
 
 
-def child_scene(parent: PorismScene, step: StepFunction = step_forward) -> PorismScene:
+def child_scene(parent: PorismScene) -> PorismScene:
     """The porism of the parent's second Brocard triangles, posed in its world.
 
-    ``step`` maps the parameters; the check suite's self test passes a
-    deliberately broken one.
+    It steps with this module's ``step_forward``, looked up at each call.
     """
-    child = step(parent.params)
+    child = step_forward(parent.params)
     return scene_from_Ru(child, parent.pose.compose(_child_offset(child)))
 
 

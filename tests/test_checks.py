@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import select
@@ -6,7 +7,7 @@ import threading
 
 import pytest
 
-from brocard import checks, cli, continuous
+from brocard import checks, cli, continuous, recurrence
 from brocard.checks import (
     MUTATIONS,
     CheckReport,
@@ -118,8 +119,30 @@ def test_mutated_run_flags_at_least_the_known_groups():
         "prop14.forward_convergence",
         "prop14.roundtrip",
         "thm2.monotone",
+        "prop4.anti_roundtrip_params",
+        "prop4.anti_roundtrip_points",
+        "thm2.nesting",
+        "thm3.concyclicity",
+        "thm3.limit_point",
+        "prop6.orthogonality",
     ):
         assert want in failed
+
+
+def test_the_mutant_step_is_unpatched_after_the_run(monkeypatch):
+    real = recurrence.step_forward
+    run_checks(samples=5, filter_prefix="thm2.", step=MUTATIONS["flip-step-sign"])
+    assert (recurrence.step_forward, checks.step_forward) == (real, real)
+
+    def broken(*args):
+        raise RuntimeError("split failed")
+
+    monkeypatch.setattr(checks, "split", broken)
+    with pytest.raises(RuntimeError):
+        run_checks(samples=5, step=MUTATIONS["flip-step-sign"])
+    assert (recurrence.step_forward, checks.step_forward) == (real, real)
+    # the walkers read the patched name: child_scene takes no step of its own
+    assert list(inspect.signature(recurrence.child_scene).parameters) == ["parent"]
 
 
 def test_worst_propagates_nan():
@@ -173,6 +196,20 @@ def test_zero_samples_fail_at_infinite_tolerance(monkeypatch):
     (report,) = run_checks(filter_prefix="zz.")
     assert report.max_residual == 0.0
     assert not report.passed
+
+
+def test_verify_says_why_a_row_failed(monkeypatch, capsys):
+    monkeypatch.setitem(
+        checks._REGISTRY, "zz.empty", ("samples nothing", math.inf, lambda ctx: iter(()))
+    )
+    monkeypatch.setitem(
+        checks._REGISTRY, "zz.over", ("too far", 1.0, lambda ctx: iter([(2.0,)]))
+    )
+    assert cli.main(["verify", "--filter", "zz."]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "FAIL zz.empty: no sample completed (raised, lost or empty)",
+        "FAIL zz.over: residual 2.0 exceeds 1.0",
+    ]
 
 
 def test_every_tolerance_is_a_finite_positive_float():
@@ -469,8 +506,8 @@ def test_verify_reports_a_lost_worker_as_failures(monkeypatch, capsys, started):
     assert len(out.splitlines()) == 4
     # the finished zz.1 is lost with the child that took it
     assert err.splitlines() == [
-        "FAIL zz.1: residual inf exceeds inf",
-        "FAIL zz.2: residual inf exceeds inf",
+        "FAIL zz.1: no sample completed (raised, lost or empty)",
+        "FAIL zz.2: no sample completed (raised, lost or empty)",
     ]
 
 

@@ -15,6 +15,7 @@ from .geom import (
     Circle,
     GeometryError,
     Point,
+    SQRT3,
     Triangle,
     circumcircle,
     inversion_xy,
@@ -22,8 +23,6 @@ from .geom import (
     midpoint,
     three_point_center,
 )
-
-SQRT3 = math.sqrt(3.0)
 
 
 class EquilateralDegeneracyError(GeometryError):

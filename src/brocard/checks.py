@@ -54,10 +54,14 @@ from .centers import (
     standard_centers,
 )
 from .continuous import (
+    BELTRAMI_CENTERS,
     T_CRITICAL,
     T_MAX,
+    X15,
+    X16,
     brocard_circle_Kt,
     bt_scene,
+    eccentricity_Et,
     ellipse_Et,
     embed_step,
     envelope_points,
@@ -79,6 +83,7 @@ from .geom import (
     Point,
     Pose,
     Triangle,
+    circle_nesting_slack,
     circumcircle,
     ellipse_line_tangency_residual,
     invert_in_circle,
@@ -172,11 +177,14 @@ def check(
 # samplers
 
 
+def _random_shape(rng: random.Random) -> IsoscelesParams:
+    d = rng.uniform(0.5, 2.0)
+    return IsoscelesParams(d, d * rng.uniform(0.4, 4.0))
+
+
 def _random_member_params(rng: random.Random) -> PorismParams:
     while True:
-        d = rng.uniform(0.5, 2.0)
-        h = d * rng.uniform(0.4, 4.0)
-        params = Ru_from_dh(IsoscelesParams(d, h))
+        params = Ru_from_dh(_random_shape(rng))
         if params.u_excess > 1e-3:
             return params
 
@@ -871,9 +879,7 @@ def _check_printed_foci(ctx: _Context) -> Samples:
        "the chart's composed semi-axis formulas match the scene")
 def _check_composed_axes(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
-        d = ctx.rng.uniform(0.5, 2.0)
-        h = d * ctx.rng.uniform(0.4, 4.0)
-        iso = IsoscelesParams(d, h)
+        d, h = iso = _random_shape(ctx.rng)
         scene = scene_from_Ru(Ru_from_dh(iso))
         denom = 9.0 * d * d + h * h
         a = d * math.sqrt(iso.zeta) / math.sqrt(denom)
@@ -888,9 +894,7 @@ def _check_composed_axes(ctx: _Context) -> Samples:
        "the member at the top parameter is the isosceles triangle itself")
 def _check_apex_recovery(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
-        d = ctx.rng.uniform(0.5, 2.0)
-        h = d * ctx.rng.uniform(0.4, 4.0)
-        iso = IsoscelesParams(d, h)
+        iso = _random_shape(ctx.rng)
         tri, _, _ = isosceles_scene(iso)
         at_top = vertices_at(iso, 0.5 * math.pi)
         yield [min(v.dist(w) for w in tri.vertices) for v in at_top.vertices]
@@ -909,10 +913,7 @@ def _t_grid(n: int, lo: float = 0.05, hi: float = T_MAX - 0.02) -> list[float]:
 def _check_isodynamic_fixed(ctx: _Context) -> Samples:
     for t in _t_grid(ctx.quarter):
         scene = bt_scene(t)
-        yield (
-            scene.X15.dist(Point(0.0, -SQRT3 / 2.0)),
-            scene.X16.dist(Point(0.0, SQRT3 / 2.0)),
-        )
+        yield scene.X15.dist(X15), scene.X16.dist(X16)
 
 
 @check("thm4.member_t0", 1e-10,
@@ -920,7 +921,6 @@ def _check_isodynamic_fixed(ctx: _Context) -> Samples:
 def _check_member_t0(ctx: _Context) -> Samples:
     member = bt_scene(T_CRITICAL)
     f1, f2 = ellipse_foci(member.inellipse)
-    eccentricity = math.sqrt(max(0.0, 2.0 * math.cos(T_CRITICAL) - 1.0))
     yield (
         abs(member.params.u - 2.0),
         abs(member.circumcircle.radius - 0.5),
@@ -930,7 +930,7 @@ def _check_member_t0(ctx: _Context) -> Samples:
         member.inellipse.center.dist(Point(0.0, -0.8)),
         member.brocard_circle.center.dist(Point(0.0, -0.875)),
         abs(member.brocard_circle.radius - 0.125),
-        abs(eccentricity - math.sqrt(0.2)),
+        abs(eccentricity_Et(T_CRITICAL) - math.sqrt(0.2)),
         f1.dist(Point(-0.1, -0.8)),
         f2.dist(Point(0.1, -0.8)),
     )
@@ -994,10 +994,8 @@ def _check_envelope_membership(ctx: _Context) -> Samples:
 @check("prop8.focal_sum", 1e-12,
        "envelope points see the isodynamic points as ellipse foci")
 def _check_envelope_focal_sum(ctx: _Context) -> Samples:
-    top = Point(0.0, SQRT3 / 2.0)
-    bottom = Point(0.0, -SQRT3 / 2.0)
     for t in _t_grid(50, hi=T_CRITICAL):
-        yield [abs(p.dist(top) + p.dist(bottom) - 2.0) for p in envelope_points(t)]
+        yield [abs(p.dist(X16) + p.dist(X15) - 2.0) for p in envelope_points(t)]
 
 
 @check("prop8.degenerate_endpoint", 1e-12,
@@ -1016,12 +1014,10 @@ def nesting_residual(t_small_circle: float, t_big_circle: float) -> float:
     """
     if not 0.0 < t_big_circle < t_small_circle <= T_MAX:
         raise GeometryError("t outside range")
-    inner = brocard_circle_Kt(t_small_circle) if t_small_circle < T_MAX else None
-    if inner is None:
-        # K at pi/3 is the point X15.
-        inner = Circle(Point(0.0, -SQRT3 / 2.0), 0.0)
-    outer = brocard_circle_Kt(t_big_circle)
-    return outer.radius - (inner.center.dist(outer.center) + inner.radius)
+    inner = Circle(X15, 0.0)  # K at pi/3 is the point X15
+    if t_small_circle < T_MAX:
+        inner = brocard_circle_Kt(t_small_circle)
+    return circle_nesting_slack(inner, brocard_circle_Kt(t_big_circle))
 
 
 @check("cor11.brocard_nesting", 1e-12,
@@ -1068,7 +1064,7 @@ def _check_family_profile(ctx: _Context) -> Samples:
     grid = _t_grid(max(40, ctx.samples // 2), lo=0.04, hi=T_MAX - 0.04)
     a = [ellipse_Et(t).semi_major for t in grid]
     b = [ellipse_Et(t).semi_minor for t in grid]
-    ecc = [math.sqrt(max(0.0, 2.0 * math.cos(t) - 1.0)) for t in grid]
+    ecc = [eccentricity_Et(t) for t in grid]
     for k in range(len(grid)):
         # the step into grid point k, and the curvature at k
         steps = (a[k] - a[k - 1], ecc[k] - ecc[k - 1]) if k > 0 else ()
@@ -1096,7 +1092,7 @@ def _web_samples(ctx: _Context) -> int:
        "the two direction fields cross at right angles exactly on the quartic locus")
 def _check_quartic_orthogonality(ctx: _Context) -> Samples:
     web = web_orthogonality_residuals(0.9, samples=_web_samples(ctx))
-    for x, y in ((0.0, -SQRT3 / 2.0), (0.0, SQRT3 / 2.0), (0.5, 0.0), (-0.5, 0.0)):
+    for x, y in (X15, X16, *BELTRAMI_CENTERS):
         on_quartic = abs(16.0 * x ** 4 + 8.0 * x * x + 4.0 * y * y - 3.0)
         yield web.quartic_angle_max_dev, on_quartic
 

@@ -216,25 +216,26 @@ def _continuous_row(t: float) -> dict:
         T_CRITICAL,
         brocard_circle_Kt,
         center_X3,
+        circumradius_Rt,
+        eccentricity_Et,
         ellipse_Et,
+        envelope_conic_residual,
         envelope_points,
     )
 
-    c = math.cos(t)
     e = ellipse_Et(t)
     k = brocard_circle_Kt(t)
-    major2 = max(0.0, 2.0 * c - 1.0)
     if t <= T_CRITICAL:
-        xi_x, xi_y = envelope_points(t)[1]
-        envelope_residual = abs(4.0 * xi_x * xi_x + xi_y * xi_y - 1.0)
+        xi = envelope_points(t)[1]
+        xi_x, xi_y, envelope_residual = *xi, envelope_conic_residual(xi)
     else:
         xi_x = xi_y = envelope_residual = math.nan
     return {
         "t": t,
         "a": e.semi_major,
         "b": e.semi_minor,
-        "eccentricity": math.sqrt(major2),
-        "R_t": math.sqrt(major2 / (2.0 * (1.0 - c))),
+        "eccentricity": eccentricity_Et(t),
+        "R_t": circumradius_Rt(t),
         "X3_y": center_X3(t).y,
         "K_center_y": k.center.y,
         "K_radius": k.radius,
@@ -247,10 +248,10 @@ def _continuous_row(t: float) -> dict:
 def _cmd_continuous(args: argparse.Namespace) -> int:
     from .continuous import T_CRITICAL, T_MAX
 
-    t_min = args.t_min
-    t_max = T_MAX if args.t_max is None else args.t_max
-    if args.degrees:
-        t_min, t_max = math.radians(t_min), math.radians(t_max)
+    # --degrees converts the values given, not the defaults in radians
+    to_radians = math.radians if args.degrees else float
+    t_min = 0.1 if args.t_min is None else to_radians(args.t_min)
+    t_max = T_MAX if args.t_max is None else to_radians(args.t_max)
     if not (0.0 < t_min < t_max <= T_MAX):
         print("error: need 0 < t_min < t_max <= pi/3", file=sys.stderr)
         return 2
@@ -365,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sample the one-parameter family on [t_min, t_max]; the grid "
         "also includes acos(3/4) and acos(3/5) when they fall inside",
     )
-    p.add_argument("--t-min", type=float, default=0.1, dest="t_min")
+    p.add_argument("--t-min", type=float, default=None, dest="t_min")  # None: 0.1
     p.add_argument("--t-max", type=float, default=None, dest="t_max")  # None: T_MAX
     p.add_argument("--samples", type=int, default=200, help="sample count (default 200)")
     p.add_argument(

@@ -5,8 +5,8 @@ For t in (0, pi/3) the inellipse E_t has center (0, -sin t) and semi-axes
 (sqrt(2cos t - 1)/2, sqrt((2cos t - 1)(1 - cos t)/2)); the porism around
 it has Brocard angle t/2 and keeps X15 = (0, -sqrt(3)/2) and
 X16 = (0, +sqrt(3)/2) fixed for every t.  The member at t is the posed
-porism scene :func:`bt_scene` builds.  The Beltrami points sit at
-(-1/2, 0) and (1/2, 0) with unit-radius circles, the discrete recurrence
+porism scene :func:`bt_scene` builds.  The Beltrami circles have unit
+radius about (-1/2, 0) and (1/2, 0), the discrete recurrence
 embeds as a step t -> t' inside the family, and the ellipses and Brocard
 circles weave an orthogonal web whose right-angle locus is the quartic
 16x^4 + 8x^2 + 4y^2 - 3 = 0.
@@ -25,14 +25,21 @@ from .geom import (
     MajorAxis,
     Point,
     Pose,
+    SQRT3,
+    circle_nesting_slack,
     worst,
 )
-from .porism import PorismParams, PorismScene, SQRT3, scene_from_Ru
+from .porism import PorismParams, PorismScene, scene_from_Ru
 
 T_MAX = math.pi / 3.0
 # Parameter of the member whose Brocard circle goes tangent to its own
 # inellipse; beyond it the two no longer meet.
 T_CRITICAL = math.acos(0.6)
+# every member's isodynamic points, and the centers of its unit Beltrami
+# circles, on which the inellipse foci ride
+X15 = Point(0.0, -SQRT3 / 2.0)
+X16 = Point(0.0, SQRT3 / 2.0)
+BELTRAMI_CENTERS = (Point(-0.5, 0.0), Point(0.5, 0.0))
 
 
 class WebResiduals(NamedTuple):
@@ -68,6 +75,25 @@ def ellipse_Et(t: float) -> AxisAlignedEllipse:
     )
 
 
+def eccentricity_Et(t: float) -> float:
+    """Eccentricity sqrt(2cos t - 1) of E_t, twice its semi-major axis."""
+    return 2.0 * ellipse_Et(t).semi_major
+
+
+def foci_Et(t: float) -> tuple[Point, Point]:
+    """The focus (cos t - 1/2, -sin t) of E_t and its mirror in the y axis."""
+    _check_range(t)
+    c, s = math.cos(t), math.sin(t)
+    return Point(c - 0.5, -s), Point(-(c - 0.5), -s)
+
+
+def circumradius_Rt(t: float) -> float:
+    """Circumradius sqrt((2cos t - 1)/(2(1 - cos t))) of the member at t."""
+    _check_range(t)
+    c = math.cos(t)
+    return math.sqrt(max(0.0, 2.0 * c - 1.0) / (2.0 * (1.0 - c)))
+
+
 def u_from_t(t: float) -> float:
     _check_range(t)
     return math.cos(0.5 * t) / math.sin(0.5 * t)
@@ -87,8 +113,7 @@ def _params_at(t: float) -> PorismParams:
     excess = 2.0 * (2.0 * c - 1.0) / ((1.0 - c) * (u + SQRT3))
     if excess <= 0.0:
         raise GeometryError("degenerate member")
-    R = math.sqrt((2.0 * c - 1.0) / (2.0 * (1.0 - c)))
-    return PorismParams.from_excess(R, excess)
+    return PorismParams.from_excess(circumradius_Rt(t), excess)
 
 
 def center_X3(t: float) -> Point:
@@ -138,13 +163,18 @@ def envelope_points(t: float) -> tuple[Point, Point]:
     return Point(-x, y), Point(x, y)
 
 
+def envelope_conic_residual(p: Point) -> float:
+    """|4x^2 + y^2 - 1| at ``p``, zero on the envelope of the family."""
+    return abs(4.0 * p.x * p.x + p.y * p.y - 1.0)
+
+
 def envelope_residual(t: float) -> float:
     """Residual of both envelope contacts of E_t on the envelope and on E_t."""
     e = ellipse_Et(t)
     return worst(
         r
         for p in envelope_points(t)
-        for r in (abs(4.0 * p.x * p.x + p.y * p.y - 1.0), e.implicit_residual(p))
+        for r in (envelope_conic_residual(p), e.implicit_residual(p))
     )
 
 
@@ -158,28 +188,18 @@ def gamma_nesting_residual(t_small_circle: float, t_big_circle: float) -> float:
     """
     if not 0.0 < t_big_circle < t_small_circle < T_MAX:
         raise GeometryError("t outside range")
-    s_in = bt_scene(t_small_circle).circumcircle
-    s_out = bt_scene(t_big_circle).circumcircle
-    return s_out.radius - (s_in.center.dist(s_out.center) + s_in.radius)
-
-
-_ARC_CENTERS = (Point(-0.5, 0.0), Point(0.5, 0.0))
+    return circle_nesting_slack(
+        bt_scene(t_small_circle).circumcircle, bt_scene(t_big_circle).circumcircle
+    )
 
 
 def foci_on_arcs_check(t: float) -> tuple[float, float]:
     """Distance defects of the two inellipse foci from their unit arcs.
 
-    The focus (cos t - 1/2, -sin t) stays on the unit circle about
+    The focus :func:`foci_Et` lists first stays on the unit circle about
     (-1/2, 0) and its mirror on the unit circle about (1/2, 0).
     """
-    _check_range(t)
-    c, s = math.cos(t), math.sin(t)
-    f1 = Point(c - 0.5, -s)
-    f2 = Point(-(c - 0.5), -s)
-    return (
-        abs(f1.dist(_ARC_CENTERS[0]) - 1.0),
-        abs(f2.dist(_ARC_CENTERS[1]) - 1.0),
-    )
+    return tuple(abs(f.dist(c) - 1.0) for f, c in zip(foci_Et(t), BELTRAMI_CENTERS))
 
 
 def kt_inellipse_intersection_check(t: float) -> float:
@@ -273,19 +293,14 @@ def _web_field_sweep(samples: int) -> tuple[float, float]:
     axis_dev = []
     for i in range(1, samples):
         y = -0.82 + 1.64 * i / samples
-        if abs(abs(y) - SQRT3 / 2.0) < 1e-3:
+        if abs(abs(y) - X16.y) < 1e-3:
             continue
-        slopes = _ellipse_field_slopes(0.0, y)
-        if slopes:
-            axis_dev.append(
-                _angle_between_slopes(slopes[0], _circle_field_slope(0.0, y))
-            )
-        x = 0.04 + 0.44 * i / samples
-        slopes = _ellipse_field_slopes(x, 0.0)
-        if slopes:
-            axis_dev.append(
-                _angle_between_slopes(slopes[0], _circle_field_slope(x, 0.0))
-            )
+        # a point on the y axis, then one on the x axis
+        for px, py in ((0.0, y), (0.04 + 0.44 * i / samples, 0.0)):
+            slopes = _ellipse_field_slopes(px, py)
+            if slopes:
+                angle = _angle_between_slopes(slopes[0], _circle_field_slope(px, py))
+                axis_dev.append(angle)
     return worst(quartic_dev), worst(axis_dev)
 
 
@@ -306,11 +321,10 @@ def web_orthogonality_residuals(t: float, samples: int = 64) -> WebResiduals:
     c, s = math.cos(t), math.sin(t)
     five = 5.0 - 4.0 * c
     deep = 3.0 * (2.0 * c - 1.0) / (2.0 * five)
-    pts = (
-        (Point(-deep, -3.0 * s / five), _ARC_CENTERS[0]),
-        (Point(deep, -3.0 * s / five), _ARC_CENTERS[1]),
-        (Point(c - 0.5, -s), _ARC_CENTERS[0]),
-        (Point(-(c - 0.5), -s), _ARC_CENTERS[1]),
+    # the deep points, then the foci, each with the center of its arc
+    pts = zip(
+        (Point(-deep, -3.0 * s / five), Point(deep, -3.0 * s / five), *foci_Et(t)),
+        BELTRAMI_CENTERS * 2,
     )
     k = brocard_circle_Kt(t)
     inner_products = []
@@ -339,8 +353,8 @@ def lower_vertex_y(t: float) -> float:
     return e.center.y - e.semi_minor
 
 
-def _central_difference(f, t: float, h: float = 1e-6) -> float:
-    return (f(t + h) - f(t - h)) / (2.0 * h)
+def _central_difference(f, t: float) -> float:
+    return (f(t + 1e-6) - f(t - 1e-6)) / 2e-6
 
 
 def _bisect(f, lo: float, hi: float) -> float:

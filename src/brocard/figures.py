@@ -11,6 +11,7 @@ making reruns byte-identical.
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 # the porism layer is shared by every figure; each figure imports the
 # other layers it draws in its body, so rendering one loads only those
@@ -52,11 +53,10 @@ def _require(residual: float, tol: float, what: str) -> None:
 class _Canvas:
     """World-to-pixel mapping with y pointing up in world coordinates."""
 
-    def __init__(
-        self, xmin: float, xmax: float, ymin: float, ymax: float, width: float = 640.0
-    ) -> None:
+    width = 640.0
+
+    def __init__(self, xmin: float, xmax: float, ymin: float, ymax: float) -> None:
         self.xmin, self.xmax, self.ymin, self.ymax = xmin, xmax, ymin, ymax
-        self.width = width
         self.elements: list[str] = []
 
     @property
@@ -92,17 +92,10 @@ class _Canvas:
             )
         )
 
-    def polygon(self, points: tuple[Point, ...], cls: str) -> None:
-        coords = " ".join(
-            "%.3f,%.3f" % (self.sx(p.x), self.sy(p.y)) for p in points
-        )
-        self.elements.append('<polygon class="%s" points="%s"/>' % (cls, coords))
-
-    def polyline(self, points: list[Point], cls: str) -> None:
-        coords = " ".join(
-            "%.3f,%.3f" % (self.sx(p.x), self.sy(p.y)) for p in points
-        )
-        self.elements.append('<polyline class="%s" points="%s"/>' % (cls, coords))
+    def poly(self, tag: str, points: Iterable[Point], cls: str) -> None:
+        """A ``polygon`` or ``polyline`` element through ``points``."""
+        coords = " ".join("%.3f,%.3f" % (self.sx(p.x), self.sy(p.y)) for p in points)
+        self.elements.append('<%s class="%s" points="%s"/>' % (tag, cls, coords))
 
     def arc(self, center: Point, radius: float, a0: float, a1: float, cls: str) -> None:
         """Circular arc from angle a0 to a1, counterclockwise in world terms."""
@@ -123,7 +116,7 @@ class _Canvas:
             % (self.sx(p.x), self.sy(p.y))
         )
 
-    def label(self, p: Point, text: str, dx: float = 6.0, dy: float = -6.0) -> None:
+    def label(self, p: Point, text: str, dx: float, dy: float) -> None:
         self.elements.append(
             '<text class="label" x="%.3f" y="%.3f">%s</text>'
             % (self.sx(p.x) + dx, self.sy(p.y) + dy, text)
@@ -180,9 +173,9 @@ def fig_member(iso: IsoscelesParams) -> str:
     cv = _Canvas(-R - pad, R + pad, -R - pad, R + pad)
     cv.circle(scene.circumcircle, "gamma")
     cv.ellipse(scene.inellipse, "inellipse")
-    cv.polygon(tri.vertices, "member")
+    cv.poly("polygon", tri.vertices, "member")
     cv.circle(scene.brocard_circle, "brocard")
-    cv.polygon(derived.vertices, "derived dashed")
+    cv.poly("polygon", derived.vertices, "derived dashed")
     for p, name, dx, dy in (
         (scene.omega1, "&#937;1", 6.0, -4.0),
         (scene.omega2, "&#937;2", -24.0, -4.0),
@@ -216,7 +209,7 @@ def fig_cascade_triangles(iso: IsoscelesParams) -> str:
     cv.circle(root.circumcircle, "gamma")
     for scene in scenes:
         tri = scene_member(scene, 0.5 * math.pi)
-        cv.polygon(tri.vertices, "member dashed")
+        cv.poly("polygon", tri.vertices, "member dashed")
     _beltrami_arcs(cv, root)
     for p in first[:3] + second[:3]:
         cv.marker(p)
@@ -258,7 +251,10 @@ _FAMILY_TS = (0.35, 0.55, 0.75, 0.95)
 def fig_family() -> str:
     """Member ellipses and nested circumcircles of the continuous family."""
     from .continuous import (
+        BELTRAMI_CENTERS,
         T_MAX,
+        X15,
+        X16,
         bt_scene,
         ellipse_Et,
         foci_on_arcs_check,
@@ -268,11 +264,7 @@ def fig_family() -> str:
     for t in _FAMILY_TS:
         _require(worst(foci_on_arcs_check(t)), 1e-10, "foci on arcs")
     for earlier, later in zip(_FAMILY_TS, _FAMILY_TS[1:]):
-        _require(
-            worst([-gamma_nesting_residual(later, earlier)]),
-            1e-10,
-            "circumcircle nesting",
-        )
+        _require(-gamma_nesting_residual(later, earlier), 1e-10, "circumcircle nesting")
 
     cv = _Canvas(-3.0, 3.0, -5.9, 1.2)
     for t in _FAMILY_TS:
@@ -280,15 +272,14 @@ def fig_family() -> str:
         cv.circle(scene.circumcircle, "gamma faint")
     for t in _FAMILY_TS:
         cv.ellipse(ellipse_Et(t), "inellipse")
-    # focus tracks: unit circles about (-1/2, 0) and (1/2, 0)
-    cv.arc(Point(-0.5, 0.0), 1.0, -T_MAX, -0.05, "beltrami-arc")
-    cv.arc(Point(0.5, 0.0), 1.0, math.pi + 0.05, math.pi + T_MAX, "beltrami-arc")
-    x15 = Point(0.0, -0.5 * math.sqrt(3.0))
-    cv.marker(x15)
-    cv.label(x15, "X15", 8.0, 4.0)
-    x16 = Point(0.0, 0.5 * math.sqrt(3.0))
-    cv.marker(x16)
-    cv.label(x16, "X16", 8.0, -4.0)
+    # focus tracks: the unit circles about the Beltrami centers
+    left, right = BELTRAMI_CENTERS
+    cv.arc(left, 1.0, -T_MAX, -0.05, "beltrami-arc")
+    cv.arc(right, 1.0, math.pi + 0.05, math.pi + T_MAX, "beltrami-arc")
+    cv.marker(X15)
+    cv.label(X15, "X15", 8.0, 4.0)
+    cv.marker(X16)
+    cv.label(X16, "X16", 8.0, -4.0)
     return cv.render()
 
 
@@ -322,14 +313,10 @@ def fig_envelope() -> str:
         Point(0.5 * math.cos(2.0 * math.pi * k / n), math.sin(2.0 * math.pi * k / n))
         for k in range(n + 1)
     ]
-    cv.polyline(oval, "envelope")
+    cv.poly("polyline", oval, "envelope")
+    xs = [-0.5 + k / 80 for k in range(81)]
     for sign in (1.0, -1.0):
-        pts = []
-        m = 80
-        for k in range(m + 1):
-            x = -0.5 + k / m
-            pts.append(Point(x, sign * quartic_y(x)))
-        cv.polyline(pts, "quartic")
+        cv.poly("polyline", [Point(x, sign * quartic_y(x)) for x in xs], "quartic")
     for t in _ENVELOPE_TS:
         cv.ellipse(ellipse_Et(t), "inellipse faint")
         for p in envelope_points(t):
@@ -352,8 +339,6 @@ FIGURES: dict[str, tuple[object, bool]] = {
 
 def render_figure(name: str, iso: IsoscelesParams | None = None) -> str:
     """Render a named figure; ``iso`` only applies to the porism figures."""
-    if name not in FIGURES:
-        raise KeyError(name)
     fn, takes_iso = FIGURES[name]
     if takes_iso:
         return fn(iso if iso is not None else FIXTURE)  # type: ignore[operator]

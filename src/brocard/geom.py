@@ -71,6 +71,7 @@ class Point(NamedTuple):
 
 
 ORIGIN = Point(0.0, 0.0)
+SQRT3 = math.sqrt(3.0)
 
 
 class Validating:
@@ -414,6 +415,12 @@ def circles_orthogonality_residual(c1: Circle, c2: Circle) -> float:
     """|d^2 - r1^2 - r2^2|, zero exactly when the circles meet at right angles."""
     d = c1.center.dist(c2.center)
     return abs(d * d - c1.radius * c1.radius - c2.radius * c2.radius)
+
+
+def circle_nesting_slack(inner: Circle, outer: Circle) -> float:
+    """r_outer - (d + r_inner): nonnegative exactly when ``inner`` lies in
+    ``outer``, zero when it touches from inside, negative when it pokes out."""
+    return outer.radius - (inner.center.dist(outer.center) + inner.radius)
 
 
 def ellipse_line_tangency_residual(e: AxisAlignedEllipse, l: Line) -> float:

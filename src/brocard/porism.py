@@ -23,14 +23,13 @@ from .geom import (
     MajorAxis,
     Point,
     Pose,
+    SQRT3,
     Triangle,
     Validating,
     check_radius,
     check_semi_axes,
     line_direction,
 )
-
-SQRT3 = math.sqrt(3.0)
 
 
 class DegeneratePorismError(GeometryError):

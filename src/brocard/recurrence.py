@@ -22,6 +22,7 @@ from .geom import (
     GeometryError,
     Point,
     Pose,
+    circle_nesting_slack,
     circles_orthogonality_residual,
     worst,
 )
@@ -148,9 +149,7 @@ def alternating_brocard_sequence(
 def brocard_nesting(scenes: Sequence[PorismScene]) -> Iterator[float]:
     """Overshoot of each generation's Brocard circle past its parent's."""
     return (
-        inner.brocard_circle.center.dist(outer.brocard_circle.center)
-        + inner.brocard_circle.radius
-        - outer.brocard_circle.radius
+        -circle_nesting_slack(inner.brocard_circle, outer.brocard_circle)
         for outer, inner in zip(scenes, scenes[1:])
     )
 

@@ -154,6 +154,21 @@ def test_continuous_degrees():
     assert abs(rows[0]["t"] - math.radians(10.0)) < 1e-12
 
 
+def test_continuous_degrees_leaves_the_defaults_in_radians():
+    # --degrees converts only the bounds given: the default top stays pi/3
+    p = _run("continuous", "--degrees", "--samples", "3", "--format", "json")
+    assert p.returncode == 0
+    ts = [r["t"] for r in _rows_from_jsonl(p.stdout)]
+    assert (ts[0], ts[-1]) == (0.1, T_MAX)
+    p = _run("continuous", "--degrees", "--t-min", "10", "--format", "json")
+    assert (p.returncode, p.stderr) == (0, "")
+    ts = [r["t"] for r in _rows_from_jsonl(p.stdout)]
+    assert (ts[0], ts[-1]) == (math.radians(10.0), T_MAX)
+    # 60 degrees is pi/3 to the bit, so it stays a valid top
+    assert math.radians(60.0) == T_MAX
+    assert _run("continuous", "--degrees", "--t-max", "60").returncode == 0
+
+
 def test_continuous_bad_range_exit_two():
     assert _run("continuous", "--t-min", "0.5", "--t-max", "0.2").returncode == 2
     assert _run("continuous", "--t-min", "0", "--t-max", "0.5").returncode == 2

@@ -15,6 +15,7 @@ from brocard.geom import (
     Point,
     Pose,
     Triangle,
+    circle_nesting_slack,
     circles_orthogonality_residual,
     circumcircle,
     ellipse_line_tangency_residual,
@@ -484,6 +485,18 @@ def test_orthogonal_circles_residual():
     assert circles_orthogonality_residual(c1, c2) < 1e-15
     c3 = Circle(Point(5.0, 0.0), 3.0)
     assert circles_orthogonality_residual(c1, c3) > 1.0
+
+
+def test_circle_nesting_slack():
+    outer = Circle(Point(1.0, -2.0), 3.0)
+    # internally tangent: the slack is exactly zero
+    assert circle_nesting_slack(Circle(Point(2.0, -2.0), 2.0), outer) == 0.0
+    # a point circle is its center: the slack is the distance to the rim
+    assert circle_nesting_slack(Circle(Point(1.0, -1.5), 0.0), outer) == 2.5
+    assert circle_nesting_slack(Circle(Point(1.0, 2.0), 0.0), outer) == -1.0
+    # an inner circle that pokes out by 0.5 reads -0.5
+    assert circle_nesting_slack(Circle(Point(1.0, 0.0), 1.5), outer) == -0.5
+    assert circle_nesting_slack(outer, outer) == 0.0
 
 
 def test_midpoint():

@@ -35,6 +35,17 @@ FIGURE_DIGESTS = {
     ("fig5", "--d", "1", "--h", "2.9"): "fe377743a20b14dd8c75bbc32ced46dda7ba55b848a871ad4524aa7655041c97",
 }
 
+# the tables of the commands that print the continuous family, the
+# porism's members and the recurrence, as printed in CSV
+TABLE_DIGESTS = {
+    ("continuous",): "9e792b374321298fa350037bf8214a1c866311bd1c500056ab0077e86826a0c2",
+    ("continuous", "--degrees", "--t-min", "1", "--t-max", "60"): "b7f08e32167220bbe0cede859f4b00c75a7d3188a67bdb91c9b84c01ff3a7cfc",
+    ("family",): "92161ac612c8332e33728fe09486ccd91c6cb0aa5bdff615c5eae46bf859ed9d",
+    ("family", "--d", "1.2", "--h", "2.4"): "15db06e373f7104f6cbf90748479c25dda181df9272add90bbc4b9fb71394253",
+    ("orbit", "--R0", "1", "--u0", "2"): "16e129b7898c82959c320e458dddd8cec1a3642f1e92705eda06db96f1630bc0",
+    ("orbit", "--R0", "1", "--u0", "2", "--direction", "back"): "3cee2de31029333da33c21559c1ab4d3e172992ecadbee182515d8df86944577",
+}
+
 
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -71,3 +82,8 @@ def test_verify_report_is_byte_identical():
 @pytest.mark.parametrize("args", sorted(FIGURE_DIGESTS), ids=" ".join)
 def test_figure_is_byte_identical(args):
     assert figure_digest(args) == FIGURE_DIGESTS[args]
+
+
+@pytest.mark.parametrize("args", sorted(TABLE_DIGESTS), ids=" ".join)
+def test_table_is_byte_identical(args):
+    assert _sha256(_run(list(args))) == TABLE_DIGESTS[args]

@@ -6,6 +6,7 @@ import pytest
 from brocard.checks import isosceles_scene
 from brocard.geom import Circle, GeometryError, Line, Point, Pose, three_point_circle
 from brocard.porism import (
+    FIXTURE,
     DegeneratePorismError,
     IsoscelesParams,
     PorismParams,
@@ -16,6 +17,7 @@ from brocard.recurrence import (
     Direction,
     alternating_brocard_sequence,
     anti_scene,
+    brocard_nesting,
     child_scene,
     orbit_scenes,
     step_backward,
@@ -246,3 +248,25 @@ def test_apollonius_circles_are_beltrami_circles():
         assert a.center.dist(k1.center) < 1e-7 * max(1.0, k1.center.norm())
         assert abs(a.radius - k1.radius) < 1e-7 * k1.radius
         assert b.center.dist(k2.center) < 1e-7 * max(1.0, k2.center.norm())
+
+
+# overshoot of each generation's Brocard circle past its parent's, by repr
+NESTING_FIXTURE = [
+    "-0.08836524300441828", "-0.0004602111821455632", "-1.2229251203719618e-08",
+    "-8.63453802283155e-18", "-4.304449184857935e-36", "-1.0697309053555204e-72",
+]
+NESTING_POSED = [
+    "-0.6080713502404134", "-0.15385222952754718", "-0.00540513416989436",
+    "-5.8731918851149e-06", "-6.904434783856389e-12", "-9.541880497176225e-24",
+]
+
+
+def test_brocard_nesting_values_are_pinned():
+    root = scene_from_Ru(Ru_from_dh(FIXTURE))
+    got = [repr(v) for v in brocard_nesting(orbit_scenes(root, 6))]
+    assert got == NESTING_FIXTURE
+    pose = Pose(translation=Point(0.75, -1.5), rotation=0.5 * math.pi,
+                reflect_x=True, scale=2.0)
+    posed = scene_from_Ru(PorismParams(1.3, 2.5), pose)
+    got = [repr(v) for v in brocard_nesting(orbit_scenes(posed, 6))]
+    assert got == NESTING_POSED

@@ -12,12 +12,11 @@ import math
 from typing import NamedTuple
 
 from .geom import (
-    Circle,
     GeometryError,
     Point,
     SQRT3,
     Triangle,
-    circumcircle,
+    check_radius,
     inversion_xy,
     line_direction,
     midpoint,
@@ -41,7 +40,7 @@ class TriangleMetrics(NamedTuple):
 def _measure(t: Triangle) -> tuple[float, float, float, float]:
     """(s1, s2, s3, area): the float operations of ``t.sidelengths()`` and
     ``t.area()``, on scalars."""
-    (ax, ay), (bx, by), (cx, cy) = t.A, t.B, t.C
+    (ax, ay), (bx, by), (cx, cy) = t
     return (
         math.hypot(bx - cx, by - cy),
         math.hypot(cx - ax, cy - ay),
@@ -50,15 +49,18 @@ def _measure(t: Triangle) -> tuple[float, float, float, float]:
     )
 
 
+def _lambda(s1: float, s2: float, s3: float) -> float:
+    return (s1 * s2) ** 2 + (s2 * s3) ** 2 + (s3 * s1) ** 2
+
+
 def metrics(t: Triangle) -> TriangleMetrics:
     s1, s2, s3, area = _measure(t)
-    lam = (s1 * s2) ** 2 + (s2 * s3) ** 2 + (s3 * s1) ** 2
-    return TriangleMetrics(s1, s2, s3, area, lam, s1 * s2 * s3 / (4.0 * area))
+    return TriangleMetrics(s1, s2, s3, area, _lambda(s1, s2, s3), s1 * s2 * s3 / (4.0 * area))
 
 
 def _omega(s1: float, s2: float, s3: float, area: float) -> float:
     try:
-        lam = (s1 * s2) ** 2 + (s2 * s3) ** 2 + (s3 * s1) ** 2
+        lam = _lambda(s1, s2, s3)
     except OverflowError:
         raise GeometryError("Brocard angle out of range: lambda overflows") from None
     if lam == 0.0:
@@ -74,13 +76,16 @@ def brocard_angle(t: Triangle) -> float:
     return _omega(*_measure(t))
 
 
-def brocard_cotangent(t: Triangle) -> float:
-    """cot(omega) = (s1^2 + s2^2 + s3^2) / (4*area), always >= sqrt(3)."""
-    s1, s2, s3, area = _measure(t)
+def _cotangent(s1: float, s2: float, s3: float, area: float) -> float:
     return (s1 * s1 + s2 * s2 + s3 * s3) / (4.0 * area)
 
 
-Meets = list[tuple[float, float]]
+def brocard_cotangent(t: Triangle) -> float:
+    """cot(omega) = (s1^2 + s2^2 + s3^2) / (4*area), always >= sqrt(3)."""
+    return _cotangent(*_measure(t))
+
+
+Meets = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 
 
 def _turned_sides(P0: Point, P1: Point, P2: Point, c: float, s: float) -> Meets:
@@ -91,21 +96,22 @@ def _turned_sides(P0: Point, P1: Point, P2: Point, c: float, s: float) -> Meets:
     ``Line(P_i, (P_(i+1) - P_i).rotated(angle))`` and of
     ``line_line_intersection``, written out as scalars.
     """
-    bases = (P0, P1, P2)
-    dirs = []
-    for p, q in ((P0, P1), (P1, P2), (P2, P0)):
-        dx, dy = q.x - p.x, q.y - p.y
-        dirs.append(line_direction(c * dx - s * dy, s * dx + c * dy))
-    meets = []
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        (ax, ay), (bx, by) = dirs[i], dirs[j]
-        denom = ax * by - ay * bx
-        if abs(denom) < 1e-14:
-            raise GeometryError("lines are parallel")
-        p, q = bases[i], bases[j]
-        k = ((q.x - p.x) * by - (q.y - p.y) * bx) / denom
-        meets.append((p.x + ax * k, p.y + ay * k))
-    return meets
+    (x0, y0), (x1, y1), (x2, y2) = P0, P1, P2
+    dx0, dy0, dx1, dy1, dx2, dy2 = x1 - x0, y1 - y0, x2 - x1, y2 - y1, x0 - x2, y0 - y2
+    ax, ay = line_direction(c * dx0 - s * dy0, s * dx0 + c * dy0)
+    bx, by = line_direction(c * dx1 - s * dy1, s * dx1 + c * dy1)
+    cx, cy = line_direction(c * dx2 - s * dy2, s * dx2 + c * dy2)
+    d01, d12, d20 = ax * by - ay * bx, bx * cy - by * cx, cx * ay - cy * ax
+    if abs(d01) < 1e-14 or abs(d12) < 1e-14 or abs(d20) < 1e-14:
+        raise GeometryError("lines are parallel")
+    k01 = (dx0 * by - dy0 * bx) / d01
+    k12 = (dx1 * cy - dy1 * cx) / d12
+    k20 = (dx2 * ay - dy2 * ax) / d20
+    return (
+        (x0 + ax * k01, y0 + ay * k01),
+        (x1 + bx * k12, y1 + by * k12),
+        (x2 + cx * k20, y2 + cy * k20),
+    )
 
 
 def _centroid(meets: Meets) -> Point:
@@ -118,7 +124,7 @@ def _brocard_construction(t: Triangle, omega: float) -> tuple[Meets, Meets]:
     # counterclockwise triangle the positive turn sweeps each side into
     # the interior.  Second point: sides CB, BA, AC turned by -omega about
     # C, B, A.
-    A, B, C = t.A, t.B, t.C
+    A, B, C = t
     first = _turned_sides(A, B, C, math.cos(omega), math.sin(omega))
     second = _turned_sides(C, B, A, math.cos(-omega), math.sin(-omega))
     return first, second
@@ -135,14 +141,11 @@ def brocard_points_by_construction(t: Triangle) -> tuple[Point, Point]:
     return _centroid(first), _centroid(second)
 
 
-def _symmedian(t: Triangle, s1: float, s2: float, s3: float) -> Point:
+def _symmedian(t: Triangle, s1: float, s2: float, s3: float) -> tuple[float, float]:
     w1, w2, w3 = s1 * s1, s2 * s2, s3 * s3
     total = w1 + w2 + w3
-    (ax, ay), (bx, by), (cx, cy) = t.A, t.B, t.C
-    return Point(
-        (w1 * ax + w2 * bx + w3 * cx) / total,
-        (w1 * ay + w2 * by + w3 * cy) / total,
-    )
+    (ax, ay), (bx, by), (cx, cy) = t
+    return (w1 * ax + w2 * bx + w3 * cx) / total, (w1 * ay + w2 * by + w3 * cy) / total
 
 
 class StandardCenters(NamedTuple):
@@ -158,35 +161,40 @@ class StandardCenters(NamedTuple):
     omega2: Point
 
 
-def _circle_on(X3: Point, X6: Point) -> Circle:
-    gap = X3.dist(X6)
-    if gap == 0.0:
-        raise EquilateralDegeneracyError("equilateral degeneracy")
-    return Circle(midpoint(X3, X6), 0.5 * gap)
-
-
 def standard_centers(t: Triangle) -> StandardCenters:
     """The eight centers used by the porism scenes, and both Brocard
     points by construction (X39 is their midpoint).
 
     Pre: the triangle is not equilateral (X15, X16, X187, X574 degenerate
-    there).  The triangle is measured once; every value has the float
-    operations of the one-center functions above.
+    there).  Straight-line code on scalars: the triangle is measured once,
+    and a Point is built only for a returned center; every value and every
+    raise is that of the object route (circumcircle, the circle on X3 X6
+    and its inversions).
     """
-    X3, r3 = circumcircle(t)
+    A, B, C = t
+    X3 = three_point_center(A, B, C)
+    r3 = X3.dist(A)
+    check_radius(r3)
     s1, s2, s3, area = _measure(t)
-    X6 = _symmedian(t, s1, s2, s3)
+    x6, y6 = _symmedian(t, s1, s2, s3)
     first, second = _brocard_construction(t, _omega(s1, s2, s3, area))
     omega1, omega2 = _centroid(first), _centroid(second)
-    u = (s1 * s1 + s2 * s2 + s3 * s3) / (4.0 * area)
+    u = _cotangent(s1, s2, s3, area)
     if u - SQRT3 <= 0.0:
         raise EquilateralDegeneracyError("equilateral degeneracy")
     # X15, X16 = (sqrt3*X3 +- u*X6) / (sqrt3 +- u)
-    (x3, y3), (x6, y6) = X3, X6
+    x3, y3 = X3
     k15, k16 = 1.0 / (SQRT3 + u), 1.0 / (SQRT3 - u)
     X15 = Point((SQRT3 * x3 + u * x6) * k15, (SQRT3 * y3 + u * y6) * k15)
     X16 = Point((SQRT3 * x3 - u * x6) * k16, (SQRT3 * y3 - u * y6) * k16)
-    X182, rk = _circle_on(X3, X6)
+    # the Brocard circle, on diameter X3 X6, about X182
+    X6 = Point(x6, y6)
+    gap = X3.dist(X6)
+    if gap == 0.0:
+        raise EquilateralDegeneracyError("equilateral degeneracy")
+    rk = 0.5 * gap
+    check_radius(rk)
+    X182 = midpoint(X3, X6)
     X187 = inversion_xy(x3, y3, r3, x6, y6)
     X574 = inversion_xy(X182.x, X182.y, rk, X187.x, X187.y)
     return StandardCenters(
@@ -208,7 +216,7 @@ def second_brocard_triangle(t: Triangle) -> Triangle:
     s1, s2, s3, _ = _measure(t)
     x6, y6 = _symmedian(t, s1, s2, s3)
     feet = []
-    for vx, vy in t.vertices:
+    for vx, vy in t:
         if math.hypot(vx - x6, vy - y6) < 1e-14 * math.hypot(vx - x3, vy - y3):
             raise GeometryError("cevian undefined")
         ux, uy = line_direction(x6 - vx, y6 - vy)

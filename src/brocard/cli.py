@@ -255,6 +255,11 @@ def _cmd_continuous(args: argparse.Namespace) -> int:
     if not (0.0 < t_min < t_max <= T_MAX):
         print("error: need 0 < t_min < t_max <= pi/3", file=sys.stderr)
         return 2
+    # the member's circumcenter and circumradius divide by 1 - cos t
+    if math.cos(t_min) == 1.0:
+        print("error: need t_min >= 2**-26.5 rad (1.0537e-08): below it cos t rounds to 1",
+              file=sys.stderr)
+        return 2
     n = args.samples
     # the last point can round one ulp past t_max, and past pi/3 the
     # Brocard circle has a negative radius; pin it to t_max

@@ -369,7 +369,7 @@ def three_point_center(p: Point, q: Point, r: Point) -> Point:
 def three_point_circle(p: Point, q: Point, r: Point) -> Circle:
     """Circle through three points, any orientation."""
     o = three_point_center(p, q, r)
-    return Circle(o, math.hypot(o.x - p.x, o.y - p.y))
+    return Circle(o, o.dist(p))
 
 
 def circumcircle(t: Triangle) -> Circle:

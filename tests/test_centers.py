@@ -8,7 +8,6 @@ from brocard.centers import (
     StandardCenters,
     TriangleMetrics,
     _centroid,
-    _circle_on,
     _measure,
     _symmedian,
     _turned_sides,
@@ -22,6 +21,7 @@ from brocard.centers import (
 from brocard.checks import _spread, brocard_concurrency_defect
 from brocard.geom import (
     Circle,
+    DegenerateTriangleError,
     GeometryError,
     InversionPoleError,
     Line,
@@ -267,6 +267,76 @@ def test_member_kernels_raise_as_the_object_routes_do(same_route):
         same_route(second_brocard_triangle, _reference_second_brocard_triangle, t)
 
 
+def _unchecked(*xys):
+    """A Triangle that skips the constructor's check, so the kernels meet
+    inputs no member reaches."""
+    return tuple.__new__(Triangle, tuple(Point(x, y) for x, y in xys))
+
+
+def _scaled_fix(k):
+    return _unchecked(*((k * v.x, k * v.y) for v in FIX.vertices))
+
+
+_EQ = Triangle.oriented(
+    Point(1.0, 0.0),
+    Point(math.cos(2.0 * math.pi / 3.0), math.sin(2.0 * math.pi / 3.0)),
+    Point(math.cos(4.0 * math.pi / 3.0), math.sin(4.0 * math.pi / 3.0)),
+)
+_NO_RADIUS = (GeometryError, "circle requires a finite radius >= 0")
+_NO_DIRECTION = (GeometryError, "line requires a nonzero direction")
+_DEGENERATE = (DegenerateTriangleError, "degenerate triangle")
+_DIVISION = (ZeroDivisionError, "float division by zero")
+_PARALLEL = (GeometryError, "lines are parallel")
+
+# (triangle, standard_centers, second_brocard_triangle, _turned_sides at
+# the angles 0 and +-0.3): the type and message each raises, or None for
+# a value; recorded on the kernels before they became straight-line code.
+_RAISES = {
+    # the circumcenter's cubic numerators overflow; so do X6's weights
+    "fix*1e200": (_scaled_fix(1e200), _NO_RADIUS, _NO_DIRECTION, None),
+    "fix*1e110": (_scaled_fix(1e110), _NO_RADIUS, _NO_DIRECTION, None),
+    "overflowing circumcenter": (
+        _unchecked((-1e300, 0.0), (1e300, 0.0), (0.0, 1e290)), _NO_RADIUS, _NO_DIRECTION,
+        None,
+    ),
+    # lambda leaves the double range while the circumcenter does not
+    "fix*1e90": (_scaled_fix(1e90), (GeometryError,
+                 "Brocard angle out of range: lambda overflows"), None, None),
+    "fix*1e-90": (_scaled_fix(1e-90), (GeometryError,
+                  "Brocard angle out of range: lambda underflows"), None, None),
+    # the derived triangle's orientation test underflows
+    "fix*1e-110": (_scaled_fix(1e-110), (GeometryError,
+                   "Brocard angle out of range: lambda underflows"), _DEGENERATE, None),
+    # the circumcenter's determinant underflows to zero and is divided by
+    "fix*1e-200": (_scaled_fix(1e-200), _DIVISION, _DIVISION, None),
+    "collinear": (_unchecked((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)), _DEGENERATE, _DEGENERATE,
+                  _PARALLEL),
+    "repeated vertex": (_unchecked((0.0, 0.0), (0.0, 0.0), (1.0, 1.0)), _DEGENERATE,
+                        _DEGENERATE, _NO_DIRECTION),
+    "NaN vertex": (_unchecked((0.0, 2.0), (-1.0, 0.0), (1.0, math.nan)), _NO_RADIUS,
+                   _NO_DIRECTION, _NO_DIRECTION),
+    "equilateral": (_EQ, (EquilateralDegeneracyError, "equilateral degeneracy"), None, None),
+    "undefined cevian": (Triangle(Point(-1.0, 0.0), Point(1.0, 0.0), Point(0.0, 1e-8)), None,
+                         (GeometryError, "cevian undefined"), None),
+}
+
+
+@pytest.mark.parametrize("name", list(_RAISES))
+def test_member_kernels_raise_as_recorded(name, raises_as_before):
+    t, centers_raise, derived_raise, sides_raise = _RAISES[name]
+    calls = [
+        (lambda: standard_centers(t), centers_raise),
+        (lambda: second_brocard_triangle(t), derived_raise),
+    ]
+    for angle in (0.0, 0.3, -0.3):
+        calls.append((lambda a=angle: _turned_sides(*t, math.cos(a), math.sin(a)), sides_raise))
+    for make, raised in calls:
+        if raised is None:
+            make()
+        else:
+            raises_as_before(make, *raised)
+
+
 def test_fixture_brocard_points():
     o1, o2 = brocard_points_by_construction(FIX)
     assert o1.dist(Point(1.0 / 13.0, 8.0 / 13.0)) < 1e-12
@@ -333,12 +403,16 @@ def symmedian_point(t):
     """X6, the barycentric mean of the vertices weighted s1^2 : s2^2 : s3^2,
     through the kernel ``standard_centers`` uses."""
     s1, s2, s3, _ = _measure(t)
-    return _symmedian(t, s1, s2, s3)
+    return Point(*_symmedian(t, s1, s2, s3))
 
 
 def brocard_circle(t):
     """Circle on the segment X3 X6 as diameter; carries both Brocard points."""
-    return _circle_on(circumcircle(t).center, symmedian_point(t))
+    X3, X6 = circumcircle(t).center, symmedian_point(t)
+    gap = X3.dist(X6)
+    if gap == 0.0:
+        raise EquilateralDegeneracyError("equilateral degeneracy")
+    return Circle(midpoint(X3, X6), 0.5 * gap)
 
 
 def test_standard_centers_share_the_brocard_circle_exactly():

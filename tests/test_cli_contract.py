@@ -79,6 +79,21 @@ def test_continuous_past_pi_over_3_exits_two_with_one_line():
         assert err == "error: need 0 < t_min < t_max <= pi/3\n"
 
 
+def test_continuous_below_the_cosine_bound_exits_two_with_one_line():
+    # below 2**-26.5, cos t rounds to 1 and the member's circumcenter and
+    # circumradius would divide by 1 - cos t = 0
+    for t_min in ("1e-300", "1e-9", "1e-320", "1.05367121277235e-08"):
+        code, out, err = run_cli(["continuous", "--t-min", t_min, "--samples", "2"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: need t_min >= 2**-26.5 rad (1.0537e-08): below it cos t rounds to 1\n"
+        )
+    for t_min in ("1.1e-8", repr(2**-26.5)):
+        code, out, _ = run_cli(["continuous", "--t-min", t_min, "--samples", "2"])
+        assert code == 0
+        parse_output(["continuous"], out)
+
+
 def test_domain_and_output_errors_exit_two_with_one_line(tmp_path):
     for argv in (
         # 2dh underflows to zero inside the chart map

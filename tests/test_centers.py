@@ -313,6 +313,10 @@ _RAISES = {
                   _PARALLEL),
     "repeated vertex": (_unchecked((0.0, 0.0), (0.0, 0.0), (1.0, 1.0)), _DEGENERATE,
                         _DEGENERATE, _NO_DIRECTION),
+    # the first two turned sides are parallel and the third has no
+    # direction: every direction is formed before any meet
+    "last vertex repeats the first": (_unchecked((0.0, 0.0), (1.0, 1.0), (0.0, 0.0)),
+                                      _DEGENERATE, _DEGENERATE, _NO_DIRECTION),
     "NaN vertex": (_unchecked((0.0, 2.0), (-1.0, 0.0), (1.0, math.nan)), _NO_RADIUS,
                    _NO_DIRECTION, _NO_DIRECTION),
     "equilateral": (_EQ, (EquilateralDegeneracyError, "equilateral degeneracy"), None, None),

@@ -27,8 +27,9 @@ when it died.
 
 :func:`run_checks` takes the porism step and, for the run, binds it as
 ``step_forward`` in each ``brocard`` module that holds that name: the
-checks that step and, through :func:`~brocard.recurrence.child_scene`,
-every forward orbit walk with it; ``step_backward`` does not.
+three single-step claims that call it and, through
+:func:`~brocard.recurrence.child_scene`, every forward walk, which
+:func:`~brocard.recurrence.orbit_scenes` takes; ``step_backward`` does not.
 ``MUTATIONS`` (from :mod:`~brocard.recurrence`) maps the command line's
 self-test names to deliberately broken steps; a run with one proves the
 suite notices a corrupted recurrence.
@@ -73,6 +74,7 @@ from .continuous import (
     t_from_u,
     u_from_t,
     web_orthogonality_residuals,
+    web_quartic,
 )
 from .geom import (
     AxisAlignedEllipse,
@@ -230,6 +232,26 @@ def _random_pose(rng: random.Random) -> Pose:
         reflect_x=rng.random() < 0.5,
         scale=rng.uniform(0.5, 2.0),
     )
+
+
+def _whole(walk: list[PorismScene], steps: int) -> list[PorismScene]:
+    """``walk`` if it holds all generations 0..steps, else raise: a healthy
+    step walks its root that far, so an orbit that stopped short is a
+    fault, not a shorter sample."""
+    if len(walk) <= steps:
+        raise GeometryError(f"the orbit stopped after {len(walk) - 1} of {steps} steps")
+    return walk
+
+
+def _fixture_orbit(steps: int) -> list[PorismScene]:
+    """Generations 0..steps forward from the fixture porism."""
+    return _whole(orbit_scenes(scene_from_Ru(Ru_from_dh(FIXTURE)), steps), steps)
+
+
+def _backward_chain(steps: int) -> list[PorismScene]:
+    """Generations 0..steps backward from (R, u) = (1, 2)."""
+    root = scene_from_Ru(PorismParams(1.0, 2.0))
+    return _whole(orbit_scenes(root, steps, Direction.BACKWARD), steps)
 
 
 def _walk_verdicts(breaks: Sequence[bool], end: float) -> Iterator[tuple[float, ...]]:
@@ -572,8 +594,7 @@ def _check_child_circumcircle(ctx: _Context) -> Samples:
        "child inellipse axes via the parent-axes route match the stepped scene")
 def _check_child_axes(ctx: _Context) -> Samples:
     for _ in range(ctx.quarter):
-        params = _random_member_params(ctx.rng)
-        parent = scene_from_Ru(params)
+        parent = scene_from_Ru(_random_member_params(ctx.rng))
         a = parent.inellipse.semi_major
         b = parent.inellipse.semi_minor
         focal2 = (a - b) * (a + b)
@@ -582,7 +603,7 @@ def _check_child_axes(ctx: _Context) -> Samples:
             b * math.sqrt(focal2) * math.sqrt(4.0 * a * a - b * b)
             / (a * a + 2.0 * b * b)
         )
-        child = scene_from_Ru(step_forward(params))
+        child = child_scene(parent)
         yield (
             abs(child.inellipse.semi_major - a_pred),
             abs(child.inellipse.semi_minor - b_pred),
@@ -610,11 +631,8 @@ def _check_child_x182(ctx: _Context) -> Samples:
 @check("prop14.forward_convergence", 1e-12,
        "six forward steps from cotangent 3 reach the equilateral limit quadratically")
 def _check_forward_convergence(ctx: _Context) -> Samples:
-    params = PorismParams(1.0, 3.0)
-    errors = [params.u_excess]
-    for _ in range(6):
-        params = step_forward(params)
-        errors.append(params.u_excess)
+    walk = _whole(orbit_scenes(scene_from_Ru(PorismParams(1.0, 3.0)), 6), 6)
+    errors = [s.params.u_excess for s in walk]
     yield from _walk_verdicts(
         [e0 > 0.0 and e1 / e0 ** 2 > 0.3 for e0, e1 in zip(errors, errors[1:])],
         errors[-1],
@@ -624,10 +642,7 @@ def _check_forward_convergence(ctx: _Context) -> Samples:
 @check("prop14.backward_growth", 1e-9,
        "eight backward steps from cotangent 2 push the cotangent past 100")
 def _check_backward_growth(ctx: _Context) -> Samples:
-    params = PorismParams(1.0, 2.0)
-    for _ in range(8):
-        params = step_backward(params)
-    yield from _walk_verdicts([False] * 8, 100.0 - params.u)
+    yield from _walk_verdicts([False] * 8, 100.0 - _backward_chain(8)[-1].params.u)
 
 
 @check("prop14.roundtrip", 1e-12,
@@ -657,21 +672,11 @@ def _check_fixed_point(ctx: _Context) -> Samples:
 # forward monotone structure and nesting
 
 
-def _whole(walk: Sequence, steps: int) -> Sequence:
-    """``walk`` if it holds all generations 0..steps, else raise: a healthy
-    step walks the fixture that far, so an orbit that stopped short is a
-    fault, not a shorter sample."""
-    if len(walk) <= steps:
-        raise GeometryError(f"the orbit stopped after {len(walk) - 1} of {steps} steps")
-    return walk
-
-
 @check("thm2.monotone", 1e-12,
        "radius, excess, and eccentricity shrink while the Brocard angle grows")
 def _check_forward_monotone(ctx: _Context) -> Samples:
-    prev = Ru_from_dh(FIXTURE)
-    for _ in range(6):
-        nxt = step_forward(prev)
+    params = [s.params for s in _fixture_orbit(6)]
+    for prev, nxt in zip(params, params[1:]):
         # eccentricity sqrt((u^2-3)/(u^2+1)) must shrink with u
         ecc_prev = prev.gap / math.sqrt(prev.u ** 2 + 1.0)
         ecc_next = nxt.gap / math.sqrt(nxt.u ** 2 + 1.0)
@@ -681,23 +686,20 @@ def _check_forward_monotone(ctx: _Context) -> Samples:
             ecc_next - ecc_prev,
             prev.omega - nxt.omega,
         )
-        prev = nxt
 
 
 @check("thm2.nesting", 1e-10,
        "each generation's Brocard circle nests inside its parent's")
 def _check_brocard_nesting(ctx: _Context) -> Samples:
-    scenes = _whole(orbit_scenes(scene_from_Ru(Ru_from_dh(FIXTURE)), 6), 6)
-    for overshoot in brocard_nesting(scenes):
+    for overshoot in brocard_nesting(_fixture_orbit(6)):
         yield (overshoot,)
 
 
 @check("thm3.concyclicity", 1e-9,
        "alternating Brocard points of successive generations share two fixed circles")
 def _check_concyclicity(ctx: _Context) -> Samples:
-    root = scene_from_Ru(Ru_from_dh(FIXTURE))
-    sequences = alternating_brocard_sequence(root, 6)
-    _whole(sequences[0], 6)
+    scenes = _fixture_orbit(6)
+    root, sequences = scenes[0], alternating_brocard_sequence(scenes)
     for circle, points, start in zip(
         root.beltrami_circles(), sequences, (root.omega1, root.omega2)
     ):
@@ -709,16 +711,15 @@ def _check_concyclicity(ctx: _Context) -> Samples:
 @check("thm3.limit_point", 1e-6,
        "the alternating sequences converge to the lower isodynamic point")
 def _check_limit_point(ctx: _Context) -> Samples:
-    root = scene_from_Ru(Ru_from_dh(FIXTURE))
-    for points in alternating_brocard_sequence(root, 7):
-        yield (_whole(points, 7)[-1].dist(root.X15),)
+    scenes = _fixture_orbit(7)
+    for points in alternating_brocard_sequence(scenes):
+        yield (points[-1].dist(scenes[0].X15),)
 
 
 @check("prop6.orthogonality", 1e-9,
        "both Beltrami circles cut every generation's Brocard circle at right angles")
 def _check_beltrami_orthogonality(ctx: _Context) -> Samples:
-    scenes = _whole(orbit_scenes(scene_from_Ru(Ru_from_dh(FIXTURE)), 5), 5)
-    for defect in beltrami_orthogonality(scenes):
+    for defect in beltrami_orthogonality(_fixture_orbit(5)):
         yield (defect,)
 
 
@@ -752,11 +753,6 @@ def _check_anti_roundtrip_points(ctx: _Context) -> Samples:
             again.omega1.dist(scene.omega1),
             again.omega2.dist(scene.omega2),
         )
-
-
-def _backward_chain(generations: int) -> list[PorismScene]:
-    root = scene_from_Ru(PorismParams(1.0, 2.0))
-    return orbit_scenes(root, generations, Direction.BACKWARD)
 
 
 @check("prop4.anti_stationary", 1e-9,
@@ -1093,8 +1089,7 @@ def _web_samples(ctx: _Context) -> int:
 def _check_quartic_orthogonality(ctx: _Context) -> Samples:
     web = web_orthogonality_residuals(0.9, samples=_web_samples(ctx))
     for x, y in (X15, X16, *BELTRAMI_CENTERS):
-        on_quartic = abs(16.0 * x ** 4 + 8.0 * x * x + 4.0 * y * y - 3.0)
-        yield web.quartic_angle_max_dev, on_quartic
+        yield web.quartic_angle_max_dev, abs(web_quartic(x, y))
 
 
 @check("rem8.axis_parallel", 1e-7,

@@ -283,12 +283,8 @@ def _cmd_continuous(args: argparse.Namespace) -> int:
 def _cmd_figure(args: argparse.Namespace) -> int:
     from .porism import IsoscelesParams
 
-    _, takes_iso = FIGURES[args.name]
     iso = None
     if args.d is not None or args.h is not None:
-        if not takes_iso:
-            print(f"error: {args.name} takes no --d/--h", file=sys.stderr)
-            return 2
         if args.d is None or args.h is None:
             print("error: give both --d and --h", file=sys.stderr)
             return 2

@@ -230,6 +230,11 @@ def _circle_field_slope(x: float, y: float) -> float:
     return 8.0 * x * y / den
 
 
+def web_quartic(x: float, y: float) -> float:
+    """16x^4 + 8x^2 + 4y^2 - 3, zero on the web's right-angle quartic."""
+    return 16.0 * x ** 4 + 8.0 * x * x + 4.0 * y * y - 3.0
+
+
 def _ellipse_field_slopes(x: float, y: float) -> tuple[float, ...]:
     """Real slopes of the inellipse family's implicit direction equation.
 
@@ -238,7 +243,7 @@ def _ellipse_field_slopes(x: float, y: float) -> tuple[float, ...]:
     quartic the leading coefficient vanishes and the finite root is the
     meaningful one.
     """
-    a = 16.0 * x ** 4 + 8.0 * x * x + 4.0 * y * y - 3.0
+    a = web_quartic(x, y)
     b = -8.0 * x * y * (4.0 * x * x - 1.0)
     c = 16.0 * x * x * y * y
     if b == 0.0 and c == 0.0:
@@ -275,7 +280,8 @@ def _web_field_sweep(samples: int) -> tuple[float, float]:
 
     Neither depends on the family parameter, so each grid is swept once
     per process.  Code that patches ``_ellipse_field_slopes``,
-    ``_circle_field_slope`` or ``quartic_y`` must call ``cache_clear()``.
+    ``_circle_field_slope``, ``web_quartic`` or ``quartic_y`` must call
+    ``cache_clear()``.
     """
     quartic_dev = []
     for i in range(1, samples):

@@ -193,8 +193,8 @@ def fig_cascade_triangles(iso: IsoscelesParams) -> str:
     from .recurrence import alternating_brocard_sequence, orbit_scenes
 
     root = scene_from_Ru(Ru_from_dh(iso))
-    scenes = orbit_scenes(root, 2)
-    first, second = alternating_brocard_sequence(root, 3)
+    scenes = orbit_scenes(root, 3)
+    first, second = alternating_brocard_sequence(scenes)
     c1, c2 = root.beltrami_circles()
 
     R = root.params.R
@@ -207,7 +207,7 @@ def fig_cascade_triangles(iso: IsoscelesParams) -> str:
 
     cv = _Canvas(-1.8 * R, 1.8 * R, -1.7 * R, 1.5 * R)
     cv.circle(root.circumcircle, "gamma")
-    for scene in scenes:
+    for scene in scenes[:3]:
         tri = scene_member(scene, 0.5 * math.pi)
         cv.poly("polygon", tri.vertices, "member dashed")
     _beltrami_arcs(cv, root)
@@ -338,10 +338,11 @@ FIGURES: dict[str, tuple[object, bool]] = {
 
 
 def render_figure(name: str, iso: IsoscelesParams | None = None) -> str:
-    """Render a named figure; ``iso`` only applies to the porism figures."""
+    """Render a named figure; ``iso`` only applies to the porism figures,
+    and passing it to another raises a :class:`GeometryError` naming it."""
     fn, takes_iso = FIGURES[name]
     if takes_iso:
         return fn(iso if iso is not None else FIXTURE)  # type: ignore[operator]
     if iso is not None:
-        raise GeometryError("this figure takes no porism parameters")
+        raise GeometryError(f"{name} takes no porism parameters")
     return fn()  # type: ignore[operator]

@@ -357,7 +357,8 @@ def three_point_center(p: Point, q: Point, r: Point) -> Point:
     ax, ay, bx, by, cx, cy = px - gx, py - gy, qx - gx, qy - gy, rx - gx, ry - gy
     d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
     scale = max(math.hypot(ax, ay), math.hypot(bx, by), math.hypot(cx, cy))
-    if abs(d) < 1e-14 * scale * scale:
+    # d == 0.0 also catches a determinant that underflows with scale * scale
+    if d == 0.0 or abs(d) < 1e-14 * scale * scale:
         raise DegenerateTriangleError("degenerate triangle")
     a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
     return Point(

@@ -117,6 +117,12 @@ class IsoscelesParams(Validating, _IsoscelesParams):
 FIXTURE = IsoscelesParams(1.0, 2.0)
 
 
+def _unit_sizes(params: PorismParams) -> tuple[float, float, float, float]:
+    """The inellipse's center y and semi-axes and the Brocard radius, at unit scale."""
+    R, u, g, one_u2 = params.R, params.u, params.gap, 1.0 + params.u * params.u
+    return -R * u * g / one_u2, R / math.sqrt(one_u2), 2.0 * R / one_u2, 0.5 * R * g / u
+
+
 class PorismScene(NamedTuple):
     """A porism, (R, u), and the pose of its canonical frame.  Each
     stationary object is computed when read; build through scene_from_Ru."""
@@ -131,12 +137,11 @@ class PorismScene(NamedTuple):
 
     def _inellipse_fields(self) -> tuple[Point, float, float, MajorAxis]:
         """The inellipse's center, semi-axes and major axis, as scene_from_Ru checked them."""
-        p, pose = self.params, self.pose
-        R, one_u2 = p.R, 1.0 + p.u * p.u
+        pose, (cy, a, b, _) = self.pose, _unit_sizes(self.params)
         return (
-            pose.map_xy(0.0, -R * p.u * p.gap / one_u2),
-            pose.scale * (R / math.sqrt(one_u2)),
-            pose.scale * (2.0 * R / one_u2),
+            pose.map_xy(0.0, cy),
+            pose.scale * a,
+            pose.scale * b,
             pose.map_axis(MajorAxis.HORIZONTAL),
         )
 
@@ -176,9 +181,8 @@ class PorismScene(NamedTuple):
 
     @property
     def brocard_circle(self) -> Circle:
-        p, pose = self.params, self.pose
-        r = 0.5 * p.R * p.gap / p.u
-        return Circle(pose.map_xy(0.0, -r), pose.scale * r)
+        r = _unit_sizes(self.params)[3]
+        return Circle(self.pose.map_xy(0.0, -r), self.pose.scale * r)
 
     @property
     def beltrami_P2(self) -> Point:
@@ -220,18 +224,16 @@ def scene_from_Ru(params: PorismParams, pose: Pose = Pose.identity()) -> PorismS
     """The scene of the porism with parameters (R, u), placed by ``pose``.
 
     Pre: R > 0 and u > sqrt(3) strictly; the equilateral limit has no
-    Brocard inellipse with distinct foci.  The objects' radii, axis and
-    semi-axes are checked here on scalars, so no object raises on read.
+    Brocard inellipse with distinct foci.  The scalars the objects are
+    built from are checked here, so no object raises on read.
     """
-    R, u, e = params.R, params.u, params.u_excess
-    if R <= 0.0 or e <= 0.0:
+    if params.R <= 0.0 or params.u_excess <= 0.0:
         raise DegeneratePorismError("degenerate porism")
-    one_u2 = 1.0 + u * u
-    k = pose.scale
-    check_radius(k * R)
+    _, a, b, r = _unit_sizes(params)
+    check_radius(pose.scale * params.R)
     pose.map_axis(MajorAxis.HORIZONTAL)
-    check_semi_axes(k * (R / math.sqrt(one_u2)), k * (2.0 * R / one_u2))
-    check_radius(k * (0.5 * R * params.gap / u))
+    check_semi_axes(pose.scale * a, pose.scale * b)
+    check_radius(pose.scale * r)
     return PorismScene(params, pose)
 
 

@@ -10,7 +10,9 @@ converge quadratically, so the step works on the excess u - sqrt(3)
 (see :class:`~brocard.porism.PorismParams`).  The child frame sits at
 the parent's X182 and is mirrored left-right, which swaps the two
 Brocard point labels each generation.  An orbit is the list of posed
-scenes that :func:`orbit_scenes` walks, in either direction.
+scenes that :func:`orbit_scenes` walks, in either direction; it is the
+only code that takes more than one step, and each orbit measure below
+takes the walk it measures.
 """
 
 from __future__ import annotations
@@ -125,19 +127,15 @@ def orbit_scenes(
 
 
 def alternating_brocard_sequence(
-    root: PorismScene, n: int
+    scenes: Sequence[PorismScene],
 ) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
-    """World Brocard points of the walked generations 0..n, labels alternating.
+    """World Brocard points of a walk's generations, labels alternating.
 
-    The first list starts at the root's first Brocard point and takes the
-    second point of the next generation, and so on; both lists live on the
-    root's two Beltrami circles and converge to the world X15.  The walk
-    ends where :func:`orbit_scenes` ends, so the lists hold only generations
-    actually walked, and their length says how many there are.
+    The first list starts at the first scene's first Brocard point and
+    takes the second point of the next generation, and so on; along an
+    orbit both lists live on the root's two Beltrami circles and converge
+    to the world X15.  Each list holds one point per scene of the walk.
     """
-    if n < 1:
-        raise ValueError("need at least one generation")
-    scenes = orbit_scenes(root, n)
     pairs = [
         (s.omega1, s.omega2) if k % 2 == 0 else (s.omega2, s.omega1)
         for k, s in enumerate(scenes)

@@ -227,7 +227,7 @@ def test_criterion_6_cascade_on_beltrami_circles():
     within 1e-9; every generation's Brocard circle cuts both fixed circles
     at right angles within 1e-9; nesting residuals are >= -1e-10."""
     root = scene_from_Ru(Ru_from_dh(FIX_ISO))
-    first, second = alternating_brocard_sequence(root, 6)
+    first, second = alternating_brocard_sequence(orbit_scenes(root, 6))
     c1, c2 = root.beltrami_circles()
     for p in first:
         assert c1.membership_residual(p) < 1e-9

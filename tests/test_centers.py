@@ -285,7 +285,6 @@ _EQ = Triangle.oriented(
 _NO_RADIUS = (GeometryError, "circle requires a finite radius >= 0")
 _NO_DIRECTION = (GeometryError, "line requires a nonzero direction")
 _DEGENERATE = (DegenerateTriangleError, "degenerate triangle")
-_DIVISION = (ZeroDivisionError, "float division by zero")
 _PARALLEL = (GeometryError, "lines are parallel")
 
 # (triangle, standard_centers, second_brocard_triangle, _turned_sides at
@@ -307,8 +306,8 @@ _RAISES = {
     # the derived triangle's orientation test underflows
     "fix*1e-110": (_scaled_fix(1e-110), (GeometryError,
                    "Brocard angle out of range: lambda underflows"), _DEGENERATE, None),
-    # the circumcenter's determinant underflows to zero and is divided by
-    "fix*1e-200": (_scaled_fix(1e-200), _DIVISION, _DIVISION, None),
+    # the circumcenter's determinant underflows to zero
+    "fix*1e-200": (_scaled_fix(1e-200), _DEGENERATE, _DEGENERATE, None),
     "collinear": (_unchecked((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)), _DEGENERATE, _DEGENERATE,
                   _PARALLEL),
     "repeated vertex": (_unchecked((0.0, 0.0), (0.0, 0.0), (1.0, 1.0)), _DEGENERATE,

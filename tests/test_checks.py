@@ -177,6 +177,30 @@ def test_nan_scene_point_fails_its_checks(monkeypatch):
         assert math.isnan(reports[check_id].max_residual), check_id
 
 
+def test_a_backward_walk_that_stops_short_fails_its_checks(monkeypatch):
+    real = recurrence.step_backward
+    calls = []
+
+    def three_steps(params):
+        calls.append(params)
+        if len(calls) > 3:
+            raise DegeneratePorismError("degenerate porism")
+        return real(params)
+
+    monkeypatch.setattr(recurrence, "step_backward", three_steps)
+    for check_id in (
+        "prop4.anti_stationary",
+        "prop4.major_axis_limit",
+        "prop4.minor_axis_limit",
+        "prop14.backward_growth",
+    ):
+        # one check runs in the calling process, which counts its steps
+        calls.clear()
+        (report,) = run_checks(samples=20, seed=0, filter_prefix=check_id)
+        assert len(calls) == 4, check_id
+        assert (report.max_residual, report.samples_used) == (math.inf, 0), check_id
+
+
 def test_raised_check_fails_at_infinite_tolerance(monkeypatch):
     # under the mutated step this body raises
     _, _, body = checks._REGISTRY["thm1.child_circumcircle"]

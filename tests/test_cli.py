@@ -190,7 +190,9 @@ def test_figure_families_and_params():
         assert p.returncode == 0, (name, p.stderr)
         assert "<svg" in p.stdout
     # fig6 and fig7 describe the continuous family, no porism to pick
-    assert _run("figure", "fig6", "--d", "1", "--h", "2").returncode == 2
+    p = _run("figure", "fig6", "--d", "1", "--h", "2")
+    assert (p.returncode, p.stdout) == (2, "")
+    assert p.stderr == "error: fig6 takes no porism parameters\n"
     # member figures accept a porism
     assert _run("figure", "fig2", "--d", "1.2", "--h", "2.4").returncode == 0
     # half-given parameters are rejected

@@ -248,6 +248,17 @@ def test_quartic_exact_points():
         quartic_y(0.6)
 
 
+def test_the_web_quartic_is_one_function(cold_sweep, monkeypatch):
+    assert continuous.web_quartic(0.5, 0.0) == 0.0
+    assert abs(continuous.web_quartic(0.3, quartic_y(0.3))) < 1e-15
+    # the field slopes read it: off the quartic the sweep leaves its right angle
+    baseline = web_orthogonality_residuals(0.5, samples=16).quartic_angle_max_dev
+    monkeypatch.setattr(continuous, "web_quartic", lambda x, y: 0.5)
+    continuous._web_field_sweep.cache_clear()
+    skewed = web_orthogonality_residuals(0.5, samples=16).quartic_angle_max_dev
+    assert baseline < 1e-7 < skewed
+
+
 def test_circle_field_matches_parametric_tangent():
     """The implicit direction field of the Brocard-circle family agrees
     with the tangent of each actual circle."""

@@ -25,10 +25,9 @@ def test_member_figures_take_a_porism():
 
 
 def test_family_figures_reject_a_porism():
-    with pytest.raises(GeometryError):
-        render_figure("fig6", IsoscelesParams(1.0, 2.0))
-    with pytest.raises(GeometryError):
-        render_figure("fig7", IsoscelesParams(1.0, 2.0))
+    for name in ("fig6", "fig7"):
+        with pytest.raises(GeometryError, match=f"^{name} takes no porism parameters$"):
+            render_figure(name, IsoscelesParams(1.0, 2.0))
 
 
 def test_unknown_figure_name():

@@ -23,6 +23,7 @@ from brocard.geom import (
     line_line_intersection,
     midpoint,
     project_onto_line,
+    three_point_center,
     three_point_circle,
 )
 
@@ -327,14 +328,16 @@ def test_triangle_kernels_raise_as_the_point_route_does(same_route):
         (Triangle, (O, O, O), "degenerate triangle"),
         (Triangle.oriented, (O, X, Point(3.0, 0.0)), "degenerate triangle"),
         (three_point_circle, (O, Point(1.0, 1.0), Point(2.0, 2.0)), "degenerate triangle"),
+        # the determinant is 0.0 with the scale: three equal points, and
+        # a triangle near 1e-200, where both underflow
+        (three_point_circle, (X, X, X), "degenerate triangle"),
+        (three_point_center, (O, X * 1e-200, Y * 1e-200), "degenerate triangle"),
     )
     for kernel, args, message in cases:
         with pytest.raises(DegenerateTriangleError, match=message):
             kernel(*args)
     same_route(lambda *v: Triangle(*v).vertices, _reference_triangle, O, Y, X)
     same_route(three_point_circle, _reference_three_point_circle, O, X, Point(2.0, 0.0))
-    # three equal points pass the relative gate and divide by zero
-    same_route(three_point_circle, _reference_three_point_circle, X, X, X)
 
 
 def test_pose_roundtrip_on_points():

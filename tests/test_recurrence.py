@@ -180,7 +180,7 @@ def test_orbit_rejects_negative_length():
 
 def test_alternating_sequence_on_beltrami_circles():
     root = scene_from_Ru(FIX)
-    first, second = alternating_brocard_sequence(root, 6)
+    first, second = alternating_brocard_sequence(orbit_scenes(root, 6))
     assert len(first) == 7 and len(second) == 7
     assert first[0].dist(root.omega1) == 0.0
     assert second[0].dist(root.omega2) == 0.0
@@ -197,14 +197,12 @@ def test_alternating_sequence_on_beltrami_circles():
 def test_alternating_sequence_holds_only_walked_generations():
     root = scene_from_Ru(FIX)
     walked = orbit_scenes(root, 40)
-    first, second = alternating_brocard_sequence(root, 40)
+    first, second = alternating_brocard_sequence(walked)
     assert len(first) == len(second) == len(walked) == 8
     # the last entries are generation 7's points, not copies of the limit
     assert (first[-1], second[-1]) == (walked[-1].omega2, walked[-1].omega1)
     assert 0.0 < first[-1].dist(root.X15) <= 1e-16
     assert 0.0 < second[-1].dist(root.X15) <= 1e-16
-    with pytest.raises(ValueError):
-        alternating_brocard_sequence(root, 0)
 
 
 def apollonius_circles(iso):

@@ -21,6 +21,16 @@ from brocard import cli
 
 VERIFY_DIGEST = "6b25df1906f273c95baaf01030c96d276821152da6c05468f1e2101d634a6e26"
 
+# more verify runs -> (exit code, digest): they pin the draw order where
+# the scene count floors at 20 (samples 20), on an odd split of the
+# closure draws (333) and under a mutant step, which exits 1 with one
+# FAIL line per failed check
+VERIFY_RUN_DIGESTS = {
+    ("--samples", "20", "--seed", "1"): (0, "f4bf2ae513a10175cfbf905a74d1698559988db9f76a30b66887411ce65cdb44"),
+    ("--samples", "333", "--seed", "11"): (0, "0742d46ab599c3a0eed2ef52cca4f18f30c09933da93f9e9b2d8118656d20077"),
+    ("--mutate", "flip-step-sign", "--samples", "200", "--seed", "0"): (1, "bd3eeef4154ebdba31cf330a008f21697cc61686bd4eda50d619aadbbca460db"),
+}
+
 FIGURE_DIGESTS = {
     ("fig2",): "586614cdf11ef9ad5c49872d3b7ff75828f73e8bf4329ca59e08c1c2191b8f2a",
     ("fig4",): "b4fdfd2bee7191818c009c5118f8fb93e4e1f93dcf694e6dda667ceb3f90eef1",
@@ -47,20 +57,27 @@ TABLE_DIGESTS = {
 }
 
 
-def _run(argv):
+def _capture(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    assert (code, err.getvalue()) == (0, "")
-    return out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run(argv):
+    code, out, err = _capture(argv)
+    assert (code, err) == (0, "")
+    return out
 
 
 def _sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def verify_digest():
-    text = _run(["verify", "--samples", "200", "--seed", "0", "--format", "json"])
+def verify_digest(args=("--samples", "200", "--seed", "0")):
+    """(exit code, digest) of ``verify`` with ``args``; a failing run must
+    say why on one stderr line per failed row."""
+    code, text, err = _capture(["verify", *args, "--format", "json"])
     lines = []
     for line in text.splitlines():
         row = json.loads(line)
@@ -68,7 +85,8 @@ def verify_digest():
             f"{row['check_id']} {row['max_residual']!r} "
             f"{row['passed']} {row['samples_used']}\n"
         )
-    return _sha256("".join(lines))
+    assert len(err.splitlines()) == sum(" False " in line for line in lines)
+    return code, _sha256("".join(lines))
 
 
 def figure_digest(args):
@@ -76,7 +94,12 @@ def figure_digest(args):
 
 
 def test_verify_report_is_byte_identical():
-    assert verify_digest() == VERIFY_DIGEST
+    assert verify_digest() == (0, VERIFY_DIGEST)
+
+
+@pytest.mark.parametrize("args", sorted(VERIFY_RUN_DIGESTS), ids=" ".join)
+def test_verify_run_is_byte_identical(args):
+    assert verify_digest(args) == VERIFY_RUN_DIGESTS[args]
 
 
 @pytest.mark.parametrize("args", sorted(FIGURE_DIGESTS), ids=" ".join)

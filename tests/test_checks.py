@@ -201,10 +201,34 @@ def test_a_backward_walk_that_stops_short_fails_its_checks(monkeypatch):
         assert (report.max_residual, report.samples_used) == (math.inf, 0), check_id
 
 
-def test_raised_check_fails_at_infinite_tolerance(monkeypatch):
-    # under the mutated step this body raises
-    _, _, body = checks._REGISTRY["thm1.child_circumcircle"]
-    monkeypatch.setitem(checks._REGISTRY, "zz.raised", ("raises", math.inf, body))
+def _one_input(rng, samples):
+    return (None,)
+
+
+def _no_input(rng, samples):
+    return ()
+
+
+@pytest.fixture
+def declare(monkeypatch):
+    """``declare(check_id, body, inputs, tolerance, claim)`` declares a
+    check through ``checks.check`` in a copy of the registry, which the
+    test's end drops."""
+    monkeypatch.setattr(checks, "_REGISTRY", dict(checks._REGISTRY))
+
+    def declare(check_id, body, inputs=_one_input, tolerance=math.inf, claim="a test check"):
+        return checks.check(check_id, tolerance, inputs, claim)(body)
+
+    return declare
+
+
+def test_raised_check_fails_at_infinite_tolerance(declare):
+    def steps_the_fixture(_):
+        # the mutated step raises on this porism
+        return (checks.step_forward(PorismParams(1.25, 1.75)).u,)
+
+    declare("zz.raised", steps_the_fixture, claim="raises")
+    assert run_checks(filter_prefix="zz.")[0].passed
     (report,) = run_checks(
         samples=20, filter_prefix="zz.", step=MUTATIONS["flip-step-sign"]
     )
@@ -213,22 +237,16 @@ def test_raised_check_fails_at_infinite_tolerance(monkeypatch):
     assert not report.passed
 
 
-def test_zero_samples_fail_at_infinite_tolerance(monkeypatch):
-    monkeypatch.setitem(
-        checks._REGISTRY, "zz.empty", ("samples nothing", math.inf, lambda ctx: iter(()))
-    )
+def test_zero_samples_fail_at_infinite_tolerance(declare):
+    declare("zz.empty", lambda _: (0.0,), inputs=_no_input, claim="samples nothing")
     (report,) = run_checks(filter_prefix="zz.")
     assert report.max_residual == 0.0
     assert not report.passed
 
 
-def test_verify_says_why_a_row_failed(monkeypatch, capsys):
-    monkeypatch.setitem(
-        checks._REGISTRY, "zz.empty", ("samples nothing", math.inf, lambda ctx: iter(()))
-    )
-    monkeypatch.setitem(
-        checks._REGISTRY, "zz.over", ("too far", 1.0, lambda ctx: iter([(2.0,)]))
-    )
+def test_verify_says_why_a_row_failed(declare, capsys):
+    declare("zz.empty", lambda _: (0.0,), inputs=_no_input, claim="samples nothing")
+    declare("zz.over", lambda _: (2.0,), tolerance=1.0, claim="too far")
     assert cli.main(["verify", "--filter", "zz."]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "FAIL zz.empty: no sample completed (raised, lost or empty)",
@@ -238,31 +256,32 @@ def test_verify_says_why_a_row_failed(monkeypatch, capsys):
 
 def test_every_tolerance_is_a_finite_positive_float():
     # each check owns its tolerance; nothing at run time substitutes one
-    for check_id, (_, tol, _) in checks._REGISTRY.items():
-        assert isinstance(tol, float) and 0.0 < tol < math.inf, check_id
+    for r in run_checks(samples=1):
+        assert isinstance(r.tolerance, float) and 0.0 < r.tolerance < math.inf, r.check_id
 
 
-def test_check_ids_are_declared_once():
+def test_check_ids_are_declared_once(declare):
     with pytest.raises(ValueError):
-        checks.check("geom.inversion_involution", 1.0, "a second declaration")(
-            lambda ctx: (0.0, 1)
-        )
+        declare("geom.inversion_involution", lambda _: (0.0,), claim="a second declaration")
     assert len(checks.check_ids()) == 61
 
 
-def _run_one(monkeypatch, fn, samples=20):
-    monkeypatch.setitem(checks._REGISTRY, "zz.one", ("a test check", math.inf, fn))
+def _run_one(declare, body, inputs=_one_input, samples=20):
+    declare("zz.one", body, inputs)
     (report,) = run_checks(samples=samples, filter_prefix="zz.")
     return report
 
 
-def test_samples_used_counts_the_yielded_groups(monkeypatch):
-    def three_groups(ctx):
-        yield (0.25, 0.5)
-        yield ()
-        yield [0.125]
+def _residuals(residuals):
+    """The body of a test check whose inputs are its residuals."""
+    return residuals
 
-    report = _run_one(monkeypatch, three_groups)
+
+def test_samples_used_counts_the_yielded_groups(declare):
+    def three_groups(rng, samples):
+        return [(0.25, 0.5), (), [0.125]]
+
+    report = _run_one(declare, _residuals, three_groups)
     assert (report.max_residual, report.samples_used, report.passed) == (0.5, 3, True)
     # the counts the checks used to state by hand, now counted by the runner
     expected = {
@@ -285,32 +304,39 @@ def test_samples_used_counts_the_yielded_groups(monkeypatch):
         assert reports[check_id].samples_used == n, check_id
 
 
-def test_check_raising_after_samples_reports_none(monkeypatch):
-    def raises_late(ctx):
-        yield (0.0,)
-        yield (0.0,)
+def test_check_raising_after_samples_reports_none(declare):
+    def raises_on_none(x):
+        if x is None:
+            raise DegeneratePorismError("late failure")
+        return (x,)
+
+    report = _run_one(declare, raises_on_none, lambda rng, samples: (0.0, 0.0, None))
+    assert (report.max_residual, report.samples_used, report.passed) == (math.inf, 0, False)
+
+
+def test_inputs_raising_after_samples_reports_none(declare):
+    def raises_late(rng, samples):
+        yield 0.0
+        yield 0.0
         raise DegeneratePorismError("late failure")
 
-    report = _run_one(monkeypatch, raises_late)
-    assert report.max_residual == math.inf
-    assert report.samples_used == 0
-    assert not report.passed
+    report = _run_one(declare, lambda x: (x,), raises_late)
+    assert (report.max_residual, report.samples_used, report.passed) == (math.inf, 0, False)
 
 
-def test_nan_in_the_last_sample_fails(monkeypatch):
-    def nan_last(ctx):
-        for _ in range(ctx.samples - 1):
-            yield (0.0, 1.0)
-        yield (0.0, math.nan)
+def test_nan_in_the_last_sample_fails(declare):
+    def nan_last(rng, samples):
+        return [*[(0.0, 1.0)] * (samples - 1), (0.0, math.nan)]
 
-    report = _run_one(monkeypatch, nan_last)
+    report = _run_one(declare, _residuals, nan_last)
     assert math.isnan(report.max_residual)
     assert report.samples_used == 20
     assert not report.passed
 
 
-def test_check_returning_residual_and_count_fails(monkeypatch):
-    report = _run_one(monkeypatch, lambda ctx: (0.0, 5))
+def test_check_returning_a_bare_float_fails(declare):
+    # a body returns an iterable of residuals, never one float
+    report = _run_one(declare, lambda _: 0.0)
     assert report.max_residual == math.inf
     assert report.samples_used == 0
     assert not report.passed
@@ -447,20 +473,19 @@ def _raise():
 # child starts at once and a second when the caller's share is done.
 
 
-def _four_checks(monkeypatch, actions):
+def _four_checks(monkeypatch, declare, actions):
     """zz.0 .. zz.3 on two CPUs: zz.k runs ``actions[k]()``, if given, in
     whichever process runs it, and then passes with 0.25."""
 
     def body(action):
-        def run(ctx):
+        def run(_):
             action()
-            yield (0.25,)
+            return (0.25,)
 
         return run
 
     for k in range(4):
-        fn = body(actions.get(k, lambda: None))
-        monkeypatch.setitem(checks._REGISTRY, f"zz.{k}", ("a test check", math.inf, fn))
+        declare(f"zz.{k}", body(actions.get(k, lambda: None)))
     _cpus(monkeypatch, 2)
 
 
@@ -489,7 +514,7 @@ def _expected(failed):
     ]
 
 
-def test_a_lost_worker_fails_its_checks(monkeypatch, started):
+def test_a_lost_worker_fails_its_checks(monkeypatch, declare, started):
     read, write = started
 
     def exit_once_zz2_is_taken():
@@ -498,6 +523,7 @@ def test_a_lost_worker_fails_its_checks(monkeypatch, started):
 
     _four_checks(
         monkeypatch,
+        declare,
         {1: _in_a_child(exit_once_zz2_is_taken), 2: lambda: os.write(write, b"2")},
     )
     reports = run_checks(filter_prefix="zz.")
@@ -507,14 +533,14 @@ def test_a_lost_worker_fails_its_checks(monkeypatch, started):
     assert _rows(reports) == _expected({"zz.1"})
 
 
-def test_a_check_raising_in_a_child_is_reported_as_raised(monkeypatch):
-    _four_checks(monkeypatch, {1: _in_a_child(_raise)})
+def test_a_check_raising_in_a_child_is_reported_as_raised(monkeypatch, declare):
+    _four_checks(monkeypatch, declare, {1: _in_a_child(_raise)})
     reports = run_checks(filter_prefix="zz.")
     _assert_no_child_left()
     assert _rows(reports) == _expected({"zz.1"})
 
 
-def test_verify_reports_a_lost_worker_as_failures(monkeypatch, capsys, started):
+def test_verify_reports_a_lost_worker_as_failures(monkeypatch, declare, capsys, started):
     read, write = started
 
     def exit_on_zz2():
@@ -523,7 +549,7 @@ def test_verify_reports_a_lost_worker_as_failures(monkeypatch, capsys, started):
 
     # the caller waits in zz.0, so the second child cannot start, until
     # the first child, having finished zz.1, has taken zz.2 and died
-    _four_checks(monkeypatch, {0: lambda: _wait(read), 2: _in_a_child(exit_on_zz2)})
+    _four_checks(monkeypatch, declare, {0: lambda: _wait(read), 2: _in_a_child(exit_on_zz2)})
     assert cli.main(["verify", "--filter", "zz."]) == 1
     _assert_no_child_left()
     out, err = capsys.readouterr()
@@ -535,8 +561,8 @@ def test_verify_reports_a_lost_worker_as_failures(monkeypatch, capsys, started):
     ]
 
 
-def test_a_threaded_process_is_never_forked(monkeypatch):
-    _four_checks(monkeypatch, {1: _in_a_child(_exit_3)})
+def test_a_threaded_process_is_never_forked(monkeypatch, declare):
+    _four_checks(monkeypatch, declare, {1: _in_a_child(_exit_3)})
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()

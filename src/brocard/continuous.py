@@ -265,6 +265,13 @@ def _angle_between_slopes(m1: float, m2: float) -> float:
     return abs(math.atan2(m2 - m1, 1.0 + m1 * m2))
 
 
+def _field_angle(x: float, y: float) -> float:
+    """Angle between the inellipse field's first real slope and the circle
+    field at (x, y); inf where the inellipse field has no real slope."""
+    slopes = _ellipse_field_slopes(x, y)
+    return _angle_between_slopes(slopes[0], _circle_field_slope(x, y)) if slopes else math.inf
+
+
 def quartic_y(x: float) -> float:
     """Positive ordinate of the right-angle quartic at |x| < 1/2."""
     radicand = 3.0 - 8.0 * x * x - 16.0 * x ** 4
@@ -276,12 +283,13 @@ def quartic_y(x: float) -> float:
 @functools.cache
 def _web_field_sweep(samples: int) -> tuple[float, float]:
     """Worst right-angle deviation along the quartic and worst angle on
-    the coordinate axes, over ``samples``-point grids.
+    the coordinate axes, over ``samples``-point grids; a point where the
+    inellipse field has no real slope reads inf.
 
     Neither depends on the family parameter, so each grid is swept once
     per process.  Code that patches ``_ellipse_field_slopes``,
-    ``_circle_field_slope``, ``web_quartic`` or ``quartic_y`` must call
-    ``cache_clear()``.
+    ``_circle_field_slope``, ``_field_angle``, ``web_quartic`` or
+    ``quartic_y`` must call ``cache_clear()``.
     """
     quartic_dev = []
     for i in range(1, samples):
@@ -290,11 +298,7 @@ def _web_field_sweep(samples: int) -> tuple[float, float]:
             continue
         for sign in (-1.0, 1.0):
             y = sign * quartic_y(x)
-            slopes = _ellipse_field_slopes(x, y)
-            if not slopes:
-                continue
-            angle = _angle_between_slopes(slopes[0], _circle_field_slope(x, y))
-            quartic_dev.append(abs(angle - 0.5 * math.pi))
+            quartic_dev.append(abs(_field_angle(x, y) - 0.5 * math.pi))
 
     axis_dev = []
     for i in range(1, samples):
@@ -303,10 +307,7 @@ def _web_field_sweep(samples: int) -> tuple[float, float]:
             continue
         # a point on the y axis, then one on the x axis
         for px, py in ((0.0, y), (0.04 + 0.44 * i / samples, 0.0)):
-            slopes = _ellipse_field_slopes(px, py)
-            if slopes:
-                angle = _angle_between_slopes(slopes[0], _circle_field_slope(px, py))
-                axis_dev.append(angle)
+            axis_dev.append(_field_angle(px, py))
     return worst(quartic_dev), worst(axis_dev)
 
 

@@ -385,6 +385,20 @@ def test_axis_parallel_zero_comes_from_the_field_sweep(monkeypatch):
     assert _one("rem8.axis_parallel").max_residual == 0.0
 
 
+def test_a_slope_field_with_no_real_slope_fails_the_web_checks(monkeypatch):
+    # a sweep point without a real slope reads inf; skipped, the sweep
+    # would pass on no evidence
+    continuous._web_field_sweep.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(continuous, "_ellipse_field_slopes", lambda x, y: ())
+            reports = run_checks(samples=200, seed=0, filter_prefix="rem")
+    finally:
+        continuous._web_field_sweep.cache_clear()
+    failed = {r.check_id: r.max_residual for r in reports if not r.passed}
+    assert failed == {"rem8.axis_parallel": math.inf, "rem9.quartic_orthogonality": math.inf}
+
+
 # The runner spreads the selected checks over the usable CPUs: the caller
 # runs a fixed share and forked children pull the rest, each taking the
 # next check in registry order when it is free, so which child runs a

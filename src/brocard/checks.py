@@ -22,9 +22,9 @@ Patches made before the call hold in every worker; side effects of a
 check body (a counter it bumps, the ``_web_field_sweep`` cache it fills,
 a tracer's spans) stay in the worker that ran it.  A NaN residual is
 reported as NaN and fails.  A check that raises, even after some inputs
-were computed, is reported with an infinite residual and zero samples,
-and fails at any tolerance; so is every check that a worker had taken
-when it died.
+were computed, or whose body returns no residual for an input, is
+reported with an infinite residual and zero samples, and fails at any
+tolerance; so is every check that a worker had taken when it died.
 
 :func:`run_checks` takes the porism step and, for the run, binds it as
 ``step_forward`` in each ``brocard`` module that holds that name: the
@@ -1043,14 +1043,15 @@ def _check_lower_vertex(_: None) -> Residuals:
 
 
 def _profile(rng: random.Random, samples: int) -> Iterable:
-    """Each point of the family's profile grid, as (semi-major, semi-minor,
-    eccentricity), between its neighbours; the ends lack one."""
+    """Each point of the family's profile grid but the first, as
+    (semi-major, semi-minor, eccentricity), between its neighbours; the
+    last has no next."""
     rows = [
         (e.semi_major, e.semi_minor, eccentricity_Et(t))
         for t in _t_grid(max(40, samples // 2), lo=0.04, hi=T_MAX - 0.04)
         for e in (ellipse_Et(t),)
     ]
-    return zip([None, *rows], rows, [*rows[1:], None])
+    return zip(rows, rows[1:], [*rows[2:], None])
 
 
 @check("prop10.profile", 1e-6, _profile,
@@ -1058,8 +1059,6 @@ def _profile(rng: random.Random, samples: int) -> Iterable:
 def _check_family_profile(window: tuple) -> Residuals:
     # the step into a grid point, and the curvature there
     before, (a, b, ecc), after = window
-    if before is None:
-        return ()
     steps = (a - before[0], ecc - before[2])
     if after is None:
         return steps
@@ -1164,6 +1163,13 @@ def check_ids() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
+def _worst_of(residuals: Residuals) -> float:
+    """Worst residual of one input; an input with none fails its check."""
+    if not (residuals := tuple(residuals)):
+        raise ValueError("an input gave no residual")
+    return worst(residuals)
+
+
 def run_checks(
     samples: int = 200,
     seed: int = 0,
@@ -1183,9 +1189,10 @@ def run_checks(
     body's side effects stay in the worker that ran it.  Reports come back
     sorted by check id regardless of execution order.  A check passes only
     if it ran at least one sample and its residual is within its tolerance;
-    a NaN residual never passes.  A check that raises is reported with an
-    infinite residual and zero samples, and so is each
-    check that a dying worker had taken.  Raises
+    a NaN residual never passes.  A check that raises, or whose body
+    returns no residual for an input, is reported with an infinite
+    residual and zero samples, and so is each check that a dying worker
+    had taken.  Raises
     :class:`UnknownCheckFilterError` when the filter matches no id.
     """
     selected = [
@@ -1196,14 +1203,14 @@ def run_checks(
 
     def row(check_id: str, run: bool = True) -> tuple:
         claim, tol, inputs, body = _REGISTRY[check_id]
-        # zero samples, which fails at any tolerance: the check raised, or
-        # its worker was lost before it reported
+        # zero samples, which fails at any tolerance: the check raised, an
+        # input gave no residual, or its worker was lost before it reported
         residual, used = math.inf, 0
         if run:
             rng = random.Random(f"{seed}:{check_id}")
             try:
                 # the inputs are pulled one at a time, between body calls
-                per_input = [worst(body(x)) for x in inputs(rng, max(1, samples))]
+                per_input = [_worst_of(body(x)) for x in inputs(rng, max(1, samples))]
                 residual, used = worst(per_input), len(per_input)
             except Exception:
                 pass

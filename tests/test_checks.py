@@ -266,9 +266,9 @@ def test_check_ids_are_declared_once(declare):
     assert len(checks.check_ids()) == 61
 
 
-def _run_one(declare, body, inputs=_one_input, samples=20):
-    declare("zz.one", body, inputs)
-    (report,) = run_checks(samples=samples, filter_prefix="zz.")
+def _run_one(declare, body, inputs=_one_input, samples=20, check_id="zz.one"):
+    declare(check_id, body, inputs)
+    (report,) = run_checks(samples=samples, filter_prefix=check_id)
     return report
 
 
@@ -282,7 +282,14 @@ def test_samples_used_counts_the_yielded_groups(declare):
         return [(0.25, 0.5), (), [0.125]]
 
     report = _run_one(declare, _residuals, three_groups)
-    assert (report.max_residual, report.samples_used, report.passed) == (0.5, 3, True)
+    # an input with no residual is no evidence: the check fails as if it raised
+    assert (report.max_residual, report.samples_used, report.passed) == (math.inf, 0, False)
+
+    def two_groups(rng, samples):
+        return [(0.25, 0.5), [0.125]]
+
+    report = _run_one(declare, _residuals, two_groups, check_id="zz.two")
+    assert (report.max_residual, report.samples_used, report.passed) == (0.5, 2, True)
     # the counts the checks used to state by hand, now counted by the runner
     expected = {
         "thm3.concyclicity": 14,
@@ -296,7 +303,7 @@ def test_samples_used_counts_the_yielded_groups(declare):
         "prop14.backward_growth": 8,
         "prop4.major_axis_limit": 12,
         "prop4.minor_axis_limit": 12,
-        "prop10.profile": 100,
+        "prop10.profile": 99,
         "geom.circumcircle_cyclic": 50,
     }
     reports = {r.check_id: r for r in run_checks(samples=200, seed=0)}

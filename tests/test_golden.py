@@ -19,16 +19,16 @@ import pytest
 
 from brocard import cli
 
-VERIFY_DIGEST = "6b25df1906f273c95baaf01030c96d276821152da6c05468f1e2101d634a6e26"
+VERIFY_DIGEST = "94646a7feabfa25ad17c5c7dd078a897dd31a73b6e9adb29f527a2b3ea8ff9aa"
 
 # more verify runs -> (exit code, digest): they pin the draw order where
 # the scene count floors at 20 (samples 20), on an odd split of the
 # closure draws (333) and under a mutant step, which exits 1 with one
 # FAIL line per failed check
 VERIFY_RUN_DIGESTS = {
-    ("--samples", "20", "--seed", "1"): (0, "f4bf2ae513a10175cfbf905a74d1698559988db9f76a30b66887411ce65cdb44"),
-    ("--samples", "333", "--seed", "11"): (0, "0742d46ab599c3a0eed2ef52cca4f18f30c09933da93f9e9b2d8118656d20077"),
-    ("--mutate", "flip-step-sign", "--samples", "200", "--seed", "0"): (1, "bd3eeef4154ebdba31cf330a008f21697cc61686bd4eda50d619aadbbca460db"),
+    ("--samples", "20", "--seed", "1"): (0, "905602b901c9b2bff8883f89f3aab7b0c64e1528a8ac0888521d74969db216c5"),
+    ("--samples", "333", "--seed", "11"): (0, "c851feeb8835a6786ad1d3218d0a2c31e4ea5a31a6418e087d1d4d0dbe4af8a3"),
+    ("--mutate", "flip-step-sign", "--samples", "200", "--seed", "0"): (1, "4102335c936256ada8c1417701906616c1ff65a291db64cbd07e855d2e3c6404"),
 }
 
 FIGURE_DIGESTS = {

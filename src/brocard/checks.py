@@ -242,27 +242,24 @@ def _random_chart_params(rng: random.Random) -> IsoscelesParams:
             return iso
 
 
-def _random_member(
-    rng: random.Random, scene: PorismScene
-) -> tuple[float, Triangle]:
+def _random_member(rng: random.Random, scene: PorismScene) -> Triangle:
     while True:
         t = rng.uniform(0.0, 2.0 * math.pi)
         try:
-            return t, scene_member(scene, t)
+            return scene_member(scene, t)
         except ParametrizationSingularityError:
             continue
 
 
 # a random porism: its parameters, its canonical scene and a random member
 Drawn = tuple[PorismParams, PorismScene, Triangle]
-# a scene and one of its members
 Member = tuple[PorismScene, Triangle]
 
 
 def _random_triangle(rng: random.Random) -> Drawn:
     params = _random_member_params(rng)
     scene = scene_from_Ru(params)
-    return params, scene, _random_member(rng, scene)[1]
+    return params, scene, _random_member(rng, scene)
 
 
 def _random_pose(rng: random.Random) -> Pose:
@@ -506,7 +503,11 @@ def isosceles_scene(
     """
     d, h, zeta = iso.d, iso.h, iso.zeta
     base_y = (d * d - h * h) / (2.0 * h)
-    tri = Triangle(Point(-d, base_y), Point(d, base_y), Point(0.0, zeta / (2.0 * h)))
+    tri = Triangle(
+        Point(-d, base_y),
+        Point(d, base_y),
+        Point(0.0, zeta / (2.0 * h)),
+    )
     circ = Circle(Point(0.0, 0.0), zeta / (2.0 * h))
     d2, h2 = d * d, h * h
     coeffs = (
@@ -545,7 +546,7 @@ def _closure_members(rng: random.Random, samples: int) -> Iterator[Member]:
     fixture_scene = scene_from_Ru(Ru_from_dh(FIXTURE))
     half = samples // 2
     for _ in range(half):
-        yield fixture_scene, _random_member(rng, fixture_scene)[1]
+        yield fixture_scene, _random_member(rng, fixture_scene)
     for _ in range(samples - half):
         yield _random_triangle(rng)[1:]
 
@@ -595,7 +596,7 @@ def _check_step_two_route(drawn: Drawn) -> Residuals:
 
 def _posed_member(rng: random.Random) -> Member:
     parent = _posed_scene(rng)
-    return parent, _random_member(rng, parent)[1]
+    return parent, _random_member(rng, parent)
 
 
 @check("thm1.child_circumcircle", 1e-9, _draws(_quarter, _posed_member),
@@ -775,20 +776,16 @@ def _check_anti_stationary(generation: tuple) -> Residuals:
     return s.X15.dist(root.X15), s.X16.dist(root.X16)
 
 
-def _anti_axis_steps(k: int) -> Inputs:
-    """The steps of the major (k = 0) or minor (k = 1) inellipse axis
-    series of twelve backward generations; the first steps from inf."""
-
-    def inputs(rng: random.Random, samples: int) -> Iterable:
-        root, *chain = _backward_chain(12)
-        span = root.beltrami_P2.dist(root.beltrami_U2)
-        majors = (abs(2.0 * s.inellipse.semi_major - span) for s in chain)
-        return _steps([math.inf, *(majors, (s.inellipse.semi_minor for s in chain))[k]])
-
-    return inputs
+def _anti_axis_series(generations: int) -> tuple[list[float], list[float]]:
+    root, *chain = _backward_chain(generations)
+    span = root.beltrami_P2.dist(root.beltrami_U2)
+    majors = [abs(2.0 * s.inellipse.semi_major - span) for s in chain]
+    return majors, [s.inellipse.semi_minor for s in chain]
 
 
-@check("prop4.major_axis_limit", 1e-6, _anti_axis_steps(0),
+# the first generation steps from inf: it has no earlier axis to fall from
+@check("prop4.major_axis_limit", 1e-6,
+       lambda rng, samples: _steps([math.inf, *_anti_axis_series(12)[0]]),
        "backward inellipse major axes widen monotonically to the Beltrami span")
 def _falls_to_limit(step: tuple) -> Residuals:
     """A step of a series that must fall strictly to its end value: inf
@@ -797,7 +794,8 @@ def _falls_to_limit(step: tuple) -> Residuals:
     return (math.inf if after >= before else 0.0), end
 
 
-check("prop4.minor_axis_limit", 1e-3, _anti_axis_steps(1),
+check("prop4.minor_axis_limit", 1e-3,
+      lambda rng, samples: _steps([math.inf, *_anti_axis_series(12)[1]]),
       "backward inellipse minor axes flatten monotonically to zero")(_falls_to_limit)
 
 
@@ -856,7 +854,10 @@ def _check_conic_match(iso: IsoscelesParams) -> Residuals:
 
 def ellipse_foci(e: AxisAlignedEllipse) -> tuple[Point, Point]:
     c = math.sqrt(max(0.0, (e.semi_major - e.semi_minor) * (e.semi_major + e.semi_minor)))
-    off = Point(c, 0.0) if e.major_axis is MajorAxis.HORIZONTAL else Point(0.0, c)
+    if e.major_axis is MajorAxis.HORIZONTAL:
+        off = Point(c, 0.0)
+    else:
+        off = Point(0.0, c)
     return (e.center - off, e.center + off)
 
 
@@ -946,7 +947,7 @@ def _check_special_u(special: tuple) -> Residuals:
 def _family_members(rng: random.Random, samples: int) -> Iterable:
     """A random member at each of twelve family parameters."""
     for t in _t_grid(12, 0.15, T_MAX - 0.1):
-        yield t, _random_member(rng, bt_scene(t))[1]
+        yield t, _random_member(rng, bt_scene(t))
 
 
 @check("thm5.embed_consistency", 1e-8, _family_members,

@@ -21,6 +21,7 @@ from .geom import (
     line_direction,
     midpoint,
     three_point_center,
+    tuple_new,
 )
 
 
@@ -55,7 +56,8 @@ def _lambda(s1: float, s2: float, s3: float) -> float:
 
 def metrics(t: Triangle) -> TriangleMetrics:
     s1, s2, s3, area = _measure(t)
-    return TriangleMetrics(s1, s2, s3, area, _lambda(s1, s2, s3), s1 * s2 * s3 / (4.0 * area))
+    lam, circumradius = _lambda(s1, s2, s3), s1 * s2 * s3 / (4.0 * area)
+    return tuple_new(TriangleMetrics, (s1, s2, s3, area, lam, circumradius))
 
 
 def _omega(s1: float, s2: float, s3: float, area: float) -> float:
@@ -116,7 +118,7 @@ def _turned_sides(P0: Point, P1: Point, P2: Point, c: float, s: float) -> Meets:
 
 def _centroid(meets: Meets) -> Point:
     (x01, y01), (x12, y12), (x20, y20) = meets
-    return Point((x01 + x12 + x20) / 3.0, (y01 + y12 + y20) / 3.0)
+    return tuple_new(Point, ((x01 + x12 + x20) / 3.0, (y01 + y12 + y20) / 3.0))
 
 
 def _brocard_construction(t: Triangle, omega: float) -> tuple[Meets, Meets]:
@@ -185,10 +187,10 @@ def standard_centers(t: Triangle) -> StandardCenters:
     # X15, X16 = (sqrt3*X3 +- u*X6) / (sqrt3 +- u)
     x3, y3 = X3
     k15, k16 = 1.0 / (SQRT3 + u), 1.0 / (SQRT3 - u)
-    X15 = Point((SQRT3 * x3 + u * x6) * k15, (SQRT3 * y3 + u * y6) * k15)
-    X16 = Point((SQRT3 * x3 - u * x6) * k16, (SQRT3 * y3 - u * y6) * k16)
+    X15 = tuple_new(Point, ((SQRT3 * x3 + u * x6) * k15, (SQRT3 * y3 + u * y6) * k15))
+    X16 = tuple_new(Point, ((SQRT3 * x3 - u * x6) * k16, (SQRT3 * y3 - u * y6) * k16))
     # the Brocard circle, on diameter X3 X6, about X182
-    X6 = Point(x6, y6)
+    X6 = tuple_new(Point, (x6, y6))
     gap = X3.dist(X6)
     if gap == 0.0:
         raise EquilateralDegeneracyError("equilateral degeneracy")
@@ -197,9 +199,9 @@ def standard_centers(t: Triangle) -> StandardCenters:
     X182 = midpoint(X3, X6)
     X187 = inversion_xy(x3, y3, r3, x6, y6)
     X574 = inversion_xy(X182.x, X182.y, rk, X187.x, X187.y)
-    return StandardCenters(
+    return tuple_new(StandardCenters, (
         X3, X6, X15, X16, midpoint(omega1, omega2), X182, X187, X574, omega1, omega2
-    )
+    ))
 
 
 def second_brocard_triangle(t: Triangle) -> Triangle:
@@ -221,5 +223,5 @@ def second_brocard_triangle(t: Triangle) -> Triangle:
             raise GeometryError("cevian undefined")
         ux, uy = line_direction(x6 - vx, y6 - vy)
         k = ux * (x3 - vx) + uy * (y3 - vy)
-        feet.append(Point(vx + ux * k, vy + uy * k))
+        feet.append(tuple_new(Point, (vx + ux * k, vy + uy * k)))
     return Triangle.oriented(*feet)

@@ -27,6 +27,7 @@ from .geom import (
     Pose,
     SQRT3,
     circle_nesting_slack,
+    tuple_new,
     worst,
 )
 from .porism import PorismParams, PorismScene, scene_from_Ru
@@ -68,7 +69,7 @@ def ellipse_Et(t: float) -> AxisAlignedEllipse:
     c = math.cos(t)
     major2 = max(0.0, 2.0 * c - 1.0)
     return AxisAlignedEllipse(
-        Point(0.0, -math.sin(t)),
+        tuple_new(Point, (0.0, -math.sin(t))),
         0.5 * math.sqrt(major2),
         math.sqrt(0.5 * major2 * (1.0 - c)),
         MajorAxis.HORIZONTAL,
@@ -84,7 +85,7 @@ def foci_Et(t: float) -> tuple[Point, Point]:
     """The focus (cos t - 1/2, -sin t) of E_t and its mirror in the y axis."""
     _check_range(t)
     c, s = math.cos(t), math.sin(t)
-    return Point(c - 0.5, -s), Point(-(c - 0.5), -s)
+    return tuple_new(Point, (c - 0.5, -s)), tuple_new(Point, (-(c - 0.5), -s))
 
 
 def circumradius_Rt(t: float) -> float:
@@ -118,7 +119,7 @@ def _params_at(t: float) -> PorismParams:
 
 def center_X3(t: float) -> Point:
     _check_range(t)
-    return Point(0.0, -math.sin(t) / (2.0 * (1.0 - math.cos(t))))
+    return tuple_new(Point, (0.0, -math.sin(t) / (2.0 * (1.0 - math.cos(t)))))
 
 
 def bt_scene(t: float) -> PorismScene:
@@ -136,7 +137,7 @@ def bt_scene(t: float) -> PorismScene:
 def brocard_circle_Kt(t: float) -> Circle:
     _check_range(t)
     c, s = math.cos(t), math.sin(t)
-    return Circle(Point(0.0, (c - 2.0) / (2.0 * s)), (2.0 * c - 1.0) / (2.0 * s))
+    return Circle(tuple_new(Point, (0.0, (c - 2.0) / (2.0 * s))), (2.0 * c - 1.0) / (2.0 * s))
 
 
 def embed_step(t: float) -> float:
@@ -160,7 +161,7 @@ def envelope_points(t: float) -> tuple[Point, Point]:
         raise GeometryError("no real envelope")
     x = math.sqrt(radicand) / (2.0 * math.sqrt(c + 1.0))
     y = -2.0 * s / (c + 1.0)
-    return Point(-x, y), Point(x, y)
+    return tuple_new(Point, (-x, y)), tuple_new(Point, (x, y))
 
 
 def envelope_conic_residual(p: Point) -> float:
@@ -327,10 +328,10 @@ def web_orthogonality_residuals(t: float, samples: int = 64) -> WebResiduals:
         raise ValueError("the web sweep needs samples >= 3")
     c, s = math.cos(t), math.sin(t)
     five = 5.0 - 4.0 * c
-    deep = 3.0 * (2.0 * c - 1.0) / (2.0 * five)
+    deep, low = 3.0 * (2.0 * c - 1.0) / (2.0 * five), -3.0 * s / five
     # the deep points, then the foci, each with the center of its arc
     pts = zip(
-        (Point(-deep, -3.0 * s / five), Point(deep, -3.0 * s / five), *foci_Et(t)),
+        (tuple_new(Point, (-deep, low)), tuple_new(Point, (deep, low)), *foci_Et(t)),
         BELTRAMI_CENTERS * 2,
     )
     k = brocard_circle_Kt(t)
@@ -395,5 +396,5 @@ def family_extrema() -> FamilyExtrema:
         t_semi_minor_max=t_b,
         semi_minor_max=semi_minor(t_b),
         t_lower_vertex_min=t_v,
-        lower_vertex_min=Point(0.0, lower_vertex_y(t_v)),
+        lower_vertex_min=tuple_new(Point, (0.0, lower_vertex_y(t_v))),
     )

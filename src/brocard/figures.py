@@ -15,7 +15,7 @@ from typing import Iterable
 
 # the porism layer is shared by every figure; each figure imports the
 # other layers it draws in its body, so rendering one loads only those
-from .geom import AxisAlignedEllipse, Circle, GeometryError, Point, worst
+from .geom import AxisAlignedEllipse, Circle, GeometryError, Point, tuple_new, worst
 from .porism import (
     FIXTURE,
     IsoscelesParams,
@@ -99,8 +99,8 @@ class _Canvas:
 
     def arc(self, center: Point, radius: float, a0: float, a1: float, cls: str) -> None:
         """Circular arc from angle a0 to a1, counterclockwise in world terms."""
-        p0 = center + Point(math.cos(a0), math.sin(a0)) * radius
-        p1 = center + Point(math.cos(a1), math.sin(a1)) * radius
+        p0 = center + tuple_new(Point, (math.cos(a0), math.sin(a0))) * radius
+        p1 = center + tuple_new(Point, (math.cos(a1), math.sin(a1))) * radius
         span = (a1 - a0) % (2.0 * math.pi)
         large = 1 if span > math.pi else 0
         r = radius * self.scale
@@ -303,20 +303,20 @@ def fig_envelope() -> str:
     _require(
         kt_inellipse_intersection_check(T_CRITICAL), 1e-9, "critical tangency"
     )
-    bottom = Point(0.0, -1.0)
+    bottom = tuple_new(Point, (0.0, -1.0))
     p, q = envelope_points(T_CRITICAL)
     _require(worst((p.dist(bottom), q.dist(bottom))), 1e-9, "contact degeneracy")
 
     cv = _Canvas(-0.78, 0.78, -1.16, 1.02)
     n = 160
     oval = [
-        Point(0.5 * math.cos(2.0 * math.pi * k / n), math.sin(2.0 * math.pi * k / n))
+        tuple_new(Point, (0.5 * math.cos(2.0 * math.pi * k / n), math.sin(2.0 * math.pi * k / n)))
         for k in range(n + 1)
     ]
     cv.poly("polyline", oval, "envelope")
     xs = [-0.5 + k / 80 for k in range(81)]
     for sign in (1.0, -1.0):
-        cv.poly("polyline", [Point(x, sign * quartic_y(x)) for x in xs], "quartic")
+        cv.poly("polyline", [tuple_new(Point, (x, sign * quartic_y(x))) for x in xs], "quartic")
     for t in _ENVELOPE_TS:
         cv.ellipse(ellipse_Et(t), "inellipse faint")
         for p in envelope_points(t):

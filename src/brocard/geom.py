@@ -4,7 +4,8 @@ triangles, and rigid-or-similar poses.
 Everything here is immutable and every operation is a pure function, so
 values can be shared freely between checks.  Value types are
 ``NamedTuple``s, each equal to the plain tuple of its fields; a type that
-validates its input does so in ``__new__``.  Residual helpers return a
+validates its input, or derives values it keeps outside its fields, does
+so in ``__new__``.  Residual helpers return a
 nonnegative defect instead of a bare boolean; callers compare it against
 their own tolerances.
 """
@@ -40,18 +41,18 @@ class Point(NamedTuple):
     y: float
 
     def __add__(self, other: "Point") -> "Point":
-        return Point(self.x + other.x, self.y + other.y)
+        return tuple_new(Point, (self.x + other.x, self.y + other.y))
 
     def __sub__(self, other: "Point") -> "Point":
-        return Point(self.x - other.x, self.y - other.y)
+        return tuple_new(Point, (self.x - other.x, self.y - other.y))
 
     def __mul__(self, k: float) -> "Point":
-        return Point(self.x * k, self.y * k)
+        return tuple_new(Point, (self.x * k, self.y * k))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Point":
-        return Point(-self.x, -self.y)
+        return tuple_new(Point, (-self.x, -self.y))
 
     def dot(self, other: "Point") -> float:
         return self.x * other.x + self.y * other.y
@@ -67,16 +68,21 @@ class Point(NamedTuple):
 
     def rotated(self, angle: float) -> "Point":
         c, s = math.cos(angle), math.sin(angle)
-        return Point(c * self.x - s * self.y, s * self.x + c * self.y)
+        return tuple_new(Point, (c * self.x - s * self.y, s * self.x + c * self.y))
 
 
+# ``Point(x, y)`` runs the Python ``__new__`` that NamedTuple generates,
+# which checks the arity and calls ``tuple.__new__(Point, (x, y))``; the
+# kernels make that C call themselves, as ``tuple_new(Point, (x, y))``.
+tuple_new = tuple.__new__
 ORIGIN = Point(0.0, 0.0)
 SQRT3 = math.sqrt(3.0)
 
 
 class Validating:
-    """Base of the value types that validate in ``__new__``: ``_make``, and
-    so ``_replace``, builds through that ``__new__``, not ``tuple.__new__``."""
+    """Base of the value types that validate or derive in ``__new__``:
+    ``_make``, and so ``_replace``, builds through that ``__new__``, not
+    ``tuple.__new__``."""
 
     __slots__ = ()
 
@@ -86,7 +92,7 @@ class Validating:
 
 
 def midpoint(p: Point, q: Point) -> Point:
-    return Point(0.5 * (p.x + q.x), 0.5 * (p.y + q.y))
+    return tuple_new(Point, (0.5 * (p.x + q.x), 0.5 * (p.y + q.y)))
 
 
 def line_direction(dx: float, dy: float) -> tuple[float, float]:
@@ -116,7 +122,7 @@ class Line(Validating, _Line):
     __slots__ = ()
 
     def __new__(cls, base: Point, direction: Point) -> "Line":
-        return tuple.__new__(cls, (base, Point(*line_direction(*direction))))
+        return tuple_new(cls, (base, tuple_new(Point, line_direction(*direction))))
 
     @classmethod
     def through(cls, p: Point, q: Point) -> "Line":
@@ -124,7 +130,7 @@ class Line(Validating, _Line):
 
     def normal(self) -> Point:
         """Unit normal, the direction rotated a quarter turn left."""
-        return Point(-self.direction.y, self.direction.x)
+        return tuple_new(Point, (-self.direction.y, self.direction.x))
 
     def point_at(self, t: float) -> Point:
         return self.base + self.direction * t
@@ -146,10 +152,10 @@ class Circle(Validating, _Circle):
 
     def __new__(cls, center: Point, radius: float) -> "Circle":
         check_radius(radius)
-        return tuple.__new__(cls, (center, radius))
+        return tuple_new(cls, (center, radius))
 
     def point_at(self, theta: float) -> Point:
-        return self.center + Point(math.cos(theta), math.sin(theta)) * self.radius
+        return self.center + tuple_new(Point, (math.cos(theta), math.sin(theta))) * self.radius
 
     def membership_residual(self, p: Point) -> float:
         return abs(p.dist(self.center) - self.radius)
@@ -188,7 +194,7 @@ class AxisAlignedEllipse(Validating, _AxisAlignedEllipse):
     def __new__(cls, center: Point, semi_major: float, semi_minor: float,
                 major_axis: MajorAxis = MajorAxis.HORIZONTAL) -> "AxisAlignedEllipse":
         check_semi_axes(semi_major, semi_minor)
-        return tuple.__new__(cls, (center, semi_major, semi_minor, major_axis))
+        return tuple_new(cls, (center, semi_major, semi_minor, major_axis))
 
     def axes_xy(self) -> tuple[float, float]:
         """Semi-axis lengths along x and along y."""
@@ -198,11 +204,11 @@ class AxisAlignedEllipse(Validating, _AxisAlignedEllipse):
 
     def point_at(self, theta: float) -> Point:
         ax, ay = self.axes_xy()
-        return self.center + Point(ax * math.cos(theta), ay * math.sin(theta))
+        return self.center + tuple_new(Point, (ax * math.cos(theta), ay * math.sin(theta)))
 
     def tangent_direction_at(self, theta: float) -> Point:
         ax, ay = self.axes_xy()
-        return Point(-ax * math.sin(theta), ay * math.cos(theta))
+        return tuple_new(Point, (-ax * math.sin(theta), ay * math.cos(theta)))
 
     def implicit_residual(self, p: Point) -> float:
         """|x'^2/ax^2 + y'^2/ay^2 - 1| in centered coordinates."""
@@ -231,7 +237,7 @@ class Triangle(Validating, _Triangle):
             if doubled < 0.0:
                 raise DegenerateTriangleError("triangle must be counterclockwise")
             raise DegenerateTriangleError("degenerate triangle")
-        return tuple.__new__(cls, (A, B, C))
+        return tuple_new(cls, (A, B, C))
 
     @classmethod
     def oriented(cls, A: Point, B: Point, C: Point) -> "Triangle":
@@ -271,7 +277,9 @@ class Pose(Validating, _Pose):
     then uniform scale, then translation.
     """
 
-    # no __slots__: ``_cs`` lives in the instance dict, outside the fields
+    # no __slots__: the cos/sin pair ``_cs`` and the whole quarter turns
+    # ``_quarter`` (None off the axes) live in the instance dict, outside
+    # the fields, derived once here
 
     def __new__(cls, translation: Point = ORIGIN, rotation: float = 0.0,
                 reflect_x: bool = False, scale: float = 1.0) -> "Pose":
@@ -279,8 +287,11 @@ class Pose(Validating, _Pose):
             raise GeometryError("pose scale must be positive and finite")
         if not math.isfinite(rotation):
             raise GeometryError("pose rotation must be finite")
-        self = tuple.__new__(cls, (translation, rotation, reflect_x, scale))
+        self = tuple_new(cls, (translation, rotation, reflect_x, scale))
         self._cs = (math.cos(rotation), math.sin(rotation))
+        quarter = rotation / (0.5 * math.pi)
+        k = round(quarter)
+        self._quarter = None if abs(quarter - k) > 1e-12 else k
         return self
 
     @classmethod
@@ -294,13 +305,12 @@ class Pose(Validating, _Pose):
         if self.reflect_x:
             x = -x
         k, t = self.scale, self.translation
-        return Point(t.x + (c * x - s * y) * k, t.y + (s * x + c * y) * k)
+        return tuple_new(Point, (t.x + (c * x - s * y) * k, t.y + (s * x + c * y) * k))
 
     def map_axis(self, axis: MajorAxis) -> MajorAxis:
         """Image of an axis direction; rotation must be a multiple of pi/2."""
-        quarter = self.rotation / (0.5 * math.pi)
-        k = round(quarter)
-        if abs(quarter - k) > 1e-12:
+        k = self._quarter
+        if k is None:
             raise GeometryError("pose rotation does not preserve axis alignment")
         if k % 2 == 0:
             return axis
@@ -336,7 +346,7 @@ class Pose(Validating, _Pose):
         rotation = self.rotation if self.reflect_x else -self.rotation
         # -0.0 + v is v bit for bit, so a (-0.0, -0.0) translation leaves
         # the linear part alone, signed zeros included.
-        linear = Pose(Point(-0.0, -0.0), rotation, self.reflect_x, inv_scale)
+        linear = Pose(tuple_new(Point, (-0.0, -0.0)), rotation, self.reflect_x, inv_scale)
         t = self.translation
         return Pose(linear.map_xy(-t.x, -t.y), rotation, self.reflect_x, inv_scale)
 
@@ -361,10 +371,10 @@ def three_point_center(p: Point, q: Point, r: Point) -> Point:
     if d == 0.0 or abs(d) < 1e-14 * scale * scale:
         raise DegenerateTriangleError("degenerate triangle")
     a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
-    return Point(
+    return tuple_new(Point, (
         gx + (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d,
         gy + (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d,
-    )
+    ))
 
 
 def three_point_circle(p: Point, q: Point, r: Point) -> Circle:
@@ -384,7 +394,7 @@ def inversion_xy(cx: float, cy: float, r: float, px: float, py: float) -> Point:
     if d2 < 1e-30 * r * r:
         raise InversionPoleError("inversion pole")
     k = r * r / d2
-    return Point(cx + vx * k, cy + vy * k)
+    return tuple_new(Point, (cx + vx * k, cy + vy * k))
 
 
 def invert_in_circle(c: Circle, p: Point) -> Point:

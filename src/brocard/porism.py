@@ -4,7 +4,9 @@ A porism is the one-parameter family of triangles inscribed in a fixed
 circumcircle and tangent to the Brocard inellipse.  A scene is (params,
 pose).  Each stationary object (both conics, the Brocard points, which are
 the inellipse foci, the isodynamic points, the Brocard circle and the
-Beltrami points) is a closed form in (R, u), computed on read.  The
+Beltrami points) is a closed form in (R, u), computed on read from scalars
+derived once: the params' gap sqrt(u^2 - 3) when they are built, and the
+scene's unit-scale sizes (:func:`_unit_sizes`) when it is built.  The
 canonical frame puts the circumcenter at the origin with the symmedian
 point straight below it; ``pose`` maps that frame into world coordinates,
 and every object a scene returns is world-frame.  X3, X39 and X182 are
@@ -29,6 +31,7 @@ from .geom import (
     check_radius,
     check_semi_axes,
     line_direction,
+    tuple_new,
 )
 
 
@@ -52,10 +55,10 @@ class PorismParams(Validating, _PorismParams):
     ``u_excess`` stores u - sqrt(3) explicitly.  Deep iterates of the
     porism recurrence push u within one float spacing of sqrt(3), where
     u*u - 3 evaluated from ``u`` alone loses every significant digit; all
-    derived quantities therefore go through the excess.
+    derived quantities therefore go through the excess.  The constructor
+    derives ``gap`` = sqrt(u^2 - 3) from the excess once and keeps it in
+    the instance dict, outside the fields.
     """
-
-    __slots__ = ()
 
     def __new__(cls, R: float, u: float, u_excess: float | None = None) -> "PorismParams":
         if u_excess is None:
@@ -71,17 +74,13 @@ class PorismParams(Validating, _PorismParams):
         # farther off describes another porism than u does
         if abs(u_excess - (u - SQRT3)) > 8.0 * math.ulp(u):
             raise DegeneratePorismError("inconsistent porism: u_excess disagrees with u - sqrt(3)")
-        return tuple.__new__(cls, (R, u, u_excess))
+        self = tuple_new(cls, (R, u, u_excess))
+        self.gap = math.sqrt(u_excess * (u_excess + 2.0 * SQRT3))
+        return self
 
     @classmethod
     def from_excess(cls, R: float, excess: float) -> "PorismParams":
         return cls(R, SQRT3 + excess, excess)
-
-    @property
-    def gap(self) -> float:
-        """sqrt(u^2 - 3), formed from the excess so it survives u -> sqrt(3)."""
-        e = self.u_excess
-        return math.sqrt(e * (e + 2.0 * SQRT3))
 
     @property
     def sin_omega(self) -> float:
@@ -105,7 +104,7 @@ class IsoscelesParams(Validating, _IsoscelesParams):
     def __new__(cls, d: float, h: float) -> "IsoscelesParams":
         if not (d > 0.0 and h > 0.0):
             raise DegeneratePorismError("degenerate porism")
-        return tuple.__new__(cls, (d, h))
+        return tuple_new(cls, (d, h))
 
     @property
     def zeta(self) -> float:
@@ -123,12 +122,31 @@ def _unit_sizes(params: PorismParams) -> tuple[float, float, float, float]:
     return -R * u * g / one_u2, R / math.sqrt(one_u2), 2.0 * R / one_u2, 0.5 * R * g / u
 
 
-class PorismScene(NamedTuple):
-    """A porism, (R, u), and the pose of its canonical frame.  Each
-    stationary object is computed when read; build through scene_from_Ru."""
-
+class _PorismScene(NamedTuple):
     params: PorismParams
     pose: Pose
+
+
+class PorismScene(Validating, _PorismScene):
+    """A porism, (R, u), and the pose of its canonical frame.
+
+    Pre: R > 0 and u > sqrt(3) strictly; the equilateral limit has no
+    Brocard inellipse with distinct foci.  The constructor checks the
+    scalars the objects are built from, so no object raises on read, and
+    keeps the unit-scale sizes as ``_sizes``, outside the fields.
+    """
+
+    def __new__(cls, params: PorismParams, pose: Pose) -> "PorismScene":
+        if params.R <= 0.0 or params.u_excess <= 0.0:
+            raise DegeneratePorismError("degenerate porism")
+        sizes = _unit_sizes(params)
+        check_radius(pose.scale * params.R)
+        pose.map_axis(MajorAxis.HORIZONTAL)
+        check_semi_axes(pose.scale * sizes[1], pose.scale * sizes[2])
+        check_radius(pose.scale * sizes[3])
+        self = tuple_new(cls, (params, pose))
+        self._sizes = sizes
+        return self
 
     @property
     def circumcircle(self) -> Circle:
@@ -136,8 +154,8 @@ class PorismScene(NamedTuple):
         return Circle(pose.map_xy(0.0, 0.0), pose.scale * self.params.R)
 
     def _inellipse_fields(self) -> tuple[Point, float, float, MajorAxis]:
-        """The inellipse's center, semi-axes and major axis, as scene_from_Ru checked them."""
-        pose, (cy, a, b, _) = self.pose, _unit_sizes(self.params)
+        """The inellipse's center, semi-axes and major axis, as the constructor checked them."""
+        pose, (cy, a, b, _) = self.pose, self._sizes
         return (
             pose.map_xy(0.0, cy),
             pose.scale * a,
@@ -150,9 +168,8 @@ class PorismScene(NamedTuple):
         return AxisAlignedEllipse(*self._inellipse_fields())
 
     def _focus(self, side: float) -> Point:
-        R, u, g = self.params.R, self.params.u, self.params.gap
-        one_u2 = 1.0 + u * u
-        return self.pose.map_xy(side * R * g / one_u2, -R * u * g / one_u2)
+        p = self.params
+        return self.pose.map_xy(side * p.R * p.gap / (1.0 + p.u * p.u), self._sizes[0])
 
     @property
     def omega1(self) -> Point:
@@ -181,7 +198,7 @@ class PorismScene(NamedTuple):
 
     @property
     def brocard_circle(self) -> Circle:
-        r = _unit_sizes(self.params)[3]
+        r = self._sizes[3]
         return Circle(self.pose.map_xy(0.0, -r), self.pose.scale * r)
 
     @property
@@ -221,19 +238,8 @@ class PorismScene(NamedTuple):
 
 
 def scene_from_Ru(params: PorismParams, pose: Pose = Pose.identity()) -> PorismScene:
-    """The scene of the porism with parameters (R, u), placed by ``pose``.
-
-    Pre: R > 0 and u > sqrt(3) strictly; the equilateral limit has no
-    Brocard inellipse with distinct foci.  The scalars the objects are
-    built from are checked here, so no object raises on read.
-    """
-    if params.R <= 0.0 or params.u_excess <= 0.0:
-        raise DegeneratePorismError("degenerate porism")
-    _, a, b, r = _unit_sizes(params)
-    check_radius(pose.scale * params.R)
-    pose.map_axis(MajorAxis.HORIZONTAL)
-    check_semi_axes(pose.scale * a, pose.scale * b)
-    check_radius(pose.scale * r)
+    """The scene of the porism with parameters (R, u), placed by ``pose``;
+    it raises as :class:`PorismScene` does."""
     return PorismScene(params, pose)
 
 
@@ -317,7 +323,9 @@ def vertices_at(iso: IsoscelesParams, t: float) -> Triangle:
         / (2.0 * h * den_c)
     )
     return Triangle.oriented(
-        Point(R * ct * up, R * st * up), Point(bx * up, by * up), Point(cx * up, cy * up)
+        tuple_new(Point, (R * ct * up, R * st * up)),
+        tuple_new(Point, (bx * up, by * up)),
+        tuple_new(Point, (cx * up, cy * up)),
     )
 
 

@@ -26,6 +26,7 @@ from .geom import (
     Pose,
     circle_nesting_slack,
     circles_orthogonality_residual,
+    tuple_new,
     worst,
 )
 from .porism import (
@@ -86,7 +87,7 @@ MUTATIONS: dict[str, StepFunction] = {"flip-step-sign": _flip_step_sign}
 def _child_offset(child: PorismParams) -> Pose:
     # Child canonical frame -> parent canonical frame: drop to the parent's
     # X182 and mirror x, which realizes the Brocard-label swap.
-    return Pose(translation=Point(0.0, -child.R), reflect_x=True)
+    return Pose(translation=tuple_new(Point, (0.0, -child.R)), reflect_x=True)
 
 
 def child_scene(parent: PorismScene) -> PorismScene:

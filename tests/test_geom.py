@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -26,6 +28,7 @@ from brocard.geom import (
     three_point_center,
     three_point_circle,
 )
+from brocard.porism import PorismParams, PorismScene, scene_from_Ru
 
 RNG_SEED = 1234
 
@@ -159,10 +162,49 @@ def test_geom_constructors_raise_as_before(make, kind, message, raises_as_before
     raises_as_before(make, kind, message)
 
 
+def _same_derived(got, fresh):
+    """Equal fields, and derived values (the instance dict, outside the
+    fields) equal bit for bit: repr tells -0.0 from 0.0."""
+    assert type(got) is type(fresh) and got == fresh
+    assert repr(vars(got)) == repr(vars(fresh)) and vars(got)
+    for field, want in zip(got, fresh):
+        if hasattr(want, "__dict__"):
+            _same_derived(field, want)
+
+
 def test_replace_builds_what_the_constructor_builds():
     assert Line(P0, Q)._replace(direction=Point(0.0, 2.0)).direction == Point(0.0, 1.0)
     moved = Pose(rotation=0.5)._replace(rotation=1.0)
     assert moved.map_xy(1.0, 0.0) == Pose(rotation=1.0).map_xy(1.0, 0.0)
+    _same_derived(moved, Pose(rotation=1.0))
+    # the quarter turn is derived anew: off the axes, map_axis raises
+    off_axis = Pose()._replace(rotation=0.3)
+    _same_derived(off_axis, Pose(rotation=0.3))
+    with pytest.raises(GeometryError, match="does not preserve axis alignment"):
+        off_axis.map_axis(MajorAxis.HORIZONTAL)
+    turned = Pose(rotation=0.3)._replace(rotation=-1.5 * math.pi, scale=2.0)
+    _same_derived(turned, Pose(rotation=-1.5 * math.pi, scale=2.0))
+    assert turned.map_axis(MajorAxis.HORIZONTAL) is MajorAxis.VERTICAL
+    params = PorismParams(1.25, 1.75)
+    _same_derived(params._replace(R=3.0), PorismParams(3.0, 1.75, params.u_excess))
+    _same_derived(
+        params._replace(u=2.0, u_excess=2.0 - math.sqrt(3.0)), PorismParams(1.25, 2.0)
+    )
+    scene = scene_from_Ru(params, Pose(Point(0.5, -0.0), 0.5 * math.pi, True, 3.0))
+    other = PorismParams.from_excess(0.5, 1e-9)
+    pose = Pose(Point(-1.0, 2.0), math.pi, False, 0.25)
+    for got, fresh in (
+        (scene._replace(pose=pose), PorismScene(params, pose)),
+        (scene._replace(params=other), scene_from_Ru(other, scene.pose)),
+        (scene._replace(params=other, pose=pose), scene_from_Ru(other, pose)),
+    ):
+        _same_derived(got, fresh)
+        for name in ("inellipse", "brocard_circle", "omega1", "X6", "beltrami_radius"):
+            assert repr(getattr(got, name)) == repr(getattr(fresh, name)), name
+    # a copy and a pickle round trip carry the derived values along
+    for value in (off_axis, turned, params, scene, scene._replace(params=other)):
+        _same_derived(copy.copy(value), value)
+        _same_derived(pickle.loads(pickle.dumps(value)), value)
 
 
 def test_geom_keywords_and_defaults():

@@ -2,8 +2,15 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from brocard.centers import brocard_cotangent, brocard_points_by_construction
+from brocard import continuous
+from brocard.centers import (
+    brocard_cotangent,
+    brocard_points_by_construction,
+    second_brocard_triangle,
+    standard_centers,
+)
 from brocard.checks import conic_to_ellipse, isosceles_scene
 from brocard.geom import (
     AxisAlignedEllipse,
@@ -16,12 +23,15 @@ from brocard.geom import (
     Triangle,
     circumcircle,
     ellipse_line_tangency_residual,
+    inversion_xy,
+    midpoint,
 )
 from brocard.porism import (
     DegeneratePorismError,
     IsoscelesParams,
     ParametrizationSingularityError,
     PorismParams,
+    PorismScene,
     Ru_from_axes,
     Ru_from_dh,
     closure_residuals,
@@ -164,6 +174,29 @@ def test_scene_rejects_boundary_params():
         scene_from_Ru(PorismParams.from_excess(1.0, 0.0))
     with pytest.raises(DegeneratePorismError):
         scene_from_Ru(PorismParams(0.0, 2.0))
+
+
+@pytest.mark.parametrize(
+    "make, kind, message",
+    [
+        pytest.param(
+            lambda: PorismScene(PorismParams(0.0, 2.0), Pose()),
+            DegeneratePorismError,
+            "degenerate porism",
+            id="constructor",
+        ),
+        pytest.param(
+            lambda: scene_from_Ru(FIX_PARAMS)._replace(pose=Pose(rotation=0.3)),
+            GeometryError,
+            "pose rotation does not preserve axis alignment",
+            id="_replace",
+        ),
+    ],
+)
+def test_scene_is_checked_wherever_it_is_built(make, kind, message, raises_as_before):
+    """The constructor runs the checks scene_from_Ru made, so no route
+    builds a scene whose objects raise on read."""
+    raises_as_before(make, kind, message)
 
 
 def test_scene_respects_pose():
@@ -510,3 +543,67 @@ def test_member_chart_scales_by_powers_of_two_exactly():
             want = [Point(math.ldexp(x, j), math.ldexp(y, j)) for x, y in vertices_at(unit, t).vertices]
             got = vertices_at(iso, t).vertices
             assert list(got) == want and repr(got) == repr(tuple(want)), (j, t)
+
+
+_SCENE_POINTS = (
+    "omega1", "omega2", "X6", "X15", "X16", "beltrami_P2", "beltrami_U2", "X3", "X39", "X182",
+)
+
+
+def _points_of(scene, tri, t):
+    """Every point that a kernel returns for this posed scene and member."""
+    pose = scene.pose
+    yield from vertices_at(dh_from_Ru(scene.params), t)
+    yield from tri
+    yield from standard_centers(tri)
+    yield from second_brocard_triangle(tri)
+    yield from brocard_points_by_construction(tri)
+    for name in _SCENE_POINTS:
+        yield getattr(scene, name)
+    for c in (scene.circumcircle, scene.brocard_circle, *scene.beltrami_circles()):
+        yield c.center
+    yield scene.inellipse.center
+    yield pose.map_xy(tri.A.x, tri.B.y)
+    yield pose.apply(tri.C)
+    yield inversion_xy(tri.A.x, tri.A.y, scene.circumcircle.radius, tri.B.x, tri.B.y)
+    yield midpoint(tri.B, tri.C)
+    yield tri.A + tri.B - tri.C
+    yield -tri.A * 0.5
+
+
+def _family_points(t):
+    """Every point that a closed form of the continuous family returns at t."""
+    yield continuous.ellipse_Et(t).center
+    yield from continuous.foci_Et(t)
+    yield continuous.center_X3(t)
+    yield continuous.brocard_circle_Kt(t).center
+    if t <= continuous.T_CRITICAL:
+        yield from continuous.envelope_points(t)
+    scene = continuous.bt_scene(t)
+    yield from (getattr(scene, name) for name in _SCENE_POINTS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.floats(0.3, 2.0),
+    h=st.floats(0.3, 4.0),
+    quarter=st.integers(-4, 4),
+    reflect_x=st.booleans(),
+    scale=st.floats(1e-3, 1e3),
+    shift=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    t=st.floats(-math.pi, math.pi),
+    s=st.floats(0.01, continuous.T_MAX - 0.01),
+)
+def test_kernel_points_are_points_of_two(d, h, quarter, reflect_x, scale, shift, t, s):
+    """The kernels build points with tuple.__new__, which checks no arity:
+    each point they return is a Point of exactly two coordinates."""
+    pose = Pose(Point(*shift), 0.5 * math.pi * quarter, reflect_x, scale)
+    try:
+        scene = scene_from_Ru(Ru_from_dh(IsoscelesParams(d, h)), pose)
+        points = list(_points_of(scene, scene_member(scene, t), t))
+    except GeometryError:
+        assume(False)
+    points += _family_points(s)
+    points.append(continuous.family_extrema().lower_vertex_min)
+    for p in points:
+        assert type(p) is Point and len(p) == 2, p

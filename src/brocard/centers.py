@@ -19,7 +19,6 @@ from .geom import (
     check_radius,
     inversion_xy,
     line_direction,
-    midpoint,
     three_point_center,
     tuple_new,
 )
@@ -171,36 +170,39 @@ def standard_centers(t: Triangle) -> StandardCenters:
     there).  Straight-line code on scalars: the triangle is measured once,
     and a Point is built only for a returned center; every value and every
     raise is that of the object route (circumcircle, the circle on X3 X6
-    and its inversions).
+    and its inversions, :func:`_brocard_construction`, ``midpoint``).
     """
     A, B, C = t
-    X3 = three_point_center(A, B, C)
-    r3 = X3.dist(A)
+    x3, y3 = X3 = three_point_center(A, B, C)
+    r3 = math.hypot(x3 - A.x, y3 - A.y)
     check_radius(r3)
     s1, s2, s3, area = _measure(t)
     x6, y6 = _symmedian(t, s1, s2, s3)
-    first, second = _brocard_construction(t, _omega(s1, s2, s3, area))
-    omega1, omega2 = _centroid(first), _centroid(second)
+    omega = _omega(s1, s2, s3, area)
+    (x01, y01), (x12, y12), (x20, y20) = _turned_sides(A, B, C, math.cos(omega), math.sin(omega))
+    (x21, y21), (x10, y10), (x02, y02) = _turned_sides(C, B, A, math.cos(-omega), math.sin(-omega))
+    o1x, o1y = (x01 + x12 + x20) / 3.0, (y01 + y12 + y20) / 3.0
+    o2x, o2y = (x21 + x10 + x02) / 3.0, (y21 + y10 + y02) / 3.0
     u = _cotangent(s1, s2, s3, area)
     if u - SQRT3 <= 0.0:
         raise EquilateralDegeneracyError("equilateral degeneracy")
     # X15, X16 = (sqrt3*X3 +- u*X6) / (sqrt3 +- u)
-    x3, y3 = X3
     k15, k16 = 1.0 / (SQRT3 + u), 1.0 / (SQRT3 - u)
     X15 = tuple_new(Point, ((SQRT3 * x3 + u * x6) * k15, (SQRT3 * y3 + u * y6) * k15))
     X16 = tuple_new(Point, ((SQRT3 * x3 - u * x6) * k16, (SQRT3 * y3 - u * y6) * k16))
     # the Brocard circle, on diameter X3 X6, about X182
-    X6 = tuple_new(Point, (x6, y6))
-    gap = X3.dist(X6)
+    gap = math.hypot(x3 - x6, y3 - y6)
     if gap == 0.0:
         raise EquilateralDegeneracyError("equilateral degeneracy")
     rk = 0.5 * gap
     check_radius(rk)
-    X182 = midpoint(X3, X6)
+    kx, ky = 0.5 * (x3 + x6), 0.5 * (y3 + y6)
     X187 = inversion_xy(x3, y3, r3, x6, y6)
-    X574 = inversion_xy(X182.x, X182.y, rk, X187.x, X187.y)
+    X574 = inversion_xy(kx, ky, rk, *X187)
     return tuple_new(StandardCenters, (
-        X3, X6, X15, X16, midpoint(omega1, omega2), X182, X187, X574, omega1, omega2
+        X3, tuple_new(Point, (x6, y6)), X15, X16,
+        tuple_new(Point, (0.5 * (o1x + o2x), 0.5 * (o1y + o2y))), tuple_new(Point, (kx, ky)),
+        X187, X574, tuple_new(Point, (o1x, o1y)), tuple_new(Point, (o2x, o2y)),
     ))
 
 

@@ -82,13 +82,17 @@ SQRT3 = math.sqrt(3.0)
 class Validating:
     """Base of the value types that validate or derive in ``__new__``:
     ``_make``, and so ``_replace``, builds through that ``__new__``, not
-    ``tuple.__new__``."""
+    ``tuple.__new__``.  No attribute can be set, so a value derived from the
+    fields and kept in the instance dict always agrees with them."""
 
     __slots__ = ()
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
 
 
 def midpoint(p: Point, q: Point) -> Point:
@@ -223,6 +227,17 @@ class _Triangle(NamedTuple):
     C: Point
 
 
+def check_triangle(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> None:
+    """Reject what ``Triangle`` rejects, on the six coordinates of A, B, C."""
+    abx, aby, acx, acy = bx - ax, by - ay, cx - ax, cy - ay
+    doubled = abx * acy - aby * acx
+    longest = max(math.hypot(abx, aby), math.hypot(acx, acy), math.hypot(cx - bx, cy - by))
+    if not doubled > 1e-12 * longest * longest:
+        if doubled < 0.0:
+            raise DegenerateTriangleError("triangle must be counterclockwise")
+        raise DegenerateTriangleError("degenerate triangle")
+
+
 class Triangle(Validating, _Triangle):
     """Counterclockwise, non-degenerate triangle."""
 
@@ -230,13 +245,7 @@ class Triangle(Validating, _Triangle):
 
     def __new__(cls, A: Point, B: Point, C: Point) -> "Triangle":
         (ax, ay), (bx, by), (cx, cy) = A, B, C
-        abx, aby, acx, acy = bx - ax, by - ay, cx - ax, cy - ay
-        doubled = abx * acy - aby * acx
-        longest = max(math.hypot(abx, aby), math.hypot(acx, acy), math.hypot(cx - bx, cy - by))
-        if not doubled > 1e-12 * longest * longest:
-            if doubled < 0.0:
-                raise DegenerateTriangleError("triangle must be counterclockwise")
-            raise DegenerateTriangleError("degenerate triangle")
+        check_triangle(ax, ay, bx, by, cx, cy)
         return tuple_new(cls, (A, B, C))
 
     @classmethod
@@ -244,8 +253,9 @@ class Triangle(Validating, _Triangle):
         """Build a triangle, swapping two vertices if the input is clockwise."""
         (ax, ay), (bx, by), (cx, cy) = A, B, C
         if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < 0.0:
-            B, C = C, B
-        return cls(A, B, C)
+            B, C, bx, by, cx, cy = C, B, cx, cy, bx, by
+        check_triangle(ax, ay, bx, by, cx, cy)
+        return tuple_new(cls, (A, B, C))
 
     @property
     def vertices(self) -> tuple[Point, Point, Point]:
@@ -288,10 +298,10 @@ class Pose(Validating, _Pose):
         if not math.isfinite(rotation):
             raise GeometryError("pose rotation must be finite")
         self = tuple_new(cls, (translation, rotation, reflect_x, scale))
-        self._cs = (math.cos(rotation), math.sin(rotation))
+        self.__dict__["_cs"] = (math.cos(rotation), math.sin(rotation))
         quarter = rotation / (0.5 * math.pi)
         k = round(quarter)
-        self._quarter = None if abs(quarter - k) > 1e-12 else k
+        self.__dict__["_quarter"] = None if abs(quarter - k) > 1e-12 else k
         return self
 
     @classmethod

@@ -6,16 +6,20 @@ pose).  Each stationary object (both conics, the Brocard points, which are
 the inellipse foci, the isodynamic points, the Brocard circle and the
 Beltrami points) is a closed form in (R, u), computed on read from scalars
 derived once: the params' gap sqrt(u^2 - 3) when they are built, and the
-scene's unit-scale sizes (:func:`_unit_sizes`) when it is built.  The
-canonical frame puts the circumcenter at the origin with the symmedian
-point straight below it; ``pose`` maps that frame into world coordinates,
-and every object a scene returns is world-frame.  X3, X39 and X182 are
-the centers of the circumcircle, the inellipse and the Brocard circle.
+scene's unit-scale sizes (:func:`_unit_sizes`) when it is built.  Once per
+porism, at its first member, the scene derives its isosceles chart and the
+chart its t-independent terms (:func:`_member_chart`); a member costs only
+the terms in t.  The canonical frame puts the circumcenter at the origin
+with the symmedian point straight below it; ``pose`` maps that frame into
+world coordinates, and every object a scene returns is world-frame.  X3,
+X39 and X182 are the centers of the circumcircle, the inellipse and the
+Brocard circle.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import NamedTuple
 
 from .geom import (
@@ -75,7 +79,7 @@ class PorismParams(Validating, _PorismParams):
         if abs(u_excess - (u - SQRT3)) > 8.0 * math.ulp(u):
             raise DegeneratePorismError("inconsistent porism: u_excess disagrees with u - sqrt(3)")
         self = tuple_new(cls, (R, u, u_excess))
-        self.gap = math.sqrt(u_excess * (u_excess + 2.0 * SQRT3))
+        self.__dict__["gap"] = math.sqrt(u_excess * (u_excess + 2.0 * SQRT3))
         return self
 
     @classmethod
@@ -99,8 +103,6 @@ class _IsoscelesParams(NamedTuple):
 class IsoscelesParams(Validating, _IsoscelesParams):
     """Half-base d and height h of the isosceles member, apex up."""
 
-    __slots__ = ()
-
     def __new__(cls, d: float, h: float) -> "IsoscelesParams":
         if not (d > 0.0 and h > 0.0):
             raise DegeneratePorismError("degenerate porism")
@@ -109,6 +111,9 @@ class IsoscelesParams(Validating, _IsoscelesParams):
     @property
     def zeta(self) -> float:
         return self.d * self.d + self.h * self.h
+
+    # the member chart, derived when the first member is drawn
+    _chart = cached_property(lambda self: _member_chart(self))
 
 
 # the half-base 1, height 2 porism: the checks' worked example and the
@@ -132,8 +137,9 @@ class PorismScene(Validating, _PorismScene):
 
     Pre: R > 0 and u > sqrt(3) strictly; the equilateral limit has no
     Brocard inellipse with distinct foci.  The constructor checks the
-    scalars the objects are built from, so no object raises on read, and
-    keeps the unit-scale sizes as ``_sizes``, outside the fields.
+    scalars the objects are built from, so the properties build them
+    unchecked; it keeps the unit-scale sizes as ``_sizes``, outside the
+    fields, where what the member layer reads is derived on first use.
     """
 
     def __new__(cls, params: PorismParams, pose: Pose) -> "PorismScene":
@@ -145,15 +151,19 @@ class PorismScene(Validating, _PorismScene):
         check_semi_axes(pose.scale * sizes[1], pose.scale * sizes[2])
         check_radius(pose.scale * sizes[3])
         self = tuple_new(cls, (params, pose))
-        self._sizes = sizes
+        self.__dict__["_sizes"] = sizes
         return self
+
+    # the chart scene_member draws from, and whether the pose is the identity
+    _member = cached_property(lambda self: (dh_from_Ru(self.params), self.pose == _IDENTITY))
 
     @property
     def circumcircle(self) -> Circle:
         pose = self.pose
-        return Circle(pose.map_xy(0.0, 0.0), pose.scale * self.params.R)
+        return tuple_new(Circle, (pose.map_xy(0.0, 0.0), pose.scale * self.params.R))
 
-    def _inellipse_fields(self) -> tuple[Point, float, float, MajorAxis]:
+    @cached_property
+    def _inellipse(self) -> tuple[Point, float, float, MajorAxis]:
         """The inellipse's center, semi-axes and major axis, as the constructor checked them."""
         pose, (cy, a, b, _) = self.pose, self._sizes
         return (
@@ -165,7 +175,7 @@ class PorismScene(Validating, _PorismScene):
 
     @property
     def inellipse(self) -> AxisAlignedEllipse:
-        return AxisAlignedEllipse(*self._inellipse_fields())
+        return tuple_new(AxisAlignedEllipse, self._inellipse)
 
     def _focus(self, side: float) -> Point:
         p = self.params
@@ -199,7 +209,7 @@ class PorismScene(Validating, _PorismScene):
     @property
     def brocard_circle(self) -> Circle:
         r = self._sizes[3]
-        return Circle(self.pose.map_xy(0.0, -r), self.pose.scale * r)
+        return tuple_new(Circle, (self.pose.map_xy(0.0, -r), self.pose.scale * r))
 
     @property
     def beltrami_P2(self) -> Point:
@@ -283,45 +293,41 @@ def Ru_from_dh(iso: IsoscelesParams) -> PorismParams:
     return PorismParams(iso.zeta / (2.0 * h), u, t * t / dh2)
 
 
-def vertices_at(iso: IsoscelesParams, t: float) -> Triangle:
-    """Member triangle of the porism at parameter t.
-
-    The first vertex is R*(cos t, sin t); the other two come from rational
-    trigonometric expressions in the isosceles chart.  Isolated t values
-    make a denominator vanish (the member degenerates); those raise, and
-    samplers should perturb t.  Vertices are reordered counterclockwise.
-
-    The chart is homogeneous of degree 1 in (d, h): it is evaluated at h in
-    [0.5, 1) and scaled back by a power of two, which is exact, so no
-    intermediate of degree 6 under- or overflows at any normal scale.
-    """
+def _member_chart(iso: IsoscelesParams) -> tuple[float, ...]:
+    """The terms of :func:`vertices_at` that do not depend on t, each in the
+    association order of its expression, at h in [0.5, 1): the chart is
+    homogeneous of degree 1 in (d, h), so scaling back by ``up``, a power of
+    two, is exact, and no intermediate of degree 6 under- or overflows."""
     k = min(max(math.frexp(iso.h)[1], -1022), 1023)
     down, up = math.ldexp(1.0, -k), math.ldexp(1.0, k)
     d, h = iso.d * down, iso.h * down
     d2, h2 = d * d, h * h
-    zeta = d2 + h2
-    d4, h4 = d2 * d2, h2 * h2
+    zeta, h4, dh2, d2_3, d4_9 = d2 + h2, h2 * h2, 2.0 * d * h, 3.0 * d2, 9.0 * (d2 * d2)
+    scale = d4_9 + 2.0 * d2 * h2 + h4
+    return (up, zeta / (2.0 * h), zeta, -zeta * d, 2.0 * h, h2, h4, d2_3, d4_9, dh2, d2_3 + h2,
+            dh2 * (d2_3 + h2), d4_9 - 2.0 * d2 * h2 + h4, dh2 * (d2_3 - h2), d4_9 - h4,
+            scale, 1e-13 * scale)
+
+
+def vertices_at(iso: IsoscelesParams, t: float) -> Triangle:
+    """Member triangle of the porism at parameter t.
+
+    The first vertex is R*(cos t, sin t); the other two come from rational
+    trigonometric expressions in the isosceles chart, ``iso._chart``.
+    Isolated t values make a denominator vanish (the member degenerates);
+    those raise, and samplers should perturb t.  Vertices are reordered
+    counterclockwise.
+    """
+    up, R, zeta, zd, h_2, h2, h4, d2_3, d4_9, c1, s1, c2, s2, c3, s3, scale, tiny = iso._chart
     ct, st = math.cos(t), math.sin(t)
-    R = zeta / (2.0 * h)
-
-    scale = 9.0 * d4 + 2.0 * d2 * h2 + h4
-    den_b = 2.0 * d * h * (3.0 * d2 - h2) * ct - (9.0 * d4 - h4) * st + scale
-    den_c = 2.0 * d * h * (3.0 * d2 - h2) * ct + (9.0 * d4 - h4) * st - scale
-    if abs(den_b) < 1e-13 * scale or abs(den_c) < 1e-13 * scale:
+    den_b = c3 * ct - s3 * st + scale
+    den_c = c3 * ct + s3 * st - scale
+    if abs(den_b) < tiny or abs(den_c) < tiny:
         raise ParametrizationSingularityError("parametrization singularity")
-
-    bx = -zeta * d * (2.0 * d * h * ct + (3.0 * d2 + h2) * st - 3.0 * d2 + h2) / den_b
-    by = (
-        zeta
-        * (2.0 * d * h * (3.0 * d2 + h2) * ct - (9.0 * d4 - 2.0 * d2 * h2 + h4) * st + 9.0 * d4 - h4)
-        / (2.0 * h * den_b)
-    )
-    cx = -zeta * d * (-2.0 * d * h * ct + (3.0 * d2 + h2) * st - 3.0 * d2 + h2) / den_c
-    cy = (
-        zeta
-        * (2.0 * d * h * (3.0 * d2 + h2) * ct + (9.0 * d4 - 2.0 * d2 * h2 + h4) * st - 9.0 * d4 + h4)
-        / (2.0 * h * den_c)
-    )
+    bx = zd * (c1 * ct + s1 * st - d2_3 + h2) / den_b
+    by = zeta * (c2 * ct - s2 * st + d4_9 - h4) / (h_2 * den_b)
+    cx = zd * (-c1 * ct + s1 * st - d2_3 + h2) / den_c
+    cy = zeta * (c2 * ct + s2 * st - d4_9 + h4) / (h_2 * den_c)
     return Triangle.oriented(
         tuple_new(Point, (R * ct * up, R * st * up)),
         tuple_new(Point, (bx * up, by * up)),
@@ -335,11 +341,12 @@ _IDENTITY = Pose.identity()
 def scene_member(scene: PorismScene, t: float) -> Triangle:
     """Member triangle of a posed scene, in world coordinates; on a canonical
     scene, the chart's own triangle."""
-    tri = vertices_at(dh_from_Ru(scene.params), t)
-    pose = scene.pose
-    if pose == _IDENTITY:
+    iso, identity = scene._member
+    tri = vertices_at(iso, t)
+    if identity:
         return tri
     (ax, ay), (bx, by), (cx, cy) = tri
+    pose = scene.pose
     return Triangle.oriented(pose.map_xy(ax, ay), pose.map_xy(bx, by), pose.map_xy(cx, cy))
 
 
@@ -347,9 +354,9 @@ def closure_residuals(scene: PorismScene, tri: Triangle) -> tuple[float, float, 
     """Tangency defect of each triangle side against the scene inellipse:
     the float operations of ``ellipse_line_tangency_residual(inellipse,
     Line.through(P, Q))`` for the sides AB, BC and CA, on scalars."""
-    (ex, ey), major, minor, axis = scene._inellipse_fields()
+    (ex, ey), major, minor, axis = scene._inellipse
     ax, ay = (major, minor) if axis is MajorAxis.HORIZONTAL else (minor, major)
-    A, B, C = tri.A, tri.B, tri.C
+    A, B, C = tri
     out = []
     for (px, py), (qx, qy) in ((A, B), (B, C), (C, A)):
         ux, uy = line_direction(qx - px, qy - py)

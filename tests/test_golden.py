@@ -43,6 +43,8 @@ FIGURE_DIGESTS = {
     ("fig2", "--d", "1", "--h", "2.9"): "4c6c84a34056e2935cabe58e05bb695ff4da5b0b8fe8b1490e2b313a98a8d286",
     ("fig4", "--d", "1", "--h", "2.9"): "42dbd6494b12e87592cca85e74f2ff00885ec695d44c70f26bef7bbb029195ad",
     ("fig5", "--d", "1", "--h", "2.9"): "fe377743a20b14dd8c75bbc32ced46dda7ba55b848a871ad4524aa7655041c97",
+    # a chart scaled by a power of two in ``vertices_at``
+    ("fig4", "--d", "1e-10", "--h", "3e-10"): "ba1d663af3380d46369eb30f0487c7360a830fa0448449a0a01ff08ce818d4e6",
 }
 
 # the tables of the commands that print the continuous family, the
@@ -52,6 +54,7 @@ TABLE_DIGESTS = {
     ("continuous", "--degrees", "--t-min", "1", "--t-max", "60"): "b7f08e32167220bbe0cede859f4b00c75a7d3188a67bdb91c9b84c01ff3a7cfc",
     ("family",): "92161ac612c8332e33728fe09486ccd91c6cb0aa5bdff615c5eae46bf859ed9d",
     ("family", "--d", "1.2", "--h", "2.4"): "15db06e373f7104f6cbf90748479c25dda181df9272add90bbc4b9fb71394253",
+    ("family", "--d", "1e-10", "--h", "3e-10"): "d433d6883a54064ee2202edef710ed7de1544b31bb1b2de1f08d6843a2a1ca46",
     ("orbit", "--R0", "1", "--u0", "2"): "16e129b7898c82959c320e458dddd8cec1a3642f1e92705eda06db96f1630bc0",
     ("orbit", "--R0", "1", "--u0", "2", "--direction", "back"): "3cee2de31029333da33c21559c1ab4d3e172992ecadbee182515d8df86944577",
 }

@@ -1,10 +1,12 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from brocard import continuous
+from brocard import continuous, porism
 from brocard.centers import (
     brocard_cotangent,
     brocard_points_by_construction,
@@ -514,6 +516,116 @@ def test_closure_residuals_are_bit_exact(posed_members, same_route):
     with pytest.raises(GeometryError, match="line requires a nonzero direction"):
         closure_residuals(scene, pinched)
     same_route(closure_residuals, _reference_closure_residuals, scene, pinched)
+
+
+def _singular_t(iso):
+    """A parameter at which the member chart of a flat iso degenerates."""
+    d, h = iso
+    return math.atan2(9.0 * d ** 4 - h ** 4, 2.0 * d * h * (3.0 * d * d - h * h))
+
+
+def test_member_chart_never_goes_stale(same_route):
+    rng = random.Random(45)
+    ts = [rng.uniform(-math.pi, math.pi) for _ in range(6)]
+    pose = Pose(Point(0.7, -1.3), 1.5 * math.pi, True, 1.8)
+    scene = scene_from_Ru(PorismParams(0.9, 2.4), pose)
+    scene_member(scene, 0.3)  # the scene's chart now exists
+    assert "_chart" in vars(scene._member[0])
+    other = PorismParams(2.0, 3.1)
+    for derived in (
+        scene._replace(pose=Pose(Point(-2.0, 0.5), math.pi, False, 0.5)),
+        scene._replace(pose=Pose()),
+        scene._replace(params=other),
+        scene._replace(params=other, pose=Pose()),
+        copy.copy(scene),
+        pickle.loads(pickle.dumps(scene)),
+        scene_from_Ru(PorismParams(0.9, 2.4), Pose(rotation=0.5 * math.pi, scale=3.0)),
+        scene,
+    ):
+        for t in ts:
+            same_route(scene_member, _reference_scene_member, derived, t)
+    # an iso's own chart rides along a copy and a pickle round trip
+    iso = dh_from_Ru(other)
+    vertices_at(iso, 0.3)
+    for again in (copy.copy(iso), pickle.loads(pickle.dumps(iso))):
+        assert repr(vars(again)) == repr(vars(iso))
+        for t in ts:
+            assert repr(vertices_at(again, t)) == repr(vertices_at(IsoscelesParams(*iso), t))
+
+
+def test_a_singular_member_leaves_the_chart_intact(same_route):
+    """24 members per scene in random t order, one of them at the chart's
+    singularity in the middle of the run: every other member is the one a
+    fresh chart gives."""
+    rng = random.Random(46)
+    for pose in (Pose(), Pose(Point(0.5, 0.25), 0.5 * math.pi, True, 2.0)):
+        scene = scene_from_Ru(Ru_from_dh(IsoscelesParams(1.0, 1e5)), pose)
+        t_bad = _singular_t(scene._member[0])
+        ts = [rng.uniform(-math.pi, math.pi) for _ in range(23)]
+        ts.insert(12, t_bad)
+        chart = None
+        for i, t in enumerate(ts):
+            if i == 12:
+                with pytest.raises(ParametrizationSingularityError):
+                    scene_member(scene, t)
+            else:
+                same_route(scene_member, _reference_scene_member, scene, t)
+            chart = chart or scene._member[0]._chart
+            assert scene._member[0]._chart is chart
+        assert repr(chart) == repr(porism._member_chart(dh_from_Ru(scene.params)))
+
+
+def test_member_chart_is_derived_once_per_porism(monkeypatch):
+    derived = []
+
+    def counting(iso):
+        derived.append(iso)
+        return chart(iso)
+
+    chart = porism._member_chart
+    monkeypatch.setattr(porism, "_member_chart", counting)
+    rng = random.Random(47)
+    scene = scene_from_Ru(PorismParams(0.9, 2.4), Pose(Point(0.7, -1.3), 0.5 * math.pi, True, 1.8))
+    for _ in range(24):
+        scene_member(scene, rng.uniform(-math.pi, math.pi))
+    assert derived == [scene._member[0]]
+    iso = IsoscelesParams(1.0, 2.0)
+    for _ in range(24):
+        vertices_at(iso, rng.uniform(-math.pi, math.pi))
+    assert derived == [scene._member[0], iso] and derived[1] is iso
+
+
+def test_derived_values_cannot_be_reassigned():
+    params = PorismParams(1.0, 2.0)
+    scene = scene_from_Ru(params, Pose(Point(0.5, -1.0), 0.5 * math.pi, True, 2.0))
+    iso = dh_from_Ru(params)
+    before = (repr(scene.X6), repr(scene.inellipse), repr(scene_member(scene, 0.3)))
+    vertices_at(iso, 0.3)
+    for value, name in (
+        (params, "gap"), (scene.pose, "_cs"), (scene.pose, "_quarter"), (scene, "_sizes"),
+        (scene, "_member"), (scene, "_inellipse"), (iso, "_chart"), (params, "R"), (iso, "d"),
+    ):
+        kept = getattr(value, name)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(value, name, 0.0)
+        assert getattr(value, name) is kept, name
+    # a name not derived yet cannot be set either
+    fresh = IsoscelesParams(1.0, 2.0)
+    with pytest.raises(AttributeError, match="immutable"):
+        fresh._chart = ()
+    assert "_chart" not in vars(fresh)
+    assert params == PorismParams(1.0, 2.0) and params.gap == PorismParams(1.0, 2.0).gap
+    assert (repr(scene.X6), repr(scene.inellipse), repr(scene_member(scene, 0.3))) == before
+
+
+def test_scene_objects_are_what_the_validating_constructors_build(posed_members):
+    for scene, _ in posed_members:
+        for got, want in (
+            (scene.circumcircle, Circle(*scene.circumcircle)),
+            (scene.inellipse, AxisAlignedEllipse(*scene.inellipse)),
+            (scene.brocard_circle, Circle(*scene.brocard_circle)),
+        ):
+            assert type(got) is type(want) and repr(got) == repr(want)
 
 
 def test_charts_that_underflow_raise_a_reason():

@@ -138,8 +138,8 @@ class PorismScene(Validating, _PorismScene):
     Pre: R > 0 and u > sqrt(3) strictly; the equilateral limit has no
     Brocard inellipse with distinct foci.  The constructor checks the
     scalars the objects are built from, so the properties build them
-    unchecked; it keeps the unit-scale sizes as ``_sizes``, outside the
-    fields, where what the member layer reads is derived on first use.
+    unchecked.  It keeps the unit-scale sizes as ``_sizes``, outside the
+    fields, and what the member layer reads beside them, on first use.
     """
 
     def __new__(cls, params: PorismParams, pose: Pose) -> "PorismScene":
@@ -304,6 +304,7 @@ def _member_chart(iso: IsoscelesParams) -> tuple[float, ...]:
     d2, h2 = d * d, h * h
     zeta, h4, dh2, d2_3, d4_9 = d2 + h2, h2 * h2, 2.0 * d * h, 3.0 * d2, 9.0 * (d2 * d2)
     scale = d4_9 + 2.0 * d2 * h2 + h4
+    # in the order vertices_at unpacks them
     return (up, zeta / (2.0 * h), zeta, -zeta * d, 2.0 * h, h2, h4, d2_3, d4_9, dh2, d2_3 + h2,
             dh2 * (d2_3 + h2), d4_9 - 2.0 * d2 * h2 + h4, dh2 * (d2_3 - h2), d4_9 - h4,
             scale, 1e-13 * scale)

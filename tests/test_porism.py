@@ -576,13 +576,12 @@ def test_a_singular_member_leaves_the_chart_intact(same_route):
 
 
 def test_member_chart_is_derived_once_per_porism(monkeypatch):
-    derived = []
+    derived, chart = [], porism._member_chart
 
     def counting(iso):
         derived.append(iso)
         return chart(iso)
 
-    chart = porism._member_chart
     monkeypatch.setattr(porism, "_member_chart", counting)
     rng = random.Random(47)
     scene = scene_from_Ru(PorismParams(0.9, 2.4), Pose(Point(0.7, -1.3), 0.5 * math.pi, True, 1.8))

@@ -4,12 +4,12 @@ A porism is the one-parameter family of triangles inscribed in a fixed
 circumcircle and tangent to the Brocard inellipse.  A scene is (params,
 pose).  Each stationary object (both conics, the Brocard points, which are
 the inellipse foci, the isodynamic points, the Brocard circle and the
-Beltrami points) is a closed form in (R, u), computed on read from scalars
-derived once: the params' gap sqrt(u^2 - 3) when they are built, and the
-scene's unit-scale sizes (:func:`_unit_sizes`) when it is built.  Once per
-porism, at its first member, the scene derives its isosceles chart and the
-chart its t-independent terms (:func:`_member_chart`); a member costs only
-the terms in t.  The canonical frame puts the circumcenter at the origin
+Beltrami points) is a closed form in (R, u).  The params derive their gap
+sqrt(u^2 - 3) when built; the scene builds its inellipse and its unit-scale
+sizes (:func:`_unit_sizes`), from which the rest is computed on read.  Once
+per porism, at its first member, the scene derives its isosceles chart and
+the chart its t-independent terms (:func:`_member_chart`); a member costs
+only the terms in t.  The canonical frame puts the circumcenter at the origin
 with the symmedian point straight below it; ``pose`` maps that frame into
 world coordinates, and every object a scene returns is world-frame.  X3,
 X39 and X182 are the centers of the circumcircle, the inellipse and the
@@ -33,7 +33,6 @@ from .geom import (
     Triangle,
     Validating,
     check_radius,
-    check_semi_axes,
     line_direction,
     tuple_new,
 )
@@ -138,20 +137,22 @@ class PorismScene(Validating, _PorismScene):
     Pre: R > 0 and u > sqrt(3) strictly; the equilateral limit has no
     Brocard inellipse with distinct foci.  The constructor checks the
     scalars the objects are built from, so the properties build them
-    unchecked.  It keeps the unit-scale sizes as ``_sizes``, outside the
-    fields, and what the member layer reads beside them, on first use.
+    unchecked.  It keeps the inellipse it built and the unit-scale sizes
+    ``_sizes`` outside the fields; the member data waits for a member.
     """
 
     def __new__(cls, params: PorismParams, pose: Pose) -> "PorismScene":
         if params.R <= 0.0 or params.u_excess <= 0.0:
             raise DegeneratePorismError("degenerate porism")
-        sizes = _unit_sizes(params)
-        check_radius(pose.scale * params.R)
-        pose.map_axis(MajorAxis.HORIZONTAL)
-        check_semi_axes(pose.scale * sizes[1], pose.scale * sizes[2])
-        check_radius(pose.scale * sizes[3])
+        sizes = cy, a, b, r = _unit_sizes(params)
+        k = pose.scale
+        check_radius(k * params.R)
+        # map_axis raises before the ellipse checks its semi-axes
+        inellipse = AxisAlignedEllipse(pose.map_xy(0.0, cy), k * a, k * b,
+                                       pose.map_axis(MajorAxis.HORIZONTAL))
+        check_radius(k * r)
         self = tuple_new(cls, (params, pose))
-        self.__dict__["_sizes"] = sizes
+        self.__dict__.update(_sizes=sizes, inellipse=inellipse)
         return self
 
     # the chart scene_member draws from, and whether the pose is the identity
@@ -161,21 +162,6 @@ class PorismScene(Validating, _PorismScene):
     def circumcircle(self) -> Circle:
         pose = self.pose
         return tuple_new(Circle, (pose.map_xy(0.0, 0.0), pose.scale * self.params.R))
-
-    @cached_property
-    def _inellipse(self) -> tuple[Point, float, float, MajorAxis]:
-        """The inellipse's center, semi-axes and major axis, as the constructor checked them."""
-        pose, (cy, a, b, _) = self.pose, self._sizes
-        return (
-            pose.map_xy(0.0, cy),
-            pose.scale * a,
-            pose.scale * b,
-            pose.map_axis(MajorAxis.HORIZONTAL),
-        )
-
-    @property
-    def inellipse(self) -> AxisAlignedEllipse:
-        return tuple_new(AxisAlignedEllipse, self._inellipse)
 
     def _focus(self, side: float) -> Point:
         p = self.params
@@ -247,7 +233,10 @@ class PorismScene(Validating, _PorismScene):
         return Circle(self.beltrami_P2, rho), Circle(self.beltrami_U2, rho)
 
 
-def scene_from_Ru(params: PorismParams, pose: Pose = Pose.identity()) -> PorismScene:
+_IDENTITY = Pose.identity()
+
+
+def scene_from_Ru(params: PorismParams, pose: Pose = _IDENTITY) -> PorismScene:
     """The scene of the porism with parameters (R, u), placed by ``pose``;
     it raises as :class:`PorismScene` does."""
     return PorismScene(params, pose)
@@ -336,9 +325,6 @@ def vertices_at(iso: IsoscelesParams, t: float) -> Triangle:
     )
 
 
-_IDENTITY = Pose.identity()
-
-
 def scene_member(scene: PorismScene, t: float) -> Triangle:
     """Member triangle of a posed scene, in world coordinates; on a canonical
     scene, the chart's own triangle."""
@@ -355,8 +341,8 @@ def closure_residuals(scene: PorismScene, tri: Triangle) -> tuple[float, float, 
     """Tangency defect of each triangle side against the scene inellipse:
     the float operations of ``ellipse_line_tangency_residual(inellipse,
     Line.through(P, Q))`` for the sides AB, BC and CA, on scalars."""
-    (ex, ey), major, minor, axis = scene._inellipse
-    ax, ay = (major, minor) if axis is MajorAxis.HORIZONTAL else (minor, major)
+    e = scene.inellipse
+    (ex, ey), (ax, ay) = e.center, e.axes_xy()
     A, B, C = tri
     out = []
     for (px, py), (qx, qy) in ((A, B), (B, C), (C, A)):

@@ -602,7 +602,7 @@ def test_derived_values_cannot_be_reassigned():
     vertices_at(iso, 0.3)
     for value, name in (
         (params, "gap"), (scene.pose, "_cs"), (scene.pose, "_quarter"), (scene, "_sizes"),
-        (scene, "_member"), (scene, "_inellipse"), (iso, "_chart"), (params, "R"), (iso, "d"),
+        (scene, "_member"), (scene, "inellipse"), (iso, "_chart"), (params, "R"), (iso, "d"),
     ):
         kept = getattr(value, name)
         with pytest.raises(AttributeError, match="immutable"):

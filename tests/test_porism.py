@@ -332,6 +332,14 @@ def test_scene_raises_as_the_eager_assembly_does(same_route):
     # Brocard radius 0.5*R*g/u is left infinite
     with pytest.raises(GeometryError, match="circle requires a finite radius"):
         scene_from_Ru(PorismParams(1.0, 1e200))
+    # R = 1e308: the semi-minor axis 2R/(1 + u^2) overflows, but a pose off
+    # the quarter turns fails first, since map_axis runs before the ellipse
+    # checks its semi-axes
+    wide = PorismParams(1e308, 1.75)
+    with pytest.raises(GeometryError, match="ellipse semi-axes must be finite"):
+        scene_from_Ru(wide)
+    with pytest.raises(GeometryError, match="pose rotation does not preserve axis alignment"):
+        scene_from_Ru(wide, Pose(rotation=0.3))
     assert seen == {
         "built",
         "degenerate porism",
@@ -615,6 +623,35 @@ def test_derived_values_cannot_be_reassigned():
     assert "_chart" not in vars(fresh)
     assert params == PorismParams(1.0, 2.0) and params.gap == PorismParams(1.0, 2.0).gap
     assert (repr(scene.X6), repr(scene.inellipse), repr(scene_member(scene, 0.3))) == before
+
+
+def test_inellipse_is_built_once_per_scene(monkeypatch):
+    built, new = [], AxisAlignedEllipse.__new__
+
+    def counting(cls, *args):
+        built.append(new(cls, *args))
+        return built[-1]
+
+    monkeypatch.setattr(AxisAlignedEllipse, "__new__", staticmethod(counting))
+    params, pose = PorismParams(0.9, 2.4), Pose(Point(0.7, -1.3), 0.5 * math.pi, True, 1.8)
+    scene = scene_from_Ru(params, pose)
+    assert len(built) == 1
+    tri = scene_member(scene, 0.3)
+    closure_residuals(scene, tri)
+    assert scene.inellipse is built[0] and scene.inellipse is scene.inellipse
+    assert scene.X39 is built[0].center
+    assert len(built) == 1
+    # every route to a scene builds its inellipse as a fresh scene does
+    other, moved = PorismParams(2.0, 3.1), Pose(Point(-2.0, 0.5), math.pi, False, 0.5)
+    for derived, fresh in (
+        (scene._replace(pose=moved), scene_from_Ru(params, moved)),
+        (scene._replace(params=other), scene_from_Ru(other, pose)),
+        (copy.copy(scene), scene_from_Ru(params, pose)),
+        (pickle.loads(pickle.dumps(scene)), scene_from_Ru(params, pose)),
+    ):
+        got, want = derived.inellipse, fresh.inellipse
+        assert type(got) is type(want) is AxisAlignedEllipse
+        assert repr(got) == repr(want)
 
 
 def test_scene_objects_are_what_the_validating_constructors_build(posed_members):

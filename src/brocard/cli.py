@@ -245,6 +245,11 @@ def _continuous_row(t: float) -> dict:
     }
 
 
+# the member's circumradius and circumcenter grow like 1/t and overflow a
+# double below t = 5.562684646268013e-309
+_T_MIN = 5.5627e-309
+
+
 def _cmd_continuous(args: argparse.Namespace) -> int:
     from .continuous import T_CRITICAL, T_MAX
 
@@ -255,10 +260,8 @@ def _cmd_continuous(args: argparse.Namespace) -> int:
     if not (0.0 < t_min < t_max <= T_MAX):
         print("error: need 0 < t_min < t_max <= pi/3", file=sys.stderr)
         return 2
-    # the member's circumcenter and circumradius divide by 1 - cos t
-    if math.cos(t_min) == 1.0:
-        print("error: need t_min >= 2**-26.5 rad (1.0537e-08): below it cos t rounds to 1",
-              file=sys.stderr)
+    if t_min < _T_MIN:
+        print(f"error: need t_min >= {_T_MIN} rad: below it R_t and X3_y overflow", file=sys.stderr)
         return 2
     n = args.samples
     # the last point can round one ulp past t_max, and past pi/3 the
@@ -367,7 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sample the one-parameter family on [t_min, t_max]; the grid "
         "also includes acos(3/4) and acos(3/5) when they fall inside",
     )
-    p.add_argument("--t-min", type=float, default=None, dest="t_min")  # None: 0.1
+    p.add_argument("--t-min", type=float, default=None, dest="t_min",
+                   help=f"lower end, at least {_T_MIN} rad (default 0.1)")
     p.add_argument("--t-max", type=float, default=None, dest="t_max")  # None: T_MAX
     p.add_argument("--samples", type=int, default=200, help="sample count (default 200)")
     p.add_argument(

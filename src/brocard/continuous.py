@@ -4,7 +4,9 @@ points.
 For t in (0, pi/3) the inellipse E_t has center (0, -sin t) and semi-axes
 (sqrt(2cos t - 1)/2, sqrt((2cos t - 1)(1 - cos t)/2)); the porism around
 it has Brocard angle t/2 and keeps X15 = (0, -sqrt(3)/2) and
-X16 = (0, +sqrt(3)/2) fixed for every t.  The member at t is the posed
+X16 = (0, +sqrt(3)/2) fixed for every t.  A form with 1 - cos t in it
+computes that as 2sin^2(t/2) or through tan(t/2), so it keeps its digits
+as t nears 0.  The member at t is the posed
 porism scene :func:`bt_scene` builds.  The Beltrami circles have unit
 radius about (-1/2, 0) and (1/2, 0), the discrete recurrence
 embeds as a step t -> t' inside the family, and the ellipses and Brocard
@@ -66,12 +68,12 @@ def _check_range(t: float, closed_top: bool = True) -> None:
 def ellipse_Et(t: float) -> AxisAlignedEllipse:
     """Inellipse of the family member at t; a point at X15 when t = pi/3."""
     _check_range(t)
-    c = math.cos(t)
-    major2 = max(0.0, 2.0 * c - 1.0)
+    major2, s = max(0.0, 2.0 * math.cos(t) - 1.0), math.sin(0.5 * t)
+    # 1 - cos t = 2 s^2, split so that no s^2 underflows
     return AxisAlignedEllipse(
         tuple_new(Point, (0.0, -math.sin(t))),
         0.5 * math.sqrt(major2),
-        math.sqrt(0.5 * major2 * (1.0 - c)),
+        math.sqrt(major2 * s) * math.sqrt(s),
         MajorAxis.HORIZONTAL,
     )
 
@@ -89,10 +91,10 @@ def foci_Et(t: float) -> tuple[Point, Point]:
 
 
 def circumradius_Rt(t: float) -> float:
-    """Circumradius sqrt((2cos t - 1)/(2(1 - cos t))) of the member at t."""
+    """Circumradius sqrt((2cos t - 1)/(2(1 - cos t))) of the member at t,
+    as sqrt(2cos t - 1)/(2sin(t/2))."""
     _check_range(t)
-    c = math.cos(t)
-    return math.sqrt(max(0.0, 2.0 * c - 1.0) / (2.0 * (1.0 - c)))
+    return math.sqrt(max(0.0, 2.0 * math.cos(t) - 1.0)) / (2.0 * math.sin(0.5 * t))
 
 
 def u_from_t(t: float) -> float:
@@ -107,19 +109,20 @@ def t_from_u(u: float) -> float:
 
 
 def _params_at(t: float) -> PorismParams:
-    c = math.cos(t)
-    u = u_from_t(t)
-    # u^2 - 3 = 2(2cos t - 1)/(1 - cos t) keeps the excess well formed as
-    # t approaches pi/3.
-    excess = 2.0 * (2.0 * c - 1.0) / ((1.0 - c) * (u + SQRT3))
+    u, s = u_from_t(t), math.sin(0.5 * t)
+    # u^2 - 3 = 2(2cos t - 1)/(1 - cos t) = (2cos t - 1)/s^2 keeps the excess
+    # well formed as t approaches pi/3, and no s^2 underflows as t nears 0
+    excess = (2.0 * math.cos(t) - 1.0) / (s * (s * (u + SQRT3)))
     if excess <= 0.0:
         raise GeometryError("degenerate member")
     return PorismParams.from_excess(circumradius_Rt(t), excess)
 
 
 def center_X3(t: float) -> Point:
+    """Circumcenter (0, -sin t/(2(1 - cos t))) of the member at t, as
+    (0, -1/(2tan(t/2)))."""
     _check_range(t)
-    return tuple_new(Point, (0.0, -math.sin(t) / (2.0 * (1.0 - math.cos(t)))))
+    return tuple_new(Point, (0.0, -0.5 / math.tan(0.5 * t)))
 
 
 def bt_scene(t: float) -> PorismScene:

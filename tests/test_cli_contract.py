@@ -79,19 +79,35 @@ def test_continuous_past_pi_over_3_exits_two_with_one_line():
         assert err == "error: need 0 < t_min < t_max <= pi/3\n"
 
 
-def test_continuous_below_the_cosine_bound_exits_two_with_one_line():
-    # below 2**-26.5, cos t rounds to 1 and the member's circumcenter and
-    # circumradius would divide by 1 - cos t = 0
-    for t_min in ("1e-300", "1e-9", "1e-320", "1.05367121277235e-08"):
-        code, out, err = run_cli(["continuous", "--t-min", t_min, "--samples", "2"])
+def test_continuous_below_the_overflow_bound_exits_two_with_one_line():
+    # R_t and X3_y grow like 1/t and overflow a double below t =
+    # 5.562684646268013e-309; at 5e-324, t/2 rounds to 0
+    too_small = [["--t-min", t] for t in ("5.5626e-309", "3e-309", "1e-310", "1e-320", "5e-324")]
+    for argv in too_small + [["--degrees", "--t-min", "3e-307"]]:
+        code, out, err = run_cli(["continuous", *argv, "--samples", "2"])
         assert (code, out) == (2, "")
-        assert err == (
-            "error: need t_min >= 2**-26.5 rad (1.0537e-08): below it cos t rounds to 1\n"
-        )
-    for t_min in ("1.1e-8", repr(2**-26.5)):
-        code, out, _ = run_cli(["continuous", "--t-min", t_min, "--samples", "2"])
+        assert err == "error: need t_min >= 5.5627e-309 rad: below it R_t and X3_y overflow\n"
+    # from the bound up, through the old cosine bound 2**-26.5, every value is finite
+    for t_min in ("5.5627e-309", "1e-300", "1e-9", "1.05367121277235e-08", "1.1e-8",
+                  repr(2**-26.5)):
+        code, out, _ = run_cli(["continuous", "--t-min", t_min, "--samples", "2",
+                                "--format", "json"])
         assert code == 0
-        parse_output(["continuous"], out)
+        for row in parse_jsonl(out):
+            assert math.isfinite(row["R_t"]) and math.isfinite(row["X3_y"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=5e-324, max_value=1.0))
+def test_continuous_never_prints_an_infinite_radius(t_min):
+    code, out, err = run_cli(["continuous", "--t-min", repr(t_min), "--samples", "2",
+                              "--format", "json"])
+    if code == 2:
+        assert out == "" and err.count("\n") == 1
+    else:
+        assert code == 0
+        for row in parse_jsonl(out):
+            assert math.isfinite(row["R_t"]) and math.isfinite(row["X3_y"])
 
 
 def test_domain_and_output_errors_exit_two_with_one_line(tmp_path):

@@ -16,6 +16,7 @@ from brocard.continuous import (
     brocard_circle_Kt,
     bt_scene,
     center_X3,
+    circumradius_Rt,
     ellipse_Et,
     embed_step,
     envelope_points,
@@ -385,3 +386,29 @@ def test_memoized_web_sweep_equals_a_fresh_one(cold_sweep):
     for bad_t in (0.0, -0.1, T_MAX, 2.0, math.nan):
         with pytest.raises(GeometryError):
             web_orthogonality_residuals(bad_t)
+
+
+def test_small_t_forms_match_an_mpmath_reference():
+    """R_t, X3_y, the semi-minor axis and the excess, the forms that once went
+    through 1 - cos t, stay within a few ulps of 80-digit values from t =
+    1e-300 to just below pi/3.  Near pi/3 the allowance of the three built on
+    2cos t - 1 grows with its condition number 1/(2cos t - 1)."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(61)
+    ts = [1e-300, 1.1e-8, math.acos(0.75), T_MAX - 1e-9]
+    ts += [10.0 ** rng.uniform(-300.0, 0.0) for _ in range(200)]
+    ts += [T_MAX - 10.0 ** -rng.uniform(0.0, 9.0) for _ in range(100)]
+    for t in ts:
+        with mpmath.workdps(80):
+            T = mpmath.mpf(t)
+            # 1 - cos t = 2 sin^2(t/2), which keeps its digits at any t
+            c, one_c = mpmath.cos(T), 2 * mpmath.sin(T / 2) ** 2
+            cond = max(1.0, float(1 / (2 * c - 1)))
+            for got, want, scale in (
+                (circumradius_Rt(t), mpmath.sqrt((2 * c - 1) / (2 * one_c)), cond),
+                (center_X3(t).y, -mpmath.sin(T) / (2 * one_c), 1.0),
+                (ellipse_Et(t).semi_minor, mpmath.sqrt((2 * c - 1) * one_c / 2), cond),
+                (continuous._params_at(t).u_excess, mpmath.cot(T / 2) - mpmath.sqrt(3), cond),
+            ):
+                error = float(abs((got - want) / want))
+                assert error <= 4.0 * 2.0 ** -52 * scale, (t, got, error)

@@ -97,13 +97,12 @@ class _Canvas:
         coords = " ".join("%.3f,%.3f" % (self.sx(p.x), self.sy(p.y)) for p in points)
         self.elements.append('<%s class="%s" points="%s"/>' % (tag, cls, coords))
 
-    def arc(self, center: Point, radius: float, a0: float, a1: float, cls: str) -> None:
-        """Circular arc from angle a0 to a1, counterclockwise in world terms."""
-        p0 = center + tuple_new(Point, (math.cos(a0), math.sin(a0))) * radius
-        p1 = center + tuple_new(Point, (math.cos(a1), math.sin(a1))) * radius
+    def arc(self, c: Circle, a0: float, a1: float, cls: str) -> None:
+        """Arc of ``c`` from angle a0 to a1, counterclockwise in world terms."""
+        p0, p1 = c.point_at(a0), c.point_at(a1)
         span = (a1 - a0) % (2.0 * math.pi)
         large = 1 if span > math.pi else 0
-        r = radius * self.scale
+        r = c.radius * self.scale
         # world counterclockwise turns clockwise after the y flip
         self.elements.append(
             '<path class="%s" d="M %.3f %.3f A %.3f %.3f 0 %d 0 %.3f %.3f"/>'
@@ -136,8 +135,8 @@ class _Canvas:
 def _beltrami_arcs(cv: _Canvas, root: PorismScene) -> None:
     """Angular windows around the Brocard-point cluster on each Beltrami circle."""
     c1, c2 = root.beltrami_circles()
-    cv.arc(c1.center, c1.radius, math.radians(40.0), math.radians(70.0), "beltrami-arc")
-    cv.arc(c2.center, c2.radius, math.radians(110.0), math.radians(140.0), "beltrami-arc")
+    cv.arc(c1, math.radians(40.0), math.radians(70.0), "beltrami-arc")
+    cv.arc(c2, math.radians(110.0), math.radians(140.0), "beltrami-arc")
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +273,8 @@ def fig_family() -> str:
         cv.ellipse(ellipse_Et(t), "inellipse")
     # focus tracks: the unit circles about the Beltrami centers
     left, right = BELTRAMI_CENTERS
-    cv.arc(left, 1.0, -T_MAX, -0.05, "beltrami-arc")
-    cv.arc(right, 1.0, math.pi + 0.05, math.pi + T_MAX, "beltrami-arc")
+    cv.arc(Circle(left, 1.0), -T_MAX, -0.05, "beltrami-arc")
+    cv.arc(Circle(right, 1.0), math.pi + 0.05, math.pi + T_MAX, "beltrami-arc")
     cv.marker(X15)
     cv.label(X15, "X15", 8.0, 4.0)
     cv.marker(X16)

@@ -97,19 +97,6 @@ def test_continuous_below_the_overflow_bound_exits_two_with_one_line():
             assert math.isfinite(row["R_t"]) and math.isfinite(row["X3_y"])
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.floats(min_value=5e-324, max_value=1.0))
-def test_continuous_never_prints_an_infinite_radius(t_min):
-    code, out, err = run_cli(["continuous", "--t-min", repr(t_min), "--samples", "2",
-                              "--format", "json"])
-    if code == 2:
-        assert out == "" and err.count("\n") == 1
-    else:
-        assert code == 0
-        for row in parse_jsonl(out):
-            assert math.isfinite(row["R_t"]) and math.isfinite(row["X3_y"])
-
-
 def test_domain_and_output_errors_exit_two_with_one_line(tmp_path):
     for argv in (
         # 2dh underflows to zero inside the chart map

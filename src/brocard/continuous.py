@@ -6,12 +6,11 @@ For t in (0, pi/3) the inellipse E_t has center (0, -sin t) and semi-axes
 it has Brocard angle t/2 and keeps X15 = (0, -sqrt(3)/2) and
 X16 = (0, +sqrt(3)/2) fixed for every t.  A form with 1 - cos t in it
 computes that as 2sin^2(t/2) or through tan(t/2), so it keeps its digits
-as t nears 0.  The member at t is the posed
-porism scene :func:`bt_scene` builds.  The Beltrami circles have unit
-radius about (-1/2, 0) and (1/2, 0), the discrete recurrence
-embeds as a step t -> t' inside the family, and the ellipses and Brocard
-circles weave an orthogonal web whose right-angle locus is the quartic
-16x^4 + 8x^2 + 4y^2 - 3 = 0.
+as t nears 0.  The member at t is the posed porism scene :func:`bt_scene`
+builds.  The Beltrami circles have unit radius about (-1/2, 0) and
+(1/2, 0), the discrete recurrence embeds as a step t -> t' inside the
+family, and the ellipses and Brocard circles weave an orthogonal web
+whose right-angle locus is the quartic 16x^4 + 8x^2 + 4y^2 - 3 = 0.
 """
 
 from __future__ import annotations

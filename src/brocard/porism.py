@@ -152,7 +152,8 @@ class PorismScene(Validating, _PorismScene):
                                        pose.map_axis(MajorAxis.HORIZONTAL))
         check_radius(k * r)
         self = tuple_new(cls, (params, pose))
-        self.__dict__.update(_sizes=sizes, inellipse=inellipse)
+        derived = self.__dict__
+        derived["_sizes"], derived["inellipse"] = sizes, inellipse
         return self
 
     # the chart scene_member draws from, and whether the pose is the identity

@@ -61,7 +61,6 @@ _EXPORTS = {
         "scene_member",
     ),
     "recurrence": (
-        "Direction",
         "alternating_brocard_sequence",
         "anti_scene",
         "child_scene",

@@ -168,9 +168,10 @@ def standard_centers(t: Triangle) -> StandardCenters:
 
     Pre: the triangle is not equilateral (X15, X16, X187, X574 degenerate
     there).  Straight-line code on scalars: the triangle is measured once,
-    and a Point is built only for a returned center; every value and every
-    raise is that of the object route (circumcircle, the circle on X3 X6
-    and its inversions, :func:`_brocard_construction`, ``midpoint``).
+    the Brocard points are the centroids of :func:`_brocard_construction`'s
+    meets, and a Point is built only for a returned center; every value
+    and every raise is that of the object route (circumcircle, the circle
+    on X3 X6 and its inversions, ``midpoint``).
     """
     A, B, C = t
     x3, y3 = X3 = three_point_center(A, B, C)
@@ -178,9 +179,9 @@ def standard_centers(t: Triangle) -> StandardCenters:
     check_radius(r3)
     s1, s2, s3, area = _measure(t)
     x6, y6 = _symmedian(t, s1, s2, s3)
-    omega = _omega(s1, s2, s3, area)
-    (x01, y01), (x12, y12), (x20, y20) = _turned_sides(A, B, C, math.cos(omega), math.sin(omega))
-    (x21, y21), (x10, y10), (x02, y02) = _turned_sides(C, B, A, math.cos(-omega), math.sin(-omega))
+    first, second = _brocard_construction(t, _omega(s1, s2, s3, area))
+    (x01, y01), (x12, y12), (x20, y20) = first
+    (x21, y21), (x10, y10), (x02, y02) = second
     o1x, o1y = (x01 + x12 + x20) / 3.0, (y01 + y12 + y20) / 3.0
     o2x, o2y = (x21 + x10 + x02) / 3.0, (y21 + y10 + y02) / 3.0
     u = _cotangent(s1, s2, s3, area)

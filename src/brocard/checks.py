@@ -112,7 +112,6 @@ from .porism import (
 )
 from .recurrence import (
     MUTATIONS,  # re-exported: the registry's callers read checks.MUTATIONS
-    Direction,
     StepFunction,
     alternating_brocard_sequence,
     anti_scene,
@@ -292,7 +291,7 @@ def _fixture_orbit(steps: int) -> list[PorismScene]:
 def _backward_chain(steps: int) -> list[PorismScene]:
     """Generations 0..steps backward from (R, u) = (1, 2)."""
     root = scene_from_Ru(PorismParams(1.0, 2.0))
-    return _whole(orbit_scenes(root, steps, Direction.BACKWARD), steps)
+    return _whole(orbit_scenes(root, steps, anti_scene), steps)
 
 
 def _steps(series: list) -> Iterator[tuple]:

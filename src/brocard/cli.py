@@ -41,8 +41,6 @@ if TYPE_CHECKING:
 def _value_str(v: object) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
     return str(v)
 
 
@@ -142,14 +140,14 @@ def _orbit_row(generation: int, scene: PorismScene) -> dict:
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
     from .porism import PorismParams, scene_from_Ru
-    from .recurrence import Direction, orbit_scenes
+    from .recurrence import anti_scene, child_scene, orbit_scenes
 
     if args.steps < 0:
         print("error: --steps must be >= 0", file=sys.stderr)
         return 2
-    direction = Direction.FORWARD if args.direction == "forward" else Direction.BACKWARD
+    step = child_scene if args.direction == "forward" else anti_scene
     root = scene_from_Ru(PorismParams(args.R0, args.u0))
-    scenes = orbit_scenes(root, args.steps, direction)
+    scenes = orbit_scenes(root, args.steps, step)
     if len(scenes) <= args.steps:
         print(
             f"note: orbit stopped at generation {len(scenes) - 1}; "

@@ -353,10 +353,6 @@ def web_orthogonality_residuals(t: float, samples: int = 64) -> WebResiduals:
     )
 
 
-def semi_minor(t: float) -> float:
-    return ellipse_Et(t).semi_minor
-
-
 def lower_vertex_y(t: float) -> float:
     """Ordinate of the bottom of E_t."""
     e = ellipse_Et(t)
@@ -392,11 +388,13 @@ def family_extrema() -> FamilyExtrema:
     difference derivative and bisecting it, rather than by evaluating
     any closed-form location.
     """
-    t_b = _bisect(lambda t: _central_difference(semi_minor, t), 0.5, 0.9)
+    t_b = _bisect(
+        lambda t: _central_difference(lambda s: ellipse_Et(s).semi_minor, t), 0.5, 0.9
+    )
     t_v = _bisect(lambda t: _central_difference(lower_vertex_y, t), 0.8, 1.04)
     return FamilyExtrema(
         t_semi_minor_max=t_b,
-        semi_minor_max=semi_minor(t_b),
+        semi_minor_max=ellipse_Et(t_b).semi_minor,
         t_lower_vertex_min=t_v,
         lower_vertex_min=tuple_new(Point, (0.0, lower_vertex_y(t_v))),
     )

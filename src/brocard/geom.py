@@ -165,14 +165,6 @@ class Circle(Validating, _Circle):
         return abs(p.dist(self.center) - self.radius)
 
 
-def check_semi_axes(semi_major: float, semi_minor: float) -> None:
-    """Reject what ``AxisAlignedEllipse`` rejects, without building one."""
-    if not (math.isfinite(semi_major) and math.isfinite(semi_minor)):
-        raise GeometryError("ellipse semi-axes must be finite")
-    if semi_minor < 0.0 or semi_major + 1e-15 * abs(semi_major) < semi_minor:
-        raise GeometryError("ellipse requires semi_major >= semi_minor >= 0")
-
-
 class MajorAxis(enum.Enum):
     HORIZONTAL = "horizontal"
     VERTICAL = "vertical"
@@ -188,16 +180,20 @@ class _AxisAlignedEllipse(NamedTuple):
 class AxisAlignedEllipse(Validating, _AxisAlignedEllipse):
     """Ellipse with axes parallel to the coordinate axes.
 
-    ``semi_major >= semi_minor >= 0``; equal axes give a circle and a zero
-    pair gives a point, both of which occur as limits of the families built
-    on top of this type.
+    ``semi_major >= semi_minor >= 0``, both finite, with one part in 1e15
+    of slack on the order; equal axes give a circle and a zero pair gives
+    a point, both of which occur as limits of the families built on top
+    of this type.  The constructor checks finiteness first, then order.
     """
 
     __slots__ = ()
 
     def __new__(cls, center: Point, semi_major: float, semi_minor: float,
                 major_axis: MajorAxis = MajorAxis.HORIZONTAL) -> "AxisAlignedEllipse":
-        check_semi_axes(semi_major, semi_minor)
+        if not (math.isfinite(semi_major) and math.isfinite(semi_minor)):
+            raise GeometryError("ellipse semi-axes must be finite")
+        if semi_minor < 0.0 or semi_major + 1e-15 * abs(semi_major) < semi_minor:
+            raise GeometryError("ellipse requires semi_major >= semi_minor >= 0")
         return tuple_new(cls, (center, semi_major, semi_minor, major_axis))
 
     def axes_xy(self) -> tuple[float, float]:

@@ -10,14 +10,13 @@ converge quadratically, so the step works on the excess u - sqrt(3)
 (see :class:`~brocard.porism.PorismParams`).  The child frame sits at
 the parent's X182 and is mirrored left-right, which swaps the two
 Brocard point labels each generation.  An orbit is the list of posed
-scenes that :func:`orbit_scenes` walks, in either direction; it is the
-only code that takes more than one step, and each orbit measure below
-takes the walk it measures.
+scenes that :func:`orbit_scenes` walks with :func:`child_scene` or
+:func:`anti_scene`; it is the only code that takes more than one step,
+and each orbit measure below takes the walk it measures.
 """
 
 from __future__ import annotations
 
-import enum
 from typing import Callable, Iterator, Sequence
 
 from .geom import (
@@ -35,11 +34,6 @@ from .porism import (
     PorismScene,
     scene_from_Ru,
 )
-
-
-class Direction(enum.Enum):
-    FORWARD = "forward"
-    BACKWARD = "backward"
 
 
 StepFunction = Callable[[PorismParams], PorismParams]
@@ -107,17 +101,19 @@ def anti_scene(scene: PorismScene) -> PorismScene:
 
 
 def orbit_scenes(
-    root: PorismScene, n: int, direction: Direction = Direction.FORWARD
+    root: PorismScene,
+    n: int,
+    step: Callable[[PorismScene], PorismScene] = child_scene,
 ) -> list[PorismScene]:
-    """Scenes of generations 0..n from ``root``, walked in ``direction``.
+    """Scenes of generations 0..n from ``root``, each the ``step`` of the last.
 
-    The walk ends early at the last generation before the next step
-    degenerates in floating point: forward once R or the u excess
-    underflows to zero, backward once R overflows.
+    ``step`` is :func:`child_scene` to walk forward or :func:`anti_scene`
+    to walk back.  The walk ends early at the last generation before the
+    next step degenerates in floating point: forward once R or the u
+    excess underflows to zero, backward once R overflows.
     """
     if n < 0:
         raise ValueError("orbit length must be >= 0")
-    step = child_scene if direction is Direction.FORWARD else anti_scene
     scenes = [root]
     for _ in range(n):
         try:

@@ -57,8 +57,8 @@ from brocard.porism import (
     vertices_at,
 )
 from brocard.recurrence import (
-    Direction,
     alternating_brocard_sequence,
+    anti_scene,
     child_scene,
     orbit_scenes,
     step_backward,
@@ -210,7 +210,7 @@ def test_criterion_5_orbits_both_directions():
     for e0, e1 in zip(errors, errors[1:]):
         assert 0.0 < e1 / (e0 * e0) <= 0.3
 
-    back = orbit_scenes(scene_from_Ru(PorismParams(1.0, 2.0)), 8, Direction.BACKWARD)
+    back = orbit_scenes(scene_from_Ru(PorismParams(1.0, 2.0)), 8, anti_scene)
     assert back[-1].params.u > 100.0
 
     rng = random.Random(104)

@@ -1,6 +1,7 @@
 import inspect
 import math
 import os
+import random
 import select
 import signal
 import threading
@@ -16,7 +17,14 @@ from brocard.checks import (
     run_checks,
 )
 from brocard.geom import Point, worst
-from brocard.porism import DegeneratePorismError, IsoscelesParams, PorismParams, PorismScene
+from brocard.porism import (
+    DegeneratePorismError,
+    IsoscelesParams,
+    ParametrizationSingularityError,
+    PorismParams,
+    PorismScene,
+    scene_from_Ru,
+)
 
 # groups that the registry is expected to carry; each check id is
 # "<group>.<name>" and selection works by string prefix
@@ -175,6 +183,26 @@ def test_nan_scene_point_fails_its_checks(monkeypatch):
     ):
         assert not reports[check_id].passed, check_id
         assert math.isnan(reports[check_id].max_residual), check_id
+
+
+def test_a_singular_member_is_drawn_again(monkeypatch):
+    scene = scene_from_Ru(PorismParams(1.25, 1.75))
+    real = checks.scene_member
+    drawn = []
+
+    def singular_once(s, t):
+        drawn.append(t)
+        if len(drawn) == 1:
+            raise ParametrizationSingularityError("parametrization singularity")
+        return real(s, t)
+
+    monkeypatch.setattr(checks, "scene_member", singular_once)
+    member = checks._random_member(random.Random(7), scene)
+    replay = random.Random(7)
+    replay.uniform(0.0, 2.0 * math.pi)
+    second = replay.uniform(0.0, 2.0 * math.pi)
+    assert len(drawn) == 2 and drawn[1] == second
+    assert member == real(scene, second)
 
 
 def test_a_backward_walk_that_stops_short_fails_its_checks(monkeypatch):

@@ -26,7 +26,6 @@ from brocard.continuous import (
     kt_inellipse_intersection_check,
     lower_vertex_y,
     quartic_y,
-    semi_minor,
     t_from_u,
     u_from_t,
     web_orthogonality_residuals,
@@ -52,6 +51,10 @@ def test_parameter_range():
         bt_scene(T_MAX)  # the top member is a point, no scene
     with pytest.raises(GeometryError):
         t_from_u(1.5)
+    # the later parameter must lie strictly between 0 and the earlier one
+    for small, big in ((0.2, 0.5), (0.5, 0.5), (0.5, 0.0), (T_MAX, 0.5)):
+        with pytest.raises(GeometryError, match="^t outside range$"):
+            gamma_nesting_residual(small, big)
 
 
 @pytest.mark.parametrize(
@@ -335,7 +338,7 @@ def test_family_extrema():
     assert abs(ex.t_lower_vertex_min - T_CRITICAL) < 1e-6
     assert ex.lower_vertex_min.dist(Point(0.0, -1.0)) < 1e-8
     # closed-form cross-checks of the two profile functions
-    assert abs(semi_minor(math.acos(0.75)) - 0.25) < 1e-12
+    assert abs(ellipse_Et(math.acos(0.75)).semi_minor - 0.25) < 1e-12
     assert abs(lower_vertex_y(T_CRITICAL) + 1.0) < 1e-12
 
 

@@ -408,6 +408,12 @@ def test_flat_shape_is_the_mirror_porism():
         assert abs(conic.semi_minor - canon.semi_minor) < 1e-10
 
 
+def test_chart_rejects_a_degenerate_porism():
+    for params in (PorismParams(1.0, SQRT3), PorismParams(0.0, 2.0)):
+        with pytest.raises(DegeneratePorismError, match="^degenerate porism$"):
+            dh_from_Ru(params)
+
+
 def test_isosceles_scene_matches_canonical_frame():
     tri, circ, coeffs = isosceles_scene(FIX_ISO)
     assert circ.center == Point(0.0, 0.0)
@@ -428,6 +434,13 @@ def test_conic_to_ellipse_rejections():
         conic_to_ellipse((1.0, 0.0, -1.0, 0.0, 0.0, -1.0))
     with pytest.raises(GeometryError):
         conic_to_ellipse((1.0, 0.0, 1.0, 0.0, 0.0, 1.0))
+
+
+def test_conic_to_ellipse_vertical_major_axis():
+    # 4x^2 + y^2 = 4: semi-axis 1 along x and 2 along y
+    e = conic_to_ellipse((4.0, 0.0, 1.0, 0.0, 0.0, -4.0))
+    assert e == AxisAlignedEllipse(Point(0.0, 0.0), 2.0, 1.0, MajorAxis.VERTICAL)
+    assert e.axes_xy() == (1.0, 2.0)
 
 
 def test_vertices_at_covers_the_porism():

@@ -14,7 +14,6 @@ from brocard.porism import (
     scene_from_Ru,
 )
 from brocard.recurrence import (
-    Direction,
     alternating_brocard_sequence,
     anti_scene,
     brocard_nesting,
@@ -151,7 +150,7 @@ def test_orbit_forward_stops_on_underflow():
 
 def test_orbit_backward_growth():
     root = scene_from_Ru(PorismParams(1.0, 2.0))
-    scenes = orbit_scenes(root, 8, Direction.BACKWARD)
+    scenes = orbit_scenes(root, 8, anti_scene)
     assert scenes[-1].params.u > 100.0
     for a, b in zip(scenes, scenes[1:]):
         assert b.params.u > a.params.u
@@ -160,7 +159,7 @@ def test_orbit_backward_growth():
 
 def test_orbit_backward_stops_before_overflow():
     root = scene_from_Ru(PorismParams(1.0, 2.0))
-    scenes = orbit_scenes(root, 2000, Direction.BACKWARD)
+    scenes = orbit_scenes(root, 2000, anti_scene)
     assert len(scenes) == 512
     with pytest.raises(DegeneratePorismError):
         anti_scene(scenes[-1])
@@ -175,7 +174,7 @@ def test_orbit_rejects_negative_length():
     with pytest.raises(ValueError):
         orbit_scenes(scene_from_Ru(FIX), -1)
     with pytest.raises(ValueError):
-        orbit_scenes(scene_from_Ru(FIX), -1, Direction.BACKWARD)
+        orbit_scenes(scene_from_Ru(FIX), -1, anti_scene)
 
 
 def test_alternating_sequence_on_beltrami_circles():

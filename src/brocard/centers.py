@@ -124,11 +124,10 @@ def _brocard_construction(t: Triangle, omega: float) -> tuple[Meets, Meets]:
     # First point: sides AB, BC, CA turned by +omega about A, B, C.  For a
     # counterclockwise triangle the positive turn sweeps each side into
     # the interior.  Second point: sides CB, BA, AC turned by -omega about
-    # C, B, A.
+    # C, B, A, whose cosine and sine are (c, -s) bit for bit.
     A, B, C = t
-    first = _turned_sides(A, B, C, math.cos(omega), math.sin(omega))
-    second = _turned_sides(C, B, A, math.cos(-omega), math.sin(-omega))
-    return first, second
+    c, s = math.cos(omega), math.sin(omega)
+    return _turned_sides(A, B, C, c, s), _turned_sides(C, B, A, c, -s)
 
 
 def brocard_points_by_construction(t: Triangle) -> tuple[Point, Point]:

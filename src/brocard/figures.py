@@ -57,15 +57,9 @@ class _Canvas:
 
     def __init__(self, xmin: float, xmax: float, ymin: float, ymax: float) -> None:
         self.xmin, self.xmax, self.ymin, self.ymax = xmin, xmax, ymin, ymax
+        self.scale = self.width / (xmax - xmin)
+        self.height = self.scale * (ymax - ymin)
         self.elements: list[str] = []
-
-    @property
-    def scale(self) -> float:
-        return self.width / (self.xmax - self.xmin)
-
-    @property
-    def height(self) -> float:
-        return self.scale * (self.ymax - self.ymin)
 
     def sx(self, x: float) -> float:
         return (x - self.xmin) * self.scale

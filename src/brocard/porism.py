@@ -19,7 +19,6 @@ Brocard circle.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import NamedTuple
 
 from .geom import (
@@ -33,6 +32,7 @@ from .geom import (
     Triangle,
     Validating,
     check_radius,
+    lazy,
     line_direction,
     tuple_new,
 )
@@ -112,7 +112,7 @@ class IsoscelesParams(Validating, _IsoscelesParams):
         return self.d * self.d + self.h * self.h
 
     # the member chart, derived when the first member is drawn
-    _chart = cached_property(lambda self: _member_chart(self))
+    _chart = lazy(lambda self: _member_chart(self))
 
 
 # the half-base 1, height 2 porism: the checks' worked example and the
@@ -157,7 +157,7 @@ class PorismScene(Validating, _PorismScene):
         return self
 
     # the chart scene_member draws from, and whether the pose is the identity
-    _member = cached_property(lambda self: (dh_from_Ru(self.params), self.pose == _IDENTITY))
+    _member = lazy(lambda self: (dh_from_Ru(self.params), self.pose == _IDENTITY))
 
     @property
     def circumcircle(self) -> Circle:

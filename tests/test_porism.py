@@ -26,6 +26,7 @@ from brocard.geom import (
     circumcircle,
     ellipse_line_tangency_residual,
     inversion_xy,
+    lazy,
     midpoint,
 )
 from brocard.porism import (
@@ -636,6 +637,59 @@ def test_derived_values_cannot_be_reassigned():
     assert "_chart" not in vars(fresh)
     assert params == PorismParams(1.0, 2.0) and params.gap == PorismParams(1.0, 2.0).gap
     assert (repr(scene.X6), repr(scene.inellipse), repr(scene_member(scene, 0.3))) == before
+
+
+def _kept_lazily(value, twin, replaced, name):
+    """``name`` is a ``geom.lazy`` value of ``value``: derived at the first
+    read into the instance dict and read from there, derived anew by an
+    equal ``twin`` and by ``replaced``, carried by a copy and a pickle round
+    trip, and never assigned."""
+    assert type(vars(type(value))[name]) is lazy
+    assert value == twin and name not in vars(value) and name not in vars(twin)
+    kept = getattr(value, name)
+    assert vars(value)[name] is kept and getattr(value, name) is kept
+    assert name not in vars(twin)
+    assert getattr(twin, name) is not kept and repr(getattr(twin, name)) == repr(kept)
+    assert name not in vars(replaced)
+    assert getattr(replaced, name) is vars(replaced)[name]
+    for again in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+        assert repr(vars(again)[name]) == repr(kept)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(value, name, kept)
+    assert vars(value)[name] is kept
+
+
+def test_member_chart_is_kept_lazily(monkeypatch):
+    derived, chart = [], porism._member_chart
+
+    def counting(iso):
+        derived.append(iso)
+        return chart(iso)
+
+    monkeypatch.setattr(porism, "_member_chart", counting)
+    iso, twin = IsoscelesParams(1.0, 2.0), IsoscelesParams(1.0, 2.0)
+    replaced = iso._replace(h=3.0)
+    _kept_lazily(iso, twin, replaced, "_chart")
+    assert len(derived) == 3
+    assert derived[0] is iso and derived[1] is twin and derived[2] is replaced
+    assert repr(replaced._chart) == repr(chart(IsoscelesParams(1.0, 3.0)))
+    # a derivation that raises keeps nothing, and the next read derives again
+    fresh = IsoscelesParams(1.0, 2.0)
+    monkeypatch.setattr(porism, "_member_chart", lambda iso: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        fresh._chart
+    assert "_chart" not in vars(fresh)
+    monkeypatch.setattr(porism, "_member_chart", counting)
+    assert repr(fresh._chart) == repr(iso._chart) and derived[-1] is fresh
+
+
+def test_scene_member_data_is_kept_lazily():
+    pose = Pose(Point(0.7, -1.3), 0.5 * math.pi, True, 1.8)
+    scene, twin = scene_from_Ru(FIX_PARAMS, pose), scene_from_Ru(FIX_PARAMS, pose)
+    replaced = scene._replace(pose=Pose())
+    _kept_lazily(scene, twin, replaced, "_member")
+    assert scene._member[1] is False and replaced._member[1] is True
+    assert scene._member[0] == dh_from_Ru(FIX_PARAMS)
 
 
 def test_inellipse_is_built_once_per_scene(monkeypatch):

@@ -19,7 +19,6 @@ from .geom import (
     check_radius,
     inversion_xy,
     line_direction,
-    three_point_center,
     tuple_new,
 )
 
@@ -37,24 +36,12 @@ class TriangleMetrics(NamedTuple):
     circumradius: float
 
 
-def _measure(t: Triangle) -> tuple[float, float, float, float]:
-    """(s1, s2, s3, area): the float operations of ``t.sidelengths()`` and
-    ``t.area()``, on scalars."""
-    (ax, ay), (bx, by), (cx, cy) = t
-    return (
-        math.hypot(bx - cx, by - cy),
-        math.hypot(cx - ax, cy - ay),
-        math.hypot(ax - bx, ay - by),
-        0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)),
-    )
-
-
 def _lambda(s1: float, s2: float, s3: float) -> float:
     return (s1 * s2) ** 2 + (s2 * s3) ** 2 + (s3 * s1) ** 2
 
 
 def metrics(t: Triangle) -> TriangleMetrics:
-    s1, s2, s3, area = _measure(t)
+    s1, s2, s3, area = t.measure
     lam, circumradius = _lambda(s1, s2, s3), s1 * s2 * s3 / (4.0 * area)
     return tuple_new(TriangleMetrics, (s1, s2, s3, area, lam, circumradius))
 
@@ -74,7 +61,7 @@ def brocard_angle(t: Triangle) -> float:
 
     Returns omega = arcsin(2*area / sqrt(lambda)); always in (0, pi/6].
     """
-    return _omega(*_measure(t))
+    return _omega(*t.measure)
 
 
 def _cotangent(s1: float, s2: float, s3: float, area: float) -> float:
@@ -83,7 +70,7 @@ def _cotangent(s1: float, s2: float, s3: float, area: float) -> float:
 
 def brocard_cotangent(t: Triangle) -> float:
     """cot(omega) = (s1^2 + s2^2 + s3^2) / (4*area), always >= sqrt(3)."""
-    return _cotangent(*_measure(t))
+    return _cotangent(*t.measure)
 
 
 Meets = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
@@ -166,17 +153,18 @@ def standard_centers(t: Triangle) -> StandardCenters:
     points by construction (X39 is their midpoint).
 
     Pre: the triangle is not equilateral (X15, X16, X187, X574 degenerate
-    there).  Straight-line code on scalars: the triangle is measured once,
-    the Brocard points are the centroids of :func:`_brocard_construction`'s
-    meets, and a Point is built only for a returned center; every value
-    and every raise is that of the object route (circumcircle, the circle
-    on X3 X6 and its inversions, ``midpoint``).
+    there).  Straight-line code on scalars: the sides, area and X3 are the
+    ones the triangle keeps, which :func:`second_brocard_triangle` reads
+    too, the Brocard points are the centroids of
+    :func:`_brocard_construction`'s meets, and a Point is built only for a
+    returned center; every value and every raise is that of the object
+    route (circumcircle, the circle on X3 X6 and its inversions, ``midpoint``).
     """
-    A, B, C = t
-    x3, y3 = X3 = three_point_center(A, B, C)
+    A = t.A
+    x3, y3 = X3 = t.circumcenter
     r3 = math.hypot(x3 - A.x, y3 - A.y)
     check_radius(r3)
-    s1, s2, s3, area = _measure(t)
+    s1, s2, s3, area = t.measure
     x6, y6 = _symmedian(t, s1, s2, s3)
     first, second = _brocard_construction(t, _omega(s1, s2, s3, area))
     (x01, y01), (x12, y12), (x20, y20) = first
@@ -216,8 +204,8 @@ def second_brocard_triangle(t: Triangle) -> Triangle:
     float operations of ``project_onto_line(Line.through(v, X6), X3)``.
     Vertices are reordered counterclockwise.
     """
-    x3, y3 = three_point_center(*t)
-    s1, s2, s3, _ = _measure(t)
+    x3, y3 = t.circumcenter
+    s1, s2, s3, _ = t.measure
     x6, y6 = _symmedian(t, s1, s2, s3)
     feet = []
     for vx, vy in t:

@@ -129,7 +129,8 @@ def bt_scene(t: float) -> PorismScene:
 
     The canonical frame has the symmedian point below the circumcenter;
     here it sits above, so the pose mirrors the y axis (rotation pi plus
-    the x mirror) before translating the circumcenter to X3(t).
+    the x mirror) before translating the circumcenter to X3(t).  Below
+    t = 2.8e-103 the inellipse center overflows and the scene raises.
     """
     _check_range(t, closed_top=False)
     pose = Pose(translation=center_X3(t), rotation=math.pi, reflect_x=True)

@@ -4,10 +4,10 @@ triangles, and rigid-or-similar poses.
 Everything here is immutable and every operation is a pure function, so
 values can be shared freely between checks.  Value types are
 ``NamedTuple``s, each equal to the plain tuple of its fields; a type that
-validates its input, or derives values it keeps outside its fields, does
-so in ``__new__``.  Residual helpers return a
-nonnegative defect instead of a bare boolean; callers compare it against
-their own tolerances.
+validates its input does so in ``__new__``, and one that derives values it
+keeps outside its fields does so there or, through :class:`lazy`, at their
+first read.  Residual helpers return a nonnegative defect instead of a bare
+boolean; callers compare it against their own tolerances.
 """
 
 from __future__ import annotations
@@ -183,6 +183,14 @@ class Circle(Validating, _Circle):
         return abs(p.dist(self.center) - self.radius)
 
 
+def check_semi_axes(semi_major: float, semi_minor: float) -> None:
+    """Reject what ``AxisAlignedEllipse`` rejects, without building one."""
+    if not (math.isfinite(semi_major) and math.isfinite(semi_minor)):
+        raise GeometryError("ellipse semi-axes must be finite")
+    if semi_minor < 0.0 or semi_major + 1e-15 * abs(semi_major) < semi_minor:
+        raise GeometryError("ellipse requires semi_major >= semi_minor >= 0")
+
+
 class MajorAxis(enum.Enum):
     HORIZONTAL = "horizontal"
     VERTICAL = "vertical"
@@ -208,10 +216,7 @@ class AxisAlignedEllipse(Validating, _AxisAlignedEllipse):
 
     def __new__(cls, center: Point, semi_major: float, semi_minor: float,
                 major_axis: MajorAxis = MajorAxis.HORIZONTAL) -> "AxisAlignedEllipse":
-        if not (math.isfinite(semi_major) and math.isfinite(semi_minor)):
-            raise GeometryError("ellipse semi-axes must be finite")
-        if semi_minor < 0.0 or semi_major + 1e-15 * abs(semi_major) < semi_minor:
-            raise GeometryError("ellipse requires semi_major >= semi_minor >= 0")
+        check_semi_axes(semi_major, semi_minor)
         return tuple_new(cls, (center, semi_major, semi_minor, major_axis))
 
     def axes_xy(self) -> tuple[float, float]:
@@ -241,26 +246,32 @@ class _Triangle(NamedTuple):
     C: Point
 
 
-def check_triangle(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> None:
-    """Reject what ``Triangle`` rejects, on the six coordinates of A, B, C."""
+def check_triangle(ax: float, ay: float, bx: float, by: float, cx: float,
+                   cy: float) -> tuple[float, float, float, float]:
+    """Reject what ``Triangle`` rejects, on the six coordinates of A, B, C,
+    and return the measure it keeps: the float operations of
+    ``sidelengths()`` and ``area()``, as ``(s1, s2, s3, area)``."""
     abx, aby, acx, acy = bx - ax, by - ay, cx - ax, cy - ay
     doubled = abx * acy - aby * acx
-    longest = max(math.hypot(abx, aby), math.hypot(acx, acy), math.hypot(cx - bx, cy - by))
+    # hypot is even in each argument, so the sides are those of sidelengths()
+    s1, s2, s3 = math.hypot(cx - bx, cy - by), math.hypot(acx, acy), math.hypot(abx, aby)
+    longest = max(s3, s2, s1)
     if not doubled > 1e-12 * longest * longest:
         if doubled < 0.0:
             raise DegenerateTriangleError("triangle must be counterclockwise")
         raise DegenerateTriangleError("degenerate triangle")
+    return s1, s2, s3, 0.5 * doubled
 
 
 class Triangle(Validating, _Triangle):
-    """Counterclockwise, non-degenerate triangle."""
-
-    __slots__ = ()
+    """Counterclockwise, non-degenerate triangle.  It keeps the measure its
+    check returns and derives its circumcenter at the first read, both in the
+    instance dict; one built around the constructor derives both on read."""
 
     def __new__(cls, A: Point, B: Point, C: Point) -> "Triangle":
-        (ax, ay), (bx, by), (cx, cy) = A, B, C
-        check_triangle(ax, ay, bx, by, cx, cy)
-        return tuple_new(cls, (A, B, C))
+        self = tuple_new(cls, (A, B, C))
+        self.__dict__["measure"] = check_triangle(*A, *B, *C)
+        return self
 
     @classmethod
     def oriented(cls, A: Point, B: Point, C: Point) -> "Triangle":
@@ -268,8 +279,13 @@ class Triangle(Validating, _Triangle):
         (ax, ay), (bx, by), (cx, cy) = A, B, C
         if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < 0.0:
             B, C, bx, by, cx, cy = C, B, cx, cy, bx, by
-        check_triangle(ax, ay, bx, by, cx, cy)
-        return tuple_new(cls, (A, B, C))
+        self = tuple_new(cls, (A, B, C))
+        self.__dict__["measure"] = check_triangle(ax, ay, bx, by, cx, cy)
+        return self
+
+    # (s1, s2, s3, area), s_i opposite the i-th vertex
+    measure = lazy(lambda self: (*self.sidelengths(), self.area()))
+    circumcenter = lazy(lambda self: three_point_center(*self))
 
     @property
     def vertices(self) -> tuple[Point, Point, Point]:
@@ -408,7 +424,8 @@ def three_point_circle(p: Point, q: Point, r: Point) -> Circle:
 
 
 def circumcircle(t: Triangle) -> Circle:
-    return three_point_circle(t.A, t.B, t.C)
+    o = t.circumcenter
+    return Circle(o, o.dist(t.A))
 
 
 def inversion_xy(cx: float, cy: float, r: float, px: float, py: float) -> Point:

@@ -5,15 +5,15 @@ circumcircle and tangent to the Brocard inellipse.  A scene is (params,
 pose).  Each stationary object (both conics, the Brocard points, which are
 the inellipse foci, the isodynamic points, the Brocard circle and the
 Beltrami points) is a closed form in (R, u).  The params derive their gap
-sqrt(u^2 - 3) when built; the scene builds its inellipse and its unit-scale
-sizes (:func:`_unit_sizes`), from which the rest is computed on read.  Once
-per porism, at its first member, the scene derives its isosceles chart and
-the chart its t-independent terms (:func:`_member_chart`); a member costs
-only the terms in t.  The canonical frame puts the circumcenter at the origin
-with the symmedian point straight below it; ``pose`` maps that frame into
-world coordinates, and every object a scene returns is world-frame.  X3,
-X39 and X182 are the centers of the circumcircle, the inellipse and the
-Brocard circle.
+sqrt(u^2 - 3) when built; the scene derives and checks its unit-scale sizes
+(:func:`_unit_sizes`), from which the rest is computed on read, the
+inellipse once, at its first read.  Once per porism, at its first member,
+the scene derives its isosceles chart and the chart its t-independent
+terms (:func:`_member_chart`); a member costs only the terms in t.  The
+canonical frame puts the circumcenter at the origin with the symmedian
+point straight below it; ``pose`` maps that frame into world coordinates,
+and every object a scene returns is world-frame.  X3, X39 and X182 are the
+centers of the circumcircle, the inellipse and the Brocard circle.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .geom import (
     Triangle,
     Validating,
     check_radius,
+    check_semi_axes,
     lazy,
     line_direction,
     tuple_new,
@@ -137,8 +138,9 @@ class PorismScene(Validating, _PorismScene):
     Pre: R > 0 and u > sqrt(3) strictly; the equilateral limit has no
     Brocard inellipse with distinct foci.  The constructor checks the
     scalars the objects are built from, so the properties build them
-    unchecked.  It keeps the inellipse it built and the unit-scale sizes
-    ``_sizes`` outside the fields; the member data waits for a member.
+    unchecked.  It keeps the unit-scale sizes ``_sizes`` outside the
+    fields; the inellipse waits for its first read and the member data
+    for a member.
     """
 
     def __new__(cls, params: PorismParams, pose: Pose) -> "PorismScene":
@@ -147,15 +149,18 @@ class PorismScene(Validating, _PorismScene):
         sizes = cy, a, b, r = _unit_sizes(params)
         k = pose.scale
         check_radius(k * params.R)
-        # map_axis raises before the ellipse checks its semi-axes
-        inellipse = AxisAlignedEllipse(pose.map_xy(0.0, cy), k * a, k * b,
-                                       pose.map_axis(MajorAxis.HORIZONTAL))
+        # the quarter turn, then the semi-axes, as the inellipse checks them
+        pose.map_axis(MajorAxis.HORIZONTAL)
+        check_semi_axes(k * a, k * b)
         check_radius(k * r)
+        # a, b and r passed above, scaled by k > 0; deep backward walks overflow the center
+        if not math.isfinite(cy):
+            raise DegeneratePorismError("degenerate porism")
         self = tuple_new(cls, (params, pose))
-        derived = self.__dict__
-        derived["_sizes"], derived["inellipse"] = sizes, inellipse
+        self.__dict__["_sizes"] = sizes
         return self
 
+    inellipse = lazy(lambda self: _inellipse(self))
     # the chart scene_member draws from, and whether the pose is the identity
     _member = lazy(lambda self: (dh_from_Ru(self.params), self.pose == _IDENTITY))
 
@@ -232,6 +237,14 @@ class PorismScene(Validating, _PorismScene):
         """
         rho = self.beltrami_radius
         return Circle(self.beltrami_P2, rho), Circle(self.beltrami_U2, rho)
+
+
+def _inellipse(scene: PorismScene) -> AxisAlignedEllipse:
+    """The scene's inellipse, built from the sizes its constructor checked."""
+    pose, (cy, a, b, _) = scene.pose, scene._sizes
+    k = pose.scale
+    return tuple_new(AxisAlignedEllipse, (pose.map_xy(0.0, cy), k * a, k * b,
+                                          pose.map_axis(MajorAxis.HORIZONTAL)))
 
 
 _IDENTITY = Pose.identity()

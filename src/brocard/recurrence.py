@@ -110,7 +110,8 @@ def orbit_scenes(
     ``step`` is :func:`child_scene` to walk forward or :func:`anti_scene`
     to walk back.  The walk ends early at the last generation before the
     next step degenerates in floating point: forward once R or the u
-    excess underflows to zero, backward once R overflows.
+    excess underflows to zero, backward once the inellipse center
+    R*u*sqrt(u^2 - 3)/(1 + u^2), cubic in (R, u), overflows.
     """
     if n < 0:
         raise ValueError("orbit length must be >= 0")

@@ -8,7 +8,6 @@ from brocard.centers import (
     StandardCenters,
     TriangleMetrics,
     _centroid,
-    _measure,
     _symmedian,
     _turned_sides,
     brocard_angle,
@@ -34,6 +33,7 @@ from brocard.geom import (
     project_onto_line,
     three_point_center,
 )
+from brocard.porism import IsoscelesParams, vertices_at
 
 # isosceles reference triangle: apex (0,2), base corners (-1,0) and (1,0)
 FIX = Triangle.oriented(Point(0.0, 2.0), Point(-1.0, 0.0), Point(1.0, 0.0))
@@ -154,6 +154,19 @@ def test_scalar_kernel_raises_as_the_line_route_does():
 # builds its points with Point, Line and project_onto_line.
 
 
+def _measure(t):
+    """(s1, s2, s3, area) on scalars: the float operations of
+    ``t.sidelengths()`` and ``t.area()``, which a triangle keeps as its
+    ``measure``."""
+    (ax, ay), (bx, by), (cx, cy) = t
+    return (
+        math.hypot(bx - cx, by - cy),
+        math.hypot(cx - ax, cy - ay),
+        math.hypot(ax - bx, ay - by),
+        0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)),
+    )
+
+
 def _reference_metrics(t):
     s1, s2, s3 = t.sidelengths()
     area = t.area()
@@ -247,6 +260,27 @@ def test_member_kernels_are_bit_exact(posed_members, same_route):
         same_route(symmedian_point, _reference_symmedian, t)
         same_route(standard_centers, _reference_standard_centers, t)
         same_route(second_brocard_triangle, _reference_second_brocard_triangle, t)
+
+
+def test_triangle_keeps_the_scalar_measure_and_circumcenter(posed_members):
+    """A triangle's kept measure and lazy circumcenter are, bit for bit,
+    ``_measure``'s float operations and ``three_point_center``; one built
+    around the constructor derives both at the first read."""
+    triangles = [t for _, t in posed_members]
+    triangles += [second_brocard_triangle(t) for t in triangles[::10]]
+    triangles += [vertices_at(IsoscelesParams(math.ldexp(1.0, j), math.ldexp(3.0, j)), t)
+                  for j in range(-500, 501, 25) for t in (-2.5, 0.85, 2.0)]
+    # clockwise inputs, which oriented turns back by swapping B and C
+    swapped = [Triangle.oriented(A, C, B) for A, B, C in triangles[::7]]
+    assert swapped == triangles[::7]
+    for t in triangles + swapped:
+        want = repr((_measure(t), three_point_center(*t)))
+        assert repr((t.measure, t.circumcenter)) == want
+        assert vars(t)["circumcenter"] is t.circumcenter
+        built, unchecked = Triangle(*t), tuple.__new__(Triangle, t)
+        assert list(vars(built)) == ["measure"] and vars(unchecked) == {}
+        for fresh in (built, unchecked):
+            assert repr((fresh.measure, fresh.circumcenter)) == want
 
 
 def test_member_kernels_raise_as_the_object_routes_do(same_route):

@@ -262,7 +262,7 @@ def _eager_scene(params, pose):
     y39 = -R * u * g / one_u2
     y182 = -0.5 * R * g / u
     k, at = pose.scale, pose.map_xy
-    return dict(
+    objects = dict(
         circumcircle=Circle(at(0.0, 0.0), k * R),
         inellipse=AxisAlignedEllipse(
             at(0.0, y39),
@@ -279,6 +279,10 @@ def _eager_scene(params, pose):
         beltrami_P2=at(-R / g, -R * u / g),
         beltrami_U2=at(R / g, -R * u / g),
     )
+    # a scene whose unit-scale sizes leave the double range is no porism
+    if not all(map(math.isfinite, (y39, R / math.sqrt(one_u2), 2.0 * R / one_u2, y182))):
+        raise DegeneratePorismError("degenerate porism")
+    return objects
 
 
 def _read_scene(params, pose):
@@ -693,20 +697,22 @@ def test_scene_member_data_is_kept_lazily():
 
 
 def test_inellipse_is_built_once_per_scene(monkeypatch):
-    built, new = [], AxisAlignedEllipse.__new__
+    built, build = [], porism._inellipse
 
-    def counting(cls, *args):
-        built.append(new(cls, *args))
+    def counting(scene):
+        built.append(build(scene))
         return built[-1]
 
-    monkeypatch.setattr(AxisAlignedEllipse, "__new__", staticmethod(counting))
+    monkeypatch.setattr(porism, "_inellipse", counting)
     params, pose = PorismParams(0.9, 2.4), Pose(Point(0.7, -1.3), 0.5 * math.pi, True, 1.8)
     scene = scene_from_Ru(params, pose)
-    assert len(built) == 1
     tri = scene_member(scene, 0.3)
+    assert built == [] and "inellipse" not in vars(scene)
+    # the first read builds it; later reads, X39 and closure_residuals get it
+    first = scene.inellipse
+    assert built == [first] and vars(scene)["inellipse"] is first
     closure_residuals(scene, tri)
-    assert scene.inellipse is built[0] and scene.inellipse is scene.inellipse
-    assert scene.X39 is built[0].center
+    assert scene.inellipse is first and scene.X39 is first.center
     assert len(built) == 1
     # every route to a scene builds its inellipse as a fresh scene does
     other, moved = PorismParams(2.0, 3.1), Pose(Point(-2.0, 0.5), math.pi, False, 0.5)
@@ -719,6 +725,8 @@ def test_inellipse_is_built_once_per_scene(monkeypatch):
         got, want = derived.inellipse, fresh.inellipse
         assert type(got) is type(want) is AxisAlignedEllipse
         assert repr(got) == repr(want)
+    twin = scene_from_Ru(params, pose)
+    _kept_lazily(twin, scene_from_Ru(params, pose), twin._replace(pose=moved), "inellipse")
 
 
 def test_scene_objects_are_what_the_validating_constructors_build(posed_members):

@@ -160,7 +160,7 @@ def test_orbit_backward_growth():
 def test_orbit_backward_stops_before_overflow():
     root = scene_from_Ru(PorismParams(1.0, 2.0))
     scenes = orbit_scenes(root, 2000, anti_scene)
-    assert len(scenes) == 512
+    assert len(scenes) == 341
     with pytest.raises(DegeneratePorismError):
         anti_scene(scenes[-1])
 

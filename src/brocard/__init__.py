@@ -53,7 +53,6 @@ _EXPORTS = {
         "ParametrizationSingularityError",
         "PorismParams",
         "PorismScene",
-        "Ru_from_axes",
         "Ru_from_dh",
         "closure_residuals",
         "dh_from_Ru",

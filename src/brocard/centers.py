@@ -27,23 +27,8 @@ class EquilateralDegeneracyError(GeometryError):
     pass
 
 
-class TriangleMetrics(NamedTuple):
-    s1: float
-    s2: float
-    s3: float
-    area: float
-    lambda_: float
-    circumradius: float
-
-
 def _lambda(s1: float, s2: float, s3: float) -> float:
     return (s1 * s2) ** 2 + (s2 * s3) ** 2 + (s3 * s1) ** 2
-
-
-def metrics(t: Triangle) -> TriangleMetrics:
-    s1, s2, s3, area = t.measure
-    lam, circumradius = _lambda(s1, s2, s3), s1 * s2 * s3 / (4.0 * area)
-    return tuple_new(TriangleMetrics, (s1, s2, s3, area, lam, circumradius))
 
 
 def _omega(s1: float, s2: float, s3: float, area: float) -> float:
@@ -82,7 +67,7 @@ def _turned_sides(P0: Point, P1: Point, P2: Point, c: float, s: float) -> Meets:
     Side i runs from P_i to P_(i+1), turned about P_i by the angle with
     cosine ``c`` and sine ``s``.  The float operations are those of
     ``Line(P_i, (P_(i+1) - P_i).rotated(angle))`` and of
-    ``line_line_intersection``, written out as scalars.
+    ``line_line_intersection`` in ``tests/reference.py``, on scalars.
     """
     (x0, y0), (x1, y1), (x2, y2) = P0, P1, P2
     dx0, dy0, dx1, dy1, dx2, dy2 = x1 - x0, y1 - y0, x2 - x1, y2 - y1, x0 - x2, y0 - y2
@@ -201,7 +186,7 @@ def second_brocard_triangle(t: Triangle) -> Triangle:
     one further point, which by Thales is the foot of the perpendicular
     from X3 onto the cevian.  When a cevian passes through X3 the foot is
     X3 itself, the limit of the neighboring members.  Each foot has the
-    float operations of ``project_onto_line(Line.through(v, X6), X3)``.
+    float operations of ``project_onto_line(through(v, X6), X3)`` (``tests/reference.py``).
     Vertices are reordered counterclockwise.
     """
     x3, y3 = t.circumcenter

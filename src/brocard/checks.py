@@ -49,10 +49,10 @@ from ._workers import split
 from .centers import (
     Meets,
     _brocard_construction,
+    _lambda,
     brocard_angle,
     brocard_cotangent,
     brocard_points_by_construction,
-    metrics,
     second_brocard_triangle,
     standard_centers,
 )
@@ -410,9 +410,9 @@ def _check_focal_gap(drawn: Drawn) -> Residuals:
     first, second = brocard_points_by_construction(tri)
     gap = first.dist(second)
     a, b = scene.inellipse.semi_major, scene.inellipse.semi_minor
-    m = metrics(tri)
-    sin_w = 2.0 * m.area / math.sqrt(m.lambda_)
-    closed = 2.0 * m.circumradius * sin_w * math.sqrt(1.0 - 4.0 * sin_w * sin_w)
+    s1, s2, s3, area = tri.measure
+    sin_w = 2.0 * area / math.sqrt(_lambda(s1, s2, s3))
+    closed = 2.0 * (s1 * s2 * s3 / (4.0 * area)) * sin_w * math.sqrt(1.0 - 4.0 * sin_w * sin_w)
     return abs(gap - 2.0 * math.sqrt((a - b) * (a + b))), abs(gap - closed)
 
 
@@ -892,7 +892,7 @@ def _check_composed_axes(iso: IsoscelesParams) -> Residuals:
 def _check_apex_recovery(iso: IsoscelesParams) -> Residuals:
     tri, _, _ = isosceles_scene(iso)
     at_top = vertices_at(iso, 0.5 * math.pi)
-    return [min(v.dist(w) for w in tri.vertices) for v in at_top.vertices]
+    return [min(v.dist(w) for w in tri) for v in at_top]
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ def fig_member(iso: IsoscelesParams) -> str:
         abs(brocard_cotangent(derived) - stepped.u), 1e-8, "derived cotangent"
     )
     _require(
-        worst(scene.brocard_circle.membership_residual(v) for v in derived.vertices) / R,
+        worst(scene.brocard_circle.membership_residual(v) for v in derived) / R,
         1e-10,
         "derived triangle on Brocard circle",
     )
@@ -166,9 +166,9 @@ def fig_member(iso: IsoscelesParams) -> str:
     cv = _Canvas(-R - pad, R + pad, -R - pad, R + pad)
     cv.circle(scene.circumcircle, "gamma")
     cv.ellipse(scene.inellipse, "inellipse")
-    cv.poly("polygon", tri.vertices, "member")
+    cv.poly("polygon", tri, "member")
     cv.circle(scene.brocard_circle, "brocard")
-    cv.poly("polygon", derived.vertices, "derived dashed")
+    cv.poly("polygon", derived, "derived dashed")
     for p, name, dx, dy in (
         (scene.omega1, "&#937;1", 6.0, -4.0),
         (scene.omega2, "&#937;2", -24.0, -4.0),
@@ -202,7 +202,7 @@ def fig_cascade_triangles(iso: IsoscelesParams) -> str:
     cv.circle(root.circumcircle, "gamma")
     for scene in scenes[:3]:
         tri = scene_member(scene, 0.5 * math.pi)
-        cv.poly("polygon", tri.vertices, "member dashed")
+        cv.poly("polygon", tri, "member dashed")
     _beltrami_arcs(cv, root)
     for p in first[:3] + second[:3]:
         cv.marker(p)

@@ -33,8 +33,8 @@ class Point(NamedTuple):
     """A plane vector.
 
     A tuple, so it is immutable and cheap to build, and it equals the
-    plain tuple ``(x, y)``; ``+``, ``*`` and unary ``-`` are vector
-    arithmetic, never tuple concatenation or repetition.
+    plain tuple ``(x, y)``; ``+``, ``-`` and ``*`` are vector arithmetic,
+    never tuple concatenation or repetition.
     """
 
     x: float
@@ -51,14 +51,8 @@ class Point(NamedTuple):
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Point":
-        return tuple_new(Point, (-self.x, -self.y))
-
     def dot(self, other: "Point") -> float:
         return self.x * other.x + self.y * other.y
-
-    def cross(self, other: "Point") -> float:
-        return self.x * other.y - self.y * other.x
 
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
@@ -146,16 +140,9 @@ class Line(Validating, _Line):
     def __new__(cls, base: Point, direction: Point) -> "Line":
         return tuple_new(cls, (base, tuple_new(Point, line_direction(*direction))))
 
-    @classmethod
-    def through(cls, p: Point, q: Point) -> "Line":
-        return cls(p, q - p)
-
     def normal(self) -> Point:
         """Unit normal, the direction rotated a quarter turn left."""
         return tuple_new(Point, (-self.direction.y, self.direction.x))
-
-    def point_at(self, t: float) -> Point:
-        return self.base + self.direction * t
 
 
 def check_radius(radius: float) -> None:
@@ -246,15 +233,18 @@ class _Triangle(NamedTuple):
     C: Point
 
 
-def check_triangle(ax: float, ay: float, bx: float, by: float, cx: float,
-                   cy: float) -> tuple[float, float, float, float]:
-    """Reject what ``Triangle`` rejects, on the six coordinates of A, B, C,
-    and return the measure it keeps: the float operations of
-    ``sidelengths()`` and ``area()``, as ``(s1, s2, s3, area)``."""
+def _doubled_measure(A: Point, B: Point, C: Point) -> tuple[float, float, float, float]:
+    """(s1, s2, s3, twice the signed area), s_i opposite the i-th vertex, on
+    scalars; ``tests/reference.py`` keeps the ``Point`` route."""
+    (ax, ay), (bx, by), (cx, cy) = A, B, C
     abx, aby, acx, acy = bx - ax, by - ay, cx - ax, cy - ay
-    doubled = abx * acy - aby * acx
-    # hypot is even in each argument, so the sides are those of sidelengths()
-    s1, s2, s3 = math.hypot(cx - bx, cy - by), math.hypot(acx, acy), math.hypot(abx, aby)
+    return (math.hypot(cx - bx, cy - by), math.hypot(acx, acy), math.hypot(abx, aby),
+            abx * acy - aby * acx)
+
+
+def check_triangle(s1: float, s2: float, s3: float, doubled: float) -> tuple[float, ...]:
+    """Reject what ``Triangle`` rejects, on its sides and doubled area, and
+    return the measure it keeps, ``(s1, s2, s3, area)``."""
     longest = max(s3, s2, s1)
     if not doubled > 1e-12 * longest * longest:
         if doubled < 0.0:
@@ -265,42 +255,26 @@ def check_triangle(ax: float, ay: float, bx: float, by: float, cx: float,
 
 class Triangle(Validating, _Triangle):
     """Counterclockwise, non-degenerate triangle.  It keeps the measure its
-    check returns and derives its circumcenter at the first read, both in the
-    instance dict; one built around the constructor derives both on read."""
+    check returns, (s1, s2, s3, area) with s_i opposite the i-th vertex, and
+    derives its circumcenter at the first read, both in the instance dict."""
 
     def __new__(cls, A: Point, B: Point, C: Point) -> "Triangle":
         self = tuple_new(cls, (A, B, C))
-        self.__dict__["measure"] = check_triangle(*A, *B, *C)
+        self.__dict__["measure"] = check_triangle(*_doubled_measure(A, B, C))
         return self
 
     @classmethod
     def oriented(cls, A: Point, B: Point, C: Point) -> "Triangle":
-        """Build a triangle, swapping two vertices if the input is clockwise."""
-        (ax, ay), (bx, by), (cx, cy) = A, B, C
-        if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < 0.0:
-            B, C, bx, by, cx, cy = C, B, cx, cy, bx, by
+        """Build a triangle, swapping B and C if the input is clockwise."""
+        s1, s2, s3, doubled = _doubled_measure(A, B, C)
+        if doubled < 0.0:
+            # hypot is even and a - b == -(b - a): the swapped measure, exactly
+            B, C, s2, s3, doubled = C, B, s3, s2, -doubled
         self = tuple_new(cls, (A, B, C))
-        self.__dict__["measure"] = check_triangle(ax, ay, bx, by, cx, cy)
+        self.__dict__["measure"] = check_triangle(s1, s2, s3, doubled)
         return self
 
-    # (s1, s2, s3, area), s_i opposite the i-th vertex
-    measure = lazy(lambda self: (*self.sidelengths(), self.area()))
     circumcenter = lazy(lambda self: three_point_center(*self))
-
-    @property
-    def vertices(self) -> tuple[Point, Point, Point]:
-        return (self.A, self.B, self.C)
-
-    def sidelengths(self) -> tuple[float, float, float]:
-        """(s1, s2, s3) with s1 opposite A, s2 opposite B, s3 opposite C."""
-        return (
-            self.B.dist(self.C),
-            self.C.dist(self.A),
-            self.A.dist(self.B),
-        )
-
-    def area(self) -> float:
-        return 0.5 * (self.B - self.A).cross(self.C - self.A)
 
 
 class _Pose(NamedTuple):
@@ -391,14 +365,6 @@ class Pose(Validating, _Pose):
         return Pose(linear.map_xy(-t.x, -t.y), rotation, self.reflect_x, inv_scale)
 
 
-def line_line_intersection(l1: Line, l2: Line) -> Point:
-    denom = l1.direction.cross(l2.direction)
-    if abs(denom) < 1e-14:
-        raise GeometryError("lines are parallel")
-    t = (l2.base - l1.base).cross(l2.direction) / denom
-    return l1.point_at(t)
-
-
 def three_point_center(p: Point, q: Point, r: Point) -> Point:
     """Center of the circle through three points, any orientation."""
     # Shift to the centroid first; the determinant form is then well scaled.
@@ -415,12 +381,6 @@ def three_point_center(p: Point, q: Point, r: Point) -> Point:
         gx + (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d,
         gy + (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d,
     ))
-
-
-def three_point_circle(p: Point, q: Point, r: Point) -> Circle:
-    """Circle through three points, any orientation."""
-    o = three_point_center(p, q, r)
-    return Circle(o, o.dist(p))
 
 
 def circumcircle(t: Triangle) -> Circle:

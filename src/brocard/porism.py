@@ -87,10 +87,6 @@ class PorismParams(Validating, _PorismParams):
         return cls(R, SQRT3 + excess, excess)
 
     @property
-    def sin_omega(self) -> float:
-        return 1.0 / math.sqrt(1.0 + self.u * self.u)
-
-    @property
     def omega(self) -> float:
         return math.atan2(1.0, self.u)
 
@@ -256,16 +252,6 @@ def scene_from_Ru(params: PorismParams, pose: Pose = _IDENTITY) -> PorismScene:
     return PorismScene(params, pose)
 
 
-def Ru_from_axes(a: float, b: float) -> PorismParams:
-    """Porism parameters from the inellipse semi-axes: R = 2a^2/b."""
-    if not (a > 0.0 and b > 0.0) or b > a:
-        raise GeometryError("not a Brocard inellipse shape")
-    u = math.sqrt(4.0 * a * a - b * b) / b
-    # u - sqrt3 = (u^2 - 3)/(u + sqrt3) with u^2 - 3 = 4(a - b)(a + b)/b^2.
-    excess = 4.0 * (a - b) * (a + b) / (b * b * (u + SQRT3))
-    return PorismParams(2.0 * a * a / b, u, excess)
-
-
 def dh_from_Ru(params: PorismParams) -> IsoscelesParams:
     """Isosceles chart of the porism: half-base and height of the apex-up member.
 
@@ -297,7 +283,7 @@ def Ru_from_dh(iso: IsoscelesParams) -> PorismParams:
 
 
 def _member_chart(iso: IsoscelesParams) -> tuple[float, ...]:
-    """The terms of :func:`vertices_at` that do not depend on t, each in the
+    """The terms of :func:`_member_xy` that do not depend on t, each in the
     association order of its expression, at h in [0.5, 1): the chart is
     homogeneous of degree 1 in (d, h), so scaling back by ``up``, a power of
     two, is exact, and no intermediate of degree 6 under- or overflows."""
@@ -307,10 +293,25 @@ def _member_chart(iso: IsoscelesParams) -> tuple[float, ...]:
     d2, h2 = d * d, h * h
     zeta, h4, dh2, d2_3, d4_9 = d2 + h2, h2 * h2, 2.0 * d * h, 3.0 * d2, 9.0 * (d2 * d2)
     scale = d4_9 + 2.0 * d2 * h2 + h4
-    # in the order vertices_at unpacks them
+    # in the order _member_xy unpacks them
     return (up, zeta / (2.0 * h), zeta, -zeta * d, 2.0 * h, h2, h4, d2_3, d4_9, dh2, d2_3 + h2,
             dh2 * (d2_3 + h2), d4_9 - 2.0 * d2 * h2 + h4, dh2 * (d2_3 - h2), d4_9 - h4,
             scale, 1e-13 * scale)
+
+
+def _member_xy(iso: IsoscelesParams, t: float) -> tuple[float, ...]:
+    """The six vertex coordinates of :func:`vertices_at`, in chart order."""
+    up, R, zeta, zd, h_2, h2, h4, d2_3, d4_9, c1, s1, c2, s2, c3, s3, scale, tiny = iso._chart
+    ct, st = math.cos(t), math.sin(t)
+    den_b = c3 * ct - s3 * st + scale
+    den_c = c3 * ct + s3 * st - scale
+    if abs(den_b) < tiny or abs(den_c) < tiny:
+        raise ParametrizationSingularityError("parametrization singularity")
+    bx = zd * (c1 * ct + s1 * st - d2_3 + h2) / den_b
+    by = zeta * (c2 * ct - s2 * st + d4_9 - h4) / (h_2 * den_b)
+    cx = zd * (-c1 * ct + s1 * st - d2_3 + h2) / den_c
+    cy = zeta * (c2 * ct + s2 * st - d4_9 + h4) / (h_2 * den_c)
+    return R * ct * up, R * st * up, bx * up, by * up, cx * up, cy * up
 
 
 def vertices_at(iso: IsoscelesParams, t: float) -> Triangle:
@@ -322,31 +323,18 @@ def vertices_at(iso: IsoscelesParams, t: float) -> Triangle:
     those raise, and samplers should perturb t.  Vertices are reordered
     counterclockwise.
     """
-    up, R, zeta, zd, h_2, h2, h4, d2_3, d4_9, c1, s1, c2, s2, c3, s3, scale, tiny = iso._chart
-    ct, st = math.cos(t), math.sin(t)
-    den_b = c3 * ct - s3 * st + scale
-    den_c = c3 * ct + s3 * st - scale
-    if abs(den_b) < tiny or abs(den_c) < tiny:
-        raise ParametrizationSingularityError("parametrization singularity")
-    bx = zd * (c1 * ct + s1 * st - d2_3 + h2) / den_b
-    by = zeta * (c2 * ct - s2 * st + d4_9 - h4) / (h_2 * den_b)
-    cx = zd * (-c1 * ct + s1 * st - d2_3 + h2) / den_c
-    cy = zeta * (c2 * ct + s2 * st - d4_9 + h4) / (h_2 * den_c)
-    return Triangle.oriented(
-        tuple_new(Point, (R * ct * up, R * st * up)),
-        tuple_new(Point, (bx * up, by * up)),
-        tuple_new(Point, (cx * up, cy * up)),
-    )
+    ax, ay, bx, by, cx, cy = _member_xy(iso, t)
+    return Triangle.oriented(tuple_new(Point, (ax, ay)), tuple_new(Point, (bx, by)),
+                             tuple_new(Point, (cx, cy)))
 
 
 def scene_member(scene: PorismScene, t: float) -> Triangle:
-    """Member triangle of a posed scene, in world coordinates; on a canonical
-    scene, the chart's own triangle."""
+    """Member triangle of a posed scene in world coordinates, the chart's
+    vertices mapped and then oriented; on a canonical scene, the chart's own."""
     iso, identity = scene._member
-    tri = vertices_at(iso, t)
     if identity:
-        return tri
-    (ax, ay), (bx, by), (cx, cy) = tri
+        return vertices_at(iso, t)
+    ax, ay, bx, by, cx, cy = _member_xy(iso, t)
     pose = scene.pose
     return Triangle.oriented(pose.map_xy(ax, ay), pose.map_xy(bx, by), pose.map_xy(cx, cy))
 
@@ -354,7 +342,7 @@ def scene_member(scene: PorismScene, t: float) -> Triangle:
 def closure_residuals(scene: PorismScene, tri: Triangle) -> tuple[float, float, float]:
     """Tangency defect of each triangle side against the scene inellipse:
     the float operations of ``ellipse_line_tangency_residual(inellipse,
-    Line.through(P, Q))`` for the sides AB, BC and CA, on scalars."""
+    through(P, Q))`` (``tests/reference.py``) for the sides AB, BC and CA, on scalars."""
     e = scene.inellipse
     (ex, ey), (ax, ay) = e.center, e.axes_xy()
     A, B, C = tri

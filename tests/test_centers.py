@@ -6,14 +6,13 @@ import pytest
 from brocard.centers import (
     EquilateralDegeneracyError,
     StandardCenters,
-    TriangleMetrics,
     _centroid,
+    _lambda,
     _symmedian,
     _turned_sides,
     brocard_angle,
     brocard_cotangent,
     brocard_points_by_construction,
-    metrics,
     second_brocard_triangle,
     standard_centers,
 )
@@ -28,12 +27,12 @@ from brocard.geom import (
     Triangle,
     circumcircle,
     invert_in_circle,
-    line_line_intersection,
     midpoint,
     project_onto_line,
     three_point_center,
 )
 from brocard.porism import IsoscelesParams, vertices_at
+from reference import area, cross, line_line_intersection, sidelengths, through
 
 # isosceles reference triangle: apex (0,2), base corners (-1,0) and (1,0)
 FIX = Triangle.oriented(Point(0.0, 2.0), Point(-1.0, 0.0), Point(1.0, 0.0))
@@ -51,11 +50,11 @@ def _random_triangle(rng):
             return t
 
 
-def test_metrics_fixture():
-    m = metrics(FIX)
-    assert abs(m.area - 2.0) < 1e-15
-    assert abs(m.circumradius - 1.25) < 1e-14
-    squares = sorted(s * s for s in (m.s1, m.s2, m.s3))
+def test_measure_fixture():
+    s1, s2, s3, a = FIX.measure
+    assert abs(a - 2.0) < 1e-15
+    assert abs(s1 * s2 * s3 / (4.0 * a) - 1.25) < 1e-14
+    squares = sorted(s * s for s in (s1, s2, s3))
     for got, want in zip(squares, (4.0, 5.0, 5.0)):
         assert abs(got - want) < 1e-14
 
@@ -119,7 +118,7 @@ def test_scalar_kernel_is_bit_exact():
         except GeometryError:
             continue
     for t in triangles:
-        A, B, C = t.vertices
+        A, B, C = t
         omega = brocard_angle(t)
         first = _line_route(A, B, C, omega)
         second = _line_route(C, B, A, -omega)
@@ -150,13 +149,13 @@ def test_scalar_kernel_raises_as_the_line_route_does():
 
 
 # The object routes the scalar kernels replaced, kept as their references:
-# each measures the triangle through Triangle.sidelengths() and area() and
+# each measures the triangle through reference's sidelengths() and area() and
 # builds its points with Point, Line and project_onto_line.
 
 
 def _measure(t):
     """(s1, s2, s3, area) on scalars: the float operations of
-    ``t.sidelengths()`` and ``t.area()``, which a triangle keeps as its
+    ``sidelengths(t)`` and ``area(t)``, which a triangle keeps as its
     ``measure``."""
     (ax, ay), (bx, by), (cx, cy) = t
     return (
@@ -167,28 +166,22 @@ def _measure(t):
     )
 
 
-def _reference_metrics(t):
-    s1, s2, s3 = t.sidelengths()
-    area = t.area()
-    lam = (s1 * s2) ** 2 + (s2 * s3) ** 2 + (s3 * s1) ** 2
-    return TriangleMetrics(s1, s2, s3, area, lam, s1 * s2 * s3 / (4.0 * area))
-
-
 def _reference_angle(t):
-    m = _reference_metrics(t)
-    return math.asin(min(1.0, 2.0 * m.area / math.sqrt(m.lambda_)))
+    s1, s2, s3 = sidelengths(t)
+    lam = (s1 * s2) ** 2 + (s2 * s3) ** 2 + (s3 * s1) ** 2
+    return math.asin(min(1.0, 2.0 * area(t) / math.sqrt(lam)))
 
 
 def _reference_cotangent(t):
-    s1, s2, s3 = t.sidelengths()
-    return (s1 * s1 + s2 * s2 + s3 * s3) / (4.0 * t.area())
+    s1, s2, s3 = sidelengths(t)
+    return (s1 * s1 + s2 * s2 + s3 * s3) / (4.0 * area(t))
 
 
 def _reference_symmedian(t):
-    s1, s2, s3 = t.sidelengths()
+    s1, s2, s3 = sidelengths(t)
     w1, w2, w3 = s1 * s1, s2 * s2, s3 * s3
     total = w1 + w2 + w3
-    A, B, C = t.vertices
+    A, B, C = t
     return Point(
         (w1 * A.x + w2 * B.x + w3 * C.x) / total,
         (w1 * A.y + w2 * B.y + w3 * C.y) / total,
@@ -208,7 +201,7 @@ def _reference_standard_centers(t):
     X3 = cc.center
     X6 = _reference_symmedian(t)
     omega = _reference_angle(t)
-    A, B, C = t.vertices
+    A, B, C = t
     omega1 = _line_route(A, B, C, omega)[0]
     omega2 = _line_route(C, B, A, -omega)[0]
     u = _reference_cotangent(t)
@@ -232,18 +225,18 @@ def _reference_second_brocard_triangle(t):
     X3 = circumcircle(t).center
     X6 = _reference_symmedian(t)
     feet = []
-    for v in t.vertices:
+    for v in t:
         if v.dist(X6) < 1e-14 * v.dist(X3):
             raise GeometryError("cevian undefined")
-        feet.append(project_onto_line(Line.through(v, X6), X3))
+        feet.append(project_onto_line(through(v, X6), X3))
     A, B, C = feet
-    if (B - A).cross(C - A) < 0.0:
+    if cross(B - A, C - A) < 0.0:
         B, C = C, B
     return Triangle(A, B, C)
 
 
 def _reference_brocard_points(t):
-    A, B, C = t.vertices
+    A, B, C = t
     omega = _reference_angle(t)
     return _line_route(A, B, C, omega)[0], _line_route(C, B, A, -omega)[0]
 
@@ -252,9 +245,9 @@ def test_member_kernels_are_bit_exact(posed_members, same_route):
     for _, t in posed_members:
         same_route(brocard_points_by_construction, _reference_brocard_points, t)
         same_route(lambda t: three_point_center(*t), lambda t: circumcircle(t).center, t)
-        for p in t.vertices:
+        for p in t:
             same_route(invert_in_circle, _reference_invert_in_circle, circumcircle(t), p)
-        same_route(metrics, _reference_metrics, t)
+        same_route(lambda t: t.measure, lambda t: (*sidelengths(t), area(t)), t)
         same_route(brocard_angle, _reference_angle, t)
         same_route(brocard_cotangent, _reference_cotangent, t)
         same_route(symmedian_point, _reference_symmedian, t)
@@ -265,7 +258,8 @@ def test_member_kernels_are_bit_exact(posed_members, same_route):
 def test_triangle_keeps_the_scalar_measure_and_circumcenter(posed_members):
     """A triangle's kept measure and lazy circumcenter are, bit for bit,
     ``_measure``'s float operations and ``three_point_center``; one built
-    around the constructor derives both at the first read."""
+    around the constructor keeps no measure and derives its circumcenter
+    at the first read."""
     triangles = [t for _, t in posed_members]
     triangles += [second_brocard_triangle(t) for t in triangles[::10]]
     triangles += [vertices_at(IsoscelesParams(math.ldexp(1.0, j), math.ldexp(3.0, j)), t)
@@ -279,8 +273,9 @@ def test_triangle_keeps_the_scalar_measure_and_circumcenter(posed_members):
         assert vars(t)["circumcenter"] is t.circumcenter
         built, unchecked = Triangle(*t), tuple.__new__(Triangle, t)
         assert list(vars(built)) == ["measure"] and vars(unchecked) == {}
-        for fresh in (built, unchecked):
-            assert repr((fresh.measure, fresh.circumcenter)) == want
+        assert repr((built.measure, built.circumcenter)) == want
+        assert not hasattr(unchecked, "measure")
+        assert repr((_measure(unchecked), unchecked.circumcenter)) == want
 
 
 def test_member_kernels_raise_as_the_object_routes_do(same_route):
@@ -303,12 +298,14 @@ def test_member_kernels_raise_as_the_object_routes_do(same_route):
 
 def _unchecked(*xys):
     """A Triangle that skips the constructor's check, so the kernels meet
-    inputs no member reaches."""
-    return tuple.__new__(Triangle, tuple(Point(x, y) for x, y in xys))
+    inputs no member reaches; it keeps the measure ``_measure`` gives."""
+    t = tuple.__new__(Triangle, tuple(Point(x, y) for x, y in xys))
+    vars(t)["measure"] = _measure(t)
+    return t
 
 
 def _scaled_fix(k):
-    return _unchecked(*((k * v.x, k * v.y) for v in FIX.vertices))
+    return _unchecked(*((k * v.x, k * v.y) for v in FIX))
 
 
 _EQ = Triangle.oriented(
@@ -385,7 +382,7 @@ def test_mirror_image_swaps_brocard_points():
     rng = random.Random(9)
     for _ in range(60):
         t = _random_triangle(rng)
-        a, b, c = t.vertices
+        a, b, c = t
         mirror = Triangle.oriented(
             Point(-a.x, a.y), Point(-b.x, b.y), Point(-c.x, c.y)
         )
@@ -401,7 +398,7 @@ def test_symmedian_point_fixture():
 
 def test_symmedian_point_at_tiny_scale():
     k = 1e-16
-    tiny = Triangle.oriented(*(k * v for v in FIX.vertices))
+    tiny = Triangle.oriented(*(k * v for v in FIX))
     assert symmedian_point(tiny).dist(Point(0.0, k * 4.0 / 7.0)) < k * 1e-13
 
 
@@ -419,11 +416,6 @@ def test_standard_centers_fixture():
 
 
 def test_center_records_value_semantics(value_semantics):
-    value_semantics(
-        TriangleMetrics(1.0, 2.0, 3.0, 0.5, 4.0, 1.5),
-        "TriangleMetrics(s1=1.0, s2=2.0, s3=3.0, area=0.5, lambda_=4.0, circumradius=1.5)",
-        TriangleMetrics(1.0, 2.0, 3.0, 0.5, 4.0, 2.5),
-    )
     names = ("X3", "X6", "X15", "X16", "X39", "X182", "X187", "X574", "omega1", "omega2")
     points = {name: Point(float(k), -0.0) for k, name in enumerate(names)}
     value_semantics(
@@ -512,14 +504,14 @@ def test_brocard_circle_carries_both_points():
 
 
 def second_brocard_circle(t):
-    """Circle about X3 through both Brocard points, from the metrics alone;
+    """Circle about X3 through both Brocard points, from the measure alone;
     an independent route to the construction's points."""
-    m = metrics(t)
-    sin_w = 2.0 * m.area / math.sqrt(m.lambda_)
+    s1, s2, s3, a = t.measure
+    sin_w = 2.0 * a / math.sqrt(_lambda(s1, s2, s3))
     radicand = 1.0 - 4.0 * sin_w * sin_w
     if radicand <= 0.0:
         raise EquilateralDegeneracyError("equilateral degeneracy")
-    return Circle(circumcircle(t).center, m.circumradius * math.sqrt(radicand))
+    return Circle(circumcircle(t).center, s1 * s2 * s3 / (4.0 * a) * math.sqrt(radicand))
 
 
 def test_second_brocard_circle_carries_both_points():
@@ -538,8 +530,8 @@ def test_second_brocard_triangle_fixture():
     derived triangle is X3 itself; all three lie on the Brocard circle."""
     d = second_brocard_triangle(FIX)
     k = brocard_circle(FIX)
-    assert min(v.dist(Point(0.0, 0.75)) for v in d.vertices) < 1e-12
-    for v in d.vertices:
+    assert min(v.dist(Point(0.0, 0.75)) for v in d) < 1e-12
+    for v in d:
         assert k.membership_residual(v) < 1e-12
 
 
@@ -549,6 +541,6 @@ def test_second_brocard_triangle_random():
         t = _random_triangle(rng)
         k = brocard_circle(t)
         d = second_brocard_triangle(t)
-        for v in d.vertices:
+        for v in d:
             assert k.membership_residual(v) < 1e-10
-        assert d.area() > 0.0
+        assert d.measure[3] > 0.0

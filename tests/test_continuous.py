@@ -33,12 +33,12 @@ from brocard.continuous import (
 from brocard.geom import (
     Circle,
     GeometryError,
-    Line,
     Point,
     ellipse_line_tangency_residual,
 )
 from brocard.porism import scene_member
 from brocard.recurrence import step_forward
+from reference import through
 
 SQRT3 = math.sqrt(3.0)
 
@@ -162,10 +162,10 @@ def test_members_close_around_Et():
         e = ellipse_Et(t)
         for _ in range(10):
             tri = scene_member(scene, rng.uniform(0.0, 2.0 * math.pi))
-            for v in tri.vertices:
+            for v in tri:
                 assert scene.circumcircle.membership_residual(v) < 1e-11
             for a, b in ((0, 1), (1, 2), (2, 0)):
-                side = Line.through(tri.vertices[a], tri.vertices[b])
+                side = through(tri[a], tri[b])
                 assert ellipse_line_tangency_residual(e, side) < 1e-10
 
 

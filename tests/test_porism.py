@@ -18,7 +18,6 @@ from brocard.geom import (
     AxisAlignedEllipse,
     Circle,
     GeometryError,
-    Line,
     MajorAxis,
     Point,
     Pose,
@@ -35,7 +34,6 @@ from brocard.porism import (
     ParametrizationSingularityError,
     PorismParams,
     PorismScene,
-    Ru_from_axes,
     Ru_from_dh,
     closure_residuals,
     dh_from_Ru,
@@ -43,6 +41,7 @@ from brocard.porism import (
     scene_member,
     vertices_at,
 )
+from reference import through
 
 SQRT3 = math.sqrt(3.0)
 FIX_PARAMS = PorismParams(1.25, 1.75)
@@ -65,7 +64,6 @@ def test_params_validation():
 def test_params_derived_quantities():
     p = FIX_PARAMS
     assert abs(p.gap - 0.25) < 1e-15
-    assert abs(p.sin_omega - 4.0 / math.sqrt(65.0)) < 1e-15
     assert abs(p.omega - math.atan2(4.0, 7.0)) < 1e-14
     assert abs(PorismParams.from_excess(2.0, 0.25).u - (SQRT3 + 0.25)) < 1e-15
 
@@ -354,16 +352,16 @@ def test_scene_raises_as_the_eager_assembly_does(same_route):
     }
 
 
-def test_Ru_from_axes_roundtrip():
+def test_inellipse_axes_give_R_and_u():
+    """The inellipse's semi-axes a >= b give back R = 2a^2/b and
+    u = sqrt(4a^2 - b^2)/b."""
     rng = random.Random(22)
     for _ in range(100):
         p = PorismParams(rng.uniform(0.2, 3.0), SQRT3 + rng.uniform(1e-3, 4.0))
-        s = scene_from_Ru(p)
-        q = Ru_from_axes(s.inellipse.semi_major, s.inellipse.semi_minor)
-        assert abs(q.R - p.R) < 1e-12 * p.R
-        assert abs(q.u - p.u) < 1e-12 * p.u
-    with pytest.raises(GeometryError):
-        Ru_from_axes(1.0, 1.5)
+        e = scene_from_Ru(p).inellipse
+        a, b = e.semi_major, e.semi_minor
+        assert abs(2.0 * a * a / b - p.R) < 1e-12 * p.R
+        assert abs(math.sqrt(4.0 * a * a - b * b) / b - p.u) < 1e-12 * p.u
 
 
 def test_chart_roundtrip_tall_branch():
@@ -423,7 +421,7 @@ def test_isosceles_scene_matches_canonical_frame():
     tri, circ, coeffs = isosceles_scene(FIX_ISO)
     assert circ.center == Point(0.0, 0.0)
     assert abs(circ.radius - 1.25) < 1e-16
-    apex = max(tri.vertices, key=lambda v: v.y)
+    apex = max(tri, key=lambda v: v.y)
     assert apex.dist(Point(0.0, 1.25)) < 1e-15
     conic = conic_to_ellipse(coeffs)
     canon = scene_from_Ru(FIX_PARAMS).inellipse
@@ -466,9 +464,9 @@ def test_vertices_at_covers_the_porism():
 
 def test_vertices_at_apex_up():
     tri = vertices_at(FIX_ISO, 0.5 * math.pi)
-    apex = max(tri.vertices, key=lambda v: v.y)
+    apex = max(tri, key=lambda v: v.y)
     assert apex.dist(Point(0.0, 1.25)) < 1e-14
-    lows = sorted((v for v in tri.vertices if v is not apex), key=lambda v: v.x)
+    lows = sorted((v for v in tri if v is not apex), key=lambda v: v.x)
     assert lows[0].dist(Point(-1.0, -0.75)) < 1e-12
     assert lows[1].dist(Point(1.0, -0.75)) < 1e-12
 
@@ -496,7 +494,7 @@ def test_scene_member_in_posed_scene():
         for _ in range(25):
             t = rng.uniform(0.0, 2.0 * math.pi)
             tri = scene_member(scene, t)
-            for v in tri.vertices:
+            for v in tri:
                 assert scene.circumcircle.membership_residual(v) < 1e-10
             for r in closure_residuals(scene, tri):
                 assert r < 1e-9
@@ -508,14 +506,14 @@ def test_scene_member_in_posed_scene():
 
 
 def _reference_closure_residuals(scene, tri):
-    """The closure defects through Line and ellipse_line_tangency_residual,
+    """The closure defects through ``through`` and ellipse_line_tangency_residual,
     the route the scalar kernel replaced; kept here as its reference."""
-    A, B, C = tri.vertices
+    A, B, C = tri
     e = scene.inellipse
     return (
-        ellipse_line_tangency_residual(e, Line.through(A, B)),
-        ellipse_line_tangency_residual(e, Line.through(B, C)),
-        ellipse_line_tangency_residual(e, Line.through(C, A)),
+        ellipse_line_tangency_residual(e, through(A, B)),
+        ellipse_line_tangency_residual(e, through(B, C)),
+        ellipse_line_tangency_residual(e, through(C, A)),
     )
 
 
@@ -523,7 +521,7 @@ def _reference_scene_member(scene, t):
     """The member mapped vertex by vertex through Pose.apply and oriented
     again, the route the posed and identity paths replaced."""
     tri = vertices_at(dh_from_Ru(scene.params), t)
-    return Triangle.oriented(*(scene.pose.apply(v) for v in tri.vertices))
+    return Triangle.oriented(*(scene.pose.apply(v) for v in tri))
 
 
 def test_closure_residuals_are_bit_exact(posed_members, same_route):
@@ -763,8 +761,8 @@ def test_member_chart_scales_by_powers_of_two_exactly():
     for j in range(-500, 501, 25):
         iso = IsoscelesParams(math.ldexp(1.0, j), math.ldexp(3.0, j))
         for t in (-2.5, 0.85, 2.0):
-            want = [Point(math.ldexp(x, j), math.ldexp(y, j)) for x, y in vertices_at(unit, t).vertices]
-            got = vertices_at(iso, t).vertices
+            want = [Point(math.ldexp(x, j), math.ldexp(y, j)) for x, y in vertices_at(unit, t)]
+            got = tuple(vertices_at(iso, t))
             assert list(got) == want and repr(got) == repr(tuple(want)), (j, t)
 
 
@@ -791,7 +789,7 @@ def _points_of(scene, tri, t):
     yield inversion_xy(tri.A.x, tri.A.y, scene.circumcircle.radius, tri.B.x, tri.B.y)
     yield midpoint(tri.B, tri.C)
     yield tri.A + tri.B - tri.C
-    yield -tri.A * 0.5
+    yield tri.A * -0.5
 
 
 def _family_points(t):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from brocard.checks import isosceles_scene
-from brocard.geom import Circle, GeometryError, Line, Point, Pose, three_point_circle
+from brocard.geom import Circle, GeometryError, Line, Point, Pose, three_point_center
 from brocard.porism import (
     FIXTURE,
     DegeneratePorismError,
@@ -204,6 +204,11 @@ def test_alternating_sequence_holds_only_walked_generations():
     assert 0.0 < second[-1].dist(root.X15) <= 1e-16
 
 
+def _circle_through(p, q, r):
+    center = three_point_center(p, q, r)
+    return Circle(center, center.dist(p))
+
+
 def apollonius_circles(iso):
     """Apollonius circles of the isosceles member's base segment.
 
@@ -214,8 +219,7 @@ def apollonius_circles(iso):
     """
     scene = scene_from_Ru(Ru_from_dh(iso))
     tri, _, _ = isosceles_scene(iso)
-    through_a = three_point_circle(tri.A, scene.X15, scene.X16)
-    through_b = three_point_circle(tri.B, scene.X15, scene.X16)
+    through_a, through_b = (_circle_through(v, scene.X15, scene.X16) for v in (tri.A, tri.B))
     c1, c2 = scene.beltrami_circles()
     if through_a.center.dist(c1.center) <= through_b.center.dist(c1.center):
         matched = (through_a, through_b)

@@ -1121,7 +1121,6 @@ def _check_foci_arcs(t: float) -> Residuals:
 @check("rem4.similarity", 1e-9, _draws(_quarter, _random_member_params),
        "one fixed similarity carries any canonical porism onto its family member")
 def _check_similarity(params: PorismParams) -> Residuals:
-    canonical = scene_from_Ru(params)
     R, u, g = params.R, params.u, params.gap
     sigma = Pose(
         translation=Point(0.0, -0.5 * u),
@@ -1129,21 +1128,19 @@ def _check_similarity(params: PorismParams) -> Residuals:
         reflect_x=True,
         scale=g / (2.0 * R),
     )
-    target = bt_scene(t_from_u(u))
-    mapped_ellipse = sigma.apply_ellipse(canonical.inellipse)
-    mapped_gamma = sigma.apply_circle(canonical.circumcircle)
-    mapped_k = sigma.apply_circle(canonical.brocard_circle)
+    mapped, target = scene_from_Ru(params, sigma), bt_scene(t_from_u(u))
+    e, gamma, k = mapped.inellipse, mapped.circumcircle, mapped.brocard_circle
     return (
-        sigma.apply(canonical.X15).dist(target.X15),
-        sigma.apply(canonical.X16).dist(target.X16),
-        sigma.apply(canonical.X3).dist(target.X3),
-        mapped_ellipse.center.dist(target.inellipse.center),
-        abs(mapped_ellipse.semi_major - target.inellipse.semi_major),
-        abs(mapped_ellipse.semi_minor - target.inellipse.semi_minor),
-        mapped_gamma.center.dist(target.circumcircle.center),
-        abs(mapped_gamma.radius - target.circumcircle.radius),
-        mapped_k.center.dist(target.brocard_circle.center),
-        abs(mapped_k.radius - target.brocard_circle.radius),
+        mapped.X15.dist(target.X15),
+        mapped.X16.dist(target.X16),
+        mapped.X3.dist(target.X3),
+        e.center.dist(target.inellipse.center),
+        abs(e.semi_major - target.inellipse.semi_major),
+        abs(e.semi_minor - target.inellipse.semi_minor),
+        gamma.center.dist(target.circumcircle.center),
+        abs(gamma.radius - target.circumcircle.radius),
+        k.center.dist(target.brocard_circle.center),
+        abs(k.radius - target.brocard_circle.radius),
     )
 
 

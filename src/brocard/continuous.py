@@ -23,7 +23,6 @@ from .geom import (
     AxisAlignedEllipse,
     Circle,
     GeometryError,
-    MajorAxis,
     Point,
     Pose,
     SQRT3,
@@ -73,7 +72,6 @@ def ellipse_Et(t: float) -> AxisAlignedEllipse:
         tuple_new(Point, (0.0, -math.sin(t))),
         0.5 * math.sqrt(major2),
         math.sqrt(major2 * s) * math.sqrt(s),
-        MajorAxis.HORIZONTAL,
     )
 
 
@@ -102,7 +100,8 @@ def u_from_t(t: float) -> float:
 
 
 def t_from_u(u: float) -> float:
-    if u < SQRT3:
+    # NaN fails both comparisons; u = inf would give t = 0
+    if not SQRT3 <= u < math.inf:
         raise GeometryError("t outside range")
     return 2.0 * math.atan(1.0 / u)
 
@@ -147,7 +146,10 @@ def embed_step(t: float) -> float:
     """Image of t under the porism recurrence, inside the family."""
     _check_range(t, closed_top=False)
     u = u_from_t(t)
-    return t_from_u((u * u + 3.0) / (2.0 * u))
+    u2 = u * u
+    if u2 == math.inf:
+        raise GeometryError("embed_step overflows: cot(t/2)^2 is infinite below t = 1.5e-154")
+    return t_from_u((u2 + 3.0) / (2.0 * u))
 
 
 def envelope_points(t: float) -> tuple[Point, Point]:
@@ -279,7 +281,7 @@ def _field_angle(x: float, y: float) -> float:
 def quartic_y(x: float) -> float:
     """Positive ordinate of the right-angle quartic at |x| < 1/2."""
     radicand = 3.0 - 8.0 * x * x - 16.0 * x ** 4
-    if radicand < 0.0:
+    if not radicand >= 0.0:
         raise GeometryError("outside the right-angle locus")
     return 0.5 * math.sqrt(radicand)
 

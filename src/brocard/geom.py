@@ -277,6 +277,9 @@ class Triangle(Validating, _Triangle):
     circumcenter = lazy(lambda self: three_point_center(*self))
 
 
+_QUARTER_SLACK = 0.5 * math.pi * 1e-12  # how far off the axes a pose may turn, in radians
+
+
 class _Pose(NamedTuple):
     translation: Point
     rotation: float
@@ -291,9 +294,7 @@ class Pose(Validating, _Pose):
     then uniform scale, then translation.
     """
 
-    # no __slots__: the cos/sin pair ``_cs`` and the whole quarter turns
-    # ``_quarter`` (None off the axes) live in the instance dict, outside
-    # the fields, derived once here
+    # no __slots__: the cos/sin pair ``_cs``, derived once here, lives in the instance dict
 
     def __new__(cls, translation: Point = ORIGIN, rotation: float = 0.0,
                 reflect_x: bool = False, scale: float = 1.0) -> "Pose":
@@ -303,9 +304,6 @@ class Pose(Validating, _Pose):
             raise GeometryError("pose rotation must be finite")
         self = tuple_new(cls, (translation, rotation, reflect_x, scale))
         self.__dict__["_cs"] = (math.cos(rotation), math.sin(rotation))
-        quarter = rotation / (0.5 * math.pi)
-        k = round(quarter)
-        self.__dict__["_quarter"] = None if abs(quarter - k) > 1e-12 else k
         return self
 
     @classmethod
@@ -321,29 +319,16 @@ class Pose(Validating, _Pose):
         k, t = self.scale, self.translation
         return tuple_new(Point, (t.x + (c * x - s * y) * k, t.y + (s * x + c * y) * k))
 
-    def map_axis(self, axis: MajorAxis) -> MajorAxis:
-        """Image of an axis direction; rotation must be a multiple of pi/2."""
-        k = self._quarter
-        if k is None:
+    def map_axis(self) -> MajorAxis:
+        """Image of the horizontal axis; the rotation must lie within 1e-12 quarter
+        turns of a whole one, whose sine is the smaller of |cos| and |sin|."""
+        c, s = abs(self._cs[0]), abs(self._cs[1])
+        if min(c, s) > _QUARTER_SLACK:
             raise GeometryError("pose rotation does not preserve axis alignment")
-        if k % 2 == 0:
-            return axis
-        return MajorAxis.VERTICAL if axis is MajorAxis.HORIZONTAL else MajorAxis.HORIZONTAL
+        return MajorAxis.VERTICAL if s > c else MajorAxis.HORIZONTAL
 
     def apply(self, p: Point) -> Point:
         return self.map_xy(p.x, p.y)
-
-    def apply_circle(self, c: Circle) -> Circle:
-        return Circle(self.map_xy(c.center.x, c.center.y), self.scale * c.radius)
-
-    def apply_ellipse(self, e: AxisAlignedEllipse) -> AxisAlignedEllipse:
-        """Map an axis-aligned ellipse; rotation must be a multiple of pi/2."""
-        return AxisAlignedEllipse(
-            self.map_xy(e.center.x, e.center.y),
-            self.scale * e.semi_major,
-            self.scale * e.semi_minor,
-            self.map_axis(e.major_axis),
-        )
 
     def compose(self, other: "Pose") -> "Pose":
         """Pose acting as ``self`` after ``other``."""
@@ -355,15 +340,6 @@ class Pose(Validating, _Pose):
             scale=self.scale * other.scale,
         )
 
-    def inverse(self) -> "Pose":
-        inv_scale = 1.0 / self.scale
-        rotation = self.rotation if self.reflect_x else -self.rotation
-        # -0.0 + v is v bit for bit, so a (-0.0, -0.0) translation leaves
-        # the linear part alone, signed zeros included.
-        linear = Pose(tuple_new(Point, (-0.0, -0.0)), rotation, self.reflect_x, inv_scale)
-        t = self.translation
-        return Pose(linear.map_xy(-t.x, -t.y), rotation, self.reflect_x, inv_scale)
-
 
 def three_point_center(p: Point, q: Point, r: Point) -> Point:
     """Center of the circle through three points, any orientation."""
@@ -373,8 +349,8 @@ def three_point_center(p: Point, q: Point, r: Point) -> Point:
     ax, ay, bx, by, cx, cy = px - gx, py - gy, qx - gx, qy - gy, rx - gx, ry - gy
     d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
     scale = max(math.hypot(ax, ay), math.hypot(bx, by), math.hypot(cx, cy))
-    # d == 0.0 also catches a determinant that underflows with scale * scale
-    if d == 0.0 or abs(d) < 1e-14 * scale * scale:
+    # d == 0.0 catches a determinant that underflows with scale; a NaN one fails >=
+    if d == 0.0 or not abs(d) >= 1e-14 * scale * scale:
         raise DegenerateTriangleError("degenerate triangle")
     a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
     return tuple_new(Point, (
@@ -392,7 +368,10 @@ def inversion_xy(cx: float, cy: float, r: float, px: float, py: float) -> Point:
     """Inversion of (px, py) in the circle about (cx, cy) of radius r."""
     vx, vy = px - cx, py - cy
     d2 = vx * vx + vy * vy
-    if d2 < 1e-30 * r * r:
+    # NaN fails every comparison; an infinite d2 leaves no finite image
+    if not d2 < math.inf:
+        raise GeometryError("inversion needs a finite point and center")
+    if not d2 >= 1e-30 * r * r:
         raise InversionPoleError("inversion pole")
     k = r * r / d2
     return tuple_new(Point, (cx + vx * k, cy + vy * k))

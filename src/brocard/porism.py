@@ -25,7 +25,6 @@ from .geom import (
     AxisAlignedEllipse,
     Circle,
     GeometryError,
-    MajorAxis,
     Point,
     Pose,
     SQRT3,
@@ -146,7 +145,7 @@ class PorismScene(Validating, _PorismScene):
         k = pose.scale
         check_radius(k * params.R)
         # the quarter turn, then the semi-axes, as the inellipse checks them
-        pose.map_axis(MajorAxis.HORIZONTAL)
+        pose.map_axis()
         check_semi_axes(k * a, k * b)
         check_radius(k * r)
         # a, b and r passed above, scaled by k > 0; deep backward walks overflow the center
@@ -240,7 +239,7 @@ def _inellipse(scene: PorismScene) -> AxisAlignedEllipse:
     pose, (cy, a, b, _) = scene.pose, scene._sizes
     k = pose.scale
     return tuple_new(AxisAlignedEllipse, (pose.map_xy(0.0, cy), k * a, k * b,
-                                          pose.map_axis(MajorAxis.HORIZONTAL)))
+                                          pose.map_axis()))
 
 
 _IDENTITY = Pose.identity()

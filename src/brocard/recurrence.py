@@ -78,10 +78,10 @@ def _flip_step_sign(params: PorismParams) -> PorismParams:
 MUTATIONS: dict[str, StepFunction] = {"flip-step-sign": _flip_step_sign}
 
 
-def _child_offset(child: PorismParams) -> Pose:
-    # Child canonical frame -> parent canonical frame: drop to the parent's
-    # X182 and mirror x, which realizes the Brocard-label swap.
-    return Pose(translation=tuple_new(Point, (0.0, -child.R)), reflect_x=True)
+def _offset(y: float) -> Pose:
+    # Mirror x (the Brocard-label swap), then shift by y: the child frame sits
+    # at the parent's X182, y = -R of the child, and y = +R undoes that.
+    return Pose(translation=tuple_new(Point, (0.0, y)), reflect_x=True)
 
 
 def child_scene(parent: PorismScene) -> PorismScene:
@@ -90,14 +90,13 @@ def child_scene(parent: PorismScene) -> PorismScene:
     It steps with this module's ``step_forward``, looked up at each call.
     """
     child = step_forward(parent.params)
-    return scene_from_Ru(child, parent.pose.compose(_child_offset(child)))
+    return scene_from_Ru(child, parent.pose.compose(_offset(-child.R)))
 
 
 def anti_scene(scene: PorismScene) -> PorismScene:
     """The porism whose child is ``scene``, posed so the step is exact."""
     parent = step_backward(scene.params)
-    pose = scene.pose.compose(_child_offset(scene.params).inverse())
-    return scene_from_Ru(parent, pose)
+    return scene_from_Ru(parent, scene.pose.compose(_offset(scene.params.R)))
 
 
 def orbit_scenes(

@@ -3,10 +3,23 @@
 Each is the ``Point`` and ``Line`` arithmetic that a kernel now writes out
 on scalars, in the same float operations and the same order; the tests
 compare kernel and route with ``==`` and ``repr``, so every bit and the
-sign of each zero must agree.  No command runs them, so they live here.
+sign of each zero must agree.  The pose maps of a circle and an ellipse,
+and a pose's inverse, are likewise the routes that a posed scene's closed
+forms and the recurrence's offsets replaced.  No command runs them, so
+they live here.
 """
 
-from brocard.geom import GeometryError, Line, Point, Triangle
+from brocard.geom import (
+    AxisAlignedEllipse,
+    Circle,
+    GeometryError,
+    Line,
+    MajorAxis,
+    Point,
+    Pose,
+    Triangle,
+    tuple_new,
+)
 
 
 def cross(p: Point, q: Point) -> float:
@@ -38,3 +51,33 @@ def sidelengths(t: Triangle) -> tuple[float, float, float]:
 def area(t: Triangle) -> float:
     """The signed area; with ``sidelengths``, the triangle's ``measure``."""
     return 0.5 * cross(t.B - t.A, t.C - t.A)
+
+
+def apply_circle(pose: Pose, c: Circle) -> Circle:
+    return Circle(pose.map_xy(c.center.x, c.center.y), pose.scale * c.radius)
+
+
+def apply_ellipse(pose: Pose, e: AxisAlignedEllipse) -> AxisAlignedEllipse:
+    """Map an axis-aligned ellipse; rotation must be a multiple of pi/2."""
+    axis = e.major_axis
+    # an odd quarter turn swaps the axes
+    if pose.map_axis() is MajorAxis.VERTICAL:
+        axis = MajorAxis.VERTICAL if axis is MajorAxis.HORIZONTAL else MajorAxis.HORIZONTAL
+    return AxisAlignedEllipse(
+        pose.map_xy(e.center.x, e.center.y),
+        pose.scale * e.semi_major,
+        pose.scale * e.semi_minor,
+        axis,
+    )
+
+
+def inverse(pose: Pose) -> Pose:
+    """The pose that undoes ``pose``; ``recurrence._offset`` is its closed
+    form on the recurrence's offsets."""
+    inv_scale = 1.0 / pose.scale
+    rotation = pose.rotation if pose.reflect_x else -pose.rotation
+    # -0.0 + v is v bit for bit, so a (-0.0, -0.0) translation leaves
+    # the linear part alone, signed zeros included.
+    linear = Pose(tuple_new(Point, (-0.0, -0.0)), rotation, pose.reflect_x, inv_scale)
+    t = pose.translation
+    return Pose(linear.map_xy(-t.x, -t.y), rotation, pose.reflect_x, inv_scale)

@@ -347,8 +347,9 @@ _RAISES = {
     # direction: every direction is formed before any meet
     "last vertex repeats the first": (_unchecked((0.0, 0.0), (1.0, 1.0), (0.0, 0.0)),
                                       _DEGENERATE, _DEGENERATE, _NO_DIRECTION),
-    "NaN vertex": (_unchecked((0.0, 2.0), (-1.0, 0.0), (1.0, math.nan)), _NO_RADIUS,
-                   _NO_DIRECTION, _NO_DIRECTION),
+    # the circumcenter's determinant is NaN, which its guard rejects
+    "NaN vertex": (_unchecked((0.0, 2.0), (-1.0, 0.0), (1.0, math.nan)), _DEGENERATE,
+                   _DEGENERATE, _NO_DIRECTION),
     "equilateral": (_EQ, (EquilateralDegeneracyError, "equilateral degeneracy"), None, None),
     "undefined cevian": (Triangle(Point(-1.0, 0.0), Point(1.0, 0.0), Point(0.0, 1e-8)), None,
                          (GeometryError, "cevian undefined"), None),

@@ -35,6 +35,8 @@ from brocard.geom import (
     GeometryError,
     Point,
     ellipse_line_tangency_residual,
+    inversion_xy,
+    three_point_center,
 )
 from brocard.porism import scene_member
 from brocard.recurrence import step_forward
@@ -137,6 +139,33 @@ def test_brocard_circle_closed_form():
         assert abs(
             closed.center.norm() ** 2 - closed.radius ** 2 - 0.75
         ) < 1e-12
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (three_point_center, (Point(NAN, 0.0), Point(1.0, 0.0), Point(0.0, 1.0)),
+         "degenerate triangle"),
+        (three_point_center, (Point(0.0, 0.0), Point(1.0, INF), Point(0.0, 1.0)),
+         "degenerate triangle"),
+        (inversion_xy, (0.0, 0.0, 1.0, NAN, 0.5), "inversion needs a finite point and center"),
+        (inversion_xy, (0.0, 0.0, 1.0, 0.5, -INF), "inversion needs a finite point and center"),
+        (inversion_xy, (NAN, 0.0, 1.0, 0.5, 0.5), "inversion needs a finite point and center"),
+        (quartic_y, (NAN,), "outside the right-angle locus"),
+        (t_from_u, (NAN,), "t outside range"),
+        (t_from_u, (INF,), "t outside range"),
+        (embed_step, (1e-320,), "embed_step overflows"),
+        (embed_step, (1e-200,), "embed_step overflows"),
+    ],
+)
+def test_guards_reject_nan_infinity_and_overflow(call, args, message):
+    """NaN fails every comparison, so each guard is written to fail on it;
+    none of these calls returns a NaN or an out-of-range value."""
+    with pytest.raises(GeometryError, match=message):
+        call(*args)
 
 
 def test_embed_step_matches_recurrence():

@@ -27,7 +27,7 @@ from brocard.geom import (
     three_point_center,
 )
 from brocard.porism import PorismParams, PorismScene, scene_from_Ru
-from reference import area, cross, line_line_intersection
+from reference import apply_circle, apply_ellipse, area, cross, inverse, line_line_intersection
 
 RNG_SEED = 1234
 
@@ -176,14 +176,14 @@ def test_replace_builds_what_the_constructor_builds():
     moved = Pose(rotation=0.5)._replace(rotation=1.0)
     assert moved.map_xy(1.0, 0.0) == Pose(rotation=1.0).map_xy(1.0, 0.0)
     _same_derived(moved, Pose(rotation=1.0))
-    # the quarter turn is derived anew: off the axes, map_axis raises
+    # the cos/sin pair is derived anew: off the axes, map_axis raises
     off_axis = Pose()._replace(rotation=0.3)
     _same_derived(off_axis, Pose(rotation=0.3))
     with pytest.raises(GeometryError, match="does not preserve axis alignment"):
-        off_axis.map_axis(MajorAxis.HORIZONTAL)
+        off_axis.map_axis()
     turned = Pose(rotation=0.3)._replace(rotation=-1.5 * math.pi, scale=2.0)
     _same_derived(turned, Pose(rotation=-1.5 * math.pi, scale=2.0))
-    assert turned.map_axis(MajorAxis.HORIZONTAL) is MajorAxis.VERTICAL
+    assert turned.map_axis() is MajorAxis.VERTICAL
     params = PorismParams(1.25, 1.75)
     _same_derived(params._replace(R=3.0), PorismParams(3.0, 1.75, params.u_excess))
     _same_derived(
@@ -398,7 +398,7 @@ def test_pose_roundtrip_on_points():
         )
         p = Point(rng.uniform(-2, 2), rng.uniform(-2, 2))
         there = pose.apply(p)
-        back = pose.inverse().apply(there)
+        back = inverse(pose).apply(there)
         assert back.dist(p) < 1e-12
         # compose agrees with sequential application
         other = Pose(translation=Point(0.3, -0.7), rotation=1.1, scale=0.5)
@@ -412,21 +412,40 @@ def test_pose_circle_and_ellipse():
         reflect_x=True,
         scale=2.0,
     )
-    c = pose.apply_circle(Circle(Point(0.5, 0.0), 0.75))
+    c = apply_circle(pose, Circle(Point(0.5, 0.0), 0.75))
     assert abs(c.radius - 1.5) < 1e-15
     assert c.center.dist(pose.apply(Point(0.5, 0.0))) < 1e-15
 
     e = AxisAlignedEllipse(Point(0.0, 1.0), 2.0, 1.0, MajorAxis.HORIZONTAL)
-    m = pose.apply_ellipse(e)
+    m = apply_ellipse(pose, e)
     assert m.center.dist(pose.apply(Point(0.0, 1.0))) < 1e-15
     assert abs(m.semi_major - 4.0) < 1e-15
     assert abs(m.semi_minor - 2.0) < 1e-15
     assert m.major_axis is MajorAxis.HORIZONTAL
     # an odd quarter turn swaps the axis orientation
     quarter = Pose(rotation=0.5 * math.pi)
-    assert quarter.apply_ellipse(e).major_axis is MajorAxis.VERTICAL
+    assert apply_ellipse(quarter, e).major_axis is MajorAxis.VERTICAL
     with pytest.raises(GeometryError):
-        Pose(rotation=0.3).apply_ellipse(e)
+        apply_ellipse(Pose(rotation=0.3), e)
+
+
+def test_pose_gate_reads_the_cos_sin_pair():
+    """A rotation within 1e-12 quarter turns (1.5708e-12 rad) of k quarter
+    turns is accepted, and swaps the axes for odd k; one farther off
+    raises, however large: cos/sin of 1e17 is (-0.886, -0.465), though
+    1e17 over pi/2 rounds to a whole number."""
+    params = PorismParams(1.0, 2.0)
+    off_axis = [1e17, math.pi * 1e16, 2.0 ** 60]
+    for k in range(-8, 9):
+        axis = MajorAxis.VERTICAL if k % 2 else MajorAxis.HORIZONTAL
+        for d in (0.0, 1.5e-12, -1.5e-12):
+            pose = Pose(rotation=0.5 * math.pi * k + d)
+            assert pose.map_axis() is axis
+            assert scene_from_Ru(params, pose).inellipse.major_axis is axis
+        off_axis += [0.5 * math.pi * k + 1.6e-12, 0.5 * math.pi * k - 1.6e-12]
+    for rotation in off_axis:
+        with pytest.raises(GeometryError, match="pose rotation does not preserve axis alignment"):
+            scene_from_Ru(params, Pose(rotation=rotation))
 
 
 def _reference_apply(pose, p):
@@ -471,7 +490,7 @@ def test_pose_compose_and_inverse_are_bit_exact():
         assert repr(pose.compose(other).translation) == repr(
             _reference_apply(pose, other.translation)
         )
-        inv = pose.inverse()
+        inv = inverse(pose)
         t = pose.translation * -1.0
         q = Point(-t.x, t.y) if inv.reflect_x else t
         assert repr(inv.translation) == repr(q.rotated(inv.rotation) * inv.scale)

@@ -41,7 +41,7 @@ from brocard.porism import (
     scene_member,
     vertices_at,
 )
-from reference import through
+from reference import apply_circle, apply_ellipse, through
 
 SQRT3 = math.sqrt(3.0)
 FIX_PARAMS = PorismParams(1.25, 1.75)
@@ -238,9 +238,9 @@ def test_scene_is_canonical_scene_mapped_exactly():
         for pose in poses:
             s = scene_from_Ru(params, pose)
             want = {name: pose.apply(getattr(base, name)) for name in points}
-            want["circumcircle"] = pose.apply_circle(base.circumcircle)
-            want["brocard_circle"] = pose.apply_circle(base.brocard_circle)
-            want["inellipse"] = pose.apply_ellipse(base.inellipse)
+            want["circumcircle"] = apply_circle(pose, base.circumcircle)
+            want["brocard_circle"] = apply_circle(pose, base.brocard_circle)
+            want["inellipse"] = apply_ellipse(pose, base.inellipse)
             for name, value in want.items():
                 got = getattr(s, name)
                 # repr tells -0.0 from 0.0, which == does not
@@ -266,7 +266,7 @@ def _eager_scene(params, pose):
             at(0.0, y39),
             k * (R / math.sqrt(one_u2)),
             k * (2.0 * R / one_u2),
-            pose.map_axis(MajorAxis.HORIZONTAL),
+            pose.map_axis(),
         ),
         omega1=at(focal, y39),
         omega2=at(-focal, y39),
@@ -625,7 +625,7 @@ def test_derived_values_cannot_be_reassigned():
     before = (repr(scene.X6), repr(scene.inellipse), repr(scene_member(scene, 0.3)))
     vertices_at(iso, 0.3)
     for value, name in (
-        (params, "gap"), (scene.pose, "_cs"), (scene.pose, "_quarter"), (scene, "_sizes"),
+        (params, "gap"), (scene.pose, "_cs"), (scene, "_sizes"),
         (scene, "_member"), (scene, "inellipse"), (iso, "_chart"), (params, "R"), (iso, "d"),
     ):
         kept = getattr(value, name)

@@ -27,7 +27,8 @@ import pytest
 # reached where no command goes: the forked workers (the probe runs one
 # worker), the guards against building or setting around a value's
 # constructor, the package's lazy attribute hooks, the registry listing the
-# bench reads, and the rows of a lost worker
+# bench reads, the rows of a lost worker, and ``Pose.apply``, which the
+# bench's tracer wraps on the class by that name
 ALLOWED = {
     ("_workers.py", "worker_count"),
     ("_workers.py", "split.<locals>.start_child"),
@@ -35,6 +36,7 @@ ALLOWED = {
     ("_workers.py", "_serve"),
     ("geom.py", "Validating._make"),
     ("geom.py", "Validating.__setattr__"),
+    ("geom.py", "Pose.apply"),
     ("__init__.py", "__getattr__"),
     ("__init__.py", "__dir__"),
     ("checks.py", "check_ids"),

@@ -14,6 +14,7 @@ from brocard.porism import (
     scene_from_Ru,
 )
 from brocard.recurrence import (
+    _offset,
     alternating_brocard_sequence,
     anti_scene,
     brocard_nesting,
@@ -22,6 +23,7 @@ from brocard.recurrence import (
     step_backward,
     step_forward,
 )
+from reference import inverse
 
 SQRT3 = math.sqrt(3.0)
 FIX = PorismParams(1.25, 1.75)
@@ -118,6 +120,42 @@ def test_anti_scene_inverts_child_scene():
         assert back.omega1.dist(scene.omega1) < 1e-12
         up = anti_scene(scene)
         assert child_scene(up).X3.dist(scene.X3) < 1e-11
+
+
+def _anti_scene_by_inverse(scene):
+    """The backward step through the inverse of the child offset, the
+    route ``_offset(R)`` replaced."""
+    child_offset = Pose(Point(0.0, -scene.params.R), reflect_x=True)
+    pose = scene.pose.compose(inverse(child_offset))
+    return scene_from_Ru(step_backward(scene.params), pose)
+
+
+def _built(step, scene):
+    """The scene ``step`` builds from ``scene``, with its cos/sin pair, as text."""
+    out = step(scene)
+    return repr((out, out.pose._cs))
+
+
+def test_anti_scene_is_the_inverse_offset_route(same_route):
+    """``anti_scene`` builds, bit for bit, the scene and cos/sin pair of
+    the route through the general inverse: over every quarter turn in
+    [-2pi, 2pi], both mirrors, signed zero translations and pose scales
+    across 2^-200..2^200."""
+    rng = random.Random(30)
+    for i in range(10_000):
+        scale = 2.0 ** (400.0 * (i + rng.random()) / 10_000 - 200.0)
+        tx = (-0.0, 0.0, scale * rng.uniform(-3.0, 3.0))[i // 18 % 3]
+        pose = Pose(Point(tx, scale * rng.uniform(-3.0, 3.0)), (i % 9 - 4) * 0.5 * math.pi,
+                    i // 9 % 2 == 1, scale)
+        params = PorismParams.from_excess(2.0 ** rng.uniform(-60.0, 60.0),
+                                          10.0 ** rng.uniform(-9.0, 3.0))
+        scene = scene_from_Ru(params, pose)
+        same_route(lambda: _built(anti_scene, scene),
+                   lambda: _built(_anti_scene_by_inverse, scene))
+    for _ in range(2_000):
+        R = 2.0 ** rng.uniform(-300.0, 300.0)
+        back, want = _offset(R), inverse(_offset(-R))
+        assert repr((back, back._cs)) == repr((want, want._cs))
 
 
 def test_child_scene_rejects_vanishing_child():

@@ -37,8 +37,8 @@ _EXPORTS = {
         "u_from_t",
     ),
     "geom": (
-        "AxisAlignedEllipse",
         "Circle",
+        "Ellipse",
         "GeometryError",
         "Line",
         "Point",

@@ -80,11 +80,10 @@ from .continuous import (
     web_quartic,
 )
 from .geom import (
-    AxisAlignedEllipse,
     Circle,
+    Ellipse,
     GeometryError,
     Line,
-    MajorAxis,
     Point,
     Pose,
     Triangle,
@@ -326,13 +325,14 @@ def _check_projection_idempotent(drawn: list[float]) -> Residuals:
     return (project_onto_line(line, q).dist(q),)
 
 
-def _random_tangent(rng: random.Random) -> tuple[AxisAlignedEllipse, float]:
-    """A random axis-aligned ellipse and the parameter of one of its points."""
+def _random_tangent(rng: random.Random) -> tuple[Ellipse, float]:
+    """A random ellipse with a horizontal or vertical major axis and the
+    parameter of one of its points."""
     hi = rng.uniform(0.2, 2.0)
     lo = rng.uniform(0.2, hi)
     center = Point(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-    axis = MajorAxis.HORIZONTAL if rng.random() < 0.5 else MajorAxis.VERTICAL
-    return AxisAlignedEllipse(center, hi, lo, axis), rng.uniform(0.0, 2.0 * math.pi)
+    axis = Point(1.0, 0.0) if rng.random() < 0.5 else Point(0.0, 1.0)
+    return Ellipse(center, hi, lo, axis), rng.uniform(0.0, 2.0 * math.pi)
 
 
 @check("geom.tangent_residual", 1e-11, _draws(lambda samples: samples, _random_tangent),
@@ -498,7 +498,7 @@ def isosceles_scene(
     inellipse as (A, B, C, D, E, F) for Ax^2 + Bxy + Cy^2 + Dx + Ey + F = 0.
 
     The conic coefficients exist for verification; scenes represent the
-    inellipse through :class:`AxisAlignedEllipse`.
+    inellipse through :class:`Ellipse`.
     """
     d, h, zeta = iso.d, iso.h, iso.zeta
     base_y = (d * d - h * h) / (2.0 * h)
@@ -819,8 +819,8 @@ def _check_chart_roundtrip(drawn: tuple) -> Residuals:
 
 def conic_to_ellipse(
     coeffs: tuple[float, float, float, float, float, float]
-) -> AxisAlignedEllipse:
-    """Axis-aligned ellipse of an implicit conic with no cross term."""
+) -> Ellipse:
+    """Ellipse of an implicit conic with no cross term."""
     A, B, C, D, E, F = coeffs
     if B != 0.0:
         raise GeometryError("conic has a cross term")
@@ -834,8 +834,8 @@ def conic_to_ellipse(
     ax = math.sqrt(k / A)
     ay = math.sqrt(k / C)
     if ax >= ay:
-        return AxisAlignedEllipse(Point(cx, cy), ax, ay, MajorAxis.HORIZONTAL)
-    return AxisAlignedEllipse(Point(cx, cy), ay, ax, MajorAxis.VERTICAL)
+        return Ellipse(Point(cx, cy), ax, ay)
+    return Ellipse(Point(cx, cy), ay, ax, Point(0.0, 1.0))
 
 
 @check("prop11.conic_match", 1e-10, _draws(_quarter, _random_chart_params),
@@ -851,12 +851,9 @@ def _check_conic_match(iso: IsoscelesParams) -> Residuals:
     )
 
 
-def ellipse_foci(e: AxisAlignedEllipse) -> tuple[Point, Point]:
+def ellipse_foci(e: Ellipse) -> tuple[Point, Point]:
     c = math.sqrt(max(0.0, (e.semi_major - e.semi_minor) * (e.semi_major + e.semi_minor)))
-    if e.major_axis is MajorAxis.HORIZONTAL:
-        off = Point(c, 0.0)
-    else:
-        off = Point(0.0, c)
+    off = e.axis * c
     return (e.center - off, e.center + off)
 
 

@@ -342,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="trace the recurrence from (R0, u0)")
     p.add_argument("--R0", type=float, required=True, help="starting circumradius")
     p.add_argument(
-        "--u0", type=float, required=True, help="starting Brocard cotangent (>= sqrt 3)"
+        "--u0", type=float, required=True, help="starting Brocard cotangent (> sqrt 3)"
     )
     p.add_argument("--steps", type=int, default=6, help="generations to trace")
     p.add_argument(
@@ -370,7 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--t-min", type=float, default=None, dest="t_min",
                    help=f"lower end, at least {_T_MIN} rad (default 0.1)")
-    p.add_argument("--t-max", type=float, default=None, dest="t_max")  # None: T_MAX
+    p.add_argument("--t-max", type=float, default=None, dest="t_max",
+                   help="upper end, at most pi/3 rad (default pi/3)")
     p.add_argument("--samples", type=int, default=200, help="sample count (default 200)")
     p.add_argument(
         "--degrees", action="store_true", help="read --t-min and --t-max in degrees"
@@ -379,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_continuous)
 
     p = sub.add_parser("figure", help="emit a deterministic SVG figure")
-    p.add_argument("name", choices=sorted(FIGURES))
+    p.add_argument("name", choices=sorted(FIGURES), help="figure to emit")
     p.add_argument("--d", type=float, default=None, help="half-base (porism figures)")
     p.add_argument("--h", type=float, default=None, help="height (porism figures)")
     p.add_argument("--out", metavar="PATH", help="output file (default stdout)")

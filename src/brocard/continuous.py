@@ -20,8 +20,8 @@ import math
 from typing import NamedTuple
 
 from .geom import (
-    AxisAlignedEllipse,
     Circle,
+    Ellipse,
     GeometryError,
     Point,
     Pose,
@@ -63,12 +63,12 @@ def _check_range(t: float, closed_top: bool = True) -> None:
         raise GeometryError("t outside range")
 
 
-def ellipse_Et(t: float) -> AxisAlignedEllipse:
+def ellipse_Et(t: float) -> Ellipse:
     """Inellipse of the family member at t; a point at X15 when t = pi/3."""
     _check_range(t)
     major2, s = max(0.0, 2.0 * math.cos(t) - 1.0), math.sin(0.5 * t)
     # 1 - cos t = 2 s^2, split so that no s^2 underflows
-    return AxisAlignedEllipse(
+    return Ellipse(
         tuple_new(Point, (0.0, -math.sin(t))),
         0.5 * math.sqrt(major2),
         math.sqrt(major2 * s) * math.sqrt(s),

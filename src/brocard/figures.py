@@ -15,7 +15,7 @@ from typing import Iterable
 
 # the porism layer is shared by every figure; each figure imports the
 # other layers it draws in its body, so rendering one loads only those
-from .geom import AxisAlignedEllipse, Circle, GeometryError, Point, tuple_new, worst
+from .geom import Circle, Ellipse, GeometryError, Point, tuple_new, worst
 from .porism import (
     FIXTURE,
     IsoscelesParams,
@@ -73,16 +73,16 @@ class _Canvas:
             % (cls, self.sx(c.center.x), self.sy(c.center.y), c.radius * self.scale)
         )
 
-    def ellipse(self, e: AxisAlignedEllipse, cls: str) -> None:
-        ax, ay = e.axes_xy()
+    def ellipse(self, e: Ellipse, cls: str) -> None:
+        """An ellipse whose major axis is horizontal, as every drawn one is."""
         self.elements.append(
             '<ellipse class="%s" cx="%.3f" cy="%.3f" rx="%.3f" ry="%.3f"/>'
             % (
                 cls,
                 self.sx(e.center.x),
                 self.sy(e.center.y),
-                ax * self.scale,
-                ay * self.scale,
+                e.semi_major * self.scale,
+                e.semi_minor * self.scale,
             )
         )
 

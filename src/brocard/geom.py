@@ -1,5 +1,5 @@
-"""Planar primitives: points, lines, circles, axis-aligned ellipses,
-triangles, and rigid-or-similar poses.
+"""Planar primitives: points, lines, circles, ellipses, triangles, and
+rigid-or-similar poses.
 
 Everything here is immutable and every operation is a pure function, so
 values can be shared freely between checks.  Value types are
@@ -12,7 +12,6 @@ boolean; callers compare it against their own tolerances.
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import Iterable, NamedTuple
 
@@ -171,60 +170,57 @@ class Circle(Validating, _Circle):
 
 
 def check_semi_axes(semi_major: float, semi_minor: float) -> None:
-    """Reject what ``AxisAlignedEllipse`` rejects, without building one."""
+    """Reject what ``Ellipse`` rejects of its semi-axes, without building one."""
     if not (math.isfinite(semi_major) and math.isfinite(semi_minor)):
         raise GeometryError("ellipse semi-axes must be finite")
     if semi_minor < 0.0 or semi_major + 1e-15 * abs(semi_major) < semi_minor:
         raise GeometryError("ellipse requires semi_major >= semi_minor >= 0")
 
 
-class MajorAxis(enum.Enum):
-    HORIZONTAL = "horizontal"
-    VERTICAL = "vertical"
-
-
-class _AxisAlignedEllipse(NamedTuple):
+class _Ellipse(NamedTuple):
     center: Point
     semi_major: float
     semi_minor: float
-    major_axis: MajorAxis
+    axis: Point
 
 
-class AxisAlignedEllipse(Validating, _AxisAlignedEllipse):
-    """Ellipse with axes parallel to the coordinate axes.
+class Ellipse(Validating, _Ellipse):
+    """Ellipse with its major semi-axis along the unit direction ``axis``.
 
     ``semi_major >= semi_minor >= 0``, both finite, with one part in 1e15
     of slack on the order; equal axes give a circle and a zero pair gives
     a point, both of which occur as limits of the families built on top
-    of this type.  The constructor checks finiteness first, then order.
+    of this type.  The constructor checks finiteness first, then order,
+    then normalizes ``axis`` as ``Line`` does its direction.  The methods
+    work in the principal frame: the coordinate along ``axis`` and the one
+    along its normal, ``axis`` turned a quarter left.
     """
 
     __slots__ = ()
 
     def __new__(cls, center: Point, semi_major: float, semi_minor: float,
-                major_axis: MajorAxis = MajorAxis.HORIZONTAL) -> "AxisAlignedEllipse":
+                axis: Point = Point(1.0, 0.0)) -> "Ellipse":
         check_semi_axes(semi_major, semi_minor)
-        return tuple_new(cls, (center, semi_major, semi_minor, major_axis))
+        return tuple_new(cls, (center, semi_major, semi_minor,
+                               tuple_new(Point, line_direction(*axis))))
 
-    def axes_xy(self) -> tuple[float, float]:
-        """Semi-axis lengths along x and along y."""
-        if self.major_axis is MajorAxis.HORIZONTAL:
-            return self.semi_major, self.semi_minor
-        return self.semi_minor, self.semi_major
+    def _world(self, u: float, v: float) -> Point:
+        """World vector of principal coordinates (u, v)."""
+        ux, uy = self.axis
+        return tuple_new(Point, (ux * u - uy * v, uy * u + ux * v))
 
     def point_at(self, theta: float) -> Point:
-        ax, ay = self.axes_xy()
-        return self.center + tuple_new(Point, (ax * math.cos(theta), ay * math.sin(theta)))
+        return self.center + self._world(self.semi_major * math.cos(theta),
+                                         self.semi_minor * math.sin(theta))
 
     def tangent_direction_at(self, theta: float) -> Point:
-        ax, ay = self.axes_xy()
-        return tuple_new(Point, (-ax * math.sin(theta), ay * math.cos(theta)))
+        return self._world(-self.semi_major * math.sin(theta), self.semi_minor * math.cos(theta))
 
     def implicit_residual(self, p: Point) -> float:
-        """|x'^2/ax^2 + y'^2/ay^2 - 1| in centered coordinates."""
-        ax, ay = self.axes_xy()
-        d = p - self.center
-        return abs((d.x / ax) ** 2 + (d.y / ay) ** 2 - 1.0)
+        """|u^2/a^2 + v^2/b^2 - 1| in principal coordinates (u, v)."""
+        (ux, uy), (dx, dy) = self.axis, p - self.center
+        return abs(((dx * ux + dy * uy) / self.semi_major) ** 2
+                   + ((dy * ux - dx * uy) / self.semi_minor) ** 2 - 1.0)
 
 
 class _Triangle(NamedTuple):
@@ -277,9 +273,6 @@ class Triangle(Validating, _Triangle):
     circumcenter = lazy(lambda self: three_point_center(*self))
 
 
-_QUARTER_SLACK = 0.5 * math.pi * 1e-12  # how far off the axes a pose may turn, in radians
-
-
 class _Pose(NamedTuple):
     translation: Point
     rotation: float
@@ -318,14 +311,6 @@ class Pose(Validating, _Pose):
             x = -x
         k, t = self.scale, self.translation
         return tuple_new(Point, (t.x + (c * x - s * y) * k, t.y + (s * x + c * y) * k))
-
-    def map_axis(self) -> MajorAxis:
-        """Image of the horizontal axis; the rotation must lie within 1e-12 quarter
-        turns of a whole one, whose sine is the smaller of |cos| and |sin|."""
-        c, s = abs(self._cs[0]), abs(self._cs[1])
-        if min(c, s) > _QUARTER_SLACK:
-            raise GeometryError("pose rotation does not preserve axis alignment")
-        return MajorAxis.VERTICAL if s > c else MajorAxis.HORIZONTAL
 
     def apply(self, p: Point) -> Point:
         return self.map_xy(p.x, p.y)
@@ -414,15 +399,15 @@ def circle_nesting_slack(inner: Circle, outer: Circle) -> float:
     return outer.radius - (inner.center.dist(outer.center) + inner.radius)
 
 
-def ellipse_line_tangency_residual(e: AxisAlignedEllipse, l: Line) -> float:
+def ellipse_line_tangency_residual(e: Ellipse, l: Line) -> float:
     """Defect between the support value of the ellipse in the line's normal
     direction and the line's offset, in the ellipse's principal frame.
 
     Zero iff the line is tangent; the value carries length units, so it is
     comparable across uniformly scaled scenes.
     """
-    ax, ay = e.axes_xy()
-    n = l.normal()
+    (ux, uy), n = e.axis, l.normal()
     offset = n.dot(l.base - e.center)
-    support = math.hypot(ax * n.x, ay * n.y)
+    support = math.hypot(e.semi_major * (n.x * ux + n.y * uy),
+                         e.semi_minor * (n.y * ux - n.x * uy))
     return abs(support - abs(offset))

@@ -11,9 +11,10 @@ inellipse once, at its first read.  Once per porism, at its first member,
 the scene derives its isosceles chart and the chart its t-independent
 terms (:func:`_member_chart`); a member costs only the terms in t.  The
 canonical frame puts the circumcenter at the origin with the symmedian
-point straight below it; ``pose`` maps that frame into world coordinates,
-and every object a scene returns is world-frame.  X3, X39 and X182 are the
-centers of the circumcircle, the inellipse and the Brocard circle.
+point straight below it and the inellipse's major axis along +x; ``pose``,
+any similarity, maps that frame into world coordinates, and every object a
+scene returns is world-frame.  X3, X39 and X182 are the centers of the
+circumcircle, the inellipse and the Brocard circle.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import math
 from typing import NamedTuple
 
 from .geom import (
-    AxisAlignedEllipse,
     Circle,
+    Ellipse,
     GeometryError,
     Point,
     Pose,
@@ -144,8 +145,7 @@ class PorismScene(Validating, _PorismScene):
         sizes = cy, a, b, r = _unit_sizes(params)
         k = pose.scale
         check_radius(k * params.R)
-        # the quarter turn, then the semi-axes, as the inellipse checks them
-        pose.map_axis()
+        # the semi-axes, as the inellipse checks them
         check_semi_axes(k * a, k * b)
         check_radius(k * r)
         # a, b and r passed above, scaled by k > 0; deep backward walks overflow the center
@@ -234,12 +234,14 @@ class PorismScene(Validating, _PorismScene):
         return Circle(self.beltrami_P2, rho), Circle(self.beltrami_U2, rho)
 
 
-def _inellipse(scene: PorismScene) -> AxisAlignedEllipse:
-    """The scene's inellipse, built from the sizes its constructor checked."""
+def _inellipse(scene: PorismScene) -> Ellipse:
+    """The scene's inellipse, built from the sizes its constructor checked.
+    Its major axis is canonical +x, whose image is (c, s), or (-c, -s)
+    under the mirror: omega1 = X39 + focal*axis in every pose."""
     pose, (cy, a, b, _) = scene.pose, scene._sizes
-    k = pose.scale
-    return tuple_new(AxisAlignedEllipse, (pose.map_xy(0.0, cy), k * a, k * b,
-                                          pose.map_axis()))
+    (c, s), k = pose._cs, pose.scale
+    axis = tuple_new(Point, (-c, -s) if pose.reflect_x else (c, s))
+    return tuple_new(Ellipse, (pose.map_xy(0.0, cy), k * a, k * b, axis))
 
 
 _IDENTITY = Pose.identity()
@@ -342,13 +344,13 @@ def closure_residuals(scene: PorismScene, tri: Triangle) -> tuple[float, float, 
     """Tangency defect of each triangle side against the scene inellipse:
     the float operations of ``ellipse_line_tangency_residual(inellipse,
     through(P, Q))`` (``tests/reference.py``) for the sides AB, BC and CA, on scalars."""
-    e = scene.inellipse
-    (ex, ey), (ax, ay) = e.center, e.axes_xy()
+    (ex, ey), a, b, (ux, uy) = scene.inellipse
     A, B, C = tri
     out = []
     for (px, py), (qx, qy) in ((A, B), (B, C), (C, A)):
-        ux, uy = line_direction(qx - px, qy - py)
-        # the unit normal (-uy, ux): support value against offset
-        offset = -uy * (px - ex) + ux * (py - ey)
-        out.append(abs(math.hypot(ax * -uy, ay * ux) - abs(offset)))
+        lx, ly = line_direction(qx - px, qy - py)
+        # the unit normal (-ly, lx): support value against offset
+        offset = -ly * (px - ex) + lx * (py - ey)
+        out.append(abs(math.hypot(a * (-ly * ux + lx * uy), b * (lx * ux - -ly * uy))
+                       - abs(offset)))
     return tuple(out)

@@ -15,9 +15,10 @@ EDGE_T = (0.0, 0.5 * math.pi, -0.5 * math.pi, math.pi)
 
 @pytest.fixture(scope="session")
 def posed_members():
-    """(scene, member) pairs of random porisms, posed under every
-    quarter-turn and both mirrors, at scales spread over 12 decades, then
-    canonical (identity-pose) members over the same scales."""
+    """(scene, member) pairs of random porisms, posed under both mirrors,
+    every fourth under a quarter turn and the rest under a turn drawn
+    uniformly in angle, at scales spread over 12 decades, then canonical
+    (identity-pose) members over the same scales."""
     rng = random.Random(20261018)
     out = []
     while len(out) < MEMBERS:
@@ -25,7 +26,7 @@ def posed_members():
         scale = 10.0 ** (12.0 * (k + rng.random()) / MEMBERS - 6.0)
         pose = Pose(
             Point(scale * rng.uniform(-3.0, 3.0), scale * rng.uniform(-3.0, 3.0)),
-            0.5 * math.pi * (k % 4),
+            0.5 * math.pi * (k // 8 % 4) if k % 4 == 0 else rng.uniform(-math.pi, math.pi),
             k // 4 % 2 == 1,
             scale,
         )

@@ -10,11 +10,10 @@ they live here.
 """
 
 from brocard.geom import (
-    AxisAlignedEllipse,
     Circle,
+    Ellipse,
     GeometryError,
     Line,
-    MajorAxis,
     Point,
     Pose,
     Triangle,
@@ -57,17 +56,15 @@ def apply_circle(pose: Pose, c: Circle) -> Circle:
     return Circle(pose.map_xy(c.center.x, c.center.y), pose.scale * c.radius)
 
 
-def apply_ellipse(pose: Pose, e: AxisAlignedEllipse) -> AxisAlignedEllipse:
-    """Map an axis-aligned ellipse; rotation must be a multiple of pi/2."""
-    axis = e.major_axis
-    # an odd quarter turn swaps the axes
-    if pose.map_axis() is MajorAxis.VERTICAL:
-        axis = MajorAxis.VERTICAL if axis is MajorAxis.HORIZONTAL else MajorAxis.HORIZONTAL
-    return AxisAlignedEllipse(
+def apply_ellipse(pose: Pose, e: Ellipse) -> Ellipse:
+    """Map an ellipse at any pose: its center as a point and its axis as a
+    direction, mirrored and then rotated as ``Pose.map_xy`` maps a point."""
+    ux, uy = e.axis
+    return Ellipse(
         pose.map_xy(e.center.x, e.center.y),
         pose.scale * e.semi_major,
         pose.scale * e.semi_minor,
-        axis,
+        Point(-ux if pose.reflect_x else ux, uy).rotated(pose.rotation),
     )
 
 

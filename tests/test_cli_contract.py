@@ -181,6 +181,23 @@ def test_each_table_keeps_its_columns_in_order():
             assert list(row) == columns, argv
 
 
+def test_help_exits_zero_and_every_flag_has_help():
+    parser = cli._build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    for argv in (["--help"], *([name, "--help"] for name in commands)):
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "") and out.startswith("usage: brocard"), argv
+    for name, sub in commands.items():
+        for action in sub._actions:
+            assert action.help, (name, action.dest)
+    # the help says what the command takes: a start at sqrt 3 itself is
+    # the degenerate porism
+    assert "(> sqrt 3)" in run_cli(["orbit", "--help"])[1]
+    code, _, err = run_cli(["orbit", "--R0", "1", "--u0", repr(math.sqrt(3.0))])
+    assert code == 2 and "degenerate porism" in err
+    assert "(default pi/3)" in run_cli(["continuous", "--help"])[1]
+
+
 def test_zero_samples_exits_two_with_one_line():
     for command in ("verify", "family", "continuous"):
         code, out, err = run_cli([command, "--samples", "0"])

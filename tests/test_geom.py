@@ -7,13 +7,12 @@ import pytest
 
 from brocard.checks import ellipse_foci
 from brocard.geom import (
-    AxisAlignedEllipse,
     Circle,
     DegenerateTriangleError,
+    Ellipse,
     GeometryError,
     InversionPoleError,
     Line,
-    MajorAxis,
     Point,
     Pose,
     Triangle,
@@ -81,10 +80,10 @@ GEOM_VALUES = [
     ),
     (Circle(P0, 1.0), "Circle(center=Point(x=0.0, y=0.0), radius=1.0)", Circle(P0, 2.0)),
     (
-        AxisAlignedEllipse(P0, 2.0, 1.0),
-        "AxisAlignedEllipse(center=Point(x=0.0, y=0.0), semi_major=2.0, "
-        "semi_minor=1.0, major_axis=<MajorAxis.HORIZONTAL: 'horizontal'>)",
-        AxisAlignedEllipse(P0, 2.0, 1.0, MajorAxis.VERTICAL),
+        Ellipse(P0, 2.0, 1.0),
+        "Ellipse(center=Point(x=0.0, y=0.0), semi_major=2.0, "
+        "semi_minor=1.0, axis=Point(x=1.0, y=0.0))",
+        Ellipse(P0, 2.0, 1.0, Point(0.0, 1.0)),
     ),
     (
         Triangle(P0, Q, R),
@@ -119,12 +118,12 @@ BAD_SCALE = "pose scale must be positive and finite"
         (lambda: Circle(P0, math.inf), GeometryError, BAD_RADIUS),
         (lambda: Circle(P0, math.nan), GeometryError, BAD_RADIUS),
         (
-            lambda: AxisAlignedEllipse(P0, math.inf, 1.0),
+            lambda: Ellipse(P0, math.inf, 1.0),
             GeometryError,
             "ellipse semi-axes must be finite",
         ),
-        (lambda: AxisAlignedEllipse(P0, 1.0, 2.0), GeometryError, BAD_AXES),
-        (lambda: AxisAlignedEllipse(P0, 1.0, -1.0), GeometryError, BAD_AXES),
+        (lambda: Ellipse(P0, 1.0, 2.0), GeometryError, BAD_AXES),
+        (lambda: Ellipse(P0, 1.0, -1.0), GeometryError, BAD_AXES),
         (lambda: Triangle(P0, R, Q), DegenerateTriangleError, "triangle must be counterclockwise"),
         (lambda: Triangle(P0, Q, Q * 2.0), DegenerateTriangleError, "degenerate triangle"),
         (lambda: Pose(scale=0.0), GeometryError, BAD_SCALE),
@@ -141,10 +140,10 @@ BAD_SCALE = "pose scale must be positive and finite"
             id="Circle._replace",
         ),
         pytest.param(
-            lambda: AxisAlignedEllipse(P0, 2.0, 1.0)._replace(semi_minor=3.0),
+            lambda: Ellipse(P0, 2.0, 1.0)._replace(semi_minor=3.0),
             GeometryError,
             BAD_AXES,
-            id="AxisAlignedEllipse._replace",
+            id="Ellipse._replace",
         ),
         pytest.param(
             lambda: Triangle._make((P0, R, Q)),
@@ -176,14 +175,11 @@ def test_replace_builds_what_the_constructor_builds():
     moved = Pose(rotation=0.5)._replace(rotation=1.0)
     assert moved.map_xy(1.0, 0.0) == Pose(rotation=1.0).map_xy(1.0, 0.0)
     _same_derived(moved, Pose(rotation=1.0))
-    # the cos/sin pair is derived anew: off the axes, map_axis raises
+    # the cos/sin pair is derived anew
     off_axis = Pose()._replace(rotation=0.3)
     _same_derived(off_axis, Pose(rotation=0.3))
-    with pytest.raises(GeometryError, match="does not preserve axis alignment"):
-        off_axis.map_axis()
     turned = Pose(rotation=0.3)._replace(rotation=-1.5 * math.pi, scale=2.0)
     _same_derived(turned, Pose(rotation=-1.5 * math.pi, scale=2.0))
-    assert turned.map_axis() is MajorAxis.VERTICAL
     params = PorismParams(1.25, 1.75)
     _same_derived(params._replace(R=3.0), PorismParams(3.0, 1.75, params.u_excess))
     _same_derived(
@@ -209,10 +205,13 @@ def test_replace_builds_what_the_constructor_builds():
 def test_geom_keywords_and_defaults():
     assert Pose(rotation=0.5) == Pose(Point(0.0, 0.0), 0.5, False, 1.0)
     assert Pose.identity() == (Point(0.0, 0.0), 0.0, False, 1.0)
-    assert AxisAlignedEllipse(P1, 2.0, 1.0).major_axis is MajorAxis.HORIZONTAL
-    assert AxisAlignedEllipse(
-        center=P1, semi_major=2.0, semi_minor=1.0, major_axis=MajorAxis.VERTICAL
-    ) == (P1, 2.0, 1.0, MajorAxis.VERTICAL)
+    assert Ellipse(P1, 2.0, 1.0).axis == Point(1.0, 0.0)
+    assert Ellipse(
+        center=P1, semi_major=2.0, semi_minor=1.0, axis=Point(0.0, 1.0)
+    ) == (P1, 2.0, 1.0, Point(0.0, 1.0))
+    # the axis is kept as a unit Point
+    axis = Ellipse(P1, 2.0, 1.0, (3.0, -4.0)).axis
+    assert type(axis) is Point and axis == Line(P1, Point(3.0, -4.0)).direction
     assert Circle(center=P1, radius=1.0) == Circle(P1, 1.0)
     assert Line(base=P1, direction=Point(0.0, 2.0)).direction == Point(0.0, 1.0)
     assert Triangle(A=P0, B=Q, C=R) == (P0, Q, R)
@@ -220,6 +219,14 @@ def test_geom_keywords_and_defaults():
     pose = Pose(rotation=0.5)
     assert pose._cs == (math.cos(0.5), math.sin(0.5))
     assert len(pose) == 4 and pose._fields == ("translation", "rotation", "reflect_x", "scale")
+
+
+@pytest.mark.parametrize(
+    "axis", [P0, Point(-0.0, 0.0), Point(math.nan, 1.0), Point(math.inf, 0.0), Point(1.0, -math.inf)]
+)
+def test_ellipse_rejects_an_axis_with_no_direction(axis, raises_as_before):
+    raises_as_before(lambda: Ellipse(P1, 2.0, 1.0, axis), GeometryError, NO_DIRECTION)
+    raises_as_before(lambda: Ellipse(P1, 2.0, 1.0)._replace(axis=axis), GeometryError, NO_DIRECTION)
 
 
 def test_rotated_quarter_turn():
@@ -416,36 +423,22 @@ def test_pose_circle_and_ellipse():
     assert abs(c.radius - 1.5) < 1e-15
     assert c.center.dist(pose.apply(Point(0.5, 0.0))) < 1e-15
 
-    e = AxisAlignedEllipse(Point(0.0, 1.0), 2.0, 1.0, MajorAxis.HORIZONTAL)
+    e = Ellipse(Point(0.0, 1.0), 2.0, 1.0)
     m = apply_ellipse(pose, e)
     assert m.center.dist(pose.apply(Point(0.0, 1.0))) < 1e-15
     assert abs(m.semi_major - 4.0) < 1e-15
     assert abs(m.semi_minor - 2.0) < 1e-15
-    assert m.major_axis is MajorAxis.HORIZONTAL
-    # an odd quarter turn swaps the axis orientation
-    quarter = Pose(rotation=0.5 * math.pi)
-    assert apply_ellipse(quarter, e).major_axis is MajorAxis.VERTICAL
-    with pytest.raises(GeometryError):
-        apply_ellipse(Pose(rotation=0.3), e)
-
-
-def test_pose_gate_reads_the_cos_sin_pair():
-    """A rotation within 1e-12 quarter turns (1.5708e-12 rad) of k quarter
-    turns is accepted, and swaps the axes for odd k; one farther off
-    raises, however large: cos/sin of 1e17 is (-0.886, -0.465), though
-    1e17 over pi/2 rounds to a whole number."""
-    params = PorismParams(1.0, 2.0)
-    off_axis = [1e17, math.pi * 1e16, 2.0 ** 60]
-    for k in range(-8, 9):
-        axis = MajorAxis.VERTICAL if k % 2 else MajorAxis.HORIZONTAL
-        for d in (0.0, 1.5e-12, -1.5e-12):
-            pose = Pose(rotation=0.5 * math.pi * k + d)
-            assert pose.map_axis() is axis
-            assert scene_from_Ru(params, pose).inellipse.major_axis is axis
-        off_axis += [0.5 * math.pi * k + 1.6e-12, 0.5 * math.pi * k - 1.6e-12]
-    for rotation in off_axis:
-        with pytest.raises(GeometryError, match="pose rotation does not preserve axis alignment"):
-            scene_from_Ru(params, Pose(rotation=rotation))
+    # the mirror then the half turn keep the x axis
+    assert m.axis.dist(Point(1.0, 0.0)) < 1e-15
+    # any turn turns the axis with it, and the mapped ellipse holds the
+    # mapped points
+    for rotation in (0.5 * math.pi, 0.3, -2.0):
+        turn = Pose(Point(0.5, -1.0), rotation, rotation < 0.0, 1.5)
+        m = apply_ellipse(turn, e)
+        sign = -1.0 if turn.reflect_x else 1.0
+        assert m.axis.dist(Point(sign, 0.0).rotated(rotation)) < 1e-15
+        for theta in (0.0, 0.7, 2.0, -1.3):
+            assert m.implicit_residual(turn.apply(e.point_at(theta))) < 1e-14
 
 
 def _reference_apply(pose, p):
@@ -519,11 +512,11 @@ def test_ellipse_tangency_residual_zero_on_tangents():
     for _ in range(200):
         hi = rng.uniform(0.2, 2.0)
         lo = rng.uniform(0.2, hi)
-        e = AxisAlignedEllipse(
+        e = Ellipse(
             Point(rng.uniform(-1, 1), rng.uniform(-1, 1)),
             hi,
             lo,
-            MajorAxis.HORIZONTAL if rng.random() < 0.5 else MajorAxis.VERTICAL,
+            Point(1.0, 0.0).rotated(rng.uniform(-math.pi, math.pi)),
         )
         theta = rng.uniform(0.0, 2.0 * math.pi)
         line = Line(e.point_at(theta), e.tangent_direction_at(theta))
@@ -531,20 +524,25 @@ def test_ellipse_tangency_residual_zero_on_tangents():
 
 
 def test_ellipse_tangency_residual_positive_off_tangent():
-    e = AxisAlignedEllipse(Point(0.0, 0.0), 2.0, 1.0)
+    e = Ellipse(Point(0.0, 0.0), 2.0, 1.0)
     chord = Line(Point(0.0, 0.0), Point(1.0, 0.0))
     assert ellipse_line_tangency_residual(e, chord) > 0.5
 
 
 def test_ellipse_foci():
-    e = AxisAlignedEllipse(Point(1.0, 2.0), 5.0, 3.0, MajorAxis.HORIZONTAL)
+    e = Ellipse(Point(1.0, 2.0), 5.0, 3.0)
     f1, f2 = ellipse_foci(e)
     assert f1.dist(Point(-3.0, 2.0)) < 1e-12
     assert f2.dist(Point(5.0, 2.0)) < 1e-12
-    v = AxisAlignedEllipse(Point(0.0, 0.0), 5.0, 3.0, MajorAxis.VERTICAL)
+    v = Ellipse(Point(0.0, 0.0), 5.0, 3.0, Point(0.0, 1.0))
     g1, g2 = ellipse_foci(v)
     assert g1.dist(Point(0.0, -4.0)) < 1e-12
     assert g2.dist(Point(0.0, 4.0)) < 1e-12
+    # off the coordinate axes the foci lie along the axis
+    w = Ellipse(Point(1.0, -1.0), 5.0, 3.0, Point(3.0, 4.0))
+    h1, h2 = ellipse_foci(w)
+    assert h1.dist(Point(1.0 - 2.4, -1.0 - 3.2)) < 1e-12
+    assert h2.dist(Point(1.0 + 2.4, -1.0 + 3.2)) < 1e-12
 
 
 def test_orthogonal_circles_residual():

@@ -8,13 +8,13 @@ Beltrami points) is a closed form in (R, u).  The params derive their gap
 sqrt(u^2 - 3) when built; the scene derives and checks its unit-scale sizes
 (:func:`_unit_sizes`), from which the rest is computed on read, the
 inellipse once, at its first read.  Once per porism, at its first member,
-the scene derives its isosceles chart and the chart its t-independent
-terms (:func:`_member_chart`); a member costs only the terms in t.  The
-canonical frame puts the circumcenter at the origin with the symmedian
-point straight below it and the inellipse's major axis along +x; ``pose``,
-any similarity, maps that frame into world coordinates, and every object a
-scene returns is world-frame.  X3, X39 and X182 are the centers of the
-circumcircle, the inellipse and the Brocard circle.
+the scene keeps the t-independent terms of its isosceles chart
+(:func:`_member_chart`); each member costs the terms in t and the pose's
+map.  The canonical frame puts the circumcenter at the origin with the
+symmedian point straight below it and the inellipse's major axis along +x;
+``pose``, any similarity, maps that frame into world coordinates, and
+every object a scene returns is world-frame.  X3, X39 and X182 are the
+centers of the circumcircle, the inellipse and the Brocard circle.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ class PorismScene(Validating, _PorismScene):
     Brocard inellipse with distinct foci.  The constructor checks the
     scalars the objects are built from, so the properties build them
     unchecked.  It keeps the unit-scale sizes ``_sizes`` outside the
-    fields; the inellipse waits for its first read and the member data
+    fields; the inellipse waits for its first read and the member chart
     for a member.
     """
 
@@ -156,8 +156,8 @@ class PorismScene(Validating, _PorismScene):
         return self
 
     inellipse = lazy(lambda self: _inellipse(self))
-    # the chart scene_member draws from, and whether the pose is the identity
-    _member = lazy(lambda self: (dh_from_Ru(self.params), self.pose == _IDENTITY))
+    # the member chart scene_member draws from
+    _member = lazy(lambda self: dh_from_Ru(self.params)._chart)
 
     @property
     def circumcircle(self) -> Circle:
@@ -300,9 +300,9 @@ def _member_chart(iso: IsoscelesParams) -> tuple[float, ...]:
             scale, 1e-13 * scale)
 
 
-def _member_xy(iso: IsoscelesParams, t: float) -> tuple[float, ...]:
-    """The six vertex coordinates of :func:`vertices_at`, in chart order."""
-    up, R, zeta, zd, h_2, h2, h4, d2_3, d4_9, c1, s1, c2, s2, c3, s3, scale, tiny = iso._chart
+def _member_xy(chart: tuple[float, ...], t: float) -> tuple[float, ...]:
+    """The six vertex coordinates of the member at t, in chart order."""
+    up, R, zeta, zd, h_2, h2, h4, d2_3, d4_9, c1, s1, c2, s2, c3, s3, scale, tiny = chart
     ct, st = math.cos(t), math.sin(t)
     den_b = c3 * ct - s3 * st + scale
     den_c = c3 * ct + s3 * st - scale
@@ -324,18 +324,15 @@ def vertices_at(iso: IsoscelesParams, t: float) -> Triangle:
     those raise, and samplers should perturb t.  Vertices are reordered
     counterclockwise.
     """
-    ax, ay, bx, by, cx, cy = _member_xy(iso, t)
+    ax, ay, bx, by, cx, cy = _member_xy(iso._chart, t)
     return Triangle.oriented(tuple_new(Point, (ax, ay)), tuple_new(Point, (bx, by)),
                              tuple_new(Point, (cx, cy)))
 
 
 def scene_member(scene: PorismScene, t: float) -> Triangle:
-    """Member triangle of a posed scene in world coordinates, the chart's
-    vertices mapped and then oriented; on a canonical scene, the chart's own."""
-    iso, identity = scene._member
-    if identity:
-        return vertices_at(iso, t)
-    ax, ay, bx, by, cx, cy = _member_xy(iso, t)
+    """Member triangle of a scene in world coordinates: the chart's vertices
+    mapped through the pose, the identity included, and then oriented."""
+    ax, ay, bx, by, cx, cy = _member_xy(scene._member, t)
     pose = scene.pose
     return Triangle.oriented(pose.map_xy(ax, ay), pose.map_xy(bx, by), pose.map_xy(cx, cy))
 

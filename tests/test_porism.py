@@ -583,7 +583,7 @@ def test_member_chart_never_goes_stale(same_route):
     pose = Pose(Point(0.7, -1.3), 1.5 * math.pi, True, 1.8)
     scene = scene_from_Ru(PorismParams(0.9, 2.4), pose)
     scene_member(scene, 0.3)  # the scene's chart now exists
-    assert "_chart" in vars(scene._member[0])
+    assert "_member" in vars(scene)
     other = PorismParams(2.0, 3.1)
     for derived in (
         scene._replace(pose=Pose(Point(-2.0, 0.5), math.pi, False, 0.5)),
@@ -613,7 +613,7 @@ def test_a_singular_member_leaves_the_chart_intact(same_route):
     rng = random.Random(46)
     for pose in (Pose(), Pose(Point(0.5, 0.25), 0.5 * math.pi, True, 2.0)):
         scene = scene_from_Ru(Ru_from_dh(IsoscelesParams(1.0, 1e5)), pose)
-        t_bad = _singular_t(scene._member[0])
+        t_bad = _singular_t(dh_from_Ru(scene.params))
         ts = [rng.uniform(-math.pi, math.pi) for _ in range(23)]
         ts.insert(12, t_bad)
         chart = None
@@ -623,8 +623,8 @@ def test_a_singular_member_leaves_the_chart_intact(same_route):
                     scene_member(scene, t)
             else:
                 same_route(scene_member, _reference_scene_member, scene, t)
-            chart = chart or scene._member[0]._chart
-            assert scene._member[0]._chart is chart
+            chart = chart or scene._member
+            assert scene._member is chart
         assert repr(chart) == repr(porism._member_chart(dh_from_Ru(scene.params)))
 
 
@@ -640,11 +640,11 @@ def test_member_chart_is_derived_once_per_porism(monkeypatch):
     scene = scene_from_Ru(PorismParams(0.9, 2.4), Pose(Point(0.7, -1.3), 0.5 * math.pi, True, 1.8))
     for _ in range(24):
         scene_member(scene, rng.uniform(-math.pi, math.pi))
-    assert derived == [scene._member[0]]
+    assert derived == [dh_from_Ru(scene.params)]
     iso = IsoscelesParams(1.0, 2.0)
     for _ in range(24):
         vertices_at(iso, rng.uniform(-math.pi, math.pi))
-    assert derived == [scene._member[0], iso] and derived[1] is iso
+    assert derived == [dh_from_Ru(scene.params), iso] and derived[1] is iso
 
 
 def test_derived_values_cannot_be_reassigned():
@@ -714,13 +714,22 @@ def test_member_chart_is_kept_lazily(monkeypatch):
     assert repr(fresh._chart) == repr(iso._chart) and derived[-1] is fresh
 
 
-def test_scene_member_data_is_kept_lazily():
+def test_scene_member_data_is_kept_lazily(monkeypatch):
     pose = Pose(Point(0.7, -1.3), 0.5 * math.pi, True, 1.8)
     scene, twin = scene_from_Ru(FIX_PARAMS, pose), scene_from_Ru(FIX_PARAMS, pose)
     replaced = scene._replace(pose=Pose())
     _kept_lazily(scene, twin, replaced, "_member")
-    assert scene._member[1] is False and replaced._member[1] is True
-    assert scene._member[0] == dh_from_Ru(FIX_PARAMS)
+    # the scene keeps the chart alone, the same at every pose
+    chart = repr(porism._member_chart(dh_from_Ru(FIX_PARAMS)))
+    assert repr(scene._member) == repr(replaced._member) == chart
+    # a derivation that raises keeps nothing, and the next read derives again
+    fresh = scene_from_Ru(FIX_PARAMS, pose)
+    monkeypatch.setattr(porism, "_member_chart", lambda iso: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        fresh._member
+    assert "_member" not in vars(fresh)
+    monkeypatch.undo()
+    assert repr(fresh._member) == chart
 
 
 def test_inellipse_is_built_once_per_scene(monkeypatch):

@@ -326,12 +326,11 @@ def _check_projection_idempotent(drawn: list[float]) -> Residuals:
 
 
 def _random_tangent(rng: random.Random) -> tuple[Ellipse, float]:
-    """A random ellipse with a horizontal or vertical major axis and the
-    parameter of one of its points."""
+    """A random ellipse, its major axis at any angle, and a point's parameter."""
     hi = rng.uniform(0.2, 2.0)
     lo = rng.uniform(0.2, hi)
     center = Point(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-    axis = Point(1.0, 0.0) if rng.random() < 0.5 else Point(0.0, 1.0)
+    axis = Point(1.0, 0.0).rotated(rng.uniform(0.0, 2.0 * math.pi))
     return Ellipse(center, hi, lo, axis), rng.uniform(0.0, 2.0 * math.pi)
 
 
@@ -596,6 +595,10 @@ def _check_step_two_route(drawn: Drawn) -> Residuals:
 def _posed_member(rng: random.Random) -> Member:
     parent = _posed_scene(rng)
     return parent, _random_member(rng, parent)
+
+
+check("closure.posed_tangency", 1e-12, _draws(_quarter, _posed_member),
+      "every sampled posed member is tangent to its posed inellipse")(_check_closure_tangency)
 
 
 @check("thm1.child_circumcircle", 1e-9, _draws(_quarter, _posed_member),

@@ -309,8 +309,6 @@ def _web_field_sweep(samples: int) -> tuple[float, float]:
     axis_dev = []
     for i in range(1, samples):
         y = -0.82 + 1.64 * i / samples
-        if abs(abs(y) - X16.y) < 1e-3:
-            continue
         # a point on the y axis, then one on the x axis
         for px, py in ((0.0, y), (0.04 + 0.44 * i / samples, 0.0)):
             axis_dev.append(_field_angle(px, py))

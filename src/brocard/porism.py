@@ -331,7 +331,7 @@ def vertices_at(iso: IsoscelesParams, t: float) -> Triangle:
 
 def scene_member(scene: PorismScene, t: float) -> Triangle:
     """Member triangle of a scene in world coordinates: the chart's vertices
-    mapped through the pose, the identity included, and then oriented."""
+    mapped through the pose and then oriented."""
     ax, ay, bx, by, cx, cy = _member_xy(scene._member, t)
     pose = scene.pose
     return Triangle.oriented(pose.map_xy(ax, ay), pose.map_xy(bx, by), pose.map_xy(cx, cy))

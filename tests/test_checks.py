@@ -16,7 +16,7 @@ from brocard.checks import (
     check_ids,
     run_checks,
 )
-from brocard.geom import Point, worst
+from brocard.geom import Point, line_direction, worst
 from brocard.porism import (
     DegeneratePorismError,
     IsoscelesParams,
@@ -291,7 +291,7 @@ def test_every_tolerance_is_a_finite_positive_float():
 def test_check_ids_are_declared_once(declare):
     with pytest.raises(ValueError):
         declare("geom.inversion_involution", lambda _: (0.0,), claim="a second declaration")
-    assert len(checks.check_ids()) == 61
+    assert len(checks.check_ids()) == 62
 
 
 def _run_one(declare, body, inputs=_one_input, samples=20, check_id="zz.one"):
@@ -432,6 +432,40 @@ def test_a_slope_field_with_no_real_slope_fails_the_web_checks(monkeypatch):
         continuous._web_field_sweep.cache_clear()
     failed = {r.check_id: r.max_residual for r in reports if not r.passed}
     assert failed == {"rem8.axis_parallel": math.inf, "rem9.quartic_orthogonality": math.inf}
+
+
+def test_an_axis_blind_closure_kernel_fails_the_posed_closure_check(monkeypatch):
+    # the axis-aligned kernel reads right on canonical scenes, whose
+    # inellipse axis is (1, 0); only the posed members can tell
+    def axis_blind(scene, tri):
+        (ex, ey), a, b, _ = scene.inellipse
+        A, B, C = tri
+        out = []
+        for (px, py), (qx, qy) in ((A, B), (B, C), (C, A)):
+            lx, ly = line_direction(qx - px, qy - py)
+            offset = -ly * (px - ex) + lx * (py - ey)
+            out.append(abs(math.hypot(a * -ly, b * lx) - abs(offset)))
+        return tuple(out)
+
+    monkeypatch.setattr(checks, "closure_residuals", axis_blind)
+    reports = run_checks(samples=200, seed=0, filter_prefix="closure.")
+    failed = {r.check_id: r.max_residual for r in reports if not r.passed}
+    assert list(failed) == ["closure.posed_tangency"] and failed["closure.posed_tangency"] > 1e-3
+
+
+def test_a_sign_slip_in_the_tangency_kernel_fails_the_tangent_check(monkeypatch):
+    # at quarter-turn axes the slipped term differs only in sign, which
+    # hypot drops; ellipses drawn at any angle tell
+    def slipped(e, line):
+        (ux, uy), n = e.axis, line.normal()
+        offset = n.dot(line.base - e.center)
+        support = math.hypot(e.semi_major * (n.x * ux + n.y * uy),
+                             e.semi_minor * (n.y * ux + n.x * uy))
+        return abs(support - abs(offset))
+
+    monkeypatch.setattr(checks, "ellipse_line_tangency_residual", slipped)
+    report = _one("geom.tangent_residual")
+    assert report.max_residual > 1e-3 and not report.passed
 
 
 # The runner spreads the selected checks over the usable CPUs: the caller

@@ -19,16 +19,16 @@ import pytest
 
 from brocard import cli
 
-VERIFY_DIGEST = "edeff6bdae53179189266605ddc68f1c7c8208be88971f3e25c311e3fc289605"
+VERIFY_DIGEST = "001dbf21ddae11da72596977fab3b803927ffef3ddf18c1d93e3137e92e43cb7"
 
 # more verify runs -> (exit code, digest): they pin the draw order where
 # the scene count floors at 20 (samples 20), on an odd split of the
 # closure draws (333) and under a mutant step, which exits 1 with one
 # FAIL line per failed check
 VERIFY_RUN_DIGESTS = {
-    ("--samples", "20", "--seed", "1"): (0, "54a1c1608ffeb557c3d49382fc4b79a56b17bb24df5bdae61fedd47c0f6a09cb"),
-    ("--samples", "333", "--seed", "11"): (0, "9d0346b9dc6be104f4c5b7e9fd793d7c8699abbb59fd0dd44093dac506a50b4b"),
-    ("--mutate", "flip-step-sign", "--samples", "200", "--seed", "0"): (1, "f0d51d21efa75b6f0e8fa42064f2a90c4af6b036257f667a9521125909092a97"),
+    ("--samples", "20", "--seed", "1"): (0, "e9916ab36b24bc457656737036dd8a95f041bd120a8ee00a4a57e5cf25bb07af"),
+    ("--samples", "333", "--seed", "11"): (0, "5961c5b9b4714ce5fa3668e1716b1e7fdcc215f599e1123ae5af68c1037b01e9"),
+    ("--mutate", "flip-step-sign", "--samples", "200", "--seed", "0"): (1, "32407bb00fab1a2bead27fa6b34fb2fcbb83efccc8bb91d9f965ed0cf6acc2f2"),
 }
 
 FIGURE_DIGESTS = {

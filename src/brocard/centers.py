@@ -20,6 +20,7 @@ from .geom import (
     inversion_xy,
     line_direction,
     tuple_new,
+    unit_xy,
 )
 
 
@@ -194,9 +195,11 @@ def second_brocard_triangle(t: Triangle) -> Triangle:
     x6, y6 = _symmedian(t, s1, s2, s3)
     feet = []
     for vx, vy in t:
-        if math.hypot(vx - x6, vy - y6) < 1e-14 * math.hypot(vx - x3, vy - y3):
+        dx, dy = x6 - vx, y6 - vy
+        n = math.hypot(dx, dy)
+        if n < 1e-14 * math.hypot(vx - x3, vy - y3):
             raise GeometryError("cevian undefined")
-        ux, uy = line_direction(x6 - vx, y6 - vy)
+        ux, uy = unit_xy(dx, dy, n)
         k = ux * (x3 - vx) + uy * (y3 - vy)
         feet.append(tuple_new(Point, (vx + ux * k, vy + uy * k)))
     return Triangle.oriented(*feet)

@@ -112,9 +112,14 @@ def midpoint(p: Point, q: Point) -> Point:
 
 def line_direction(dx: float, dy: float) -> tuple[float, float]:
     """Unit vector along (dx, dy), as ``Line`` stores it; kernels that
-    build no line call this directly.  Rejects zero and non-finite
-    vectors and leaves one within 1e-14 of unit length as it is."""
-    n = math.hypot(dx, dy)
+    build no line call this directly."""
+    return unit_xy(dx, dy, math.hypot(dx, dy))
+
+
+def unit_xy(dx: float, dy: float, n: float) -> tuple[float, float]:
+    """(dx, dy) over its length n = hypot(dx, dy), for kernels that have
+    measured it already.  Rejects zero and non-finite vectors and leaves
+    one within 1e-14 of unit length as it is."""
     if not n > 0.0 or not math.isfinite(n):
         raise GeometryError("line requires a nonzero direction")
     if abs(n - 1.0) > 1e-14:
@@ -287,7 +292,8 @@ class Pose(Validating, _Pose):
     then uniform scale, then translation.
     """
 
-    # no __slots__: the cos/sin pair ``_cs``, derived once here, lives in the instance dict
+    # no __slots__: the map ``_map``, (c, s, scale, tx, ty, reflect_x) with
+    # (c, s) the rotation's cos/sin, is derived once here into the instance dict
 
     def __new__(cls, translation: Point = ORIGIN, rotation: float = 0.0,
                 reflect_x: bool = False, scale: float = 1.0) -> "Pose":
@@ -296,7 +302,8 @@ class Pose(Validating, _Pose):
         if not math.isfinite(rotation):
             raise GeometryError("pose rotation must be finite")
         self = tuple_new(cls, (translation, rotation, reflect_x, scale))
-        self.__dict__["_cs"] = (math.cos(rotation), math.sin(rotation))
+        tx, ty = translation
+        self.__dict__["_map"] = (math.cos(rotation), math.sin(rotation), scale, tx, ty, reflect_x)
         return self
 
     @classmethod
@@ -306,11 +313,10 @@ class Pose(Validating, _Pose):
     def map_xy(self, x: float, y: float) -> Point:
         """World image of the local point (x, y); the float operations of
         ``translation + Point(+-x, y).rotated(rotation) * scale``."""
-        c, s = self._cs
-        if self.reflect_x:
+        c, s, k, tx, ty, reflect_x = self._map
+        if reflect_x:
             x = -x
-        k, t = self.scale, self.translation
-        return tuple_new(Point, (t.x + (c * x - s * y) * k, t.y + (s * x + c * y) * k))
+        return tuple_new(Point, (tx + (c * x - s * y) * k, ty + (s * x + c * y) * k))
 
     def apply(self, p: Point) -> Point:
         return self.map_xy(p.x, p.y)

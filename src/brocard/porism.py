@@ -34,8 +34,8 @@ from .geom import (
     check_radius,
     check_semi_axes,
     lazy,
-    line_direction,
     tuple_new,
+    unit_xy,
 )
 
 
@@ -157,7 +157,7 @@ class PorismScene(Validating, _PorismScene):
 
     inellipse = lazy(lambda self: _inellipse(self))
     # the member chart scene_member draws from
-    _member = lazy(lambda self: dh_from_Ru(self.params)._chart)
+    _member = lazy(lambda self: _member_chart(dh_from_Ru(self.params)))
 
     @property
     def circumcircle(self) -> Circle:
@@ -239,8 +239,8 @@ def _inellipse(scene: PorismScene) -> Ellipse:
     Its major axis is canonical +x, whose image is (c, s), or (-c, -s)
     under the mirror: omega1 = X39 + focal*axis in every pose."""
     pose, (cy, a, b, _) = scene.pose, scene._sizes
-    (c, s), k = pose._cs, pose.scale
-    axis = tuple_new(Point, (-c, -s) if pose.reflect_x else (c, s))
+    c, s, k, _, _, reflect_x = pose._map
+    axis = tuple_new(Point, (-c, -s) if reflect_x else (c, s))
     return tuple_new(Ellipse, (pose.map_xy(0.0, cy), k * a, k * b, axis))
 
 
@@ -343,9 +343,11 @@ def closure_residuals(scene: PorismScene, tri: Triangle) -> tuple[float, float, 
     through(P, Q))`` (``tests/reference.py``) for the sides AB, BC and CA, on scalars."""
     (ex, ey), a, b, (ux, uy) = scene.inellipse
     A, B, C = tri
+    s1, s2, s3, _ = tri.measure
     out = []
-    for (px, py), (qx, qy) in ((A, B), (B, C), (C, A)):
-        lx, ly = line_direction(qx - px, qy - py)
+    # each side's length as the triangle measured it, up to the sign of its operands
+    for (px, py), (qx, qy), n in ((A, B, s3), (B, C, s1), (C, A, s2)):
+        lx, ly = unit_xy(qx - px, qy - py, n)
         # the unit normal (-ly, lx): support value against offset
         offset = -ly * (px - ex) + lx * (py - ey)
         out.append(abs(math.hypot(a * (-ly * ux + lx * uy), b * (lx * ux - -ly * uy))

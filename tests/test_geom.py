@@ -215,9 +215,9 @@ def test_geom_keywords_and_defaults():
     assert Circle(center=P1, radius=1.0) == Circle(P1, 1.0)
     assert Line(base=P1, direction=Point(0.0, 2.0)).direction == Point(0.0, 1.0)
     assert Triangle(A=P0, B=Q, C=R) == (P0, Q, R)
-    # the cos/sin pair is kept outside the four fields
+    # the map, cos/sin, scale, translation and mirror, is kept outside the four fields
     pose = Pose(rotation=0.5)
-    assert pose._cs == (math.cos(0.5), math.sin(0.5))
+    assert pose._map == (math.cos(0.5), math.sin(0.5), 1.0, 0.0, 0.0, False)
     assert len(pose) == 4 and pose._fields == ("translation", "rotation", "reflect_x", "scale")
 
 

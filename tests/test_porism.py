@@ -40,7 +40,7 @@ from brocard.porism import (
     scene_member,
     vertices_at,
 )
-from reference import apply_circle, apply_ellipse, through
+from reference import apply_circle, apply_ellipse, area, sidelengths, through
 
 SQRT3 = math.sqrt(3.0)
 FIX_PARAMS = PorismParams(1.25, 1.75)
@@ -567,8 +567,10 @@ def test_closure_residuals_are_bit_exact(posed_members, same_route):
             for placed in (scene, unit, canonical):
                 same_route(scene_member, _reference_scene_member, placed, t)
     # a side with no direction, on a stand-in that skips the Triangle check
+    # and carries the measure the kernel reads its side lengths from
     scene, tri = posed_members[0]
     pinched = tuple.__new__(Triangle, (tri.A, tri.A, tri.C))
+    pinched.__dict__["measure"] = (*sidelengths(pinched), area(pinched))
     with pytest.raises(GeometryError, match="line requires a nonzero direction"):
         closure_residuals(scene, pinched)
     same_route(closure_residuals, _reference_closure_residuals, scene, pinched)
@@ -657,7 +659,7 @@ def test_derived_values_cannot_be_reassigned():
     before = (repr(scene.X6), repr(scene.inellipse), repr(scene_member(scene, 0.3)))
     vertices_at(iso, 0.3)
     for value, name in (
-        (params, "gap"), (scene.pose, "_cs"), (scene, "_sizes"),
+        (params, "gap"), (scene.pose, "_map"), (scene, "_sizes"),
         (scene, "_member"), (scene, "inellipse"), (iso, "_chart"), (params, "R"), (iso, "d"),
     ):
         kept = getattr(value, name)

@@ -131,13 +131,13 @@ def _anti_scene_by_inverse(scene):
 
 
 def _built(step, scene):
-    """The scene ``step`` builds from ``scene``, with its cos/sin pair, as text."""
+    """The scene ``step`` builds from ``scene``, with its pose's kept map, as text."""
     out = step(scene)
-    return repr((out, out.pose._cs))
+    return repr((out, out.pose._map))
 
 
 def test_anti_scene_is_the_inverse_offset_route(same_route):
-    """``anti_scene`` builds, bit for bit, the scene and cos/sin pair of
+    """``anti_scene`` builds, bit for bit, the scene and kept pose map of
     the route through the general inverse: over every quarter turn in
     [-2pi, 2pi], both mirrors, signed zero translations and pose scales
     across 2^-200..2^200."""
@@ -155,7 +155,7 @@ def test_anti_scene_is_the_inverse_offset_route(same_route):
     for _ in range(2_000):
         R = 2.0 ** rng.uniform(-300.0, 300.0)
         back, want = _offset(R), inverse(_offset(-R))
-        assert repr((back, back._cs)) == repr((want, want._cs))
+        assert repr((back, back._map)) == repr((want, want._map))
 
 
 def test_child_scene_rejects_vanishing_child():

@@ -33,7 +33,9 @@ three single-step claims that call it and, through
 :func:`~brocard.recurrence.orbit_scenes` takes; ``step_backward`` does not.
 ``MUTATIONS`` (from :mod:`~brocard.recurrence`) maps the command line's
 self-test names to deliberately broken steps; a run with one proves the
-suite notices a corrupted recurrence.
+suite notices a corrupted recurrence.  ``flip-step-sign`` raises at its
+first use; ``nudge-step-R`` and ``nudge-step-excess`` raise nothing, so
+the checks they fail fail by residual.
 """
 
 from __future__ import annotations

@@ -12,7 +12,12 @@ the parent's X182 and is mirrored left-right, which swaps the two
 Brocard point labels each generation.  An orbit is the list of posed
 scenes that :func:`orbit_scenes` walks with :func:`child_scene` or
 :func:`anti_scene`; it is the only code that takes more than one step,
-and each orbit measure below takes the walk it measures.
+and each orbit measure below takes the walk it measures.  ``MUTATIONS``
+names the deliberately broken steps that ``brocard verify --mutate``
+runs in place of :func:`step_forward`: ``flip-step-sign``, which sends
+u below sqrt(3) and so raises, and ``nudge-step-R`` and
+``nudge-step-excess``, which scale R or the u excess of the true step by
+1 + 1e-9 and raise nothing.
 """
 
 from __future__ import annotations
@@ -75,7 +80,29 @@ def _flip_step_sign(params: PorismParams) -> PorismParams:
     return PorismParams(params.R * params.gap / (2.0 * u), (u * u - 3.0) / (2.0 * u))
 
 
-MUTATIONS: dict[str, StepFunction] = {"flip-step-sign": _flip_step_sign}
+# the true step for the nudged mutants: a run binds the mutant as ``step_forward``
+_true_step = step_forward
+
+
+def _nudge_step_R(params: PorismParams) -> PorismParams:
+    """Deliberately broken step: the true step's R times (1 + 1e-9), its u
+    excess exact.  It raises nothing, so only a residual can catch it."""
+    child = _true_step(params)
+    return PorismParams.from_excess(child.R * (1.0 + 1e-9), child.u_excess)
+
+
+def _nudge_step_excess(params: PorismParams) -> PorismParams:
+    """Deliberately broken step: the true step's u excess times (1 + 1e-9),
+    its R exact.  It raises nothing, so only a residual can catch it."""
+    child = _true_step(params)
+    return PorismParams.from_excess(child.R, child.u_excess * (1.0 + 1e-9))
+
+
+MUTATIONS: dict[str, StepFunction] = {
+    "flip-step-sign": _flip_step_sign,
+    "nudge-step-R": _nudge_step_R,
+    "nudge-step-excess": _nudge_step_excess,
+}
 
 
 def _offset(y: float) -> Pose:

@@ -137,6 +137,44 @@ def test_mutated_run_flags_at_least_the_known_groups():
         assert want in failed
 
 
+# what each mutant fails at samples=200, seed=0: flip-step-sign by raises
+# alone, the nudges by residual alone
+MUTANT_KILLS = {
+    "flip-step-sign": {
+        "prop14.fixed_point", "prop14.forward_convergence", "prop14.roundtrip",
+        "prop4.anti_roundtrip_params", "prop4.anti_roundtrip_points", "prop6.orthogonality",
+        "thm1.child_circumcircle", "thm1.cor9_axes", "thm1.two_route", "thm1.x182_formula",
+        "thm2.monotone", "thm2.nesting", "thm3.concyclicity", "thm3.limit_point",
+    },
+    "nudge-step-R": {
+        "prop14.roundtrip", "prop4.anti_roundtrip_params", "prop4.anti_roundtrip_points",
+        "prop6.orthogonality", "thm1.child_circumcircle", "thm1.cor9_axes",
+    },
+    "nudge-step-excess": {
+        "prop14.roundtrip", "prop4.anti_roundtrip_params", "prop4.anti_roundtrip_points",
+        "thm1.cor9_axes", "thm1.x182_formula",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_every_mutant_but_the_raising_one_fails_by_residual(name):
+    assert set(MUTATIONS) == set(MUTANT_KILLS)
+    failed = [r for r in run_checks(samples=200, seed=0, step=MUTATIONS[name]) if not r.passed]
+    assert {r.check_id for r in failed} == MUTANT_KILLS[name]
+    if name == "flip-step-sign":
+        assert all(r.samples_used == 0 for r in failed)
+    else:
+        # a residual killed it: every failing row completed its samples
+        assert all(r.samples_used > 0 and math.isfinite(r.max_residual) for r in failed)
+        # the step raises nothing and lands about 1e-9 off the true one
+        true = recurrence.step_forward(PorismParams(1.25, 1.75))
+        nudged = MUTATIONS[name](PorismParams(1.25, 1.75))
+        assert nudged != true
+        assert abs(nudged.R - true.R) <= 2e-9 * true.R
+        assert abs(nudged.u_excess - true.u_excess) <= 2e-9 * true.u_excess
+
+
 def test_the_mutant_step_is_unpatched_after_the_run(monkeypatch):
     real = recurrence.step_forward
     run_checks(samples=5, filter_prefix="thm2.", step=MUTATIONS["flip-step-sign"])
@@ -488,10 +526,10 @@ def _assert_no_child_left():
     "kwargs",
     [
         {},
-        {"step": MUTATIONS["flip-step-sign"]},
+        *({"step": MUTATIONS[name]} for name in sorted(MUTATIONS)),
         {"filter_prefix": "thm1."},
     ],
-    ids=["all", "flip-step-sign", "thm1"],
+    ids=["all", *sorted(MUTATIONS), "thm1"],
 )
 def test_reports_do_not_depend_on_the_cpu_count(monkeypatch, kwargs):
     runs = []

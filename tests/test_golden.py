@@ -23,12 +23,14 @@ VERIFY_DIGEST = "001dbf21ddae11da72596977fab3b803927ffef3ddf18c1d93e3137e92e43cb
 
 # more verify runs -> (exit code, digest): they pin the draw order where
 # the scene count floors at 20 (samples 20), on an odd split of the
-# closure draws (333) and under a mutant step, which exits 1 with one
+# closure draws (333) and under each mutant step, which exits 1 with one
 # FAIL line per failed check
 VERIFY_RUN_DIGESTS = {
     ("--samples", "20", "--seed", "1"): (0, "e9916ab36b24bc457656737036dd8a95f041bd120a8ee00a4a57e5cf25bb07af"),
     ("--samples", "333", "--seed", "11"): (0, "5961c5b9b4714ce5fa3668e1716b1e7fdcc215f599e1123ae5af68c1037b01e9"),
     ("--mutate", "flip-step-sign", "--samples", "200", "--seed", "0"): (1, "32407bb00fab1a2bead27fa6b34fb2fcbb83efccc8bb91d9f965ed0cf6acc2f2"),
+    ("--mutate", "nudge-step-R", "--samples", "200", "--seed", "0"): (1, "113a1c98f99a0e304739dce488397e28c1ca2001b2709eac0fbcdaaba8ef39e2"),
+    ("--mutate", "nudge-step-excess", "--samples", "200", "--seed", "0"): (1, "27002f5170b27f372ac79fad88f30baacf7fae9c7d1c809adf7c1d37bc42bcb3"),
 }
 
 FIGURE_DIGESTS = {

@@ -64,7 +64,8 @@ def _commands(out: str, figures: list[str]) -> list[list[str]]:
     return [
         ["verify", "--samples", "1", "--out", out],
         ["verify", "--samples", "1", "--format", "csv", "--out", out],
-        ["verify", "--samples", "1", "--mutate", "flip-step-sign", "--out", out],
+        *(["verify", "--samples", "1", "--mutate", name, "--out", out]
+          for name in ("flip-step-sign", "nudge-step-R", "nudge-step-excess")),
         ["verify", "--filter", "no.such.check"],
         ["orbit", "--R0", "1", "--u0", "2", "--out", out],
         ["orbit", "--R0", "1", "--u0", "2", "--direction", "back", "--format", "json",

@@ -18,7 +18,6 @@ from .geom import (
     Triangle,
     check_radius,
     inversion_xy,
-    line_direction,
     tuple_new,
     unit_xy,
 )
@@ -72,9 +71,12 @@ def _turned_sides(P0: Point, P1: Point, P2: Point, c: float, s: float) -> Meets:
     """
     (x0, y0), (x1, y1), (x2, y2) = P0, P1, P2
     dx0, dy0, dx1, dy1, dx2, dy2 = x1 - x0, y1 - y0, x2 - x1, y2 - y1, x0 - x2, y0 - y2
-    ax, ay = line_direction(c * dx0 - s * dy0, s * dx0 + c * dy0)
-    bx, by = line_direction(c * dx1 - s * dy1, s * dx1 + c * dy1)
-    cx, cy = line_direction(c * dx2 - s * dy2, s * dx2 + c * dy2)
+    ax, ay = c * dx0 - s * dy0, s * dx0 + c * dy0
+    bx, by = c * dx1 - s * dy1, s * dx1 + c * dy1
+    cx, cy = c * dx2 - s * dy2, s * dx2 + c * dy2
+    ax, ay = unit_xy(ax, ay, math.hypot(ax, ay))
+    bx, by = unit_xy(bx, by, math.hypot(bx, by))
+    cx, cy = unit_xy(cx, cy, math.hypot(cx, cy))
     d01, d12, d20 = ax * by - ay * bx, bx * cy - by * cx, cx * ay - cy * ax
     if abs(d01) < 1e-14 or abs(d12) < 1e-14 or abs(d20) < 1e-14:
         raise GeometryError("lines are parallel")

@@ -13,11 +13,7 @@ Brocard point labels each generation.  An orbit is the list of posed
 scenes that :func:`orbit_scenes` walks with :func:`child_scene` or
 :func:`anti_scene`; it is the only code that takes more than one step,
 and each orbit measure below takes the walk it measures.  ``MUTATIONS``
-names the deliberately broken steps that ``brocard verify --mutate``
-runs in place of :func:`step_forward`: ``flip-step-sign``, which sends
-u below sqrt(3) and so raises, and ``nudge-step-R`` and
-``nudge-step-excess``, which scale R or the u excess of the true step by
-1 + 1e-9 and raise nothing.
+names the broken steps that ``brocard verify --mutate`` runs instead.
 """
 
 from __future__ import annotations

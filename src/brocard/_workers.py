@@ -6,7 +6,8 @@ index at a time, until it is empty: n - 1 children start at once and one
 more when the caller's share is done.  So what ``work`` changes in the
 caller (a counter, a cache, a tracer's spans) does not depend on timing.
 A child sends its ``(index, result)`` pairs up a pipe as one ``marshal``
-blob, so a result must be plain values (numbers, strings, tuples, lists).
+blob, so a result must be plain values (numbers, strings, tuples, lists),
+and not ``None``, which stands for an item whose child was lost.
 Forked, not spawned: a child starts from the caller's state, patches
 included, and imports nothing.  One process does all the work where
 ``os.fork`` or the CPU affinity query is missing, for a single item, and
@@ -35,16 +36,13 @@ def worker_count(items: int) -> int:
     return min(len(os.sched_getaffinity(0)), items)
 
 
-def split(
-    items: list[str], work: Callable[[str], object], lost: Callable[[str], object]
-) -> list:
+def split(items: list[str], work: Callable[[str], object]) -> list:
     """``work(item)`` of every item, in item order, whichever worker ran it.
 
     A child whose results come back short or unreadable (it was killed, or
-    ``work`` left through ``os._exit``) gives ``lost(item)``, computed by
-    the caller, for each item it had taken.  A failed ``os.fork`` stops
-    the forking, and the caller then pulls items too.  Every child is
-    reaped before this returns or raises.
+    ``work`` left through ``os._exit``) gives ``None`` for each item it had
+    taken.  A failed ``os.fork`` stops the forking, and the caller then
+    pulls items too.  Every child is reaped before this returns or raises.
     """
     n = worker_count(len(items))
     if n == 1:
@@ -85,7 +83,7 @@ def split(
                 done.update(marshal.loads(blob))
             except (EOFError, ValueError, TypeError):
                 pass  # the items this child took have no result
-        return [done[k] if k in done else lost(i) for k, i in enumerate(items)]
+        return [done.get(k) for k in range(len(items))]
     finally:
         for read in (tickets, *reads):
             os.close(read)

@@ -17,7 +17,8 @@ seed and its id, so results do not depend on execution order, nor on
 which process runs a check.  :func:`run_checks` therefore runs one
 worker per usable CPU: the caller runs a fixed share of the selected
 checks and forked children pull the rest, each taking the next check
-whenever it is free; the children send their rows back over a pipe.
+whenever it is free.  A worker returns each check's worst residual and
+sample count; the caller adds the claim and tolerance to make its report.
 Patches made before the call hold in every worker; side effects of a
 check body (a counter it bumps, the ``_web_field_sweep`` cache it fills,
 a tracer's spans) stay in the worker that ran it.  A NaN residual is
@@ -1180,7 +1181,9 @@ def run_checks(
     One worker per usable CPU runs the selected checks (see
     :mod:`brocard._workers`): the caller a fixed share, forked children
     the rest, each child taking the next check in registry order when it
-    is free; results do not depend on which process runs a check.
+    is free; results do not depend on which process runs a check.  A
+    worker returns ``(worst residual, samples)`` of each check it runs;
+    the caller adds the registry's claim and tolerance to make each report.
     While the call runs, ``step`` is ``step_forward`` in every ``brocard``
     module that binds that name, a process-wide patch that every worker
     inherits; each module gets its own binding back when the call returns
@@ -1189,9 +1192,8 @@ def run_checks(
     sorted by check id regardless of execution order.  A check passes only
     if it ran at least one sample and its residual is within its tolerance;
     a NaN residual never passes.  A check that raises, or whose body
-    returns no residual for an input, is reported with an infinite
-    residual and zero samples, and so is each check that a dying worker
-    had taken.  Raises
+    returns no residual for an input, measures ``(inf, 0)``, and so does
+    each check that a dying worker had taken.  Raises
     :class:`UnknownCheckFilterError` when the filter matches no id.
     """
     selected = [
@@ -1200,31 +1202,32 @@ def run_checks(
     if not selected:
         raise UnknownCheckFilterError(filter_prefix)
 
-    def row(check_id: str, run: bool = True) -> tuple:
-        claim, tol, inputs, body = _REGISTRY[check_id]
-        # zero samples, which fails at any tolerance: the check raised, an
-        # input gave no residual, or its worker was lost before it reported
-        residual, used = math.inf, 0
-        if run:
-            rng = random.Random(f"{seed}:{check_id}")
-            try:
-                # the inputs are pulled one at a time, between body calls
-                per_input = [_worst_of(body(x)) for x in inputs(rng, max(1, samples))]
-                residual, used = worst(per_input), len(per_input)
-            except Exception:
-                pass
-        return check_id, claim, residual, tol, used > 0 and residual <= tol, used
+    def measure(check_id: str) -> tuple[float, int]:
+        _, _, inputs, body = _REGISTRY[check_id]
+        rng = random.Random(f"{seed}:{check_id}")
+        try:
+            # the inputs are pulled one at a time, between body calls
+            per_input = [_worst_of(body(x)) for x in inputs(rng, max(1, samples))]
+        except Exception:
+            return math.inf, 0
+        return worst(per_input), len(per_input)
 
     bound = {m: m.step_forward for name, m in list(sys.modules.items())
              if name.startswith("brocard.") and "step_forward" in vars(m)}
     try:
         for m in bound:
             m.step_forward = step
-        # rows are plain tuples, so a worker's rows cross a pipe as one blob
-        rows = split(selected, row, lambda check_id: row(check_id, run=False))
+        measured = split(selected, measure)
     finally:
         for m, original in bound.items():
             m.step_forward = original
-    reports = [CheckReport(*r) for r in rows]
-    reports.sort(key=lambda r: r.check_id)
+    reports = []
+    # the ids are distinct, so the pairs sort by id alone
+    for check_id, got in sorted(zip(selected, measured)):
+        claim, tol = _REGISTRY[check_id][:2]
+        # zero samples, which fails at any tolerance: the check raised, an
+        # input gave no residual, or its worker was lost before it reported
+        residual, used = got or (math.inf, 0)
+        passed = used > 0 and residual <= tol
+        reports.append(CheckReport(check_id, claim, residual, tol, passed, used))
     return reports

@@ -9,7 +9,8 @@ computes that as 2sin^2(t/2) or through tan(t/2), so it keeps its digits
 as t nears 0.  The member at t is the posed porism scene :func:`bt_scene`
 builds.  The Beltrami circles have unit radius about (-1/2, 0) and
 (1/2, 0), the discrete recurrence embeds as a step t -> t' inside the
-family, and the ellipses and Brocard circles weave an orthogonal web
+family, one fold checks E_t's envelope contacts on the envelope or on the
+Brocard circle, and the ellipses and Brocard circles weave an orthogonal web
 whose right-angle locus is the quartic 16x^4 + 8x^2 + 4y^2 - 3 = 0.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .geom import (
     Circle,
@@ -174,14 +175,17 @@ def envelope_conic_residual(p: Point) -> float:
     return abs(4.0 * p.x * p.x + p.y * p.y - 1.0)
 
 
-def envelope_residual(t: float) -> float:
-    """Residual of both envelope contacts of E_t on the envelope and on E_t."""
+def _contact_residual(t: float, on_curve: Callable[[Point], float]) -> float:
+    """Worst residual of both envelope contacts of E_t on ``on_curve`` and on E_t."""
     e = ellipse_Et(t)
     return worst(
-        r
-        for p in envelope_points(t)
-        for r in (envelope_conic_residual(p), e.implicit_residual(p))
+        r for p in envelope_points(t) for r in (on_curve(p), e.implicit_residual(p))
     )
+
+
+def envelope_residual(t: float) -> float:
+    """Residual of both envelope contacts of E_t on the envelope and on E_t."""
+    return _contact_residual(t, envelope_conic_residual)
 
 
 def gamma_nesting_residual(t_small_circle: float, t_big_circle: float) -> float:
@@ -216,13 +220,7 @@ def kt_inellipse_intersection_check(t: float) -> float:
     """
     if not 0.0 < t <= T_CRITICAL:
         raise GeometryError("t outside range")
-    k = brocard_circle_Kt(t)
-    e = ellipse_Et(t)
-    return worst(
-        r
-        for p in envelope_points(t)
-        for r in (k.membership_residual(p), e.implicit_residual(p))
-    )
+    return _contact_residual(t, brocard_circle_Kt(t).membership_residual)
 
 
 # The two Beltrami circles of the family, (x +- 1/2)^2 + y^2 = 1, and the

@@ -10,7 +10,8 @@ sqrt(u^2 - 3) when built; the scene derives and checks its unit-scale sizes
 inellipse once, at its first read.  Once per porism, at its first member,
 the scene keeps the t-independent terms of its isosceles chart
 (:func:`_member_chart`); each member costs the terms in t and the pose's
-map.  The canonical frame puts the circumcenter at the origin with the
+map; :func:`vertices_at`, on plain isosceles params, derives it per call.
+The canonical frame puts the circumcenter at the origin with the
 symmedian point straight below it and the inellipse's major axis along +x;
 ``pose``, any similarity, maps that frame into world coordinates, and
 every object a scene returns is world-frame.  X3, X39 and X182 are the
@@ -99,6 +100,8 @@ class _IsoscelesParams(NamedTuple):
 class IsoscelesParams(Validating, _IsoscelesParams):
     """Half-base d and height h of the isosceles member, apex up."""
 
+    __slots__ = ()
+
     def __new__(cls, d: float, h: float) -> "IsoscelesParams":
         if not (d > 0.0 and h > 0.0):
             raise DegeneratePorismError("degenerate porism")
@@ -107,9 +110,6 @@ class IsoscelesParams(Validating, _IsoscelesParams):
     @property
     def zeta(self) -> float:
         return self.d * self.d + self.h * self.h
-
-    # the member chart, derived when the first member is drawn
-    _chart = lazy(lambda self: _member_chart(self))
 
 
 # the half-base 1, height 2 porism: the checks' worked example and the
@@ -319,12 +319,12 @@ def vertices_at(iso: IsoscelesParams, t: float) -> Triangle:
     """Member triangle of the porism at parameter t.
 
     The first vertex is R*(cos t, sin t); the other two come from rational
-    trigonometric expressions in the isosceles chart, ``iso._chart``.
+    trigonometric expressions in the isosceles chart, :func:`_member_chart`.
     Isolated t values make a denominator vanish (the member degenerates);
     those raise, and samplers should perturb t.  Vertices are reordered
     counterclockwise.
     """
-    ax, ay, bx, by, cx, cy = _member_xy(iso._chart, t)
+    ax, ay, bx, by, cx, cy = _member_xy(_member_chart(iso), t)
     return Triangle.oriented(tuple_new(Point, (ax, ay)), tuple_new(Point, (bx, by)),
                              tuple_new(Point, (cx, cy)))
 

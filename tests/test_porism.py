@@ -602,13 +602,6 @@ def test_member_chart_never_goes_stale(same_route):
     ):
         for t in ts:
             same_route(scene_member, _reference_scene_member, derived, t)
-    # an iso's own chart rides along a copy and a pickle round trip
-    iso = dh_from_Ru(other)
-    vertices_at(iso, 0.3)
-    for again in (copy.copy(iso), pickle.loads(pickle.dumps(iso))):
-        assert repr(vars(again)) == repr(vars(iso))
-        for t in ts:
-            assert repr(vertices_at(again, t)) == repr(vertices_at(IsoscelesParams(*iso), t))
 
 
 def test_a_singular_member_leaves_the_chart_intact(same_route):
@@ -646,10 +639,6 @@ def test_member_chart_is_derived_once_per_porism(monkeypatch):
     for _ in range(24):
         scene_member(scene, rng.uniform(-math.pi, math.pi))
     assert derived == [dh_from_Ru(scene.params)]
-    iso = IsoscelesParams(1.0, 2.0)
-    for _ in range(24):
-        vertices_at(iso, rng.uniform(-math.pi, math.pi))
-    assert derived == [dh_from_Ru(scene.params), iso] and derived[1] is iso
 
 
 def test_derived_values_cannot_be_reassigned():
@@ -657,20 +646,14 @@ def test_derived_values_cannot_be_reassigned():
     scene = scene_from_Ru(params, Pose(Point(0.5, -1.0), 0.5 * math.pi, True, 2.0))
     iso = dh_from_Ru(params)
     before = (repr(scene.X6), repr(scene.inellipse), repr(scene_member(scene, 0.3)))
-    vertices_at(iso, 0.3)
     for value, name in (
         (params, "gap"), (scene.pose, "_map"), (scene, "_sizes"),
-        (scene, "_member"), (scene, "inellipse"), (iso, "_chart"), (params, "R"), (iso, "d"),
+        (scene, "_member"), (scene, "inellipse"), (params, "R"), (iso, "d"),
     ):
         kept = getattr(value, name)
         with pytest.raises(AttributeError, match="immutable"):
             setattr(value, name, 0.0)
         assert getattr(value, name) is kept, name
-    # a name not derived yet cannot be set either
-    fresh = IsoscelesParams(1.0, 2.0)
-    with pytest.raises(AttributeError, match="immutable"):
-        fresh._chart = ()
-    assert "_chart" not in vars(fresh)
     assert params == PorismParams(1.0, 2.0) and params.gap == PorismParams(1.0, 2.0).gap
     assert (repr(scene.X6), repr(scene.inellipse), repr(scene_member(scene, 0.3))) == before
 
@@ -693,30 +676,6 @@ def _kept_lazily(value, twin, replaced, name):
     with pytest.raises(AttributeError, match="immutable"):
         setattr(value, name, kept)
     assert vars(value)[name] is kept
-
-
-def test_member_chart_is_kept_lazily(monkeypatch):
-    derived, chart = [], porism._member_chart
-
-    def counting(iso):
-        derived.append(iso)
-        return chart(iso)
-
-    monkeypatch.setattr(porism, "_member_chart", counting)
-    iso, twin = IsoscelesParams(1.0, 2.0), IsoscelesParams(1.0, 2.0)
-    replaced = iso._replace(h=3.0)
-    _kept_lazily(iso, twin, replaced, "_chart")
-    assert len(derived) == 3
-    assert derived[0] is iso and derived[1] is twin and derived[2] is replaced
-    assert repr(replaced._chart) == repr(chart(IsoscelesParams(1.0, 3.0)))
-    # a derivation that raises keeps nothing, and the next read derives again
-    fresh = IsoscelesParams(1.0, 2.0)
-    monkeypatch.setattr(porism, "_member_chart", lambda iso: 1 / 0)
-    with pytest.raises(ZeroDivisionError):
-        fresh._chart
-    assert "_chart" not in vars(fresh)
-    monkeypatch.setattr(porism, "_member_chart", counting)
-    assert repr(fresh._chart) == repr(iso._chart) and derived[-1] is fresh
 
 
 def test_scene_member_data_is_kept_lazily(monkeypatch):

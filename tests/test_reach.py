@@ -40,7 +40,6 @@ ALLOWED = {
     ("__init__.py", "__getattr__"),
     ("__init__.py", "__dir__"),
     ("checks.py", "check_ids"),
-    ("checks.py", "run_checks.<locals>.<lambda>"),
 }
 
 COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}

@@ -22,7 +22,7 @@ def _split_logged(tmp_path, items):
             os.write(log, f"{os.getpid()} {item}\n".encode())
             return item
 
-        results = _workers.split(items, work, lambda item: None)
+        results = _workers.split(items, work)
     finally:
         os.close(log)
     with pytest.raises(ChildProcessError):

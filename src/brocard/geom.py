@@ -289,7 +289,8 @@ class Pose(Validating, _Pose):
     """Similarity map from a local frame into the world frame.
 
     Application order: optional x-axis mirror (x -> -x), then rotation,
-    then uniform scale, then translation.
+    then uniform scale, then translation.  The translation may be given as
+    any finite pair; the pose keeps it as a ``Point``.
     """
 
     # no __slots__: the map ``_map``, (c, s, scale, tx, ty, reflect_x) with
@@ -301,8 +302,10 @@ class Pose(Validating, _Pose):
             raise GeometryError("pose scale must be positive and finite")
         if not math.isfinite(rotation):
             raise GeometryError("pose rotation must be finite")
-        self = tuple_new(cls, (translation, rotation, reflect_x, scale))
         tx, ty = translation
+        if not (math.isfinite(tx) and math.isfinite(ty)):
+            raise GeometryError("pose translation must be finite")
+        self = tuple_new(cls, (tuple_new(Point, (tx, ty)), rotation, reflect_x, scale))
         self.__dict__["_map"] = (math.cos(rotation), math.sin(rotation), scale, tx, ty, reflect_x)
         return self
 
@@ -325,7 +328,7 @@ class Pose(Validating, _Pose):
         """Pose acting as ``self`` after ``other``."""
         sign = -1.0 if self.reflect_x else 1.0
         return Pose(
-            translation=self.map_xy(other.translation.x, other.translation.y),
+            translation=self.map_xy(*other.translation),
             rotation=self.rotation + sign * other.rotation,
             reflect_x=self.reflect_x != other.reflect_x,
             scale=self.scale * other.scale,

@@ -107,6 +107,7 @@ NO_DIRECTION = "line requires a nonzero direction"
 BAD_RADIUS = "circle requires a finite radius >= 0"
 BAD_AXES = "ellipse requires semi_major >= semi_minor >= 0"
 BAD_SCALE = "pose scale must be positive and finite"
+BAD_TRANSLATION = "pose translation must be finite"
 
 
 @pytest.mark.parametrize(
@@ -128,8 +129,16 @@ BAD_SCALE = "pose scale must be positive and finite"
         (lambda: Triangle(P0, Q, Q * 2.0), DegenerateTriangleError, "degenerate triangle"),
         (lambda: Pose(scale=0.0), GeometryError, BAD_SCALE),
         (lambda: Pose(rotation=math.nan), GeometryError, "pose rotation must be finite"),
-        # scale is checked before rotation
+        # scale is checked before rotation, and rotation before translation
         (lambda: Pose(rotation=math.inf, scale=-1.0), GeometryError, BAD_SCALE),
+        (lambda: Pose(Point(math.nan, 0.0), math.nan), GeometryError,
+         "pose rotation must be finite"),
+        *(
+            pytest.param(lambda xy=xy: Pose(xy), GeometryError, BAD_TRANSLATION,
+                         id=f"Pose({xy})")
+            for bad in (math.nan, math.inf, -math.inf)
+            for xy in (Point(bad, 0.0), Point(0.0, bad), (bad, 1.0), (1.0, bad))
+        ),
         # _make, and _replace through it, build through the same checks
         pytest.param(
             lambda: Line(P0, Q)._replace(direction=P0), GeometryError, NO_DIRECTION,
@@ -487,6 +496,22 @@ def test_pose_compose_and_inverse_are_bit_exact():
         t = pose.translation * -1.0
         q = Point(-t.x, t.y) if inv.reflect_x else t
         assert repr(inv.translation) == repr(q.rotated(inv.rotation) * inv.scale)
+
+
+def test_a_pose_keeps_any_translation_pair_as_a_point():
+    twin = Pose(Point(1.0, -0.0), 0.5, True, 2.0)
+    built = Pose((1.0, -0.0), 0.5, True, 2.0)
+    assert type(built.translation) is Point
+    assert built == twin and repr(built) == repr(twin) and repr(vars(built)) == repr(vars(twin))
+    assert repr(Pose()._replace(translation=(1.0, -0.0))) == repr(Pose(Point(1.0, -0.0)))
+    with pytest.raises(GeometryError, match=BAD_TRANSLATION):
+        Pose()._replace(translation=(math.nan, 0.0))
+    # either side of a composition may be built from a tuple
+    other = Pose(Point(-0.5, 0.25), 1.1, False, 0.5)
+    for first, second in ((Pose(), built), (built, other), (other, built)):
+        got = first.compose(second)
+        want = (twin if first is built else first).compose(twin if second is built else second)
+        assert repr(got) == repr(want) and repr(vars(got)) == repr(vars(want))
 
 
 def test_pose_equality_hash_and_repr_see_only_fields():

@@ -298,7 +298,7 @@ def test_raised_check_fails_at_infinite_tolerance(declare):
     (report,) = run_checks(
         samples=20, filter_prefix="zz.", step=MUTATIONS["flip-step-sign"]
     )
-    assert report.tolerance == math.inf
+    assert (report.check_id, report.claim, report.tolerance) == ("zz.raised", "raises", math.inf)
     assert report.samples_used == 0
     assert not report.passed
 
@@ -589,6 +589,9 @@ def _raise():
     raise DegeneratePorismError("raised in a child")
 
 
+_CLAIMS = [(f"claim of zz.{k}", 0.5 + k) for k in range(4)]
+
+
 # With two CPUs and the four checks zz.0 .. zz.3, the caller runs its
 # share zz.0 and zz.3, and the children pull zz.1 and then zz.2: one
 # child starts at once and a second when the caller's share is done.
@@ -596,7 +599,8 @@ def _raise():
 
 def _four_checks(monkeypatch, declare, actions):
     """zz.0 .. zz.3 on two CPUs: zz.k runs ``actions[k]()``, if given, in
-    whichever process runs it, and then passes with 0.25."""
+    whichever process runs it, and then passes with 0.25; each has its own
+    claim and tolerance, ``_CLAIMS[k]``."""
 
     def body(action):
         def run(_):
@@ -606,7 +610,8 @@ def _four_checks(monkeypatch, declare, actions):
         return run
 
     for k in range(4):
-        declare(f"zz.{k}", body(actions.get(k, lambda: None)))
+        claim, tolerance = _CLAIMS[k]
+        declare(f"zz.{k}", body(actions.get(k, lambda: None)), tolerance=tolerance, claim=claim)
     _cpus(monkeypatch, 2)
 
 
@@ -625,14 +630,20 @@ def _wait(read):
 
 
 def _rows(reports):
-    return [(r.check_id, r.max_residual, r.samples_used, r.passed) for r in reports]
+    return [
+        (r.check_id, r.claim, r.tolerance, r.max_residual, r.samples_used, r.passed)
+        for r in reports
+    ]
 
 
 def _expected(failed):
-    return [
-        (i, math.inf, 0, False) if i in failed else (i, 0.25, 1, True)
-        for i in ("zz.0", "zz.1", "zz.2", "zz.3")
-    ]
+    """The rows of zz.0 .. zz.3, each with its registry claim and
+    tolerance, raised or lost or not."""
+    rows = []
+    for k, (claim, tolerance) in enumerate(_CLAIMS):
+        measured = (math.inf, 0, False) if f"zz.{k}" in failed else (0.25, 1, True)
+        rows.append((f"zz.{k}", claim, tolerance, *measured))
+    return rows
 
 
 def test_a_lost_worker_fails_its_checks(monkeypatch, declare, started):

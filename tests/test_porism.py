@@ -604,6 +604,20 @@ def test_member_chart_never_goes_stale(same_route):
             same_route(scene_member, _reference_scene_member, derived, t)
 
 
+def test_isosceles_params_are_a_plain_value():
+    iso = dh_from_Ru(PorismParams(2.0, 3.1))
+    rng = random.Random(48)
+    ts = [rng.uniform(-math.pi, math.pi) for _ in range(6)]
+    want = [repr(vertices_at(iso, t)) for t in ts]
+    assert not hasattr(iso, "__dict__")
+    for name in ("d", "_chart", "anything"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(iso, name, 0.0)
+    for again in (copy.copy(iso), pickle.loads(pickle.dumps(iso)), IsoscelesParams(*iso)):
+        assert type(again) is IsoscelesParams and again == iso
+        assert [repr(vertices_at(again, t)) for t in ts] == want
+
+
 def test_a_singular_member_leaves_the_chart_intact(same_route):
     """24 members per scene in random t order, one of them at the chart's
     singularity in the middle of the run: every other member is the one a

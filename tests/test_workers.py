@@ -62,3 +62,20 @@ def test_tickets_past_pipe_buf_never_block_the_caller(monkeypatch, tmp_path):
     assert results == items
     assert sorted(ran) == sorted(items)
     assert mine == items[::3]
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+def test_a_lost_child_gives_none_for_the_item_it_took(monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    parent = os.getpid()
+
+    def work(item):
+        # i1 is never in the caller's share, and the child that takes it
+        # takes nothing before it: the tickets go out in item order
+        if item == "i1" and os.getpid() != parent:
+            os._exit(3)
+        return item.upper()
+
+    assert _workers.split(["i0", "i1", "i2", "i3"], work) == ["I0", None, "I2", "I3"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -1217,17 +1217,16 @@ def run_checks(
     try:
         for m in bound:
             m.step_forward = step
-        measured = split(selected, measure)
+        measured = dict(zip(selected, split(selected, measure)))
     finally:
         for m, original in bound.items():
             m.step_forward = original
     reports = []
-    # the ids are distinct, so the pairs sort by id alone
-    for check_id, got in sorted(zip(selected, measured)):
+    for check_id in sorted(measured):
         claim, tol = _REGISTRY[check_id][:2]
         # zero samples, which fails at any tolerance: the check raised, an
         # input gave no residual, or its worker was lost before it reported
-        residual, used = got or (math.inf, 0)
+        residual, used = measured[check_id] or (math.inf, 0)
         passed = used > 0 and residual <= tol
         reports.append(CheckReport(check_id, claim, residual, tol, passed, used))
     return reports

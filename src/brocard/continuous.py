@@ -178,9 +178,7 @@ def envelope_conic_residual(p: Point) -> float:
 def _contact_residual(t: float, on_curve: Callable[[Point], float]) -> float:
     """Worst residual of both envelope contacts of E_t on ``on_curve`` and on E_t."""
     e = ellipse_Et(t)
-    return worst(
-        r for p in envelope_points(t) for r in (on_curve(p), e.implicit_residual(p))
-    )
+    return worst(r for p in envelope_points(t) for r in (on_curve(p), e.implicit_residual(p)))
 
 
 def envelope_residual(t: float) -> float:

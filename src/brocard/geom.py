@@ -289,8 +289,7 @@ class Pose(Validating, _Pose):
     """Similarity map from a local frame into the world frame.
 
     Application order: optional x-axis mirror (x -> -x), then rotation,
-    then uniform scale, then translation.  The translation may be given as
-    any finite pair; the pose keeps it as a ``Point``.
+    then uniform scale, then translation: any finite pair, kept as a Point.
     """
 
     # no __slots__: the map ``_map``, (c, s, scale, tx, ty, reflect_x) with

@@ -304,7 +304,9 @@ class Pose(Validating, _Pose):
         tx, ty = translation
         if not (math.isfinite(tx) and math.isfinite(ty)):
             raise GeometryError("pose translation must be finite")
-        self = tuple_new(cls, (tuple_new(Point, (tx, ty)), rotation, reflect_x, scale))
+        if type(translation) is not Point:
+            translation = tuple_new(Point, (tx, ty))
+        self = tuple_new(cls, (translation, rotation, reflect_x, scale))
         self.__dict__["_map"] = (math.cos(rotation), math.sin(rotation), scale, tx, ty, reflect_x)
         return self
 

@@ -17,8 +17,7 @@ seed and its id, so results do not depend on execution order, nor on
 which process runs a check.  :func:`run_checks` therefore runs one
 worker per usable CPU: the caller runs a fixed share of the selected
 checks and forked children pull the rest, each taking the next check
-whenever it is free.  A worker returns each check's worst residual and
-sample count; the caller adds the claim and tolerance to make its report.
+whenever it is free; the caller builds the rows from what workers measured.
 Patches made before the call hold in every worker; side effects of a
 check body (a counter it bumps, the ``_web_field_sweep`` cache it fills,
 a tracer's spans) stay in the worker that ran it.  A NaN residual is

@@ -328,26 +328,18 @@ def web_orthogonality_residuals(t: float, samples: int = 64) -> WebResiduals:
     c, s = math.cos(t), math.sin(t)
     five = 5.0 - 4.0 * c
     deep, low = 3.0 * (2.0 * c - 1.0) / (2.0 * five), -3.0 * s / five
-    # the deep points, then the foci, each with the center of its arc
-    pts = zip(
-        (tuple_new(Point, (-deep, low)), tuple_new(Point, (deep, low)), *foci_Et(t)),
-        BELTRAMI_CENTERS * 2,
-    )
-    k = brocard_circle_Kt(t)
+    (kx, ky), kr = brocard_circle_Kt(t)
     inner_products = []
     membership = []
-    for p, arc_center in pts:
-        membership += (k.membership_residual(p), abs(p.dist(arc_center) - 1.0))
-        grad_circle = p - arc_center
-        grad_k = p - k.center
-        inner_products.append(abs(grad_circle.dot(grad_k)) * 4.0)
-    quartic_max_dev, axis_max_dev = _web_field_sweep(samples)
-    return WebResiduals(
-        point_inner_products=tuple(inner_products),
-        point_membership_max=worst(membership),
-        quartic_angle_max_dev=quartic_max_dev,
-        axis_parallel_max_dev=axis_max_dev,
-    )
+    # the deep points, then the foci, each with the center of its arc; g is
+    # the arc's gradient there and h the Brocard circle's
+    for (px, py), (ax, ay) in zip(((-deep, low), (deep, low), *foci_Et(t)), BELTRAMI_CENTERS * 2):
+        gx, gy = px - ax, py - ay
+        hx, hy = px - kx, py - ky
+        membership += (abs(math.hypot(hx, hy) - kr), abs(math.hypot(gx, gy) - 1.0))
+        inner_products.append(abs(gx * hx + gy * hy) * 4.0)
+    sweeps = _web_field_sweep(samples)
+    return tuple_new(WebResiduals, (tuple(inner_products), worst(membership), *sweeps))
 
 
 def lower_vertex_y(t: float) -> float:

@@ -57,7 +57,7 @@ class Point(NamedTuple):
         return math.hypot(self.x, self.y)
 
     def dist(self, other: "Point") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
+        return math.dist(self, other)
 
     def rotated(self, angle: float) -> "Point":
         c, s = math.cos(angle), math.sin(angle)

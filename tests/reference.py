@@ -9,6 +9,16 @@ forms and the recurrence's offsets replaced.  No command runs them, so
 they live here.
 """
 
+import math
+
+from brocard.continuous import (
+    BELTRAMI_CENTERS,
+    WebResiduals,
+    _check_range,
+    _web_field_sweep,
+    brocard_circle_Kt,
+    foci_Et,
+)
 from brocard.geom import (
     Circle,
     Ellipse,
@@ -18,6 +28,7 @@ from brocard.geom import (
     Pose,
     Triangle,
     tuple_new,
+    worst,
 )
 
 
@@ -78,3 +89,33 @@ def inverse(pose: Pose) -> Pose:
     linear = Pose(tuple_new(Point, (-0.0, -0.0)), rotation, pose.reflect_x, inv_scale)
     t = pose.translation
     return Pose(linear.map_xy(-t.x, -t.y), rotation, pose.reflect_x, inv_scale)
+
+
+def web_orthogonality_residuals(t: float, samples: int = 64) -> WebResiduals:
+    """The conic web's residuals, with each point and gradient a ``Point``."""
+    _check_range(t, closed_top=False)
+    if samples < 3:
+        raise ValueError("the web sweep needs samples >= 3")
+    c, s = math.cos(t), math.sin(t)
+    five = 5.0 - 4.0 * c
+    deep, low = 3.0 * (2.0 * c - 1.0) / (2.0 * five), -3.0 * s / five
+    # the deep points, then the foci, each with the center of its arc
+    pts = zip(
+        (tuple_new(Point, (-deep, low)), tuple_new(Point, (deep, low)), *foci_Et(t)),
+        BELTRAMI_CENTERS * 2,
+    )
+    k = brocard_circle_Kt(t)
+    inner_products = []
+    membership = []
+    for p, arc_center in pts:
+        membership += (k.membership_residual(p), abs(p.dist(arc_center) - 1.0))
+        grad_circle = p - arc_center
+        grad_k = p - k.center
+        inner_products.append(abs(grad_circle.dot(grad_k)) * 4.0)
+    quartic_max_dev, axis_max_dev = _web_field_sweep(samples)
+    return WebResiduals(
+        point_inner_products=tuple(inner_products),
+        point_membership_max=worst(membership),
+        quartic_angle_max_dev=quartic_max_dev,
+        axis_parallel_max_dev=axis_max_dev,
+    )

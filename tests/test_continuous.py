@@ -40,7 +40,7 @@ from brocard.geom import (
 )
 from brocard.porism import scene_member
 from brocard.recurrence import step_forward
-from reference import through
+from reference import through, web_orthogonality_residuals as web_reference
 
 SQRT3 = math.sqrt(3.0)
 
@@ -343,6 +343,24 @@ def test_web_orthogonality():
         assert w.point_membership_max < 1e-9
         assert w.quartic_angle_max_dev < 1e-7
         assert w.axis_parallel_max_dev < 1e-7
+
+
+def test_web_kernel_is_the_point_route_bit_for_bit():
+    """The scalar web kernel gives what its ``Point`` route gives, every bit
+    and signed zero, and raises what it raises."""
+    ts = [T_MAX * i / 40 for i in range(1, 40)]
+    ts += [1e-6, math.acos(0.75), T_CRITICAL, math.nextafter(T_MAX, 0.0)]
+    for samples in (3, 64, 100):
+        for t in ts:
+            assert repr(web_orthogonality_residuals(t, samples)) == repr(web_reference(t, samples))
+    for t, samples, kind, message in (
+        (T_MAX, 64, GeometryError, "t outside range"),
+        (0.5, 2, ValueError, "the web sweep needs samples >= 3"),
+    ):
+        for route in (web_orthogonality_residuals, web_reference):
+            with pytest.raises(kind, match=message) as raised:
+                route(t, samples)
+            assert raised.type is kind
 
 
 def test_family_records_value_semantics(value_semantics):

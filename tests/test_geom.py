@@ -2,8 +2,10 @@ import copy
 import math
 import pickle
 import random
+import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from brocard.checks import ellipse_foci
 from brocard.geom import (
@@ -44,6 +46,38 @@ def test_point_algebra():
     assert p.dot(q) == 1.0
     assert cross(p, q) == 7.0
     assert p.dist(q) == math.hypot(2.0, 3.0)
+
+
+# finite doubles, subnormals and signed zeros among them, and coordinates
+# within a factor 1.8 of the largest double, whose differences overflow
+_HUGE = st.floats(min_value=1e308, max_value=sys.float_info.max)
+_COORDINATE = st.floats(allow_nan=False, allow_infinity=False) | _HUGE | _HUGE.map(float.__neg__)
+_POINTS = st.builds(Point, _COORDINATE, _COORDINATE)
+
+
+@given(_POINTS, _POINTS)
+@example(Point(1.7e308, 0.0), Point(-1.7e308, 0.0))
+@example(Point(-0.0, 5e-324), Point(0.0, -5e-324))
+def test_dist_is_hypot_of_the_differences(p, q):
+    """``Point.dist`` is ``math.dist``, which rounds like ``math.hypot`` of
+    the two coordinate differences, overflow to inf included."""
+    assert repr(p.dist(q)) == repr(math.hypot(p.x - q.x, p.y - q.y))
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (Point(math.inf, 0.0), Point(1.0, 2.0)),
+        (Point(math.inf, 0.0), Point(math.inf, 0.0)),
+        (Point(-math.inf, math.nan), Point(0.0, 1.0)),
+        (Point(math.nan, 1.0), Point(0.0, 1.0)),
+        (Point(0.0, math.nan), Point(0.0, math.inf)),
+        (Point(math.nan, math.nan), Point(math.nan, math.nan)),
+    ],
+)
+def test_dist_is_hypot_of_non_finite_differences(p, q):
+    assert repr(p.dist(q)) == repr(math.hypot(p.x - q.x, p.y - q.y))
+    assert repr(q.dist(p)) == repr(math.hypot(q.x - p.x, q.y - p.y))
 
 
 def test_point_value_semantics():

@@ -62,9 +62,9 @@ from .continuous import (
     BELTRAMI_CENTERS,
     T_CRITICAL,
     T_MAX,
-    WebResiduals,
     X15,
     X16,
+    _web_field_sweep,
     brocard_circle_Kt,
     bt_scene,
     eccentricity_Et,
@@ -216,9 +216,9 @@ def _uniform(*bounds: tuple[float, float]) -> Sampler:
     return lambda rng: [rng.uniform(lo, hi) for lo, hi in bounds]
 
 
-def _random_shape(rng: random.Random) -> IsoscelesParams:
+def _random_shape(rng: random.Random, lo: float = 0.4, hi: float = 4.0) -> IsoscelesParams:
     d = rng.uniform(0.5, 2.0)
-    return IsoscelesParams(d, d * rng.uniform(0.4, 4.0))
+    return IsoscelesParams(d, d * rng.uniform(lo, hi))
 
 
 def _random_member_params(rng: random.Random) -> PorismParams:
@@ -236,8 +236,7 @@ def _random_chart_params(rng: random.Random) -> IsoscelesParams:
     against the canonical frame hold on the tall branch.
     """
     while True:
-        d = rng.uniform(0.5, 2.0)
-        iso = IsoscelesParams(d, d * rng.uniform(1.85, 4.5))
+        iso = _random_shape(rng, 1.85, 4.5)
         if Ru_from_dh(iso).u_excess > 1e-3:
             return iso
 
@@ -251,15 +250,17 @@ def _random_member(rng: random.Random, scene: PorismScene) -> Triangle:
             continue
 
 
-# a random porism: its parameters, its canonical scene and a random member
-Drawn = tuple[PorismParams, PorismScene, Triangle]
+# a porism's scene and one of its members
 Member = tuple[PorismScene, Triangle]
 
 
-def _random_triangle(rng: random.Random) -> Drawn:
-    params = _random_member_params(rng)
-    scene = scene_from_Ru(params)
-    return params, scene, _random_member(rng, scene)
+def _random_scene(rng: random.Random) -> PorismScene:
+    return scene_from_Ru(_random_member_params(rng))
+
+
+def _random_triangle(rng: random.Random) -> Member:
+    scene = _random_scene(rng)
+    return scene, _random_member(rng, scene)
 
 
 def _random_pose(rng: random.Random) -> Pose:
@@ -346,8 +347,8 @@ def _check_tangent_residual(drawn: tuple) -> Residuals:
 
 @check("geom.circumcircle_cyclic", 1e-12, _draws(_quarter, _random_triangle),
        "the circumcircle does not depend on the vertex ordering")
-def _check_circumcircle_cyclic(drawn: Drawn) -> Residuals:
-    tri = drawn[2]
+def _check_circumcircle_cyclic(member: Member) -> Residuals:
+    tri = member[1]
     base = circumcircle(tri)
     return [
         r
@@ -379,17 +380,17 @@ def brocard_concurrency_defect(t: Triangle) -> float:
 
 @check("def1.concurrency", 1e-9, _draws(100, _random_triangle),
        "the three rotated sides meet at one point for both rotation senses")
-def _check_concurrency(drawn: Drawn) -> Residuals:
-    return (brocard_concurrency_defect(drawn[2]),)
+def _check_concurrency(member: Member) -> Residuals:
+    return (brocard_concurrency_defect(member[1]),)
 
 
 @check("def1.mirror_swap", 1e-10, _draws(_quarter, _random_triangle),
        "mirroring the triangle swaps the two Brocard points")
-def _check_mirror_swap(drawn: Drawn) -> Residuals:
+def _check_mirror_swap(member: Member) -> Residuals:
     def mirror(p: Point) -> Point:
         return Point(-p.x, p.y)
 
-    tri = drawn[2]
+    tri = member[1]
     first, second = brocard_points_by_construction(tri)
     mirrored = Triangle(mirror(tri.A), mirror(tri.C), mirror(tri.B))
     first_m, second_m = brocard_points_by_construction(mirrored)
@@ -398,16 +399,16 @@ def _check_mirror_swap(drawn: Drawn) -> Residuals:
 
 @check("prop2.closed_form", 1e-9, _draws(100, _random_triangle),
        "constructed Brocard points match the scene's closed-form foci, with labels")
-def _check_closed_form_points(drawn: Drawn) -> Residuals:
-    _, scene, tri = drawn
+def _check_closed_form_points(member: Member) -> Residuals:
+    scene, tri = member
     first, second = brocard_points_by_construction(tri)
     return first.dist(scene.omega1), second.dist(scene.omega2)
 
 
 @check("lem2.focal_gap", 1e-10, _draws(_quarter, _random_triangle),
        "the Brocard point separation equals the focal distance of the inellipse")
-def _check_focal_gap(drawn: Drawn) -> Residuals:
-    _, scene, tri = drawn
+def _check_focal_gap(member: Member) -> Residuals:
+    scene, tri = member
     first, second = brocard_points_by_construction(tri)
     gap = first.dist(second)
     a, b = scene.inellipse.semi_major, scene.inellipse.semi_minor
@@ -421,10 +422,9 @@ def _check_focal_gap(drawn: Drawn) -> Residuals:
 # Beltrami / isodynamic structure
 
 
-@check("prop5.equilateral", 1e-9, _draws(_quarter, _random_member_params),
+@check("prop5.equilateral", 1e-9, _draws(_quarter, _random_scene),
        "each isodynamic point forms an equilateral triangle with the Beltrami points")
-def _check_equilateral_triangles(params: PorismParams) -> Residuals:
-    scene = scene_from_Ru(params)
+def _check_equilateral_triangles(scene: PorismScene) -> Residuals:
     p2, u2 = scene.beltrami_P2, scene.beltrami_U2
     return [
         abs(a.dist(b) - scene.beltrami_radius)
@@ -433,30 +433,29 @@ def _check_equilateral_triangles(params: PorismParams) -> Residuals:
     ]
 
 
-@check("prop5.isodynamic_membership", 1e-9, _draws(_quarter, _random_member_params),
+@check("prop5.isodynamic_membership", 1e-9, _draws(_quarter, _random_scene),
        "both isodynamic points lie on both Beltrami circles")
-def _check_isodynamic_membership(params: PorismParams) -> Residuals:
-    scene = scene_from_Ru(params)
+def _check_isodynamic_membership(scene: PorismScene) -> Residuals:
     c1, c2 = scene.beltrami_circles()
     return [c.membership_residual(p) for p in (scene.X15, scene.X16) for c in (c1, c2)]
 
 
 @check("lem5.x574_chain", 1e-10, _draws(_quarter, _random_triangle),
        "the double inversion chain lands on the closed form for X574")
-def _check_x574_chain(drawn: Drawn) -> Residuals:
-    params, _, tri = drawn
-    R, u, g = params.R, params.u, params.gap
+def _check_x574_chain(member: Member) -> Residuals:
+    scene, tri = member
+    R, u, g = scene.params.R, scene.params.u, scene.params.gap
     closed = Point(0.0, -R * u * g / (u * u + 3.0))
     return (standard_centers(tri).X574.dist(closed),)
 
 
 @check("lem10.child_axis_gap", 1e-10, _draws(_quarter, _random_triangle),
        "the circumcenter-symmedian gap of the derived triangle matches its closed form")
-def _check_child_axis_gap(drawn: Drawn) -> Residuals:
-    params, _, tri = drawn
+def _check_child_axis_gap(member: Member) -> Residuals:
+    scene, tri = member
     sub = second_brocard_triangle(tri)
     measured = circumcircle(sub).center.dist(standard_centers(sub).X6)
-    R, u, g = params.R, params.u, params.gap
+    R, u, g = scene.params.R, scene.params.u, scene.params.gap
     return (abs(measured - R * g ** 3 / (2.0 * u * (u * u + 3.0))),)
 
 
@@ -548,7 +547,7 @@ def _closure_members(rng: random.Random, samples: int) -> Iterator[Member]:
     for _ in range(half):
         yield fixture_scene, _random_member(rng, fixture_scene)
     for _ in range(samples - half):
-        yield _random_triangle(rng)[1:]
+        yield _random_triangle(rng)
 
 
 @check("closure.tangency", 1e-9, _closure_members,
@@ -587,10 +586,10 @@ def _check_closure_stationarity(member: Member) -> Residuals:
 
 @check("thm1.two_route", 1e-8, _draws(50, _random_triangle),
        "measuring the derived triangle agrees with the closed-form parameter step")
-def _check_step_two_route(drawn: Drawn) -> Residuals:
-    params, _, tri = drawn
+def _check_step_two_route(member: Member) -> Residuals:
+    scene, tri = member
     sub = second_brocard_triangle(tri)
-    stepped = step_forward(params)
+    stepped = step_forward(scene.params)
     return abs(circumcircle(sub).radius - stepped.R), abs(brocard_cotangent(sub) - stepped.u)
 
 
@@ -612,10 +611,9 @@ def _check_child_circumcircle(member: Member) -> Residuals:
     return measured.center.dist(child.center), abs(measured.radius - child.radius)
 
 
-@check("thm1.cor9_axes", 1e-11, _draws(_quarter, _random_member_params),
+@check("thm1.cor9_axes", 1e-11, _draws(_quarter, _random_scene),
        "child inellipse axes via the parent-axes route match the stepped scene")
-def _check_child_axes(params: PorismParams) -> Residuals:
-    parent = scene_from_Ru(params)
+def _check_child_axes(parent: PorismScene) -> Residuals:
     a = parent.inellipse.semi_major
     b = parent.inellipse.semi_minor
     focal2 = (a - b) * (a + b)
@@ -625,12 +623,12 @@ def _check_child_axes(params: PorismParams) -> Residuals:
     return abs(child.inellipse.semi_major - a_pred), abs(child.inellipse.semi_minor - b_pred)
 
 
-@check("thm1.x182_formula", 1e-10, _draws(_quarter, _random_member_params),
+@check("thm1.x182_formula", 1e-10, _draws(_quarter, _random_scene),
        "the child's Brocard-circle center lands on its predicted coordinates")
-def _check_child_x182(params: PorismParams) -> Residuals:
-    child = child_scene(scene_from_Ru(params))
-    stepped = child.params
-    y = -3.0 * stepped.R * (params.u ** 2 + 1.0) / (4.0 * stepped.u * params.u)
+def _check_child_x182(parent: PorismScene) -> Residuals:
+    child = child_scene(parent)
+    u, stepped = parent.params.u, child.params
+    y = -3.0 * stepped.R * (u ** 2 + 1.0) / (4.0 * stepped.u * u)
     return (child.X182.dist(Point(0.0, y)),)
 
 
@@ -1079,23 +1077,23 @@ def _web_samples(samples: int) -> int:
 
 
 def _web_fixed_points(rng: random.Random, samples: int) -> Iterable:
-    """The family's four fixed points, each with the web at t = 0.9."""
-    web = web_orthogonality_residuals(0.9, samples=_web_samples(samples))
-    return zip((X15, X16, *BELTRAMI_CENTERS), repeat(web))
+    """The family's four fixed points, each with the quartic sweep's worst."""
+    quartic_dev = _web_field_sweep(_web_samples(samples))[0]
+    return zip((X15, X16, *BELTRAMI_CENTERS), repeat(quartic_dev))
 
 
 @check("rem9.quartic_orthogonality", 1e-7, _web_fixed_points,
        "the two direction fields cross at right angles exactly on the quartic locus")
 def _check_quartic_orthogonality(at: tuple) -> Residuals:
-    (x, y), web = at
-    return web.quartic_angle_max_dev, abs(web_quartic(x, y))
+    (x, y), quartic_dev = at
+    return quartic_dev, abs(web_quartic(x, y))
 
 
 @check("rem8.axis_parallel", 1e-7,
-       lambda rng, samples: (web_orthogonality_residuals(0.7, samples=_web_samples(samples)),),
+       lambda rng, samples: _web_field_sweep(_web_samples(samples))[1:],
        "the two direction fields run parallel on both coordinate axes")
-def _check_axis_parallel(web: WebResiduals) -> Residuals:
-    return (web.axis_parallel_max_dev,)
+def _check_axis_parallel(axis_dev: float) -> Residuals:
+    return (axis_dev,)
 
 
 def beltrami_midpoint_check(t: float) -> float:

@@ -17,7 +17,8 @@ lines, the other tables to CSV.  Floats are printed with ``repr``, so parsing
 a table back recovers the in-memory values bit for bit; JSON has no
 non-finite numbers, so there NaN and infinities are the strings
 ``"nan"``, ``"inf"`` and ``"-inf"``, the same text the CSV prints.  Exit
-codes: 0 success, 1 a check or figure residual failed, 2 usage error.
+codes: 0 success, 1 a check or figure residual failed or no check caught
+a ``--mutate`` step, 2 a usage error; :func:`main` reports every refusal.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ from .recurrence import MUTATIONS
 
 if TYPE_CHECKING:
     from .porism import PorismScene
+
+
+class _UsageError(Exception):
+    """A request the command line refuses: :func:`main` prints it and exits 2."""
 
 
 def _value_str(v: object) -> str:
@@ -100,20 +105,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             step=MUTATIONS[args.mutate] if args.mutate else step_forward,
         )
     except UnknownCheckFilterError:
-        print(f"error: no check id starts with {args.filter!r}", file=sys.stderr)
-        return 2
+        raise _UsageError(f"no check id starts with {args.filter!r}") from None
     _emit_table([asdict(r) for r in reports], args.format, args.out)
     failed = [r for r in reports if not r.passed]
-    if failed:
-        for r in failed:
-            reason = (
-                f"residual {r.max_residual!r} exceeds {r.tolerance!r}"
-                if r.samples_used
-                else "no sample completed (raised, lost or empty)"
-            )
-            print(f"FAIL {r.check_id}: {reason}", file=sys.stderr)
-        return 1
-    return 0
+    for r in failed:
+        reason = (
+            f"residual {r.max_residual!r} exceeds {r.tolerance!r}"
+            if r.samples_used
+            else "no sample completed (raised, lost or empty)"
+        )
+        print(f"FAIL {r.check_id}: {reason}", file=sys.stderr)
+    # a negative control that no selected check catches has failed too
+    if args.mutate and not failed:
+        print(f"FAIL --mutate {args.mutate}: every selected check passed", file=sys.stderr)
+    return 1 if failed or args.mutate else 0
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +148,7 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     from .recurrence import anti_scene, child_scene, orbit_scenes
 
     if args.steps < 0:
-        print("error: --steps must be >= 0", file=sys.stderr)
-        return 2
+        raise _UsageError("--steps must be >= 0")
     step = child_scene if args.direction == "forward" else anti_scene
     root = scene_from_Ru(PorismParams(args.R0, args.u0))
     scenes = orbit_scenes(root, args.steps, step)
@@ -256,11 +260,9 @@ def _cmd_continuous(args: argparse.Namespace) -> int:
     t_min = 0.1 if args.t_min is None else to_radians(args.t_min)
     t_max = T_MAX if args.t_max is None else to_radians(args.t_max)
     if not (0.0 < t_min < t_max <= T_MAX):
-        print("error: need 0 < t_min < t_max <= pi/3", file=sys.stderr)
-        return 2
+        raise _UsageError("need 0 < t_min < t_max <= pi/3")
     if t_min < _T_MIN:
-        print(f"error: need t_min >= {_T_MIN} rad: below it R_t and X3_y overflow", file=sys.stderr)
-        return 2
+        raise _UsageError(f"need t_min >= {_T_MIN} rad: below it R_t and X3_y overflow")
     n = args.samples
     # the last point can round one ulp past t_max, and past pi/3 the
     # Brocard circle has a negative radius; pin it to t_max
@@ -287,15 +289,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     iso = None
     if args.d is not None or args.h is not None:
         if args.d is None or args.h is None:
-            print("error: give both --d and --h", file=sys.stderr)
-            return 2
+            raise _UsageError("give both --d and --h")
         iso = IsoscelesParams(args.d, args.h)
-    try:
-        svg = render_figure(args.name, iso)
-    except FigureCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _write_output(svg, args.out)
+    _write_output(render_figure(args.name, iso), args.out)
     return 0
 
 
@@ -395,20 +391,21 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # argparse would take a flag's value for the command and name that
-    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
-        flag = argv[0].split("=", 1)[0]
-        print(f"error: flag {flag} must follow the command", file=sys.stderr)
-        return 2
-    args = _build_parser().parse_args(argv)
-    if "samples" in args and args.samples < 1:
-        print("error: --samples must be >= 1", file=sys.stderr)
-        return 2
     try:
+        # argparse would take a flag's value for the command and name that
+        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+            raise _UsageError(f"flag {argv[0].split('=', 1)[0]} must follow the command")
+        args = _build_parser().parse_args(argv)
+        if "samples" in args and args.samples < 1:
+            raise _UsageError("--samples must be >= 1")
         return args.fn(args)
-    except (GeometryError, ArithmeticError, OSError) as exc:
-        # inputs outside the geometric or floating-point domain, or an
-        # unwritable --out path; no command has printed its table yet
+    except FigureCheckError as exc:
+        # a figure's residual gate failed; no SVG was written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (_UsageError, GeometryError, ArithmeticError, OSError) as exc:
+        # a refused request, inputs outside the geometric or floating-point
+        # domain, or an unwritable --out path; no command has printed its table yet
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -115,6 +115,10 @@ class _Canvas:
             % (self.sx(p.x) + dx, self.sy(p.y) + dy, text)
         )
 
+    def named(self, p: Point, text: str, dx: float, dy: float) -> None:
+        self.marker(p)
+        self.label(p, text, dx, dy)
+
     def render(self) -> str:
         head = (
             '<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" '
@@ -140,12 +144,11 @@ def _beltrami_arcs(cv: _Canvas, root: PorismScene) -> None:
 _MEMBER_T = 0.85  # generic member parameter, clear of all symmetry axes
 
 
-def fig_member(iso: IsoscelesParams) -> str:
+def fig_member(scene: PorismScene) -> str:
     """One porism member with its inellipse, Brocard circle, and derived triangle."""
     from .centers import brocard_cotangent, second_brocard_triangle
     from .recurrence import step_forward
 
-    scene = scene_from_Ru(Ru_from_dh(iso))
     tri = scene_member(scene, _MEMBER_T)
     derived = second_brocard_triangle(tri)
 
@@ -176,16 +179,14 @@ def fig_member(iso: IsoscelesParams) -> str:
         (scene.X6, "X6", 6.0, 10.0),
         (scene.X15, "X15", 8.0, 4.0),
     ):
-        cv.marker(p)
-        cv.label(p, name, dx, dy)
+        cv.named(p, name, dx, dy)
     return cv.render()
 
 
-def fig_cascade_triangles(iso: IsoscelesParams) -> str:
+def fig_cascade_triangles(root: PorismScene) -> str:
     """Three generations of member triangles with the two Beltrami arcs."""
     from .recurrence import alternating_brocard_sequence, orbit_scenes
 
-    root = scene_from_Ru(Ru_from_dh(iso))
     scenes = orbit_scenes(root, 3)
     first, second = alternating_brocard_sequence(scenes)
     c1, c2 = root.beltrami_circles()
@@ -208,16 +209,14 @@ def fig_cascade_triangles(iso: IsoscelesParams) -> str:
         cv.marker(p)
     cv.label(root.omega1, "&#937;1", 6.0, -4.0)
     cv.label(root.omega2, "&#937;2", -24.0, -4.0)
-    cv.marker(root.X15)
-    cv.label(root.X15, "X15", 8.0, 4.0)
+    cv.named(root.X15, "X15", 8.0, 4.0)
     return cv.render()
 
 
-def fig_cascade_circles(iso: IsoscelesParams) -> str:
+def fig_cascade_circles(root: PorismScene) -> str:
     """Nested Brocard circles of successive generations, with the arcs."""
     from .recurrence import beltrami_orthogonality, brocard_nesting, orbit_scenes
 
-    root = scene_from_Ru(Ru_from_dh(iso))
     scenes = orbit_scenes(root, 4)
     R = root.params.R
     _require(worst(brocard_nesting(scenes)) / R, 1e-11, "Brocard circle nesting")
@@ -231,10 +230,8 @@ def fig_cascade_circles(iso: IsoscelesParams) -> str:
     for scene in scenes:
         cv.circle(scene.brocard_circle, "brocard")
     _beltrami_arcs(cv, root)
-    cv.marker(root.X15)
-    cv.label(root.X15, "X15", 8.0, 4.0)
-    cv.marker(root.X16)
-    cv.label(root.X16, "X16", 8.0, -4.0)
+    cv.named(root.X15, "X15", 8.0, 4.0)
+    cv.named(root.X16, "X16", 8.0, -4.0)
     return cv.render()
 
 
@@ -269,10 +266,8 @@ def fig_family() -> str:
     left, right = BELTRAMI_CENTERS
     cv.arc(Circle(left, 1.0), -T_MAX, -0.05, "beltrami-arc")
     cv.arc(Circle(right, 1.0), math.pi + 0.05, math.pi + T_MAX, "beltrami-arc")
-    cv.marker(X15)
-    cv.label(X15, "X15", 8.0, 4.0)
-    cv.marker(X16)
-    cv.label(X16, "X16", 8.0, -4.0)
+    cv.named(X15, "X15", 8.0, 4.0)
+    cv.named(X16, "X16", 8.0, -4.0)
     return cv.render()
 
 
@@ -316,8 +311,7 @@ def fig_envelope() -> str:
             cv.marker(p)
     cv.ellipse(ellipse_Et(T_CRITICAL), "inellipse")
     cv.circle(brocard_circle_Kt(T_CRITICAL), "brocard")
-    cv.marker(bottom)
-    cv.label(bottom, "contact", 8.0, 12.0)
+    cv.named(bottom, "contact", 8.0, 12.0)
     return cv.render()
 
 
@@ -335,7 +329,8 @@ def render_figure(name: str, iso: IsoscelesParams | None = None) -> str:
     and passing it to another raises a :class:`GeometryError` naming it."""
     fn, takes_iso = FIGURES[name]
     if takes_iso:
-        return fn(iso if iso is not None else FIXTURE)  # type: ignore[operator]
+        scene = scene_from_Ru(Ru_from_dh(iso if iso is not None else FIXTURE))
+        return fn(scene)  # type: ignore[operator]
     if iso is not None:
         raise GeometryError(f"{name} takes no porism parameters")
     return fn()  # type: ignore[operator]

@@ -29,12 +29,7 @@ from .geom import (
     tuple_new,
     worst,
 )
-from .porism import (
-    DegeneratePorismError,
-    PorismParams,
-    PorismScene,
-    scene_from_Ru,
-)
+from .porism import PorismParams, PorismScene, scene_from_Ru
 
 
 StepFunction = Callable[[PorismParams], PorismParams]
@@ -80,24 +75,21 @@ def _flip_step_sign(params: PorismParams) -> PorismParams:
 _true_step = step_forward
 
 
-def _nudge_step_R(params: PorismParams) -> PorismParams:
-    """Deliberately broken step: the true step's R times (1 + 1e-9), its u
-    excess exact.  It raises nothing, so only a residual can catch it."""
-    child = _true_step(params)
-    return PorismParams.from_excess(child.R * (1.0 + 1e-9), child.u_excess)
+def _nudged(r: float, e: float) -> StepFunction:
+    """Deliberately broken step: the true step's R times ``r`` and its u
+    excess times ``e``.  It raises nothing, so only a residual can catch it."""
 
+    def step(params: PorismParams) -> PorismParams:
+        child = _true_step(params)
+        return PorismParams.from_excess(child.R * r, child.u_excess * e)
 
-def _nudge_step_excess(params: PorismParams) -> PorismParams:
-    """Deliberately broken step: the true step's u excess times (1 + 1e-9),
-    its R exact.  It raises nothing, so only a residual can catch it."""
-    child = _true_step(params)
-    return PorismParams.from_excess(child.R, child.u_excess * (1.0 + 1e-9))
+    return step
 
 
 MUTATIONS: dict[str, StepFunction] = {
     "flip-step-sign": _flip_step_sign,
-    "nudge-step-R": _nudge_step_R,
-    "nudge-step-excess": _nudge_step_excess,
+    "nudge-step-R": _nudged(1.0 + 1e-9, 1.0),
+    "nudge-step-excess": _nudged(1.0, 1.0 + 1e-9),
 }
 
 
@@ -131,9 +123,10 @@ def orbit_scenes(
 
     ``step`` is :func:`child_scene` to walk forward or :func:`anti_scene`
     to walk back.  The walk ends early at the last generation before the
-    next step degenerates in floating point: forward once R or the u
-    excess underflows to zero, backward once the inellipse center
-    R*u*sqrt(u^2 - 3)/(1 + u^2), cubic in (R, u), overflows.
+    next step fails in floating point: forward once R or the u excess
+    underflows to zero, backward once the inellipse center
+    R*u*sqrt(u^2 - 3)/(1 + u^2), cubic in (R, u), or its semi-minor axis
+    2R/(1 + u^2) overflows.
     """
     if n < 0:
         raise ValueError("orbit length must be >= 0")
@@ -141,7 +134,7 @@ def orbit_scenes(
     for _ in range(n):
         try:
             scenes.append(step(scenes[-1]))
-        except DegeneratePorismError:
+        except GeometryError:
             break
     return scenes
 

@@ -12,7 +12,7 @@ import json
 import math
 import xml.etree.ElementTree as ET
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from brocard import cli
 from brocard.checks import MUTATIONS, check_ids
@@ -125,6 +125,44 @@ def test_orbit_notes_the_generation_it_stopped_at():
             f"note: orbit stopped at generation {last}; "
             "the next step is numerically at the limit\n"
         )
+
+
+def test_orbit_back_stops_where_the_next_step_overflows():
+    # the next scene's semi-minor axis 2R/(1 + u^2) overflows in 2R while
+    # its center is still finite: the walk stops, it is not a usage error
+    code, out, err = run_cli(["orbit", "--R0", "1.7537280911393383e+307", "--u0",
+                              "1.7374979869106295", "--direction", "back", "--steps", "3"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [row[0] for row in rows] == ["generation", "0"]
+    assert err == (
+        "note: orbit stopped at generation 0; the next step is numerically at the limit\n"
+    )
+
+
+# every refusal main reports, with its one stderr line; each exits 2
+_REFUSALS = (
+    (["--samples", "5", "verify"], "error: flag --samples must follow the command"),
+    (["verify", "--samples", "0"], "error: --samples must be >= 1"),
+    (["verify", "--filter", "nosuch."], "error: no check id starts with 'nosuch.'"),
+    (["orbit", "--R0", "1", "--u0", "2", "--steps", "-1"], "error: --steps must be >= 0"),
+    (["continuous", "--t-max", "1.0471975511965979"],
+     "error: need 0 < t_min < t_max <= pi/3"),
+    (["continuous", "--t-min", "1e-310", "--samples", "2"],
+     "error: need t_min >= 5.5627e-309 rad: below it R_t and X3_y overflow"),
+    (["figure", "fig2", "--d", "1"], "error: give both --d and --h"),
+    (["figure", "fig6", "--d", "1", "--h", "2"], "error: fig6 takes no porism parameters"),
+)
+
+
+def test_each_refusal_keeps_its_exit_code_and_line(tmp_path):
+    unwritable = str(tmp_path / "no" / "x.csv")
+    cases = _REFUSALS + (
+        (["orbit", "--R0", "1", "--u0", "2", "--out", unwritable],
+         f"error: [Errno 2] No such file or directory: {unwritable!r}"),
+    )
+    for argv, line in cases:
+        assert run_cli(argv) == (2, "", line + "\n"), argv
 
 
 def test_a_flag_the_command_does_not_read_exits_two():
@@ -316,10 +354,14 @@ def _argv(draw):
 
 @settings(max_examples=50, deadline=None)
 @given(_argv())
+# no check under geom. reaches the step, so only the mutant line fails the run
+@example(["verify", "--mutate", "flip-step-sign", "--filter", "geom.", "--samples", "20"])
 def test_any_invocation_keeps_the_contract(argv):
     code, out, err = run_cli(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err
+    if "--mutate" in argv:
+        assert code != 0, (argv, err)
     if any(a.startswith("--") and a not in _OWN_FLAGS[argv[0]] for a in argv):
         assert code == 2, (argv, code, err)
     if code == 2:

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brocard.checks import isosceles_scene
 from brocard.geom import Circle, GeometryError, Line, Point, Pose, three_point_center
@@ -14,6 +15,7 @@ from brocard.porism import (
     scene_from_Ru,
 )
 from brocard.recurrence import (
+    _nudged,
     _offset,
     alternating_brocard_sequence,
     anti_scene,
@@ -203,6 +205,15 @@ def test_orbit_backward_stops_before_overflow():
         anti_scene(scenes[-1])
 
 
+def test_orbit_backward_stops_where_the_semi_minor_axis_overflows():
+    # 2R/(1 + u^2) overflows in 2R before the cubic center does, and the
+    # scene raises that as a plain GeometryError
+    root = scene_from_Ru(PorismParams(1.7537280911393383e+307, 1.7374979869106295))
+    with pytest.raises(GeometryError, match="ellipse semi-axes must be finite"):
+        anti_scene(root)
+    assert orbit_scenes(root, 3, anti_scene) == [root]
+
+
 def test_orbit_rejects_the_fixed_point():
     with pytest.raises(DegeneratePorismError):
         scene_from_Ru(PorismParams(1.0, SQRT3))
@@ -309,3 +320,22 @@ def test_brocard_nesting_values_are_pinned():
     posed = scene_from_Ru(PorismParams(1.3, 2.5), pose)
     got = [repr(v) for v in brocard_nesting(orbit_scenes(posed, 6))]
     assert got == NESTING_POSED
+
+
+def _outcome(step, params):
+    """repr of the step's result, which shows every bit and each zero's
+    sign, or the type and message of what it raised."""
+    try:
+        return repr(step(params))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=1e300),
+    st.one_of(st.floats(min_value=0.0, max_value=1e6), st.floats(min_value=0.0, max_value=1e-150)),
+)
+def test_a_nudge_by_one_is_the_true_step_bit_for_bit(R, excess):
+    params = PorismParams.from_excess(R, excess)
+    assert _outcome(_nudged(1.0, 1.0), params) == _outcome(step_forward, params)

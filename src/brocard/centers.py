@@ -116,13 +116,6 @@ def brocard_points_by_construction(t: Triangle) -> tuple[Point, Point]:
     return _centroid(first), _centroid(second)
 
 
-def _symmedian(t: Triangle, s1: float, s2: float, s3: float) -> tuple[float, float]:
-    w1, w2, w3 = s1 * s1, s2 * s2, s3 * s3
-    total = w1 + w2 + w3
-    (ax, ay), (bx, by), (cx, cy) = t
-    return (w1 * ax + w2 * bx + w3 * cx) / total, (w1 * ay + w2 * by + w3 * cy) / total
-
-
 class StandardCenters(NamedTuple):
     X3: Point
     X6: Point
@@ -141,8 +134,8 @@ def standard_centers(t: Triangle) -> StandardCenters:
     points by construction (X39 is their midpoint).
 
     Pre: the triangle is not equilateral (X15, X16, X187, X574 degenerate
-    there).  Straight-line code on scalars: the sides, area and X3 are the
-    ones the triangle keeps, which :func:`second_brocard_triangle` reads
+    there).  Straight-line code on scalars: the sides, area, X3 and X6 are
+    the ones the triangle keeps, which :func:`second_brocard_triangle` reads
     too, the Brocard points are the centroids of
     :func:`_brocard_construction`'s meets, and a Point is built only for a
     returned center; every value and every raise is that of the object
@@ -153,7 +146,7 @@ def standard_centers(t: Triangle) -> StandardCenters:
     r3 = math.hypot(x3 - A.x, y3 - A.y)
     check_radius(r3)
     s1, s2, s3, area = t.measure
-    x6, y6 = _symmedian(t, s1, s2, s3)
+    x6, y6 = X6 = t.symmedian
     first, second = _brocard_construction(t, _omega(s1, s2, s3, area))
     (x01, y01), (x12, y12), (x20, y20) = first
     (x21, y21), (x10, y10), (x02, y02) = second
@@ -176,7 +169,7 @@ def standard_centers(t: Triangle) -> StandardCenters:
     X187 = inversion_xy(x3, y3, r3, x6, y6)
     X574 = inversion_xy(kx, ky, rk, *X187)
     return tuple_new(StandardCenters, (
-        X3, tuple_new(Point, (x6, y6)), X15, X16,
+        X3, X6, X15, X16,
         tuple_new(Point, (0.5 * (o1x + o2x), 0.5 * (o1y + o2y))), tuple_new(Point, (kx, ky)),
         X187, X574, tuple_new(Point, (o1x, o1y)), tuple_new(Point, (o2x, o2y)),
     ))
@@ -193,13 +186,15 @@ def second_brocard_triangle(t: Triangle) -> Triangle:
     Vertices are reordered counterclockwise.
     """
     x3, y3 = t.circumcenter
-    s1, s2, s3, _ = t.measure
-    x6, y6 = _symmedian(t, s1, s2, s3)
+    x6, y6 = t.symmedian
+    A = t.A
+    # every vertex lies on the circumcircle, so one radius bounds each cevian
+    bound = 1e-14 * math.hypot(x3 - A.x, y3 - A.y)
     feet = []
     for vx, vy in t:
         dx, dy = x6 - vx, y6 - vy
         n = math.hypot(dx, dy)
-        if n < 1e-14 * math.hypot(vx - x3, vy - y3):
+        if n < bound:
             raise GeometryError("cevian undefined")
         ux, uy = unit_xy(dx, dy, n)
         k = ux * (x3 - vx) + uy * (y3 - vy)

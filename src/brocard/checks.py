@@ -78,7 +78,7 @@ from .continuous import (
     kt_inellipse_intersection_check,
     t_from_u,
     u_from_t,
-    web_orthogonality_residuals,
+    web_point_residuals,
     web_quartic,
 )
 from .geom import (
@@ -1068,8 +1068,8 @@ def _check_family_profile(window: tuple) -> Residuals:
 @check("prop7.intersection_products", 1e-9, _grid(10, lo=0.1, hi=T_MAX - 0.06),
        "Brocard and Beltrami circles meet at right angles at their four known points")
 def _check_web_points(t: float) -> Residuals:
-    web = web_orthogonality_residuals(t)
-    return (*(abs(v) for v in web.point_inner_products), web.point_membership_max)
+    inner_products, membership = web_point_residuals(t)
+    return (*(abs(v) for v in inner_products), membership)
 
 
 def _web_samples(samples: int) -> int:

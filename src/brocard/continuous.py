@@ -311,20 +311,13 @@ def _web_field_sweep(samples: int) -> tuple[float, float]:
     return worst(quartic_dev), worst(axis_dev)
 
 
-def web_orthogonality_residuals(t: float, samples: int = 64) -> WebResiduals:
-    """Right-angle and tangency diagnostics of the conic web.
-
-    At parameter t the Brocard circle meets each Beltrami circle at one
-    deep point and at one inellipse focus; the gradients there are
-    orthogonal.  Independently of t, the inellipse and Brocard-circle
-    direction fields cross at right angles along the quartic
-    16x^4 + 8x^2 + 4y^2 = 3 and run parallel on both coordinate axes;
-    those two sweeps take ``samples`` grid steps, at least 3, so that
-    neither is empty.
-    """
+def web_point_residuals(t: float) -> tuple[tuple[float, float, float, float], float]:
+    """The t-dependent half of the conic web: at parameter t the Brocard
+    circle meets each Beltrami circle at one deep point and at one
+    inellipse focus, where the gradients are orthogonal.  Returns the four
+    inner products and the worst membership of those points, the first two
+    fields of :class:`WebResiduals`."""
     _check_range(t, closed_top=False)
-    if samples < 3:
-        raise ValueError("the web sweep needs samples >= 3")
     c, s = math.cos(t), math.sin(t)
     five = 5.0 - 4.0 * c
     deep, low = 3.0 * (2.0 * c - 1.0) / (2.0 * five), -3.0 * s / five
@@ -338,8 +331,22 @@ def web_orthogonality_residuals(t: float, samples: int = 64) -> WebResiduals:
         hx, hy = px - kx, py - ky
         membership += (abs(math.hypot(hx, hy) - kr), abs(math.hypot(gx, gy) - 1.0))
         inner_products.append(abs(gx * hx + gy * hy) * 4.0)
-    sweeps = _web_field_sweep(samples)
-    return tuple_new(WebResiduals, (tuple(inner_products), worst(membership), *sweeps))
+    return tuple(inner_products), worst(membership)
+
+
+def web_orthogonality_residuals(t: float, samples: int = 64) -> WebResiduals:
+    """Right-angle and tangency diagnostics of the conic web.
+
+    :func:`web_point_residuals` at t, then what holds independently of t:
+    the inellipse and Brocard-circle direction fields cross at right angles
+    along the quartic 16x^4 + 8x^2 + 4y^2 = 3 and run parallel on both
+    coordinate axes; those two sweeps take ``samples`` grid steps, at least
+    3, so that neither is empty.
+    """
+    points = web_point_residuals(t)
+    if samples < 3:
+        raise ValueError("the web sweep needs samples >= 3")
+    return tuple_new(WebResiduals, (*points, *_web_field_sweep(samples)))
 
 
 def lower_vertex_y(t: float) -> float:

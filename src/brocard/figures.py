@@ -86,9 +86,15 @@ class _Canvas:
             )
         )
 
-    def poly(self, tag: str, points: Iterable[Point], cls: str) -> None:
-        """A ``polygon`` or ``polyline`` element through ``points``."""
-        coords = " ".join("%.3f,%.3f" % (self.sx(p.x), self.sy(p.y)) for p in points)
+    def poly(self, tag: str, points: Iterable[tuple[float, float]], cls: str) -> None:
+        """A ``polygon`` or ``polyline`` element through ``points``, any
+        (x, y) pairs: the float operations of ``sx`` and ``sy``, formatted
+        by one ``%``."""
+        xmin, ymax, k = self.xmin, self.ymax, self.scale
+        flat: list[float] = []
+        for x, y in points:
+            flat += ((x - xmin) * k, (ymax - y) * k)
+        coords = " ".join(["%.3f,%.3f"] * (len(flat) // 2)) % tuple(flat)
         self.elements.append('<%s class="%s" points="%s"/>' % (tag, cls, coords))
 
     def arc(self, c: Circle, a0: float, a1: float, cls: str) -> None:
@@ -298,13 +304,13 @@ def fig_envelope() -> str:
     cv = _Canvas(-0.78, 0.78, -1.16, 1.02)
     n = 160
     oval = [
-        tuple_new(Point, (0.5 * math.cos(2.0 * math.pi * k / n), math.sin(2.0 * math.pi * k / n)))
+        (0.5 * math.cos(2.0 * math.pi * k / n), math.sin(2.0 * math.pi * k / n))
         for k in range(n + 1)
     ]
     cv.poly("polyline", oval, "envelope")
     xs = [-0.5 + k / 80 for k in range(81)]
     for sign in (1.0, -1.0):
-        cv.poly("polyline", [tuple_new(Point, (x, sign * quartic_y(x))) for x in xs], "quartic")
+        cv.poly("polyline", [(x, sign * quartic_y(x)) for x in xs], "quartic")
     for t in _ENVELOPE_TS:
         cv.ellipse(ellipse_Et(t), "inellipse faint")
         for p in envelope_points(t):

@@ -257,7 +257,8 @@ def check_triangle(s1: float, s2: float, s3: float, doubled: float) -> tuple[flo
 class Triangle(Validating, _Triangle):
     """Counterclockwise, non-degenerate triangle.  It keeps the measure its
     check returns, (s1, s2, s3, area) with s_i opposite the i-th vertex, and
-    derives its circumcenter at the first read, both in the instance dict."""
+    derives its circumcenter and symmedian point at their first reads, all
+    in the instance dict."""
 
     def __new__(cls, A: Point, B: Point, C: Point) -> "Triangle":
         self = tuple_new(cls, (A, B, C))
@@ -276,6 +277,16 @@ class Triangle(Validating, _Triangle):
         return self
 
     circumcenter = lazy(lambda self: three_point_center(*self))
+
+    @lazy
+    def symmedian(self) -> Point:
+        """X6, the vertices weighted by their squared opposite sides."""
+        s1, s2, s3, _ = self.measure
+        w1, w2, w3 = s1 * s1, s2 * s2, s3 * s3
+        total = w1 + w2 + w3
+        (ax, ay), (bx, by), (cx, cy) = self
+        return tuple_new(Point, ((w1 * ax + w2 * bx + w3 * cx) / total,
+                                 (w1 * ay + w2 * by + w3 * cy) / total))
 
 
 class _Pose(NamedTuple):
@@ -343,11 +354,11 @@ def three_point_center(p: Point, q: Point, r: Point) -> Point:
     gx, gy = (px + qx + rx) / 3.0, (py + qy + ry) / 3.0
     ax, ay, bx, by, cx, cy = px - gx, py - gy, qx - gx, qy - gy, rx - gx, ry - gy
     d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    scale = max(math.hypot(ax, ay), math.hypot(bx, by), math.hypot(cx, cy))
-    # d == 0.0 catches a determinant that underflows with scale; a NaN one fails >=
-    if d == 0.0 or not abs(d) >= 1e-14 * scale * scale:
-        raise DegenerateTriangleError("degenerate triangle")
     a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    # scaled by the squared distances the center needs anyway; d == 0.0
+    # catches a determinant that underflows with them, and a NaN one fails >=
+    if d == 0.0 or not abs(d) >= 1e-14 * max(a2, b2, c2):
+        raise DegenerateTriangleError("degenerate triangle")
     return tuple_new(Point, (
         gx + (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d,
         gy + (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d,

@@ -6,7 +6,7 @@ compare kernel and route with ``==`` and ``repr``, so every bit and the
 sign of each zero must agree.  The pose maps of a circle and an ellipse,
 and a pose's inverse, are likewise the routes that a posed scene's closed
 forms and the recurrence's offsets replaced.  No command runs them, so
-they live here.
+they live here, with the per-point route of a figure's polyline.
 """
 
 import math
@@ -119,3 +119,10 @@ def web_orthogonality_residuals(t: float, samples: int = 64) -> WebResiduals:
         quartic_angle_max_dev=quartic_max_dev,
         axis_parallel_max_dev=axis_max_dev,
     )
+
+
+def poly(canvas, tag: str, points, cls: str) -> None:
+    """``figures._Canvas.poly`` point by point: each pair through the
+    canvas's ``sx`` and ``sy`` and its own ``%``."""
+    coords = " ".join("%.3f,%.3f" % (canvas.sx(x), canvas.sy(y)) for x, y in points)
+    canvas.elements.append('<%s class="%s" points="%s"/>' % (tag, cls, coords))

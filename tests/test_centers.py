@@ -8,7 +8,6 @@ from brocard.centers import (
     StandardCenters,
     _centroid,
     _lambda,
-    _symmedian,
     _turned_sides,
     brocard_angle,
     brocard_cotangent,
@@ -256,12 +255,14 @@ def test_member_kernels_are_bit_exact(posed_members, same_route):
 
 
 def test_triangle_keeps_the_scalar_measure_and_circumcenter(posed_members):
-    """A triangle's kept measure and lazy circumcenter are, bit for bit,
-    ``_measure``'s float operations and ``three_point_center``; one built
+    """A triangle's kept measure and lazy circumcenter and symmedian point
+    are, bit for bit, ``_measure``'s float operations, ``three_point_center``
+    and ``_reference_symmedian``; each lazy value is derived at its first
+    read and kept, and ``standard_centers`` returns the kept X6.  One built
     around the constructor keeps no measure and derives its circumcenter
-    at the first read."""
-    triangles = [t for _, t in posed_members]
-    triangles += [second_brocard_triangle(t) for t in triangles[::10]]
+    at the first read, and its symmedian point once it is given one."""
+    members = [t for _, t in posed_members]
+    triangles = members + [second_brocard_triangle(t) for t in members[::10]]
     triangles += [vertices_at(IsoscelesParams(math.ldexp(1.0, j), math.ldexp(3.0, j)), t)
                   for j in range(-500, 501, 25) for t in (-2.5, 0.85, 2.0)]
     # clockwise inputs, which oriented turns back by swapping B and C
@@ -269,13 +270,22 @@ def test_triangle_keeps_the_scalar_measure_and_circumcenter(posed_members):
     assert swapped == triangles[::7]
     for t in triangles + swapped:
         want = repr((_measure(t), three_point_center(*t)))
-        assert repr((t.measure, t.circumcenter)) == want
+        X6 = repr(_reference_symmedian(t))
+        assert repr((t.measure, t.circumcenter)) == want and repr(t.symmedian) == X6
         assert vars(t)["circumcenter"] is t.circumcenter
+        assert vars(t)["symmedian"] is t.symmedian
         built, unchecked = Triangle(*t), tuple.__new__(Triangle, t)
         assert list(vars(built)) == ["measure"] and vars(unchecked) == {}
         assert repr((built.measure, built.circumcenter)) == want
+        assert list(vars(built)) == ["measure", "circumcenter"]
+        assert repr(built.symmedian) == X6 and vars(built)["symmedian"] is built.symmedian
         assert not hasattr(unchecked, "measure")
         assert repr((_measure(unchecked), unchecked.circumcenter)) == want
+        vars(unchecked)["measure"] = _measure(unchecked)
+        assert repr(unchecked.symmedian) == X6
+    for t in members:
+        built = Triangle(*t)
+        assert standard_centers(built).X6 is built.symmedian
 
 
 def test_member_kernels_raise_as_the_object_routes_do(same_route):
@@ -431,9 +441,8 @@ def test_center_records_value_semantics(value_semantics):
 
 def symmedian_point(t):
     """X6, the barycentric mean of the vertices weighted s1^2 : s2^2 : s3^2,
-    through the kernel ``standard_centers`` uses."""
-    s1, s2, s3, _ = _measure(t)
-    return Point(*_symmedian(t, s1, s2, s3))
+    as the triangle keeps it for ``standard_centers``."""
+    return t.symmedian
 
 
 def brocard_circle(t):

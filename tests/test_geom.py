@@ -417,7 +417,15 @@ def test_triangle_kernels_are_bit_exact(posed_members, same_route):
         same_route(circumcircle, _reference_circumcircle, tri)
 
 
-def test_triangle_kernels_raise_as_the_point_route_does(same_route):
+def _outcome(fn, *args):
+    """The repr of what ``fn`` returns, or the type and message it raises."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_triangle_kernels_raise_as_the_point_route_does(posed_members, same_route):
     O, X, Y = Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0)
     cases = (
         (Triangle, (O, Y, X), "triangle must be counterclockwise"),
@@ -435,6 +443,24 @@ def test_triangle_kernels_raise_as_the_point_route_does(same_route):
             kernel(*args)
     same_route(lambda *v: tuple(Triangle(*v)), _reference_triangle, O, Y, X)
     same_route(three_point_center, _reference_three_point_center, O, X, Point(2.0, 0.0))
+    # Member triples scaled by 2^+-500 to 2^+-520, where the squared
+    # distances under- or overflow.  The kernel guards on those squares and
+    # the reference on the lengths; they agree, except where the reference
+    # forms no finite center (a NaN determinant, which it does not guard,
+    # or its zero determinant divides) and the kernel raises instead.
+    seen = {"same": 0, "underflow raised": 0, "overflow raised": 0}
+    for _, tri in posed_members:
+        for e in (-520, -515, -510, -505, -500, 500, 505, 510, 515, 520):
+            triple = [Point(math.ldexp(x, e), math.ldexp(y, e)) for x, y in tri]
+            want = _outcome(_reference_three_point_center, *triple)
+            got = _outcome(three_point_center, *triple)
+            if got == want:
+                seen["same"] += 1
+                continue
+            assert got == (DegenerateTriangleError, "degenerate triangle")
+            assert want[0] is ZeroDivisionError or "nan" in want
+            seen["underflow raised" if e < 0 else "overflow raised"] += 1
+    assert min(seen.values()) > 0, seen
 
 
 def test_pose_roundtrip_on_points():

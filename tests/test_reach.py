@@ -26,7 +26,8 @@ import pytest
 
 # reached where no command goes: the forked workers (the probe runs one
 # worker), the guards against building or setting around a value's
-# constructor, the package's lazy attribute hooks, the registry listing the
+# constructor, the package's lazy attribute hooks, the registry listing and
+# the whole conic web (both sweeps with the t-dependent points) that the
 # bench reads, the rows of a lost worker, and ``Pose.apply``, which the
 # bench's tracer wraps on the class by that name
 ALLOWED = {
@@ -40,6 +41,7 @@ ALLOWED = {
     ("__init__.py", "__getattr__"),
     ("__init__.py", "__dir__"),
     ("checks.py", "check_ids"),
+    ("continuous.py", "web_orthogonality_residuals"),
 }
 
 COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}

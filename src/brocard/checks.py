@@ -454,7 +454,7 @@ def _check_x574_chain(member: Member) -> Residuals:
 def _check_child_axis_gap(member: Member) -> Residuals:
     scene, tri = member
     sub = second_brocard_triangle(tri)
-    measured = circumcircle(sub).center.dist(standard_centers(sub).X6)
+    measured = circumcircle(sub).center.dist(sub.symmedian)
     R, u, g = scene.params.R, scene.params.u, scene.params.gap
     return (abs(measured - R * g ** 3 / (2.0 * u * (u * u + 3.0))),)
 

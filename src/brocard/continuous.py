@@ -92,7 +92,9 @@ def circumradius_Rt(t: float) -> float:
     """Circumradius sqrt((2cos t - 1)/(2(1 - cos t))) of the member at t,
     as sqrt(2cos t - 1)/(2sin(t/2))."""
     _check_range(t)
-    return math.sqrt(max(0.0, 2.0 * math.cos(t) - 1.0)) / (2.0 * math.sin(0.5 * t))
+    s = math.sin(0.5 * t)
+    # t = 5e-324 halves to 0.0; R_t has overflowed from t = 5.56e-309 down
+    return math.sqrt(max(0.0, 2.0 * math.cos(t) - 1.0)) / (2.0 * s) if s else math.inf
 
 
 def u_from_t(t: float) -> float:
@@ -121,7 +123,8 @@ def center_X3(t: float) -> Point:
     """Circumcenter (0, -sin t/(2(1 - cos t))) of the member at t, as
     (0, -1/(2tan(t/2)))."""
     _check_range(t)
-    return tuple_new(Point, (0.0, -0.5 / math.tan(0.5 * t)))
+    h = math.tan(0.5 * t)
+    return tuple_new(Point, (0.0, -0.5 / h if h else -math.inf))
 
 
 def bt_scene(t: float) -> PorismScene:
@@ -135,6 +138,12 @@ def bt_scene(t: float) -> PorismScene:
     _check_range(t, closed_top=False)
     pose = Pose(translation=center_X3(t), rotation=math.pi, reflect_x=True)
     return scene_from_Ru(_params_at(t), pose)
+
+
+def circumcircle_Gt(t: float) -> Circle:
+    """Circumcircle of the member at t: center :func:`center_X3`, radius
+    :func:`circumradius_Rt`; the circle ``bt_scene(t)`` reads, bit for bit."""
+    return Circle(center_X3(t), circumradius_Rt(t))
 
 
 def brocard_circle_Kt(t: float) -> Circle:
@@ -192,13 +201,16 @@ def gamma_nesting_residual(t_small_circle: float, t_big_circle: float) -> float:
     Pre: 0 < t_big_circle < t_small_circle < pi/3; raises GeometryError
     otherwise.  Nonnegative up to rounding exactly when the circumcircle
     at ``t_small_circle`` nests inside the one at ``t_big_circle``; the
-    circles shrink toward X15 as t grows.
+    circles shrink toward X15 as t grows.  The circles are the closed
+    forms :func:`circumcircle_Gt`, so no scene is built: below
+    t = 2.8e-103, where ``bt_scene`` raises, the slack is still finite,
+    and only below about 5.56e-309, where R_t overflows (the ``continuous``
+    command's t_min floor), does it raise ``circle requires a finite
+    radius >= 0``.
     """
     if not 0.0 < t_big_circle < t_small_circle < T_MAX:
         raise GeometryError("t outside range")
-    return circle_nesting_slack(
-        bt_scene(t_small_circle).circumcircle, bt_scene(t_big_circle).circumcircle
-    )
+    return circle_nesting_slack(circumcircle_Gt(t_small_circle), circumcircle_Gt(t_big_circle))
 
 
 def foci_on_arcs_check(t: float) -> tuple[float, float]:

@@ -251,7 +251,7 @@ def fig_family() -> str:
         T_MAX,
         X15,
         X16,
-        bt_scene,
+        circumcircle_Gt,
         ellipse_Et,
         foci_on_arcs_check,
         gamma_nesting_residual,
@@ -264,8 +264,7 @@ def fig_family() -> str:
 
     cv = _Canvas(-3.0, 3.0, -5.9, 1.2)
     for t in _FAMILY_TS:
-        scene = bt_scene(t)
-        cv.circle(scene.circumcircle, "gamma faint")
+        cv.circle(circumcircle_Gt(t), "gamma faint")
     for t in _FAMILY_TS:
         cv.ellipse(ellipse_Et(t), "inellipse")
     # focus tracks: the unit circles about the Beltrami centers

@@ -6,17 +6,20 @@ compare kernel and route with ``==`` and ``repr``, so every bit and the
 sign of each zero must agree.  The pose maps of a circle and an ellipse,
 and a pose's inverse, are likewise the routes that a posed scene's closed
 forms and the recurrence's offsets replaced.  No command runs them, so
-they live here, with the per-point route of a figure's polyline.
+they live here, with the per-point route of a figure's polyline and the
+scene route of the family's circumcircle nesting.
 """
 
 import math
 
 from brocard.continuous import (
     BELTRAMI_CENTERS,
+    T_MAX,
     WebResiduals,
     _check_range,
     _web_field_sweep,
     brocard_circle_Kt,
+    bt_scene,
     foci_Et,
 )
 from brocard.geom import (
@@ -27,6 +30,7 @@ from brocard.geom import (
     Point,
     Pose,
     Triangle,
+    circle_nesting_slack,
     tuple_new,
     worst,
 )
@@ -118,6 +122,16 @@ def web_orthogonality_residuals(t: float, samples: int = 64) -> WebResiduals:
         point_membership_max=worst(membership),
         quartic_angle_max_dev=quartic_max_dev,
         axis_parallel_max_dev=axis_max_dev,
+    )
+
+
+def gamma_nesting_residual(t_small_circle: float, t_big_circle: float) -> float:
+    """The family's circumcircle nesting slack with each circle read off a
+    posed ``bt_scene``; below t = 2.8e-103 no scene builds, and it raises."""
+    if not 0.0 < t_big_circle < t_small_circle < T_MAX:
+        raise GeometryError("t outside range")
+    return circle_nesting_slack(
+        bt_scene(t_small_circle).circumcircle, bt_scene(t_big_circle).circumcircle
     )
 
 

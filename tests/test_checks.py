@@ -16,6 +16,7 @@ from brocard.checks import (
     check_ids,
     run_checks,
 )
+from brocard.figures import render_figure
 from brocard.geom import Point, line_direction, worst
 from brocard.porism import (
     DegeneratePorismError,
@@ -520,6 +521,47 @@ def _cpus(monkeypatch, n):
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def built_scenes(monkeypatch):
+    """Every ``PorismScene`` built while the test runs, on one worker."""
+    _cpus(monkeypatch, 1)
+    built, new = [], PorismScene.__new__
+
+    def counting(cls, params, pose):
+        built.append(new(cls, params, pose))
+        return built[-1]
+
+    monkeypatch.setattr(PorismScene, "__new__", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda: run_checks(filter_prefix="cor11.gamma_nesting"), id="cor11"),
+        pytest.param(lambda: render_figure("fig6"), id="fig6"),
+    ],
+)
+def test_family_circumcircles_build_no_scene(built_scenes, run):
+    """The family circumcircles are closed forms, so reading one poses no scene."""
+    run()
+    assert built_scenes == []
+    continuous.bt_scene(0.5)
+    assert len(built_scenes) == 1
+
+
+def test_the_child_axis_gap_builds_no_center_set(monkeypatch):
+    """lem10 reads the derived triangle's kept X6, not a ``standard_centers`` set."""
+    _cpus(monkeypatch, 1)
+    calls, real = [], checks.standard_centers
+    monkeypatch.setattr(checks, "standard_centers", lambda tri: calls.append(tri) or real(tri))
+    (report,) = run_checks(filter_prefix="lem10.")
+    assert report.passed and report.samples_used > 0
+    assert calls == []
+    run_checks(filter_prefix="lem5.")
+    assert calls
 
 
 @pytest.mark.parametrize(

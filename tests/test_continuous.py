@@ -2,7 +2,9 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+import reference
 from brocard import continuous
 from brocard.checks import beltrami_midpoint_check, nesting_residual
 from brocard.continuous import (
@@ -16,6 +18,7 @@ from brocard.continuous import (
     brocard_circle_Kt,
     bt_scene,
     center_X3,
+    circumcircle_Gt,
     circumradius_Rt,
     ellipse_Et,
     embed_step,
@@ -55,8 +58,9 @@ def test_parameter_range():
         t_from_u(1.5)
     # the later parameter must lie strictly between 0 and the earlier one
     for small, big in ((0.2, 0.5), (0.5, 0.5), (0.5, 0.0), (T_MAX, 0.5)):
-        with pytest.raises(GeometryError, match="^t outside range$"):
-            gamma_nesting_residual(small, big)
+        for route in (gamma_nesting_residual, reference.gamma_nesting_residual):
+            with pytest.raises(GeometryError, match="^t outside range$"):
+                route(small, big)
 
 
 @pytest.mark.parametrize(
@@ -66,6 +70,7 @@ def test_parameter_range():
         brocard_circle_Kt,
         u_from_t,
         center_X3,
+        circumcircle_Gt,
         foci_on_arcs_check,
         pytest.param(lambda t: nesting_residual(t, 0.5), id="nesting_residual"),
     ],
@@ -141,6 +146,67 @@ def test_brocard_circle_closed_form():
         ) < 1e-12
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(2.9e-103, T_MAX, exclude_max=True))
+@example(2.9e-103)
+@example(0.02)
+@example(math.acos(0.75))
+@example(T_CRITICAL)
+@example(math.nextafter(T_MAX, 0.0))
+def test_circumcircle_closed_form_is_the_scene_circle(t):
+    """circumcircle_Gt is the circle bt_scene's pose maps (0, 0) and R onto,
+    every bit and the sign of each zero."""
+    assert repr(circumcircle_Gt(t)) == repr(bt_scene(t).circumcircle)
+
+
+# the last double whose circumradius overflows: R_t ~ 1/t passes the double
+# range there, which the continuous command's t_min floor stays above
+R_OVERFLOW_T = 5.56268464626801e-309
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, T_MAX, exclude_min=True, exclude_max=True),
+       st.floats(0.0, T_MAX, exclude_min=True, exclude_max=True))
+@example(0.5, 0.2)
+@example(math.nextafter(T_MAX, 0.0), 2.9e-103)
+@example(2.9e-103, 2.7e-103)
+@example(2e-110, 1e-110)
+@example(0.5, math.nextafter(R_OVERFLOW_T, 1.0))
+@example(0.5, R_OVERFLOW_T)
+@example(0.5, 5e-324)
+def test_gamma_nesting_matches_the_scene_route(a, b):
+    """Where both scenes build, the closed-form slack is the scene route's
+    bit for bit; below t = 2.8e-103, where no scene builds, it stays finite
+    and nested until R_t overflows."""
+    small, big = max(a, b), min(a, b)
+    assume(big < small)
+    try:
+        want = reference.gamma_nesting_residual(small, big)
+    except GeometryError:
+        assert big < 2.9e-103
+    else:
+        assert repr(gamma_nesting_residual(small, big)) == repr(want)
+        return
+    if big <= R_OVERFLOW_T:
+        with pytest.raises(GeometryError, match="^circle requires a finite radius >= 0$"):
+            gamma_nesting_residual(small, big)
+    else:
+        got = gamma_nesting_residual(small, big)
+        assert math.isfinite(got) and got >= -1e-12 * circumradius_Rt(big)
+
+
+def test_the_nesting_floor_is_the_continuous_command_floor():
+    from brocard.cli import _T_MIN
+
+    assert math.isinf(circumradius_Rt(R_OVERFLOW_T))
+    assert math.isfinite(circumradius_Rt(math.nextafter(R_OVERFLOW_T, 1.0)))
+    assert R_OVERFLOW_T < _T_MIN < 1.0001 * R_OVERFLOW_T
+    with pytest.raises(GeometryError, match="degenerate porism"):
+        bt_scene(1e-110)
+    assert gamma_nesting_residual(0.5, 1e-110) == 0.0
+    assert gamma_nesting_residual(0.5, _T_MIN) == 0.0
+
+
 NAN, INF = math.nan, math.inf
 
 
@@ -159,6 +225,9 @@ NAN, INF = math.nan, math.inf
         (t_from_u, (INF,), "t outside range"),
         (embed_step, (1e-320,), "embed_step overflows"),
         (embed_step, (1e-200,), "embed_step overflows"),
+        # the one t whose half rounds to 0.0: R_t and X3_y read infinite
+        (circumcircle_Gt, (5e-324,), "circle requires a finite radius >= 0"),
+        (bt_scene, (5e-324,), "pose translation must be finite"),
     ],
 )
 def test_guards_reject_nan_infinity_and_overflow(call, args, message):

@@ -229,16 +229,13 @@ def _random_member_params(rng: random.Random) -> PorismParams:
 
 
 def _random_chart_params(rng: random.Random) -> IsoscelesParams:
-    """Tall-branch chart shapes, h > sqrt3 d.
+    """Tall-branch chart shapes, h > sqrt3 d, whose excess is at least 3.76e-3.
 
     Flat shapes (h below sqrt3 d) describe the mirror-image porism, whose
     symmedian point sits above the circumcenter; the chart identities
     against the canonical frame hold on the tall branch.
     """
-    while True:
-        iso = _random_shape(rng, 1.85, 4.5)
-        if Ru_from_dh(iso).u_excess > 1e-3:
-            return iso
+    return _random_shape(rng, 1.85, 4.5)
 
 
 def _random_member(rng: random.Random, scene: PorismScene) -> Triangle:
@@ -491,25 +488,20 @@ def _check_fixture_scene(_: None) -> Residuals:
     return [abs(got - want) for got, want in expected]
 
 
-def isosceles_scene(
-    iso: IsoscelesParams,
-) -> tuple[Triangle, Circle, tuple[float, float, float, float, float, float]]:
-    """Isosceles member, its circumcircle, and the implicit conic of the
-    inellipse as (A, B, C, D, E, F) for Ax^2 + Bxy + Cy^2 + Dx + Ey + F = 0.
-
-    The conic coefficients exist for verification; scenes represent the
-    inellipse through :class:`Ellipse`.
-    """
-    d, h, zeta = iso.d, iso.h, iso.zeta
+def isosceles_member(iso: IsoscelesParams) -> Triangle:
+    """The apex-up isosceles member with base half-width d and height h."""
+    d, h = iso.d, iso.h
     base_y = (d * d - h * h) / (2.0 * h)
-    tri = Triangle(
-        Point(-d, base_y),
-        Point(d, base_y),
-        Point(0.0, zeta / (2.0 * h)),
-    )
-    circ = Circle(Point(0.0, 0.0), zeta / (2.0 * h))
+    return Triangle(Point(-d, base_y), Point(d, base_y), Point(0.0, iso.zeta / (2.0 * h)))
+
+
+def isosceles_conic(iso: IsoscelesParams) -> tuple[float, float, float, float, float, float]:
+    """The implicit conic (A, B, C, D, E, F) of the inellipse, Ax^2 + Bxy +
+    Cy^2 + Dx + Ey + F = 0; it exists for verification, and scenes represent
+    the inellipse through :class:`Ellipse`."""
+    d, h, zeta = iso.d, iso.h, iso.zeta
     d2, h2 = d * d, h * h
-    coeffs = (
+    return (
         -64.0 * d2 * h2 * h2,
         0.0,
         -4.0 * h2 * (9.0 * d2 + h2) * zeta,
@@ -517,14 +509,12 @@ def isosceles_scene(
         4.0 * h * (3.0 * d2 + h2) * (3.0 * d2 - h2) * zeta,
         -(d2 - h2) * (9.0 * d2 - h2) * zeta * zeta,
     )
-    return tri, circ, coeffs
 
 
 @check("fixture.inversion_routes", 1e-11, _ONCE,
        "X187 and X574 of the fixture agree between inversion chain and closed form")
 def _check_fixture_inversion_routes(_: None) -> Residuals:
-    tri, _, _ = isosceles_scene(FIXTURE)
-    centers = standard_centers(tri)
+    centers = standard_centers(isosceles_member(FIXTURE))
     x574 = -35.0 / 388.0
     return (
         abs(centers.X187.x),
@@ -844,8 +834,7 @@ def conic_to_ellipse(
 @check("prop11.conic_match", 1e-10, _draws(_quarter, _random_chart_params),
        "the implicit conic of the isosceles chart is the scene inellipse")
 def _check_conic_match(iso: IsoscelesParams) -> Residuals:
-    _, _, coeffs = isosceles_scene(iso)
-    from_conic = conic_to_ellipse(coeffs)
+    from_conic = conic_to_ellipse(isosceles_conic(iso))
     scene = scene_from_Ru(Ru_from_dh(iso))
     return (
         from_conic.center.dist(scene.inellipse.center),
@@ -890,9 +879,8 @@ def _check_composed_axes(iso: IsoscelesParams) -> Residuals:
 @check("eq2.apex_recovery", 1e-10, _draws(_quarter, _random_shape),
        "the member at the top parameter is the isosceles triangle itself")
 def _check_apex_recovery(iso: IsoscelesParams) -> Residuals:
-    tri, _, _ = isosceles_scene(iso)
-    at_top = vertices_at(iso, 0.5 * math.pi)
-    return [min(v.dist(w) for w in tri) for v in at_top]
+    tri = isosceles_member(iso)
+    return [min(v.dist(w) for w in tri) for v in vertices_at(iso, 0.5 * math.pi)]
 
 
 # ---------------------------------------------------------------------------
@@ -1000,9 +988,8 @@ def nesting_residual(t_small_circle: float, t_big_circle: float) -> float:
     """
     if not 0.0 < t_big_circle < t_small_circle <= T_MAX:
         raise GeometryError("t outside range")
-    inner = Circle(X15, 0.0)  # K at pi/3 is the point X15
-    if t_small_circle < T_MAX:
-        inner = brocard_circle_Kt(t_small_circle)
+    # K at pi/3 is the point X15
+    inner = brocard_circle_Kt(t_small_circle) if t_small_circle < T_MAX else Circle(X15, 0.0)
     return circle_nesting_slack(inner, brocard_circle_Kt(t_big_circle))
 
 

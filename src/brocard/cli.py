@@ -26,13 +26,15 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import re
 import sys
 from typing import TYPE_CHECKING
 
 # each command imports the layers it runs in its handler, so it loads
-# only those; the parser reads the figure table and the mutant names
+# only those; the parser reads the figures, the mutants and FIXTURE
 from .figures import FIGURES, FigureCheckError, render_figure
 from .geom import GeometryError
+from .porism import FIXTURE
 from .recurrence import MUTATIONS
 
 if TYPE_CHECKING:
@@ -353,8 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "family", help="sample member triangles of the porism with half-base d, height h"
     )
-    p.add_argument("--d", type=float, default=1.0, help="half-base (default 1)")
-    p.add_argument("--h", type=float, default=2.0, help="height (default 2)")
+    p.add_argument("--d", type=float, default=FIXTURE.d, help="half-base (default %(default)g)")
+    p.add_argument("--h", type=float, default=FIXTURE.h, help="height (default %(default)g)")
     p.add_argument("--samples", type=int, default=200, help="sample count (default 200)")
     _table_flags(p, ("csv", "json"))
     p.set_defaults(fn=_cmd_family)
@@ -382,9 +384,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
     p.set_defaults(fn=_cmd_figure)
 
-    # no prefix matching either: "orbit --h" would otherwise print help
+    # no prefix matching either: "orbit --h" would otherwise print help; and
+    # "-1e3" or "-inf" is a value for float() to read, where argparse saw a flag
     for p in sub.choices.values():
         p.allow_abbrev = False
+        p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
     return parser
 
 

@@ -320,9 +320,10 @@ def vertices_at(iso: IsoscelesParams, t: float) -> Triangle:
 
     The first vertex is R*(cos t, sin t); the other two come from rational
     trigonometric expressions in the isosceles chart, :func:`_member_chart`.
-    Isolated t values make a denominator vanish (the member degenerates);
-    those raise, and samplers should perturb t.  Vertices are reordered
-    counterclockwise.
+    The denominators c3 cos t -+ s3 sin t +- scale never vanish, as scale^2 -
+    (c3^2 + s3^2) = 64 d^4 h^4 > 0; the guard raises ParametrizationSingularityError
+    where rounding eats the margin (scale - hypot(c3, s3)) / scale, below 1e-13
+    (h/d under about 7.1e-4 or over 4.27e3).  Vertices are reordered counterclockwise.
     """
     ax, ay, bx, by, cx, cy = _member_xy(_member_chart(iso), t)
     return Triangle.oriented(tuple_new(Point, (ax, ay)), tuple_new(Point, (bx, by)),

@@ -1,10 +1,48 @@
+import contextlib
+import io
+import json
 import math
 import random
+from typing import NamedTuple
 
 import pytest
 
+from brocard import cli
 from brocard.geom import GeometryError, Point, Pose
 from brocard.porism import IsoscelesParams, Ru_from_dh, scene_from_Ru, scene_member
+
+
+class CliRun(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(argv):
+    """``brocard`` run in process on ``argv``: its exit code, stdout and
+    stderr; an argparse exit is read as its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors and --help
+            code = exc.code
+    return CliRun(code, out.getvalue(), err.getvalue())
+
+
+def _reject_constant(name):
+    raise ValueError(f"bare {name} is not JSON")
+
+
+def parse_jsonl(text):
+    """The rows of a JSON-lines table, read as strict RFC 8259: bare NaN and
+    Infinity are rejected."""
+    return [
+        json.loads(line, parse_constant=_reject_constant)
+        for line in text.splitlines()
+        if line.strip()
+    ]
+
 
 MEMBERS = 240
 CANONICAL = 60

@@ -1,21 +1,13 @@
 import csv
 import io
-import json
 import math
 import subprocess
 import sys
 
+from conftest import parse_jsonl, run_cli
+
 SQRT3 = math.sqrt(3.0)
 T_MAX = math.pi / 3.0
-
-
-def _run(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "brocard", *args],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
 
 
 def _rows_from_csv(text):
@@ -24,23 +16,10 @@ def _rows_from_csv(text):
     return header, [dict(zip(header, row)) for row in reader]
 
 
-def _reject_constant(name):
-    raise ValueError(f"bare {name} is not JSON")
-
-
-def _rows_from_jsonl(text):
-    # strict RFC 8259: bare NaN and Infinity are rejected
-    return [
-        json.loads(line, parse_constant=_reject_constant)
-        for line in text.splitlines()
-        if line.strip()
-    ]
-
-
 def test_verify_healthy_exit_zero():
-    p = _run("verify", "--samples", "25", "--seed", "0")
+    p = run_cli(["verify", "--samples", "25", "--seed", "0"])
     assert p.returncode == 0, p.stderr
-    rows = _rows_from_jsonl(p.stdout)
+    rows = parse_jsonl(p.stdout)
     assert len(rows) >= 55
     for r in rows:
         assert r["passed"] is True
@@ -50,8 +29,8 @@ def test_verify_healthy_exit_zero():
 def test_verify_csv_roundtrips_to_exact_floats():
     from brocard.checks import run_checks
 
-    p = _run("verify", "--filter", "geom.", "--format", "csv",
-             "--samples", "30", "--seed", "7")
+    p = run_cli(["verify", "--filter", "geom.", "--format", "csv",
+                 "--samples", "30", "--seed", "7"])
     assert p.returncode == 0
     header, rows = _rows_from_csv(p.stdout)
     assert header[:2] == ["check_id", "claim"]
@@ -67,15 +46,15 @@ def test_verify_csv_roundtrips_to_exact_floats():
 
 
 def test_verify_unknown_filter_exit_two():
-    p = _run("verify", "--filter", "nosuchgroup.")
+    p = run_cli(["verify", "--filter", "nosuchgroup."])
     assert p.returncode == 2
     assert p.stdout == ""
 
 
 def test_verify_mutation_exit_one():
-    p = _run("verify", "--mutate", "flip-step-sign", "--samples", "15")
+    p = run_cli(["verify", "--mutate", "flip-step-sign", "--samples", "15"])
     assert p.returncode == 1
-    rows = _rows_from_jsonl(p.stdout)
+    rows = parse_jsonl(p.stdout)
     failed = {r["check_id"] for r in rows if not r["passed"]}
     assert any(i.startswith("thm1.") for i in failed)
     assert any(i.startswith("prop14.") for i in failed)
@@ -83,8 +62,8 @@ def test_verify_mutation_exit_one():
 
 
 def test_orbit_forward_contract():
-    p = _run("orbit", "--R0", "1", "--u0", "3", "--steps", "6",
-             "--format", "csv")
+    p = run_cli(["orbit", "--R0", "1", "--u0", "3", "--steps", "6",
+                 "--format", "csv"])
     assert p.returncode == 0
     header, rows = _rows_from_csv(p.stdout)
     assert header[0] == "generation"
@@ -97,25 +76,25 @@ def test_orbit_forward_contract():
 
 
 def test_orbit_backward_contract():
-    p = _run("orbit", "--R0", "1", "--u0", "2", "--steps", "8",
-             "--direction", "back", "--format", "json")
+    p = run_cli(["orbit", "--R0", "1", "--u0", "2", "--steps", "8",
+                 "--direction", "back", "--format", "json"])
     assert p.returncode == 0
-    rows = _rows_from_jsonl(p.stdout)
+    rows = parse_jsonl(p.stdout)
     assert len(rows) == 9
     assert rows[-1]["u"] > 100.0
 
 
 def test_orbit_bad_start_exit_two():
-    assert _run("orbit", "--R0", "1", "--u0", "1.5").returncode == 2
-    assert _run("orbit", "--R0", "-1", "--u0", "2").returncode == 2
-    assert _run("orbit", "--R0", "1", "--u0", "2", "--steps", "-3").returncode == 2
+    assert run_cli(["orbit", "--R0", "1", "--u0", "1.5"]).returncode == 2
+    assert run_cli(["orbit", "--R0", "-1", "--u0", "2"]).returncode == 2
+    assert run_cli(["orbit", "--R0", "1", "--u0", "2", "--steps", "-3"]).returncode == 2
 
 
 def test_family_table():
-    p = _run("family", "--d", "1", "--h", "2", "--samples", "8",
-             "--format", "json")
+    p = run_cli(["family", "--d", "1", "--h", "2", "--samples", "8",
+                 "--format", "json"])
     assert p.returncode == 0
-    rows = _rows_from_jsonl(p.stdout)
+    rows = parse_jsonl(p.stdout)
     assert len(rows) == 8
     for r in rows:
         assert r["closure_residual_max"] < 1e-9
@@ -127,11 +106,29 @@ def test_family_table():
     assert abs(quarter["Ay"] - 1.25) < 1e-12
 
 
-def test_continuous_table():
-    p = _run("continuous", "--t-min", "0.1", "--t-max", repr(T_MAX),
-             "--samples", "60", "--format", "json")
+def test_family_skips_a_member_that_degenerates(monkeypatch):
+    from brocard import porism
+    from brocard.porism import ParametrizationSingularityError
+
+    honest = porism.vertices_at
+
+    def singular_at_quarter_turn(iso, t):
+        if t == 0.5 * math.pi:
+            raise ParametrizationSingularityError("parametrization singularity")
+        return honest(iso, t)
+
+    monkeypatch.setattr(porism, "vertices_at", singular_at_quarter_turn)
+    p = run_cli(["family", "--samples", "4", "--format", "json"])
     assert p.returncode == 0
-    rows = _rows_from_jsonl(p.stdout)
+    assert [row["t"] for row in parse_jsonl(p.stdout)] == [0.0, math.pi, 1.5 * math.pi]
+    assert p.stderr == "note: t=1.5707963267948966 skipped (member degenerates)\n"
+
+
+def test_continuous_table():
+    p = run_cli(["continuous", "--t-min", "0.1", "--t-max", repr(T_MAX),
+                 "--samples", "60", "--format", "json"])
+    assert p.returncode == 0
+    rows = parse_jsonl(p.stdout)
     assert len(rows) >= 60
     ts = [r["t"] for r in rows]
     assert ts == sorted(ts)
@@ -147,37 +144,37 @@ def test_continuous_table():
 
 
 def test_continuous_degrees():
-    p = _run("continuous", "--t-min", "10", "--t-max", "55",
-             "--samples", "10", "--degrees", "--format", "json")
+    p = run_cli(["continuous", "--t-min", "10", "--t-max", "55",
+                 "--samples", "10", "--degrees", "--format", "json"])
     assert p.returncode == 0
-    rows = _rows_from_jsonl(p.stdout)
+    rows = parse_jsonl(p.stdout)
     assert abs(rows[0]["t"] - math.radians(10.0)) < 1e-12
 
 
 def test_continuous_degrees_leaves_the_defaults_in_radians():
     # --degrees converts only the bounds given: the default top stays pi/3
-    p = _run("continuous", "--degrees", "--samples", "3", "--format", "json")
+    p = run_cli(["continuous", "--degrees", "--samples", "3", "--format", "json"])
     assert p.returncode == 0
-    ts = [r["t"] for r in _rows_from_jsonl(p.stdout)]
+    ts = [r["t"] for r in parse_jsonl(p.stdout)]
     assert (ts[0], ts[-1]) == (0.1, T_MAX)
-    p = _run("continuous", "--degrees", "--t-min", "10", "--format", "json")
+    p = run_cli(["continuous", "--degrees", "--t-min", "10", "--format", "json"])
     assert (p.returncode, p.stderr) == (0, "")
-    ts = [r["t"] for r in _rows_from_jsonl(p.stdout)]
+    ts = [r["t"] for r in parse_jsonl(p.stdout)]
     assert (ts[0], ts[-1]) == (math.radians(10.0), T_MAX)
     # 60 degrees is pi/3 to the bit, so it stays a valid top
     assert math.radians(60.0) == T_MAX
-    assert _run("continuous", "--degrees", "--t-max", "60").returncode == 0
+    assert run_cli(["continuous", "--degrees", "--t-max", "60"]).returncode == 0
 
 
 def test_continuous_bad_range_exit_two():
-    assert _run("continuous", "--t-min", "0.5", "--t-max", "0.2").returncode == 2
-    assert _run("continuous", "--t-min", "0", "--t-max", "0.5").returncode == 2
-    assert _run("continuous", "--t-min", "0.1", "--t-max", "2.0").returncode == 2
+    assert run_cli(["continuous", "--t-min", "0.5", "--t-max", "0.2"]).returncode == 2
+    assert run_cli(["continuous", "--t-min", "0", "--t-max", "0.5"]).returncode == 2
+    assert run_cli(["continuous", "--t-min", "0.1", "--t-max", "2.0"]).returncode == 2
 
 
 def test_figure_deterministic_bytes():
-    a = _run("figure", "fig4")
-    b = _run("figure", "fig4")
+    a = run_cli(["figure", "fig4"])
+    b = run_cli(["figure", "fig4"])
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
     assert a.stdout.startswith("<svg")
@@ -186,31 +183,31 @@ def test_figure_deterministic_bytes():
 
 def test_figure_families_and_params():
     for name in ("fig2", "fig5", "fig6", "fig7"):
-        p = _run("figure", name)
+        p = run_cli(["figure", name])
         assert p.returncode == 0, (name, p.stderr)
         assert "<svg" in p.stdout
     # fig6 and fig7 describe the continuous family, no porism to pick
-    p = _run("figure", "fig6", "--d", "1", "--h", "2")
+    p = run_cli(["figure", "fig6", "--d", "1", "--h", "2"])
     assert (p.returncode, p.stdout) == (2, "")
     assert p.stderr == "error: fig6 takes no porism parameters\n"
     # member figures accept a porism
-    assert _run("figure", "fig2", "--d", "1.2", "--h", "2.4").returncode == 0
+    assert run_cli(["figure", "fig2", "--d", "1.2", "--h", "2.4"]).returncode == 0
     # half-given parameters are rejected
-    assert _run("figure", "fig2", "--d", "1.2").returncode == 2
+    assert run_cli(["figure", "fig2", "--d", "1.2"]).returncode == 2
 
 
 def test_figure_renders_a_porism_at_tiny_scale():
     # the figure normalizes scale, so a 1e-16 copy of the default porism
     # draws the same bytes; no absolute threshold may reject it as degenerate
-    tiny = _run("figure", "fig2", "--d", "1e-16", "--h", "2e-16")
+    tiny = run_cli(["figure", "fig2", "--d", "1e-16", "--h", "2e-16"])
     assert tiny.returncode == 0, tiny.stderr
-    assert tiny.stdout == _run("figure", "fig2").stdout
+    assert tiny.stdout == run_cli(["figure", "fig2"]).stdout
 
 
 def test_figure_gates_are_relative_to_the_porism_scale():
     for scale in ("1e10", "1e-10"):
         for name in ("fig2", "fig4", "fig5"):
-            p = _run("figure", name, "--d", scale, "--h", "3" + scale[1:])
+            p = run_cli(["figure", name, "--d", scale, "--h", "3" + scale[1:]])
             assert p.returncode == 0, (name, scale, p.stderr)
 
 
@@ -233,14 +230,14 @@ def test_tiny_charts_exit_two_with_a_reason():
         ("figure", "fig2", "--d", "1e-300", "--h", "2e-300"),
         ("family", "--d", "1e-170", "--h", "3e-170"),
     ):
-        p = _run(*args)
+        p = run_cli(list(args))
         assert p.returncode == 2, args
         assert p.stdout == ""
         lines = p.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), p.stderr
         assert "division by zero" not in p.stderr
     # the member chart is evaluated at unit scale, so this one draws
-    p = _run("figure", "fig2", "--d", "1e-70", "--h", "3e-70")
+    p = run_cli(["figure", "fig2", "--d", "1e-70", "--h", "3e-70"])
     assert p.returncode == 0, p.stderr
 
 
@@ -263,14 +260,14 @@ def test_member_chart_works_far_from_unit_scale(capsys):
 
 
 def test_figure_rejects_table_formats():
-    assert _run("figure", "fig2", "--format", "csv").returncode == 2
-    assert _run("verify", "--format", "svg", "--samples", "5").returncode == 2
+    assert run_cli(["figure", "fig2", "--format", "csv"]).returncode == 2
+    assert run_cli(["verify", "--format", "svg", "--samples", "5"]).returncode == 2
 
 
 def test_out_writes_crlf_csv(tmp_path):
     target = tmp_path / "orbit.csv"
-    p = _run("orbit", "--R0", "1.25", "--u0", "1.75", "--steps", "3",
-             "--format", "csv", "--out", str(target))
+    p = run_cli(["orbit", "--R0", "1.25", "--u0", "1.75", "--steps", "3",
+                 "--format", "csv", "--out", str(target)])
     assert p.returncode == 0
     assert p.stdout == ""
     raw = target.read_bytes()

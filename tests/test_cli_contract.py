@@ -5,10 +5,8 @@ parses as its format (strict JSON: no bare NaN or Infinity), and a
 negative control (``--mutate``) never exits 0.
 """
 
-import contextlib
 import csv
 import io
-import json
 import math
 import xml.etree.ElementTree as ET
 
@@ -17,28 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from brocard import cli
 from brocard.checks import MUTATIONS, check_ids
 from brocard.figures import FIGURES
-
-
-def run_cli(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
-def _reject_constant(name):
-    raise ValueError(f"bare {name} is not JSON")
-
-
-def parse_jsonl(text):
-    return [
-        json.loads(line, parse_constant=_reject_constant)
-        for line in text.splitlines()
-        if line.strip()
-    ]
+from conftest import parse_jsonl, run_cli
 
 
 def parse_output(argv, text):
@@ -162,6 +139,20 @@ def test_each_refusal_keeps_its_exit_code_and_line(tmp_path):
          f"error: [Errno 2] No such file or directory: {unwritable!r}"),
     )
     for argv, line in cases:
+        assert run_cli(argv) == (2, "", line + "\n"), argv
+
+
+def test_a_negative_number_in_any_float_form_is_a_value():
+    # argparse alone reads only -12 and -1.5 as numbers, and took "-1e3"
+    # or "-inf" for a flag: "expected one argument"
+    for argv, line in (
+        (["orbit", "--R0", "-1e3", "--u0", "2"], "error: degenerate porism"),
+        (["orbit", "--R0", "-1000", "--u0", "2"], "error: degenerate porism"),
+        (["orbit", "--R0=-1e3", "--u0", "2"], "error: degenerate porism"),
+        (["orbit", "--R0", "-inf", "--u0", "2"], "error: degenerate porism"),
+        (["family", "--d", "-2.5e-1"], "error: degenerate porism"),
+        (["continuous", "--t-min", "-1e-3"], "error: need 0 < t_min < t_max <= pi/3"),
+    ):
         assert run_cli(argv) == (2, "", line + "\n"), argv
 
 
@@ -360,6 +351,8 @@ def test_any_invocation_keeps_the_contract(argv):
     code, out, err = run_cli(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err
+    # every flag drawn with a value has it: "-1e-05" or "-inf" is no flag
+    assert "expected one argument" not in err, (argv, err)
     if "--mutate" in argv:
         assert code != 0, (argv, err)
     if any(a.startswith("--") and a not in _OWN_FLAGS[argv[0]] for a in argv):

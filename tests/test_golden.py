@@ -10,14 +10,12 @@ For ``verify`` only the deterministic columns are hashed (``check_id``,
 added later, such as a wall time, does not invalidate the digest.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 
 import pytest
 
-from brocard import cli
+from conftest import run_cli
 
 VERIFY_DIGEST = "001dbf21ddae11da72596977fab3b803927ffef3ddf18c1d93e3137e92e43cb7"
 
@@ -62,15 +60,8 @@ TABLE_DIGESTS = {
 }
 
 
-def _capture(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 def _run(argv):
-    code, out, err = _capture(argv)
+    code, out, err = run_cli(argv)
     assert (code, err) == (0, "")
     return out
 
@@ -82,7 +73,7 @@ def _sha256(text):
 def verify_digest(args=("--samples", "200", "--seed", "0")):
     """(exit code, digest) of ``verify`` with ``args``; a failing run must
     say why on one stderr line per failed row."""
-    code, text, err = _capture(["verify", *args, "--format", "json"])
+    code, text, err = run_cli(["verify", *args, "--format", "json"])
     lines = []
     for line in text.splitlines():
         row = json.loads(line)

@@ -2,18 +2,19 @@ import copy
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from brocard import continuous, porism, recurrence
+from brocard import checks, continuous, porism, recurrence
 from brocard.centers import (
     brocard_cotangent,
     brocard_points_by_construction,
     second_brocard_triangle,
     standard_centers,
 )
-from brocard.checks import conic_to_ellipse, isosceles_scene
+from brocard.checks import conic_to_ellipse, isosceles_conic, isosceles_member
 from brocard.geom import (
     Circle,
     Ellipse,
@@ -29,11 +30,13 @@ from brocard.geom import (
 )
 from brocard.porism import (
     DegeneratePorismError,
+    FIXTURE,
     IsoscelesParams,
     ParametrizationSingularityError,
     PorismParams,
     PorismScene,
     Ru_from_dh,
+    _member_chart,
     closure_residuals,
     dh_from_Ru,
     scene_from_Ru,
@@ -430,8 +433,7 @@ def test_flat_shape_is_the_mirror_porism():
         if abs(h - SQRT3 * d) < 1e-2 * d:
             continue
         iso = IsoscelesParams(d, h)
-        _, _, coeffs = isosceles_scene(iso)
-        conic = conic_to_ellipse(coeffs)
+        conic = conic_to_ellipse(isosceles_conic(iso))
         canon = scene_from_Ru(Ru_from_dh(iso)).inellipse
         assert conic.center.y > 0.0
         assert conic.center.dist(Point(canon.center.x, -canon.center.y)) < 1e-10
@@ -446,12 +448,9 @@ def test_chart_rejects_a_degenerate_porism():
 
 
 def test_isosceles_scene_matches_canonical_frame():
-    tri, circ, coeffs = isosceles_scene(FIX_ISO)
-    assert circ.center == Point(0.0, 0.0)
-    assert abs(circ.radius - 1.25) < 1e-16
-    apex = max(tri, key=lambda v: v.y)
+    apex = max(isosceles_member(FIX_ISO), key=lambda v: v.y)
     assert apex.dist(Point(0.0, 1.25)) < 1e-15
-    conic = conic_to_ellipse(coeffs)
+    conic = conic_to_ellipse(isosceles_conic(FIX_ISO))
     canon = scene_from_Ru(FIX_PARAMS).inellipse
     assert conic.center.dist(canon.center) < 1e-14
     assert abs(conic.semi_major - canon.semi_major) < 1e-14
@@ -501,11 +500,61 @@ def test_vertices_at_apex_up():
 
 
 def test_vertices_at_singularity():
-    # only pathologically flat members get near a vanishing denominator
+    # no real t zeroes a denominator, but at h/d = 1e5 the margin
+    # (scale - hypot(c3, s3)) / scale is about 3e-19, below the 1e-13 guard,
+    # so the minimum of a denominator rounds inside it
     d, h = 1.0, 1e5
     t_bad = math.atan2(9.0 * d ** 4 - h ** 4, 2.0 * d * h * (3.0 * d * d - h * h))
     with pytest.raises(ParametrizationSingularityError):
         vertices_at(IsoscelesParams(d, h), t_bad)
+
+
+def _denominator_terms(chart):
+    """(c3, s3, scale) of a member chart: its denominators are
+    c3 cos t -+ s3 sin t +- scale."""
+    return chart[13:16]
+
+
+def test_no_real_t_zeroes_a_member_denominator():
+    """scale^2 - (c3^2 + s3^2) = 64 d^4 h^4 > 0, so |c3 cos t -+ s3 sin t|
+    <= hypot(c3, s3) < scale for every real t."""
+    rng = random.Random(46)
+    for _ in range(200):
+        d = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        h = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        d2, h2 = d * d, h * h
+        c3 = 2 * d * h * (3 * d2 - h2)
+        s3 = 9 * d2 * d2 - h2 * h2
+        scale = 9 * d2 * d2 + 2 * d2 * h2 + h2 * h2
+        assert scale**2 - (c3**2 + s3**2) == 64 * d2 * d2 * h2 * h2
+    # the chart's rounded terms keep the identity up to rounding; the chart
+    # works at h in [0.5, 1), d and h scaled down by its first term
+    for _ in range(2000):
+        d = rng.uniform(0.5, 2.0)
+        iso = IsoscelesParams(d, d * rng.uniform(0.4, 4.5))
+        chart = _member_chart(iso)
+        c3, s3, scale = map(Fraction, _denominator_terms(chart))
+        d, h = Fraction(iso.d) / Fraction(chart[0]), Fraction(iso.h) / Fraction(chart[0])
+        defect = scale**2 - (c3**2 + s3**2) - 64 * d**4 * h**4
+        assert abs(defect) < 1e-15 * scale**2
+
+
+def test_registry_members_keep_the_denominator_margin():
+    """The guard in the member chart raises only where the margin
+    (scale - hypot(c3, s3)) / scale falls below 1e-13; every shape the
+    registry draws members from keeps it above 1e-5."""
+
+    def margin(chart):
+        c3, s3, scale = _denominator_terms(chart)
+        return (scale - math.hypot(c3, s3)) / scale
+
+    rng = random.Random(47)
+    charts = [_member_chart(FIXTURE)]
+    charts += [scene_from_Ru(checks._random_member_params(rng))._member for _ in range(500)]
+    charts += [_member_chart(checks._random_chart_params(rng)) for _ in range(500)]
+    charts += [continuous.bt_scene(t)._member for t, _ in checks._family_members(rng, 0)]
+    assert min(map(margin, charts)) > 1e-5
+    assert margin(_member_chart(IsoscelesParams(1.0, 1e5))) < 1e-13
 
 
 def test_scene_member_in_posed_scene():

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brocard.checks import isosceles_scene
+from brocard.checks import isosceles_member
 from brocard.geom import Circle, GeometryError, Line, Point, Pose, three_point_center
 from brocard.porism import (
     FIXTURE,
@@ -267,7 +267,7 @@ def apollonius_circles(iso):
     An independent route to the Beltrami circles the scenes store.
     """
     scene = scene_from_Ru(Ru_from_dh(iso))
-    tri, _, _ = isosceles_scene(iso)
+    tri = isosceles_member(iso)
     through_a, through_b = (_circle_through(v, scene.X15, scene.X16) for v in (tri.A, tri.B))
     c1, c2 = scene.beltrami_circles()
     if through_a.center.dist(c1.center) <= through_b.center.dist(c1.center):
